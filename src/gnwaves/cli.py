@@ -3,7 +3,7 @@
 Subcommands::
 
     simulate       full dispersive-model run from a config (or preset)
-    sv             same, forcing the hydrostatic model
+    sv             same, as the hydrostatic (mu = 0) case
     stability      instability-threshold CSV over a wavenumber grid
     admissibility  numerical admissibility report for the configured symbols
     diag-compare   conserved-quantity drift table across the three families

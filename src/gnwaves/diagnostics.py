@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import apply_mass_operator, capillary_density, layer_depths
+from .saint_venant import sv_hyperbolicity_margin
 from .spectral import inner, mode_amplitudes
 
 __all__ = [
@@ -117,8 +118,16 @@ def hyperbolicity_margin(params, zeta, w):
 
 
 def compute_row(ctx, t, zeta, v, w, k_band=None):
-    """One diagnostics record from a state snapshot (w already recovered)."""
+    """One diagnostics record from a state snapshot (w already recovered).
+
+    At mu = 0 the integrated system is the hydrostatic one, v equals vbar,
+    and hyp_margin is its criterion :func:`sv_hyperbolicity_margin`.
+    """
     grid = ctx.grid
+    if ctx.params.mu == 0.0:
+        hyp_margin = sv_hyperbolicity_margin(ctx.params, zeta, v)
+    else:
+        hyp_margin = hyperbolicity_margin(ctx.params, zeta, w)
     return DiagnosticsRow(
         t=t,
         Z=mass(grid, zeta),
@@ -127,6 +136,6 @@ def compute_row(ctx, t, zeta, v, w, k_band=None):
         H=energy(ctx, zeta, w),
         M=momentum(grid, ctx.params, w),
         C=centroid(grid, zeta, w, t),
-        hyp_margin=hyperbolicity_margin(ctx.params, zeta, w),
+        hyp_margin=hyp_margin,
         high_band=band_max(grid, zeta, k_band),
     )

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import CavitationError, ConvergenceError
 from .multipliers import eval_multiplier
 from .spectral import dealias_mask, ddx, inner
+from .stability import _flat_interface
 
 __all__ = [
     "CAVITATION_FLOOR",
@@ -88,13 +89,9 @@ class GNContext:
         dk = grid.k.copy()
         dk[-1] = 0.0
         self.deriv = 1j * dk
-        g, d, mu = params.gamma, params.delta, params.mu
         # symbol of A at zeta = 0 (uses the same truncated derivative ladder)
-        self.flat_symbol = (g + d) + (mu / 3.0) * (self.f2**2 / d + g * self.f1**2) * dk**2
+        self.flat_symbol, _ = _flat_interface(params, self.f1, self.f2, dk)
         self.mask = dealias_mask(grid) if dealias else None
-
-    def nonlocal_active(self):
-        return self.params.mu > 0.0
 
 
 def _dxf(grid, u, fsym, deriv):
@@ -102,21 +99,17 @@ def _dxf(grid, u, fsym, deriv):
     return np.fft.irfft(deriv * fsym * np.fft.rfft(u), grid.n)
 
 
-def q_operator(grid, h, u, fsym):
-    """Layer dispersion operator  -(1/3) h^{-1} dx F{ h^3 dx F{u} }."""
-    dk = grid.k.copy()
-    dk[-1] = 0.0
-    deriv = 1j * dk
+def q_operator(grid, h, u, fsym, deriv):
+    """Layer dispersion operator  -(1/3) h^{-1} dx F{ h^3 dx F{u} };
+    ``deriv`` is the derivative symbol (``GNContext.deriv``)."""
     t = _dxf(grid, u, fsym, deriv)
     t = _dxf(grid, h**3 * t, fsym, deriv)
     return -(t / h) / 3.0
 
 
-def r_operator(grid, h, u, fsym):
-    """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} }."""
-    dk = grid.k.copy()
-    dk[-1] = 0.0
-    deriv = 1j * dk
+def r_operator(grid, h, u, fsym, deriv):
+    """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
+    ``deriv`` is the derivative symbol (``GNContext.deriv``)."""
     s = _dxf(grid, u, fsym, deriv)
     t = _dxf(grid, h**3 * s, fsym, deriv)
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
@@ -149,7 +142,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
     h1, h2 = depths if depths is not None else layer_depths(ctx.params, zeta)
-    if not ctx.nonlocal_active():
+    if ctx.params.mu == 0.0:
         return v * (h1 * h2) / (h1 + ctx.params.gamma * h2)
 
     grid = ctx.grid
@@ -192,9 +185,9 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
 
 def r_flux(ctx, h1, h2, w):
     """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1]."""
-    grid = ctx.grid
-    r2 = r_operator(grid, h2, w / h2, ctx.f2)
-    r1 = r_operator(grid, h1, -w / h1, ctx.f1)
+    grid, deriv = ctx.grid, ctx.deriv
+    r2 = r_operator(grid, h2, w / h2, ctx.f2, deriv)
+    r1 = r_operator(grid, h1, -w / h1, ctx.f1, deriv)
     return r2 - ctx.params.gamma * r1
 
 

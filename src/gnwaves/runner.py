@@ -7,9 +7,12 @@ underflow) is a recorded *result*, not an exception: the last healthy state
 is saved and the returned status says "blowup".
 
 During time integration, cavitation and solver-convergence failures inside a
-trial stage are converted to NaN tendencies; the error controller then
-rejects the step and shrinks, so every terminal failure surfaces uniformly
-as step-size underflow.
+trial stage are converted to NaN tendencies (:func:`guarded_rhs`); the error
+controller then rejects the step and shrinks, so every terminal failure
+surfaces uniformly as step-size underflow.
+
+The hydrostatic model ("sv") is the mu = 0 member of the dispersive family:
+it runs through the same rhs and diagnostics, with mu = 0 forced and recorded.
 """
 
 import os
@@ -31,12 +34,11 @@ from .io_store import (
 )
 from .multipliers import MultiplierSpec, load_symbol_table
 from .operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
-from .params import serialize_config
-from .saint_venant import depth_flux, sv_hyperbolicity_margin, sv_rhs
+from .params import serialize_config, with_overrides
 from .spectral import Grid
 from .timestepper import StepController, integrate
 
-__all__ = ["RunResult", "build_multiplier", "initial_state", "run_experiment"]
+__all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "run_experiment"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +82,22 @@ def initial_state(config, grid):
     return zeta0, w0
 
 
+def guarded_rhs(ctx, workspace):
+    """Stage function f(t, y) for :func:`integrate` on the packed state
+    y = (zeta, v). A stage that cavitates or whose CG solve fails returns NaN
+    tendencies, so the error controller rejects the step and shrinks."""
+    n = ctx.grid.n
+
+    def f(t, y):
+        try:
+            dzeta, dv = rhs(ctx, y[:n], y[n:], workspace=workspace)
+        except (CavitationError, ConvergenceError):
+            return np.full(2 * n, np.nan)
+        return np.concatenate([dzeta, dv])
+
+    return f
+
+
 def _prepare_out_dir(out_dir, force):
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.txt")
@@ -88,53 +106,31 @@ def _prepare_out_dir(out_dir, force):
 
 
 def run_experiment(config, out_dir, force=False, config_dir="."):
-    """Run one experiment (dispersive or hydrostatic model) into out_dir."""
+    """Run one experiment into out_dir; model "sv" runs with mu = 0."""
+    if config.model == "sv":
+        config = with_overrides(config, mu=0.0)
     _prepare_out_dir(out_dir, force)
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
-    params = config.params
     spec = build_multiplier(config, base_dir=config_dir)
     ctx = GNContext(
-        grid, params, spec,
+        grid, config.params, spec,
         cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
     )
     zeta0, w0 = initial_state(config, grid)
     k_band = config.k_band if config.k_band is not None else 0.5 * grid.nyquist
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 
-    # second evolution variable: momentum density v for the dispersive model,
-    # vbar = w/H for the hydrostatic one (they coincide at mu = 0)
-    is_sv = config.model == "sv"
-    if not np.any(w0):
-        second0 = np.zeros(grid.n)
-    elif is_sv:
-        second0 = w0 / depth_flux(params, zeta0)
-    else:
-        second0 = apply_mass_operator(ctx, zeta0, w0)
-    y0 = np.concatenate([zeta0, second0])
+    v0 = apply_mass_operator(ctx, zeta0, w0) if np.any(w0) else np.zeros(grid.n)
+    y0 = np.concatenate([zeta0, v0])
 
     workspace = GNWorkspace()
 
     def unpack(y):
         return y[: grid.n], y[grid.n :]
 
-    def recover_w(zeta, second):
-        if is_sv:
-            return depth_flux(params, zeta) * second
-        return invert_mass_operator(ctx, zeta, second, x0=workspace.w_prev)
-
-    def rhs_vec(t, y):
-        zeta, second = unpack(y)
-        try:
-            if is_sv:
-                dzeta, dsecond = sv_rhs(grid, params, zeta, second, dealias=config.dealias)
-            else:
-                dzeta, dsecond = rhs(ctx, zeta, second, workspace=workspace)
-        except (CavitationError, ConvergenceError):
-            # let the error controller reject and shrink; terminal failures
-            # then surface uniformly as step-size underflow
-            return np.full(2 * grid.n, np.nan)
-        return np.concatenate([dzeta, dsecond])
+    def recover_w(zeta, v):
+        return invert_mass_operator(ctx, zeta, v, x0=workspace.w_prev)
 
     controller = StepController(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
 
@@ -143,16 +139,11 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
 
     data_files = ["config.txt", "diag.csv"]
 
-    def diag_row(t, zeta, second):
-        w = recover_w(zeta, second)
-        if is_sv:
-            row = compute_row(ctx, t, zeta, second, w, k_band)
-            row.hyp_margin = sv_hyperbolicity_margin(params, zeta, second)
-            return row
-        return compute_row(ctx, t, zeta, second, w, k_band)
+    def diag_row(t, zeta, v):
+        return compute_row(ctx, t, zeta, v, recover_w(zeta, v), k_band)
 
-    def save_state(t, zeta, second):
-        w = recover_w(zeta, second)
+    def save_state(t, zeta, v):
+        w = recover_w(zeta, v)
         snap = snapshot_name(t)
         write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
         data_files.append(snap)
@@ -163,8 +154,8 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
 
     status, reason, t_final = "completed", "", config.t_end
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
-        diag.append(diag_row(0.0, zeta0, second0))
-        save_state(0.0, zeta0, second0)
+        diag.append(diag_row(0.0, zeta0, v0))
+        save_state(0.0, zeta0, v0)
         step_index = {"count": 0}
 
         def on_step(t, y, stats):
@@ -178,7 +169,7 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
 
         try:
             result = integrate(
-                rhs_vec, (0.0, config.t_end), y0,
+                guarded_rhs(ctx, workspace), (0.0, config.t_end), y0,
                 controller=controller,
                 snapshot_times=snapshot_times,
                 on_step=on_step,
@@ -189,9 +180,9 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
             status = "blowup"
             reason = str(blowup)
             t_final = blowup.t
-            zeta, second = unpack(blowup.state)
+            zeta, v = unpack(blowup.state)
             try:
-                save_state(t_final, zeta, second)
+                save_state(t_final, zeta, v)
             except (CavitationError, ConvergenceError):
                 # last accepted state may already cavitate for w-recovery;
                 # store zeta with a zero flux column rather than nothing

@@ -9,15 +9,15 @@ h2 = 1/delta + X evaluated at X = eps*zeta, the system reads
               + (gamma+delta)/Bo * dx^3 zeta.
 
 Both equations are exact spatial derivatives, so the means of zeta and vbar
-are conserved. Same spectral discretization and integrator as the dispersive
-model (it is the mu = 0 member of the same family); the dx^3 capillary term
-costs nothing spectrally.
+are conserved. Runs integrate this system as the mu = 0 case of
+:func:`gnwaves.operators.rhs` (there v = vbar); :func:`sv_rhs` is an
+independent implementation of it that the tests compare rhs against, and
+:func:`sv_hyperbolicity_margin` is its hyperbolicity criterion.
 """
 
 import numpy as np
 
-from .errors import CavitationError
-from .operators import CAVITATION_FLOOR
+from .operators import layer_depths
 from .spectral import ddx, dealias_mask
 
 __all__ = [
@@ -29,29 +29,21 @@ __all__ = [
 ]
 
 
-def _depths(params, zeta):
-    h1 = 1.0 - params.epsilon * zeta
-    h2 = 1.0 / params.delta + params.epsilon * zeta
-    if min(np.min(h1), np.min(h2)) <= CAVITATION_FLOOR:
-        raise CavitationError("layer depth at or below the cavitation floor")
-    return h1, h2
-
-
 def depth_flux(params, zeta):
     """H(eps*zeta) = h1 h2 / (h1 + gamma h2)."""
-    h1, h2 = _depths(params, zeta)
+    h1, h2 = layer_depths(params, zeta)
     return h1 * h2 / (h1 + params.gamma * h2)
 
 
 def depth_flux_prime(params, zeta):
     """dH/dX = (h1^2 - gamma h2^2) / (h1 + gamma h2)^2 (closed form)."""
-    h1, h2 = _depths(params, zeta)
+    h1, h2 = layer_depths(params, zeta)
     return (h1**2 - params.gamma * h2**2) / (h1 + params.gamma * h2) ** 2
 
 
 def depth_flux_second(params, zeta):
     """d2H/dX2 = -2 gamma (h1 + h2)^2 / (h1 + gamma h2)^3 (closed form)."""
-    h1, h2 = _depths(params, zeta)
+    h1, h2 = layer_depths(params, zeta)
     return -2.0 * params.gamma * (h1 + h2) ** 2 / (h1 + params.gamma * h2) ** 3
 
 

@@ -66,21 +66,32 @@ def euler_coeffs(k, params, vbar):
     return a, b, c
 
 
+def _flat_interface(params, f1, f2, k):
+    """Flat-interface algebra shared by the mass operator and the shear analysis.
+
+    Returns the symbol of the mass operator at zeta = 0,
+    A0(k) = (gamma+delta) + (mu/3)(F2^2/delta + gamma F1^2) k^2, and the shear
+    factor Gamma(k) = gamma (delta+1)^2 / delta * (delta^2 + mu k^2 F2^2/3)
+    (1 + mu k^2 F1^2/3) / A0(k), so that a(k) = (gamma+delta)(1 + k^2/Bo)
+    - eps^2 wbar^2 Gamma(k). ``f1``, ``f2`` are the layer symbols at k.
+    """
+    g, d, mu = params.gamma, params.delta, params.mu
+    # this operation order is the CG preconditioner's; keep it bit for bit
+    a0 = (g + d) + (mu / 3.0) * (f2**2 / d + g * f1**2) * k**2
+    shear = g * (d + 1.0) ** 2 / d * (d**2 + mu * k**2 * f2**2 / 3.0) * (1.0 + mu * k**2 * f1**2 / 3.0) / a0
+    return a0, shear
+
+
 def model_coeffs(k, params, spec, wbar):
     """Multiplier-model shear coefficients (a, b, c) at wavenumber k."""
     g, d, eps, mu, inv_bond = params.gamma, params.delta, params.epsilon, params.mu, params.inv_bond
     k = np.abs(np.asarray(k, dtype=float))
-    f1sq = eval_multiplier(spec, 1, k, mu) ** 2
-    f2sq = eval_multiplier(spec, 2, k, mu) ** 2
-    den = 1.0 + mu * (f2sq + g * d * f1sq) * k**2 / (3.0 * d * (g + d))
-    b = 1.0 / ((g + d) * den)
-    c = eps * wbar * ((d**2 - g) / (g + d) + mu * (f2sq - g * f1sq) * k**2 / (3.0 * (g + d))) / den
-    a = (
-        (g + d) * (1.0 + inv_bond * k**2)
-        - (eps * wbar) ** 2
-        * g * (d + 1.0) ** 2 / (d * (g + d))
-        * (d**2 + mu * k**2 * f2sq / 3.0) * (1.0 + mu * k**2 * f1sq / 3.0) / den
-    )
+    f1 = eval_multiplier(spec, 1, k, mu)
+    f2 = eval_multiplier(spec, 2, k, mu)
+    a0, shear = _flat_interface(params, f1, f2, k)
+    b = 1.0 / a0
+    c = eps * wbar * ((d**2 - g) + mu * (f2**2 - g * f1**2) * k**2 / 3.0) / a0
+    a = (g + d) * (1.0 + inv_bond * k**2) - (eps * wbar) ** 2 * shear
     return a, b, c
 
 
@@ -102,12 +113,7 @@ def threshold_curve(k_grid, params, spec):
     if np.any(k <= 0):
         raise ValidationError("k_grid", "wavenumbers must be positive")
     g, d, mu, inv_bond = params.gamma, params.delta, params.mu, params.inv_bond
-    f1sq = eval_multiplier(spec, 1, k, mu) ** 2
-    f2sq = eval_multiplier(spec, 2, k, mu) ** 2
-    den = 1.0 + mu * (f2sq + g * d * f1sq) * k**2 / (3.0 * d * (g + d))
-    gamma_k = g * (d + 1.0) ** 2 / (d * (g + d)) * (
-        (d**2 + mu * k**2 * f2sq / 3.0) * (1.0 + mu * k**2 * f1sq / 3.0) / den
-    )
+    _, gamma_k = _flat_interface(params, eval_multiplier(spec, 1, k, mu), eval_multiplier(spec, 2, k, mu), k)
     stable_always = gamma_k <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         thr = (g + d) * (1.0 + inv_bond * k**2) / gamma_k
@@ -131,21 +137,18 @@ def euler_threshold_curve(k_grid, params):
     return StabilityCurve(k=k, threshold=thr, model="euler")
 
 
-def growth_rate(k, params, spec, wbar):
-    """Temporal growth rate of mode k: max Im omega over the eigenvalues of
-    the 2x2 symbol matrix k*[[c, b], [a, c]]; zero for stable modes.
-
-    The eigenvalue route (rather than the closed-form shortcut) keeps custom
-    multipliers with exotic symbols on the same code path.
-    """
-    a, b, c = model_coeffs(float(k), params, spec, wbar)
-    matrix = float(k) * np.array([[c, b], [a, c]], dtype=complex)
-    omegas = np.linalg.eigvals(matrix)
-    return max(0.0, float(np.max(omegas.imag)))
-
-
 def growth_rates(k_grid, params, spec, wbar):
-    return np.array([growth_rate(k, params, spec, wbar) for k in np.asarray(k_grid, dtype=float)])
+    """Temporal growth rates max Im omega of the modes k_grid: the symbol
+    matrix k*[[c, b], [a, c]] has eigenvalues k (c +- sqrt(a b)), and b > 0
+    for every real symbol, so the rate is |k| sqrt(max(0, -a b))."""
+    k = np.asarray(k_grid, dtype=float)
+    a, b, _ = model_coeffs(k, params, spec, wbar)
+    return np.abs(k) * np.sqrt(np.maximum(0.0, -a * b))
+
+
+def growth_rate(k, params, spec, wbar):
+    """Scalar case of :func:`growth_rates`; zero for stable modes."""
+    return float(growth_rates(k, params, spec, wbar))
 
 
 def threshold_table(k_grid, params, theta1=None, theta2=None):

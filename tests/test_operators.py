@@ -41,14 +41,14 @@ class TestLayerOperators:
     def test_q_vanishes_on_constants(self, grid):
         fsym = np.exp(-0.2 * grid.k)
         h = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x / grid.length)
-        out = q_operator(grid, h, np.full(grid.n, 1.7), fsym)
+        out = q_operator(grid, h, np.full(grid.n, 1.7), fsym, make_ctx(grid).deriv)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_q_constant_depth_identity_symbol(self, grid):
         c = 1.3
         k0 = 4 * np.pi / grid.length
         u = np.sin(k0 * grid.x)
-        out = q_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k))
+        out = q_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k), make_ctx(grid).deriv)
         assert np.allclose(out, (c**2 * k0**2 / 3.0) * u, rtol=1e-12)
 
     def test_q_constant_depth_general_symbol(self, grid):
@@ -57,20 +57,20 @@ class TestLayerOperators:
         u = np.sin(k0 * grid.x)
         fsym = 1.0 / (1.0 + 0.05 * grid.k**2)
         fk0 = 1.0 / (1.0 + 0.05 * k0**2)
-        out = q_operator(grid, np.full(grid.n, c), u, fsym)
+        out = q_operator(grid, np.full(grid.n, c), u, fsym, make_ctx(grid).deriv)
         assert np.allclose(out, (c**2 * k0**2 * fk0**2 / 3.0) * u, rtol=1e-12)
 
     def test_r_vanishes_on_constants(self, grid):
         fsym = np.exp(-0.2 * grid.k)
         h = 1.0 + 0.2 * np.cos(2 * np.pi * grid.x / grid.length)
-        out = r_operator(grid, h, np.full(grid.n, -0.4), fsym)
+        out = r_operator(grid, h, np.full(grid.n, -0.4), fsym, make_ctx(grid).deriv)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_r_constant_depth_identity_symbol(self, grid):
         c = 1.1
         k0 = 4 * np.pi / grid.length
         u = np.sin(k0 * grid.x)
-        out = r_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k))
+        out = r_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k), make_ctx(grid).deriv)
         expected = (c**2 * k0**2 / 2.0) * np.cos(k0 * grid.x) ** 2 - (c**2 * k0**2 / 3.0) * u**2
         assert np.allclose(out, expected, rtol=0, atol=1e-11)
 
