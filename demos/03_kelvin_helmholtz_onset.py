@@ -1,15 +1,17 @@
 # What surface tension is (and is not) doing: the same release computed
 # without any surface tension (Bo^-1 = 0).
 #
-# The regularized family is immune to high-frequency shear instability by
-# construction and stays smooth. The classical model amplifies its
-# half-Nyquist band from the 1e-17 round-off floor by many orders of
-# magnitude; once its flux spectrum rises toward Nyquist the resolution
-# guard ends the run as a blow-up (t = 1.508, "spectral resolution lost"),
-# before the spectrum turns to saturated garbage by t = 2. The improved
-# model sits in between: its threshold matches the exact equations, so with
-# this shear it only shows early signs of growth. The high_band diagnostic
-# tells the story without any plotting.
+# All three start with the half-Nyquist band at the 1.4e-17 round-off floor.
+# The classical model amplifies it by 12.4 orders of magnitude; once its flux
+# spectrum rises toward Nyquist the resolution guard ends the run as a
+# blow-up (t = 1.508, "spectral resolution lost"), before the spectrum turns
+# to saturated garbage by t = 2. The regularized family is immune to
+# high-frequency shear instability by construction: 0.9 orders by t = 2.
+# The improved model sits in between. Its threshold matches the exact
+# equations, which without surface tension are unstable at short enough
+# wavelengths for any shear, so its band grows too: 1.39e-17 -> 2.38e-08,
+# 9.2 orders, and the run completes at t = 2 without tripping the guard.
+# The high_band diagnostic tells the story without any plotting.
 
 import os
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import apply_mass_operator, capillary_density, layer_depths
+from .operators import LAYER_SIGN, _dxf, apply_mass_operator, capillary_density, layer_depths
 from .saint_venant import sv_hyperbolicity_margin
 from .spectral import inner, mode_amplitudes
 
@@ -68,22 +68,24 @@ def impulse(grid, zeta, v):
 def energy(ctx, zeta, w):
     """Total energy
     integral[ (gamma+delta) zeta^2 + capillary
-              + gamma h1 u1^2 + h2 u2^2
-              + (mu gamma/3) h1 (h1 dx F1 u1)^2 + (mu/3) h2 (h2 dx F2 u2)^2 ].
+              + sum_i gamma_i ( h_i u_i^2 + (mu/3) h_i (h_i dx F_i u_i)^2 ) ]
+    with layer weights (gamma_1, gamma_2) = (gamma, 1).
 
     Identically zero at rest, so drift needs no reference subtraction.
     """
     p = ctx.params
     grid = ctx.grid
-    h1, h2 = layer_depths(p, zeta)
-    u1, u2 = -w / h1, w / h2
+    h = layer_depths(p, zeta)
+    u = LAYER_SIGN * w / h
     density = (p.gamma + p.delta) * zeta**2 + capillary_density(grid, zeta, p)
-    density += p.gamma * h1 * u1**2 + h2 * u2**2
+    kinetic = np.array([[p.gamma], [1.0]]) * h * u**2
+    density += kinetic[0] + kinetic[1]
     if p.mu > 0.0:
-        s1 = np.fft.irfft(ctx.deriv * ctx.f1 * np.fft.rfft(u1), grid.n)
-        s2 = np.fft.irfft(ctx.deriv * ctx.f2 * np.fft.rfft(u2), grid.n)
-        density += p.mu * (p.gamma / 3.0) * h1 * (h1 * s1) ** 2
-        density += (p.mu / 3.0) * h2 * (h2 * s2) ** 2
+        s = _dxf(grid, u, ctx.symbols, grid.ik)
+        # layer i carries mu*gamma_i/3, rounded as mu*(gamma/3) and mu/3
+        dispersive = np.array([[p.mu * (p.gamma / 3.0)], [p.mu / 3.0]]) * h * (h * s) ** 2
+        density += dispersive[0]
+        density += dispersive[1]
     return grid.dx * float(np.sum(density))
 
 

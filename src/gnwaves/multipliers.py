@@ -30,6 +30,7 @@ __all__ = [
     "MultiplierSpec",
     "AdmissibilityReport",
     "eval_multiplier",
+    "layer_symbols",
     "check_admissibility",
     "load_symbol_table",
 ]
@@ -116,10 +117,13 @@ class MultiplierSpec:
         return cls("regularized", theta=(float(theta1), float(theta2)))
 
     @classmethod
-    def regularized_for_depth(cls, delta):
-        # theta_i = 1/(15 delta_i^2) matches the exact dispersion to one
-        # order beyond the unmodified model.
-        return cls("regularized", theta=(1.0 / 15.0, 1.0 / (15.0 * delta**2)))
+    def regularized_for_depth(cls, delta, theta1=None, theta2=None):
+        """Regularized family; each theta_i not given defaults to
+        1/(15 delta_i^2), which matches the exact dispersion to one order
+        beyond the unmodified model."""
+        theta1 = 1.0 / 15.0 if theta1 is None else theta1
+        theta2 = 1.0 / (15.0 * delta**2) if theta2 is None else theta2
+        return cls.regularized(theta1, theta2)
 
     @classmethod
     def improved(cls, delta):
@@ -163,6 +167,11 @@ def eval_multiplier(spec, layer, k, mu):
         return np.sqrt(_improved_sq(xi / spec.layer_depths[layer - 1]))
     k_tab, f_tab = spec.table
     return np.interp(xi, k_tab, f_tab)
+
+
+def layer_symbols(spec, k, mu):
+    """(F1, F2)(sqrt(mu) * k) stacked on a new leading axis of length 2."""
+    return np.stack([eval_multiplier(spec, layer, k, mu) for layer in (1, 2)])
 
 
 def load_symbol_table(path, label=None):

@@ -3,8 +3,12 @@ evolution in Hamiltonian variables (zeta, v).
 
 Layer depths are h1 = 1 - eps*zeta (upper) and h2 = 1/delta + eps*zeta
 (lower); the shared flux variable w = -h1*u1 = h2*u2 carries both layer
-velocities. The momentum density conjugate to zeta is v = A[eps*zeta] w with
-the mass operator
+velocities. Per-layer quantities are stacked on a leading axis of length 2,
+layer 1 first: the depths h = (h1, h2), the symbols (F1, F2) held by
+:class:`GNContext` and the velocities u = LAYER_SIGN * w / h. Every layer
+formula below is written once on the stacked arrays, and one batched real FFT
+transforms both layers. The momentum density conjugate to zeta is
+v = A[eps*zeta] w with the mass operator
 
     A[eps*zeta] w = ((h1 + gamma*h2)/(h1*h2)) w
                     - (mu*gamma/3) h1^{-1} dx F1{ h1^3 dx F1{ h1^{-1} w } }
@@ -30,12 +34,13 @@ mask is applied to the assembled tendencies when enabled.
 import numpy as np
 
 from .errors import CavitationError, ConvergenceError
-from .multipliers import eval_multiplier
+from .multipliers import layer_symbols
 from .spectral import dealias_mask, ddx, inner
 from .stability import _flat_interface
 
 __all__ = [
     "CAVITATION_FLOOR",
+    "LAYER_SIGN",
     "GNContext",
     "GNWorkspace",
     "q_operator",
@@ -57,24 +62,26 @@ __all__ = [
 # anything at or below this as cavitation.
 CAVITATION_FLOOR = 1e-6
 
+# u_i = LAYER_SIGN_i * w / h_i, from w = -h1*u1 = h2*u2
+LAYER_SIGN = np.array([[-1.0], [1.0]])
+
 
 def layer_depths(params, zeta):
-    """(h1, h2) = (1 - eps*zeta, 1/delta + eps*zeta), with cavitation check."""
-    h1 = 1.0 - params.epsilon * zeta
-    h2 = 1.0 / params.delta + params.epsilon * zeta
-    if min(h1.min(), h2.min()) <= CAVITATION_FLOOR:
-        raise CavitationError(
-            f"layer depth reached {min(h1.min(), h2.min()):.3e} (floor {CAVITATION_FLOOR:g})"
-        )
-    return h1, h2
+    """h = (h1, h2) = (1 - eps*zeta, 1/delta + eps*zeta) stacked on axis 0,
+    with cavitation check."""
+    ez = params.epsilon * zeta
+    h = np.stack((1.0 - ez, 1.0 / params.delta + ez))
+    if h.min() <= CAVITATION_FLOOR:
+        raise CavitationError(f"layer depth reached {h.min():.3e} (floor {CAVITATION_FLOOR:g})")
+    return h
 
 
 class GNContext:
     """Precomputed spectral data for one (grid, params, multiplier) triple.
 
-    Holds the layer symbols on the wavenumber ladder, the derivative symbol
-    (Nyquist zeroed), the flat-interface symbol of the mass operator used as
-    CG preconditioner, and the solver/dealias settings.
+    Holds the stacked layer symbols (F1, F2) on the wavenumber ladder, the
+    flat-interface symbol of the mass operator used as CG preconditioner,
+    and the solver/dealias settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=1e-12, cg_max_iter=200, dealias=False):
@@ -83,25 +90,20 @@ class GNContext:
         self.spec = spec
         self.cg_tol = float(cg_tol)
         self.cg_max_iter = int(cg_max_iter)
-        self.f1 = eval_multiplier(spec, 1, grid.k, params.mu)
-        self.f2 = eval_multiplier(spec, 2, grid.k, params.mu)
-        # ik with the Nyquist entry zeroed, matching spectral.ddx
-        dk = grid.k.copy()
-        dk[-1] = 0.0
-        self.deriv = 1j * dk
-        # symbol of A at zeta = 0 (uses the same truncated derivative ladder)
-        self.flat_symbol, _ = _flat_interface(params, self.f1, self.f2, dk)
+        self.symbols = layer_symbols(spec, grid.k, params.mu)
+        # symbol of A at zeta = 0, on the Nyquist-truncated derivative ladder
+        self.flat_symbol, _ = _flat_interface(params, self.symbols, grid.ik.imag)
         self.mask = dealias_mask(grid) if dealias else None
 
 
 def _dxf(grid, u, fsym, deriv):
-    """dx F{u} for a precomputed layer symbol."""
+    """dx F{u} for a precomputed layer symbol; row by row for stacked layers."""
     return np.fft.irfft(deriv * fsym * np.fft.rfft(u), grid.n)
 
 
 def q_operator(grid, h, u, fsym, deriv):
     """Layer dispersion operator  -(1/3) h^{-1} dx F{ h^3 dx F{u} };
-    ``deriv`` is the derivative symbol (``GNContext.deriv``)."""
+    ``deriv`` is the derivative symbol (``grid.ik``)."""
     t = _dxf(grid, u, fsym, deriv)
     t = _dxf(grid, h**3 * t, fsym, deriv)
     return -(t / h) / 3.0
@@ -109,23 +111,21 @@ def q_operator(grid, h, u, fsym, deriv):
 
 def r_operator(grid, h, u, fsym, deriv):
     """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
-    ``deriv`` is the derivative symbol (``GNContext.deriv``)."""
+    ``deriv`` is the derivative symbol (``grid.ik``)."""
     s = _dxf(grid, u, fsym, deriv)
     t = _dxf(grid, h**3 * s, fsym, deriv)
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
 def apply_mass_operator(ctx, zeta, w, depths=None):
-    """A[eps*zeta] w; ``depths`` may pass precomputed (h1, h2)."""
-    h1, h2 = depths if depths is not None else layer_depths(ctx.params, zeta)
+    """A[eps*zeta] w; ``depths`` may pass the precomputed stacked depths."""
+    h = depths if depths is not None else layer_depths(ctx.params, zeta)
+    h1, h2 = h
     g, mu = ctx.params.gamma, ctx.params.mu
     out = (h1 + g * h2) / (h1 * h2) * w
     if mu > 0.0:
-        grid, deriv = ctx.grid, ctx.deriv
-        t2 = _dxf(grid, w / h2, ctx.f2, deriv)
-        t2 = _dxf(grid, h2**3 * t2, ctx.f2, deriv)
-        t1 = _dxf(grid, w / h1, ctx.f1, deriv)
-        t1 = _dxf(grid, h1**3 * t1, ctx.f1, deriv)
+        t = _dxf(ctx.grid, w / h, ctx.symbols, ctx.grid.ik)
+        t1, t2 = _dxf(ctx.grid, h**3 * t, ctx.symbols, ctx.grid.ik)
         out -= (mu / 3.0) * (t2 / h2 + g * t1 / h1)
     return out
 
@@ -141,9 +141,9 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     """
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
-    h1, h2 = depths if depths is not None else layer_depths(ctx.params, zeta)
+    h = depths if depths is not None else layer_depths(ctx.params, zeta)
     if ctx.params.mu == 0.0:
-        return v * (h1 * h2) / (h1 + ctx.params.gamma * h2)
+        return v * (h[0] * h[1]) / (h[0] + ctx.params.gamma * h[1])
 
     grid = ctx.grid
     b_norm = float(np.linalg.norm(v))
@@ -151,7 +151,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
         return np.zeros_like(v)
 
     def apply_a(u):
-        return apply_mass_operator(ctx, zeta, u, depths=(h1, h2))
+        return apply_mass_operator(ctx, zeta, u, depths=h)
 
     def precondition(r):
         return np.fft.irfft(np.fft.rfft(r) / ctx.flat_symbol, grid.n)
@@ -183,11 +183,10 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     )
 
 
-def r_flux(ctx, h1, h2, w):
-    """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1]."""
-    grid, deriv = ctx.grid, ctx.deriv
-    r2 = r_operator(grid, h2, w / h2, ctx.f2, deriv)
-    r1 = r_operator(grid, h1, -w / h1, ctx.f1, deriv)
+def r_flux(ctx, h, w):
+    """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1] for the
+    stacked depths h."""
+    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.symbols, ctx.grid.ik)
     return r2 - ctx.params.gamma * r1
 
 
@@ -211,11 +210,12 @@ def surface_tension_term(grid, zeta, params):
 def interface_gradient(ctx, zeta, w, depths=None):
     """The zeta-gradient of the energy functional (the bracket inside dt v)."""
     p = ctx.params
-    h1, h2 = depths if depths is not None else layer_depths(p, zeta)
+    h = depths if depths is not None else layer_depths(p, zeta)
+    h1, h2 = h
     grad = (p.gamma + p.delta) * zeta + capillary_gradient(ctx.grid, zeta, p)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(ctx, h1, h2, w)
+        grad -= p.mu * p.epsilon * r_flux(ctx, h, w)
     return grad
 
 
@@ -250,10 +250,10 @@ class GNWorkspace:
 
 
 def w_to_velocities(params, zeta, w):
-    """Layer-averaged velocities (u1, u2) = (-w/h1, w/h2); their weighted sum
-    h1*u1 + h2*u2 vanishes identically under the rigid lid."""
-    h1, h2 = layer_depths(params, zeta)
-    return -w / h1, w / h2
+    """Layer-averaged velocities u = (u1, u2) = (-w/h1, w/h2) stacked on
+    axis 0; their weighted sum h1*u1 + h2*u2 vanishes identically under the
+    rigid lid."""
+    return LAYER_SIGN * w / layer_depths(params, zeta)
 
 
 def capillary_density(grid, zeta, params):

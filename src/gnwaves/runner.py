@@ -63,9 +63,7 @@ def build_multiplier(config, base_dir="."):
     if name == "identity":
         return MultiplierSpec.identity()
     if name == "regularized":
-        theta1 = config.theta1 if config.theta1 is not None else 1.0 / 15.0
-        theta2 = config.theta2 if config.theta2 is not None else 1.0 / (15.0 * delta**2)
-        return MultiplierSpec.regularized(theta1, theta2)
+        return MultiplierSpec.regularized_for_depth(delta, config.theta1, config.theta2)
     if name == "improved":
         return MultiplierSpec.improved(delta)
     path = name.split(":", 1)[1]

@@ -8,8 +8,9 @@ even, real functions of k for the output to stay real.
 Conventions:
 
 * ``apply_symbol`` multiplies every mode, Nyquist included, by s(k).
-* ``ddx`` zeroes the Nyquist mode; the odd symbol ik has no real
-  representative there, and keeping it would leak a spurious imaginary part.
+* ``ddx`` multiplies by the derivative ladder ``grid.ik``, which is ik with
+  the Nyquist entry zeroed; the odd symbol ik has no real representative
+  there, and keeping it would leak a spurious imaginary part.
 * ``inner`` is the rectangle rule (L/n) * sum(f*g), which is exact for
   band-limited products resolvable on the grid.
 
@@ -40,10 +41,11 @@ class Grid:
 
     Nodes are x_j = -L/2 + j*L/n and the wavenumber ladder is k_m = 2*pi*m/L
     for m = 0..n/2 (real-transform storage; the last entry is the Nyquist
-    wavenumber pi*n/L).
+    wavenumber pi*n/L). ``ik`` is the derivative symbol on that ladder, with
+    the Nyquist entry zeroed.
     """
 
-    __slots__ = ("n", "half_length", "length", "dx", "x", "k", "nyquist")
+    __slots__ = ("n", "half_length", "length", "dx", "x", "k", "ik", "nyquist")
 
     def __init__(self, n, half_length):
         if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 8:
@@ -56,6 +58,7 @@ class Grid:
         self.dx = self.length / self.n
         self.x = -self.half_length + self.dx * np.arange(self.n)
         self.k = (2.0 * np.pi / self.length) * np.arange(self.n // 2 + 1)
+        self.ik = 1j * np.append(self.k[:-1], 0.0)
         self.nyquist = float(self.k[-1])
 
     def __repr__(self):
@@ -98,10 +101,7 @@ def apply_symbol(grid, f, symbol):
 def ddx(grid, f):
     """Spectral derivative; the Nyquist mode of the result is zeroed."""
     f = _check_field(grid, f)
-    fh = np.fft.rfft(f)
-    fh *= 1j * grid.k
-    fh[-1] = 0.0
-    return np.fft.irfft(fh, grid.n)
+    return np.fft.irfft(np.fft.rfft(f) * grid.ik, grid.n)
 
 
 def inner(grid, f, g):

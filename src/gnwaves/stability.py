@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .multipliers import MultiplierSpec, eval_multiplier
+from .multipliers import MultiplierSpec, layer_symbols
 
 __all__ = [
     "euler_coeffs",
@@ -57,8 +57,7 @@ def euler_coeffs(k, params, vbar):
     """
     g, d, eps, mu, inv_bond = params.gamma, params.delta, params.epsilon, params.mu, params.inv_bond
     k = np.abs(np.asarray(k, dtype=float))
-    t1 = _tanhc(np.sqrt(mu) * k)
-    t2 = _tanhc(np.sqrt(mu) * k / d)
+    t1, t2 = _tanhc(np.sqrt(mu) * k), _tanhc(np.sqrt(mu) * k / d)
     den = t1 + g * t2 / d
     b = (t1 * t2 / d) / den
     c = (d * t1 - g * t2 / d) / den * eps * vbar / (g + d)
@@ -66,16 +65,17 @@ def euler_coeffs(k, params, vbar):
     return a, b, c
 
 
-def _flat_interface(params, f1, f2, k):
+def _flat_interface(params, f, k):
     """Flat-interface algebra shared by the mass operator and the shear analysis.
 
     Returns the symbol of the mass operator at zeta = 0,
     A0(k) = (gamma+delta) + (mu/3)(F2^2/delta + gamma F1^2) k^2, and the shear
     factor Gamma(k) = gamma (delta+1)^2 / delta * (delta^2 + mu k^2 F2^2/3)
     (1 + mu k^2 F1^2/3) / A0(k), so that a(k) = (gamma+delta)(1 + k^2/Bo)
-    - eps^2 wbar^2 Gamma(k). ``f1``, ``f2`` are the layer symbols at k.
+    - eps^2 wbar^2 Gamma(k). ``f`` holds the layer symbols (F1, F2) at k.
     """
     g, d, mu = params.gamma, params.delta, params.mu
+    f1, f2 = f
     # this operation order is the CG preconditioner's; keep it bit for bit
     a0 = (g + d) + (mu / 3.0) * (f2**2 / d + g * f1**2) * k**2
     shear = g * (d + 1.0) ** 2 / d * (d**2 + mu * k**2 * f2**2 / 3.0) * (1.0 + mu * k**2 * f1**2 / 3.0) / a0
@@ -86,9 +86,8 @@ def model_coeffs(k, params, spec, wbar):
     """Multiplier-model shear coefficients (a, b, c) at wavenumber k."""
     g, d, eps, mu, inv_bond = params.gamma, params.delta, params.epsilon, params.mu, params.inv_bond
     k = np.abs(np.asarray(k, dtype=float))
-    f1 = eval_multiplier(spec, 1, k, mu)
-    f2 = eval_multiplier(spec, 2, k, mu)
-    a0, shear = _flat_interface(params, f1, f2, k)
+    f1, f2 = f = layer_symbols(spec, k, mu)
+    a0, shear = _flat_interface(params, f, k)
     b = 1.0 / a0
     c = eps * wbar * ((d**2 - g) + mu * (f2**2 - g * f1**2) * k**2 / 3.0) / a0
     a = (g + d) * (1.0 + inv_bond * k**2) - (eps * wbar) ** 2 * shear
@@ -106,35 +105,36 @@ class StabilityCurve:
     model: str
 
 
-def threshold_curve(k_grid, params, spec):
+def _threshold_curve(k_grid, params, shear_factor, model):
     """Solve a(k) = 0 for eps^2*wbar^2 (a is affine in it):
-    threshold = (gamma+delta)(1 + k^2/Bo) / Gamma(k)."""
+    threshold = (gamma+delta)(1 + k^2/Bo) / Gamma(k), with Gamma(k) =
+    ``shear_factor(k)``; modes with Gamma(k) <= 0 are stable for every shear."""
     k = np.asarray(k_grid, dtype=float)
     if np.any(k <= 0):
         raise ValidationError("k_grid", "wavenumbers must be positive")
-    g, d, mu, inv_bond = params.gamma, params.delta, params.mu, params.inv_bond
-    _, gamma_k = _flat_interface(params, eval_multiplier(spec, 1, k, mu), eval_multiplier(spec, 2, k, mu), k)
-    stable_always = gamma_k <= 0.0
+    gamma_k = shear_factor(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        thr = (g + d) * (1.0 + inv_bond * k**2) / gamma_k
-    thr = np.where(stable_always, np.nan, thr)
-    return StabilityCurve(k=k, threshold=thr, model=spec.label)
+        thr = (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2) / gamma_k
+    return StabilityCurve(k=k, threshold=np.where(gamma_k <= 0.0, np.nan, thr), model=model)
+
+
+def threshold_curve(k_grid, params, spec):
+    """Instability threshold of the multiplier model."""
+
+    def shear_factor(k):
+        return _flat_interface(params, layer_symbols(spec, k, params.mu), k)[1]
+
+    return _threshold_curve(k_grid, params, shear_factor, spec.label)
 
 
 def euler_threshold_curve(k_grid, params):
     """Full-dispersion counterpart of :func:`threshold_curve`."""
-    k = np.asarray(k_grid, dtype=float)
-    if np.any(k <= 0):
-        raise ValidationError("k_grid", "wavenumbers must be positive")
-    g, d, mu, inv_bond = params.gamma, params.delta, params.mu, params.inv_bond
-    t1 = _tanhc(np.sqrt(mu) * k)
-    t2 = _tanhc(np.sqrt(mu) * k / d)
-    gamma_k = g * (d + 1.0) ** 2 / (t1 + g * t2 / d)
-    stable_always = gamma_k <= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thr = (g + d) * (1.0 + inv_bond * k**2) / gamma_k
-    thr = np.where(stable_always, np.nan, thr)
-    return StabilityCurve(k=k, threshold=thr, model="euler")
+    g, d, mu = params.gamma, params.delta, params.mu
+
+    def shear_factor(k):
+        return g * (d + 1.0) ** 2 / (_tanhc(np.sqrt(mu) * k) + g * _tanhc(np.sqrt(mu) * k / d) / d)
+
+    return _threshold_curve(k_grid, params, shear_factor, "euler")
 
 
 def growth_rates(k_grid, params, spec, wbar):
@@ -154,15 +154,10 @@ def growth_rate(k, params, spec, wbar):
 def threshold_table(k_grid, params, theta1=None, theta2=None):
     """Columns for the threshold-curve CSV: the three built-in families plus
     the exact-dispersion reference, on a shared k grid."""
-    d = params.delta
-    if theta1 is None:
-        theta1 = 1.0 / 15.0
-    if theta2 is None:
-        theta2 = 1.0 / (15.0 * d**2)
     specs = {
         "threshold_original": MultiplierSpec.identity(),
-        "threshold_regularized": MultiplierSpec.regularized(theta1, theta2),
-        "threshold_improved": MultiplierSpec.improved(d),
+        "threshold_regularized": MultiplierSpec.regularized_for_depth(params.delta, theta1, theta2),
+        "threshold_improved": MultiplierSpec.improved(params.delta),
     }
     columns = {"k": np.asarray(k_grid, dtype=float)}
     for name, spec in specs.items():

@@ -40,6 +40,10 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 DT_FLOOR = 1e-14
+# the step update of the module docstring: dt *= clip(SAFETY * err^(-1/5), MIN_FACTOR, MAX_FACTOR)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 5.0
 
 
 @dataclass
@@ -51,15 +55,10 @@ class StepStats:
 
 @dataclass
 class StepController:
-    """Tolerances and step-size policy; also accumulates run statistics."""
+    """Error tolerances; also accumulates run statistics."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    safety: float = 0.9
-    min_factor: float = 0.2
-    max_factor: float = 5.0
-    dt: float | None = None            # None -> automatic initial step
-    dt_floor: float = DT_FLOOR
     stats: StepStats = field(default_factory=StepStats)
 
     def __post_init__(self):
@@ -116,20 +115,17 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
 
     f = rhs_fn(t, y)
     stats.rhs_evals += 1
-    if controller.dt is not None:
-        dt = float(controller.dt)
-    else:
-        dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), controller.rel_tol, controller.abs_tol)
-        stats.rhs_evals += 1
+    dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), controller.rel_tol, controller.abs_tol)
+    stats.rhs_evals += 1
     if not np.isfinite(dt) or dt <= 0.0:
         # a right-hand side that fails already at t0 still gets a few
         # shrinking attempts before the underflow error fires
         dt = 1e-6 * (t1 - t0)
-    dt = max(dt, controller.dt_floor)
+    dt = max(dt, DT_FLOOR)
 
     k = np.empty((7, y.size))
     while t < t1:
-        if dt < controller.dt_floor:
+        if dt < DT_FLOOR:
             raise StepUnderflowError(t, y, stats, dt)
         # truncate to land exactly on the next requested time
         boundary = targets[0] if targets else t1
@@ -152,7 +148,7 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
 
         if not np.isfinite(err):
             stats.rejected += 1
-            dt = dt_step * controller.min_factor
+            dt = dt_step * MIN_FACTOR
             continue
         if err <= 1.0:
             t_new = boundary if dt_step == boundary - t else t + dt_step
@@ -169,14 +165,12 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
                 keep_going = on_step(t, y, stats)
                 if keep_going is not None and not keep_going:
                     return IntegrationResult(t=t, y=y, stats=stats, status="cancelled")
-            factor = controller.max_factor if err == 0.0 else min(
-                controller.max_factor, max(controller.min_factor, controller.safety * err**-0.2)
-            )
+            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err**-0.2))
             # a step truncated to land on an output time must not throttle
             # the natural step size
             dt = max(dt, dt_step * factor) if truncated else dt_step * factor
         else:
             stats.rejected += 1
-            dt = dt_step * min(1.0, max(controller.min_factor, controller.safety * err**-0.2))
+            dt = dt_step * min(1.0, max(MIN_FACTOR, SAFETY * err**-0.2))
 
     return IntegrationResult(t=t, y=y, stats=stats, status="completed")

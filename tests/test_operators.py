@@ -37,18 +37,25 @@ def random_state(ctx, rng, zeta_scale=None):
     return zeta, w
 
 
+def _layer_dxf(grid, spec, layer, mu):
+    """dx F_layer{u} built per layer from ddx and eval_multiplier, independent
+    of GNContext's stacked symbols."""
+    fsym = eval_multiplier(spec, layer, grid.k, mu)
+    return lambda u: ddx(grid, np.fft.irfft(fsym * np.fft.rfft(u), grid.n))
+
+
 class TestLayerOperators:
     def test_q_vanishes_on_constants(self, grid):
         fsym = np.exp(-0.2 * grid.k)
         h = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x / grid.length)
-        out = q_operator(grid, h, np.full(grid.n, 1.7), fsym, make_ctx(grid).deriv)
+        out = q_operator(grid, h, np.full(grid.n, 1.7), fsym, grid.ik)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_q_constant_depth_identity_symbol(self, grid):
         c = 1.3
         k0 = 4 * np.pi / grid.length
         u = np.sin(k0 * grid.x)
-        out = q_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k), make_ctx(grid).deriv)
+        out = q_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k), grid.ik)
         assert np.allclose(out, (c**2 * k0**2 / 3.0) * u, rtol=1e-12)
 
     def test_q_constant_depth_general_symbol(self, grid):
@@ -57,20 +64,20 @@ class TestLayerOperators:
         u = np.sin(k0 * grid.x)
         fsym = 1.0 / (1.0 + 0.05 * grid.k**2)
         fk0 = 1.0 / (1.0 + 0.05 * k0**2)
-        out = q_operator(grid, np.full(grid.n, c), u, fsym, make_ctx(grid).deriv)
+        out = q_operator(grid, np.full(grid.n, c), u, fsym, grid.ik)
         assert np.allclose(out, (c**2 * k0**2 * fk0**2 / 3.0) * u, rtol=1e-12)
 
     def test_r_vanishes_on_constants(self, grid):
         fsym = np.exp(-0.2 * grid.k)
         h = 1.0 + 0.2 * np.cos(2 * np.pi * grid.x / grid.length)
-        out = r_operator(grid, h, np.full(grid.n, -0.4), fsym, make_ctx(grid).deriv)
+        out = r_operator(grid, h, np.full(grid.n, -0.4), fsym, grid.ik)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_r_constant_depth_identity_symbol(self, grid):
         c = 1.1
         k0 = 4 * np.pi / grid.length
         u = np.sin(k0 * grid.x)
-        out = r_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k), make_ctx(grid).deriv)
+        out = r_operator(grid, np.full(grid.n, c), u, np.ones_like(grid.k), grid.ik)
         expected = (c**2 * k0**2 / 2.0) * np.cos(k0 * grid.x) ** 2 - (c**2 * k0**2 / 3.0) * u**2
         assert np.allclose(out, expected, rtol=0, atol=1e-11)
 
@@ -130,6 +137,27 @@ class TestMassOperator:
             lhs, rhs_ = inner(grid, aw, g), inner(grid, w, ag)
             assert lhs == pytest.approx(rhs_, rel=1e-12)
             assert inner(grid, aw, w) > 0
+
+    def test_matches_expanded_form_off_flat(self, grid):
+        # away from zeta = 0, with F1 != F2 (improved family at delta = 0.5),
+        # each layer must get its own symbol, depth and weight (gamma, 1)
+        p = REF_PARAMS
+        spec = MultiplierSpec.improved(p.delta)
+        ctx = make_ctx(grid, spec=spec)
+        rng = np.random.default_rng(71)
+        zeta, w = random_state(ctx, rng)
+        h1 = 1.0 - p.epsilon * zeta
+        h2 = 1.0 / p.delta + p.epsilon * zeta
+        dxf1 = _layer_dxf(grid, spec, 1, p.mu)
+        dxf2 = _layer_dxf(grid, spec, 2, p.mu)
+        assert not np.allclose(eval_multiplier(spec, 1, grid.k, p.mu), eval_multiplier(spec, 2, grid.k, p.mu))
+        expanded = (
+            (h1 + p.gamma * h2) / (h1 * h2) * w
+            - (p.mu * p.gamma / 3.0) * dxf1(h1**3 * dxf1(w / h1)) / h1
+            - (p.mu / 3.0) * dxf2(h2**3 * dxf2(w / h2)) / h2
+        )
+        out = apply_mass_operator(ctx, zeta, w)
+        assert np.allclose(out, expanded, rtol=0, atol=1e-12 * np.max(np.abs(expanded)))
 
     def test_cavitation_raises(self, grid):
         ctx = make_ctx(grid)
@@ -249,24 +277,25 @@ class TestRFluxAssembly:
     def test_matches_expanded_form(self, grid):
         # R[eps zeta, w] assembled from the layer operators must equal the
         # fully expanded expression (independent path)
-        ctx = make_ctx(grid, spec=MultiplierSpec.improved(REF_PARAMS.delta))
+        spec = MultiplierSpec.improved(REF_PARAMS.delta)
+        ctx = make_ctx(grid, spec=spec)
         rng = np.random.default_rng(53)
         zeta, w = random_state(ctx, rng)
-        h1, h2 = layer_depths(ctx.params, zeta)
-
-        def dxf(u, fsym):
-            return ddx(grid, np.fft.irfft(fsym * np.fft.rfft(u), grid.n))
+        h = layer_depths(ctx.params, zeta)
+        h1, h2 = h
+        dxf1 = _layer_dxf(grid, spec, 1, ctx.params.mu)
+        dxf2 = _layer_dxf(grid, spec, 2, ctx.params.mu)
 
         g = ctx.params.gamma
-        t2 = dxf(h2**3 * dxf(w / h2, ctx.f2), ctx.f2)
-        t1 = dxf(h1**3 * dxf(w / h1, ctx.f1), ctx.f1)
+        t2 = dxf2(h2**3 * dxf2(w / h2))
+        t1 = dxf1(h1**3 * dxf1(w / h1))
         expanded = (
             w * t2 / (3.0 * h2**2)
             - g * w * t1 / (3.0 * h1**2)
-            + 0.5 * (h2 * dxf(w / h2, ctx.f2)) ** 2
-            - 0.5 * g * (h1 * dxf(w / h1, ctx.f1)) ** 2
+            + 0.5 * (h2 * dxf2(w / h2)) ** 2
+            - 0.5 * g * (h1 * dxf1(w / h1)) ** 2
         )
-        assert np.allclose(r_flux(ctx, h1, h2, w), expanded, rtol=0, atol=1e-12)
+        assert np.allclose(r_flux(ctx, h, w), expanded, rtol=0, atol=1e-12)
 
 
 class TestRhs:
