@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CavitationError, ConvergenceError
 from .multipliers import layer_symbols
-from .spectral import dealias_mask, ddx, inner
+from .spectral import _check_field, dealias_mask, ddx, inner
 from .stability import _flat_interface
 
 __all__ = [
@@ -222,16 +222,17 @@ def interface_gradient(ctx, zeta, w, depths=None):
 def rhs(ctx, zeta, v, workspace=None):
     """Tendencies (dt zeta, dt v) at state (zeta, v).
 
-    Recovers w = A^{-1} v first (warm-started through the workspace), then
-    assembles the two exact spatial derivatives. Hyperbolicity is not
-    checked here; it is a monitored diagnostic.
+    Recovers w = A^{-1} v first (warm-started through the workspace, which
+    keeps w and its real FFT), then assembles the two exact spatial
+    derivatives. Hyperbolicity is a monitored diagnostic, not checked here.
     """
     depths = layer_depths(ctx.params, zeta)
     x0 = workspace.w_prev if workspace is not None else None
     w = invert_mass_operator(ctx, zeta, v, x0=x0, depths=depths)
+    w_hat = np.fft.rfft(_check_field(ctx.grid, w, "w"))
     if workspace is not None:
-        workspace.w_prev = w
-    dzeta = -ddx(ctx.grid, w)
+        workspace.w_prev, workspace.w_hat = w, w_hat
+    dzeta = -np.fft.irfft(w_hat * ctx.grid.ik, ctx.grid.n)
     dv = -ddx(ctx.grid, interface_gradient(ctx, zeta, w, depths=depths))
     if ctx.mask is not None:
         dzeta = np.fft.irfft(ctx.mask * np.fft.rfft(dzeta), ctx.grid.n)
@@ -240,12 +241,14 @@ def rhs(ctx, zeta, v, workspace=None):
 
 
 class GNWorkspace:
-    """Per-integration scratch: carries the previous w as CG warm start, and
-    the stage time at which a resolution guard tripped (None while clean).
-    Not shareable between concurrent integrations."""
+    """Per-integration scratch: ``w_prev`` is the flux of the last evaluated
+    stage (the next CG warm start), ``w_hat`` its real FFT, and
+    ``resolution_lost_at`` the stage time at which a resolution guard tripped
+    (None while clean). Not shareable between concurrent integrations."""
 
     def __init__(self):
         self.w_prev = None
+        self.w_hat = None
         self.resolution_lost_at = None
 
 

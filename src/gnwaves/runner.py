@@ -6,6 +6,11 @@ finishes the record with a checksummed manifest. Shear blow-up (step-size
 underflow) is a recorded *result*, not an exception: the last healthy state
 is saved and the returned status says "blowup".
 
+No flux is solved for outside the stages: the last stage of an accepted step
+is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
+take the flux w = A^{-1} v it left in ``GNWorkspace.w_prev``; the blow-up
+snapshot takes that of the last accepted step (w0 if none was accepted).
+
 During time integration, cavitation, solver-convergence failures and loss of
 spectral resolution inside a trial stage are converted to NaN tendencies
 (:func:`guarded_rhs`); the error controller then rejects the step and shrinks,
@@ -35,6 +40,7 @@ from .io_store import (
     write_spectrum,
 )
 from .multipliers import MultiplierSpec, load_symbol_table
+# invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
 from .operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
 from .params import serialize_config, with_overrides
 from .spectral import Grid
@@ -82,11 +88,11 @@ def initial_state(config, grid):
     return zeta0, w0
 
 
-def _resolution_lost(w, rel_tol):
-    """True when the flux spectrum rises toward Nyquist above the tail level
-    (see :func:`guarded_rhs`)."""
+def _resolution_lost(w, w_hat, rel_tol):
+    """True when the flux spectrum ``w_hat = rfft(w)`` rises toward Nyquist
+    above the tail level (see :func:`guarded_rhs`)."""
     n = w.size
-    amp = np.abs(np.fft.rfft(w))
+    amp = np.abs(w_hat)
     top = amp[n // 3 + 1 :].max()
     middle = amp[n // 6 + 1 : n // 3 + 1].max()
     return top > middle and top > np.sqrt(rel_tol) * n * np.abs(w).max()
@@ -126,7 +132,7 @@ def guarded_rhs(ctx, workspace, rel_tol=StepController.rel_tol):
             dzeta, dv = rhs(ctx, y[:n], y[n:], workspace=workspace)
         except (CavitationError, ConvergenceError):
             return np.full(2 * n, np.nan)
-        if _resolution_lost(workspace.w_prev, rel_tol):
+        if _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol):
             workspace.resolution_lost_at = t
             return np.full(2 * n, np.nan)
         return np.concatenate([dzeta, dv])
@@ -161,13 +167,6 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
     y0 = np.concatenate([zeta0, v0])
 
     workspace = GNWorkspace()
-
-    def unpack(y):
-        return y[: grid.n], y[grid.n :]
-
-    def recover_w(zeta, v):
-        return invert_mass_operator(ctx, zeta, v, x0=workspace.w_prev)
-
     controller = StepController(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
 
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
@@ -175,11 +174,7 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
 
     data_files = ["config.txt", "diag.csv"]
 
-    def diag_row(t, zeta, v):
-        return compute_row(ctx, t, zeta, v, recover_w(zeta, v), k_band)
-
-    def save_state(t, zeta, v):
-        w = recover_w(zeta, v)
+    def save_state(t, zeta, w):
         snap = snapshot_name(t)
         write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
         data_files.append(snap)
@@ -190,18 +185,20 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
 
     status, reason, t_final = "completed", "", config.t_end
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
-        diag.append(diag_row(0.0, zeta0, v0))
-        save_state(0.0, zeta0, v0)
-        step_index = {"count": 0}
+        diag.append(compute_row(ctx, 0.0, zeta0, v0, w0, k_band))
+        save_state(0.0, zeta0, w0)
+        accepted_w = w0  # flux of the last accepted state, for the blow-up snapshot
 
+        # integrate calls these right after the stage at y: w_prev is y's flux
         def on_step(t, y, stats):
-            step_index["count"] += 1
-            if step_index["count"] % config.diag_stride == 0:
-                diag.append(diag_row(t, *unpack(y)))
+            nonlocal accepted_w
+            accepted_w = workspace.w_prev
+            if stats.accepted % config.diag_stride == 0:
+                diag.append(compute_row(ctx, t, y[: grid.n], y[grid.n :], accepted_w, k_band))
             return True
 
         def on_snapshot(t, y):
-            save_state(t, *unpack(y))
+            save_state(t, y[: grid.n], workspace.w_prev)
 
         try:
             result = integrate(
@@ -218,14 +215,7 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
             if workspace.resolution_lost_at is not None:
                 reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
             t_final = blowup.t
-            zeta, v = unpack(blowup.state)
-            try:
-                save_state(t_final, zeta, v)
-            except (CavitationError, ConvergenceError):
-                # last accepted state may already cavitate for w-recovery;
-                # store zeta with a zero flux column rather than nothing
-                write_snapshot(os.path.join(out_dir, snapshot_name(t_final)), grid, zeta, np.zeros(grid.n))
-                data_files.append(snapshot_name(t_final))
+            save_state(t_final, blowup.state[: grid.n], accepted_w)
 
     metadata = {
         "generator": f"gnwaves {__version__}",

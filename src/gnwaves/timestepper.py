@@ -1,19 +1,20 @@
 """Adaptive embedded Runge-Kutta time integration (Dormand-Prince 5(4)).
 
 The propagating solution is 5th order with an embedded 4th-order error
-estimate; the pair is FSAL, so an accepted step costs six right-hand-side
-evaluations. Error control is the standard elementwise weighting
+estimate; the pair is FSAL (the seventh stage is evaluated at the new state
+and is the first stage of the next step), so an accepted step costs six
+right-hand-side evaluations. Error control is the standard elementwise weighting
 
     scale_i = abs_tol + rel_tol * max(|y_i|, |y_new_i|),
     err     = sqrt(mean((e_i / scale_i)^2)),   accept iff err <= 1,
 
 with the power-law step update dt *= clip(0.9 * err^(-1/5), 0.2, 5.0).
 Requested snapshot times are landed on exactly by truncating the step, so
-reported states carry no interpolation error. A non-finite error estimate
-(NaN tendencies from a failing right-hand side) is treated as a rejection at
-the maximum shrink factor; if dt falls below 1e-14 the integration aborts
-with the last healthy state attached, which is the expected outcome for
-shear-unstable runs rather than a crash.
+reported states carry no interpolation error. A stage with non-finite
+tendencies (a failing right-hand side) ends its attempt at once, which is
+rejected at the maximum shrink factor; if dt falls below 1e-14 the
+integration aborts with the last healthy state attached, which is the
+expected outcome for shear-unstable runs rather than a crash.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import StepUnderflowError, ValidationError
 
 __all__ = ["StepController", "StepStats", "IntegrationResult", "integrate"]
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row of _A is the 5th-order weights b5
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
@@ -35,7 +36,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: local error estimator weights
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -99,10 +99,11 @@ def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
 def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=None, on_snapshot=None):
     """March y' = rhs_fn(t, y) over t_span = (t0, t1).
 
-    on_step(t, y, stats) runs after every accepted step; returning False
-    cancels the integration. on_snapshot(t, y) runs whenever an accepted
-    step lands on one of snapshot_times (which it does exactly). Raises
-    StepUnderflowError on blow-up.
+    on_step(t, y, stats) runs after every accepted step (returning False
+    cancels), on_snapshot(t, y) just before it when the step lands exactly on
+    one of snapshot_times. Both run right after rhs_fn was evaluated at
+    exactly that y (the FSAL stage), so state rhs_fn keeps from its last
+    call belongs to y. Raises StepUnderflowError on blow-up.
     """
     controller = controller or StepController()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -115,8 +116,10 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
 
     f = rhs_fn(t, y)
     stats.rhs_evals += 1
-    dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), controller.rel_tol, controller.abs_tol)
-    stats.rhs_evals += 1
+    dt = np.nan
+    if np.isfinite(f).all():
+        dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), controller.rel_tol, controller.abs_tol)
+        stats.rhs_evals += 1
     if not np.isfinite(dt) or dt <= 0.0:
         # a right-hand side that fails already at t0 still gets a few
         # shrinking attempts before the underflow error fires
@@ -136,15 +139,19 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
             truncated = True
 
         k[0] = f
+        err = np.nan
         for i in range(1, 7):
+            if not np.isfinite(k[i - 1]).all():
+                break
             yi = y + dt_step * (_A[i] @ k[:i])
             k[i] = rhs_fn(t + _C[i] * dt_step, yi)
-        stats.rhs_evals += 6
-        y_new = y + dt_step * (_B5 @ k)
-        err_vec = dt_step * (_E @ k)
-        scale = controller.abs_tol + controller.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            stats.rhs_evals += 1
+        else:
+            y_new = yi  # FSAL: the last stage's input is the 5th-order solution
+            err_vec = dt_step * (_E @ k)
+            scale = controller.abs_tol + controller.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            with np.errstate(invalid="ignore", over="ignore"):
+                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
         if not np.isfinite(err):
             stats.rejected += 1

@@ -99,6 +99,20 @@ class TestSv:
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["model"] == "sv"
 
+    def test_blowup_writes_manifest(self, tmp_path):
+        # at epsilon = 1.9 the hydrostatic run loses hyperbolicity; a failed
+        # stage must end its attempt instead of feeding NaN to the next one,
+        # so the run ends as a recorded blow-up rather than a crash
+        cfg = tmp_path / "sv.cfg"
+        cfg.write_text("epsilon = 1.9\n")
+        out = str(tmp_path / "run")
+        assert main(["sv", "--config", str(cfg), "--out", out]) == 3
+        metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
+        assert metadata["status"] == "blowup"
+        assert 0.0 < float(metadata["t_final"]) < 2.0
+        snap = [name for name in checksums if name.startswith("snap_t") and name != "snap_t0.csv"]
+        assert len(snap) == 1
+
 
 class TestStability:
     def test_csv_columns(self, tmp_path):

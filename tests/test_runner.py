@@ -5,7 +5,7 @@ import pytest
 
 import gnwaves.runner as runner_mod
 from gnwaves.errors import StepUnderflowError, ValidationError
-from gnwaves.io_store import read_diagnostics, read_manifest
+from gnwaves.io_store import read_diagnostics, read_manifest, read_snapshot, snapshot_name, spectrum_name
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, parse_config, with_overrides
@@ -227,22 +227,35 @@ class TestRunExperiment:
 
     def test_blowup_records_last_state(self, tmp_path, monkeypatch):
         # inject an underflow mid-run: the record must hold the last healthy
-        # state and the manifest must say so
+        # state with its flux, and the manifest must say so
         real_integrate = runner_mod.integrate
+        captured = {}
 
         def sabotaged(rhs_fn, t_span, y0, controller=None, **kw):
             result = real_integrate(rhs_fn, (t_span[0], 0.05), y0, controller, **kw)
+            captured["y"] = result.y
+            rhs_fn(result.t, 1.01 * result.y)  # a stage of a rejected attempt
             raise StepUnderflowError(result.t, result.y, controller.stats, 1e-15)
 
         monkeypatch.setattr(runner_mod, "integrate", sabotaged)
         out = str(tmp_path / "blow")
-        result = run_experiment(fast_config(snapshot_times=()), out)
+        config = fast_config(snapshot_times=())
+        result = run_experiment(config, out)
         assert result.status == "blowup"
         assert result.t_final == pytest.approx(0.05)
-        metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
+        metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "blowup"
-        files = os.listdir(out)
-        assert any(name.startswith("snap_t0.05") for name in files)
+        snap, spec = snapshot_name(result.t_final), spectrum_name(result.t_final)
+        assert snap.startswith("snap_t0.05")
+        assert {snap, spec} <= set(checksums) and {snap, spec} <= set(os.listdir(out))
+        # the recorded w is the flux of the captured state: A[eps*zeta] w = v
+        grid = Grid(config.grid_n, config.domain_half_length)
+        ctx = GNContext(grid, config.params, build_multiplier(config), cg_tol=config.cg_tol)
+        _, zeta, w = read_snapshot(os.path.join(out, snap))
+        y = captured["y"]
+        assert np.array_equal(zeta, y[: grid.n])
+        residual = apply_mass_operator(ctx, zeta, w) - y[grid.n :]
+        assert np.linalg.norm(residual) <= config.cg_tol * np.linalg.norm(y[grid.n :])
 
     def test_dealias_config_runs(self, tmp_path):
         out = str(tmp_path / "dealias")

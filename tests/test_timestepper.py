@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnwaves.errors import StepUnderflowError
-from gnwaves.timestepper import StepController, integrate
+from gnwaves.timestepper import MIN_FACTOR, StepController, integrate
 
 
 def test_exponential_growth_to_e():
@@ -132,3 +132,68 @@ def test_stats_accumulate():
     stats = result.stats
     assert stats.accepted >= 1
     assert stats.rhs_evals >= 6 * stats.accepted
+
+
+
+def test_no_stage_after_a_non_finite_one():
+    # call 23 is the third stage of the fourth attempt (calls 1-2 start the
+    # integration, every attempt before it is accepted); its NaN must end
+    # that attempt at once and shrink the step by MIN_FACTOR
+    bad_call = 2 + 6 * 3 + 3
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.full_like(y, np.nan) if len(calls) == bad_call else -y
+
+    controller = StepController()
+    integrate(f, (0.0, 1.0), np.array([1.0]), controller)
+    stats = controller.stats
+    assert stats.rejected == 1
+    assert stats.rhs_evals == len(calls) == 2 + 6 * stats.accepted + 3
+    # the call after the failed one is the first stage of the next attempt,
+    # from the same state with the step shrunk by MIN_FACTOR
+    t_first, t_bad, t_next = calls[bad_call - 3], calls[bad_call - 1], calls[bad_call]
+    dt_step = (t_bad - t_first) / (4 / 5 - 1 / 5)
+    t_start = t_first - dt_step / 5
+    assert t_next == pytest.approx(t_start + MIN_FACTOR * dt_step / 5, rel=1e-12)
+
+
+def test_failure_at_t0_feeds_no_stage():
+    # like rhs at mu = 0, this stage function refuses non-finite input
+    calls = []
+
+    def f(t, y):
+        if not np.isfinite(y).all():
+            raise ValueError("stage fed a non-finite state")
+        calls.append(t)
+        return np.full_like(y, np.nan)
+
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(f, (0.0, 1.0), np.array([1.0]), StepController())
+    assert err.value.t == 0.0
+    assert err.value.stats.rhs_evals == len(calls) == 1
+    assert err.value.stats.rejected > 0
+
+
+def test_callbacks_follow_a_stage_at_their_state():
+    # on_snapshot and on_step run right after a stage evaluated at exactly
+    # their y (t is not compared: a truncated step lands on the boundary,
+    # which may differ from t + dt by one ulp)
+    last_input = {}
+    seen = []
+
+    def f(t, y):
+        last_input["y"] = y.copy()
+        return np.array([y[1], -np.sin(y[0])])
+
+    def check(t, y, stats=None):
+        seen.append(t)
+        assert np.array_equal(last_input["y"], y)
+
+    result = integrate(
+        f, (0.0, 3.0), np.array([1.2, 0.0]), StepController(rel_tol=1e-9, abs_tol=1e-11),
+        snapshot_times=(0.1, 1 / 3, 0.7, 2.9), on_step=check, on_snapshot=check,
+    )
+    assert result.status == "completed"
+    assert len(seen) == result.stats.accepted + 4
