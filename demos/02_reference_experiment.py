@@ -4,7 +4,9 @@
 # All three families agree on the smooth main wave. The classical model
 # (identity) additionally grows a high-frequency component out of round-off
 # noise: look at the spectrum files, or at the high_band column of diag.csv.
-# Conserved-quantity drifts land at integrator accuracy (1e-16 .. 1e-11).
+# Conserved-quantity drifts land at integrator accuracy (1e-16 .. 1e-12),
+# except the identity run's impulse, which drifts by about 2e-8 as its
+# high band grows.
 
 import os
 

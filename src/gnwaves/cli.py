@@ -8,7 +8,8 @@ Subcommands::
     admissibility  numerical admissibility report for the configured symbols
     diag-compare   conserved-quantity drift table across the three families
 
-Exit codes: 0 success, 2 configuration/usage error, 3 shear blow-up (the
+Exit codes: 0 success, 2 configuration/usage error (including an initial
+state that already cavitates), 3 shear blow-up (the
 physically expected outcome for unstable runs; scripts must be able to tell
 it apart from bugs). Blow-up is step-size underflow: cavitation, a failed
 mass-operator solve and lost spectral resolution of the flux all end a run
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import read_diagnostics, write_manifest
+from .io_store import _write_rows, read_diagnostics, write_manifest
 from .multipliers import check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
 from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
@@ -54,15 +55,6 @@ def _load_config(args):
         name = MULTIPLIER_ALIASES.get(override, override)
         config = with_overrides(config, multiplier=name)
     return config, config_dir
-
-
-def _write_columns(path, columns):
-    names = list(columns)
-    arrays = [np.asarray(columns[name], dtype=float) for name in names]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _cmd_simulate(args, model):
@@ -97,7 +89,7 @@ def _cmd_stability(args):
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
     path = os.path.join(args.out, "stability.csv")
-    _write_columns(path, columns)
+    _write_rows(path, ",".join(columns), list(columns.values()))
     write_manifest(args.out, {"generator": "gnwaves stability", "k_points": args.k_points}, ["stability.csv"])
     print(f"threshold curves -> {path}")
     return EXIT_OK

@@ -50,11 +50,16 @@ def spectrum_name(t):
 
 
 def _write_rows(path, header, columns):
+    """CSV of equal-length columns at 17 significant digits, formatted by
+    one %-format over the whole table (the same bytes as f"{v:.17g}")."""
+    table = np.column_stack(columns)
+    rows, cols = table.shape
+    line = "%.17g," * (cols - 1) + "%.17g\n"
+    text = (line * rows) % tuple(table.ravel().tolist())
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for row in zip(*columns):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
 

@@ -37,6 +37,7 @@ from .errors import CavitationError, ConvergenceError
 from .multipliers import layer_symbols
 from .spectral import _check_field, dealias_mask, ddx, inner
 from .stability import _flat_interface
+from .timestepper import ModeRotation
 
 __all__ = [
     "CAVITATION_FLOOR",
@@ -80,8 +81,11 @@ class GNContext:
     """Precomputed spectral data for one (grid, params, multiplier) triple.
 
     Holds the stacked layer symbols (F1, F2) on the wavenumber ladder, the
-    flat-interface symbol of the mass operator used as CG preconditioner,
-    and the solver/dealias settings.
+    flat-interface symbol A0 of the mass operator used as CG preconditioner,
+    the propagator ``linear`` of the flat-interface linear part of
+    :func:`rhs` (frequencies omega = |k| sqrt(a0/A0), a0 = (gamma+delta)
+    (1 + k^2/Bo); masked with the tendencies under ``dealias``), and the
+    solver/dealias settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=1e-12, cg_max_iter=200, dealias=False):
@@ -92,8 +96,16 @@ class GNContext:
         self.cg_max_iter = int(cg_max_iter)
         self.symbols = layer_symbols(spec, grid.k, params.mu)
         # symbol of A at zeta = 0, on the Nyquist-truncated derivative ladder
-        self.flat_symbol, _ = _flat_interface(params, self.symbols, grid.ik.imag)
+        k = grid.ik.imag
+        self.flat_symbol, _ = _flat_interface(params, self.symbols, k)
         self.mask = dealias_mask(grid) if dealias else None
+        # linear part of rhs at the flat interface on packed (zeta, v):
+        # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
+        a0 = (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2)
+        upper, lower = -grid.ik / self.flat_symbol, -grid.ik * a0
+        if self.mask is not None:
+            upper, lower = upper * self.mask, lower * self.mask
+        self.linear = ModeRotation(grid.n, upper, lower)
 
 
 def _dxf(grid, u, fsym, deriv):

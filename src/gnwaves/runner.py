@@ -20,6 +20,9 @@ the stage that tripped the guard.
 
 The hydrostatic model ("sv") is the mu = 0 member of the dispersive family:
 it runs through the same rhs and diagnostics, with mu = 0 forced and recorded.
+Every model is integrated with its flat-interface linear part propagated
+exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
+so the capillary waves at the top of the ladder set no step-size limit.
 """
 
 import os
@@ -41,7 +44,7 @@ from .io_store import (
 )
 from .multipliers import MultiplierSpec, load_symbol_table
 # invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
-from .operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
+from .operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, layer_depths, rhs
 from .params import serialize_config, with_overrides
 from .spectral import Grid
 from .timestepper import StepController, integrate
@@ -148,10 +151,12 @@ def _prepare_out_dir(out_dir, force):
 
 
 def run_experiment(config, out_dir, force=False, config_dir="."):
-    """Run one experiment into out_dir; model "sv" runs with mu = 0."""
+    """Run one experiment into out_dir; model "sv" runs with mu = 0.
+
+    An initial state that already cavitates is a configuration error
+    (ValidationError), raised before anything is written."""
     if config.model == "sv":
         config = with_overrides(config, mu=0.0)
-    _prepare_out_dir(out_dir, force)
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
     spec = build_multiplier(config, base_dir=config_dir)
@@ -160,6 +165,11 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
         cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
     )
     zeta0, w0 = initial_state(config, grid)
+    try:
+        layer_depths(config.params, zeta0)
+    except CavitationError as exc:
+        raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
+    _prepare_out_dir(out_dir, force)
     k_band = config.k_band if config.k_band is not None else 0.5 * grid.nyquist
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 
@@ -207,6 +217,7 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
                 snapshot_times=snapshot_times,
                 on_step=on_step,
                 on_snapshot=on_snapshot,
+                linear=ctx.linear,
             )
             t_final = result.t
         except StepUnderflowError as blowup:

@@ -1,16 +1,43 @@
-"""Adaptive embedded Runge-Kutta time integration (Dormand-Prince 5(4)).
+"""Adaptive embedded Runge-Kutta time integration: Dormand-Prince 5(4), in
+Lawson's integrating-factor form when a linear part L of the right-hand side
+is given.
 
 The propagating solution is 5th order with an embedded 4th-order error
 estimate; the pair is FSAL (the seventh stage is evaluated at the new state
 and is the first stage of the next step), so an accepted step costs six
-right-hand-side evaluations. Error control is the standard elementwise weighting
+right-hand-side evaluations.
+
+With a linear part whose propagator exp(sL) is known exactly (a
+:class:`ModeRotation`, e.g. the flat-interface waves of the GN system), the
+stages are taken in the frame u = transform of y and pulled back to the
+start of the step (Lawson, SIAM J. Numer. Anal. 4, 1967):
+
+    U_i = exp(c_i h L) (u_n + h sum_j a_ij K_j),   Y_i = state of U_i,
+    K_i = exp(-c_i h L) (f_hat(t_n + c_i h, Y_i) - L U_i),
+
+so L is integrated without a step-size limit and only the remainder
+f - L y is Runge-Kutta'd. The seventh stage is still the new state (c_7 = 1,
+a_7j = b_j), so FSAL, exact snapshot landing and the callback contract below
+hold unchanged. Without a linear part the propagator is the identity and the
+stages are plain Dormand-Prince; both run through one stage loop.
+
+The error estimate h sum_j e_j K_j is taken in the integrating-factor frame
+(not rotated to t_n + h) and measured in state space with the elementwise
+weighting
 
     scale_i = abs_tol + rel_tol * max(|y_i|, |y_new_i|),
-    err     = sqrt(mean((e_i / scale_i)^2)),   accept iff err <= 1,
+    err     = sqrt(mean((e_i / scale_i)^2)),   accept iff err <= 1.
 
-with the power-law step update dt *= clip(0.9 * err^(-1/5), 0.2, 5.0).
+The step update is a PI controller (Gustafsson; Hairer & Wanner, Solving
+ODEs II, IV.2, as in Hairer's DOPRI5): after an accepted step
+
+    dt *= clip(SAFETY * err^-(1/5 - 0.75 BETA) * err_prev^BETA, MIN_FACTOR, MAX_FACTOR),
+
+where err_prev is the error of the last accepted step, floored at 1e-4; a
+rejected step shrinks by clip(SAFETY * err^-(1/5 - 0.75 BETA), MIN_FACTOR, 1).
 Requested snapshot times are landed on exactly by truncating the step, so
-reported states carry no interpolation error. A stage with non-finite
+reported states carry no interpolation error; a truncated step neither
+shrinks the natural step size nor updates err_prev. A stage with non-finite
 tendencies (a failing right-hand side) ends its attempt at once, which is
 rejected at the maximum shrink factor; if dt falls below 1e-14 the
 integration aborts with the last healthy state attached, which is the
@@ -23,7 +50,7 @@ import numpy as np
 
 from .errors import StepUnderflowError, ValidationError
 
-__all__ = ["StepController", "StepStats", "IntegrationResult", "integrate"]
+__all__ = ["ModeRotation", "StepController", "StepStats", "IntegrationResult", "integrate"]
 
 # Dormand-Prince 5(4) tableau; the last row of _A is the 5th-order weights b5
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -40,10 +67,78 @@ _A = [
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 DT_FLOOR = 1e-14
-# the step update of the module docstring: dt *= clip(SAFETY * err^(-1/5), MIN_FACTOR, MAX_FACTOR)
+# the PI step update of the module docstring:
+# dt *= clip(SAFETY * err^-(1/5 - 0.75 BETA) * err_prev^BETA, MIN_FACTOR, MAX_FACTOR)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
+BETA = 0.08
+ERR_PREV_FLOOR = 1e-4
+_ALPHA = 0.2 - 0.75 * BETA
+
+
+class _Identity:
+    """The propagator of a zero linear part: plain Dormand-Prince stages."""
+
+    def to_frame(self, y):
+        return y
+
+    to_state = to_frame
+
+    def tendency(self, f, u):
+        return f
+
+    def rotations(self, s):
+        return None
+
+    def rotate(self, rotations, i, u, inverse=False):
+        return u
+
+
+_IDENTITY = _Identity()
+
+
+class ModeRotation:
+    """exp(sL) for a linear part L that couples, mode by mode, the two halves
+    of a packed state y = (p, q) of real n-point fields:
+
+        d/dt (p_hat, q_hat) = L (p_hat, q_hat),   L = [[0, upper], [lower, 0]],
+
+    with ``upper``, ``lower`` given on the n/2+1 real-FFT modes and
+    upper * lower = -omega^2 <= 0. Then L^2 = -omega^2 I, and exp(sL) =
+    cos(omega s) I + (sin(omega s)/omega) L is a rotation, the identity
+    where omega = 0. The frame of :func:`integrate` is the (2, n/2+1)
+    real FFT of the state.
+    """
+
+    def __init__(self, n, upper, lower):
+        self.n = int(n)
+        self.coef = np.stack((upper, lower)).astype(complex)
+        self.omega = np.sqrt(np.maximum(-(self.coef[0] * self.coef[1]).real, 0.0))
+        # L / omega, zero where L is
+        self._coef_over_omega = np.divide(self.coef, self.omega, out=np.zeros_like(self.coef),
+                                          where=self.omega > 0.0)
+
+    def to_frame(self, y):
+        return np.fft.rfft(y.reshape(2, self.n))
+
+    def to_state(self, u):
+        return np.fft.irfft(u, self.n).reshape(-1)
+
+    def tendency(self, f, u):
+        """The frame tendency f_hat - L u, the part of f that L leaves out."""
+        return np.fft.rfft(f.reshape(2, self.n)) - self.coef * u[::-1]
+
+    def rotations(self, s):
+        """cos(omega s_i) and sin(omega s_i) L / omega for the times s_i."""
+        phase = np.multiply.outer(s, self.omega)
+        return np.cos(phase)[:, None, :], np.sin(phase)[:, None, :] * self._coef_over_omega
+
+    def rotate(self, rotations, i, u, inverse=False):
+        """exp(s_i L) u, or exp(-s_i L) u."""
+        cos, sin_l = rotations
+        swapped = sin_l[i] * u[::-1]
+        return cos[i] * u - swapped if inverse else cos[i] * u + swapped
 
 
 @dataclass
@@ -96,16 +191,20 @@ def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
     return min(100 * h0, h1, span)
 
 
-def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=None, on_snapshot=None):
+def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=None, on_snapshot=None,
+              linear=None):
     """March y' = rhs_fn(t, y) over t_span = (t0, t1).
 
-    on_step(t, y, stats) runs after every accepted step (returning False
-    cancels), on_snapshot(t, y) just before it when the step lands exactly on
-    one of snapshot_times. Both run right after rhs_fn was evaluated at
-    exactly that y (the FSAL stage), so state rhs_fn keeps from its last
-    call belongs to y. Raises StepUnderflowError on blow-up.
+    ``linear`` is the propagator of a linear part L of rhs_fn (a
+    :class:`ModeRotation`) to integrate exactly; None is the identity, plain
+    Dormand-Prince. on_step(t, y, stats) runs after every accepted step
+    (returning False cancels), on_snapshot(t, y) just before it when the
+    step lands exactly on one of snapshot_times. Both run right after rhs_fn
+    was evaluated at exactly that y (the FSAL stage), so state rhs_fn keeps
+    from its last call belongs to y. Raises StepUnderflowError on blow-up.
     """
     controller = controller or StepController()
+    lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not np.isfinite([t0, t1]).all() or t1 <= t0:
         raise ValidationError("t_span", f"need finite t1 > t0, got {t_span}")
@@ -126,7 +225,12 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
         dt = 1e-6 * (t1 - t0)
     dt = max(dt, DT_FLOOR)
 
-    k = np.empty((7, y.size))
+    # u is y in the frame of the linear part, g the first stage's tendency there
+    u = lin.to_frame(y)
+    g = lin.tendency(f, u)
+    k = np.empty((7,) + u.shape, dtype=u.dtype)
+    flat = k.reshape(7, -1)
+    err_prev = ERR_PREV_FLOOR
     while t < t1:
         if dt < DT_FLOOR:
             raise StepUnderflowError(t, y, stats, dt)
@@ -138,17 +242,22 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
             dt_step = boundary - t
             truncated = True
 
-        k[0] = f
+        rotations = lin.rotations(_C * dt_step)
+        k[0] = g
         err = np.nan
         for i in range(1, 7):
             if not np.isfinite(k[i - 1]).all():
                 break
-            yi = y + dt_step * (_A[i] @ k[:i])
-            k[i] = rhs_fn(t + _C[i] * dt_step, yi)
+            ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
+            yi = lin.to_state(ui)
+            fi = rhs_fn(t + _C[i] * dt_step, yi)
             stats.rhs_evals += 1
+            gi = lin.tendency(fi, ui)
+            k[i] = lin.rotate(rotations, i, gi, inverse=True)
         else:
-            y_new = yi  # FSAL: the last stage's input is the 5th-order solution
-            err_vec = dt_step * (_E @ k)
+            # FSAL: the last stage's input is the 5th-order solution
+            y_new, u_new, g_new = yi, ui, gi
+            err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
             scale = controller.abs_tol + controller.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(invalid="ignore", over="ignore"):
                 err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
@@ -159,10 +268,7 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
             continue
         if err <= 1.0:
             t_new = boundary if dt_step == boundary - t else t + dt_step
-            t, y = float(t_new), y_new
-            # FSAL: last stage is the first stage of the next step (copied;
-            # a later rejected attempt would otherwise overwrite it in place)
-            f = k[6].copy()
+            t, y, u, g = float(t_new), y_new, u_new, g_new
             stats.accepted += 1
             if targets and t == targets[0]:
                 targets.pop(0)
@@ -172,12 +278,18 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
                 keep_going = on_step(t, y, stats)
                 if keep_going is not None and not keep_going:
                     return IntegrationResult(t=t, y=y, stats=stats, status="cancelled")
-            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err**-0.2))
-            # a step truncated to land on an output time must not throttle
-            # the natural step size
-            dt = max(dt, dt_step * factor) if truncated else dt_step * factor
+            factor = MAX_FACTOR
+            if err > 0.0:
+                factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err**-_ALPHA * err_prev**BETA))
+            if truncated:
+                # a step truncated to land on an output time must not
+                # throttle the natural step size, nor feed the PI memory
+                dt = max(dt, dt_step * factor)
+            else:
+                dt = dt_step * factor
+                err_prev = max(err, ERR_PREV_FLOOR)
         else:
             stats.rejected += 1
-            dt = dt_step * min(1.0, max(MIN_FACTOR, SAFETY * err**-0.2))
+            dt = dt_step * min(1.0, max(MIN_FACTOR, SAFETY * err**-_ALPHA))
 
     return IntegrationResult(t=t, y=y, stats=stats, status="completed")

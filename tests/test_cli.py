@@ -61,6 +61,15 @@ class TestSimulate:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_cavitating_initial_state_is_a_config_error(self, tmp_path, capsys):
+        # h1 = 1 - eps*zeta < 0 at t = 0: rejected before anything is written
+        cfg = tmp_path / "cav.cfg"
+        cfg.write_text("grid_n = 64\nic_amplitude = 2.5\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "ic_amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exit_code(self, fast_config_path, tmp_path, monkeypatch, capsys):
         real_integrate = runner_mod.integrate
 

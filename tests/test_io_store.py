@@ -43,6 +43,21 @@ class TestSnapshots:
         assert np.array_equal(zeta, zeta2)  # 17 digits round-trips doubles
         assert np.array_equal(w, w2)
 
+    def test_bytes_equal_the_per_value_format(self, tmp_path):
+        # the one %-format over the whole table writes what formatting each
+        # value with f"{v:.17g}", row by row, wrote
+        special = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, np.inf, -np.inf, np.nan,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -123456.789e-300]
+        grid = Grid(16, 4.0)
+        zeta = np.array(special + [2.0**-1074 * 3, 1e16 + 2, -1e-5, 7.0])
+        w = zeta[::-1] * 0.5
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, grid, zeta, w)
+        expected = "x,zeta,w\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(grid.x, zeta, w)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_names(self):
         assert snapshot_name(2.0) == "snap_t2.csv"
         assert spectrum_name(0.5) == "spec_t0.5.csv"

@@ -258,6 +258,17 @@ class TestRunExperiment:
         assert np.linalg.norm(residual) <= config.cg_tol * np.linalg.norm(y[grid.n :])
 
     def test_dealias_config_runs(self, tmp_path):
+        # with the 2/3 rule the integrated model leaves the top third of the
+        # ladder alone, and so must the propagator of its linear part: the
+        # run completes with those modes of zeta where they started
+        config = fast_config(dealias=True)
         out = str(tmp_path / "dealias")
-        result = run_experiment(fast_config(dealias=True), out)
+        result = run_experiment(config, out)
         assert result.status == "completed"
+        ctx = GNContext(Grid(config.grid_n, config.domain_half_length), config.params,
+                        build_multiplier(config), dealias=True)
+        top = slice(config.grid_n // 3 + 1, None)
+        assert np.all(ctx.linear.omega[top] == 0.0) and ctx.linear.omega[1 : top.start].min() > 0.0
+        _, zeta0, _ = read_snapshot(os.path.join(out, "snap_t0.csv"))
+        _, zeta, _ = read_snapshot(os.path.join(out, "snap_t0.25.csv"))
+        assert np.max(np.abs(np.fft.rfft(zeta)[top] - np.fft.rfft(zeta0)[top])) <= 1e-13

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from gnwaves.errors import StepUnderflowError
+from gnwaves.multipliers import MultiplierSpec
+from gnwaves.operators import GNContext, GNWorkspace
+from gnwaves.runner import guarded_rhs
+from gnwaves.spectral import Grid
 from gnwaves.timestepper import MIN_FACTOR, StepController, integrate
+
+from conftest import REF_PARAMS, random_smooth_field
 
 
 def test_exponential_growth_to_e():
@@ -197,3 +203,117 @@ def test_callbacks_follow_a_stage_at_their_state():
     )
     assert result.status == "completed"
     assert len(seen) == result.stats.accepted + 4
+
+
+# --- Lawson (integrating-factor) stages: integrate(..., linear=ModeRotation) ---
+
+
+def _reference_ctx(n=512):
+    return GNContext(Grid(n, 4.0), REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta))
+
+
+def _exact_rotation(linear, y0, t):
+    """exp(tL) y0, mode by mode through an eigendecomposition of the 2x2 L."""
+    m = linear.coef.shape[1]
+    gen = np.zeros((m, 2, 2), dtype=complex)
+    gen[:, 0, 1], gen[:, 1, 0] = linear.coef
+    lam, vec = np.linalg.eig(t * gen)
+    expm = vec @ (np.exp(lam)[:, :, None] * np.linalg.inv(vec))
+    y_hat = np.fft.rfft(y0.reshape(2, linear.n)).T
+    return np.fft.irfft((expm @ y_hat[:, :, None])[:, :, 0].T, linear.n).reshape(-1)
+
+
+def test_lawson_is_exact_on_the_linear_part():
+    # rhs = L y: every stage's remainder f_hat - L u is round-off, so each
+    # accepted step, however long against the top frequency, is exp(hL)
+    ctx = _reference_ctx()
+    linear = ctx.linear
+    n = ctx.grid.n
+
+    def f(t, y):
+        return linear.to_state(linear.coef * linear.to_frame(y)[::-1])
+
+    rng = np.random.default_rng(5)
+    y0 = np.concatenate([random_smooth_field(ctx.grid, rng, modes=n // 2), random_smooth_field(ctx.grid, rng)])
+    worst, steps = 0.0, [0.0]
+
+    def check(t, y, stats):
+        nonlocal worst
+        worst = max(worst, float(np.max(np.abs(y - _exact_rotation(linear, y0, t)))))
+        steps.append(t)
+        return True
+
+    result = integrate(f, (0.0, 2.0), y0, StepController(), on_step=check, linear=linear)
+    assert result.status == "completed" and result.stats.rejected == 0
+    # round-off of phases omega t up to 750 rad, one ulp of which is 1.1e-13
+    assert worst <= 1e-12
+    assert max(np.diff(steps)) * linear.omega.max() > 50  # far past DP5's |h omega| ~ 1
+    assert result.stats.accepted < 20
+
+
+def test_lawson_callbacks_follow_a_stage_at_their_state():
+    # the contract of test_callbacks_follow_a_stage_at_their_state, with a
+    # linear part: the state handed out is the input of the FSAL stage
+    ctx = _reference_ctx(n=64)
+    linear = ctx.linear
+    last_input = {}
+    seen = []
+
+    def f(t, y):
+        last_input["y"] = y.copy()
+        return linear.to_state(linear.coef * linear.to_frame(y)[::-1]) + 0.3 * np.sin(y)
+
+    def check(t, y, stats=None):
+        seen.append(t)
+        assert np.array_equal(last_input["y"], y)
+
+    y0 = np.concatenate([np.exp(-4 * ctx.grid.x**2), np.zeros(ctx.grid.n)])
+    result = integrate(
+        f, (0.0, 1.0), y0, StepController(rel_tol=1e-9, abs_tol=1e-11),
+        snapshot_times=(0.1, 1 / 3, 0.7, 0.9), on_step=check, on_snapshot=check, linear=linear,
+    )
+    assert result.status == "completed"
+    assert len(seen) == result.stats.accepted + 4
+
+
+def _gn_run(ctx, t_end, rel_tol, linear=True, **kw):
+    grid = ctx.grid
+    y0 = np.concatenate([-np.exp(-4 * grid.x**2), np.zeros(grid.n)])
+    controller = StepController(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol)
+    f = guarded_rhs(ctx, GNWorkspace(), rel_tol=1e-10)
+    return integrate(f, (0.0, t_end), y0, controller, linear=ctx.linear if linear else None, **kw)
+
+
+def test_gn_error_falls_as_rel_tol_halves():
+    # the GN system itself, with tension, against a tight Lawson reference:
+    # proportional error control, so the error follows rel_tol down
+    ctx = _reference_ctx(n=64)
+    ref = _gn_run(ctx, 0.5, 1e-13).y
+    errors = [np.max(np.abs(_gn_run(ctx, 0.5, 1e-5 / 2**i).y - ref)) for i in range(6)]
+    assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:])), errors
+    assert errors[0] / errors[-1] >= 5.0, errors
+
+
+@pytest.mark.parametrize("linear", [True, False], ids=["lawson", "dp5"])
+def test_gn_fifth_order_in_the_step(linear):
+    # snapshot times every h force the step to h at a loose tolerance; both
+    # schemes are 5th order on the GN system
+    ctx = _reference_ctx(n=64)
+    ref = _gn_run(ctx, 0.5, 1e-13).y
+    errors = []
+    for m in (8, 16, 32):
+        result = _gn_run(ctx, 0.5, 1e-2, linear=linear, snapshot_times=np.arange(1, m + 1) * 0.5 / m)
+        errors.append(np.max(np.abs(result.y - ref)))
+    slopes = -np.diff(np.log2(errors))
+    assert np.all(slopes >= 4.5), slopes
+
+
+
+def test_truncated_steps_leave_the_pi_memory_alone():
+    # a step cut short to land on an output time has a small error that says
+    # nothing about the natural step; fed to err_prev it would throttle every
+    # following step (209 instead of 129 steps here)
+    ctx = _reference_ctx(n=64)
+    result = _gn_run(ctx, 1.0, 1e-10, linear=False, snapshot_times=np.arange(1, 101) / 100)
+    assert result.status == "completed"
+    assert result.stats.accepted <= 150
