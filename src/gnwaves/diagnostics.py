@@ -81,7 +81,7 @@ def energy(ctx, zeta, w):
     kinetic = np.array([[p.gamma], [1.0]]) * h * u**2
     density += kinetic[0] + kinetic[1]
     if p.mu > 0.0:
-        s = _dxf(grid, u, ctx.symbols, grid.ik)
+        s = _dxf(grid, u, ctx.dx_symbols)
         # layer i carries mu*gamma_i/3, rounded as mu*(gamma/3) and mu/3
         dispersive = np.array([[p.mu * (p.gamma / 3.0)], [p.mu / 3.0]]) * h * (h * s) ** 2
         density += dispersive[0]

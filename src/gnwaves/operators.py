@@ -26,10 +26,17 @@ reads
 where the bracket is the zeta-gradient of the energy functional and w is
 recovered from v at every evaluation by preconditioned conjugate gradients
 (Fourier-diagonal flat-interface preconditioner, warm-started through the
-workspace). Pointwise products are evaluated in physical space between
-spectral derivative/multiplier applications; the optional 2/3-rule dealias
-mask is applied to the assembled tendencies when enabled.
+workspace). CG is the hot path: what an application of A needs besides w
+is formed once, not per application. The symbols of dx F1 and dx F2 are
+formed per context (``GNContext.dx_symbols``); the depth coefficient, h^3
+and the FFT output buffers per solve (:class:`MassConstants`). Every
+floating-point operation stays as it was written per application. Pointwise
+products are evaluated in physical space between spectral
+derivative/multiplier applications; the optional 2/3-rule dealias mask is
+applied to the assembled tendencies when enabled.
 """
+
+import math
 
 import numpy as np
 
@@ -44,6 +51,7 @@ __all__ = [
     "LAYER_SIGN",
     "GNContext",
     "GNWorkspace",
+    "MassConstants",
     "q_operator",
     "r_operator",
     "layer_depths",
@@ -80,7 +88,9 @@ def layer_depths(params, zeta):
 class GNContext:
     """Precomputed spectral data for one (grid, params, multiplier) triple.
 
-    Holds the stacked layer symbols (F1, F2) on the wavenumber ladder, the
+    Holds the stacked layer symbols (F1, F2) on the wavenumber ladder and
+    ``dx_symbols = grid.ik * symbols``, the symbols of dx F1 and dx F2 that
+    every dispersive term applies, formed once per context; the
     flat-interface symbol A0 of the mass operator used as CG preconditioner,
     the propagator ``linear`` of the flat-interface linear part of
     :func:`rhs` (frequencies omega = |k| sqrt(a0/A0), a0 = (gamma+delta)
@@ -95,6 +105,7 @@ class GNContext:
         self.cg_tol = float(cg_tol)
         self.cg_max_iter = int(cg_max_iter)
         self.symbols = layer_symbols(spec, grid.k, params.mu)
+        self.dx_symbols = grid.ik * self.symbols
         # symbol of A at zeta = 0, on the Nyquist-truncated derivative ladder
         k = grid.ik.imag
         self.flat_symbol, _ = _flat_interface(params, self.symbols, k)
@@ -108,36 +119,71 @@ class GNContext:
         self.linear = ModeRotation(grid.n, upper, lower)
 
 
-def _dxf(grid, u, fsym, deriv):
-    """dx F{u} for a precomputed layer symbol; row by row for stacked layers."""
-    return np.fft.irfft(deriv * fsym * np.fft.rfft(u), grid.n)
+def _dxf(grid, u, dx_symbols):
+    """dx F{u} for precomputed dx F symbols; row by row for stacked layers."""
+    return np.fft.irfft(dx_symbols * np.fft.rfft(u), grid.n)
 
 
 def q_operator(grid, h, u, fsym, deriv):
     """Layer dispersion operator  -(1/3) h^{-1} dx F{ h^3 dx F{u} };
     ``deriv`` is the derivative symbol (``grid.ik``)."""
-    t = _dxf(grid, u, fsym, deriv)
-    t = _dxf(grid, h**3 * t, fsym, deriv)
+    dx_fsym = deriv * fsym
+    t = _dxf(grid, u, dx_fsym)
+    t = _dxf(grid, h**3 * t, dx_fsym)
     return -(t / h) / 3.0
 
 
 def r_operator(grid, h, u, fsym, deriv):
     """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
     ``deriv`` is the derivative symbol (``grid.ik``)."""
-    s = _dxf(grid, u, fsym, deriv)
-    t = _dxf(grid, h**3 * s, fsym, deriv)
+    dx_fsym = deriv * fsym
+    s = _dxf(grid, u, dx_fsym)
+    t = _dxf(grid, h**3 * s, dx_fsym)
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
-def apply_mass_operator(ctx, zeta, w, depths=None):
-    """A[eps*zeta] w; ``depths`` may pass the precomputed stacked depths."""
-    h = depths if depths is not None else layer_depths(ctx.params, zeta)
-    h1, h2 = h
+class MassConstants:
+    """The per-state part of A[eps*zeta], built once per CG solve: the
+    stacked depths h, the pointwise coefficient (h1 + gamma*h2)/(h1*h2) and,
+    for mu > 0, h^3 with one spectral and one physical (2, n) buffer that
+    the batched FFTs of every application write into. The buffers are used
+    up inside :func:`apply_mass_operator`; nothing it returns views them."""
+
+    def __init__(self, ctx, depths):
+        h1, h2 = depths
+        self.depths = depths
+        self.local = (h1 + ctx.params.gamma * h2) / (h1 * h2)
+        if ctx.params.mu > 0.0:
+            self.cube = depths**3
+            self.spectral = np.empty((2, ctx.grid.n // 2 + 1), dtype=complex)
+            self.physical = np.empty((2, ctx.grid.n))
+
+
+def apply_mass_operator(ctx, zeta, w, depths=None, consts=None):
+    """A[eps*zeta] w.
+
+    ``consts`` passes the :class:`MassConstants` of zeta, as CG does for
+    every application of a solve; without it they are built here from
+    ``depths``, the precomputed stacked depths, or from zeta.
+    """
+    if consts is None:
+        consts = MassConstants(ctx, depths if depths is not None else layer_depths(ctx.params, zeta))
     g, mu = ctx.params.gamma, ctx.params.mu
-    out = (h1 + g * h2) / (h1 * h2) * w
+    out = consts.local * w
     if mu > 0.0:
-        t = _dxf(ctx.grid, w / h, ctx.symbols, ctx.grid.ik)
-        t1, t2 = _dxf(ctx.grid, h**3 * t, ctx.symbols, ctx.grid.ik)
+        h1, h2 = consts.depths
+        spec, t = consts.spectral, consts.physical
+        n = ctx.grid.n
+        # dx F{ h^3 dx F{ w/h } } as _dxf forms it, operands in its order,
+        # with every result written into the solve's two buffers
+        np.divide(w, consts.depths, out=t)
+        np.fft.rfft(t, out=spec)
+        np.multiply(ctx.dx_symbols, spec, out=spec)
+        np.fft.irfft(spec, n, out=t)
+        np.multiply(consts.cube, t, out=t)
+        np.fft.rfft(t, out=spec)
+        np.multiply(ctx.dx_symbols, spec, out=spec)
+        t1, t2 = np.fft.irfft(spec, n, out=t)
         out -= (mu / 3.0) * (t2 / h2 + g * t1 / h1)
     return out
 
@@ -148,8 +194,9 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     mu = 0 makes A a pointwise multiplication and the inverse is exact; the
     general case runs conjugate gradients on the self-adjoint positive
     definite operator, preconditioned by the flat-interface symbol and
-    warm-started from ``x0`` when given. The relative residual
-    ||A w - v|| <= tol ||v|| is guaranteed on return.
+    warm-started from ``x0`` when given. The per-state constants of A are
+    built once per solve. The relative residual ||A w - v|| <= tol ||v|| is
+    guaranteed on return.
     """
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
@@ -158,19 +205,20 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
         return v * (h[0] * h[1]) / (h[0] + ctx.params.gamma * h[1])
 
     grid = ctx.grid
-    b_norm = float(np.linalg.norm(v))
+    b_norm = math.sqrt(v @ v)
     if b_norm == 0.0:
         return np.zeros_like(v)
+    consts = MassConstants(ctx, h)
 
     def apply_a(u):
-        return apply_mass_operator(ctx, zeta, u, depths=h)
+        return apply_mass_operator(ctx, zeta, u, consts=consts)
 
     def precondition(r):
         return np.fft.irfft(np.fft.rfft(r) / ctx.flat_symbol, grid.n)
 
     x = np.zeros_like(v) if x0 is None else np.array(x0, dtype=float)
     r = v - apply_a(x) if x0 is not None else v.copy()
-    residuals = [float(np.linalg.norm(r))]
+    residuals = [math.sqrt(r @ r)]
     if residuals[-1] <= tol * b_norm:
         return x
     z = precondition(r)
@@ -181,7 +229,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
-        residuals.append(float(np.linalg.norm(r)))
+        residuals.append(math.sqrt(r @ r))
         if residuals[-1] <= tol * b_norm:
             return x
         z = precondition(r)

@@ -2,9 +2,10 @@
 
 One call to :func:`run_experiment` builds the grid, multiplier, and initial
 state, integrates to t_end writing diagnostics and snapshots as it goes, and
-finishes the record with a checksummed manifest. Shear blow-up (step-size
-underflow) is a recorded *result*, not an exception: the last healthy state
-is saved and the returned status says "blowup".
+finishes the record with a checksummed manifest, which also names the
+Python and numpy versions and the platform that made it. Shear blow-up
+(step-size underflow) is a recorded *result*, not an exception: the last
+healthy state is saved and the returned status says "blowup".
 
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
@@ -26,6 +27,7 @@ so the capillary waves at the top of the ladder set no step-size limit.
 """
 
 import os
+import platform
 import time
 from dataclasses import dataclass
 
@@ -241,6 +243,10 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
         "accepted": controller.stats.accepted,
         "rejected": controller.stats.rejected,
         "rhs_evals": controller.stats.rhs_evals,
+        # the software environment; kept out of every sha256-covered file
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
     }
     write_manifest(out_dir, metadata, data_files)
     return RunResult(status=status, t_final=t_final, out_dir=out_dir, stats=controller.stats, reason=reason)

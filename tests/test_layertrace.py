@@ -56,3 +56,17 @@ def test_lawson_transforms_are_traced_ffts(traced):
     irfft = int(np.sum(direct & (kind == layertrace.NAMES.index("spectral.irfft"))))
     assert rfft == stats.rhs_evals
     assert irfft == stats.rhs_evals - 2 + stats.accepted + stats.rejected
+
+
+def test_cg_applications_are_traced_mass_applies(traced):
+    # CG applies A through the gnwaves.operators attribute, so every
+    # application is a mass_apply span directly under a cg span; a solve
+    # that bypassed the attribute would leave none
+    _, spans = traced
+    kind, parent = spans["kind"], spans["parent"]
+    cg_spans = kind == layertrace.NAMES.index("operators.cg")
+    under_cg = (parent >= 0) & cg_spans[np.maximum(parent, 0)]
+    applies = int(np.sum(under_cg & (kind == layertrace.NAMES.index("operators.mass_apply"))))
+    summary = layertrace.summarize(spans)
+    assert applies == summary["operators.mass_applies"]
+    assert applies >= 2 * summary["operators.cg_solves"] > 0

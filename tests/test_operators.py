@@ -6,6 +6,7 @@ from gnwaves.multipliers import MultiplierSpec, eval_multiplier
 from gnwaves.operators import (
     GNContext,
     GNWorkspace,
+    MassConstants,
     apply_mass_operator,
     hamiltonian,
     interface_gradient,
@@ -209,6 +210,120 @@ class TestInversion:
         h1, h2 = layer_depths(p, zeta)
         w = invert_mass_operator(ctx, zeta, v)
         assert np.allclose(w, v * h1 * h2 / (h1 + p.gamma * h2), rtol=1e-15)
+
+
+def _oracle_mass_operator(ctx, zeta, w):
+    """A[eps*zeta] w written out per application: the coefficient, h**3 and
+    dx F = deriv * fsym * rfft are all formed anew on every call."""
+    h = layer_depths(ctx.params, zeta)
+    h1, h2 = h
+    g, mu = ctx.params.gamma, ctx.params.mu
+    grid = ctx.grid
+
+    def dxf(u):
+        return np.fft.irfft(grid.ik * ctx.symbols * np.fft.rfft(u), grid.n)
+
+    out = (h1 + g * h2) / (h1 * h2) * w
+    if mu > 0.0:
+        t = dxf(w / h)
+        t1, t2 = dxf(h**3 * t)
+        out -= (mu / 3.0) * (t2 / h2 + g * t1 / h1)
+    return out
+
+
+def _oracle_pcg(ctx, zeta, v, x0=None):
+    """Preconditioned CG on the oracle operator with np.linalg.norm residuals;
+    the same iterates and stopping rule as invert_mass_operator."""
+    tol = ctx.cg_tol
+    b_norm = float(np.linalg.norm(v))
+
+    def precondition(r):
+        return np.fft.irfft(np.fft.rfft(r) / ctx.flat_symbol, ctx.grid.n)
+
+    x = np.zeros_like(v) if x0 is None else np.array(x0, dtype=float)
+    r = v - _oracle_mass_operator(ctx, zeta, x) if x0 is not None else v.copy()
+    if float(np.linalg.norm(r)) <= tol * b_norm:
+        return x
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(ctx.cg_max_iter):
+        ap = _oracle_mass_operator(ctx, zeta, p)
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if float(np.linalg.norm(r)) <= tol * b_norm:
+            return x
+        z = precondition(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("oracle CG did not converge")
+
+
+FAMILIES = {
+    "identity": MultiplierSpec.identity(),
+    "regularized": MultiplierSpec.regularized_for_depth(REF_PARAMS.delta),
+    "improved": MultiplierSpec.improved(REF_PARAMS.delta),
+}
+
+
+class TestHotPathOracle:
+    """The CG hot path reuses per-state constants, dx F symbols and FFT
+    buffers; none of that may change a single bit of its results."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_apply_matches_oracle_bitwise(self, grid, family):
+        ctx = make_ctx(grid, spec=FAMILIES[family])
+        rng = np.random.default_rng(101)
+        for _ in range(3):
+            zeta, w = random_state(ctx, rng)
+            assert np.array_equal(apply_mass_operator(ctx, zeta, w), _oracle_mass_operator(ctx, zeta, w))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_invert_matches_oracle_bitwise(self, grid, family, warm):
+        ctx = make_ctx(grid, spec=FAMILIES[family])
+        rng = np.random.default_rng(103)
+        zeta, w_true = random_state(ctx, rng)
+        v = _oracle_mass_operator(ctx, zeta, w_true)
+        x0 = w_true + 1e-3 * random_smooth_field(grid, rng) if warm else None
+        expected = _oracle_pcg(ctx, zeta, v, x0=x0)
+        got = invert_mass_operator(ctx, zeta, v, x0=x0)
+        assert np.array_equal(got, expected)
+
+    def test_precomputed_constants_match_depths_call(self, grid):
+        ctx = make_ctx(grid, spec=FAMILIES["improved"])
+        rng = np.random.default_rng(107)
+        zeta, w = random_state(ctx, rng)
+        other = random_smooth_field(grid, rng)
+        depths = layer_depths(ctx.params, zeta)
+        consts = MassConstants(ctx, depths)
+        expected = apply_mass_operator(ctx, zeta, w, depths=depths)
+        assert np.array_equal(apply_mass_operator(ctx, zeta, w), expected)
+        # reused buffers: an application in between must leave no trace
+        first = apply_mass_operator(ctx, zeta, w, consts=consts)
+        between = apply_mass_operator(ctx, zeta, other, consts=consts)
+        again = apply_mass_operator(ctx, zeta, w, consts=consts)
+        assert np.array_equal(first, expected)
+        assert np.array_equal(again, expected)
+        assert np.array_equal(between, apply_mass_operator(ctx, zeta, other))
+        for buf in (consts.spectral, consts.physical):
+            assert not np.shares_memory(first, buf)
+
+    def test_mu_zero_constants_match_depths_call(self, grid):
+        p = PhysParams(gamma=0.95, epsilon=0.5, mu=0.0, delta=0.5, inv_bond=0.0)
+        ctx = GNContext(grid, p, MultiplierSpec.identity())
+        rng = np.random.default_rng(109)
+        zeta, w = random_state(ctx, rng)
+        consts = MassConstants(ctx, layer_depths(p, zeta))
+        assert np.array_equal(apply_mass_operator(ctx, zeta, w, consts=consts), _oracle_mass_operator(ctx, zeta, w))
+
+    def test_dx_symbols_match_left_to_right_product(self, grid):
+        ctx = make_ctx(grid, spec=FAMILIES["improved"])
+        u = random_smooth_field(grid, np.random.default_rng(113))
+        u_hat = np.fft.rfft(u)
+        assert np.array_equal(ctx.dx_symbols * u_hat, grid.ik * ctx.symbols * u_hat)
 
 
 class TestVelocities:

@@ -1,4 +1,5 @@
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ class TestRunExperiment:
         for name in ("diag.csv", "snap_t0.25.csv", "spec_t0.25.csv", "config.txt"):
             with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+    def test_manifest_names_the_environment_outside_the_checksums(self, tmp_path, monkeypatch):
+        # the environment keys sit in the manifest only: another platform
+        # string leaves every data file's sha256 line as it was
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        run_experiment(fast_config(), out1)
+        here = platform.platform()
+        monkeypatch.setattr(runner_mod.platform, "platform", lambda: "another-platform")
+        run_experiment(fast_config(), out2)
+        meta1, sums1 = read_manifest(os.path.join(out1, "manifest.txt"))
+        meta2, sums2 = read_manifest(os.path.join(out2, "manifest.txt"))
+        assert meta1["python"] == platform.python_version()
+        assert meta1["numpy"] == np.__version__
+        assert meta1["platform"] == here
+        assert meta2["platform"] == "another-platform"
+        assert sums1 == sums2 and "manifest.txt" not in sums1
 
     def test_sv_model_runs(self, tmp_path):
         out = str(tmp_path / "sv")
