@@ -124,21 +124,19 @@ def _dxf(grid, u, dx_symbols):
     return np.fft.irfft(dx_symbols * np.fft.rfft(u), grid.n)
 
 
-def q_operator(grid, h, u, fsym, deriv):
+def q_operator(grid, h, u, dx_symbols):
     """Layer dispersion operator  -(1/3) h^{-1} dx F{ h^3 dx F{u} };
-    ``deriv`` is the derivative symbol (``grid.ik``)."""
-    dx_fsym = deriv * fsym
-    t = _dxf(grid, u, dx_fsym)
-    t = _dxf(grid, h**3 * t, dx_fsym)
+    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``)."""
+    t = _dxf(grid, u, dx_symbols)
+    t = _dxf(grid, h**3 * t, dx_symbols)
     return -(t / h) / 3.0
 
 
-def r_operator(grid, h, u, fsym, deriv):
+def r_operator(grid, h, u, dx_symbols):
     """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
-    ``deriv`` is the derivative symbol (``grid.ik``)."""
-    dx_fsym = deriv * fsym
-    s = _dxf(grid, u, dx_fsym)
-    t = _dxf(grid, h**3 * s, dx_fsym)
+    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``)."""
+    s = _dxf(grid, u, dx_symbols)
+    t = _dxf(grid, h**3 * s, dx_symbols)
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
@@ -159,15 +157,14 @@ class MassConstants:
             self.physical = np.empty((2, ctx.grid.n))
 
 
-def apply_mass_operator(ctx, zeta, w, depths=None, consts=None):
+def apply_mass_operator(ctx, zeta, w, consts=None):
     """A[eps*zeta] w.
 
     ``consts`` passes the :class:`MassConstants` of zeta, as CG does for
-    every application of a solve; without it they are built here from
-    ``depths``, the precomputed stacked depths, or from zeta.
+    every application of a solve; without it they are built here from zeta.
     """
     if consts is None:
-        consts = MassConstants(ctx, depths if depths is not None else layer_depths(ctx.params, zeta))
+        consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
     g, mu = ctx.params.gamma, ctx.params.mu
     out = consts.local * w
     if mu > 0.0:
@@ -246,7 +243,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
 def r_flux(ctx, h, w):
     """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1] for the
     stacked depths h."""
-    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.symbols, ctx.grid.ik)
+    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.dx_symbols)
     return r2 - ctx.params.gamma * r1
 
 
