@@ -30,13 +30,12 @@ from .params import ExperimentConfig, parse_config, with_overrides
 from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
 from .stability import threshold_table
 
+# simulate --preset: config overrides, then one run per built-in family;
+# see README for what each one produces
 PRESETS = {
-    # reference-experiment bundles; see README for what each one produces
-    "fig1": {"kind": "stability"},
-    "fig2": {"kind": "compare_runs", "overrides": {"t_end": 2.0}},
-    "fig3": {"kind": "compare_runs", "overrides": {"t_end": 3.0}},
-    "fig4": {"kind": "compare_runs", "overrides": {"t_end": 2.0, "inv_bond": 0.0}},
-    "table1": {"kind": "drift_table"},
+    "fig2": {"t_end": 2.0},
+    "fig3": {"t_end": 3.0},
+    "fig4": {"t_end": 2.0, "inv_bond": 0.0},
 }
 
 MULTIPLIER_ALIASES = {"id": "identity", "reg": "regularized", "imp": "improved"}
@@ -62,10 +61,7 @@ def _cmd_simulate(args, model):
     config = with_overrides(config, model=model)
     preset = getattr(args, "preset", None)
     if preset:
-        spec = PRESETS[preset]
-        if spec["kind"] != "compare_runs":
-            raise ValidationError("preset", f"{preset} is not a simulation preset")
-        config = with_overrides(config, **spec["overrides"])
+        config = with_overrides(config, **PRESETS[preset])
         # a blow-up inside a comparison preset is a recorded result, not a
         # batch failure; the per-run manifests carry the status
         for name in ("identity", "regularized", "improved"):
@@ -85,6 +81,10 @@ def _cmd_simulate(args, model):
 
 def _cmd_stability(args):
     config, _ = _load_config(args)
+    if args.k_points < 1:
+        raise ValidationError("k_points", f"must be >= 1, got {args.k_points}")
+    if not (np.isfinite(args.k_max) and args.k_max > 0):
+        raise ValidationError("k_max", f"must be finite and positive, got {args.k_max}")
     os.makedirs(args.out, exist_ok=True)
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
@@ -161,7 +161,7 @@ def build_parser():
             p.add_argument("--preset", choices=preset_choices, help="bundled experiment preset")
 
     p_sim = sub.add_parser("simulate", help="run the dispersive model")
-    common(p_sim, preset_choices=("fig2", "fig3", "fig4"))
+    common(p_sim, preset_choices=tuple(PRESETS))
     p_sv = sub.add_parser("sv", help="run the hydrostatic (mu = 0) model")
     common(p_sv)
     p_stab = sub.add_parser("stability", help="emit instability-threshold curves")

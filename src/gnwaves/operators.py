@@ -43,7 +43,7 @@ import numpy as np
 from .errors import CavitationError, ConvergenceError
 from .multipliers import layer_symbols
 from .spectral import _check_field, dealias_mask, ddx, inner
-from .stability import _flat_interface
+from .stability import _flat_interface, _restoring_symbol
 from .timestepper import ModeRotation
 
 __all__ = [
@@ -112,8 +112,7 @@ class GNContext:
         self.mask = dealias_mask(grid) if dealias else None
         # linear part of rhs at the flat interface on packed (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
-        a0 = (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2)
-        upper, lower = -grid.ik / self.flat_symbol, -grid.ik * a0
+        upper, lower = -grid.ik / self.flat_symbol, -grid.ik * _restoring_symbol(params, k)
         if self.mask is not None:
             upper, lower = upper * self.mask, lower * self.mask
         self.linear = ModeRotation(grid.n, upper, lower)

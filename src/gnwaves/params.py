@@ -8,6 +8,7 @@ and inv_bond the inverse Bond number scaling surface tension. Configs are
 flat on purpose: one key per line diffs cleanly across run records.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from .errors import ConfigError, ValidationError
 __all__ = [
     "PhysParams",
     "ExperimentConfig",
-    "DEFAULT_CONFIG_TEXT",
     "parse_config",
     "serialize_config",
     "instability_parameter",
@@ -45,9 +45,16 @@ class PhysParams:
             raise ValidationError("delta", f"must be positive, got {self.delta}")
         if self.inv_bond < 0.0:
             raise ValidationError("inv_bond", f"must be nonnegative, got {self.inv_bond}")
-        for name in ("gamma", "epsilon", "mu", "delta", "inv_bond"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(name, "must be finite")
+        _require_finite(self)
+
+
+def _require_finite(config):
+    """Reject every non-finite float field of ``config``, tuple entries included."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in entries):
+            raise ValidationError(f.name, "must be finite")
 
 
 def instability_parameter(params, kf1, kf2, sigma):
@@ -137,72 +144,37 @@ class ExperimentConfig:
             raise ValidationError("cg_tol", "must be positive")
         if self.cg_max_iter < 1:
             raise ValidationError("cg_max_iter", "must be >= 1")
+        _require_finite(self)
 
-
-# key -> (target, parser tag); targets named "params.x" land in PhysParams
-_SCHEMA = {
-    "gamma": ("params.gamma", "float"),
-    "epsilon": ("params.epsilon", "float"),
-    "mu": ("params.mu", "float"),
-    "delta": ("params.delta", "float"),
-    "inv_bond": ("params.inv_bond", "float"),
-    "model": ("model", "str"),
-    "multiplier": ("multiplier", "str"),
-    "theta1": ("theta1", "optfloat"),
-    "theta2": ("theta2", "optfloat"),
-    "grid_n": ("grid_n", "int"),
-    "domain_half_length": ("domain_half_length", "float"),
-    "t_end": ("t_end", "float"),
-    "rel_tol": ("rel_tol", "float"),
-    "abs_tol": ("abs_tol", "float"),
-    "initial_condition": ("initial_condition", "str"),
-    "ic_amplitude": ("ic_amplitude", "float"),
-    "ic_width": ("ic_width", "float"),
-    "snapshot_times": ("snapshot_times", "floatlist"),
-    "write_spectra": ("write_spectra", "bool"),
-    "diag_stride": ("diag_stride", "int"),
-    "dealias": ("dealias", "bool"),
-    "k_band": ("k_band", "optfloat"),
-    "cg_tol": ("cg_tol", "float"),
-    "cg_max_iter": ("cg_max_iter", "int"),
-}
 
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "false": False, "off": False, "0": False}
 
+# field type -> parser of the stripped value text; a field type missing here
+# is a KeyError at import, not a key that cannot be parsed
+_PARSERS = {
+    float: float,
+    int: int,
+    str: str,
+    bool: lambda raw: _BOOL_WORDS[raw.lower()],
+    float | None: lambda raw: None if raw.lower() in ("", "auto", "none") else float(raw),
+    tuple: lambda raw: tuple(float(part) for part in raw.split(",")) if raw else (),
+}
 
-def _parse_value(tag, raw, key, line_no):
-    raw = raw.strip()
-    try:
-        if tag == "float":
-            return float(raw)
-        if tag == "int":
-            return int(raw)
-        if tag == "str":
-            return raw
-        if tag == "bool":
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[word]
-        if tag == "optfloat":
-            if raw.lower() in ("", "auto", "none"):
-                return None
-            return float(raw)
-        if tag == "floatlist":
-            if raw == "":
-                return ()
-            return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}", line=line_no) from None
-    raise AssertionError(f"unknown schema tag {tag}")
+_PARAM_KEYS = tuple(f.name for f in fields(PhysParams))
+# the config keys in config.txt order: PhysParams fields, then the rest
+_KEY_PARSERS = {
+    f.name: _PARSERS[f.type]
+    for f in fields(PhysParams) + tuple(f for f in fields(ExperimentConfig) if f.name != "params")
+}
 
 
 def parse_config(text):
     """Parse a flat ``key = value`` document into an :class:`ExperimentConfig`.
 
-    Lines are either blank, ``# comment``, or ``key = value``. Unknown keys
-    are a hard error (they are almost always typos), and every missing key
-    takes its reference-experiment default.
+    Lines are either blank, ``# comment``, or ``key = value``. The keys are
+    the fields of :class:`PhysParams` and :class:`ExperimentConfig`. Unknown
+    keys are a hard error (they are almost always typos), and every missing
+    key takes its reference-experiment default.
     """
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -212,26 +184,19 @@ def parse_config(text):
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {stripped!r}", line=line_no)
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA:
+        key, raw = key.strip(), raw.strip()
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"unknown key {key!r}", line=line_no)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=line_no)
-        target, tag = _SCHEMA[key]
-        values[key] = (target, _parse_value(tag, raw, key, line_no))
-
-    param_kwargs = {}
-    config_kwargs = {}
-    for target, value in values.values():
-        if target.startswith("params."):
-            param_kwargs[target.split(".", 1)[1]] = value
-        else:
-            config_kwargs[target] = value
-    params = PhysParams(**param_kwargs)
-    return ExperimentConfig(params=params, **config_kwargs)
+        try:
+            values[key] = _KEY_PARSERS[key](raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"cannot parse value {raw!r} for key {key!r}", line=line_no) from None
+    return with_overrides(ExperimentConfig(), **values)
 
 
-def _format_value(key, value):
+def _format_value(value):
     if value is None:
         return "auto"
     if isinstance(value, bool):
@@ -247,24 +212,17 @@ def serialize_config(config):
     """Inverse of :func:`parse_config`: emits every key explicitly so a run
     record is self-contained. parse(serialize(c)) == c for valid configs."""
     lines = []
-    for key, (target, _tag) in _SCHEMA.items():
-        if target.startswith("params."):
-            value = getattr(config.params, target.split(".", 1)[1])
-        else:
-            value = getattr(config, target)
-        lines.append(f"{key} = {_format_value(key, value)}")
+    for key in _KEY_PARSERS:
+        value = getattr(config.params if key in _PARAM_KEYS else config, key)
+        lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
-
-
-DEFAULT_CONFIG_TEXT = serialize_config(ExperimentConfig())
 
 
 def with_overrides(config, **changes):
     """Functional update helper mirroring dataclasses.replace, with nested
     params.* keys accepted as gamma=..., mu=..., etc."""
-    param_fields = {f.name for f in fields(PhysParams)}
-    param_changes = {k: v for k, v in changes.items() if k in param_fields}
-    other = {k: v for k, v in changes.items() if k not in param_fields}
+    param_changes = {k: v for k, v in changes.items() if k in _PARAM_KEYS}
+    other = {k: v for k, v in changes.items() if k not in _PARAM_KEYS}
     if param_changes:
         other["params"] = replace(config.params, **param_changes)
     return replace(config, **other)

@@ -55,14 +55,21 @@ def euler_coeffs(k, params, vbar):
     which removes every 0/0: at k = 0 they reduce to b = 1/(gamma+delta) and
     c = (delta^2-gamma)/(gamma+delta)^2 * eps*vbar.
     """
-    g, d, eps, mu, inv_bond = params.gamma, params.delta, params.epsilon, params.mu, params.inv_bond
+    g, d, eps, mu = params.gamma, params.delta, params.epsilon, params.mu
     k = np.abs(np.asarray(k, dtype=float))
     t1, t2 = _tanhc(np.sqrt(mu) * k), _tanhc(np.sqrt(mu) * k / d)
     den = t1 + g * t2 / d
     b = (t1 * t2 / d) / den
     c = (d * t1 - g * t2 / d) / den * eps * vbar / (g + d)
-    a = (g + d) * (1.0 + inv_bond * k**2) - g * (d + 1.0) ** 2 / (d + g) ** 2 * (eps * vbar) ** 2 / den
+    a = _restoring_symbol(params, k) - g * (d + 1.0) ** 2 / (d + g) ** 2 * (eps * vbar) ** 2 / den
     return a, b, c
+
+
+def _restoring_symbol(params, k):
+    """Flat-interface restoring symbol a0(k) = (gamma+delta)(1 + k^2/Bo): the
+    shear-free a(k) of the stability analysis and the stiffness of the linear
+    propagator."""
+    return (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2)
 
 
 def _flat_interface(params, f, k):
@@ -71,8 +78,9 @@ def _flat_interface(params, f, k):
     Returns the symbol of the mass operator at zeta = 0,
     A0(k) = (gamma+delta) + (mu/3)(F2^2/delta + gamma F1^2) k^2, and the shear
     factor Gamma(k) = gamma (delta+1)^2 / delta * (delta^2 + mu k^2 F2^2/3)
-    (1 + mu k^2 F1^2/3) / A0(k), so that a(k) = (gamma+delta)(1 + k^2/Bo)
-    - eps^2 wbar^2 Gamma(k). ``f`` holds the layer symbols (F1, F2) at k.
+    (1 + mu k^2 F1^2/3) / A0(k), so that a(k) = a0(k) - eps^2 wbar^2 Gamma(k)
+    with a0 from :func:`_restoring_symbol`. ``f`` holds the layer symbols
+    (F1, F2) at k.
     """
     g, d, mu = params.gamma, params.delta, params.mu
     f1, f2 = f
@@ -84,13 +92,13 @@ def _flat_interface(params, f, k):
 
 def model_coeffs(k, params, spec, wbar):
     """Multiplier-model shear coefficients (a, b, c) at wavenumber k."""
-    g, d, eps, mu, inv_bond = params.gamma, params.delta, params.epsilon, params.mu, params.inv_bond
+    g, d, eps, mu = params.gamma, params.delta, params.epsilon, params.mu
     k = np.abs(np.asarray(k, dtype=float))
     f1, f2 = f = layer_symbols(spec, k, mu)
     a0, shear = _flat_interface(params, f, k)
     b = 1.0 / a0
     c = eps * wbar * ((d**2 - g) + mu * (f2**2 - g * f1**2) * k**2 / 3.0) / a0
-    a = (g + d) * (1.0 + inv_bond * k**2) - (eps * wbar) ** 2 * shear
+    a = _restoring_symbol(params, k) - (eps * wbar) ** 2 * shear
     return a, b, c
 
 
@@ -107,14 +115,14 @@ class StabilityCurve:
 
 def _threshold_curve(k_grid, params, shear_factor, model):
     """Solve a(k) = 0 for eps^2*wbar^2 (a is affine in it):
-    threshold = (gamma+delta)(1 + k^2/Bo) / Gamma(k), with Gamma(k) =
-    ``shear_factor(k)``; modes with Gamma(k) <= 0 are stable for every shear."""
+    threshold = a0(k) / Gamma(k), with Gamma(k) = ``shear_factor(k)``; modes
+    with Gamma(k) <= 0 are stable for every shear."""
     k = np.asarray(k_grid, dtype=float)
     if np.any(k <= 0):
         raise ValidationError("k_grid", "wavenumbers must be positive")
     gamma_k = shear_factor(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        thr = (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2) / gamma_k
+        thr = _restoring_symbol(params, k) / gamma_k
     return StabilityCurve(k=k, threshold=np.where(gamma_k <= 0.0, np.nan, thr), model=model)
 
 

@@ -61,6 +61,14 @@ class TestSimulate:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("grid_n = 64\ncg_tol = inf\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cg_tol: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cavitating_initial_state_is_a_config_error(self, tmp_path, capsys):
         # h1 = 1 - eps*zeta < 0 at t = 0: rejected before anything is written
         cfg = tmp_path / "cav.cfg"
@@ -152,6 +160,23 @@ class TestStability:
         assert main(["stability", "--out", out, "--k-points", "1"]) == 0
         data = np.loadtxt(os.path.join(out, "stability.csv"), delimiter=",", skiprows=1, ndmin=2)
         assert data.shape == (1, 5)
+
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--k-points", "0", "k_points"),
+            ("--k-points", "-3", "k_points"),
+            ("--k-max", "nan", "k_max"),
+            ("--k-max", "inf", "k_max"),
+            ("--k-max", "0", "k_max"),
+        ],
+    )
+    def test_invalid_k_grid_is_a_usage_error(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "stab"
+        assert main(["stability", "--out", str(out), flag, value]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAdmissibility:

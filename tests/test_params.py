@@ -113,11 +113,88 @@ class TestParseConfig:
             parse_config("mu = banana")
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["dealias = maybe", "grid_n = 64.0"])
+    def test_unparseable_values_are_config_errors(self, text):
+        key, _, raw = text.partition(" = ")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"line 1: cannot parse value {raw!r} for key {key!r}"
+
+    @pytest.mark.parametrize(
+        "key,raw",
+        [
+            ("cg_tol", "inf"),
+            ("ic_amplitude", "nan"),
+            ("ic_width", "inf"),
+            ("domain_half_length", "inf"),
+            ("t_end", "inf"),
+            ("k_band", "inf"),
+            ("theta1", "inf"),
+            ("snapshot_times", "0.5,inf"),
+        ],
+    )
+    def test_non_finite_values_are_rejected(self, key, raw):
+        with pytest.raises(ValidationError) as err:
+            parse_config(f"{key} = {raw}")
+        assert err.value.field == key
+        assert str(err.value) == f"{key}: must be finite"
+
     def test_lists_and_bools(self):
         config = parse_config("snapshot_times = 0.5,1.0\ndealias = on\nwrite_spectra = false")
         assert config.snapshot_times == (0.5, 1.0)
         assert config.dealias is True
         assert config.write_spectra is False
+
+
+# the empty snapshot_times line ends in a space, hence the explicit \n
+DEFAULT_CONFIG_TXT = """\
+gamma = 0.95
+epsilon = 0.5
+mu = 0.1
+delta = 0.5
+inv_bond = 0.0005
+model = gn
+multiplier = regularized
+theta1 = auto
+theta2 = auto
+grid_n = 512
+domain_half_length = 4.0
+t_end = 2.0
+rel_tol = 1e-10
+abs_tol = 1e-12
+initial_condition = gaussian
+ic_amplitude = -1.0
+ic_width = 4.0
+snapshot_times = \n\
+write_spectra = true
+diag_stride = 1
+dealias = false
+k_band = auto
+cg_tol = 1e-12
+cg_max_iter = 200
+"""
+
+
+class TestSerializeConfig:
+    def test_default_text_is_pinned(self):
+        # key order and value formatting are the run-record format
+        assert serialize_config(ExperimentConfig()) == DEFAULT_CONFIG_TXT
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("theta1 = 0.25", "theta1 = 0.25"),
+            ("k_band = none", "k_band = auto"),
+            ("snapshot_times = 0.5, 1", "snapshot_times = 0.5,1.0"),
+            ("write_spectra = off", "write_spectra = false"),
+            ("dealias = on", "dealias = true"),
+            ("inv_bond = 0", "inv_bond = 0.0"),
+        ],
+    )
+    def test_value_formatting(self, text, line):
+        key = text.split(" = ")[0]
+        rows = serialize_config(parse_config(text)).splitlines()
+        assert [row for row in rows if row.startswith(key + " = ")] == [line]
 
 
 class TestRoundTrip:
