@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .io_store import _write_rows, read_diagnostics, write_manifest
-from .multipliers import check_admissibility
+from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
 from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
 from .stability import threshold_table
@@ -38,40 +38,41 @@ PRESETS = {
     "fig4": {"t_end": 2.0, "inv_bond": 0.0},
 }
 
-MULTIPLIER_ALIASES = {"id": "identity", "reg": "regularized", "imp": "improved"}
-
 
 def _load_config(args):
-    if getattr(args, "config", None):
+    """The config of ``--config`` (the defaults without it) with the
+    ``--multiplier`` override applied. A relative custom table path is made
+    absolute against the config file's directory (the cwd without
+    ``--config``), so the run record names the table it read."""
+    config = ExperimentConfig()
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
-        config_dir = os.path.dirname(os.path.abspath(args.config))
-    else:
-        config = ExperimentConfig()
-        config_dir = "."
     override = getattr(args, "multiplier", None)
     if override:
-        name = MULTIPLIER_ALIASES.get(override, override)
-        config = with_overrides(config, multiplier=name)
-    return config, config_dir
+        config = with_overrides(config, multiplier=ALIASES.get(override, override))
+    if config.multiplier.startswith("custom:"):
+        anchor = os.path.abspath(os.path.dirname(args.config or ""))
+        path = os.path.join(anchor, config.multiplier.removeprefix("custom:"))
+        config = with_overrides(config, multiplier=f"custom:{path}")
+    return config
 
 
 def _cmd_simulate(args, model):
-    config, config_dir = _load_config(args)
-    config = with_overrides(config, model=model)
+    config = with_overrides(_load_config(args), model=model)
     preset = getattr(args, "preset", None)
     if preset:
         config = with_overrides(config, **PRESETS[preset])
         # a blow-up inside a comparison preset is a recorded result, not a
         # batch failure; the per-run manifests carry the status
-        for name in ("identity", "regularized", "improved"):
+        for name in FAMILIES:
             sub = with_overrides(config, multiplier=name)
-            result = run_experiment(sub, os.path.join(args.out, name), force=args.force, config_dir=config_dir)
+            result = run_experiment(sub, os.path.join(args.out, name), force=args.force)
             print(f"{name}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
             if result.status == "blowup":
                 print(f"  ({result.reason})")
         return EXIT_OK
-    result = run_experiment(config, args.out, force=args.force, config_dir=config_dir)
+    result = run_experiment(config, args.out, force=args.force)
     print(f"{config.multiplier}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
     if result.status == "blowup":
         print(f"  ({result.reason})")
@@ -80,7 +81,7 @@ def _cmd_simulate(args, model):
 
 
 def _cmd_stability(args):
-    config, _ = _load_config(args)
+    config = _load_config(args)
     if args.k_points < 1:
         raise ValidationError("k_points", f"must be >= 1, got {args.k_points}")
     if not (np.isfinite(args.k_max) and args.k_max > 0):
@@ -96,8 +97,7 @@ def _cmd_stability(args):
 
 
 def _cmd_admissibility(args):
-    config, config_dir = _load_config(args)
-    spec = build_multiplier(config, base_dir=config_dir)
+    spec = build_multiplier(_load_config(args))
     reports = [check_admissibility(spec, layer, mu=1.0) for layer in (1, 2)]
     text = "\n".join(report.summary() for report in reports) + "\n"
     print(text, end="")
@@ -110,33 +110,20 @@ def _cmd_admissibility(args):
     return EXIT_OK
 
 
-def _drift_table(config, out_dir, force, config_dir, tag):
-    quantities = ("Z", "V", "I", "H")
-    table = {}
-    status = {}
-    for name in ("identity", "regularized", "improved"):
-        sub = with_overrides(config, multiplier=name)
-        result = run_experiment(sub, os.path.join(out_dir, f"{tag}_{name}"), force=force, config_dir=config_dir)
-        diag = read_diagnostics(os.path.join(result.out_dir, "diag.csv"))
-        table[name] = {q: diag[q][-1] - diag[q][0] for q in quantities}
-        status[name] = (result.status, result.t_final)
-    return quantities, table, status
-
-
 def _cmd_diag_compare(args):
-    config, config_dir = _load_config(args)
-    preset = getattr(args, "preset", None)
+    config = _load_config(args)
     cases = [("with_tension", config)]
-    if preset == "table1":
+    if args.preset == "table1":
         cases.append(("without_tension", with_overrides(config, inv_bond=0.0)))
     os.makedirs(args.out, exist_ok=True)
     lines = ["case,multiplier,status,t_final,dZ,dV,dI,dH"]
     for tag, case_config in cases:
-        quantities, table, status = _drift_table(case_config, args.out, args.force, config_dir, tag)
-        for name, drifts in table.items():
-            st, t_final = status[name]
-            row = [tag, name, st, f"{t_final:.6g}"] + [f"{drifts[q]:.6e}" for q in quantities]
-            lines.append(",".join(row))
+        for name in FAMILIES:
+            sub = with_overrides(case_config, multiplier=name)
+            result = run_experiment(sub, os.path.join(args.out, f"{tag}_{name}"), force=args.force)
+            diag = read_diagnostics(os.path.join(result.out_dir, "diag.csv"))
+            drifts = [f"{diag[q][-1] - diag[q][0]:.6e}" for q in ("Z", "V", "I", "H")]
+            lines.append(",".join([tag, name, result.status, f"{result.t_final:.6g}", *drifts]))
     path = os.path.join(args.out, "drift_table.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -149,29 +136,29 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="gnwaves", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset_choices=None, needs_out=True):
+    # each command takes only the flags it reads: stability and diag-compare
+    # run every family, and stability and admissibility overwrite their output
+    def command(name, summary, presets=(), out_required=True, force=True, multiplier=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--out", required=needs_out, help="output directory")
-        p.add_argument("--force", action="store_true", help="overwrite an existing run record")
-        p.add_argument(
-            "--multiplier",
-            help="override the configured multiplier: id|reg|imp|custom:<path>",
-        )
-        if preset_choices:
-            p.add_argument("--preset", choices=preset_choices, help="bundled experiment preset")
+        p.add_argument("--out", required=out_required, help="output directory")
+        if force:
+            p.add_argument("--force", action="store_true", help="overwrite an existing run record")
+        if multiplier:
+            p.add_argument("--multiplier", help="override the configured multiplier: id|reg|imp|custom:<path>")
+        if presets:
+            p.add_argument("--preset", choices=presets, help="bundled experiment preset")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run the dispersive model")
-    common(p_sim, preset_choices=tuple(PRESETS))
-    p_sv = sub.add_parser("sv", help="run the hydrostatic (mu = 0) model")
-    common(p_sv)
-    p_stab = sub.add_parser("stability", help="emit instability-threshold curves")
-    common(p_stab, preset_choices=("fig1",))
+    command("simulate", "run the dispersive model", presets=tuple(PRESETS))
+    command("sv", "run the hydrostatic (mu = 0) model")
+    p_stab = command(
+        "stability", "emit instability-threshold curves", presets=("fig1",), force=False, multiplier=False
+    )
     p_stab.add_argument("--k-max", type=float, default=100.0)
     p_stab.add_argument("--k-points", type=int, default=1000)
-    p_adm = sub.add_parser("admissibility", help="report multiplier admissibility")
-    common(p_adm, needs_out=False)
-    p_diag = sub.add_parser("diag-compare", help="conserved-quantity drift across families")
-    common(p_diag, preset_choices=("table1",))
+    command("admissibility", "report multiplier admissibility", out_required=False, force=False)
+    command("diag-compare", "conserved-quantity drift across families", presets=("table1",), multiplier=False)
     return parser
 
 

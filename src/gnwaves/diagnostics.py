@@ -9,7 +9,7 @@ hyperbolicity margin and the high-band spectral amplitude flag incipient
 shear instability.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,11 +43,11 @@ class DiagnosticsRow:
     hyp_margin: float
     high_band: float
 
-    HEADER = "t,Z,V,I,H,M,C,hyp_margin,high_band"
-
     def as_csv(self):
-        vals = (self.t, self.Z, self.V, self.I, self.H, self.M, self.C, self.hyp_margin, self.high_band)
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{getattr(self, f.name):.17g}" for f in fields(self))
+
+
+DiagnosticsRow.HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
 def mass(grid, zeta):

@@ -27,6 +27,8 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
+    "ALIASES",
+    "FAMILIES",
     "MultiplierSpec",
     "AdmissibilityReport",
     "eval_multiplier",
@@ -79,32 +81,16 @@ def _improved_sq(x):
 class MultiplierSpec:
     """Which multiplier family is active, with its per-layer parameters.
 
-    Use the factory classmethods; the constructor checks F_i(0) = 1 and
-    evenness numerically so a bad custom table fails fast.
+    Use the factory classmethods: F_i(0) = 1 holds exactly for each built-in
+    family, :meth:`custom` checks it of a table.
     """
 
-    KINDS = ("identity", "regularized", "improved", "custom")
-
     def __init__(self, kind, theta=None, layer_depths=None, table=None, label=None):
-        if kind not in self.KINDS:
-            raise ValidationError("kind", f"unknown multiplier kind {kind!r}")
         self.kind = kind
         self.theta = theta
         self.layer_depths = layer_depths
         self.table = table
         self.label = label or kind
-        for layer in (1, 2):
-            f0 = float(eval_multiplier(self, layer, 0.0, 1.0))
-            if abs(f0 - 1.0) > 1e-9:
-                raise ValidationError("F(0)", f"layer {layer} symbol has F(0) = {f0}, expected 1")
-            probe = np.array([0.7, 1.3, 2.9])
-            if not np.allclose(
-                eval_multiplier(self, layer, probe, 1.0),
-                eval_multiplier(self, layer, -probe, 1.0),
-                rtol=0.0,
-                atol=0.0,
-            ):
-                raise ValidationError("evenness", f"layer {layer} symbol is not even")
 
     @classmethod
     def identity(cls):
@@ -143,10 +129,23 @@ class MultiplierSpec:
             raise ValidationError("table", "k column must be strictly increasing")
         if not np.all(np.isfinite(f_table)):
             raise ValidationError("table", "symbol values must be finite")
+        if abs(f_table[0] - 1.0) > 1e-9:
+            raise ValidationError("F(0)", f"layer 1 symbol has F(0) = {float(f_table[0])}, expected 1")
         return cls("custom", table=(k_table, f_table), label=label)
 
     def __repr__(self):
         return f"MultiplierSpec({self.label!r})"
+
+
+# the built-in families by config name, in report order, each built from
+# (delta, theta1, theta2); a theta left None takes its depth default
+FAMILIES = {
+    "identity": lambda delta, theta1, theta2: MultiplierSpec.identity(),
+    "regularized": MultiplierSpec.regularized_for_depth,
+    "improved": lambda delta, theta1, theta2: MultiplierSpec.improved(delta),
+}
+# short names that ``gnwaves --multiplier`` accepts for the families
+ALIASES = {"id": "identity", "reg": "regularized", "imp": "improved"}
 
 
 def eval_multiplier(spec, layer, k, mu):
@@ -174,13 +173,13 @@ def layer_symbols(spec, k, mu):
     return np.stack([eval_multiplier(spec, layer, k, mu) for layer in (1, 2)])
 
 
-def load_symbol_table(path, label=None):
+def load_symbol_table(path):
     """Read a two-column CSV ``k,F`` on k >= 0 into a custom spec; the even
     extension to k < 0 is implied and evaluation clamps to the table ends."""
     rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if rows.shape[1] != 2:
         raise ValidationError("table", f"{path}: expected two columns k,F")
-    return MultiplierSpec.custom(rows[:, 0], rows[:, 1], label=label or f"custom:{path}")
+    return MultiplierSpec.custom(rows[:, 0], rows[:, 1], label=f"custom:{path}")
 
 
 @dataclass

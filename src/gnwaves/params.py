@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .io_store import format_time_tag
+from .multipliers import FAMILIES
 
 __all__ = [
     "PhysParams",
@@ -88,7 +90,7 @@ def instability_parameter(params, kf1, kf2, sigma):
 class ExperimentConfig:
     params: PhysParams = PhysParams()
     model: str = "gn"                 # gn | sv
-    multiplier: str = "regularized"   # identity | regularized | improved | custom:<path>
+    multiplier: str = "regularized"   # a name in multipliers.FAMILIES | custom:<path>
     theta1: float | None = None       # default 1/(15*delta_1^2) resolved at build time
     theta2: float | None = None
     grid_n: int = 512
@@ -99,7 +101,7 @@ class ExperimentConfig:
     initial_condition: str = "gaussian"   # gaussian | rest
     ic_amplitude: float = -1.0
     ic_width: float = 4.0
-    snapshot_times: tuple = ()            # empty -> snapshot at t_end only
+    snapshot_times: tuple = ()            # empty -> snapshot at t_end only; each <= t_end
     write_spectra: bool = True
     diag_stride: int = 1
     dealias: bool = False
@@ -111,11 +113,8 @@ class ExperimentConfig:
         if self.model not in ("gn", "sv"):
             raise ValidationError("model", f"must be 'gn' or 'sv', got {self.model!r}")
         mult = self.multiplier
-        if mult not in ("identity", "regularized", "improved") and not mult.startswith("custom:"):
-            raise ValidationError(
-                "multiplier",
-                f"must be identity|regularized|improved|custom:<path>, got {mult!r}",
-            )
+        if mult not in FAMILIES and not mult.startswith("custom:"):
+            raise ValidationError("multiplier", f"must be {'|'.join(FAMILIES)}|custom:<path>, got {mult!r}")
         if not isinstance(self.grid_n, int) or self.grid_n < 8 or (self.grid_n & (self.grid_n - 1)):
             raise ValidationError("grid_n", f"must be a power of two >= 8, got {self.grid_n}")
         if not self.domain_half_length > 0:
@@ -145,6 +144,14 @@ class ExperimentConfig:
         if self.cg_max_iter < 1:
             raise ValidationError("cg_max_iter", "must be >= 1")
         _require_finite(self)
+        # a time past t_end is never reached, and two times with one file
+        # name tag would write one snapshot file
+        if any(t > self.t_end for t in self.snapshot_times):
+            raise ValidationError("snapshot_times", f"times must not exceed t_end = {self.t_end!r}")
+        tags = [format_time_tag(t) for t in self.snapshot_times]
+        if len(set(tags)) < len(tags):
+            clash = next(tag for tag in tags if tags.count(tag) > 1)
+            raise ValidationError("snapshot_times", f"two times share the file name tag {clash!r}")
 
 
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "false": False, "off": False, "0": False}

@@ -44,7 +44,7 @@ from .io_store import (
     write_snapshot,
     write_spectrum,
 )
-from .multipliers import MultiplierSpec, load_symbol_table
+from .multipliers import FAMILIES, load_symbol_table
 # invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
 from .operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, layer_depths, rhs
 from .params import serialize_config, with_overrides
@@ -67,20 +67,14 @@ class RunResult:
     reason: str = ""
 
 
-def build_multiplier(config, base_dir="."):
-    """Resolve the config's multiplier string into a MultiplierSpec."""
+def build_multiplier(config):
+    """Resolve the config's multiplier string into a MultiplierSpec: a family
+    of :data:`~gnwaves.multipliers.FAMILIES`, or the table at a custom path,
+    read as given (``gnwaves`` makes it absolute when it reads the config)."""
     name = config.multiplier
-    delta = config.params.delta
-    if name == "identity":
-        return MultiplierSpec.identity()
-    if name == "regularized":
-        return MultiplierSpec.regularized_for_depth(delta, config.theta1, config.theta2)
-    if name == "improved":
-        return MultiplierSpec.improved(delta)
-    path = name.split(":", 1)[1]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return load_symbol_table(path)
+    if name in FAMILIES:
+        return FAMILIES[name](config.params.delta, config.theta1, config.theta2)
+    return load_symbol_table(name.removeprefix("custom:"))
 
 
 def initial_state(config, grid):
@@ -152,7 +146,7 @@ def _prepare_out_dir(out_dir, force):
         raise ValidationError("out", f"{out_dir} already holds a run record (use force to overwrite)")
 
 
-def run_experiment(config, out_dir, force=False, config_dir="."):
+def run_experiment(config, out_dir, force=False):
     """Run one experiment into out_dir; model "sv" runs with mu = 0.
 
     An initial state that already cavitates is a configuration error
@@ -161,7 +155,7 @@ def run_experiment(config, out_dir, force=False, config_dir="."):
         config = with_overrides(config, mu=0.0)
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
-    spec = build_multiplier(config, base_dir=config_dir)
+    spec = build_multiplier(config)
     ctx = GNContext(
         grid, config.params, spec,
         cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,

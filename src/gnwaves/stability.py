@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .multipliers import MultiplierSpec, layer_symbols
+from .multipliers import FAMILIES, layer_symbols
 
 __all__ = [
     "euler_coeffs",
@@ -159,16 +159,17 @@ def growth_rate(k, params, spec, wbar):
     return float(growth_rates(k, params, spec, wbar))
 
 
+# the CSV names the unmodified model's column by the paper's name for it
+_COLUMN_NAMES = {"identity": "original"}
+
+
 def threshold_table(k_grid, params, theta1=None, theta2=None):
-    """Columns for the threshold-curve CSV: the three built-in families plus
-    the exact-dispersion reference, on a shared k grid."""
-    specs = {
-        "threshold_original": MultiplierSpec.identity(),
-        "threshold_regularized": MultiplierSpec.regularized_for_depth(params.delta, theta1, theta2),
-        "threshold_improved": MultiplierSpec.improved(params.delta),
-    }
+    """Columns for the threshold-curve CSV: the built-in families of
+    :data:`~gnwaves.multipliers.FAMILIES`, in its order, plus the
+    exact-dispersion reference, on a shared k grid."""
     columns = {"k": np.asarray(k_grid, dtype=float)}
-    for name, spec in specs.items():
-        columns[name] = threshold_curve(k_grid, params, spec).threshold
+    for name, build in FAMILIES.items():
+        spec = build(params.delta, theta1, theta2)
+        columns[f"threshold_{_COLUMN_NAMES.get(name, name)}"] = threshold_curve(k_grid, params, spec).threshold
     columns["threshold_euler"] = euler_threshold_curve(k_grid, params).threshold
     return columns

@@ -78,6 +78,36 @@ class TestSimulate:
         assert "ic_amplitude" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unrecordable_snapshot_time_is_a_config_error(self, tmp_path, capsys):
+        # snapshot_times = 5 past t_end = 0.2 would leave no snapshot at t_end
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(FAST.replace("snapshot_times = 0.2", "snapshot_times = 5"))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "snapshot_times: times must not exceed t_end = 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_custom_table_record_reruns_from_its_config(self, tmp_path, monkeypatch):
+        # the table is read relative to the config file and recorded with its
+        # absolute path, in config.txt and the manifest alike
+        (tmp_path / "a").mkdir()
+        table = tmp_path / "a" / "sym.csv"
+        table.write_text("0,1\n10,0.5\n")
+        (tmp_path / "a" / "run.cfg").write_text(FAST + "multiplier = custom:sym.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "a/run.cfg", "--out", "rec"]) == 0
+        metadata, checksums = read_manifest(os.path.join("rec", "manifest.txt"))
+        with open(os.path.join("rec", "config.txt"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert f"multiplier = {metadata['multiplier']}" in lines
+        assert metadata["multiplier"] == f"custom:{table}"
+
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["simulate", "--config", "../rec/config.txt", "--out", "rerun"]) == 0
+        _, rerun = read_manifest(os.path.join("rerun", "manifest.txt"))
+        assert rerun == checksums
+
     def test_blowup_exit_code(self, fast_config_path, tmp_path, monkeypatch, capsys):
         real_integrate = runner_mod.integrate
 
@@ -234,6 +264,24 @@ class TestDiagCompare:
         assert len(lines) == 7  # three multipliers x two cases
         cases = {line.split(",")[0] for line in lines[1:]}
         assert cases == {"with_tension", "without_tension"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--force"],
+        ["stability", "--multiplier", "id"],
+        ["admissibility", "--force"],
+        ["diag-compare", "--multiplier", "id"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSimulationPresets:

@@ -93,6 +93,12 @@ class TestDiagnosticsWriter:
         assert data["hyp_margin"].tolist() == [1.45]
         writer.close()
 
+    def test_header_and_row_text_are_pinned(self):
+        # the diag.csv format of every run record
+        assert DiagnosticsRow.HEADER == "t,Z,V,I,H,M,C,hyp_margin,high_band"
+        row = DiagnosticsRow(t=0.25, Z=-0.1, V=0.0, I=1e-20, H=3.0, M=-0.0, C=2.5, hyp_margin=1.45, high_band=1 / 3)
+        assert row.as_csv() == "0.25,-0.10000000000000001,0,9.9999999999999995e-21,3,-0,2.5,1.45,0.33333333333333331"
+
     def test_columns_round_trip(self, tmp_path):
         path = tmp_path / "diag.csv"
         with DiagnosticsWriter(path, DiagnosticsRow.HEADER) as writer:

@@ -120,8 +120,9 @@ class TestFamilyProperties:
             assert np.all(np.diff(f) <= 1e-13)  # non-increasing on k >= 0
 
     def test_custom_table_requires_f0(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             MultiplierSpec.custom([0.0, 1.0], [0.9, 0.5])
+        assert str(err.value) == "F(0): layer 1 symbol has F(0) = 0.9, expected 1"
 
 
 class TestAdmissibility:

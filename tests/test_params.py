@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gnwaves.errors import ConfigError, ValidationError
+from gnwaves.io_store import format_time_tag
 from gnwaves.params import (
     ExperimentConfig,
     PhysParams,
@@ -139,6 +140,29 @@ class TestParseConfig:
         assert err.value.field == key
         assert str(err.value) == f"{key}: must be finite"
 
+    def test_unknown_multiplier_message(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config("multiplier = bogus")
+        assert str(err.value) == "multiplier: must be identity|regularized|improved|custom:<path>, got 'bogus'"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # never reached: the state at t_end would not be recorded either
+            pytest.param("t_end = 0.2\nsnapshot_times = 5", "times must not exceed t_end = 0.2", id="past_t_end"),
+            pytest.param("snapshot_times = 0.5,2.0000001", "times must not exceed t_end = 2.0", id="just_past_t_end"),
+            # both would write snap_t0.1.csv
+            pytest.param(
+                "snapshot_times = 0.1000001,0.1000002", "two times share the file name tag '0.1'", id="same_tag"
+            ),
+            pytest.param("snapshot_times = 0.5,1,0.5", "two times share the file name tag '0.5'", id="repeated"),
+        ],
+    )
+    def test_snapshot_times_that_cannot_be_recorded(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == f"snapshot_times: {message}"
+
     def test_lists_and_bools(self):
         config = parse_config("snapshot_times = 0.5,1.0\ndealias = on\nwrite_spectra = false")
         assert config.snapshot_times == (0.5, 1.0)
@@ -211,10 +235,13 @@ class TestRoundTrip:
         t_end=st.floats(0.01, 10),
         n_exp=st.integers(3, 10),
         dealias=st.booleans(),
-        times=st.lists(st.floats(0, 10), max_size=3),
+        fractions=st.lists(st.floats(0, 1), max_size=3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_round_trip_random_configs(self, gamma, epsilon, mu, delta, inv_bond, t_end, n_exp, dealias, times):
+    def test_round_trip_random_configs(self, gamma, epsilon, mu, delta, inv_bond, t_end, n_exp, dealias, fractions):
+        # valid snapshot times: at most t_end, with distinct file name tags
+        times = [f * t_end for f in fractions]
+        assume(len({format_time_tag(t) for t in times}) == len(times))
         config = ExperimentConfig(
             params=PhysParams(gamma=gamma, epsilon=epsilon, mu=mu, delta=delta, inv_bond=inv_bond),
             grid_n=2**n_exp,

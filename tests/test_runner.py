@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gnwaves.runner as runner_mod
+from gnwaves.cli import _load_config, build_parser
 from gnwaves.errors import StepUnderflowError, ValidationError
 from gnwaves.io_store import read_diagnostics, read_manifest, read_snapshot, snapshot_name, spectrum_name
 from gnwaves.multipliers import MultiplierSpec
@@ -40,12 +41,19 @@ class TestBuildMultiplier:
         config = with_overrides(ExperimentConfig(), theta1=0.3, theta2=0.4)
         assert build_multiplier(config).theta == (0.3, 0.4)
 
-    def test_custom_path_relative_to_config_dir(self, tmp_path):
-        table = tmp_path / "sym.csv"
+    def test_custom_path_relative_to_config_dir(self, tmp_path, monkeypatch):
+        # the CLI makes a relative table path absolute against the config
+        # file's directory when it reads the config, whatever the cwd
+        (tmp_path / "a").mkdir()
+        table = tmp_path / "a" / "sym.csv"
         table.write_text("0,1\n10,0.5\n")
-        config = with_overrides(ExperimentConfig(), multiplier="custom:sym.csv")
-        spec = build_multiplier(config, base_dir=str(tmp_path))
+        (tmp_path / "a" / "run.cfg").write_text("multiplier = custom:sym.csv\n")
+        monkeypatch.chdir(tmp_path)
+        config = _load_config(build_parser().parse_args(["admissibility", "--config", "a/run.cfg"]))
+        assert config.multiplier == f"custom:{table}"
+        spec = build_multiplier(config)
         assert spec.kind == "custom"
+        assert spec.label == config.multiplier
 
 
 class TestInitialState:

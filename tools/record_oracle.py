@@ -1,0 +1,67 @@
+"""Byte-identity oracle for run records: run the bundled presets into
+OUT_DIR and print the sha256 of every data file they record.
+
+    python3 tools/record_oracle.py OUT_DIR
+
+It runs ``gnwaves stability --preset fig1``, ``gnwaves simulate --preset
+fig2/fig3/fig4`` and ``gnwaves sv`` with the gnwaves package of this
+checkout (its ``src/``), then prints one ``<record>/<file> <sha256>`` line
+per data file, sorted, taken from the records' manifests. Two checkouts
+write the same records when their outputs are equal:
+
+    diff <(python3 A/tools/record_oracle.py outA) <(python3 B/tools/record_oracle.py outB)
+
+OUT_DIR must not exist or be empty.
+"""
+
+import contextlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from gnwaves.cli import main as gnwaves_main  # noqa: E402
+from gnwaves.io_store import read_manifest  # noqa: E402
+from gnwaves.runner import EXIT_OK  # noqa: E402
+
+# (record directory, gnwaves arguments before --out)
+COMMANDS = (
+    ("stability_fig1", ["stability", "--preset", "fig1"]),
+    ("fig2", ["simulate", "--preset", "fig2"]),
+    ("fig3", ["simulate", "--preset", "fig3"]),
+    ("fig4", ["simulate", "--preset", "fig4"]),
+    ("sv", ["sv"]),
+)
+
+
+def checksum_lines(out_dir):
+    """Sorted ``<record>/<file> <sha256>`` lines from every manifest.txt
+    under out_dir; <record> is the manifest's directory relative to out_dir."""
+    lines = []
+    for root, _, files in os.walk(out_dir):
+        if "manifest.txt" not in files:
+            continue
+        record = os.path.relpath(root, out_dir).replace(os.sep, "/")
+        _, checksums = read_manifest(os.path.join(root, "manifest.txt"))
+        lines.extend(f"{record}/{name} {digest}" for name, digest in checksums.items())
+    return sorted(lines)
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        sys.exit(__doc__.split("\n\n")[1])
+    out_dir = args[0]
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        sys.exit(f"record_oracle: {out_dir} is not empty")
+    for record, command in COMMANDS:
+        # stdout carries only the checksum lines
+        with contextlib.redirect_stdout(sys.stderr):
+            code = gnwaves_main(command + ["--out", os.path.join(out_dir, record)])
+        if code != EXIT_OK:
+            sys.exit(f"record_oracle: gnwaves {' '.join(command)} exited {code}")
+    print("\n".join(checksum_lines(out_dir)))
+
+
+if __name__ == "__main__":
+    main()
