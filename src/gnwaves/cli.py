@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import _write_rows, read_diagnostics, write_manifest
+from .io_store import _write_rows, read_diagnostics, write_manifest, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
 from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
@@ -90,8 +90,8 @@ def _cmd_stability(args):
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
     path = os.path.join(args.out, "stability.csv")
-    _write_rows(path, ",".join(columns), list(columns.values()))
-    write_manifest(args.out, {"generator": "gnwaves stability", "k_points": args.k_points}, ["stability.csv"])
+    digest = _write_rows(path, ",".join(columns), list(columns.values()))
+    write_manifest(args.out, {"generator": "gnwaves stability", "k_points": args.k_points}, {"stability.csv": digest})
     print(f"threshold curves -> {path}")
     return EXIT_OK
 
@@ -103,10 +103,8 @@ def _cmd_admissibility(args):
     print(text, end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "admissibility.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        write_manifest(args.out, {"generator": "gnwaves admissibility"}, ["admissibility.txt"])
+        digest = write_text(os.path.join(args.out, "admissibility.txt"), text)
+        write_manifest(args.out, {"generator": "gnwaves admissibility"}, {"admissibility.txt": digest})
     return EXIT_OK
 
 

@@ -12,8 +12,14 @@ directory contains::
 
 The diagnostics file is appended and flushed row by row, so a crashed or
 blown-up run keeps everything up to its last accepted step.
+
+Every writer returns the sha256 of the bytes it wrote (the diagnostics
+writer keeps one as it appends), and the manifest records those digests
+without reading any file back. The grid column of snapshots and spectra is
+rendered once per grid, as literal text in the row format.
 """
 
+import functools
 import hashlib
 import os
 
@@ -25,6 +31,7 @@ __all__ = [
     "format_time_tag",
     "snapshot_name",
     "spectrum_name",
+    "write_text",
     "write_snapshot",
     "read_snapshot",
     "write_spectrum",
@@ -49,24 +56,47 @@ def spectrum_name(t):
     return f"spec_t{format_time_tag(t)}.csv"
 
 
+def write_text(path, text):
+    """Write ``text`` to path as UTF-8; returns the sha256 hex digest of the
+    bytes written."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()
+
+
 def _write_rows(path, header, columns):
     """CSV of equal-length columns at 17 significant digits, formatted by
-    one %-format over the whole table (the same bytes as f"{v:.17g}")."""
+    one %-format over the whole table (the same bytes as f"{v:.17g}");
+    returns the sha256 of the file."""
     table = np.column_stack(columns)
     rows, cols = table.shape
     line = "%.17g," * (cols - 1) + "%.17g\n"
-    text = (line * rows) % tuple(table.ravel().tolist())
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    return write_text(path, header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_row_format(grid, column, fields):
+    """The %-format of a table whose first column is ``grid.<column>``,
+    rendered here once as literal text, followed by ``fields`` free %.17g
+    columns."""
+    row = "%.17g" + ",%%.17g" * fields + "\n"
+    return "".join(row % value for value in getattr(grid, column).tolist())
+
+
+def _write_grid_rows(path, header, grid, column, fields):
+    """:func:`_write_rows` of ``(grid.<column>, *fields)``, with the grid
+    column taken from :func:`_grid_row_format`."""
+    values = np.column_stack(fields).ravel().tolist()
+    return write_text(path, header + "\n" + _grid_row_format(grid, column, len(fields)) % tuple(values))
 
 
 def write_snapshot(path, grid, zeta, w):
-    """CSV ``x,zeta,w`` at 17 significant digits."""
-    _write_rows(path, "x,zeta,w", (grid.x, zeta, w))
+    """CSV ``x,zeta,w`` at 17 significant digits; returns its sha256."""
+    return _write_grid_rows(path, "x,zeta,w", grid, "x", (zeta, w))
 
 
 def read_snapshot(path):
@@ -75,8 +105,9 @@ def read_snapshot(path):
 
 
 def write_spectrum(path, grid, zeta):
-    """CSV ``k,abs_zeta_hat`` over the nonnegative wavenumber ladder."""
-    _write_rows(path, "k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
+    """CSV ``k,abs_zeta_hat`` over the nonnegative wavenumber ladder;
+    returns its sha256."""
+    return _write_grid_rows(path, "k,abs_zeta_hat", grid, "k", (mode_amplitudes(grid, zeta),))
 
 
 def read_spectrum(path):
@@ -85,17 +116,27 @@ def read_spectrum(path):
 
 
 class DiagnosticsWriter:
-    """Incremental, crash-safe CSV writer for diagnostics rows."""
+    """Incremental, crash-safe CSV writer for diagnostics rows; every row is
+    flushed as it is appended, and :meth:`hexdigest` is the sha256 of the
+    bytes written so far."""
 
     def __init__(self, path, header):
         self.path = path
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(header + "\n")
+        self._digest = hashlib.sha256()
+        self._fh = open(path, "wb")
+        self._write(header + "\n")
+
+    def _write(self, text):
+        data = text.encode("utf-8")
+        self._fh.write(data)
         self._fh.flush()
+        self._digest.update(data)
 
     def append(self, row):
-        self._fh.write(row.as_csv() + "\n")
-        self._fh.flush()
+        self._write(row.as_csv() + "\n")
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
 
     def close(self):
         if not self._fh.closed:
@@ -116,23 +157,14 @@ def read_diagnostics(path):
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(out_dir, metadata, data_files):
+def write_manifest(out_dir, metadata, checksums):
     """manifest.txt: ``key = value`` metadata lines followed by one
-    ``sha256 <hex> <name>`` line per data file."""
+    ``sha256 <hex> <name>`` line per data file, sorted by name, from the
+    ``checksums`` mapping of name to the digest its writer returned."""
+    lines = [f"{key} = {value}\n" for key, value in metadata.items()]
+    lines += [f"sha256 {checksums[name]} {name}\n" for name in sorted(checksums)]
     path = os.path.join(out_dir, "manifest.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in metadata.items():
-            fh.write(f"{key} = {value}\n")
-        for name in sorted(set(data_files)):
-            fh.write(f"sha256 {_sha256(os.path.join(out_dir, name))} {name}\n")
+    write_text(path, "".join(lines))
     return path
 
 

@@ -29,11 +29,12 @@ recovered from v at every evaluation by preconditioned conjugate gradients
 workspace). CG is the hot path: what an application of A needs besides w
 is formed once, not per application. The symbols of dx F1 and dx F2 are
 formed per context (``GNContext.dx_symbols``); the depth coefficient, h^3
-and the FFT output buffers per solve (:class:`MassConstants`). Every
-floating-point operation stays as it was written per application. Pointwise
-products are evaluated in physical space between spectral
-derivative/multiplier applications; the optional 2/3-rule dealias mask is
-applied to the assembled tendencies when enabled.
+and the FFT buffers per solve (:class:`MassConstants`, and CG's own
+preconditioner and update buffers). Every floating-point operation stays as
+it was written per application. Pointwise products are evaluated in physical
+space between spectral derivative/multiplier applications; the two
+tendencies come out of one batched inverse transform, and the optional
+2/3-rule dealias mask is applied to them, stacked, when enabled.
 """
 
 import math
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import CavitationError, ConvergenceError
 from .multipliers import layer_symbols
-from .spectral import _check_field, dealias_mask, ddx, inner
+from .spectral import _ddx, dealias_mask, ddx, inner
 from .stability import _flat_interface, _restoring_symbol
 from .timestepper import ModeRotation
 
@@ -79,7 +80,9 @@ def layer_depths(params, zeta):
     """h = (h1, h2) = (1 - eps*zeta, 1/delta + eps*zeta) stacked on axis 0,
     with cavitation check."""
     ez = params.epsilon * zeta
-    h = np.stack((1.0 - ez, 1.0 / params.delta + ez))
+    h = np.empty((2,) + ez.shape)
+    np.subtract(1.0, ez, out=h[0])
+    np.add(1.0 / params.delta, ez, out=h[1])
     if h.min() <= CAVITATION_FLOOR:
         raise CavitationError(f"layer depth reached {h.min():.3e} (floor {CAVITATION_FLOOR:g})")
     return h
@@ -143,8 +146,9 @@ class MassConstants:
     """The per-state part of A[eps*zeta], built once per CG solve: the
     stacked depths h, the pointwise coefficient (h1 + gamma*h2)/(h1*h2) and,
     for mu > 0, h^3 with one spectral and one physical (2, n) buffer that
-    the batched FFTs of every application write into. The buffers are used
-    up inside :func:`apply_mass_operator`; nothing it returns views them."""
+    the batched FFTs and the closing pointwise terms of every application
+    write into. The buffers are used up inside :func:`apply_mass_operator`;
+    nothing it returns views them."""
 
     def __init__(self, ctx, depths):
         h1, h2 = depths
@@ -167,7 +171,6 @@ def apply_mass_operator(ctx, zeta, w, consts=None):
     g, mu = ctx.params.gamma, ctx.params.mu
     out = consts.local * w
     if mu > 0.0:
-        h1, h2 = consts.depths
         spec, t = consts.spectral, consts.physical
         n = ctx.grid.n
         # dx F{ h^3 dx F{ w/h } } as _dxf forms it, operands in its order,
@@ -179,8 +182,14 @@ def apply_mass_operator(ctx, zeta, w, consts=None):
         np.multiply(consts.cube, t, out=t)
         np.fft.rfft(t, out=spec)
         np.multiply(ctx.dx_symbols, spec, out=spec)
-        t1, t2 = np.fft.irfft(spec, n, out=t)
-        out -= (mu / 3.0) * (t2 / h2 + g * t1 / h1)
+        np.fft.irfft(spec, n, out=t)
+        # (mu/3.0) * (t2/h2 + g*t1/h1), operation by operation, in t
+        t1, t2 = t
+        np.multiply(g, t1, out=t1)
+        np.divide(t, consts.depths, out=t)
+        np.add(t2, t1, out=t2)
+        np.multiply(mu / 3.0, t2, out=t2)
+        out -= t2
     return out
 
 
@@ -190,9 +199,11 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     mu = 0 makes A a pointwise multiplication and the inverse is exact; the
     general case runs conjugate gradients on the self-adjoint positive
     definite operator, preconditioned by the flat-interface symbol and
-    warm-started from ``x0`` when given. The per-state constants of A are
-    built once per solve. The relative residual ||A w - v|| <= tol ||v|| is
-    guaranteed on return.
+    warm-started from ``x0`` when given. The per-state constants of A and
+    the preconditioner and update buffers are built once per solve. The
+    relative residual ||A w - v|| <= tol ||v|| is guaranteed on return; a
+    non-finite ||v|| or residual norm is a breakdown (ConvergenceError) as
+    soon as it is seen.
     """
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
@@ -200,37 +211,56 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     if ctx.params.mu == 0.0:
         return v * (h[0] * h[1]) / (h[0] + ctx.params.gamma * h[1])
 
-    grid = ctx.grid
+    n = ctx.grid.n
     b_norm = math.sqrt(v @ v)
+    if not math.isfinite(b_norm):
+        raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite", [])
     if b_norm == 0.0:
         return np.zeros_like(v)
     consts = MassConstants(ctx, h)
+    spec = np.empty(n // 2 + 1, dtype=complex)
+    z = np.empty(n)
+    tmp = np.empty(n)
+    residuals = []
 
     def apply_a(u):
         return apply_mass_operator(ctx, zeta, u, consts=consts)
 
     def precondition(r):
-        return np.fft.irfft(np.fft.rfft(r) / ctx.flat_symbol, grid.n)
+        """z = irfft(rfft(r) / A0)."""
+        np.fft.rfft(r, out=spec)
+        np.divide(spec, ctx.flat_symbol, out=spec)
+        np.fft.irfft(spec, n, out=z)
+
+    def converged(r):
+        norm = math.sqrt(r @ r)
+        residuals.append(norm)
+        if not math.isfinite(norm):
+            raise ConvergenceError(f"mass-operator CG: residual norm {norm} is not finite", residuals)
+        return norm <= tol * b_norm
 
     x = np.zeros_like(v) if x0 is None else np.array(x0, dtype=float)
     r = v - apply_a(x) if x0 is not None else v.copy()
-    residuals = [math.sqrt(r @ r)]
-    if residuals[-1] <= tol * b_norm:
+    if converged(r):
         return x
-    z = precondition(r)
+    precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
         ap = apply_a(p)
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        residuals.append(math.sqrt(r @ r))
-        if residuals[-1] <= tol * b_norm:
+        # x += alpha*p and r -= alpha*ap through one scratch vector
+        np.multiply(alpha, p, out=tmp)
+        x += tmp
+        np.multiply(alpha, ap, out=tmp)
+        r -= tmp
+        if converged(r):
             return x
-        z = precondition(r)
+        precondition(r)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        # p = z + (rz_next/rz)*p in place
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise ConvergenceError(
         f"mass-operator CG did not reach tol={tol:g} in {max_iter} iterations "
@@ -252,9 +282,9 @@ def capillary_gradient(grid, zeta, params):
     p = params
     if p.inv_bond == 0.0:
         return np.zeros(grid.n)
-    s = ddx(grid, zeta)
+    s = _ddx(grid, zeta)
     slope_sq = p.mu * p.epsilon**2 * s**2
-    return -(p.gamma + p.delta) * p.inv_bond * ddx(grid, s / np.sqrt(1.0 + slope_sq))
+    return -(p.gamma + p.delta) * p.inv_bond * _ddx(grid, s / np.sqrt(1.0 + slope_sq))
 
 
 def surface_tension_term(grid, zeta, params):
@@ -276,24 +306,33 @@ def interface_gradient(ctx, zeta, w, depths=None):
 
 
 def rhs(ctx, zeta, v, workspace=None):
-    """Tendencies (dt zeta, dt v) at state (zeta, v).
+    """Tendencies (dt zeta, dt v) at state (zeta, v), stacked as one (2, n)
+    array, so ``dzeta, dv = rhs(...)`` unpacks them.
 
     Recovers w = A^{-1} v first (warm-started through the workspace, which
     keeps w and its real FFT), then assembles the two exact spatial
-    derivatives. Hyperbolicity is a monitored diagnostic, not checked here.
+    derivatives, -dx w and -dx of the zeta-gradient, with one batched
+    inverse transform. Hyperbolicity is a monitored diagnostic, not checked
+    here.
     """
+    grid = ctx.grid
     depths = layer_depths(ctx.params, zeta)
     x0 = workspace.w_prev if workspace is not None else None
     w = invert_mass_operator(ctx, zeta, v, x0=x0, depths=depths)
-    w_hat = np.fft.rfft(_check_field(ctx.grid, w, "w"))
+    w_hat = np.fft.rfft(w)
     if workspace is not None:
         workspace.w_prev, workspace.w_hat = w, w_hat
-    dzeta = -np.fft.irfft(w_hat * ctx.grid.ik, ctx.grid.n)
-    dv = -ddx(ctx.grid, interface_gradient(ctx, zeta, w, depths=depths))
+    grad = interface_gradient(ctx, zeta, w, depths=depths)
+    spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
+    np.multiply(w_hat, grid.ik, out=spec[0])
+    np.multiply(np.fft.rfft(grad), grid.ik, out=spec[1])
+    out = np.fft.irfft(spec, grid.n)
+    np.negative(out, out=out)
     if ctx.mask is not None:
-        dzeta = np.fft.irfft(ctx.mask * np.fft.rfft(dzeta), ctx.grid.n)
-        dv = np.fft.irfft(ctx.mask * np.fft.rfft(dv), ctx.grid.n)
-    return dzeta, dv
+        spec = np.fft.rfft(out)
+        np.multiply(ctx.mask, spec, out=spec)
+        out = np.fft.irfft(spec, grid.n)
+    return out
 
 
 class GNWorkspace:

@@ -43,6 +43,7 @@ from .io_store import (
     write_manifest,
     write_snapshot,
     write_spectrum,
+    write_text,
 )
 from .multipliers import FAMILIES, load_symbol_table
 # invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
@@ -128,13 +129,13 @@ def guarded_rhs(ctx, workspace, rel_tol=StepController.rel_tol):
         if workspace.resolution_lost_at is not None:
             return np.full(2 * n, np.nan)
         try:
-            dzeta, dv = rhs(ctx, y[:n], y[n:], workspace=workspace)
+            tendencies = rhs(ctx, y[:n], y[n:], workspace=workspace)
         except (CavitationError, ConvergenceError):
             return np.full(2 * n, np.nan)
         if _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol):
             workspace.resolution_lost_at = t
             return np.full(2 * n, np.nan)
-        return np.concatenate([dzeta, dv])
+        return tendencies.reshape(-1)
 
     return f
 
@@ -175,19 +176,15 @@ def run_experiment(config, out_dir, force=False):
     workspace = GNWorkspace()
     controller = StepController(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
 
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(config))
-
-    data_files = ["config.txt", "diag.csv"]
+    # the sha256 of every data file, as its writer returned it
+    checksums = {"config.txt": write_text(os.path.join(out_dir, "config.txt"), serialize_config(config))}
 
     def save_state(t, zeta, w):
         snap = snapshot_name(t)
-        write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
-        data_files.append(snap)
+        checksums[snap] = write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
         if config.write_spectra:
             spec_file = spectrum_name(t)
-            write_spectrum(os.path.join(out_dir, spec_file), grid, zeta)
-            data_files.append(spec_file)
+            checksums[spec_file] = write_spectrum(os.path.join(out_dir, spec_file), grid, zeta)
 
     status, reason, t_final = "completed", "", config.t_end
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
@@ -223,6 +220,7 @@ def run_experiment(config, out_dir, force=False):
                 reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
             t_final = blowup.t
             save_state(t_final, blowup.state[: grid.n], accepted_w)
+    checksums["diag.csv"] = diag.hexdigest()
 
     metadata = {
         "generator": f"gnwaves {__version__}",
@@ -242,5 +240,5 @@ def run_experiment(config, out_dir, force=False):
         "numpy": np.__version__,
         "platform": platform.platform(),
     }
-    write_manifest(out_dir, metadata, data_files)
+    write_manifest(out_dir, metadata, checksums)
     return RunResult(status=status, t_final=t_final, out_dir=out_dir, stats=controller.stats, reason=reason)

@@ -98,10 +98,15 @@ def apply_symbol(grid, f, symbol):
     return np.fft.irfft(s * np.fft.rfft(f), grid.n)
 
 
+def _ddx(grid, f):
+    """:func:`ddx` without the shape and finiteness check, for fields the
+    package formed itself."""
+    return np.fft.irfft(np.fft.rfft(f) * grid.ik, grid.n)
+
+
 def ddx(grid, f):
     """Spectral derivative; the Nyquist mode of the result is zeroed."""
-    f = _check_field(grid, f)
-    return np.fft.irfft(np.fft.rfft(f) * grid.ik, grid.n)
+    return _ddx(grid, _check_field(grid, f))
 
 
 def inner(grid, f, g):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -240,6 +241,18 @@ class TestAdmissibility:
         assert main(["admissibility", "--out", out]) == 0
         capsys.readouterr()
         assert os.path.exists(os.path.join(out, "admissibility.txt"))
+
+
+def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):
+    # the digests come from the bytes as written; they must be the files' own
+    stab, adm = str(tmp_path / "stab"), str(tmp_path / "adm")
+    assert main(["stability", "--out", stab, "--k-points", "7"]) == 0
+    assert main(["admissibility", "--out", adm]) == 0
+    capsys.readouterr()
+    for out, name in ((stab, "stability.csv"), (adm, "admissibility.txt")):
+        _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
+        with open(os.path.join(out, name), "rb") as fh:
+            assert checksums == {name: hashlib.sha256(fh.read()).hexdigest()}
 
 
 class TestDiagCompare:

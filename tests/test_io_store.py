@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from gnwaves.io_store import (
     write_manifest,
     write_snapshot,
     write_spectrum,
+    write_text,
 )
-from gnwaves.spectral import Grid
+from gnwaves.spectral import Grid, mode_amplitudes
 
 from conftest import random_smooth_field
 
@@ -61,6 +64,43 @@ class TestSnapshots:
     def test_names(self):
         assert snapshot_name(2.0) == "snap_t2.csv"
         assert spectrum_name(0.5) == "spec_t0.5.csv"
+
+
+def _oracle_rows(header, columns):
+    """The bytes of a CSV table as one %-format over the whole table,
+    grid column included, wrote them."""
+    table = np.column_stack(columns)
+    rows, cols = table.shape
+    line = "%.17g," * (cols - 1) + "%.17g\n"
+    return (header + "\n" + (line * rows) % tuple(table.ravel().tolist())).encode("utf-8")
+
+
+class TestWriterOracle:
+    """The grid column is rendered once per grid; the bytes stay those of
+    the whole-table format."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-310, 1e300, -1e300, 1 / 3, -7.0]
+
+    def test_snapshot_and_spectrum_bytes_per_grid(self, tmp_path):
+        rng = np.random.default_rng(3)
+        # two grids with one n, another n, then the first grid again as a new
+        # but equal object: each file must carry its own grid's column
+        for i, grid in enumerate((Grid(16, 4.0), Grid(16, 2.5), Grid(32, 4.0), Grid(16, 4.0))):
+            zeta = np.concatenate([self.SPECIAL, rng.standard_normal(grid.n - len(self.SPECIAL))])
+            w = -zeta[::-1]
+            snap, spec = tmp_path / f"snap{i}.csv", tmp_path / f"spec{i}.csv"
+            snap_digest = write_snapshot(snap, grid, zeta, w)
+            spec_digest = write_spectrum(spec, grid, zeta)
+            assert snap.read_bytes() == _oracle_rows("x,zeta,w", (grid.x, zeta, w))
+            assert spec.read_bytes() == _oracle_rows("k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
+            assert snap_digest == hashlib.sha256(snap.read_bytes()).hexdigest()
+            assert spec_digest == hashlib.sha256(spec.read_bytes()).hexdigest()
+
+    def test_write_text_returns_the_digest_of_the_bytes(self, tmp_path):
+        text = "a = 1\nnon-ascii \u00b5\n"
+        digest = write_text(tmp_path / "t.txt", text)
+        assert (tmp_path / "t.txt").read_bytes() == text.encode("utf-8")
+        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestSpectra:
@@ -110,11 +150,21 @@ class TestDiagnosticsWriter:
         assert list(data) == DiagnosticsRow.HEADER.split(",")
         assert data["t"].tolist() == [0.0, 0.25, 0.5]
 
+    def test_digest_follows_the_appended_bytes(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        writer = DiagnosticsWriter(path, DiagnosticsRow.HEADER)
+        assert writer.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        for t in (0.0, 0.5):
+            writer.append(DiagnosticsRow(t=t, Z=-0.0, V=5e-324, I=1e300, H=0.9, M=0.0, C=0.0, hyp_margin=1.4, high_band=0.1))
+            # flushed row by row, so the file on disk always has the digest
+            assert writer.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        writer.close()
+
 
 class TestManifest:
     def test_checksums_cover_files(self, grid, tmp_path):
-        write_snapshot(tmp_path / "snap_t0.csv", grid, np.zeros(grid.n), np.zeros(grid.n))
-        write_manifest(str(tmp_path), {"status": "completed", "accepted": 10}, ["snap_t0.csv"])
+        digest = write_snapshot(tmp_path / "snap_t0.csv", grid, np.zeros(grid.n), np.zeros(grid.n))
+        write_manifest(str(tmp_path), {"status": "completed", "accepted": 10}, {"snap_t0.csv": digest})
         metadata, checksums = read_manifest(tmp_path / "manifest.txt")
         assert metadata["status"] == "completed"
         assert metadata["accepted"] == "10"
@@ -122,11 +172,10 @@ class TestManifest:
         assert len(checksums["snap_t0.csv"]) == 64
 
     def test_checksum_detects_modification(self, grid, tmp_path):
-        write_snapshot(tmp_path / "a.csv", grid, np.zeros(grid.n), np.zeros(grid.n))
-        write_manifest(str(tmp_path), {}, ["a.csv"])
+        digest = write_snapshot(tmp_path / "a.csv", grid, np.zeros(grid.n), np.zeros(grid.n))
+        write_manifest(str(tmp_path), {}, {"a.csv": digest})
         _, before = read_manifest(tmp_path / "manifest.txt")
-        with open(tmp_path / "a.csv", "a", encoding="utf-8") as fh:
-            fh.write("tampered\n")
-        write_manifest(str(tmp_path), {}, ["a.csv"])
+        tampered = (tmp_path / "a.csv").read_text(encoding="utf-8") + "tampered\n"
+        write_manifest(str(tmp_path), {}, {"a.csv": write_text(tmp_path / "a.csv", tampered)})
         _, after = read_manifest(tmp_path / "manifest.txt")
         assert before["a.csv"] != after["a.csv"]

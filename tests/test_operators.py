@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from gnwaves.errors import CavitationError
+import gnwaves.operators as operators_mod
+from gnwaves.errors import CavitationError, ConvergenceError
 from gnwaves.multipliers import MultiplierSpec, eval_multiplier
 from gnwaves.operators import (
+    CAVITATION_FLOOR,
     GNContext,
     GNWorkspace,
     MassConstants,
@@ -212,6 +214,47 @@ class TestInversion:
         assert np.allclose(w, v * h1 * h2 / (h1 + p.gamma * h2), rtol=1e-15)
 
 
+class TestCGBreakdown:
+    """A non-finite right-hand side or residual is a CG breakdown, raised
+    as soon as its norm is seen."""
+
+    @staticmethod
+    def count_applications(monkeypatch):
+        calls = []
+        real = operators_mod.apply_mass_operator
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operators_mod, "apply_mass_operator", counted)
+        return calls
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_v_raises_at_once(self, grid, monkeypatch, bad, warm):
+        ctx = make_ctx(grid)
+        zeta, w = random_state(ctx, np.random.default_rng(43))
+        v = apply_mass_operator(ctx, zeta, w)
+        v[grid.n // 3] = bad
+        calls = self.count_applications(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            invert_mass_operator(ctx, zeta, v, x0=w if warm else None)
+        assert len(calls) <= 1
+
+    def test_non_finite_warm_start_raises_after_one_application(self, grid, monkeypatch):
+        ctx = make_ctx(grid)
+        zeta, w = random_state(ctx, np.random.default_rng(47))
+        v = apply_mass_operator(ctx, zeta, w)
+        x0 = w.copy()
+        x0[7] = np.nan
+        calls = self.count_applications(monkeypatch)
+        with pytest.raises(ConvergenceError) as exc:
+            invert_mass_operator(ctx, zeta, v, x0=x0)
+        assert len(calls) == 1
+        assert len(exc.value.residuals) == 1 and np.isnan(exc.value.residuals[0])
+
+
 def _oracle_mass_operator(ctx, zeta, w):
     """A[eps*zeta] w written out per application: the coefficient, h**3 and
     dx F = deriv * fsym * rfft are all formed anew on every call."""
@@ -259,6 +302,69 @@ def _oracle_pcg(ctx, zeta, v, x0=None):
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise AssertionError("oracle CG did not converge")
+
+
+def _oracle_layer_depths(params, zeta):
+    """layer_depths as np.stack formed it."""
+    ez = params.epsilon * zeta
+    h = np.stack((1.0 - ez, 1.0 / params.delta + ez))
+    if h.min() <= CAVITATION_FLOOR:
+        raise CavitationError(f"layer depth reached {h.min():.3e} (floor {CAVITATION_FLOOR:g})")
+    return h
+
+
+def _oracle_capillary_gradient(grid, zeta, params):
+    """capillary_gradient through the checked public ddx."""
+    p = params
+    if p.inv_bond == 0.0:
+        return np.zeros(grid.n)
+    s = ddx(grid, zeta)
+    slope_sq = p.mu * p.epsilon**2 * s**2
+    return -(p.gamma + p.delta) * p.inv_bond * ddx(grid, s / np.sqrt(1.0 + slope_sq))
+
+
+def _oracle_rhs(ctx, zeta, v, workspace=None):
+    """rhs as one 1-D transform per tendency wrote it: the flux from the
+    oracle CG (pointwise at mu = 0), the zeta-gradient through checked
+    derivatives, -dx of each tendency and the dealias mask applied to each
+    separately. Returns (dzeta, dv)."""
+    p, grid = ctx.params, ctx.grid
+    h = _oracle_layer_depths(p, zeta)
+    h1, h2 = h
+    x0 = workspace.w_prev if workspace is not None else None
+    if p.mu == 0.0:
+        w = v * (h[0] * h[1]) / (h[0] + p.gamma * h[1])
+    else:
+        w = _oracle_pcg(ctx, zeta, v, x0=x0)
+    w_hat = np.fft.rfft(w)
+    if workspace is not None:
+        workspace.w_prev, workspace.w_hat = w, w_hat
+    grad = (p.gamma + p.delta) * zeta + _oracle_capillary_gradient(grid, zeta, p)
+    grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
+    if p.mu > 0.0 and p.epsilon > 0.0:
+        grad -= p.mu * p.epsilon * r_flux(ctx, h, w)
+    dzeta = -np.fft.irfft(w_hat * grid.ik, grid.n)
+    dv = -ddx(grid, grad)
+    if ctx.mask is not None:
+        dzeta = np.fft.irfft(ctx.mask * np.fft.rfft(dzeta), grid.n)
+        dv = np.fft.irfft(ctx.mask * np.fft.rfft(dv), grid.n)
+    return dzeta, dv
+
+
+def _assert_rhs_matches_oracle(ctx, states):
+    """rhs against _oracle_rhs, bit for bit, with and without a workspace;
+    the workspaces carry the warm start from one state to the next."""
+    ws, oracle_ws = GNWorkspace(), GNWorkspace()
+    for zeta, v in states:
+        assert np.array_equal(layer_depths(ctx.params, zeta), _oracle_layer_depths(ctx.params, zeta))
+        expected = np.stack(_oracle_rhs(ctx, zeta, v))
+        got = rhs(ctx, zeta, v)
+        assert got.shape == (2, ctx.grid.n)
+        assert np.array_equal(got, expected)
+        got = rhs(ctx, zeta, v, workspace=ws)
+        assert np.array_equal(got, np.stack(_oracle_rhs(ctx, zeta, v, workspace=oracle_ws)))
+        assert np.array_equal(ws.w_prev, oracle_ws.w_prev)
+        assert np.array_equal(ws.w_hat, oracle_ws.w_hat)
 
 
 FAMILIES = {
@@ -316,6 +422,40 @@ class TestHotPathOracle:
         zeta, w = random_state(ctx, rng)
         consts = MassConstants(ctx, layer_depths(p, zeta))
         assert np.array_equal(apply_mass_operator(ctx, zeta, w, consts=consts), _oracle_mass_operator(ctx, zeta, w))
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rhs_matches_oracle_bitwise(self, grid, family, dealias):
+        ctx = make_ctx(grid, spec=FAMILIES[family], dealias=dealias)
+        rng = np.random.default_rng(127)
+        states = []
+        for _ in range(3):
+            zeta, w = random_state(ctx, rng)
+            states.append((zeta, _oracle_mass_operator(ctx, zeta, w)))
+        _assert_rhs_matches_oracle(ctx, states)
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    def test_rhs_at_mu_zero_matches_oracle_bitwise(self, grid, dealias):
+        p = PhysParams(gamma=0.95, epsilon=0.5, mu=0.0, delta=0.5, inv_bond=5e-4)
+        ctx = GNContext(grid, p, MultiplierSpec.identity(), dealias=dealias)
+        rng = np.random.default_rng(129)
+        states = [(random_smooth_field(grid, rng, max_abs=0.9), random_smooth_field(grid, rng)) for _ in range(2)]
+        _assert_rhs_matches_oracle(ctx, states)
+
+    def test_results_survive_later_calls(self, grid):
+        # the per-solve buffers never leak into what a solve or rhs returns
+        ctx = make_ctx(grid, spec=FAMILIES["improved"], dealias=True)
+        rng = np.random.default_rng(131)
+        zeta, w = random_state(ctx, rng)
+        other_zeta, other_w = random_state(ctx, rng)
+        v, other_v = apply_mass_operator(ctx, zeta, w), apply_mass_operator(ctx, other_zeta, other_w)
+        first = invert_mass_operator(ctx, zeta, v)
+        tendencies = rhs(ctx, zeta, v)
+        kept = first.copy(), tendencies.copy()
+        invert_mass_operator(ctx, other_zeta, other_v, x0=first)
+        rhs(ctx, other_zeta, other_v, workspace=GNWorkspace())
+        assert np.array_equal(first, kept[0])
+        assert np.array_equal(tendencies, kept[1])
 
     def test_dx_symbols_match_left_to_right_product(self, grid):
         ctx = make_ctx(grid, spec=FAMILIES["improved"])

@@ -5,6 +5,7 @@ import pytest
 
 from gnwaves.cli import main
 from gnwaves.io_store import read_manifest
+from gnwaves.params import ExperimentConfig
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
@@ -30,3 +31,10 @@ def test_refuses_a_non_empty_out_dir(tmp_path):
     with pytest.raises(SystemExit) as exc:
         record_oracle.main([str(tmp_path)])
     assert "is not empty" in str(exc.value.code)
+
+
+def test_reads_the_benchmark_workloads():
+    workloads = record_oracle.load_workloads()
+    assert workloads
+    for workload in workloads.values():
+        assert isinstance(workload.config(), ExperimentConfig)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import platform
 
@@ -134,6 +135,15 @@ class TestGuardedRhs:
         assert np.all(np.isfinite(guarded_rhs(ctx, fresh)(0.3, smooth)))
         assert fresh.resolution_lost_at is None
 
+    def test_non_finite_v_is_a_cg_breakdown(self, grid):
+        ctx = no_tension_ctx(grid)
+        for bad in (np.nan, np.inf):
+            y = packed_state(ctx, smooth_flux(grid))
+            y[grid.n + 5] = bad
+            workspace = GNWorkspace()
+            assert np.all(np.isnan(guarded_rhs(ctx, workspace)(0.0, y)))
+            assert workspace.w_prev is None and workspace.resolution_lost_at is None
+
     def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch):
         def rough_start(config, grid):
             zeta0, _ = initial_state(config, grid)
@@ -162,6 +172,27 @@ class TestRunExperiment:
         for name, digest in checksums.items():
             assert os.path.exists(os.path.join(out, name))
             assert len(digest) == 64
+
+    def test_manifest_digests_are_the_files_on_disk(self, tmp_path, monkeypatch):
+        # the digests come from the bytes as written, diag.csv's as it was
+        # appended row by row; a run that blows up must hash the same way
+        done = str(tmp_path / "done")
+        assert run_experiment(fast_config(), done).status == "completed"
+
+        def rough_start(config, grid):
+            zeta0, _ = initial_state(config, grid)
+            return zeta0, rough_flux(grid, 0.1)
+
+        monkeypatch.setattr(runner_mod, "initial_state", rough_start)
+        blown = str(tmp_path / "blown")
+        assert run_experiment(fast_config(snapshot_times=()), blown).status == "blowup"
+        for out in (done, blown):
+            _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
+            assert set(checksums) == set(os.listdir(out)) - {"manifest.txt"}
+            assert "diag.csv" in checksums
+            for name, digest in checksums.items():
+                with open(os.path.join(out, name), "rb") as fh:
+                    assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
     def test_config_copy_parses_back(self, tmp_path):
         out = str(tmp_path / "run")

@@ -1,28 +1,34 @@
-"""Byte-identity oracle for run records: run the bundled presets into
-OUT_DIR and print the sha256 of every data file they record.
+"""Byte-identity oracle for run records: run the bundled presets and the
+benchmark's workloads into OUT_DIR and print the sha256 of every data file
+they record.
 
     python3 tools/record_oracle.py OUT_DIR
 
 It runs ``gnwaves stability --preset fig1``, ``gnwaves simulate --preset
-fig2/fig3/fig4`` and ``gnwaves sv`` with the gnwaves package of this
-checkout (its ``src/``), then prints one ``<record>/<file> <sha256>`` line
-per data file, sorted, taken from the records' manifests. Two checkouts
-write the same records when their outputs are equal:
+fig2/fig3/fig4`` and ``gnwaves sv``, then one record of each workload of
+``perfbench/workloads.py`` (into ``workload/<name>``), with the gnwaves
+package of the checkout this script sits in (its ``src/``). The workload file
+is only read. It prints one ``<record>/<file> <sha256>`` line per data file,
+sorted, taken from the records' manifests. Two checkouts write the same
+records when their outputs are equal:
 
     diff <(python3 A/tools/record_oracle.py outA) <(python3 B/tools/record_oracle.py outB)
 
-OUT_DIR must not exist or be empty.
+To compare against a checkout whose script covers less, copy this script
+into its ``tools/`` first. OUT_DIR must not exist or be empty.
 """
 
 import contextlib
+import importlib.util
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from gnwaves.cli import main as gnwaves_main  # noqa: E402
 from gnwaves.io_store import read_manifest  # noqa: E402
-from gnwaves.runner import EXIT_OK  # noqa: E402
+from gnwaves.runner import EXIT_OK, run_experiment  # noqa: E402
 
 # (record directory, gnwaves arguments before --out)
 COMMANDS = (
@@ -32,6 +38,15 @@ COMMANDS = (
     ("fig4", ["simulate", "--preset", "fig4"]),
     ("sv", ["sv"]),
 )
+WORKLOADS_FILE = os.path.join(ROOT, "perfbench", "workloads.py")
+
+
+def load_workloads():
+    """The WORKLOADS table of perfbench/workloads.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def checksum_lines(out_dir):
@@ -60,6 +75,8 @@ def main(argv=None):
             code = gnwaves_main(command + ["--out", os.path.join(out_dir, record)])
         if code != EXIT_OK:
             sys.exit(f"record_oracle: gnwaves {' '.join(command)} exited {code}")
+    for name, workload in load_workloads().items():
+        run_experiment(workload.config(), os.path.join(out_dir, "workload", name))
     print("\n".join(checksum_lines(out_dir)))
 
 
