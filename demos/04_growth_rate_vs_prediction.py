@@ -13,7 +13,7 @@ from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid
 from gnwaves.stability import model_coeffs, threshold_curve
-from gnwaves.timestepper import StepController, integrate
+from gnwaves.timestepper import integrate
 
 params = PhysParams(gamma=0.95, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=5e-4)
 grid = Grid(512, 4.0)
@@ -21,7 +21,7 @@ spec = MultiplierSpec.identity()
 ctx = GNContext(grid, params, spec)
 
 k0 = 16 * 2 * np.pi / grid.length
-threshold = threshold_curve(np.array([k0]), params, spec).threshold[0]
+threshold = threshold_curve(np.array([k0]), params, spec)[0]
 wbar = float(np.sqrt(2.0 * threshold) / params.epsilon)
 a, b, _ = model_coeffs(k0, params, spec, wbar)
 sigma = abs(k0) * np.sqrt(-a * b)
@@ -45,11 +45,10 @@ def f(t, y):
 
 def watch(t, y, stats):
     trace.append((t, abs(np.fft.rfft(y[: grid.n])[idx]) / grid.n))
-    return True
 
 
 integrate(f, (0.0, 1.0 / sigma), np.concatenate([zeta0, v0]),
-          StepController(rel_tol=1e-10, abs_tol=1e-13), on_step=watch)
+          rel_tol=1e-10, abs_tol=1e-13, on_step=watch)
 
 ts = np.array([t for t, _ in trace])
 amps = np.array([a_ for _, a_ in trace])

@@ -18,7 +18,6 @@ from .operators import (
     w_to_velocities,
 )
 from .stability import (
-    StabilityCurve,
     euler_coeffs,
     euler_threshold_curve,
     growth_rate,
@@ -26,7 +25,7 @@ from .stability import (
     threshold_curve,
 )
 from .saint_venant import sv_hyperbolicity_margin, sv_rhs
-from .timestepper import IntegrationResult, StepController, integrate
+from .timestepper import IntegrationResult, integrate
 from .runner import RunResult, run_experiment
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "rhs",
     "surface_tension_term",
     "w_to_velocities",
-    "StabilityCurve",
     "euler_coeffs",
     "euler_threshold_curve",
     "growth_rate",
@@ -61,7 +59,6 @@ __all__ = [
     "sv_hyperbolicity_margin",
     "sv_rhs",
     "IntegrationResult",
-    "StepController",
     "integrate",
     "RunResult",
     "run_experiment",

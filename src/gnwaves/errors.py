@@ -37,7 +37,8 @@ class ConvergenceError(RuntimeError):
 
 class StepUnderflowError(RuntimeError):
     """Adaptive step size fell below the floor. Expected outcome for
-    shear-unstable runs, so the last healthy state is attached."""
+    shear-unstable runs, so the last healthy state and the integration's
+    StepStats so far are attached."""
 
     def __init__(self, t, state, stats, dt):
         super().__init__(f"step size underflow (dt={dt:.3e}) at t={t:.6f}")

@@ -202,19 +202,19 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     warm-started from ``x0`` when given. The per-state constants of A and
     the preconditioner and update buffers are built once per solve. The
     relative residual ||A w - v|| <= tol ||v|| is guaranteed on return; a
-    non-finite ||v|| or residual norm is a breakdown (ConvergenceError) as
-    soon as it is seen.
+    non-finite ||v|| (for every mu) or residual norm is a breakdown
+    (ConvergenceError) as soon as it is seen.
     """
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
     h = depths if depths is not None else layer_depths(ctx.params, zeta)
+    b_norm = math.sqrt(v @ v)
+    if not math.isfinite(b_norm):
+        raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite", [])
     if ctx.params.mu == 0.0:
         return v * (h[0] * h[1]) / (h[0] + ctx.params.gamma * h[1])
 
     n = ctx.grid.n
-    b_norm = math.sqrt(v @ v)
-    if not math.isfinite(b_norm):
-        raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite", [])
     if b_norm == 0.0:
         return np.zeros_like(v)
     consts = MassConstants(ctx, h)

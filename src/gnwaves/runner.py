@@ -47,10 +47,10 @@ from .io_store import (
 )
 from .multipliers import FAMILIES, load_symbol_table
 # invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
-from .operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, layer_depths, rhs
+from .operators import GNContext, GNWorkspace, invert_mass_operator, layer_depths, rhs
 from .params import serialize_config, with_overrides
 from .spectral import Grid
-from .timestepper import StepController, integrate
+from .timestepper import REL_TOL, integrate
 
 __all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "run_experiment"]
 
@@ -79,13 +79,11 @@ def build_multiplier(config):
 
 
 def initial_state(config, grid):
-    """(zeta0, w0) from the configured preset."""
+    """The initial interface zeta0 of the configured preset; the fluid
+    starts at rest (w0 = v0 = 0)."""
     if config.initial_condition == "rest":
-        zeta0 = np.zeros(grid.n)
-    else:
-        zeta0 = config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
-    w0 = np.zeros(grid.n)
-    return zeta0, w0
+        return np.zeros(grid.n)
+    return config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
 
 
 def _resolution_lost(w, w_hat, rel_tol):
@@ -98,7 +96,7 @@ def _resolution_lost(w, w_hat, rel_tol):
     return top > middle and top > np.sqrt(rel_tol) * n * np.abs(w).max()
 
 
-def guarded_rhs(ctx, workspace, rel_tol=StepController.rel_tol):
+def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     """Stage function f(t, y) for :func:`integrate` on the packed state
     y = (zeta, v). A stage that cavitates, whose CG solve fails, or whose
     flux has lost spectral resolution returns NaN tendencies, so the error
@@ -117,11 +115,11 @@ def guarded_rhs(ctx, workspace, rel_tol=StepController.rel_tol):
     The top third is the band whose quadratic products alias back onto the
     resolved modes; its self-aliasing error is of order tail^2, so the second
     bound keeps that error below the relative error the step controller
-    accepts (``rel_tol``, the controller's own tolerance). A trip is sticky:
-    ``workspace.resolution_lost_at`` records the stage time and every later
-    stage of the integration returns NaN too, so the step shrinks to
-    underflow from the last resolved state instead of creeping up to the
-    bound.
+    accepts (``rel_tol``, the tolerance given to :func:`integrate`). A trip
+    is sticky: ``workspace.resolution_lost_at`` records the stage time and
+    every later stage of the integration returns NaN too, so the step
+    shrinks to underflow from the last resolved state instead of creeping up
+    to the bound.
     """
     n = ctx.grid.n
 
@@ -161,7 +159,7 @@ def run_experiment(config, out_dir, force=False):
         grid, config.params, spec,
         cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
     )
-    zeta0, w0 = initial_state(config, grid)
+    zeta0 = initial_state(config, grid)
     try:
         layer_depths(config.params, zeta0)
     except CavitationError as exc:
@@ -170,11 +168,10 @@ def run_experiment(config, out_dir, force=False):
     k_band = config.k_band if config.k_band is not None else 0.5 * grid.nyquist
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 
-    v0 = apply_mass_operator(ctx, zeta0, w0) if np.any(w0) else np.zeros(grid.n)
+    w0 = v0 = np.zeros(grid.n)
     y0 = np.concatenate([zeta0, v0])
 
     workspace = GNWorkspace()
-    controller = StepController(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
 
     # the sha256 of every data file, as its writer returned it
     checksums = {"config.txt": write_text(os.path.join(out_dir, "config.txt"), serialize_config(config))}
@@ -198,7 +195,6 @@ def run_experiment(config, out_dir, force=False):
             accepted_w = workspace.w_prev
             if stats.accepted % config.diag_stride == 0:
                 diag.append(compute_row(ctx, t, y[: grid.n], y[grid.n :], accepted_w, k_band))
-            return True
 
         def on_snapshot(t, y):
             save_state(t, y[: grid.n], workspace.w_prev)
@@ -206,19 +202,20 @@ def run_experiment(config, out_dir, force=False):
         try:
             result = integrate(
                 guarded_rhs(ctx, workspace, rel_tol=config.rel_tol), (0.0, config.t_end), y0,
-                controller=controller,
+                rel_tol=config.rel_tol,
+                abs_tol=config.abs_tol,
                 snapshot_times=snapshot_times,
                 on_step=on_step,
                 on_snapshot=on_snapshot,
                 linear=ctx.linear,
             )
-            t_final = result.t
+            t_final, stats = result.t, result.stats
         except StepUnderflowError as blowup:
             status = "blowup"
             reason = str(blowup)
             if workspace.resolution_lost_at is not None:
                 reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
-            t_final = blowup.t
+            t_final, stats = blowup.t, blowup.stats
             save_state(t_final, blowup.state[: grid.n], accepted_w)
     checksums["diag.csv"] = diag.hexdigest()
 
@@ -232,13 +229,13 @@ def run_experiment(config, out_dir, force=False):
         "t_final": f"{t_final:.17g}",
         "reason": reason,
         "wall_time_s": f"{time.monotonic() - t_start:.3f}",
-        "accepted": controller.stats.accepted,
-        "rejected": controller.stats.rejected,
-        "rhs_evals": controller.stats.rhs_evals,
+        "accepted": stats.accepted,
+        "rejected": stats.rejected,
+        "rhs_evals": stats.rhs_evals,
         # the software environment; kept out of every sha256-covered file
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
     }
     write_manifest(out_dir, metadata, checksums)
-    return RunResult(status=status, t_final=t_final, out_dir=out_dir, stats=controller.stats, reason=reason)
+    return RunResult(status=status, t_final=t_final, out_dir=out_dir, stats=stats, reason=reason)

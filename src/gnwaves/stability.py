@@ -17,8 +17,6 @@ as vbar = u2 - gamma*u1 for the Euler system and as the flux wbar for the
 models; the two are linked by wbar = vbar / (gamma + delta).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -31,7 +29,6 @@ __all__ = [
     "euler_threshold_curve",
     "growth_rate",
     "growth_rates",
-    "StabilityCurve",
     "threshold_table",
 ]
 
@@ -102,18 +99,7 @@ def model_coeffs(k, params, spec, wbar):
     return a, b, c
 
 
-@dataclass
-class StabilityCurve:
-    """Sampled instability threshold: for each wavenumber, the value of
-    eps^2 * wbar^2 above which that mode grows. NaN marks modes that are
-    stable for every shear."""
-
-    k: np.ndarray
-    threshold: np.ndarray
-    model: str
-
-
-def _threshold_curve(k_grid, params, shear_factor, model):
+def _threshold_curve(k_grid, params, shear_factor):
     """Solve a(k) = 0 for eps^2*wbar^2 (a is affine in it):
     threshold = a0(k) / Gamma(k), with Gamma(k) = ``shear_factor(k)``; modes
     with Gamma(k) <= 0 are stable for every shear."""
@@ -123,26 +109,30 @@ def _threshold_curve(k_grid, params, shear_factor, model):
     gamma_k = shear_factor(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         thr = _restoring_symbol(params, k) / gamma_k
-    return StabilityCurve(k=k, threshold=np.where(gamma_k <= 0.0, np.nan, thr), model=model)
+    return np.where(gamma_k <= 0.0, np.nan, thr)
 
 
 def threshold_curve(k_grid, params, spec):
-    """Instability threshold of the multiplier model."""
+    """Instability threshold of the multiplier model: for each wavenumber of
+    k_grid, the value of eps^2 * wbar^2 above which that mode grows. NaN
+    marks modes that are stable for every shear."""
 
     def shear_factor(k):
         return _flat_interface(params, layer_symbols(spec, k, params.mu), k)[1]
 
-    return _threshold_curve(k_grid, params, shear_factor, spec.label)
+    return _threshold_curve(k_grid, params, shear_factor)
 
 
 def euler_threshold_curve(k_grid, params):
-    """Full-dispersion counterpart of :func:`threshold_curve`."""
+    """Full-dispersion counterpart of :func:`threshold_curve`: the
+    eps^2 * wbar^2 above which each mode of k_grid grows, NaN where it is
+    stable for every shear."""
     g, d, mu = params.gamma, params.delta, params.mu
 
     def shear_factor(k):
         return g * (d + 1.0) ** 2 / (_tanhc(np.sqrt(mu) * k) + g * _tanhc(np.sqrt(mu) * k / d) / d)
 
-    return _threshold_curve(k_grid, params, shear_factor, "euler")
+    return _threshold_curve(k_grid, params, shear_factor)
 
 
 def growth_rates(k_grid, params, spec, wbar):
@@ -170,6 +160,6 @@ def threshold_table(k_grid, params, theta1=None, theta2=None):
     columns = {"k": np.asarray(k_grid, dtype=float)}
     for name, build in FAMILIES.items():
         spec = build(params.delta, theta1, theta2)
-        columns[f"threshold_{_COLUMN_NAMES.get(name, name)}"] = threshold_curve(k_grid, params, spec).threshold
-    columns["threshold_euler"] = euler_threshold_curve(k_grid, params).threshold
+        columns[f"threshold_{_COLUMN_NAMES.get(name, name)}"] = threshold_curve(k_grid, params, spec)
+    columns["threshold_euler"] = euler_threshold_curve(k_grid, params)
     return columns

@@ -44,13 +44,13 @@ integration aborts with the last healthy state attached, which is the
 expected outcome for shear-unstable runs rather than a crash.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepUnderflowError, ValidationError
 
-__all__ = ["ModeRotation", "StepController", "StepStats", "IntegrationResult", "integrate"]
+__all__ = ["ModeRotation", "StepStats", "IntegrationResult", "integrate"]
 
 # Dormand-Prince 5(4) tableau; the last row of _A is the 5th-order weights b5
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -66,6 +66,8 @@ _A = [
 # b5 - b4: local error estimator weights
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
 DT_FLOOR = 1e-14
 # the PI step update of the module docstring:
 # dt *= clip(SAFETY * err^-(1/5 - 0.75 BETA) * err_prev^BETA, MIN_FACTOR, MAX_FACTOR)
@@ -149,24 +151,10 @@ class StepStats:
 
 
 @dataclass
-class StepController:
-    """Error tolerances; also accumulates run statistics."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    stats: StepStats = field(default_factory=StepStats)
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("rel_tol/abs_tol", "tolerances must be positive")
-
-
-@dataclass
 class IntegrationResult:
     t: float
     y: np.ndarray
     stats: StepStats
-    status: str            # completed | cancelled
 
 
 def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
@@ -191,24 +179,26 @@ def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
     return min(100 * h0, h1, span)
 
 
-def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=None, on_snapshot=None,
-              linear=None):
-    """March y' = rhs_fn(t, y) over t_span = (t0, t1).
+def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_times=(), on_step=None,
+              on_snapshot=None, linear=None):
+    """March y' = rhs_fn(t, y) over t_span = (t0, t1) with the error
+    tolerances ``rel_tol``, ``abs_tol`` (finite and positive).
 
     ``linear`` is the propagator of a linear part L of rhs_fn (a
     :class:`ModeRotation`) to integrate exactly; None is the identity, plain
-    Dormand-Prince. on_step(t, y, stats) runs after every accepted step
-    (returning False cancels), on_snapshot(t, y) just before it when the
-    step lands exactly on one of snapshot_times. Both run right after rhs_fn
-    was evaluated at exactly that y (the FSAL stage), so state rhs_fn keeps
-    from its last call belongs to y. Raises StepUnderflowError on blow-up.
+    Dormand-Prince. on_step(t, y, stats) runs after every accepted step,
+    on_snapshot(t, y) just before it when the step lands exactly on one of
+    snapshot_times. Both run right after rhs_fn was evaluated at exactly
+    that y (the FSAL stage), so state rhs_fn keeps from its last call
+    belongs to y. Raises StepUnderflowError on blow-up.
     """
-    controller = controller or StepController()
     lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not np.isfinite([t0, t1]).all() or t1 <= t0:
         raise ValidationError("t_span", f"need finite t1 > t0, got {t_span}")
-    stats = controller.stats
+    if not (0.0 < rel_tol < np.inf and 0.0 < abs_tol < np.inf):
+        raise ValidationError("rel_tol/abs_tol", f"must be finite and positive, got {rel_tol}, {abs_tol}")
+    stats = StepStats()
     y = np.array(y0, dtype=float)
     t = t0
     targets = sorted({float(s) for s in snapshot_times if t0 < s <= t1})
@@ -217,7 +207,7 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
     stats.rhs_evals += 1
     dt = np.nan
     if np.isfinite(f).all():
-        dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), controller.rel_tol, controller.abs_tol)
+        dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), rel_tol, abs_tol)
         stats.rhs_evals += 1
     if not np.isfinite(dt) or dt <= 0.0:
         # a right-hand side that fails already at t0 still gets a few
@@ -258,7 +248,7 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
             # FSAL: the last stage's input is the 5th-order solution
             y_new, u_new, g_new = yi, ui, gi
             err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
-            scale = controller.abs_tol + controller.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(invalid="ignore", over="ignore"):
                 err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
@@ -275,9 +265,7 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
                 if on_snapshot is not None:
                     on_snapshot(t, y)
             if on_step is not None:
-                keep_going = on_step(t, y, stats)
-                if keep_going is not None and not keep_going:
-                    return IntegrationResult(t=t, y=y, stats=stats, status="cancelled")
+                on_step(t, y, stats)
             factor = MAX_FACTOR
             if err > 0.0:
                 factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err**-_ALPHA * err_prev**BETA))
@@ -292,4 +280,4 @@ def integrate(rhs_fn, t_span, y0, controller=None, snapshot_times=(), on_step=No
             stats.rejected += 1
             dt = dt_step * min(1.0, max(MIN_FACTOR, SAFETY * err**-_ALPHA))
 
-    return IntegrationResult(t=t, y=y, stats=stats, status="completed")
+    return IntegrationResult(t=t, y=y, stats=stats)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gnwaves.runner as runner_mod
+from gnwaves.operators import GNContext, apply_mass_operator
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid
 
@@ -16,6 +18,22 @@ def grid():
 @pytest.fixture
 def small_grid():
     return Grid(64, 4.0)
+
+
+def start_with_flux(monkeypatch, config, flux):
+    """Make ``run_experiment(config)`` integrate from its initial interface
+    carrying the flux ``flux(grid)`` instead of from rest (the t = 0 record
+    still shows the rest state)."""
+    grid = Grid(config.grid_n, config.domain_half_length)
+    ctx = GNContext(grid, config.params, runner_mod.build_multiplier(config))
+    real_integrate = runner_mod.integrate
+
+    def integrate_from_flux(rhs_fn, t_span, y0, **kw):
+        zeta0 = y0[: grid.n]
+        y0 = np.concatenate([zeta0, apply_mass_operator(ctx, zeta0, flux(grid))])
+        return real_integrate(rhs_fn, t_span, y0, **kw)
+
+    monkeypatch.setattr(runner_mod, "integrate", integrate_from_flux)
 
 
 def random_smooth_field(grid, rng, max_abs=1.0, modes=8):

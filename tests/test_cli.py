@@ -8,6 +8,9 @@ import gnwaves.runner as runner_mod
 from gnwaves.cli import main
 from gnwaves.errors import StepUnderflowError
 from gnwaves.io_store import read_manifest
+from gnwaves.params import parse_config
+
+from conftest import start_with_flux
 
 
 FAST = """
@@ -112,9 +115,9 @@ class TestSimulate:
     def test_blowup_exit_code(self, fast_config_path, tmp_path, monkeypatch, capsys):
         real_integrate = runner_mod.integrate
 
-        def sabotaged(rhs_fn, t_span, y0, controller=None, **kw):
-            result = real_integrate(rhs_fn, (t_span[0], 0.02), y0, controller, **kw)
-            raise StepUnderflowError(result.t, result.y, controller.stats, 1e-15)
+        def sabotaged(rhs_fn, t_span, y0, **kw):
+            result = real_integrate(rhs_fn, (t_span[0], 0.02), y0, **kw)
+            raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
 
         monkeypatch.setattr(runner_mod, "integrate", sabotaged)
         out = str(tmp_path / "run")
@@ -125,13 +128,10 @@ class TestSimulate:
     def test_resolution_loss_names_the_cause(self, fast_config_path, tmp_path, monkeypatch, capsys):
         # a flux with a strong mode in the top third of the ladder trips the
         # resolution guard at the first stage
-        real_initial_state = runner_mod.initial_state
+        def rough(grid):
+            return 0.1 * np.cos(grid.k[5 * grid.n // 12] * grid.x)
 
-        def rough_start(config, grid):
-            zeta0, _ = real_initial_state(config, grid)
-            return zeta0, 0.1 * np.cos(grid.k[5 * grid.n // 12] * grid.x)
-
-        monkeypatch.setattr(runner_mod, "initial_state", rough_start)
+        start_with_flux(monkeypatch, parse_config(FAST), rough)
         out = str(tmp_path / "run")
         code = main(["simulate", "--config", fast_config_path, "--out", out])
         assert code == 3

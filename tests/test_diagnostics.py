@@ -172,7 +172,7 @@ class TestOneLayerConservation:
         # conserved and so is the centroid quantity C = int(zeta x - t w)
         from gnwaves.operators import GNContext, GNWorkspace, invert_mass_operator, rhs
         from gnwaves.spectral import Grid
-        from gnwaves.timestepper import StepController, integrate
+        from gnwaves.timestepper import integrate
 
         # the identity lives on the whole line; on the torus it holds only
         # while no signal has reached the seam (finite group velocity), so
@@ -189,7 +189,7 @@ class TestOneLayerConservation:
             return np.concatenate([dz, dv])
 
         t_end = 0.5
-        result = integrate(f, (0.0, t_end), y0, StepController())
+        result = integrate(f, (0.0, t_end), y0)
         zeta, v = result.y[: grid.n], result.y[grid.n :]
         w = invert_mass_operator(ctx, zeta, v)
         c0 = centroid(grid, zeta0, np.zeros(grid.n), 0.0)

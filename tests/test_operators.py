@@ -254,6 +254,20 @@ class TestCGBreakdown:
         assert len(calls) == 1
         assert len(exc.value.residuals) == 1 and np.isnan(exc.value.residuals[0])
 
+    def test_non_finite_v_raises_at_mu_zero(self):
+        # the pointwise inverse breaks down on a non-finite v like CG does,
+        # so hamiltonian raises instead of returning NaN
+        grid = Grid(64, 4.0)
+        p = PhysParams(gamma=0.95, epsilon=0.5, mu=0.0, delta=0.5, inv_bond=0.0)
+        ctx = GNContext(grid, p, MultiplierSpec.identity())
+        zeta = 0.2 * np.cos(grid.x)
+        v = np.sin(grid.x)
+        v[grid.n // 3] = np.nan
+        with pytest.raises(ConvergenceError):
+            invert_mass_operator(ctx, zeta, v)
+        with pytest.raises(ConvergenceError):
+            hamiltonian(ctx, zeta, v)
+
 
 def _oracle_mass_operator(ctx, zeta, w):
     """A[eps*zeta] w written out per application: the coefficient, h**3 and
@@ -595,7 +609,7 @@ class TestLinearDispersion:
         # seed the right-moving linear eigenvector about rest and check the
         # measured frequency against omega^2 = k^2 a(k) b(k) (shear-free)
         from gnwaves.stability import model_coeffs
-        from gnwaves.timestepper import StepController, integrate
+        from gnwaves.timestepper import integrate
 
         grid = Grid(128, 4.0)
         p = REF_PARAMS
@@ -612,7 +626,6 @@ class TestLinearDispersion:
 
         def watch(t, y, stats):
             phases.append((t, np.angle(np.fft.rfft(y[: grid.n])[idx])))
-            return True
 
         ws = GNWorkspace()
 
@@ -624,7 +637,7 @@ class TestLinearDispersion:
         # control is effectively loose-relative and the phase drifts
         integrate(
             f, (0.0, 1.0), np.concatenate([zeta0, v0]),
-            StepController(rel_tol=1e-11, abs_tol=1e-19), on_step=watch,
+            rel_tol=1e-11, abs_tol=1e-19, on_step=watch,
         )
         ts = np.array([t for t, _ in phases])
         unwrapped = np.unwrap(np.array([ph for _, ph in phases]))

@@ -15,6 +15,8 @@ from gnwaves.params import ExperimentConfig, parse_config, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, initial_state, run_experiment
 from gnwaves.spectral import Grid
 
+from conftest import start_with_flux
+
 
 def fast_config(**overrides):
     base = with_overrides(
@@ -60,14 +62,19 @@ class TestBuildMultiplier:
 class TestInitialState:
     def test_gaussian_default(self):
         grid = Grid(64, 4.0)
-        zeta0, w0 = initial_state(ExperimentConfig(), grid)
+        zeta0 = initial_state(ExperimentConfig(), grid)
         assert np.allclose(zeta0, -np.exp(-4 * grid.x**2))
-        assert np.array_equal(w0, np.zeros(grid.n))
 
     def test_rest(self):
         grid = Grid(64, 4.0)
-        zeta0, _ = initial_state(with_overrides(ExperimentConfig(), initial_condition="rest"), grid)
+        zeta0 = initial_state(with_overrides(ExperimentConfig(), initial_condition="rest"), grid)
         assert np.array_equal(zeta0, np.zeros(grid.n))
+
+    def test_run_starts_at_rest(self, tmp_path):
+        out = str(tmp_path / "run")
+        run_experiment(fast_config(), out)
+        _, _, w0 = read_snapshot(os.path.join(out, snapshot_name(0.0)))
+        assert np.array_equal(w0, np.zeros(64))
 
 
 def no_tension_ctx(grid):
@@ -145,13 +152,10 @@ class TestGuardedRhs:
             assert workspace.w_prev is None and workspace.resolution_lost_at is None
 
     def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch):
-        def rough_start(config, grid):
-            zeta0, _ = initial_state(config, grid)
-            return zeta0, rough_flux(grid, 0.1)
-
-        monkeypatch.setattr(runner_mod, "initial_state", rough_start)
+        config = fast_config(snapshot_times=())
+        start_with_flux(monkeypatch, config, lambda grid: rough_flux(grid, 0.1))
         out = str(tmp_path / "rough")
-        result = run_experiment(fast_config(snapshot_times=()), out)
+        result = run_experiment(config, out)
         assert result.status == "blowup"
         assert result.reason.startswith("spectral resolution lost at t=")
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
@@ -179,13 +183,10 @@ class TestRunExperiment:
         done = str(tmp_path / "done")
         assert run_experiment(fast_config(), done).status == "completed"
 
-        def rough_start(config, grid):
-            zeta0, _ = initial_state(config, grid)
-            return zeta0, rough_flux(grid, 0.1)
-
-        monkeypatch.setattr(runner_mod, "initial_state", rough_start)
+        config = fast_config(snapshot_times=())
+        start_with_flux(monkeypatch, config, lambda grid: rough_flux(grid, 0.1))
         blown = str(tmp_path / "blown")
-        assert run_experiment(fast_config(snapshot_times=()), blown).status == "blowup"
+        assert run_experiment(config, blown).status == "blowup"
         for out in (done, blown):
             _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
             assert set(checksums) == set(os.listdir(out)) - {"manifest.txt"}
@@ -287,11 +288,11 @@ class TestRunExperiment:
         real_integrate = runner_mod.integrate
         captured = {}
 
-        def sabotaged(rhs_fn, t_span, y0, controller=None, **kw):
-            result = real_integrate(rhs_fn, (t_span[0], 0.05), y0, controller, **kw)
+        def sabotaged(rhs_fn, t_span, y0, **kw):
+            result = real_integrate(rhs_fn, (t_span[0], 0.05), y0, **kw)
             captured["y"] = result.y
             rhs_fn(result.t, 1.01 * result.y)  # a stage of a rejected attempt
-            raise StepUnderflowError(result.t, result.y, controller.stats, 1e-15)
+            raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
 
         monkeypatch.setattr(runner_mod, "integrate", sabotaged)
         out = str(tmp_path / "blow")

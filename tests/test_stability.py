@@ -93,7 +93,7 @@ class TestModelCoeffs:
             3 * (p.gamma + p.delta) * (1 + p.gamma * p.delta)
             / (p.gamma * (1 + p.delta) ** 2 * (p.mu / p.inv_bond))
         )
-        errs = np.abs(curve.threshold - plateau) / plateau
+        errs = np.abs(curve - plateau) / plateau
         assert np.all(np.diff(errs) < 0)  # O(Bo/k^2) approach
         assert errs[-1] <= 1e-3
 
@@ -120,8 +120,8 @@ class TestThresholdCurves:
     def test_improved_coincides_with_euler(self):
         p = REF_PARAMS
         k = np.linspace(0.1, 100, 500)
-        imp = threshold_curve(k, p, MultiplierSpec.improved(p.delta)).threshold
-        eul = euler_threshold_curve(k, p).threshold
+        imp = threshold_curve(k, p, MultiplierSpec.improved(p.delta))
+        eul = euler_threshold_curve(k, p)
         assert np.allclose(imp, eul, rtol=1e-12)
 
     def test_gamma_zero_unconditionally_stable(self):
@@ -129,7 +129,7 @@ class TestThresholdCurves:
 
         p = PhysParams(gamma=0.0, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=5e-4)
         curve = threshold_curve(np.linspace(0.5, 50, 100), p, MultiplierSpec.identity())
-        assert np.all(np.isnan(curve.threshold))
+        assert np.all(np.isnan(curve))
 
     def test_regularized_lower_bound_without_tension(self):
         # no-surface-tension stability: thresholds stay above the uniform
@@ -140,7 +140,7 @@ class TestThresholdCurves:
         theta1, theta2 = 1 / 15, 1 / (15 * p.delta**2)
         spec = MultiplierSpec.regularized(theta1, theta2)
         k = np.linspace(0.1, 1000, 2000)
-        thr = threshold_curve(k, p, spec).threshold
+        thr = threshold_curve(k, p, spec)
         bound = (p.gamma + p.delta) ** 2 * p.delta / (
             p.gamma
             * (p.delta + 1) ** 2
@@ -159,13 +159,13 @@ class TestThresholdCurves:
         )
         k = np.linspace(0.5, 80, 200)
         spec = MultiplierSpec.identity()
-        t1 = threshold_curve(k, base, spec).threshold
-        t2 = threshold_curve(k, scaled, spec).threshold
+        t1 = threshold_curve(k, base, spec)
+        t2 = threshold_curve(k, scaled, spec)
         assert np.allclose(t1, t2, rtol=1e-13)
 
     def test_single_point_grid(self):
         curve = threshold_curve(np.array([2.0]), REF_PARAMS, MultiplierSpec.identity())
-        assert curve.threshold.shape == (1,)
+        assert curve.shape == (1,)
 
     def test_table_columns(self):
         cols = threshold_table(np.linspace(0.5, 50, 10), REF_PARAMS)
@@ -184,7 +184,7 @@ class TestGrowthRate:
         p = REF_PARAMS
         spec = MultiplierSpec.identity()
         k0 = 2.0
-        thr = threshold_curve(np.array([k0]), p, spec).threshold[0]
+        thr = threshold_curve(np.array([k0]), p, spec)[0]
         wbar = 0.5 * np.sqrt(thr) / p.epsilon
         assert growth_rate(k0, p, spec, wbar) == 0.0
 
@@ -192,7 +192,7 @@ class TestGrowthRate:
         p = REF_PARAMS
         spec = MultiplierSpec.identity()
         k0 = 4.0
-        thr = threshold_curve(np.array([k0]), p, spec).threshold[0]
+        thr = threshold_curve(np.array([k0]), p, spec)[0]
         wbar = np.sqrt(2.0 * thr) / p.epsilon  # twice the threshold in eps^2 wbar^2
         a, b, _ = model_coeffs(k0, p, spec, wbar)
         assert a < 0
