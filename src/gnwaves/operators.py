@@ -35,12 +35,20 @@ it was written per application. Pointwise products are evaluated in physical
 space between spectral derivative/multiplier applications; the two
 tendencies come out of one batched inverse transform, and the optional
 2/3-rule dealias mask is applied to them, stacked, when enabled.
+
+Every transform here is ``spectral.rfft``/``spectral.irfft``, looked up on
+the module at call time: pocketfft's ufuncs without ``np.fft``'s argument
+handling, bit for bit the same values. The Lawson frame changes of
+``timestepper.ModeRotation`` keep ``np.fft`` (the timestepper imports no
+package numerics), as does the dealiasing of ``saint_venant.sv_rhs``, the
+independent oracle :func:`rhs` is tested against.
 """
 
 import math
 
 import numpy as np
 
+from . import spectral
 from .errors import CavitationError, ConvergenceError
 from .multipliers import layer_symbols
 from .spectral import _ddx, dealias_mask, ddx, inner
@@ -123,7 +131,7 @@ class GNContext:
 
 def _dxf(grid, u, dx_symbols):
     """dx F{u} for precomputed dx F symbols; row by row for stacked layers."""
-    return np.fft.irfft(dx_symbols * np.fft.rfft(u), grid.n)
+    return spectral.irfft(dx_symbols * spectral.rfft(u), grid.n)
 
 
 def q_operator(grid, h, u, dx_symbols):
@@ -176,13 +184,13 @@ def apply_mass_operator(ctx, zeta, w, consts=None):
         # dx F{ h^3 dx F{ w/h } } as _dxf forms it, operands in its order,
         # with every result written into the solve's two buffers
         np.divide(w, consts.depths, out=t)
-        np.fft.rfft(t, out=spec)
+        spectral.rfft(t, out=spec)
         np.multiply(ctx.dx_symbols, spec, out=spec)
-        np.fft.irfft(spec, n, out=t)
+        spectral.irfft(spec, n, out=t)
         np.multiply(consts.cube, t, out=t)
-        np.fft.rfft(t, out=spec)
+        spectral.rfft(t, out=spec)
         np.multiply(ctx.dx_symbols, spec, out=spec)
-        np.fft.irfft(spec, n, out=t)
+        spectral.irfft(spec, n, out=t)
         # (mu/3.0) * (t2/h2 + g*t1/h1), operation by operation, in t
         t1, t2 = t
         np.multiply(g, t1, out=t1)
@@ -228,9 +236,9 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
 
     def precondition(r):
         """z = irfft(rfft(r) / A0)."""
-        np.fft.rfft(r, out=spec)
+        spectral.rfft(r, out=spec)
         np.divide(spec, ctx.flat_symbol, out=spec)
-        np.fft.irfft(spec, n, out=z)
+        spectral.irfft(spec, n, out=z)
 
     def converged(r):
         norm = math.sqrt(r @ r)
@@ -319,19 +327,19 @@ def rhs(ctx, zeta, v, workspace=None):
     depths = layer_depths(ctx.params, zeta)
     x0 = workspace.w_prev if workspace is not None else None
     w = invert_mass_operator(ctx, zeta, v, x0=x0, depths=depths)
-    w_hat = np.fft.rfft(w)
+    w_hat = spectral.rfft(w)
     if workspace is not None:
         workspace.w_prev, workspace.w_hat = w, w_hat
     grad = interface_gradient(ctx, zeta, w, depths=depths)
     spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
     np.multiply(w_hat, grid.ik, out=spec[0])
-    np.multiply(np.fft.rfft(grad), grid.ik, out=spec[1])
-    out = np.fft.irfft(spec, grid.n)
+    np.multiply(spectral.rfft(grad), grid.ik, out=spec[1])
+    out = spectral.irfft(spec, grid.n)
     np.negative(out, out=out)
     if ctx.mask is not None:
-        spec = np.fft.rfft(out)
+        spec = spectral.rfft(out)
         np.multiply(ctx.mask, spec, out=spec)
-        out = np.fft.irfft(spec, grid.n)
+        out = spectral.irfft(spec, grid.n)
     return out
 
 

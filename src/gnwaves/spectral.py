@@ -16,14 +16,28 @@ Conventions:
 
 No dealiasing happens here; callers that want the 2/3 rule apply
 ``dealias_mask`` as an ordinary symbol.
+
+Every transform of the package goes through one pair, :func:`rfft` and
+:func:`irfft`. They call the pocketfft ufuncs that ``np.fft.rfft`` and
+``np.fft.irfft`` end up calling, with the same normalisation factors, so
+every value is bit for bit ``np.fft``'s, without its per-call argument
+handling (most of the cost of an n = 512 transform). Package callers look the
+pair up on this module at call time (``spectral.rfft(...)``), so a tracer or
+counter rebinds two attributes. Two places keep ``np.fft`` on purpose:
+``timestepper.ModeRotation``, because the timestepper imports no package
+numerics, and the dealias lines of ``saint_venant.sv_rhs``, the independent
+oracle that ``operators.rhs`` is tested against.
 """
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import CorruptFieldError, ValidationError
 
 __all__ = [
     "Grid",
+    "rfft",
+    "irfft",
     "apply_symbol",
     "ddx",
     "inner",
@@ -75,6 +89,24 @@ class Grid:
         return hash((self.n, self.half_length))
 
 
+def rfft(f, out=None):
+    """``np.fft.rfft(f)`` along the last axis, bit for bit; that axis must
+    have even length (a :class:`Grid` guarantees it). Writes into ``out``,
+    shape ``f.shape[:-1] + (n//2 + 1,)`` complex, when given."""
+    if out is None:
+        out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), dtype=complex)
+    return _pocketfft.rfft_n_even(f, 1, out=out)
+
+
+def irfft(f_hat, n, out=None):
+    """``np.fft.irfft(f_hat, n)`` along the last axis, bit for bit (the
+    default normalisation 1/n). Writes into ``out``, shape
+    ``f_hat.shape[:-1] + (n,)`` float, when given."""
+    if out is None:
+        out = np.empty(f_hat.shape[:-1] + (n,))
+    return _pocketfft.irfft(f_hat, 1.0 / n, out=out)
+
+
 def _check_field(grid, f, name="field"):
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n,):
@@ -89,19 +121,23 @@ def apply_symbol(grid, f, symbol):
 
     ``symbol`` is either a callable evaluated on ``grid.k`` or a precomputed
     real array of length n//2 + 1. The symbol must be real (even extension in
-    k is implied by the real-transform storage).
+    k is implied by the real-transform storage); a complex one, array or
+    callable result, is a ValidationError.
     """
     f = _check_field(grid, f)
-    s = symbol(grid.k) if callable(symbol) else np.asarray(symbol, dtype=float)
+    s = np.asarray(symbol(grid.k) if callable(symbol) else symbol)
+    if np.iscomplexobj(s):
+        raise ValidationError("symbol", f"must be real, got dtype {s.dtype}")
+    s = s.astype(float, copy=False)
     if s.shape != grid.k.shape:
         raise ValidationError("symbol", f"expected shape {grid.k.shape}, got {s.shape}")
-    return np.fft.irfft(s * np.fft.rfft(f), grid.n)
+    return irfft(s * rfft(f), grid.n)
 
 
 def _ddx(grid, f):
     """:func:`ddx` without the shape and finiteness check, for fields the
     package formed itself."""
-    return np.fft.irfft(np.fft.rfft(f) * grid.ik, grid.n)
+    return irfft(rfft(f) * grid.ik, grid.n)
 
 
 def ddx(grid, f):
@@ -122,7 +158,7 @@ def mode_amplitudes(grid, f):
     """|f_hat(k)| on the nonnegative ladder, normalized so that a
     unit-amplitude single mode has amplitude 1/2."""
     f = _check_field(grid, f)
-    return np.abs(np.fft.rfft(f)) / grid.n
+    return np.abs(rfft(f)) / grid.n
 
 
 def dealias_mask(grid):

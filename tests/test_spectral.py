@@ -1,10 +1,98 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+import gnwaves.spectral as spectral_mod
+from gnwaves.diagnostics import compute_row
 from gnwaves.errors import CorruptFieldError, ValidationError
-from gnwaves.spectral import Grid, apply_symbol, ddx, dealias_mask, inner, mode_amplitudes
+from gnwaves.io_store import write_spectrum
+from gnwaves.multipliers import MultiplierSpec
+from gnwaves.operators import GNContext, apply_mass_operator, invert_mass_operator, rhs
+from gnwaves.spectral import Grid, apply_symbol, ddx, dealias_mask, inner, irfft, mode_amplitudes, rfft
 
-from conftest import random_smooth_field
+from conftest import REF_PARAMS, random_smooth_field
+
+
+class TestTransformPair:
+    """rfft/irfft are np.fft.rfft/irfft bit for bit; they reach into numpy's
+    private pocketfft ufuncs, so this is the guard for a numpy that moves
+    or changes them."""
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 1024])
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_equal_to_np_fft(self, n, shape):
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(shape + (n,))
+        f_hat = rng.standard_normal(shape + (n // 2 + 1,)) + 1j * rng.standard_normal(shape + (n // 2 + 1,))
+        assert_array_equal(rfft(f), np.fft.rfft(f))
+        assert_array_equal(irfft(f_hat, n), np.fft.irfft(f_hat, n))
+        out_hat = np.empty(shape + (n // 2 + 1,), dtype=complex)
+        out = np.empty(shape + (n,))
+        assert rfft(f, out=out_hat) is out_hat
+        assert irfft(f_hat, n, out=out) is out
+        assert_array_equal(out_hat, np.fft.rfft(f))
+        assert_array_equal(out, np.fft.irfft(f_hat, n))
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 1024])
+    def test_non_contiguous_views(self, n):
+        rng = np.random.default_rng(n + 1)
+        f = rng.standard_normal((2, 2 * n))[:, ::2]
+        f_hat = (rng.standard_normal((n + 2, 2)) + 1j * rng.standard_normal((n + 2, 2)))[::2].T
+        assert not f.flags.c_contiguous and not f_hat.flags.c_contiguous
+        assert_array_equal(rfft(f), np.fft.rfft(f))
+        assert_array_equal(irfft(f_hat, n), np.fft.irfft(f_hat, n))
+        assert_array_equal(rfft(f[1]), np.fft.rfft(f[1]))
+        assert_array_equal(irfft(f_hat[0], n), np.fft.irfft(f_hat[0], n))
+
+
+class TestTransformRoute:
+    """Every package transform outside timestepper and the Saint-Venant
+    oracle goes through gnwaves.spectral's pair, looked up at call time."""
+
+    @pytest.fixture
+    def state(self, small_grid):
+        ctx = GNContext(
+            small_grid, REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta), dealias=True
+        )
+        rng = np.random.default_rng(6)
+        zeta = random_smooth_field(small_grid, rng, max_abs=0.5)
+        w = random_smooth_field(small_grid, rng)
+        return ctx, zeta, w, apply_mass_operator(ctx, zeta, w)
+
+    def test_no_np_fft_call(self, state, monkeypatch, tmp_path):
+        ctx, zeta, w, v = state
+        assert ctx.params.mu > 0.0 and ctx.params.inv_bond > 0.0 and ctx.mask is not None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.fft called from the package")
+
+        monkeypatch.setattr(np.fft, "rfft", forbidden)
+        monkeypatch.setattr(np.fft, "irfft", forbidden)
+        rhs(ctx, zeta, v)
+        invert_mass_operator(ctx, zeta, v)
+        apply_mass_operator(ctx, zeta, w)
+        compute_row(ctx, 0.0, zeta, v, w)
+        write_spectrum(str(tmp_path / "spectrum.csv"), ctx.grid, zeta)
+        apply_symbol(ctx.grid, zeta, np.exp(-ctx.grid.k))
+        ddx(ctx.grid, zeta)
+
+    def test_one_mass_application_is_two_round_trips(self, state, monkeypatch):
+        ctx, zeta, w, _ = state
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            fn = getattr(spectral_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(spectral_mod, "rfft", counted("rfft"))
+        monkeypatch.setattr(spectral_mod, "irfft", counted("irfft"))
+        apply_mass_operator(ctx, zeta, w)
+        assert calls == {"rfft": 2, "irfft": 2}
 
 
 class TestGrid:
@@ -52,6 +140,19 @@ class TestApplySymbol:
         f[3] = np.nan
         with pytest.raises(CorruptFieldError):
             apply_symbol(grid, f, np.ones_like(grid.k))
+
+    def test_rejects_complex_array(self, grid):
+        # a zero imaginary part is no excuse: the dtype says complex
+        with pytest.raises(ValidationError, match="symbol"):
+            apply_symbol(grid, np.zeros(grid.n), np.ones_like(grid.k) + 0j)
+
+    def test_rejects_complex_callable(self, grid):
+        with pytest.raises(ValidationError, match="symbol"):
+            apply_symbol(grid, np.zeros(grid.n), lambda k: 1j * k)
+
+    def test_callable_and_array_agree(self, grid):
+        f = random_smooth_field(grid, np.random.default_rng(5))
+        assert_array_equal(apply_symbol(grid, f, np.exp), apply_symbol(grid, f, np.exp(grid.k)))
 
 
 class TestDdx:
