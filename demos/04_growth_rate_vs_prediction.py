@@ -39,15 +39,14 @@ workspace = GNWorkspace()
 
 
 def f(t, y):
-    dz, dv = rhs(ctx, y[: grid.n], y[grid.n :], workspace=workspace)
-    return np.concatenate([dz, dv])
+    return rhs(ctx, *y, workspace=workspace)
 
 
 def watch(t, y, stats):
-    trace.append((t, abs(np.fft.rfft(y[: grid.n])[idx]) / grid.n))
+    trace.append((t, abs(np.fft.rfft(y[0])[idx]) / grid.n))
 
 
-integrate(f, (0.0, 1.0 / sigma), np.concatenate([zeta0, v0]),
+integrate(f, (0.0, 1.0 / sigma), np.stack((zeta0, v0)),
           rel_tol=1e-10, abs_tol=1e-13, on_step=watch)
 
 ts = np.array([t for t, _ in trace])

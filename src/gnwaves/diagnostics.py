@@ -13,14 +13,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import LAYER_SIGN, _dxf, apply_mass_operator, capillary_density, layer_depths
+from .operators import LAYER_SIGN, _dxf, capillary_density, layer_depths
 from .saint_venant import sv_hyperbolicity_margin
 from .spectral import inner, mode_amplitudes
 
 __all__ = [
     "DiagnosticsRow",
     "mass",
-    "velocity_mass",
     "impulse",
     "energy",
     "momentum",
@@ -53,11 +52,6 @@ DiagnosticsRow.HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 def mass(grid, zeta):
     """Z = integral of zeta."""
     return grid.dx * float(np.sum(zeta))
-
-
-def velocity_mass(ctx, zeta, w):
-    """V = integral of A[eps*zeta] w, i.e. of the momentum density v."""
-    return ctx.grid.dx * float(np.sum(apply_mass_operator(ctx, zeta, w)))
 
 
 def impulse(grid, zeta, v):

@@ -61,7 +61,6 @@ __all__ = [
     "GNContext",
     "GNWorkspace",
     "MassConstants",
-    "q_operator",
     "r_operator",
     "layer_depths",
     "apply_mass_operator",
@@ -82,6 +81,10 @@ CAVITATION_FLOOR = 1e-6
 
 # u_i = LAYER_SIGN_i * w / h_i, from w = -h1*u1 = h2*u2
 LAYER_SIGN = np.array([[-1.0], [1.0]])
+
+# the mass-operator CG defaults: relative residual and iteration cap
+CG_TOL = 1e-12
+CG_MAX_ITER = 200
 
 
 def layer_depths(params, zeta):
@@ -109,10 +112,9 @@ class GNContext:
     solver/dealias settings.
     """
 
-    def __init__(self, grid, params, spec, cg_tol=1e-12, cg_max_iter=200, dealias=False):
+    def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
         self.grid = grid
         self.params = params
-        self.spec = spec
         self.cg_tol = float(cg_tol)
         self.cg_max_iter = int(cg_max_iter)
         self.symbols = layer_symbols(spec, grid.k, params.mu)
@@ -121,25 +123,17 @@ class GNContext:
         k = grid.ik.imag
         self.flat_symbol, _ = _flat_interface(params, self.symbols, k)
         self.mask = dealias_mask(grid) if dealias else None
-        # linear part of rhs at the flat interface on packed (zeta, v):
+        # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
         upper, lower = -grid.ik / self.flat_symbol, -grid.ik * _restoring_symbol(params, k)
         if self.mask is not None:
             upper, lower = upper * self.mask, lower * self.mask
-        self.linear = ModeRotation(grid.n, upper, lower)
+        self.linear = ModeRotation(upper, lower)
 
 
 def _dxf(grid, u, dx_symbols):
     """dx F{u} for precomputed dx F symbols; row by row for stacked layers."""
     return spectral.irfft(dx_symbols * spectral.rfft(u), grid.n)
-
-
-def q_operator(grid, h, u, dx_symbols):
-    """Layer dispersion operator  -(1/3) h^{-1} dx F{ h^3 dx F{u} };
-    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``)."""
-    t = _dxf(grid, u, dx_symbols)
-    t = _dxf(grid, h**3 * t, dx_symbols)
-    return -(t / h) / 3.0
 
 
 def r_operator(grid, h, u, dx_symbols):
@@ -377,18 +371,17 @@ def capillary_density(grid, zeta, params):
     return 2.0 * (p.gamma + p.delta) * p.inv_bond * s**2 / (1.0 + np.sqrt(1.0 + slope_sq))
 
 
-def hamiltonian(ctx, zeta, v, tol=1e-14, max_iter=None, x0=None):
+def hamiltonian(ctx, zeta, v):
     """The conserved functional H(zeta, v) =
     (1/2) integral[ (gamma+delta) zeta^2 + capillary + w A w ]  with w = A^{-1} v.
 
     Its gradients are dH/dzeta = interface_gradient and dH/dv = w; the finite
     differences of this function are the oracle for both. Inverted tighter
-    than the evolution default so central differences stay clean.
+    than the evolution default (tol 1e-14, at least 400 iterations) so
+    central differences stay clean.
     """
     p = ctx.params
-    if max_iter is None:
-        max_iter = max(ctx.cg_max_iter, 400)
-    w = invert_mass_operator(ctx, zeta, v, tol=tol, max_iter=max_iter, x0=x0)
+    w = invert_mass_operator(ctx, zeta, v, tol=1e-14, max_iter=max(ctx.cg_max_iter, 400))
     quad = inner(ctx.grid, zeta, (p.gamma + p.delta) * zeta)
     cap = inner(ctx.grid, capillary_density(ctx.grid, zeta, p), np.ones(ctx.grid.n))
     return 0.5 * (quad + cap + inner(ctx.grid, w, v))

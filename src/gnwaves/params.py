@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .io_store import format_time_tag
 from .multipliers import FAMILIES
+from .operators import CG_MAX_ITER, CG_TOL
+from .timestepper import ABS_TOL, REL_TOL
 
 __all__ = [
     "PhysParams",
@@ -85,7 +87,8 @@ def instability_parameter(params, kf1, kf2, sigma):
 
 
 # Defaults reproduce the reference experiment: 512-point grid on [-4, 4],
-# zeta0 = -exp(-4 x^2), w0 = 0, integrated to t = 2 at tolerances 1e-10/1e-12.
+# zeta0 = -exp(-4 x^2), w0 = 0, integrated to t = 2 at the integrator's and
+# CG's default tolerances.
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: PhysParams = PhysParams()
@@ -96,8 +99,8 @@ class ExperimentConfig:
     grid_n: int = 512
     domain_half_length: float = 4.0
     t_end: float = 2.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = REL_TOL
+    abs_tol: float = ABS_TOL
     initial_condition: str = "gaussian"   # gaussian | rest
     ic_amplitude: float = -1.0
     ic_width: float = 4.0
@@ -106,8 +109,8 @@ class ExperimentConfig:
     diag_stride: int = 1
     dealias: bool = False
     k_band: float | None = None           # None -> half-Nyquist
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 200
+    cg_tol: float = CG_TOL
+    cg_max_iter: int = CG_MAX_ITER
 
     def __post_init__(self):
         if self.model not in ("gn", "sv"):

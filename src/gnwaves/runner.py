@@ -38,6 +38,7 @@ from .diagnostics import DiagnosticsRow, compute_row
 from .errors import CavitationError, ConvergenceError, StepUnderflowError, ValidationError
 from .io_store import (
     DiagnosticsWriter,
+    read_manifest,
     snapshot_name,
     spectrum_name,
     write_manifest,
@@ -97,9 +98,10 @@ def _resolution_lost(w, w_hat, rel_tol):
 
 
 def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
-    """Stage function f(t, y) for :func:`integrate` on the packed state
-    y = (zeta, v). A stage that cavitates, whose CG solve fails, or whose
-    flux has lost spectral resolution returns NaN tendencies, so the error
+    """Stage function f(t, y) for :func:`integrate` on the stacked (2, n)
+    state y = (zeta, v), returning the (2, n) tendencies of :func:`rhs` as
+    they are. A stage that cavitates, whose CG solve fails, or whose flux
+    has lost spectral resolution returns NaN tendencies, so the error
     controller rejects the step and shrinks.
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
@@ -121,35 +123,49 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     shrinks to underflow from the last resolved state instead of creeping up
     to the bound.
     """
-    n = ctx.grid.n
 
     def f(t, y):
         if workspace.resolution_lost_at is not None:
-            return np.full(2 * n, np.nan)
+            return np.full(y.shape, np.nan)
         try:
-            tendencies = rhs(ctx, y[:n], y[n:], workspace=workspace)
+            tendencies = rhs(ctx, *y, workspace=workspace)
         except (CavitationError, ConvergenceError):
-            return np.full(2 * n, np.nan)
+            return np.full(y.shape, np.nan)
         if _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol):
             workspace.resolution_lost_at = t
-            return np.full(2 * n, np.nan)
-        return tendencies.reshape(-1)
+            return np.full(y.shape, np.nan)
+        return tendencies
 
     return f
 
 
 def _prepare_out_dir(out_dir, force):
+    """Create out_dir. A run record already there is an error, or with
+    ``force`` is removed: the files its manifest names, then the manifest;
+    nothing else in out_dir is touched."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.txt")
-    if os.path.exists(manifest) and not force:
+    if not os.path.exists(manifest):
+        return
+    if not force:
         raise ValidationError("out", f"{out_dir} already holds a run record (use force to overwrite)")
+    _, checksums = read_manifest(manifest)
+    for name in [*checksums, "manifest.txt"]:
+        path = os.path.join(out_dir, name)
+        if os.path.basename(name) == name and os.path.isfile(path):
+            os.remove(path)
 
 
 def run_experiment(config, out_dir, force=False):
     """Run one experiment into out_dir; model "sv" runs with mu = 0.
 
-    An initial state that already cavitates is a configuration error
-    (ValidationError), raised before anything is written."""
+    The integrator steps the stacked state y = (zeta, v), a (2, n) array.
+    A diagnostics row is written at t = 0, after every ``diag_stride``-th
+    accepted step, and for the last accepted state when the stride skipped
+    it. With ``force``, an earlier record in out_dir is replaced (its files
+    are removed first). An initial state that already cavitates is a
+    configuration error (ValidationError), raised before anything is
+    written."""
     if config.model == "sv":
         config = with_overrides(config, mu=0.0)
     t_start = time.monotonic()
@@ -165,11 +181,10 @@ def run_experiment(config, out_dir, force=False):
     except CavitationError as exc:
         raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
     _prepare_out_dir(out_dir, force)
-    k_band = config.k_band if config.k_band is not None else 0.5 * grid.nyquist
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 
     w0 = v0 = np.zeros(grid.n)
-    y0 = np.concatenate([zeta0, v0])
+    y0 = np.stack((zeta0, v0))
 
     workspace = GNWorkspace()
 
@@ -183,9 +198,9 @@ def run_experiment(config, out_dir, force=False):
             spec_file = spectrum_name(t)
             checksums[spec_file] = write_spectrum(os.path.join(out_dir, spec_file), grid, zeta)
 
-    status, reason, t_final = "completed", "", config.t_end
+    status, reason = "completed", ""
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
-        diag.append(compute_row(ctx, 0.0, zeta0, v0, w0, k_band))
+        diag.append(compute_row(ctx, 0.0, zeta0, v0, w0, config.k_band))
         save_state(0.0, zeta0, w0)
         accepted_w = w0  # flux of the last accepted state, for the blow-up snapshot
 
@@ -194,10 +209,10 @@ def run_experiment(config, out_dir, force=False):
             nonlocal accepted_w
             accepted_w = workspace.w_prev
             if stats.accepted % config.diag_stride == 0:
-                diag.append(compute_row(ctx, t, y[: grid.n], y[grid.n :], accepted_w, k_band))
+                diag.append(compute_row(ctx, t, *y, accepted_w, config.k_band))
 
         def on_snapshot(t, y):
-            save_state(t, y[: grid.n], workspace.w_prev)
+            save_state(t, y[0], workspace.w_prev)
 
         try:
             result = integrate(
@@ -209,14 +224,17 @@ def run_experiment(config, out_dir, force=False):
                 on_snapshot=on_snapshot,
                 linear=ctx.linear,
             )
-            t_final, stats = result.t, result.stats
+            t_final, y_final, stats = result.t, result.y, result.stats
         except StepUnderflowError as blowup:
             status = "blowup"
             reason = str(blowup)
             if workspace.resolution_lost_at is not None:
                 reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
-            t_final, stats = blowup.t, blowup.stats
-            save_state(t_final, blowup.state[: grid.n], accepted_w)
+            t_final, y_final, stats = blowup.t, blowup.state, blowup.stats
+            save_state(t_final, y_final[0], accepted_w)
+        if stats.accepted % config.diag_stride:
+            # the stride skipped the last accepted state's row
+            diag.append(compute_row(ctx, t_final, *y_final, accepted_w, config.k_band))
     checksums["diag.csv"] = diag.hexdigest()
 
     metadata = {

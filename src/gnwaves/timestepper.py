@@ -101,20 +101,20 @@ _IDENTITY = _Identity()
 
 
 class ModeRotation:
-    """exp(sL) for a linear part L that couples, mode by mode, the two halves
-    of a packed state y = (p, q) of real n-point fields:
+    """exp(sL) for a linear part L that couples, mode by mode, the two rows
+    of a stacked state y = (p, q) of real fields on an even n-point grid:
 
         d/dt (p_hat, q_hat) = L (p_hat, q_hat),   L = [[0, upper], [lower, 0]],
 
     with ``upper``, ``lower`` given on the n/2+1 real-FFT modes and
     upper * lower = -omega^2 <= 0. Then L^2 = -omega^2 I, and exp(sL) =
     cos(omega s) I + (sin(omega s)/omega) L is a rotation, the identity
-    where omega = 0. The frame of :func:`integrate` is the (2, n/2+1)
-    real FFT of the state.
+    where omega = 0. The state is the (2, n) array y, the frame of
+    :func:`integrate` its (2, m) real FFT, m = n/2+1; the way back takes
+    n = 2(m-1) from the frame.
     """
 
-    def __init__(self, n, upper, lower):
-        self.n = int(n)
+    def __init__(self, upper, lower):
         self.coef = np.stack((upper, lower)).astype(complex)
         self.omega = np.sqrt(np.maximum(-(self.coef[0] * self.coef[1]).real, 0.0))
         # L / omega, zero where L is
@@ -122,14 +122,14 @@ class ModeRotation:
                                           where=self.omega > 0.0)
 
     def to_frame(self, y):
-        return np.fft.rfft(y.reshape(2, self.n))
+        return np.fft.rfft(y)
 
     def to_state(self, u):
-        return np.fft.irfft(u, self.n).reshape(-1)
+        return np.fft.irfft(u)
 
     def tendency(self, f, u):
         """The frame tendency f_hat - L u, the part of f that L leaves out."""
-        return np.fft.rfft(f.reshape(2, self.n)) - self.coef * u[::-1]
+        return np.fft.rfft(f) - self.coef * u[::-1]
 
     def rotations(self, s):
         """cos(omega s_i) and sin(omega s_i) L / omega for the times s_i."""
@@ -164,10 +164,7 @@ def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6 * span if d1 == 0.0 else 0.01 * (d0 / d1)
-    else:
-        h0 = 0.01 * d0 / d1
+    h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = rhs_fn(t0 + h0, y1)

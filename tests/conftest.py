@@ -29,8 +29,8 @@ def start_with_flux(monkeypatch, config, flux):
     real_integrate = runner_mod.integrate
 
     def integrate_from_flux(rhs_fn, t_span, y0, **kw):
-        zeta0 = y0[: grid.n]
-        y0 = np.concatenate([zeta0, apply_mass_operator(ctx, zeta0, flux(grid))])
+        zeta0 = y0[0]
+        y0 = np.stack((zeta0, apply_mass_operator(ctx, zeta0, flux(grid))))
         return real_integrate(rhs_fn, t_span, y0, **kw)
 
     monkeypatch.setattr(runner_mod, "integrate", integrate_from_flux)

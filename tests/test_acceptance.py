@@ -46,7 +46,7 @@ def _report(num, label, ok, detail=""):
 
 
 def _pack(zeta, v):
-    return np.concatenate([zeta, v])
+    return np.stack((zeta, v))
 
 
 def _reference_run(params, spec, t_end=2.0):
@@ -62,7 +62,7 @@ def _reference_run(params, spec, t_end=2.0):
     except StepUnderflowError as blowup:
         status, t_final, y = "blowup", blowup.t, blowup.state
     elapsed = time.monotonic() - start
-    zeta, v = y[: grid.n], y[grid.n :]
+    zeta, v = y
     row = None
     if status == "completed":
         w = invert_mass_operator(ctx, zeta, v)
@@ -99,7 +99,7 @@ def _lawson_drift_run(params, spec, t_end=2.0):
                        rel_tol=1e-10, abs_tol=1e-12, linear=ctx.linear)
     elapsed = time.monotonic() - start
     assert result.t == t_end
-    zeta, v = result.y[: grid.n], result.y[grid.n :]
+    zeta, v = result.y
     return {
         "status": "completed",
         "row0": compute_row(ctx, 0.0, zeta0, np.zeros(grid.n), np.zeros(grid.n)),
@@ -138,7 +138,7 @@ def test_criterion_01_rest_state_fixed_point():
             peaks.append(np.max(np.abs(y)))
 
         result = integrate(
-            guarded_rhs(ctx, GNWorkspace()), (0.0, 1.0), np.zeros(2 * grid.n),
+            guarded_rhs(ctx, GNWorkspace()), (0.0, 1.0), np.zeros((2, grid.n)),
             rel_tol=1e-10, abs_tol=1e-12, on_step=watch,
         )
         worst = max(worst, max(peaks), float(np.max(np.abs(result.y))))
@@ -306,7 +306,7 @@ def test_criterion_08_linear_growth_rate_in_nonlinear_code():
     trace = [(0.0, np.abs(np.fft.rfft(zeta0)[idx]) / grid.n)]
 
     def watch(t, y, stats):
-        trace.append((t, np.abs(np.fft.rfft(y[: grid.n])[idx]) / grid.n))
+        trace.append((t, np.abs(np.fft.rfft(y[0])[idx]) / grid.n))
 
     t_end = 1.0 / sigma  # one e-folding
     integrate(
@@ -335,11 +335,10 @@ def test_criterion_09_saint_venant_checks():
     phases = [(0.0, np.angle(np.fft.rfft(zeta0)[idx]))]
 
     def on_step(t, y, stats):
-        phases.append((t, np.angle(np.fft.rfft(y[: grid.n])[idx])))
+        phases.append((t, np.angle(np.fft.rfft(y[0])[idx])))
 
     def f(t, y):
-        dz, dv = sv_rhs(grid, p, y[: grid.n], y[grid.n :])
-        return np.concatenate([dz, dv])
+        return np.stack(sv_rhs(grid, p, *y))
 
     # abs_tol far below the 1e-8 amplitude keeps the control truly relative
     integrate(f, (0.0, 1.0), _pack(zeta0, vbar0), rel_tol=1e-11, abs_tol=1e-19, on_step=on_step)

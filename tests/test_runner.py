@@ -82,10 +82,11 @@ def no_tension_ctx(grid):
     return GNContext(grid, params, MultiplierSpec.identity())
 
 
-def packed_state(ctx, w):
-    """(zeta, v) for the reference Gaussian interface carrying the flux w."""
+def stacked_state(ctx, w):
+    """The (2, n) state (zeta, v) for the reference Gaussian interface
+    carrying the flux w."""
     zeta = -np.exp(-4 * ctx.grid.x**2)
-    return np.concatenate([zeta, apply_mass_operator(ctx, zeta, w)])
+    return np.stack((zeta, apply_mass_operator(ctx, zeta, w)))
 
 
 def smooth_flux(grid):
@@ -108,9 +109,9 @@ def flux_bands(w):
 class TestGuardedRhs:
     def test_smooth_state_passes_rhs_through_bit_for_bit(self, grid):
         ctx = no_tension_ctx(grid)
-        y = packed_state(ctx, smooth_flux(grid))
+        y = stacked_state(ctx, smooth_flux(grid))
         got = guarded_rhs(ctx, GNWorkspace())(0.0, y)
-        expected = np.concatenate(rhs(ctx, y[: grid.n], y[grid.n :], workspace=GNWorkspace()))
+        expected = rhs(ctx, *y, workspace=GNWorkspace())
         assert np.array_equal(got, expected)
 
     def test_decaying_tail_above_level_does_not_trip(self, small_grid):
@@ -119,7 +120,7 @@ class TestGuardedRhs:
         ctx = no_tension_ctx(small_grid)
         rel_tol = 1e-11
         workspace = GNWorkspace()
-        y = packed_state(ctx, 0.5 * np.exp(-8 * small_grid.x**2))
+        y = stacked_state(ctx, 0.5 * np.exp(-8 * small_grid.x**2))
         out = guarded_rhs(ctx, workspace, rel_tol=rel_tol)(0.0, y)
         top, middle = flux_bands(workspace.w_prev)
         assert top > np.sqrt(rel_tol) * small_grid.n * np.abs(workspace.w_prev).max()
@@ -131,10 +132,10 @@ class TestGuardedRhs:
         ctx = no_tension_ctx(grid)
         workspace = GNWorkspace()
         f = guarded_rhs(ctx, workspace)
-        assert np.all(np.isnan(f(0.25, packed_state(ctx, rough_flux(grid, 1e-3)))))
+        assert np.all(np.isnan(f(0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))))
         assert workspace.resolution_lost_at == 0.25
         # sticky: a smooth state on the same wrapper is refused too
-        smooth = packed_state(ctx, smooth_flux(grid))
+        smooth = stacked_state(ctx, smooth_flux(grid))
         assert np.all(np.isnan(f(0.3, smooth)))
         assert workspace.resolution_lost_at == 0.25
         # a wrapper with a fresh workspace starts clean
@@ -145,8 +146,8 @@ class TestGuardedRhs:
     def test_non_finite_v_is_a_cg_breakdown(self, grid):
         ctx = no_tension_ctx(grid)
         for bad in (np.nan, np.inf):
-            y = packed_state(ctx, smooth_flux(grid))
-            y[grid.n + 5] = bad
+            y = stacked_state(ctx, smooth_flux(grid))
+            y[1, 5] = bad
             workspace = GNWorkspace()
             assert np.all(np.isnan(guarded_rhs(ctx, workspace)(0.0, y)))
             assert workspace.w_prev is None and workspace.resolution_lost_at is None
@@ -208,6 +209,47 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(fast_config(), out)
         run_experiment(fast_config(), out, force=True)  # force allows it
+
+    def test_force_removes_the_old_record_first(self, tmp_path):
+        # the replaced record's snapshots at other times must not outlive
+        # it, and what is no part of a record stays
+        out = str(tmp_path / "run")
+        run_experiment(fast_config(snapshot_times=(0.1, 0.25)), out)
+        assert {"snap_t0.1.csv", "spec_t0.1.csv"} <= set(os.listdir(out))
+        notes = tmp_path / "run" / "notes.txt"
+        notes.write_text("kept\n")
+        run_experiment(fast_config(snapshot_times=()), out, force=True)
+        _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
+        assert set(os.listdir(out)) == set(checksums) | {"manifest.txt", "notes.txt"}
+        assert notes.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("ending", ["completed", "blowup"])
+    def test_stride_keeps_the_last_accepted_row(self, tmp_path, monkeypatch, ending):
+        # diag-compare reads the last row as the final drift: a stride that
+        # skips the last accepted step still ends diag.csv with its row,
+        # the same bytes as in the stride-1 record
+        config = fast_config(t_end=0.5, snapshot_times=())
+        if ending == "blowup":
+            real_integrate = runner_mod.integrate
+
+            def cut_short(rhs_fn, t_span, y0, **kw):
+                result = real_integrate(rhs_fn, (t_span[0], 0.3), y0, **kw)
+                raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
+
+            monkeypatch.setattr(runner_mod, "integrate", cut_short)
+        every, strided = str(tmp_path / "every"), str(tmp_path / "strided")
+        result = run_experiment(config, every)
+        assert result.status == ending
+        stride = 4
+        assert result.stats.accepted % stride != 0
+        run_experiment(with_overrides(config, diag_stride=stride), strided)
+        with open(os.path.join(every, "diag.csv"), encoding="utf-8") as fh:
+            full = fh.read().splitlines()
+        with open(os.path.join(strided, "diag.csv"), encoding="utf-8") as fh:
+            kept = fh.read().splitlines()
+        # header, t = 0, every stride-th accepted step, then the last one
+        assert kept == full[:2] + full[1 + stride :: stride] + full[-1:]
+        assert read_diagnostics(os.path.join(strided, "diag.csv"))["t"][-1] == result.t_final
 
     def test_rest_dynamics_flat_diagnostics(self, tmp_path):
         out = str(tmp_path / "rest")
@@ -310,9 +352,9 @@ class TestRunExperiment:
         ctx = GNContext(grid, config.params, build_multiplier(config), cg_tol=config.cg_tol)
         _, zeta, w = read_snapshot(os.path.join(out, snap))
         y = captured["y"]
-        assert np.array_equal(zeta, y[: grid.n])
-        residual = apply_mass_operator(ctx, zeta, w) - y[grid.n :]
-        assert np.linalg.norm(residual) <= config.cg_tol * np.linalg.norm(y[grid.n :])
+        assert np.array_equal(zeta, y[0])
+        residual = apply_mass_operator(ctx, zeta, w) - y[1]
+        assert np.linalg.norm(residual) <= config.cg_tol * np.linalg.norm(y[1])
 
     def test_dealias_config_runs(self, tmp_path):
         # with the 2/3 rule the integrated model leaves the top third of the
