@@ -27,21 +27,23 @@ where the bracket is the zeta-gradient of the energy functional and w is
 recovered from v at every evaluation by preconditioned conjugate gradients
 (Fourier-diagonal flat-interface preconditioner, warm-started through the
 workspace). CG is the hot path: what an application of A needs besides w
-is formed once, not per application. The symbols of dx F1 and dx F2 are
-formed per context (``GNContext.dx_symbols``); the depth coefficient, h^3
-and the FFT buffers per solve (:class:`MassConstants`, and CG's own
-preconditioner and update buffers). Every floating-point operation stays as
-it was written per application. Pointwise products are evaluated in physical
-space between spectral derivative/multiplier applications; the two
-tendencies come out of one batched inverse transform, and the optional
-2/3-rule dealias mask is applied to them, stacked, when enabled.
+is formed once, not per application. The symbols of dx F1 and dx F2, and the
+complex copy of the preconditioner symbol, are formed per context
+(:class:`GNContext`); the depths, the depth coefficient, h^3 and the FFT
+buffers once per :func:`rhs` call (:class:`MassConstants`, shared by the CG
+solve and the quadratic flux R), and CG's own preconditioner, ``A p`` and
+update buffers per solve. Every floating-point operation stays as it was
+written per application. Pointwise products are evaluated in physical space
+between spectral derivative/multiplier applications; the two tendencies come
+out of one batched inverse transform, and the optional 2/3-rule dealias mask
+is applied to them, stacked, when enabled.
 
-Every transform here is ``spectral.rfft``/``spectral.irfft``, looked up on
-the module at call time: pocketfft's ufuncs without ``np.fft``'s argument
-handling, bit for bit the same values. The Lawson frame changes of
-``timestepper.ModeRotation`` keep ``np.fft`` (the timestepper imports no
-package numerics), as does the dealiasing of ``saint_venant.sv_rhs``, the
-independent oracle :func:`rhs` is tested against.
+Every transform here, and in the Lawson frame changes of
+``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
+up on the module at call time: pocketfft's ufuncs without ``np.fft``'s
+argument handling, bit for bit the same values. Only the dealiasing of
+``saint_venant.sv_rhs``, the independent oracle :func:`rhs` is tested
+against, keeps ``np.fft``.
 """
 
 import math
@@ -94,8 +96,9 @@ def layer_depths(params, zeta):
     h = np.empty((2,) + ez.shape)
     np.subtract(1.0, ez, out=h[0])
     np.add(1.0 / params.delta, ez, out=h[1])
-    if h.min() <= CAVITATION_FLOOR:
-        raise CavitationError(f"layer depth reached {h.min():.3e} (floor {CAVITATION_FLOOR:g})")
+    low = np.minimum.reduce(h, axis=None)
+    if low <= CAVITATION_FLOOR:
+        raise CavitationError(f"layer depth reached {low:.3e} (floor {CAVITATION_FLOOR:g})")
     return h
 
 
@@ -105,11 +108,12 @@ class GNContext:
     Holds the stacked layer symbols (F1, F2) on the wavenumber ladder and
     ``dx_symbols = grid.ik * symbols``, the symbols of dx F1 and dx F2 that
     every dispersive term applies, formed once per context; the
-    flat-interface symbol A0 of the mass operator used as CG preconditioner,
-    the propagator ``linear`` of the flat-interface linear part of
-    :func:`rhs` (frequencies omega = |k| sqrt(a0/A0), a0 = (gamma+delta)
-    (1 + k^2/Bo); masked with the tendencies under ``dealias``), and the
-    solver/dealias settings.
+    flat-interface symbol A0 of the mass operator used as CG preconditioner
+    (and ``flat_symbol_complex``, the complex copy CG divides by: the cast
+    numpy would otherwise make on every division), the propagator ``linear``
+    of the flat-interface linear part of :func:`rhs` (frequencies
+    omega = |k| sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo); masked with the
+    tendencies under ``dealias``), and the solver/dealias settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
@@ -122,6 +126,7 @@ class GNContext:
         # symbol of A at zeta = 0, on the Nyquist-truncated derivative ladder
         k = grid.ik.imag
         self.flat_symbol, _ = _flat_interface(params, self.symbols, k)
+        self.flat_symbol_complex = self.flat_symbol.astype(complex)
         self.mask = dealias_mask(grid) if dealias else None
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
@@ -136,21 +141,23 @@ def _dxf(grid, u, dx_symbols):
     return spectral.irfft(dx_symbols * spectral.rfft(u), grid.n)
 
 
-def r_operator(grid, h, u, dx_symbols):
+def r_operator(grid, h, u, dx_symbols, cube=None):
     """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
-    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``)."""
+    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``), ``cube`` h**3
+    when the caller has it."""
     s = _dxf(grid, u, dx_symbols)
-    t = _dxf(grid, h**3 * s, dx_symbols)
+    t = _dxf(grid, (h**3 if cube is None else cube) * s, dx_symbols)
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
 class MassConstants:
-    """The per-state part of A[eps*zeta], built once per CG solve: the
-    stacked depths h, the pointwise coefficient (h1 + gamma*h2)/(h1*h2) and,
-    for mu > 0, h^3 with one spectral and one physical (2, n) buffer that
-    the batched FFTs and the closing pointwise terms of every application
-    write into. The buffers are used up inside :func:`apply_mass_operator`;
-    nothing it returns views them."""
+    """The per-state part of A[eps*zeta], built once per :func:`rhs` call
+    (or per direct CG solve): the stacked depths h, the pointwise coefficient
+    (h1 + gamma*h2)/(h1*h2) and, for mu > 0, h^3, which R reuses, with one
+    spectral and one physical (2, n) buffer that the batched FFTs and the
+    closing pointwise terms of every application write into. The buffers are
+    used up inside :func:`apply_mass_operator`; nothing it returns views
+    them."""
 
     def __init__(self, ctx, depths):
         h1, h2 = depths
@@ -162,8 +169,8 @@ class MassConstants:
             self.physical = np.empty((2, ctx.grid.n))
 
 
-def apply_mass_operator(ctx, zeta, w, consts=None):
-    """A[eps*zeta] w.
+def apply_mass_operator(ctx, zeta, w, consts=None, out=None):
+    """A[eps*zeta] w, written into ``out`` when given.
 
     ``consts`` passes the :class:`MassConstants` of zeta, as CG does for
     every application of a solve; without it they are built here from zeta.
@@ -171,7 +178,7 @@ def apply_mass_operator(ctx, zeta, w, consts=None):
     if consts is None:
         consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
     g, mu = ctx.params.gamma, ctx.params.mu
-    out = consts.local * w
+    out = np.multiply(consts.local, w, out=out)
     if mu > 0.0:
         spec, t = consts.spectral, consts.physical
         n = ctx.grid.n
@@ -195,21 +202,22 @@ def apply_mass_operator(ctx, zeta, w, consts=None):
     return out
 
 
-def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=None):
+def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=None):
     """Solve A[eps*zeta] w = v for w.
 
     mu = 0 makes A a pointwise multiplication and the inverse is exact; the
     general case runs conjugate gradients on the self-adjoint positive
     definite operator, preconditioned by the flat-interface symbol and
-    warm-started from ``x0`` when given. The per-state constants of A and
-    the preconditioner and update buffers are built once per solve. The
-    relative residual ||A w - v|| <= tol ||v|| is guaranteed on return; a
-    non-finite ||v|| (for every mu) or residual norm is a breakdown
-    (ConvergenceError) as soon as it is seen.
+    warm-started from ``x0`` when given. ``consts`` passes the
+    :class:`MassConstants` of zeta, as :func:`rhs` does; without it they are
+    built here. The preconditioner, ``A p`` and update buffers are built once
+    per solve. The relative residual ||A w - v|| <= tol ||v|| is guaranteed
+    on return; a non-finite ||v|| (for every mu) or residual norm is a
+    breakdown (ConvergenceError) as soon as it is seen.
     """
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
-    h = depths if depths is not None else layer_depths(ctx.params, zeta)
+    h = layer_depths(ctx.params, zeta) if consts is None else consts.depths
     b_norm = math.sqrt(v @ v)
     if not math.isfinite(b_norm):
         raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite", [])
@@ -219,51 +227,49 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     n = ctx.grid.n
     if b_norm == 0.0:
         return np.zeros_like(v)
-    consts = MassConstants(ctx, h)
+    if consts is None:
+        consts = MassConstants(ctx, h)
     spec = np.empty(n // 2 + 1, dtype=complex)
     z = np.empty(n)
+    ap = np.empty(n)
     tmp = np.empty(n)
+    stop = tol * b_norm
     residuals = []
 
-    def apply_a(u):
-        return apply_mass_operator(ctx, zeta, u, consts=consts)
-
-    def precondition(r):
-        """z = irfft(rfft(r) / A0)."""
-        spectral.rfft(r, out=spec)
-        np.divide(spec, ctx.flat_symbol, out=spec)
-        spectral.irfft(spec, n, out=z)
-
-    def converged(r):
+    if x0 is None:
+        x = np.zeros_like(v)
+        r = v.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = v - apply_mass_operator(ctx, zeta, x, consts=consts, out=ap)
+    # each pass checks the residual, then takes one preconditioned step
+    for it in range(max_iter + 1):
         norm = math.sqrt(r @ r)
         residuals.append(norm)
         if not math.isfinite(norm):
             raise ConvergenceError(f"mass-operator CG: residual norm {norm} is not finite", residuals)
-        return norm <= tol * b_norm
-
-    x = np.zeros_like(v) if x0 is None else np.array(x0, dtype=float)
-    r = v - apply_a(x) if x0 is not None else v.copy()
-    if converged(r):
-        return x
-    precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        ap = apply_a(p)
+        if norm <= stop:
+            return x
+        if it == max_iter:
+            break
+        # z = irfft(rfft(r) / A0), then p = z, or p = z + (rz_next/rz)*p in place
+        spectral.rfft(r, out=spec)
+        np.divide(spec, ctx.flat_symbol_complex, out=spec)
+        spectral.irfft(spec, n, out=z)
+        rz_next = float(r @ z)
+        if it == 0:
+            p = z.copy()
+        else:
+            p *= rz_next / rz
+            p += z
+        rz = rz_next
+        apply_mass_operator(ctx, zeta, p, consts=consts, out=ap)
         alpha = rz / float(p @ ap)
         # x += alpha*p and r -= alpha*ap through one scratch vector
         np.multiply(alpha, p, out=tmp)
         x += tmp
         np.multiply(alpha, ap, out=tmp)
         r -= tmp
-        if converged(r):
-            return x
-        precondition(r)
-        rz_next = float(r @ z)
-        # p = z + (rz_next/rz)*p in place
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
     raise ConvergenceError(
         f"mass-operator CG did not reach tol={tol:g} in {max_iter} iterations "
         f"(relative residual {residuals[-1] / b_norm:.3e})",
@@ -271,10 +277,10 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, depths=
     )
 
 
-def r_flux(ctx, h, w):
+def r_flux(ctx, h, w, cube=None):
     """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1] for the
-    stacked depths h."""
-    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.dx_symbols)
+    stacked depths h (and their cube, when the caller has it)."""
+    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.dx_symbols, cube=cube)
     return r2 - ctx.params.gamma * r1
 
 
@@ -295,15 +301,17 @@ def surface_tension_term(grid, zeta, params):
     return -ddx(grid, capillary_gradient(grid, zeta, params))
 
 
-def interface_gradient(ctx, zeta, w, depths=None):
-    """The zeta-gradient of the energy functional (the bracket inside dt v)."""
+def interface_gradient(ctx, zeta, w, consts=None):
+    """The zeta-gradient of the energy functional (the bracket inside dt v);
+    ``consts`` passes the :class:`MassConstants` of zeta, as :func:`rhs`
+    does."""
     p = ctx.params
-    h = depths if depths is not None else layer_depths(p, zeta)
+    h = layer_depths(p, zeta) if consts is None else consts.depths
     h1, h2 = h
     grad = (p.gamma + p.delta) * zeta + capillary_gradient(ctx.grid, zeta, p)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(ctx, h, w)
+        grad -= p.mu * p.epsilon * r_flux(ctx, h, w, cube=None if consts is None else consts.cube)
     return grad
 
 
@@ -311,6 +319,7 @@ def rhs(ctx, zeta, v, workspace=None):
     """Tendencies (dt zeta, dt v) at state (zeta, v), stacked as one (2, n)
     array, so ``dzeta, dv = rhs(...)`` unpacks them.
 
+    Builds the :class:`MassConstants` of zeta once, for the CG solve and R.
     Recovers w = A^{-1} v first (warm-started through the workspace, which
     keeps w and its real FFT), then assembles the two exact spatial
     derivatives, -dx w and -dx of the zeta-gradient, with one batched
@@ -318,13 +327,13 @@ def rhs(ctx, zeta, v, workspace=None):
     here.
     """
     grid = ctx.grid
-    depths = layer_depths(ctx.params, zeta)
+    consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
     x0 = workspace.w_prev if workspace is not None else None
-    w = invert_mass_operator(ctx, zeta, v, x0=x0, depths=depths)
+    w = invert_mass_operator(ctx, zeta, v, x0=x0, consts=consts)
     w_hat = spectral.rfft(w)
     if workspace is not None:
         workspace.w_prev, workspace.w_hat = w, w_hat
-    grad = interface_gradient(ctx, zeta, w, depths=depths)
+    grad = interface_gradient(ctx, zeta, w, consts=consts)
     spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
     np.multiply(w_hat, grid.ik, out=spec[0])
     np.multiply(spectral.rfft(grad), grid.ik, out=spec[1])

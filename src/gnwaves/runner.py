@@ -26,6 +26,7 @@ exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
 so the capillary waves at the top of the ladder set no step-size limit.
 """
 
+import math
 import os
 import platform
 import time
@@ -92,9 +93,9 @@ def _resolution_lost(w, w_hat, rel_tol):
     above the tail level (see :func:`guarded_rhs`)."""
     n = w.size
     amp = np.abs(w_hat)
-    top = amp[n // 3 + 1 :].max()
-    middle = amp[n // 6 + 1 : n // 3 + 1].max()
-    return top > middle and top > np.sqrt(rel_tol) * n * np.abs(w).max()
+    top = np.maximum.reduce(amp[n // 3 + 1 :])
+    middle = np.maximum.reduce(amp[n // 6 + 1 : n // 3 + 1])
+    return top > middle and top > math.sqrt(rel_tol) * n * np.maximum.reduce(np.abs(w))
 
 
 def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):

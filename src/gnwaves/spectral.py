@@ -23,10 +23,10 @@ Every transform of the package goes through one pair, :func:`rfft` and
 every value is bit for bit ``np.fft``'s, without its per-call argument
 handling (most of the cost of an n = 512 transform). Package callers look the
 pair up on this module at call time (``spectral.rfft(...)``), so a tracer or
-counter rebinds two attributes. Two places keep ``np.fft`` on purpose:
-``timestepper.ModeRotation``, because the timestepper imports no package
-numerics, and the dealias lines of ``saint_venant.sv_rhs``, the independent
-oracle that ``operators.rhs`` is tested against.
+counter rebinds two attributes; the Lawson frame changes of
+``timestepper.ModeRotation`` do too. One place keeps ``np.fft`` on purpose:
+the dealias lines of ``saint_venant.sv_rhs``, the independent oracle that
+``operators.rhs`` is tested against.
 """
 
 import numpy as np

@@ -44,10 +44,12 @@ integration aborts with the last healthy state attached, which is the
 expected outcome for shear-unstable runs rather than a crash.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import StepUnderflowError, ValidationError
 
 __all__ = ["ModeRotation", "StepStats", "IntegrationResult", "integrate"]
@@ -111,7 +113,8 @@ class ModeRotation:
     cos(omega s) I + (sin(omega s)/omega) L is a rotation, the identity
     where omega = 0. The state is the (2, n) array y, the frame of
     :func:`integrate` its (2, m) real FFT, m = n/2+1; the way back takes
-    n = 2(m-1) from the frame.
+    n = 2(m-1) from the frame. The transforms are ``spectral.rfft``/``irfft``,
+    looked up on the module at call time.
     """
 
     def __init__(self, upper, lower):
@@ -122,19 +125,20 @@ class ModeRotation:
                                           where=self.omega > 0.0)
 
     def to_frame(self, y):
-        return np.fft.rfft(y)
+        return spectral.rfft(y)
 
     def to_state(self, u):
-        return np.fft.irfft(u)
+        return spectral.irfft(u, 2 * (u.shape[-1] - 1))
 
     def tendency(self, f, u):
         """The frame tendency f_hat - L u, the part of f that L leaves out."""
-        return np.fft.rfft(f) - self.coef * u[::-1]
+        return spectral.rfft(f) - self.coef * u[::-1]
 
     def rotations(self, s):
-        """cos(omega s_i) and sin(omega s_i) L / omega for the times s_i."""
+        """cos(omega s_i) and sin(omega s_i) L / omega for the times s_i, the
+        cosines cast to complex once here rather than by every product."""
         phase = np.multiply.outer(s, self.omega)
-        return np.cos(phase)[:, None, :], np.sin(phase)[:, None, :] * self._coef_over_omega
+        return np.cos(phase).astype(complex)[:, None, :], np.sin(phase)[:, None, :] * self._coef_over_omega
 
     def rotate(self, rotations, i, u, inverse=False):
         """exp(s_i L) u, or exp(-s_i L) u."""
@@ -233,7 +237,7 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
         k[0] = g
         err = np.nan
         for i in range(1, 7):
-            if not np.isfinite(k[i - 1]).all():
+            if not np.logical_and.reduce(np.isfinite(k[i - 1]), axis=None):
                 break
             ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
             yi = lin.to_state(ui)
@@ -247,7 +251,9 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
             err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(invalid="ignore", over="ignore"):
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                q = (err_vec / scale) ** 2
+                # sqrt(mean(q)) in np.mean's own arithmetic, without its wrapper
+                err = math.sqrt(np.add.reduce(q, axis=None) / q.size)
 
         if not np.isfinite(err):
             stats.rejected += 1

@@ -42,22 +42,6 @@ def test_rhs_spans_equal_the_controller_count(traced):
     assert layertrace.summarize(spans)["operators.rhs_calls"] == result.stats.rhs_evals
 
 
-def test_lawson_transforms_are_traced_ffts(traced):
-    # the transforms integrate makes itself, outside rhs, are the Lawson
-    # frame changes: rfft of y0 and of every stage's tendency but the
-    # first-step probe's; irfft of every stage's input and of each
-    # attempt's error estimate
-    result, spans = traced
-    stats = result.stats
-    kind, parent = spans["kind"], spans["parent"]
-    integrate_span = int(np.flatnonzero(kind == layertrace.NAMES.index("timestepper.integrate"))[0])
-    direct = parent == integrate_span
-    rfft = int(np.sum(direct & (kind == layertrace.NAMES.index("spectral.rfft"))))
-    irfft = int(np.sum(direct & (kind == layertrace.NAMES.index("spectral.irfft"))))
-    assert rfft == stats.rhs_evals
-    assert irfft == stats.rhs_evals - 2 + stats.accepted + stats.rejected
-
-
 def test_cg_applications_are_traced_mass_applies(traced):
     # CG applies A through the gnwaves.operators attribute, so every
     # application is a mass_apply span directly under a cg span; a solve

@@ -455,6 +455,57 @@ class TestHotPathOracle:
         assert np.array_equal(ctx.dx_symbols * u_hat, grid.ik * ctx.symbols * u_hat)
 
 
+class TestSharedConstants:
+    """rhs builds the per-state constants of A once and shares them with the
+    CG solve and R; CG writes A p into its own buffer and divides by the
+    complex copy of the preconditioner symbol."""
+
+    @staticmethod
+    def count_constants(monkeypatch):
+        built = []
+
+        class Counted(MassConstants):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(operators_mod, "MassConstants", Counted)
+        return built
+
+    @pytest.mark.parametrize("mu", [0.1, 0.0], ids=["dispersive", "hydrostatic"])
+    def test_one_mass_constants_per_rhs_call(self, grid, monkeypatch, mu):
+        params = PhysParams(gamma=0.95, epsilon=0.5, mu=mu, delta=0.5, inv_bond=5e-4)
+        ctx = make_ctx(grid, params=params, dealias=True)
+        rng = np.random.default_rng(137)
+        states = [random_state(ctx, rng) for _ in range(3)]
+        states = [(zeta, apply_mass_operator(ctx, zeta, w)) for zeta, w in states]
+        built = self.count_constants(monkeypatch)
+        ws = GNWorkspace()
+        for calls, (zeta, v) in enumerate(states, start=1):
+            rhs(ctx, zeta, v, workspace=ws)
+            assert len(built) == calls
+        rhs(ctx, states[0][0], np.zeros(grid.n))
+        assert len(built) == len(states) + 1
+
+    def test_apply_into_out(self, grid):
+        ctx = make_ctx(grid)
+        zeta, w = random_state(ctx, np.random.default_rng(139))
+        buf = np.full(grid.n, np.nan)
+        assert apply_mass_operator(ctx, zeta, w, out=buf) is buf
+        assert np.array_equal(buf, apply_mass_operator(ctx, zeta, w))
+
+    def test_complex_symbol_divides_like_the_real_one(self, grid):
+        ctx = make_ctx(grid)
+        assert ctx.flat_symbol_complex.dtype == complex
+        assert np.array_equal(ctx.flat_symbol_complex.real, ctx.flat_symbol)
+        spec = np.fft.rfft(random_smooth_field(grid, np.random.default_rng(149)))
+        spec[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, 1.0), complex(1.0, -np.inf)]
+        with np.errstate(invalid="ignore"):
+            expected = spec / ctx.flat_symbol
+            got = spec / ctx.flat_symbol_complex
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestVelocities:
     def test_zero_flux(self, grid):
         u1, u2 = w_to_velocities(REF_PARAMS, np.zeros(grid.n), np.zeros(grid.n))

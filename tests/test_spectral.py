@@ -7,8 +7,12 @@ from gnwaves.diagnostics import compute_row
 from gnwaves.errors import CorruptFieldError, ValidationError
 from gnwaves.io_store import write_spectrum
 from gnwaves.multipliers import MultiplierSpec
-from gnwaves.operators import GNContext, apply_mass_operator, invert_mass_operator, rhs
+from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
+from gnwaves.params import ExperimentConfig, with_overrides
+from gnwaves.runner import guarded_rhs, run_experiment
 from gnwaves.spectral import Grid, apply_symbol, ddx, dealias_mask, inner, irfft, mode_amplitudes, rfft
+
+from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
 
@@ -46,8 +50,9 @@ class TestTransformPair:
 
 
 class TestTransformRoute:
-    """Every package transform outside timestepper and the Saint-Venant
-    oracle goes through gnwaves.spectral's pair, looked up at call time."""
+    """Every package transform, the Lawson frame changes of the timestepper
+    included, goes through gnwaves.spectral's pair, looked up at call time;
+    only the Saint-Venant oracle (saint_venant.sv_rhs) keeps np.fft."""
 
     @pytest.fixture
     def state(self, small_grid):
@@ -75,6 +80,11 @@ class TestTransformRoute:
         write_spectrum(str(tmp_path / "spectrum.csv"), ctx.grid, zeta)
         apply_symbol(ctx.grid, zeta, np.exp(-ctx.grid.k))
         ddx(ctx.grid, zeta)
+        result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 0.05), np.stack((zeta, v)),
+                           snapshot_times=(0.02,), linear=ctx.linear)
+        assert result.t == 0.05
+        config = with_overrides(ExperimentConfig(), grid_n=32, t_end=0.05, snapshot_times=(0.02,), dealias=True)
+        assert run_experiment(config, str(tmp_path / "run")).status == "completed"
 
     def test_one_mass_application_is_two_round_trips(self, state, monkeypatch):
         ctx, zeta, w, _ = state

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import gnwaves.spectral as spectral_mod
 from gnwaves.errors import StepUnderflowError, ValidationError
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace
 from gnwaves.runner import guarded_rhs
 from gnwaves.spectral import Grid
-from gnwaves.timestepper import MIN_FACTOR, integrate
+from gnwaves.timestepper import MIN_FACTOR, ModeRotation, integrate
 
 from conftest import REF_PARAMS, random_smooth_field
 
@@ -318,3 +319,83 @@ def test_truncated_steps_leave_the_pi_memory_alone():
     result = _gn_run(ctx, 1.0, 1e-10, linear=False, snapshot_times=np.arange(1, 101) / 100)
     assert result.t == 1.0
     assert result.stats.accepted <= 150
+
+
+def test_lawson_transforms_go_through_the_spectral_pair(monkeypatch):
+    # the transforms integrate makes itself are the Lawson frame changes:
+    # rfft of y0 and of every stage's tendency but the first-step probe's;
+    # irfft of every stage's input and of each attempt's error estimate
+    grid = Grid(64, 4.0)
+    linear = ModeRotation(-grid.ik, -grid.ik * (1.0 + grid.k**2 / 50.0))
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        fn = getattr(spectral_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(spectral_mod, "rfft", counted("rfft"))
+    monkeypatch.setattr(spectral_mod, "irfft", counted("irfft"))
+    y0 = np.stack((np.exp(-4 * grid.x**2), np.zeros(grid.n)))
+    # an rhs that transforms nothing itself
+    result = integrate(lambda t, y: 0.5 * np.sin(y[::-1]), (0.0, 1.0), y0, rel_tol=1e-9, abs_tol=1e-11,
+                       snapshot_times=(0.25, 0.6), linear=linear)
+    stats = result.stats
+    assert result.t == 1.0 and stats.accepted > 2
+    assert calls["rfft"] == stats.rhs_evals
+    assert calls["irfft"] == stats.rhs_evals - 2 + stats.accepted + stats.rejected
+
+
+class _NpFftModeRotation:
+    """ModeRotation as it was on np.fft's wrappers, with real cosines: the
+    bitwise oracle of the propagator on the spectral pair."""
+
+    def __init__(self, upper, lower):
+        self.coef = np.stack((upper, lower)).astype(complex)
+        self.omega = np.sqrt(np.maximum(-(self.coef[0] * self.coef[1]).real, 0.0))
+        self._coef_over_omega = np.divide(self.coef, self.omega, out=np.zeros_like(self.coef),
+                                          where=self.omega > 0.0)
+
+    def to_frame(self, y):
+        return np.fft.rfft(y)
+
+    def to_state(self, u):
+        return np.fft.irfft(u)
+
+    def tendency(self, f, u):
+        return np.fft.rfft(f) - self.coef * u[::-1]
+
+    def rotations(self, s):
+        phase = np.multiply.outer(s, self.omega)
+        return np.cos(phase)[:, None, :], np.sin(phase)[:, None, :] * self._coef_over_omega
+
+    def rotate(self, rotations, i, u, inverse=False):
+        cos, sin_l = rotations
+        swapped = sin_l[i] * u[::-1]
+        return cos[i] * u - swapped if inverse else cos[i] * u + swapped
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+def test_lawson_run_matches_np_fft_propagator_bitwise(dealias):
+    ctx = GNContext(Grid(64, 4.0), REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta),
+                    dealias=dealias)
+    assert ctx.params.inv_bond > 0.0
+    y0 = np.stack((-np.exp(-4 * ctx.grid.x**2), np.zeros(ctx.grid.n)))
+    runs = []
+    for linear in (ctx.linear, _NpFftModeRotation(*ctx.linear.coef)):
+        snaps = []
+        result = integrate(guarded_rhs(ctx, GNWorkspace(), rel_tol=1e-10), (0.0, 0.5), y0, rel_tol=1e-9,
+                           abs_tol=1e-11, snapshot_times=(0.1, 0.25, 0.4),
+                           on_snapshot=lambda t, y: snaps.append((t, y.copy())), linear=linear)
+        runs.append((result, snaps))
+    (new, new_snaps), (old, old_snaps) = runs
+    assert new.t == old.t == 0.5
+    assert new.stats == old.stats and new.stats.accepted > 3
+    assert np.array_equal(new.y, old.y)
+    assert [t for t, _ in new_snaps] == [t for t, _ in old_snaps] == [0.1, 0.25, 0.4]
+    for (_, y_new), (_, y_old) in zip(new_snaps, old_snaps):
+        assert np.array_equal(y_new, y_old)
