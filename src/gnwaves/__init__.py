@@ -4,8 +4,8 @@ the hydrostatic (Saint-Venant) limit and conserved-quantity diagnostics."""
 
 __version__ = "0.1.0"
 
-from .params import ExperimentConfig, PhysParams, instability_parameter, parse_config, serialize_config
-from .spectral import Grid, apply_symbol, ddx, inner
+from .params import ExperimentConfig, PhysParams, parse_config, serialize_config
+from .spectral import Grid, ddx, inner
 from .multipliers import AdmissibilityReport, MultiplierSpec, check_admissibility, eval_multiplier
 from .operators import (
     GNContext,
@@ -14,16 +14,8 @@ from .operators import (
     hamiltonian,
     invert_mass_operator,
     rhs,
-    surface_tension_term,
-    w_to_velocities,
 )
-from .stability import (
-    euler_coeffs,
-    euler_threshold_curve,
-    growth_rate,
-    model_coeffs,
-    threshold_curve,
-)
+from .stability import euler_coeffs, euler_threshold_curve, model_coeffs, threshold_curve
 from .saint_venant import sv_hyperbolicity_margin, sv_rhs
 from .timestepper import IntegrationResult, integrate
 from .runner import RunResult, run_experiment
@@ -32,11 +24,9 @@ __all__ = [
     "__version__",
     "ExperimentConfig",
     "PhysParams",
-    "instability_parameter",
     "parse_config",
     "serialize_config",
     "Grid",
-    "apply_symbol",
     "ddx",
     "inner",
     "AdmissibilityReport",
@@ -49,11 +39,8 @@ __all__ = [
     "hamiltonian",
     "invert_mass_operator",
     "rhs",
-    "surface_tension_term",
-    "w_to_velocities",
     "euler_coeffs",
     "euler_threshold_curve",
-    "growth_rate",
     "model_coeffs",
     "threshold_curve",
     "sv_hyperbolicity_margin",

@@ -130,7 +130,7 @@ class MultiplierSpec:
         if not np.all(np.isfinite(f_table)):
             raise ValidationError("table", "symbol values must be finite")
         if abs(f_table[0] - 1.0) > 1e-9:
-            raise ValidationError("F(0)", f"layer 1 symbol has F(0) = {float(f_table[0])}, expected 1")
+            raise ValidationError("F(0)", f"table {label!r} has F(0) = {float(f_table[0])}, expected 1")
         return cls("custom", table=(k_table, f_table), label=label)
 
     def __repr__(self):

@@ -68,12 +68,10 @@ __all__ = [
     "apply_mass_operator",
     "invert_mass_operator",
     "r_flux",
-    "surface_tension_term",
     "capillary_gradient",
     "capillary_density",
     "interface_gradient",
     "rhs",
-    "w_to_velocities",
     "hamiltonian",
 ]
 
@@ -295,12 +293,6 @@ def capillary_gradient(grid, zeta, params):
     return -(p.gamma + p.delta) * p.inv_bond * _ddx(grid, s / np.sqrt(1.0 + slope_sq))
 
 
-def surface_tension_term(grid, zeta, params):
-    """(gamma+delta)/Bo * dx^2( dx zeta / sqrt(1 + mu eps^2 (dx zeta)^2) ),
-    the surface-tension term as it enters dt v."""
-    return -ddx(grid, capillary_gradient(grid, zeta, params))
-
-
 def interface_gradient(ctx, zeta, w, consts=None):
     """The zeta-gradient of the energy functional (the bracket inside dt v);
     ``consts`` passes the :class:`MassConstants` of zeta, as :func:`rhs`
@@ -356,13 +348,6 @@ class GNWorkspace:
         self.w_prev = None
         self.w_hat = None
         self.resolution_lost_at = None
-
-
-def w_to_velocities(params, zeta, w):
-    """Layer-averaged velocities u = (u1, u2) = (-w/h1, w/h2) stacked on
-    axis 0; their weighted sum h1*u1 + h2*u2 vanishes identically under the
-    rigid lid."""
-    return LAYER_SIGN * w / layer_depths(params, zeta)
 
 
 def capillary_density(grid, zeta, params):

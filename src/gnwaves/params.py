@@ -17,6 +17,7 @@ from .errors import ConfigError, ValidationError
 from .io_store import format_time_tag
 from .multipliers import FAMILIES
 from .operators import CG_MAX_ITER, CG_TOL
+from .spectral import _is_power_of_two
 from .timestepper import ABS_TOL, REL_TOL
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "serialize_config",
-    "instability_parameter",
 ]
 
 
@@ -61,31 +61,6 @@ def _require_finite(config):
             raise ValidationError(f.name, "must be finite")
 
 
-def instability_parameter(params, kf1, kf2, sigma):
-    """Kelvin-Helmholtz smallness parameter
-    eps^2 * (1 + (gamma*K_F1 + K_F2) * (mu*Bo)^(1-sigma)).
-
-    kf1, kf2 are the decay constants of the two layer multipliers and sigma
-    their common decay exponent in [0, 1]. With zero surface tension
-    (inv_bond = 0) and sigma < 1 the quantity is unbounded and the +inf
-    sentinel is returned; sigma = 1 is the regularized case meant for that
-    regime.
-    """
-    if not (0.0 <= sigma <= 1.0):
-        raise ValidationError("sigma", f"must lie in [0, 1], got {sigma}")
-    if kf1 < 0 or kf2 < 0:
-        raise ValidationError("kf", f"decay constants must be nonnegative, got {kf1}, {kf2}")
-    if params.epsilon == 0.0:
-        return 0.0
-    if sigma == 1.0:
-        factor = 1.0
-    elif params.inv_bond == 0.0:
-        return float("inf")
-    else:
-        factor = (params.mu / params.inv_bond) ** (1.0 - sigma)
-    return params.epsilon**2 * (1.0 + (params.gamma * kf1 + kf2) * factor)
-
-
 # Defaults reproduce the reference experiment: 512-point grid on [-4, 4],
 # zeta0 = -exp(-4 x^2), w0 = 0, integrated to t = 2 at the integrator's and
 # CG's default tolerances.
@@ -113,12 +88,18 @@ class ExperimentConfig:
     cg_max_iter: int = CG_MAX_ITER
 
     def __post_init__(self):
+        # a float or bool here would be written to config.txt as a value
+        # that parse_config refuses
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValidationError(f.name, f"must be an int, got {value!r}")
         if self.model not in ("gn", "sv"):
             raise ValidationError("model", f"must be 'gn' or 'sv', got {self.model!r}")
         mult = self.multiplier
         if mult not in FAMILIES and not mult.startswith("custom:"):
             raise ValidationError("multiplier", f"must be {'|'.join(FAMILIES)}|custom:<path>, got {mult!r}")
-        if not isinstance(self.grid_n, int) or self.grid_n < 8 or (self.grid_n & (self.grid_n - 1)):
+        if self.grid_n < 8 or not _is_power_of_two(self.grid_n):
             raise ValidationError("grid_n", f"must be a power of two >= 8, got {self.grid_n}")
         if not self.domain_half_length > 0:
             raise ValidationError("domain_half_length", "must be positive")

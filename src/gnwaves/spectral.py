@@ -7,15 +7,14 @@ even, real functions of k for the output to stay real.
 
 Conventions:
 
-* ``apply_symbol`` multiplies every mode, Nyquist included, by s(k).
 * ``ddx`` multiplies by the derivative ladder ``grid.ik``, which is ik with
   the Nyquist entry zeroed; the odd symbol ik has no real representative
   there, and keeping it would leak a spurious imaginary part.
 * ``inner`` is the rectangle rule (L/n) * sum(f*g), which is exact for
   band-limited products resolvable on the grid.
 
-No dealiasing happens here; callers that want the 2/3 rule apply
-``dealias_mask`` as an ordinary symbol.
+No dealiasing happens here; callers that want the 2/3 rule multiply the
+spectrum by ``dealias_mask``.
 
 Every transform of the package goes through one pair, :func:`rfft` and
 :func:`irfft`. They call the pocketfft ufuncs that ``np.fft.rfft`` and
@@ -38,7 +37,6 @@ __all__ = [
     "Grid",
     "rfft",
     "irfft",
-    "apply_symbol",
     "ddx",
     "inner",
     "mode_amplitudes",
@@ -114,24 +112,6 @@ def _check_field(grid, f, name="field"):
     if not np.all(np.isfinite(f)):
         raise CorruptFieldError(f"{name} contains non-finite values")
     return f
-
-
-def apply_symbol(grid, f, symbol):
-    """Apply the Fourier multiplier with symbol s: f -> irfft(s(k) * rfft(f)).
-
-    ``symbol`` is either a callable evaluated on ``grid.k`` or a precomputed
-    real array of length n//2 + 1. The symbol must be real (even extension in
-    k is implied by the real-transform storage); a complex one, array or
-    callable result, is a ValidationError.
-    """
-    f = _check_field(grid, f)
-    s = np.asarray(symbol(grid.k) if callable(symbol) else symbol)
-    if np.iscomplexobj(s):
-        raise ValidationError("symbol", f"must be real, got dtype {s.dtype}")
-    s = s.astype(float, copy=False)
-    if s.shape != grid.k.shape:
-        raise ValidationError("symbol", f"expected shape {grid.k.shape}, got {s.shape}")
-    return irfft(s * rfft(f), grid.n)
 
 
 def _ddx(grid, f):

@@ -27,7 +27,6 @@ __all__ = [
     "model_coeffs",
     "threshold_curve",
     "euler_threshold_curve",
-    "growth_rate",
     "growth_rates",
     "threshold_table",
 ]
@@ -142,11 +141,6 @@ def growth_rates(k_grid, params, spec, wbar):
     k = np.asarray(k_grid, dtype=float)
     a, b, _ = model_coeffs(k, params, spec, wbar)
     return np.abs(k) * np.sqrt(np.maximum(0.0, -a * b))
-
-
-def growth_rate(k, params, spec, wbar):
-    """Scalar case of :func:`growth_rates`; zero for stable modes."""
-    return float(growth_rates(k, params, spec, wbar))
 
 
 # the CSV names the unmodified model's column by the paper's name for it

@@ -122,7 +122,7 @@ class TestFamilyProperties:
     def test_custom_table_requires_f0(self):
         with pytest.raises(ValidationError) as err:
             MultiplierSpec.custom([0.0, 1.0], [0.9, 0.5])
-        assert str(err.value) == "F(0): layer 1 symbol has F(0) = 0.9, expected 1"
+        assert str(err.value) == "F(0): table 'custom' has F(0) = 0.9, expected 1"
 
 
 class TestAdmissibility:

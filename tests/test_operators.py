@@ -3,13 +3,16 @@ import pytest
 
 import gnwaves.operators as operators_mod
 from gnwaves.errors import CavitationError, ConvergenceError
+from gnwaves.multipliers import FAMILIES as FAMILY_BUILDERS
 from gnwaves.multipliers import MultiplierSpec, eval_multiplier
 from gnwaves.operators import (
     CAVITATION_FLOOR,
+    LAYER_SIGN,
     GNContext,
     GNWorkspace,
     MassConstants,
     apply_mass_operator,
+    capillary_gradient,
     hamiltonian,
     interface_gradient,
     invert_mass_operator,
@@ -17,8 +20,6 @@ from gnwaves.operators import (
     r_flux,
     r_operator,
     rhs,
-    surface_tension_term,
-    w_to_velocities,
 )
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid, ddx, inner
@@ -507,13 +508,15 @@ class TestSharedConstants:
 
 
 class TestVelocities:
+    """u = LAYER_SIGN * w / h, the layer velocities r_flux forms."""
+
     def test_zero_flux(self, grid):
-        u1, u2 = w_to_velocities(REF_PARAMS, np.zeros(grid.n), np.zeros(grid.n))
+        u1, u2 = LAYER_SIGN * np.zeros(grid.n) / layer_depths(REF_PARAMS, np.zeros(grid.n))
         assert np.array_equal(u1, np.zeros(grid.n))
         assert np.array_equal(u2, np.zeros(grid.n))
 
     def test_flat_interface_unit_flux(self, grid):
-        u1, u2 = w_to_velocities(REF_PARAMS, np.zeros(grid.n), np.ones(grid.n))
+        u1, u2 = LAYER_SIGN * np.ones(grid.n) / layer_depths(REF_PARAMS, np.zeros(grid.n))
         assert np.allclose(u1, -1.0)
         assert np.allclose(u2, REF_PARAMS.delta)
 
@@ -521,24 +524,26 @@ class TestVelocities:
         rng = np.random.default_rng(43)
         zeta = random_smooth_field(grid, rng, max_abs=0.9)
         w = random_smooth_field(grid, rng)
-        h1, h2 = layer_depths(REF_PARAMS, zeta)
-        u1, u2 = w_to_velocities(REF_PARAMS, zeta, w)
+        h1, h2 = h = layer_depths(REF_PARAMS, zeta)
+        u1, u2 = LAYER_SIGN * w / h
         assert np.allclose(h1 * u1 + h2 * u2, 0.0, atol=1e-15)
 
 
 class TestSurfaceTension:
+    """The surface-tension term as it enters dt v, -dx of capillary_gradient."""
+
     def test_zero_without_tension(self, grid):
         p = PhysParams(inv_bond=0.0)
         rng = np.random.default_rng(47)
         zeta = random_smooth_field(grid, rng)
-        assert np.array_equal(surface_tension_term(grid, zeta, p), np.zeros(grid.n))
+        assert np.array_equal(-ddx(grid, capillary_gradient(grid, zeta, p)), np.zeros(grid.n))
 
     def test_linear_reduction_single_mode(self, grid):
         # with mu*eps^2 = 0 the term is (gamma+delta)/Bo * dddx zeta
         p = PhysParams(gamma=0.95, epsilon=0.0, mu=0.1, delta=0.5, inv_bond=5e-4)
         k0 = 8 * np.pi / grid.length
         zeta = np.sin(k0 * grid.x)
-        out = surface_tension_term(grid, zeta, p)
+        out = -ddx(grid, capillary_gradient(grid, zeta, p))
         expected = (p.gamma + p.delta) * p.inv_bond * (-(k0**3)) * np.cos(k0 * grid.x)
         assert np.allclose(out, expected, rtol=1e-11)
 
@@ -549,7 +554,7 @@ class TestSurfaceTension:
         for n in (1024, 2048, 4096):
             g = Grid(n, 4.0)
             zeta = np.exp(-2 * g.x**2) * np.sin(g.x)
-            spectral = surface_tension_term(g, zeta, p)
+            spectral = -ddx(g, capillary_gradient(g, zeta, p))
 
             def fd_d1(f, dx):
                 return (np.roll(f, -1) - np.roll(f, 1)) / (2 * dx)
@@ -630,6 +635,40 @@ class TestRhs:
         ws = GNWorkspace()
         rhs(ctx, zeta, v, workspace=ws)
         assert ws.w_prev is not None
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+@pytest.mark.parametrize("mu", [0.1, 0.0], ids=["mu0.1", "mu0"])
+@pytest.mark.parametrize("family", list(FAMILY_BUILDERS))
+class TestSymmetries:
+    """rhs commutes with the symmetries the models keep: the reflection
+    x -> -x, under which zeta is even and v odd, and whole-cell translation;
+    every family, with tension, at mu > 0 and mu = 0, dealiased or not."""
+
+    @staticmethod
+    def state(family, mu, dealias):
+        grid = Grid(128, 4.0)
+        p = PhysParams(gamma=0.95, epsilon=0.5, mu=mu, delta=0.5, inv_bond=5e-4)
+        ctx = GNContext(grid, p, FAMILY_BUILDERS[family](p.delta, None, None), dealias=dealias)
+        rng = np.random.default_rng(163)
+        return ctx, random_smooth_field(grid, rng, max_abs=0.9), random_smooth_field(grid, rng)
+
+    @staticmethod
+    def assert_rel_close(got, expected):
+        for g, e in zip(got, expected):
+            assert np.max(np.abs(g - e)) <= 1e-11 * np.max(np.abs(e))
+
+    def test_reflection(self, family, mu, dealias):
+        ctx, zeta, v = self.state(family, mu, dealias)
+        flip = (-np.arange(ctx.grid.n)) % ctx.grid.n  # x_j -> x_{-j} = -x_j
+        dzeta, dv = rhs(ctx, zeta, v)
+        self.assert_rel_close(rhs(ctx, zeta[flip], -v[flip]), (dzeta[flip], -dv[flip]))
+
+    def test_translation(self, family, mu, dealias):
+        ctx, zeta, v = self.state(family, mu, dealias)
+        shift = 37
+        expected = np.roll(rhs(ctx, zeta, v), shift, axis=-1)
+        self.assert_rel_close(rhs(ctx, np.roll(zeta, shift), np.roll(v, shift)), expected)
 
 
 class TestLinearDispersion:

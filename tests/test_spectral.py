@@ -10,7 +10,7 @@ from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, with_overrides
 from gnwaves.runner import guarded_rhs, run_experiment
-from gnwaves.spectral import Grid, apply_symbol, ddx, dealias_mask, inner, irfft, mode_amplitudes, rfft
+from gnwaves.spectral import Grid, ddx, dealias_mask, inner, irfft, mode_amplitudes, rfft
 
 from gnwaves.timestepper import integrate
 
@@ -78,7 +78,6 @@ class TestTransformRoute:
         apply_mass_operator(ctx, zeta, w)
         compute_row(ctx, 0.0, zeta, v, w)
         write_spectrum(str(tmp_path / "spectrum.csv"), ctx.grid, zeta)
-        apply_symbol(ctx.grid, zeta, np.exp(-ctx.grid.k))
         ddx(ctx.grid, zeta)
         result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 0.05), np.stack((zeta, v)),
                            snapshot_times=(0.02,), linear=ctx.linear)
@@ -125,46 +124,6 @@ class TestGrid:
             Grid(bad_n, 4.0)
 
 
-class TestApplySymbol:
-    def test_identity_symbol(self, grid):
-        rng = np.random.default_rng(0)
-        f = random_smooth_field(grid, rng)
-        out = apply_symbol(grid, f, np.ones_like(grid.k))
-        assert np.allclose(out, f, rtol=0, atol=1e-14)
-
-    def test_constant_field(self, grid):
-        s = 1.0 / (1.0 + grid.k**2)  # s(0) = 1
-        out = apply_symbol(grid, np.full(grid.n, 2.5), s)
-        assert np.allclose(out, 2.5, rtol=0, atol=1e-14)
-
-    def test_single_mode_eigenfunction(self, grid):
-        # a single mode is an eigenfunction with eigenvalue s(k0)
-        k0 = 2 * np.pi / grid.length
-        f = np.sin(k0 * grid.x)
-        s = np.exp(-grid.k)
-        out = apply_symbol(grid, f, s)
-        assert np.allclose(out, np.exp(-k0) * f, rtol=0, atol=1e-14)
-
-    def test_rejects_nan(self, grid):
-        f = np.zeros(grid.n)
-        f[3] = np.nan
-        with pytest.raises(CorruptFieldError):
-            apply_symbol(grid, f, np.ones_like(grid.k))
-
-    def test_rejects_complex_array(self, grid):
-        # a zero imaginary part is no excuse: the dtype says complex
-        with pytest.raises(ValidationError, match="symbol"):
-            apply_symbol(grid, np.zeros(grid.n), np.ones_like(grid.k) + 0j)
-
-    def test_rejects_complex_callable(self, grid):
-        with pytest.raises(ValidationError, match="symbol"):
-            apply_symbol(grid, np.zeros(grid.n), lambda k: 1j * k)
-
-    def test_callable_and_array_agree(self, grid):
-        f = random_smooth_field(grid, np.random.default_rng(5))
-        assert_array_equal(apply_symbol(grid, f, np.exp), apply_symbol(grid, f, np.exp(grid.k)))
-
-
 class TestDdx:
     def test_constant(self, grid):
         assert np.allclose(ddx(grid, np.full(grid.n, 3.0)), 0.0, atol=1e-15)
@@ -183,6 +142,12 @@ class TestDdx:
     def test_nyquist_zeroed(self, grid):
         f = np.cos(grid.nyquist * grid.x)  # pure Nyquist mode
         assert np.allclose(ddx(grid, f), 0.0, atol=1e-12)
+
+    def test_rejects_nan(self, grid):
+        f = np.zeros(grid.n)
+        f[3] = np.nan
+        with pytest.raises(CorruptFieldError):
+            ddx(grid, f)
 
 
 class TestInner:
@@ -204,25 +169,7 @@ class TestInner:
 
 
 class TestOperatorAlgebra:
-    """Structural identities: linearity, commutation, adjoints, Parseval."""
-
-    def test_symbol_commutes_with_ddx(self, grid):
-        rng = np.random.default_rng(1)
-        f = random_smooth_field(grid, rng)
-        s = 1.0 / (1.0 + grid.k**2)
-        a = ddx(grid, apply_symbol(grid, f, s))
-        b = apply_symbol(grid, ddx(grid, f), s)
-        assert np.allclose(a, b, atol=1e-14)
-
-    def test_symbol_self_adjoint(self, grid):
-        rng = np.random.default_rng(2)
-        s = np.exp(-0.3 * grid.k)
-        for _ in range(5):
-            f = random_smooth_field(grid, rng)
-            g = random_smooth_field(grid, rng)
-            lhs = inner(grid, apply_symbol(grid, f, s), g)
-            rhs = inner(grid, f, apply_symbol(grid, g, s))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+    """Structural identities: adjoints and Parseval."""
 
     def test_ddx_skew_adjoint(self, grid):
         rng = np.random.default_rng(3)

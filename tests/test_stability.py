@@ -5,7 +5,6 @@ from gnwaves.multipliers import MultiplierSpec
 from gnwaves.stability import (
     euler_coeffs,
     euler_threshold_curve,
-    growth_rate,
     growth_rates,
     model_coeffs,
     threshold_curve,
@@ -186,7 +185,7 @@ class TestGrowthRate:
         k0 = 2.0
         thr = threshold_curve(np.array([k0]), p, spec)[0]
         wbar = 0.5 * np.sqrt(thr) / p.epsilon
-        assert growth_rate(k0, p, spec, wbar) == 0.0
+        assert growth_rates(np.array([k0]), p, spec, wbar)[0] == 0.0
 
     def test_matches_closed_form_when_unstable(self):
         p = REF_PARAMS
@@ -197,7 +196,7 @@ class TestGrowthRate:
         a, b, _ = model_coeffs(k0, p, spec, wbar)
         assert a < 0
         expected = abs(k0) * np.sqrt(-a * b)
-        assert growth_rate(k0, p, spec, wbar) == pytest.approx(expected, rel=1e-12)
+        assert growth_rates(np.array([k0]), p, spec, wbar)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_direct_eigensolve_oracle(self):
         # brute-force the 2x2 symbol eigenvalues independently
@@ -210,7 +209,7 @@ class TestGrowthRate:
             a, b, c = model_coeffs(k0, p, spec, wbar)
             eigs = np.linalg.eigvals(np.array([[c, b], [a, c]])) * k0
             expected = max(0.0, float(np.max(eigs.imag)))
-            assert growth_rate(k0, p, spec, wbar) == pytest.approx(expected, abs=1e-13)
+            assert growth_rates(np.array([k0]), p, spec, wbar)[0] == pytest.approx(expected, abs=1e-13)
 
     def test_vectorized_wrapper(self):
         rates = growth_rates(np.array([1.0, 2.0]), REF_PARAMS, MultiplierSpec.identity(), 0.0)
