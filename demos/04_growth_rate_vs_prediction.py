@@ -12,7 +12,7 @@ from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid
-from gnwaves.stability import model_coeffs, threshold_curve
+from gnwaves.stability import growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
 
 params = PhysParams(gamma=0.95, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=5e-4)
@@ -23,8 +23,8 @@ ctx = GNContext(grid, params, spec)
 k0 = 16 * 2 * np.pi / grid.length
 threshold = threshold_curve(np.array([k0]), params, spec)[0]
 wbar = float(np.sqrt(2.0 * threshold) / params.epsilon)
-a, b, _ = model_coeffs(k0, params, spec, wbar)
-sigma = abs(k0) * np.sqrt(-a * b)
+sigma = float(growth_rates(np.array([k0]), params, spec, wbar)[0])
+a, b, _ = model_coeffs(k0, params, spec, wbar)  # they seed the growing eigenvector
 print(f"mode k = {k0:.3f}: threshold eps^2 wbar^2 = {threshold:.4f}, "
       f"shear set to twice that -> predicted rate {sigma:.4f}")
 

@@ -31,6 +31,6 @@ print(f"hydrostatic long-wave speed sqrt((gamma+delta) H(0)) = {np.sqrt((params.
 margin = sv_hyperbolicity_margin(params, np.zeros(8), np.zeros(8))
 print(f"rest-state hyperbolicity margin: {margin:.4f}")
 
-config = with_overrides(ExperimentConfig(), model="sv", mu=0.0, t_end=1.0, grid_n=256)
+config = with_overrides(ExperimentConfig(), mu=0.0, t_end=1.0, grid_n=256)
 result = run_experiment(config, "sv_run", force=True)
 print(f"hydrostatic run: {result.status} in {result.stats.accepted} steps -> sv_run/")

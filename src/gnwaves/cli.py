@@ -3,7 +3,7 @@
 Subcommands::
 
     simulate       full dispersive-model run from a config (or preset)
-    sv             same, as the hydrostatic (mu = 0) case
+    sv             simulate with mu = 0: the hydrostatic (Saint-Venant) case
     stability      instability-threshold CSV over a wavenumber grid
     admissibility  numerical admissibility report for the configured symbols
     diag-compare   conserved-quantity drift table across the three families
@@ -58,8 +58,8 @@ def _load_config(args):
     return config
 
 
-def _cmd_simulate(args, model):
-    config = with_overrides(_load_config(args), model=model)
+def _cmd_simulate(args, **overrides):
+    config = with_overrides(_load_config(args), **overrides)
     preset = getattr(args, "preset", None)
     if preset:
         config = with_overrides(config, **PRESETS[preset])
@@ -165,9 +165,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            return _cmd_simulate(args, model="gn")
+            return _cmd_simulate(args)
         if args.command == "sv":
-            return _cmd_simulate(args, model="sv")
+            return _cmd_simulate(args, mu=0.0)
         if args.command == "stability":
             return _cmd_stability(args)
         if args.command == "admissibility":

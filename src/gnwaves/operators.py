@@ -47,11 +47,12 @@ against, keeps ``np.fft``.
 """
 
 import math
+import numbers
 
 import numpy as np
 
 from . import spectral
-from .errors import CavitationError, ConvergenceError
+from .errors import CavitationError, ConvergenceError, ValidationError
 from .multipliers import layer_symbols
 from .spectral import _ddx, dealias_mask, ddx, inner
 from .stability import _flat_interface, _restoring_symbol
@@ -115,6 +116,11 @@ class GNContext:
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
+        # the ExperimentConfig fields' checks, repeated: params imports this module
+        if isinstance(cg_max_iter, bool) or not isinstance(cg_max_iter, numbers.Integral) or cg_max_iter < 1:
+            raise ValidationError("cg_max_iter", f"must be an int >= 1, got {cg_max_iter!r}")
+        if isinstance(cg_tol, bool) or not isinstance(cg_tol, numbers.Real) or not 0 < cg_tol < math.inf:
+            raise ValidationError("cg_tol", f"must be a finite float > 0, got {cg_tol!r}")
         self.grid = grid
         self.params = params
         self.cg_tol = float(cg_tol)

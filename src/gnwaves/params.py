@@ -6,9 +6,16 @@ density ratio (upper/lower, < 1 for stable stratification), epsilon the
 amplitude parameter, mu the shallowness parameter, delta the depth ratio,
 and inv_bond the inverse Bond number scaling surface tension. Configs are
 flat on purpose: one key per line diffs cleanly across run records.
+
+The keys are the fields of :class:`PhysParams` and :class:`ExperimentConfig`,
+and ``_FORMATS`` declares the format once per field type, so an accepted
+config writes a ``config.txt`` that parses back to it. The hydrostatic model
+is the config with ``mu = 0``, the fluid at rest the one with
+``ic_amplitude = 0``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -28,6 +35,54 @@ __all__ = [
 ]
 
 
+def _kind(types, name):
+    """The check of a field type: value -> why a field of that type refuses
+    it, or None. numpy scalars are numbers; a bool is an int, but no number
+    field's value."""
+    types = types if isinstance(types, tuple) else (types,)
+
+    def problem(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            return f"must be {name}, got {value!r}"
+        return "must be finite" if isinstance(value, numbers.Real) and not math.isfinite(value) else None
+
+    return problem
+
+
+_real = _kind(numbers.Real, "a float")
+_BOOL_WORDS = {"true": True, "on": True, "1": True, "false": False, "off": False, "0": False}
+
+# field type -> (parser of the stripped value text, writer of a value, check
+# of a value); a field type missing here is a KeyError at import, not a key
+# that cannot be parsed, written or checked
+_FORMATS = {
+    float: (float, lambda v: repr(float(v)), _real),
+    int: (int, str, _kind(numbers.Integral, "an int")),
+    bool: (lambda raw: _BOOL_WORDS[raw.lower()], lambda v: "true" if v else "false", _kind((bool, np.bool_), "a bool")),
+    str: (str, str, _kind(str, "a str")),
+    float | None: (
+        lambda raw: None if raw.lower() in ("", "auto", "none") else float(raw),
+        lambda v: "auto" if v is None else repr(float(v)),
+        _kind((numbers.Real, type(None)), "a float or None"),
+    ),
+    tuple: (
+        lambda raw: tuple(float(part) for part in raw.split(",")) if raw else (),
+        lambda v: ",".join(repr(float(t)) for t in v),
+        lambda v: _kind(tuple, "a tuple")(v) or next(filter(None, map(_real, v)), None),
+    ),
+}
+
+
+def _check_fields(config):
+    """Raise ValidationError for the first field of ``config`` whose value
+    the check of its type refuses (a nested PhysParams checked itself)."""
+    for f in fields(config):
+        if f.type is not PhysParams:
+            problem = _FORMATS[f.type][2](getattr(config, f.name))
+            if problem:
+                raise ValidationError(f.name, problem)
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """The dimensionless parameter tuple (gamma, epsilon, mu, delta, Bo^-1)."""
@@ -39,26 +94,14 @@ class PhysParams:
     inv_bond: float = 5e-4
 
     def __post_init__(self):
+        _check_fields(self)
         if not (0.0 <= self.gamma < 1.0):
             raise ValidationError("gamma", f"requires 0 <= gamma < 1, got {self.gamma}")
-        if self.epsilon < 0.0:
-            raise ValidationError("epsilon", f"must be nonnegative, got {self.epsilon}")
-        if self.mu < 0.0:
-            raise ValidationError("mu", f"must be nonnegative, got {self.mu}")
+        for name in ("epsilon", "mu", "inv_bond"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(name, f"must be nonnegative, got {getattr(self, name)}")
         if not self.delta > 0.0:
             raise ValidationError("delta", f"must be positive, got {self.delta}")
-        if self.inv_bond < 0.0:
-            raise ValidationError("inv_bond", f"must be nonnegative, got {self.inv_bond}")
-        _require_finite(self)
-
-
-def _require_finite(config):
-    """Reject every non-finite float field of ``config``, tuple entries included."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        entries = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in entries):
-            raise ValidationError(f.name, "must be finite")
 
 
 # Defaults reproduce the reference experiment: 512-point grid on [-4, 4],
@@ -67,7 +110,6 @@ def _require_finite(config):
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: PhysParams = PhysParams()
-    model: str = "gn"                 # gn | sv
     multiplier: str = "regularized"   # a name in multipliers.FAMILIES | custom:<path>
     theta1: float | None = None       # default 1/(15*delta_1^2) resolved at build time
     theta2: float | None = None
@@ -76,8 +118,7 @@ class ExperimentConfig:
     t_end: float = 2.0
     rel_tol: float = REL_TOL
     abs_tol: float = ABS_TOL
-    initial_condition: str = "gaussian"   # gaussian | rest
-    ic_amplitude: float = -1.0
+    ic_amplitude: float = -1.0            # zeta0 = ic_amplitude * exp(-ic_width x^2)
     ic_width: float = 4.0
     snapshot_times: tuple = ()            # empty -> snapshot at t_end only; each <= t_end
     write_spectra: bool = True
@@ -88,46 +129,25 @@ class ExperimentConfig:
     cg_max_iter: int = CG_MAX_ITER
 
     def __post_init__(self):
-        # a float or bool here would be written to config.txt as a value
-        # that parse_config refuses
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ValidationError(f.name, f"must be an int, got {value!r}")
-        if self.model not in ("gn", "sv"):
-            raise ValidationError("model", f"must be 'gn' or 'sv', got {self.model!r}")
+        _check_fields(self)
         mult = self.multiplier
         if mult not in FAMILIES and not mult.startswith("custom:"):
             raise ValidationError("multiplier", f"must be {'|'.join(FAMILIES)}|custom:<path>, got {mult!r}")
         if self.grid_n < 8 or not _is_power_of_two(self.grid_n):
             raise ValidationError("grid_n", f"must be a power of two >= 8, got {self.grid_n}")
-        if not self.domain_half_length > 0:
-            raise ValidationError("domain_half_length", "must be positive")
-        if not self.t_end > 0:
-            raise ValidationError("t_end", f"must be positive, got {self.t_end}")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("rel_tol/abs_tol", "tolerances must be positive")
-        for name in ("theta1", "theta2"):
+        # theta1/theta2 may also be None (auto)
+        for name in ("domain_half_length", "t_end", "rel_tol", "abs_tol", "theta1", "theta2", "ic_width", "cg_tol"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValidationError(name, f"must be positive, got {value}")
-        if self.initial_condition not in ("gaussian", "rest"):
-            raise ValidationError(
-                "initial_condition", f"must be 'gaussian' or 'rest', got {self.initial_condition!r}"
-            )
-        if not self.ic_width > 0:
-            raise ValidationError("ic_width", f"must be positive, got {self.ic_width}")
         if any(t < 0 for t in self.snapshot_times):
             raise ValidationError("snapshot_times", "times must be nonnegative")
         if self.diag_stride < 1:
             raise ValidationError("diag_stride", "must be >= 1")
         if self.k_band is not None and self.k_band < 0:
             raise ValidationError("k_band", "must be nonnegative")
-        if not self.cg_tol > 0:
-            raise ValidationError("cg_tol", "must be positive")
         if self.cg_max_iter < 1:
             raise ValidationError("cg_max_iter", "must be >= 1")
-        _require_finite(self)
         # a time past t_end is never reached, and two times with one file
         # name tag would write one snapshot file
         if any(t > self.t_end for t in self.snapshot_times):
@@ -138,23 +158,11 @@ class ExperimentConfig:
             raise ValidationError("snapshot_times", f"two times share the file name tag {clash!r}")
 
 
-_BOOL_WORDS = {"true": True, "on": True, "1": True, "false": False, "off": False, "0": False}
-
-# field type -> parser of the stripped value text; a field type missing here
-# is a KeyError at import, not a key that cannot be parsed
-_PARSERS = {
-    float: float,
-    int: int,
-    str: str,
-    bool: lambda raw: _BOOL_WORDS[raw.lower()],
-    float | None: lambda raw: None if raw.lower() in ("", "auto", "none") else float(raw),
-    tuple: lambda raw: tuple(float(part) for part in raw.split(",")) if raw else (),
-}
-
 _PARAM_KEYS = tuple(f.name for f in fields(PhysParams))
-# the config keys in config.txt order: PhysParams fields, then the rest
-_KEY_PARSERS = {
-    f.name: _PARSERS[f.type]
+# the config keys in config.txt order (PhysParams fields, then the rest),
+# each with the (parser, writer, check) of its field's type
+_KEY_FORMATS = {
+    f.name: _FORMATS[f.type]
     for f in fields(PhysParams) + tuple(f for f in fields(ExperimentConfig) if f.name != "params")
 }
 
@@ -176,36 +184,25 @@ def parse_config(text):
             raise ConfigError(f"expected 'key = value', got {stripped!r}", line=line_no)
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _KEY_FORMATS:
             raise ConfigError(f"unknown key {key!r}", line=line_no)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=line_no)
         try:
-            values[key] = _KEY_PARSERS[key](raw)
+            values[key] = _KEY_FORMATS[key][0](raw)
         except (ValueError, KeyError):
             raise ConfigError(f"cannot parse value {raw!r} for key {key!r}", line=line_no) from None
     return with_overrides(ExperimentConfig(), **values)
 
 
-def _format_value(value):
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(t)) for t in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def serialize_config(config):
-    """Inverse of :func:`parse_config`: emits every key explicitly so a run
-    record is self-contained. parse(serialize(c)) == c for valid configs."""
+    """Inverse of :func:`parse_config`: emits every key explicitly, each
+    written by its field's type, so a run record is self-contained.
+    parse(serialize(c)) == c for valid configs."""
     lines = []
-    for key in _KEY_PARSERS:
+    for key, (_, write, _) in _KEY_FORMATS.items():
         value = getattr(config.params if key in _PARAM_KEYS else config, key)
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {write(value)}")
     return "\n".join(lines) + "\n"
 
 

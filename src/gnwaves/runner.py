@@ -19,8 +19,8 @@ so every terminal failure surfaces uniformly as step-size underflow. A run
 ended by lost resolution says so in the manifest's reason, with the time of
 the stage that tripped the guard.
 
-The hydrostatic model ("sv") is the mu = 0 member of the dispersive family:
-it runs through the same rhs and diagnostics, with mu = 0 forced and recorded.
+The hydrostatic (Saint-Venant) model is the mu = 0 member of the dispersive
+family: a config with mu = 0 runs through the same rhs and diagnostics.
 Every model is integrated with its flat-interface linear part propagated
 exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
 so the capillary waves at the top of the ladder set no step-size limit.
@@ -50,7 +50,7 @@ from .io_store import (
 from .multipliers import FAMILIES, load_symbol_table
 # invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
 from .operators import GNContext, GNWorkspace, invert_mass_operator, layer_depths, rhs
-from .params import serialize_config, with_overrides
+from .params import serialize_config
 from .spectral import Grid
 from .timestepper import REL_TOL, integrate
 
@@ -81,10 +81,9 @@ def build_multiplier(config):
 
 
 def initial_state(config, grid):
-    """The initial interface zeta0 of the configured preset; the fluid
-    starts at rest (w0 = v0 = 0)."""
-    if config.initial_condition == "rest":
-        return np.zeros(grid.n)
+    """The initial interface zeta0 = ic_amplitude * exp(-ic_width x^2), the
+    +0.0 rest state at ic_amplitude = 0; the fluid starts at rest
+    (w0 = v0 = 0)."""
     return config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
 
 
@@ -158,7 +157,7 @@ def _prepare_out_dir(out_dir, force):
 
 
 def run_experiment(config, out_dir, force=False):
-    """Run one experiment into out_dir; model "sv" runs with mu = 0.
+    """Run one experiment into out_dir.
 
     The integrator steps the stacked state y = (zeta, v), a (2, n) array.
     A diagnostics row is written at t = 0, after every ``diag_stride``-th
@@ -167,8 +166,6 @@ def run_experiment(config, out_dir, force=False):
     are removed first). An initial state that already cavitates is a
     configuration error (ValidationError), raised before anything is
     written."""
-    if config.model == "sv":
-        config = with_overrides(config, mu=0.0)
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
     spec = build_multiplier(config)
@@ -240,7 +237,6 @@ def run_experiment(config, out_dir, force=False):
 
     metadata = {
         "generator": f"gnwaves {__version__}",
-        "model": config.model,
         "multiplier": spec.label,
         "grid_n": grid.n,
         "t_end": config.t_end,

@@ -33,7 +33,7 @@ from gnwaves.params import PhysParams
 from gnwaves.runner import guarded_rhs
 from gnwaves.saint_venant import sv_rhs
 from gnwaves.spectral import Grid, inner
-from gnwaves.stability import euler_coeffs, model_coeffs, threshold_curve
+from gnwaves.stability import euler_coeffs, growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
@@ -294,9 +294,9 @@ def test_criterion_08_linear_growth_rate_in_nonlinear_code():
     k0 = 16 * 2 * np.pi / grid.length  # mode 16 on the ladder
     thr = threshold_curve(np.array([k0]), p, spec)[0]
     wbar = float(np.sqrt(2.0 * thr) / p.epsilon)
-    a, b, _ = model_coeffs(k0, p, spec, wbar)
+    a, b, _ = model_coeffs(k0, p, spec, wbar)  # a and b seed the growing eigenvector
     assert a < 0
-    sigma = abs(k0) * np.sqrt(-a * b)
+    sigma = float(growth_rates(np.array([k0]), p, spec, wbar)[0])
 
     amp = 1e-8
     zeta0 = amp * np.cos(k0 * grid.x)

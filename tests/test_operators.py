@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gnwaves.operators as operators_mod
-from gnwaves.errors import CavitationError, ConvergenceError
+from gnwaves.errors import CavitationError, ConvergenceError, ValidationError
 from gnwaves.multipliers import FAMILIES as FAMILY_BUILDERS
 from gnwaves.multipliers import MultiplierSpec, eval_multiplier
 from gnwaves.operators import (
@@ -245,6 +245,31 @@ class TestCGBreakdown:
             invert_mass_operator(ctx, zeta, v)
         with pytest.raises(ConvergenceError):
             hamiltonian(ctx, zeta, v)
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cg_max_iter", 2.5),
+            ("cg_max_iter", True),
+            ("cg_max_iter", 0),
+            ("cg_tol", True),
+            ("cg_tol", np.nan),
+            ("cg_tol", np.inf),
+            ("cg_tol", 0.0),
+        ],
+    )
+    def test_rejected_not_coerced(self, field, value):
+        # int(2.5) ran CG with 2 iterations, float(True) at tolerance 1.0,
+        # and a NaN tolerance escaped a solve as a bare ZeroDivisionError
+        with pytest.raises(ValidationError) as err:
+            make_ctx(Grid(64, 4.0), **{field: value})
+        assert err.value.field == field
+
+    def test_numpy_scalars_accepted(self):
+        ctx = make_ctx(Grid(64, 4.0), cg_tol=np.float64(1e-10), cg_max_iter=np.int64(57))
+        assert (ctx.cg_tol, ctx.cg_max_iter) == (1e-10, 57)
 
 
 def _oracle_mass_operator(ctx, zeta, w):

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -136,7 +139,6 @@ epsilon = 0.5
 mu = 0.1
 delta = 0.5
 inv_bond = 0.0005
-model = gn
 multiplier = regularized
 theta1 = auto
 theta2 = auto
@@ -145,7 +147,6 @@ domain_half_length = 4.0
 t_end = 2.0
 rel_tol = 1e-10
 abs_tol = 1e-12
-initial_condition = gaussian
 ic_amplitude = -1.0
 ic_width = 4.0
 snapshot_times = \n\
@@ -189,6 +190,23 @@ class TestRoundTrip:
         config = with_overrides(ExperimentConfig(), grid_n=64, diag_stride=3, cg_max_iter=57)
         assert parse_config(serialize_config(config)) == config
 
+    def test_round_trip_numpy_scalars(self):
+        # each key is written by its field's type, not by its value's repr
+        config = with_overrides(
+            ExperimentConfig(),
+            mu=np.float64(0.05),
+            t_end=np.float64(2.0),
+            k_band=np.float64(12.5),
+            snapshot_times=tuple(np.linspace(0.5, 1.0, 2)),
+            grid_n=np.int64(64),
+            dealias=np.True_,
+        )
+        rows = serialize_config(config).splitlines()
+        for line in ("mu = 0.05", "t_end = 2.0", "k_band = 12.5", "snapshot_times = 0.5,1.0", "grid_n = 64",
+                     "dealias = true"):
+            assert line in rows
+        assert parse_config(serialize_config(config)) == config
+
     @given(
         gamma=st.floats(0, 0.99),
         epsilon=st.floats(0, 2),
@@ -223,6 +241,20 @@ def test_int_fields_reject_float_and_bool(key, value):
     with pytest.raises(ValidationError) as err:
         with_overrides(ExperimentConfig(), **{key: value})
     assert str(err.value) == f"{key}: must be an int, got {value!r}"
+
+
+# one value of the wrong kind for each field type
+WRONG_KIND = {float: True, int: 1.5, bool: "false", str: None, float | None: True, tuple: [0.5]}
+CONFIG_FIELDS = fields(PhysParams) + tuple(f for f in fields(ExperimentConfig) if f.name != "params")
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=[f.name for f in CONFIG_FIELDS])
+def test_every_key_rejects_a_value_of_the_wrong_kind(field):
+    # accepted, each would run one way and be recorded as another, or be
+    # written to config.txt as a value that parse_config refuses
+    with pytest.raises(ValidationError) as err:
+        with_overrides(ExperimentConfig(), **{field.name: WRONG_KIND[field.type]})
+    assert err.value.field == field.name
 
 
 def test_with_overrides_nested_params():

@@ -66,9 +66,10 @@ class TestInitialState:
         assert np.allclose(zeta0, -np.exp(-4 * grid.x**2))
 
     def test_rest(self):
+        # the +0.0 rest state, bit for bit
         grid = Grid(64, 4.0)
-        zeta0 = initial_state(with_overrides(ExperimentConfig(), initial_condition="rest"), grid)
-        assert np.array_equal(zeta0, np.zeros(grid.n))
+        zeta0 = initial_state(with_overrides(ExperimentConfig(), ic_amplitude=0.0), grid)
+        assert zeta0.tobytes() == np.zeros(grid.n).tobytes()
 
     def test_run_starts_at_rest(self, tmp_path):
         out = str(tmp_path / "run")
@@ -253,7 +254,7 @@ class TestRunExperiment:
 
     def test_rest_dynamics_flat_diagnostics(self, tmp_path):
         out = str(tmp_path / "rest")
-        result = run_experiment(fast_config(initial_condition="rest", t_end=1.0, snapshot_times=()), out)
+        result = run_experiment(fast_config(ic_amplitude=0.0, t_end=1.0, snapshot_times=()), out)
         assert result.status == "completed"
         diag = read_diagnostics(os.path.join(out, "diag.csv"))
         for name in ("Z", "V", "I", "H", "M"):
@@ -261,7 +262,7 @@ class TestRunExperiment:
 
     def test_epsilon_zero_rest_dynamics(self, tmp_path):
         out = str(tmp_path / "eps0")
-        result = run_experiment(fast_config(epsilon=0.0, initial_condition="rest"), out)
+        result = run_experiment(fast_config(epsilon=0.0, ic_amplitude=0.0), out)
         assert result.status == "completed"
 
     def test_deterministic_data_files(self, tmp_path):
@@ -291,38 +292,12 @@ class TestRunExperiment:
 
     def test_sv_model_runs(self, tmp_path):
         out = str(tmp_path / "sv")
-        result = run_experiment(fast_config(model="sv", mu=0.0), out)
+        result = run_experiment(fast_config(mu=0.0), out)
         assert result.status == "completed"
         diag = read_diagnostics(os.path.join(out, "diag.csv"))
         # means conserved by exact-derivative structure
         assert abs(diag["Z"][-1] - diag["Z"][0]) <= 1e-10
         assert abs(diag["V"][-1] - diag["V"][0]) <= 1e-10
-
-    def test_sv_equals_gn_at_mu_zero(self, tmp_path):
-        # sv is the mu = 0 case of the one model path: byte-identical data
-        base = fast_config(mu=0.0, t_end=0.5, snapshot_times=(0.5,), rel_tol=1e-11, abs_tol=1e-13)
-        out_sv = str(tmp_path / "sv")
-        out_gn = str(tmp_path / "gn")
-        run_experiment(with_overrides(base, model="sv"), out_sv)
-        run_experiment(with_overrides(base, model="gn"), out_gn)
-        for name in ("diag.csv", "snap_t0.csv", "snap_t0.5.csv", "spec_t0.5.csv"):
-            with open(os.path.join(out_sv, name), "rb") as f1, open(os.path.join(out_gn, name), "rb") as f2:
-                assert f1.read() == f2.read(), name
-
-    def test_sv_forces_and_records_mu_zero(self, tmp_path):
-        # with the default mu = 0.1 the diagnostics must still measure the
-        # hydrostatic system that is integrated, so H is conserved; the tight
-        # tolerances keep the DP5 error (5e-10 at rel_tol = 1e-8) below the bound
-        config = fast_config(model="sv", rel_tol=1e-11, abs_tol=1e-13)
-        assert config.params.mu > 0.0
-        out = str(tmp_path / "sv")
-        assert run_experiment(config, out).status == "completed"
-        with open(os.path.join(out, "config.txt"), encoding="utf-8") as fh:
-            recorded = parse_config(fh.read())
-        assert recorded.params.mu == 0.0
-        assert recorded == with_overrides(config, mu=0.0)
-        diag = read_diagnostics(os.path.join(out, "diag.csv"))
-        assert abs(diag["H"][-1] - diag["H"][0]) <= 1e-10
 
     def test_blowup_records_last_state(self, tmp_path, monkeypatch):
         # inject an underflow mid-run: the record must hold the last healthy
