@@ -7,7 +7,7 @@ import pytest
 import gnwaves.runner as runner_mod
 from gnwaves.cli import main
 from gnwaves.errors import StepUnderflowError
-from gnwaves.io_store import read_diagnostics, read_manifest
+from gnwaves.io_store import read_manifest
 from gnwaves.params import parse_config
 
 from conftest import start_with_flux
@@ -146,27 +146,6 @@ class TestSv:
         assert main(["sv", "--config", str(cfg), "--out", out]) == 0
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "completed" and "model" not in metadata
-
-    def test_sv_record_equals_simulate_at_mu_zero(self, tmp_path):
-        # sv is simulate with mu = 0 over the default mu = 0.1: the same
-        # record byte for byte, config.txt included; the tight tolerances
-        # keep the DP5 error below the bound on the hydrostatic energy H
-        text = FAST.replace("rel_tol = 1e-8", "rel_tol = 1e-11").replace("abs_tol = 1e-10", "abs_tol = 1e-13")
-        (tmp_path / "sv.cfg").write_text(text)
-        (tmp_path / "gn.cfg").write_text(text + "mu = 0\n")
-        out_sv, out_gn = str(tmp_path / "sv"), str(tmp_path / "gn")
-        assert main(["sv", "--config", str(tmp_path / "sv.cfg"), "--out", out_sv]) == 0
-        assert main(["simulate", "--config", str(tmp_path / "gn.cfg"), "--out", out_gn]) == 0
-        _, sums_sv = read_manifest(os.path.join(out_sv, "manifest.txt"))
-        _, sums_gn = read_manifest(os.path.join(out_gn, "manifest.txt"))
-        assert sums_sv == sums_gn and "config.txt" in sums_sv
-        for name in sums_sv:
-            with open(os.path.join(out_sv, name), "rb") as f1, open(os.path.join(out_gn, name), "rb") as f2:
-                assert f1.read() == f2.read(), name
-        with open(os.path.join(out_sv, "config.txt"), encoding="utf-8") as fh:
-            assert parse_config(fh.read()).params.mu == 0.0
-        diag = read_diagnostics(os.path.join(out_sv, "diag.csv"))
-        assert abs(diag["H"][-1] - diag["H"][0]) <= 1e-10
 
     @pytest.mark.parametrize("line", ["model = sv", "initial_condition = rest"])
     def test_retired_keys_are_unknown(self, tmp_path, capsys, line):

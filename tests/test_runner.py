@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import gnwaves.runner as runner_mod
-from gnwaves.cli import _load_config, build_parser
+from gnwaves.cli import _load_config, build_parser, main
 from gnwaves.errors import StepUnderflowError, ValidationError
 from gnwaves.io_store import read_diagnostics, read_manifest, read_snapshot, snapshot_name, spectrum_name
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
-from gnwaves.params import ExperimentConfig, parse_config, with_overrides
+from gnwaves.params import ExperimentConfig, parse_config, serialize_config, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, initial_state, run_experiment
 from gnwaves.spectral import Grid
 
@@ -298,6 +298,39 @@ class TestRunExperiment:
         # means conserved by exact-derivative structure
         assert abs(diag["Z"][-1] - diag["Z"][0]) <= 1e-10
         assert abs(diag["V"][-1] - diag["V"][0]) <= 1e-10
+
+    def test_sv_equals_gn_at_mu_zero(self, tmp_path):
+        # sv is the mu = 0 case of the one model path: `gnwaves sv` writes the
+        # record of run_experiment at mu = 0 byte for byte, config.txt included
+        config = fast_config(t_end=0.5, snapshot_times=(0.5,), rel_tol=1e-11, abs_tol=1e-13)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(serialize_config(config))
+        out_sv, out_gn = str(tmp_path / "sv"), str(tmp_path / "gn")
+        assert main(["sv", "--config", str(cfg), "--out", out_sv]) == 0
+        assert run_experiment(with_overrides(config, mu=0.0), out_gn).status == "completed"
+        _, sums_sv = read_manifest(os.path.join(out_sv, "manifest.txt"))
+        _, sums_gn = read_manifest(os.path.join(out_gn, "manifest.txt"))
+        assert sums_sv == sums_gn and "config.txt" in sums_sv
+        for name in sums_sv:
+            with open(os.path.join(out_sv, name), "rb") as f1, open(os.path.join(out_gn, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+    def test_sv_forces_and_records_mu_zero(self, tmp_path):
+        # with the default mu = 0.1 the diagnostics must still measure the
+        # hydrostatic system that is integrated, so H is conserved; the tight
+        # tolerances keep the DP5 error (5e-10 at rel_tol = 1e-8) below the bound
+        config = fast_config(rel_tol=1e-11, abs_tol=1e-13)
+        assert config.params.mu > 0.0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(serialize_config(config))
+        out = str(tmp_path / "sv")
+        assert main(["sv", "--config", str(cfg), "--out", out]) == 0
+        with open(os.path.join(out, "config.txt"), encoding="utf-8") as fh:
+            recorded = parse_config(fh.read())
+        assert recorded.params.mu == 0.0
+        assert recorded == with_overrides(config, mu=0.0)
+        diag = read_diagnostics(os.path.join(out, "diag.csv"))
+        assert abs(diag["H"][-1] - diag["H"][0]) <= 1e-10
 
     def test_blowup_records_last_state(self, tmp_path, monkeypatch):
         # inject an underflow mid-run: the record must hold the last healthy
