@@ -5,8 +5,8 @@ excess mass Z, the velocity mass V, the horizontal impulse I, and the total
 energy H. The horizontal momentum M is generally *not* conserved under a
 rigid lid and is reported without any conservation claim; the centroid
 quantity C is conserved only in the one-layer limit gamma = 0. The
-hyperbolicity margin and the high-band spectral amplitude flag incipient
-shear instability.
+hyperbolicity margin and the high-band spectral amplitude (the largest
+mode from half-Nyquist up) flag incipient shear instability.
 """
 
 from dataclasses import dataclass, fields
@@ -95,14 +95,11 @@ def centroid(grid, zeta, w, t):
     return grid.dx * float(np.sum(zeta * grid.x - t * w))
 
 
-def band_max(grid, zeta, k_band=None):
-    """max |zeta_hat(k)| over |k| >= k_band (default: half-Nyquist), with the
-    single-mode normalization |zeta_hat| = amplitude/2."""
-    if k_band is None:
-        k_band = 0.5 * grid.nyquist
+def band_max(grid, zeta):
+    """max |zeta_hat(k)| over |k| >= grid.nyquist / 2, with the single-mode
+    normalization |zeta_hat| = amplitude/2."""
     amps = mode_amplitudes(grid, zeta)
-    tail = amps[grid.k >= k_band]
-    return float(tail.max()) if tail.size else 0.0
+    return float(amps[grid.k >= 0.5 * grid.nyquist].max())
 
 
 def hyperbolicity_margin(params, zeta, w):
@@ -113,7 +110,7 @@ def hyperbolicity_margin(params, zeta, w):
     return float(np.min((p.gamma + p.delta) - p.epsilon**2 * (h2**-3 + p.gamma * h1**-3) * w**2))
 
 
-def compute_row(ctx, t, zeta, v, w, k_band=None):
+def compute_row(ctx, t, zeta, v, w):
     """One diagnostics record from a state snapshot (w already recovered).
 
     At mu = 0 the integrated system is the hydrostatic one, v equals vbar,
@@ -133,5 +130,5 @@ def compute_row(ctx, t, zeta, v, w, k_band=None):
         M=momentum(grid, ctx.params, w),
         C=centroid(grid, zeta, w, t),
         hyp_margin=hyp_margin,
-        high_band=band_max(grid, zeta, k_band),
+        high_band=band_max(grid, zeta),
     )

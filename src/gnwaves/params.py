@@ -11,7 +11,8 @@ The keys are the fields of :class:`PhysParams` and :class:`ExperimentConfig`,
 and ``_FORMATS`` declares the format once per field type, so an accepted
 config writes a ``config.txt`` that parses back to it. The hydrostatic model
 is the config with ``mu = 0``, the fluid at rest the one with
-``ic_amplitude = 0``.
+``ic_amplitude = 0``. No key shapes the run record: every record has a
+spectrum beside each snapshot and a diagnostics row per accepted step.
 """
 
 import math
@@ -77,10 +78,10 @@ def _check_fields(config):
     """Raise ValidationError for the first field of ``config`` whose value
     the check of its type refuses (a nested PhysParams checked itself)."""
     for f in fields(config):
-        if f.type is not PhysParams:
-            problem = _FORMATS[f.type][2](getattr(config, f.name))
-            if problem:
-                raise ValidationError(f.name, problem)
+        check = _kind(PhysParams, "a PhysParams") if f.type is PhysParams else _FORMATS[f.type][2]
+        problem = check(getattr(config, f.name))
+        if problem:
+            raise ValidationError(f.name, problem)
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,7 @@ class ExperimentConfig:
     ic_amplitude: float = -1.0            # zeta0 = ic_amplitude * exp(-ic_width x^2)
     ic_width: float = 4.0
     snapshot_times: tuple = ()            # empty -> snapshot at t_end only; each <= t_end
-    write_spectra: bool = True
-    diag_stride: int = 1
     dealias: bool = False
-    k_band: float | None = None           # None -> half-Nyquist
     cg_tol: float = CG_TOL
     cg_max_iter: int = CG_MAX_ITER
 
@@ -142,10 +140,6 @@ class ExperimentConfig:
                 raise ValidationError(name, f"must be positive, got {value}")
         if any(t < 0 for t in self.snapshot_times):
             raise ValidationError("snapshot_times", "times must be nonnegative")
-        if self.diag_stride < 1:
-            raise ValidationError("diag_stride", "must be >= 1")
-        if self.k_band is not None and self.k_band < 0:
-            raise ValidationError("k_band", "must be nonnegative")
         if self.cg_max_iter < 1:
             raise ValidationError("cg_max_iter", "must be >= 1")
         # a time past t_end is never reached, and two times with one file

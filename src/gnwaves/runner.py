@@ -160,12 +160,12 @@ def run_experiment(config, out_dir, force=False):
     """Run one experiment into out_dir.
 
     The integrator steps the stacked state y = (zeta, v), a (2, n) array.
-    A diagnostics row is written at t = 0, after every ``diag_stride``-th
-    accepted step, and for the last accepted state when the stride skipped
-    it. With ``force``, an earlier record in out_dir is replaced (its files
-    are removed first). An initial state that already cavitates is a
-    configuration error (ValidationError), raised before anything is
-    written."""
+    A diagnostics row is written at t = 0 and after every accepted step, so
+    the last row is that of the last accepted state (at t_end or at a
+    blow-up), and a spectrum beside every snapshot. With ``force``, an
+    earlier record in out_dir is replaced (its files are removed first). An
+    initial state that already cavitates is a configuration error
+    (ValidationError), raised before anything is written."""
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
     spec = build_multiplier(config)
@@ -192,13 +192,12 @@ def run_experiment(config, out_dir, force=False):
     def save_state(t, zeta, w):
         snap = snapshot_name(t)
         checksums[snap] = write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
-        if config.write_spectra:
-            spec_file = spectrum_name(t)
-            checksums[spec_file] = write_spectrum(os.path.join(out_dir, spec_file), grid, zeta)
+        spec_file = spectrum_name(t)
+        checksums[spec_file] = write_spectrum(os.path.join(out_dir, spec_file), grid, zeta)
 
     status, reason = "completed", ""
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
-        diag.append(compute_row(ctx, 0.0, zeta0, v0, w0, config.k_band))
+        diag.append(compute_row(ctx, 0.0, zeta0, v0, w0))
         save_state(0.0, zeta0, w0)
         accepted_w = w0  # flux of the last accepted state, for the blow-up snapshot
 
@@ -206,8 +205,7 @@ def run_experiment(config, out_dir, force=False):
         def on_step(t, y, stats):
             nonlocal accepted_w
             accepted_w = workspace.w_prev
-            if stats.accepted % config.diag_stride == 0:
-                diag.append(compute_row(ctx, t, *y, accepted_w, config.k_band))
+            diag.append(compute_row(ctx, t, *y, accepted_w))
 
         def on_snapshot(t, y):
             save_state(t, y[0], workspace.w_prev)
@@ -230,9 +228,6 @@ def run_experiment(config, out_dir, force=False):
                 reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
             t_final, y_final, stats = blowup.t, blowup.state, blowup.stats
             save_state(t_final, y_final[0], accepted_w)
-        if stats.accepted % config.diag_stride:
-            # the stride skipped the last accepted state's row
-            diag.append(compute_row(ctx, t_final, *y_final, accepted_w, config.k_band))
     checksums["diag.csv"] = diag.hexdigest()
 
     metadata = {

@@ -147,9 +147,13 @@ class TestSv:
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "completed" and "model" not in metadata
 
-    @pytest.mark.parametrize("line", ["model = sv", "initial_condition = rest"])
+    @pytest.mark.parametrize(
+        "line",
+        ["model = sv", "initial_condition = rest", "write_spectra = true", "diag_stride = 1", "k_band = auto"],
+    )
     def test_retired_keys_are_unknown(self, tmp_path, capsys, line):
-        # mu = 0 and ic_amplitude = 0 say what these keys said
+        # mu = 0 and ic_amplitude = 0 say what the first two keys said; every
+        # record has spectra, a row per accepted step and the half-Nyquist band
         cfg = tmp_path / "old.cfg"
         cfg.write_text(FAST + line + "\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2

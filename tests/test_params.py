@@ -91,7 +91,6 @@ class TestParseConfig:
             ("ic_width", "inf"),
             ("domain_half_length", "inf"),
             ("t_end", "inf"),
-            ("k_band", "inf"),
             ("theta1", "inf"),
             ("snapshot_times", "0.5,inf"),
         ],
@@ -126,10 +125,9 @@ class TestParseConfig:
         assert str(err.value) == f"snapshot_times: {message}"
 
     def test_lists_and_bools(self):
-        config = parse_config("snapshot_times = 0.5,1.0\ndealias = on\nwrite_spectra = false")
+        config = parse_config("snapshot_times = 0.5,1.0\ndealias = on")
         assert config.snapshot_times == (0.5, 1.0)
         assert config.dealias is True
-        assert config.write_spectra is False
 
 
 # the empty snapshot_times line ends in a space, hence the explicit \n
@@ -150,10 +148,7 @@ abs_tol = 1e-12
 ic_amplitude = -1.0
 ic_width = 4.0
 snapshot_times = \n\
-write_spectra = true
-diag_stride = 1
 dealias = false
-k_band = auto
 cg_tol = 1e-12
 cg_max_iter = 200
 """
@@ -168,9 +163,9 @@ class TestSerializeConfig:
         "text,line",
         [
             ("theta1 = 0.25", "theta1 = 0.25"),
-            ("k_band = none", "k_band = auto"),
+            ("theta2 = none", "theta2 = auto"),
             ("snapshot_times = 0.5, 1", "snapshot_times = 0.5,1.0"),
-            ("write_spectra = off", "write_spectra = false"),
+            ("dealias = off", "dealias = false"),
             ("dealias = on", "dealias = true"),
             ("inv_bond = 0", "inv_bond = 0.0"),
         ],
@@ -187,7 +182,7 @@ class TestRoundTrip:
         assert parse_config(serialize_config(config)) == config
 
     def test_round_trip_non_default_ints(self):
-        config = with_overrides(ExperimentConfig(), grid_n=64, diag_stride=3, cg_max_iter=57)
+        config = with_overrides(ExperimentConfig(), grid_n=64, cg_max_iter=57)
         assert parse_config(serialize_config(config)) == config
 
     def test_round_trip_numpy_scalars(self):
@@ -196,13 +191,13 @@ class TestRoundTrip:
             ExperimentConfig(),
             mu=np.float64(0.05),
             t_end=np.float64(2.0),
-            k_band=np.float64(12.5),
+            theta1=np.float64(12.5),
             snapshot_times=tuple(np.linspace(0.5, 1.0, 2)),
             grid_n=np.int64(64),
             dealias=np.True_,
         )
         rows = serialize_config(config).splitlines()
-        for line in ("mu = 0.05", "t_end = 2.0", "k_band = 12.5", "snapshot_times = 0.5,1.0", "grid_n = 64",
+        for line in ("mu = 0.05", "t_end = 2.0", "theta1 = 12.5", "snapshot_times = 0.5,1.0", "grid_n = 64",
                      "dealias = true"):
             assert line in rows
         assert parse_config(serialize_config(config)) == config
@@ -233,7 +228,7 @@ class TestRoundTrip:
         assert parse_config(serialize_config(config)) == config
 
 
-@pytest.mark.parametrize("key", ["grid_n", "diag_stride", "cg_max_iter"])
+@pytest.mark.parametrize("key", ["grid_n", "cg_max_iter"])
 @pytest.mark.parametrize("value", [1.5, True])
 def test_int_fields_reject_float_and_bool(key, value):
     # accepted, either would be written to config.txt as a value that
@@ -255,6 +250,21 @@ def test_every_key_rejects_a_value_of_the_wrong_kind(field):
     with pytest.raises(ValidationError) as err:
         with_overrides(ExperimentConfig(), **{field.name: WRONG_KIND[field.type]})
     assert err.value.field == field.name
+
+
+@pytest.mark.parametrize("value", [None, {"gamma": 0.9}, (0.95, 0.5, 0.1, 0.5, 5e-4)], ids=["None", "dict", "tuple"])
+def test_params_field_must_be_physparams(value):
+    # accepted, serialize_config would fail on it with a bare AttributeError
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig(params=value)
+    assert str(err.value) == f"params: must be a PhysParams, got {value!r}"
+
+
+@pytest.mark.parametrize("key,value", [("write_spectra", False), ("diag_stride", 2), ("k_band", 12.5)])
+def test_retired_keys_are_not_fields(key, value):
+    # every record has spectra, a row per accepted step and the half-Nyquist band
+    with pytest.raises(TypeError):
+        with_overrides(ExperimentConfig(), **{key: value})
 
 
 def test_with_overrides_nested_params():

@@ -8,7 +8,14 @@ import pytest
 import gnwaves.runner as runner_mod
 from gnwaves.cli import _load_config, build_parser, main
 from gnwaves.errors import StepUnderflowError, ValidationError
-from gnwaves.io_store import read_diagnostics, read_manifest, read_snapshot, snapshot_name, spectrum_name
+from gnwaves.io_store import (
+    read_diagnostics,
+    read_manifest,
+    read_snapshot,
+    read_spectrum,
+    snapshot_name,
+    spectrum_name,
+)
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, parse_config, serialize_config, with_overrides
@@ -226,9 +233,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("ending", ["completed", "blowup"])
     def test_stride_keeps_the_last_accepted_row(self, tmp_path, monkeypatch, ending):
-        # diag-compare reads the last row as the final drift: a stride that
-        # skips the last accepted step still ends diag.csv with its row,
-        # the same bytes as in the stride-1 record
+        # diag-compare reads the last row as the final drift: diag.csv holds
+        # the row at t = 0 and one per accepted step, the last one that of
+        # the last accepted state, whether the run completes or blows up
         config = fast_config(t_end=0.5, snapshot_times=())
         if ending == "blowup":
             real_integrate = runner_mod.integrate
@@ -238,19 +245,19 @@ class TestRunExperiment:
                 raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
 
             monkeypatch.setattr(runner_mod, "integrate", cut_short)
-        every, strided = str(tmp_path / "every"), str(tmp_path / "strided")
-        result = run_experiment(config, every)
+        out = str(tmp_path / "run")
+        result = run_experiment(config, out)
         assert result.status == ending
-        stride = 4
-        assert result.stats.accepted % stride != 0
-        run_experiment(with_overrides(config, diag_stride=stride), strided)
-        with open(os.path.join(every, "diag.csv"), encoding="utf-8") as fh:
-            full = fh.read().splitlines()
-        with open(os.path.join(strided, "diag.csv"), encoding="utf-8") as fh:
-            kept = fh.read().splitlines()
-        # header, t = 0, every stride-th accepted step, then the last one
-        assert kept == full[:2] + full[1 + stride :: stride] + full[-1:]
-        assert read_diagnostics(os.path.join(strided, "diag.csv"))["t"][-1] == result.t_final
+        diag = read_diagnostics(os.path.join(out, "diag.csv"))
+        assert diag["t"].size == result.stats.accepted + 1
+        assert diag["t"][0] == 0.0
+        assert diag["t"][-1] == result.t_final
+        assert np.all(np.diff(diag["t"]) > 0)
+        # the last row describes the saved final state and its spectrum
+        _, zeta, _ = read_snapshot(os.path.join(out, snapshot_name(result.t_final)))
+        assert diag["Z"][-1] == Grid(config.grid_n, config.domain_half_length).dx * float(np.sum(zeta))
+        k, amp = read_spectrum(os.path.join(out, spectrum_name(result.t_final)))
+        assert diag["high_band"][-1] == amp[k >= 0.5 * k[-1]].max()
 
     def test_rest_dynamics_flat_diagnostics(self, tmp_path):
         out = str(tmp_path / "rest")
