@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import _write_rows, read_diagnostics, write_manifest, write_text
+from .io_store import _write_rows, read_diagnostics, read_manifest, write_manifest, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
 from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
@@ -80,31 +80,46 @@ def _cmd_simulate(args, **overrides):
     return EXIT_OK
 
 
+def _claim_out_dir(out_dir, generator):
+    """Create out_dir for a command whose manifest names ``generator``. A
+    manifest another generator wrote there (a run record, say) is an error,
+    raised before anything is written; the command's own output is
+    overwritten."""
+    manifest = os.path.join(out_dir, "manifest.txt")
+    owner = read_manifest(manifest)[0].get("generator") if os.path.exists(manifest) else generator
+    if owner != generator:
+        raise ValidationError("out", f"{out_dir} holds the output of {owner}, not of {generator}")
+    os.makedirs(out_dir, exist_ok=True)
+
+
 def _cmd_stability(args):
     config = _load_config(args)
     if args.k_points < 1:
         raise ValidationError("k_points", f"must be >= 1, got {args.k_points}")
     if not (np.isfinite(args.k_max) and args.k_max > 0):
         raise ValidationError("k_max", f"must be finite and positive, got {args.k_max}")
-    os.makedirs(args.out, exist_ok=True)
+    generator = "gnwaves stability"
+    _claim_out_dir(args.out, generator)
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
     path = os.path.join(args.out, "stability.csv")
     digest = _write_rows(path, ",".join(columns), list(columns.values()))
-    write_manifest(args.out, {"generator": "gnwaves stability", "k_points": args.k_points}, {"stability.csv": digest})
+    write_manifest(args.out, {"generator": generator, "k_points": args.k_points}, {"stability.csv": digest})
     print(f"threshold curves -> {path}")
     return EXIT_OK
 
 
 def _cmd_admissibility(args):
     spec = build_multiplier(_load_config(args))
+    generator = "gnwaves admissibility"
+    if args.out:
+        _claim_out_dir(args.out, generator)
     reports = [check_admissibility(spec, layer, mu=1.0) for layer in (1, 2)]
     text = "\n".join(report.summary() for report in reports) + "\n"
     print(text, end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         digest = write_text(os.path.join(args.out, "admissibility.txt"), text)
-        write_manifest(args.out, {"generator": "gnwaves admissibility"}, {"admissibility.txt": digest})
+        write_manifest(args.out, {"generator": generator}, {"admissibility.txt": digest})
     return EXIT_OK
 
 
@@ -135,7 +150,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the flags it reads: stability and diag-compare
-    # run every family, and stability and admissibility overwrite their output
+    # run every family, and stability and admissibility overwrite their own
+    # output
     def command(name, summary, presets=(), out_required=True, force=True, multiplier=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="path to a key = value config file")
@@ -150,9 +166,7 @@ def build_parser():
 
     command("simulate", "run the dispersive model", presets=tuple(PRESETS))
     command("sv", "run the hydrostatic (mu = 0) model")
-    p_stab = command(
-        "stability", "emit instability-threshold curves", presets=("fig1",), force=False, multiplier=False
-    )
+    p_stab = command("stability", "emit instability-threshold curves", force=False, multiplier=False)
     p_stab.add_argument("--k-max", type=float, default=100.0)
     p_stab.add_argument("--k-points", type=int, default=1000)
     command("admissibility", "report multiplier admissibility", out_required=False, force=False)

@@ -6,7 +6,7 @@ directory contains::
 
     config.txt        exact copy of the resolved configuration
     manifest.txt      run metadata + sha256 of every data file
-    diag.csv          one diagnostics row per accepted step (or stride)
+    diag.csv          one diagnostics row at t = 0 and per accepted step
     snap_t<t>.csv     x,zeta,w columns at requested times
     spec_t<t>.csv     k,abs_zeta_hat columns at the same times
 

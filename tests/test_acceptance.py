@@ -1,24 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-execute. The expensive reference runs are shared module-scoped fixtures.
+execute. Criteria 2 and 3a-3c read run records: the reference experiment as
+``run_experiment`` writes it (Lawson stages, the flux of the last stage in
+every diagnostics row), shared by one module-scoped fixture.
 
 Criterion 3 note: without surface tension the classical (identity) model
 is unstable at every high frequency. On 512 points the resolution guard of
 ``runner.guarded_rhs`` sees its flux spectrum rise toward Nyquist and ends
-the run by step-size underflow at the last resolved state (t = 1.501),
+the run by step-size underflow at the last resolved state (t = 1.508),
 before the flow is spectrally destroyed at t = 2. The high band has grown
 by more than four orders by then (3b); the regularized run stays smooth and
 completes (3c).
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
-from gnwaves.diagnostics import band_max, compute_row
-from gnwaves.errors import StepUnderflowError
+from gnwaves.io_store import read_diagnostics
 from gnwaves.multipliers import MultiplierSpec, check_admissibility
 from gnwaves.operators import (
     GNContext,
@@ -29,8 +31,8 @@ from gnwaves.operators import (
     invert_mass_operator,
     rhs,
 )
-from gnwaves.params import PhysParams
-from gnwaves.runner import guarded_rhs
+from gnwaves.params import ExperimentConfig, PhysParams, with_overrides
+from gnwaves.runner import guarded_rhs, run_experiment
 from gnwaves.saint_venant import sv_rhs
 from gnwaves.spectral import Grid, inner
 from gnwaves.stability import euler_coeffs, growth_rates, model_coeffs, threshold_curve
@@ -49,80 +51,30 @@ def _pack(zeta, v):
     return np.stack((zeta, v))
 
 
-def _reference_run(params, spec, t_end=2.0):
-    grid = Grid(512, 4.0)
-    ctx = GNContext(grid, params, spec)
-    zeta0 = -np.exp(-4 * grid.x**2)
-    y0 = _pack(zeta0, np.zeros(grid.n))
-    row0 = compute_row(ctx, 0.0, zeta0, np.zeros(grid.n), np.zeros(grid.n))
-    start = time.monotonic()
-    try:
-        result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, t_end), y0, rel_tol=1e-10, abs_tol=1e-12)
-        status, t_final, y = "completed", result.t, result.y
-    except StepUnderflowError as blowup:
-        status, t_final, y = "blowup", blowup.t, blowup.state
-    elapsed = time.monotonic() - start
-    zeta, v = y
-    row = None
-    if status == "completed":
-        w = invert_mass_operator(ctx, zeta, v)
-        row = compute_row(ctx, t_final, zeta, v, w)
-    return {
-        "grid": grid,
-        "status": status,
-        "t_final": t_final,
-        "zeta": zeta,
-        "row0": row0,
-        "row": row,
-        "elapsed": elapsed,
-        "band0": band_max(grid, zeta0),
-    }
-
-
 @pytest.fixture(scope="module")
-def tension_runs():
-    return {
-        "regularized": _reference_run(REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta)),
-        "improved": _reference_run(REF_PARAMS, MultiplierSpec.improved(REF_PARAMS.delta)),
+def records(tmp_path_factory):
+    """The reference experiment to t = 2 as ``run_experiment`` records it:
+    regularized and improved with surface tension (the fig2 runs), identity
+    and regularized without (fig4). Each entry holds the RunResult, the
+    record's diag.csv columns and the run's wall time."""
+    base = ExperimentConfig()
+    configs = {
+        "regularized": with_overrides(base, multiplier="regularized"),
+        "improved": with_overrides(base, multiplier="improved"),
+        "identity/no_tension": with_overrides(base, multiplier="identity", inv_bond=0.0),
+        "regularized/no_tension": with_overrides(base, multiplier="regularized", inv_bond=0.0),
     }
-
-
-def _lawson_drift_run(params, spec, t_end=2.0):
-    """The tension reference run with the flat-interface linear part
-    integrated exactly (``linear=ctx.linear``, as run_experiment does):
-    the first and last diagnostics rows and the run's time."""
-    grid = Grid(512, 4.0)
-    ctx = GNContext(grid, params, spec)
-    zeta0 = -np.exp(-4 * grid.x**2)
-    start = time.monotonic()
-    result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, t_end), _pack(zeta0, np.zeros(grid.n)),
-                       rel_tol=1e-10, abs_tol=1e-12, linear=ctx.linear)
-    elapsed = time.monotonic() - start
-    assert result.t == t_end
-    zeta, v = result.y
-    return {
-        "status": "completed",
-        "row0": compute_row(ctx, 0.0, zeta0, np.zeros(grid.n), np.zeros(grid.n)),
-        "row": compute_row(ctx, result.t, zeta, v, invert_mass_operator(ctx, zeta, v)),
-        "elapsed": elapsed,
-    }
-
-
-@pytest.fixture(scope="module")
-def lawson_tension_runs():
-    return {
-        "regularized/lawson": _lawson_drift_run(REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta)),
-        "improved/lawson": _lawson_drift_run(REF_PARAMS, MultiplierSpec.improved(REF_PARAMS.delta)),
-    }
-
-
-@pytest.fixture(scope="module")
-def no_tension_runs():
-    params = PhysParams(gamma=0.95, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=0.0)
-    return {
-        "identity": _reference_run(params, MultiplierSpec.identity()),
-        "regularized": _reference_run(params, MultiplierSpec.regularized_for_depth(params.delta)),
-    }
+    out = tmp_path_factory.mktemp("records")
+    runs = {}
+    for name, config in configs.items():
+        start = time.monotonic()
+        result = run_experiment(config, str(out / name.replace("/", "_")))
+        runs[name] = {
+            "result": result,
+            "diag": read_diagnostics(os.path.join(result.out_dir, "diag.csv")),
+            "elapsed": time.monotonic() - start,
+        }
+    return runs
 
 
 def test_criterion_01_rest_state_fixed_point():
@@ -147,44 +99,44 @@ def test_criterion_01_rest_state_fixed_point():
             f"max|state| = {worst:.2e}, {elapsed:.2f} s")
 
 
-def test_criterion_02_conserved_quantity_drift(tension_runs, lawson_tension_runs):
+def test_criterion_02_conserved_quantity_drift(records):
     lines = []
     ok = True
     elapsed = 0.0
-    for name, run in {**tension_runs, **lawson_tension_runs}.items():
+    for name in ("regularized", "improved"):
+        run = records[name]
         elapsed += run["elapsed"]
-        assert run["status"] == "completed"
-        row0, row = run["row0"], run["row"]
-        dz, dv = abs(row.Z - row0.Z), abs(row.V - row0.V)
-        di = abs(row.I - row0.I)
-        dh = abs(row.H - row0.H) / max(abs(row0.H), 1.0)
+        assert run["result"].status == "completed"
+        diag = run["diag"]
+        dz, dv, di, dh = (abs(diag[q][-1] - diag[q][0]) for q in ("Z", "V", "I", "H"))
+        dh /= max(abs(diag["H"][0]), 1.0)
         ok = ok and dz <= 1e-10 and dv <= 1e-10 and di <= 1e-8 and dh <= 1e-8
-        lines.append(f"{name}: dZ={dz:.1e} dV={dv:.1e} dI={di:.1e} dH/H={dh:.1e}")
+        lines.append(f"{name}: dZ={dz:.1e} dV={dv:.1e} dI={di:.1e} dH/H={dh:.4e}")
     ok = ok and elapsed < 120.0
     _report(2, "conserved-quantity drift to t=2", ok, "; ".join(lines) + f"; {elapsed:.1f} s")
 
 
-def test_criterion_03a_identity_no_tension_blowup_exit(no_tension_runs):
-    run = no_tension_runs["identity"]
-    detail = f"status={run['status']} at t={run['t_final']:.3f} (resolution guard of runner.guarded_rhs)"
-    _report("3a", "identity without tension aborts before t=2", run["status"] == "blowup" and run["t_final"] < 2.0, detail)
+def test_criterion_03a_identity_no_tension_blowup_exit(records):
+    result = records["identity/no_tension"]["result"]
+    detail = f"status={result.status} at t={result.t_final:.3f} ({result.reason})"
+    _report("3a", "identity without tension aborts before t=2", result.status == "blowup" and result.t_final < 2.0,
+            detail)
 
 
-def test_criterion_03b_identity_no_tension_band_growth(no_tension_runs):
-    run = no_tension_runs["identity"]
-    band_end = band_max(run["grid"], run["zeta"])
-    floor = max(run["band0"], 1e-300)
-    growth = band_end / floor
+def test_criterion_03b_identity_no_tension_band_growth(records):
+    band = records["identity/no_tension"]["diag"]["high_band"]
+    floor = max(band[0], 1e-300)
+    growth = band[-1] / floor
     _report("3b", "identity high band grows >= 4 orders", growth >= 1e4,
-            f"band {floor:.1e} -> {band_end:.1e} ({np.log10(max(growth, 1e-300)):.1f} orders)")
+            f"band {floor:.1e} -> {band[-1]:.1e} ({np.log10(max(growth, 1e-300)):.1f} orders)")
 
 
-def test_criterion_03c_regularized_no_tension_smooth(no_tension_runs):
-    run = no_tension_runs["regularized"]
-    band_end = band_max(run["grid"], run["zeta"])
-    ok = run["status"] == "completed" and run["t_final"] >= 2.0 and band_end <= 1e-6
+def test_criterion_03c_regularized_no_tension_smooth(records):
+    run = records["regularized/no_tension"]
+    result, band_end = run["result"], run["diag"]["high_band"][-1]
+    ok = result.status == "completed" and result.t_final >= 2.0 and band_end <= 1e-6
     _report("3c", "regularized without tension stays smooth to t=2", ok,
-            f"status={run['status']}, band={band_end:.1e}")
+            f"status={result.status}, band={band_end:.1e}")
 
 
 def test_criterion_04_improved_dispersion_exactness():

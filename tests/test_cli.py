@@ -267,6 +267,23 @@ def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):
             assert checksums == {name: hashlib.sha256(fh.read()).hexdigest()}
 
 
+@pytest.mark.parametrize("argv", [["stability", "--k-points", "7"], ["admissibility"]], ids=lambda argv: argv[0])
+def test_stability_and_admissibility_keep_to_their_own_output(argv, fast_config_path, tmp_path, capsys):
+    # a run record's directory is refused before anything is written, so its
+    # manifest keeps every checksum; the command's own output is rewritten
+    record = tmp_path / "run"
+    assert main(["simulate", "--config", fast_config_path, "--out", str(record)]) == 0
+    manifest, files = (record / "manifest.txt").read_bytes(), sorted(os.listdir(record))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(record)]) == 2
+    assert "out:" in capsys.readouterr().err
+    assert (record / "manifest.txt").read_bytes() == manifest
+    assert sorted(os.listdir(record)) == files
+    own = str(tmp_path / "own")
+    assert main(argv + ["--out", own]) == 0
+    assert main(argv + ["--out", own]) == 0
+
+
 class TestDiagCompare:
     def test_drift_table(self, fast_config_path, tmp_path, capsys):
         out = str(tmp_path / "cmp")
@@ -323,8 +340,13 @@ class TestSimulationPresets:
             # fig4 preset removes surface tension and runs to t = 2
             assert metadata["t_end"] == "2.0"
 
-    def test_fig1_preset_is_stability(self, tmp_path):
-        out = str(tmp_path / "fig1")
-        code = main(["stability", "--out", out, "--preset", "fig1", "--k-points", "20"])
-        assert code == 0
+    def test_fig1_preset_is_stability(self, tmp_path, capsys):
+        # Fig. 1 is what stability writes at the default config; it has no preset
+        out = tmp_path / "fig1"
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--out", str(out), "--preset", "fig1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --preset fig1" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["stability", "--out", str(out), "--k-points", "20"]) == 0
         assert os.path.exists(os.path.join(out, "stability.csv"))

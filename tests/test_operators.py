@@ -340,6 +340,22 @@ def _oracle_capillary_gradient(grid, zeta, params):
     return -(p.gamma + p.delta) * p.inv_bond * ddx(grid, s / np.sqrt(1.0 + slope_sq))
 
 
+def _oracle_r_flux(ctx, h, w):
+    """r_flux written out: u = LAYER_SIGN * w / h per layer, dx F = ik * fsym
+    * rfft through np.fft, h**3 formed here, and R = R_2 - gamma * R_1 in
+    the same operation order."""
+    grid = ctx.grid
+
+    def dxf(u):
+        return np.fft.irfft(grid.ik * ctx.symbols * np.fft.rfft(u), grid.n)
+
+    u = LAYER_SIGN * w / h
+    s = dxf(u)
+    t = dxf(h**3 * s)
+    r1, r2 = 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
+    return r2 - ctx.params.gamma * r1
+
+
 def _oracle_rhs(ctx, zeta, v, workspace=None):
     """rhs as one 1-D transform per tendency wrote it: the flux from the
     oracle CG (pointwise at mu = 0), the zeta-gradient through checked
@@ -359,7 +375,7 @@ def _oracle_rhs(ctx, zeta, v, workspace=None):
     grad = (p.gamma + p.delta) * zeta + _oracle_capillary_gradient(grid, zeta, p)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(ctx, h, w)
+        grad -= p.mu * p.epsilon * _oracle_r_flux(ctx, h, w)
     dzeta = -np.fft.irfft(w_hat * grid.ik, grid.n)
     dv = -ddx(grid, grad)
     if ctx.mask is not None:

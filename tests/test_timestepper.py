@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 import gnwaves.spectral as spectral_mod
+from gnwaves.diagnostics import compute_row
 from gnwaves.errors import StepUnderflowError, ValidationError
 from gnwaves.multipliers import MultiplierSpec
-from gnwaves.operators import GNContext, GNWorkspace
+from gnwaves.operators import GNContext, GNWorkspace, invert_mass_operator
 from gnwaves.runner import guarded_rhs
 from gnwaves.spectral import Grid
 from gnwaves.timestepper import MIN_FACTOR, ModeRotation, integrate
@@ -309,6 +312,29 @@ def test_gn_fifth_order_in_the_step(linear):
     slopes = -np.diff(np.log2(errors))
     assert np.all(slopes >= 4.5), slopes
 
+
+
+def test_plain_dp5_reference_run_keeps_the_conserved_quantities():
+    # the tension reference run of acceptance criterion 2 (n = 512, to t = 2)
+    # with plain Dormand-Prince stages (linear=None), under that criterion's
+    # drift bounds; the final flux comes from a cold CG solve
+    elapsed = 0.0
+    for spec in (MultiplierSpec.regularized_for_depth(REF_PARAMS.delta), MultiplierSpec.improved(REF_PARAMS.delta)):
+        grid = Grid(512, 4.0)
+        ctx = GNContext(grid, REF_PARAMS, spec)
+        zeta0, rest = -np.exp(-4 * grid.x**2), np.zeros(grid.n)
+        start = time.monotonic()
+        result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 2.0), np.stack((zeta0, rest)),
+                           rel_tol=1e-10, abs_tol=1e-12)
+        elapsed += time.monotonic() - start
+        assert result.t == 2.0
+        zeta, v = result.y
+        row0 = compute_row(ctx, 0.0, zeta0, rest, rest)
+        row = compute_row(ctx, result.t, zeta, v, invert_mass_operator(ctx, zeta, v))
+        assert abs(row.Z - row0.Z) <= 1e-10 and abs(row.V - row0.V) <= 1e-10, spec.label
+        assert abs(row.I - row0.I) <= 1e-8, spec.label
+        assert abs(row.H - row0.H) / max(abs(row0.H), 1.0) <= 1e-8, spec.label
+    assert elapsed < 120.0
 
 
 def test_truncated_steps_leave_the_pi_memory_alone():

@@ -4,13 +4,14 @@ they record.
 
     python3 tools/record_oracle.py OUT_DIR
 
-It runs ``gnwaves stability --preset fig1``, ``gnwaves simulate --preset
-fig2/fig3/fig4`` and ``gnwaves sv``, then one record of each workload of
-``perfbench/workloads.py`` (into ``workload/<name>``), with the gnwaves
-package of the checkout this script sits in (its ``src/``). The workload file
-is only read. It prints one ``<record>/<file> <sha256>`` line per data file,
-sorted, taken from the records' manifests. Two checkouts write the same
-records when their outputs are equal:
+It runs ``gnwaves stability`` (Fig. 1, into ``stability_fig1``),
+``gnwaves simulate --preset fig2/fig3/fig4`` and ``gnwaves sv``, then one
+record of each workload of ``perfbench/workloads.py`` (into
+``workload/<name>``), with the gnwaves package of the checkout this script
+sits in (its ``src/``). The workload file is only read. It prints one
+``<record>/<file> <sha256>`` line per data file, sorted, taken from the
+records' manifests. Two checkouts write the same records when their outputs
+are equal:
 
     diff <(python3 A/tools/record_oracle.py outA) <(python3 B/tools/record_oracle.py outB)
 
@@ -32,7 +33,7 @@ from gnwaves.runner import EXIT_OK, run_experiment  # noqa: E402
 
 # (record directory, gnwaves arguments before --out)
 COMMANDS = (
-    ("stability_fig1", ["stability", "--preset", "fig1"]),
+    ("stability_fig1", ["stability"]),
     ("fig2", ["simulate", "--preset", "fig2"]),
     ("fig3", ["simulate", "--preset", "fig3"]),
     ("fig4", ["simulate", "--preset", "fig4"]),
