@@ -11,10 +11,10 @@
 
 import numpy as np
 
+from gnwaves.diagnostics import sv_hyperbolicity_margin
 from gnwaves.multipliers import MultiplierSpec, check_admissibility
 from gnwaves.params import ExperimentConfig, PhysParams, with_overrides
 from gnwaves.runner import run_experiment
-from gnwaves.saint_venant import depth_flux, sv_hyperbolicity_margin
 
 delta = 0.5
 for spec in (
@@ -26,7 +26,7 @@ for spec in (
     print()
 
 params = PhysParams(gamma=0.95, epsilon=0.5, mu=0.0, delta=0.5, inv_bond=5e-4)
-h0 = float(depth_flux(params, np.zeros(8))[0])
+h0 = 1.0 / (params.gamma + params.delta)  # H(0)
 print(f"hydrostatic long-wave speed sqrt((gamma+delta) H(0)) = {np.sqrt((params.gamma + params.delta) * h0):.6f}")
 margin = sv_hyperbolicity_margin(params, np.zeros(8), np.zeros(8))
 print(f"rest-state hyperbolicity margin: {margin:.4f}")

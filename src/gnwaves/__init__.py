@@ -16,7 +16,7 @@ from .operators import (
     rhs,
 )
 from .stability import euler_coeffs, euler_threshold_curve, model_coeffs, threshold_curve
-from .saint_venant import sv_hyperbolicity_margin, sv_rhs
+from .diagnostics import sv_hyperbolicity_margin
 from .timestepper import IntegrationResult, integrate
 from .runner import RunResult, run_experiment
 
@@ -44,7 +44,6 @@ __all__ = [
     "model_coeffs",
     "threshold_curve",
     "sv_hyperbolicity_margin",
-    "sv_rhs",
     "IntegrationResult",
     "integrate",
     "RunResult",

@@ -18,6 +18,7 @@ cause.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -58,26 +59,35 @@ def _load_config(args):
     return config
 
 
+def _print_result(label, result):
+    print(f"{label}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
+    if result.status == "blowup":
+        print(f"  ({result.reason})")
+
+
+def _run_families(config, out_dir, force, prefix=""):
+    """One run of config per built-in family, into out_dir/<prefix><family>;
+    returns (family, RunResult) pairs. A blow-up inside a family comparison
+    is a recorded result, not a batch failure; the per-run manifests carry
+    the status."""
+    results = []
+    for name in FAMILIES:
+        sub = with_overrides(config, multiplier=name)
+        result = run_experiment(sub, os.path.join(out_dir, prefix + name), force=force)
+        _print_result(name, result)
+        results.append((name, result))
+    return results
+
+
 def _cmd_simulate(args, **overrides):
     config = with_overrides(_load_config(args), **overrides)
     preset = getattr(args, "preset", None)
     if preset:
-        config = with_overrides(config, **PRESETS[preset])
-        # a blow-up inside a comparison preset is a recorded result, not a
-        # batch failure; the per-run manifests carry the status
-        for name in FAMILIES:
-            sub = with_overrides(config, multiplier=name)
-            result = run_experiment(sub, os.path.join(args.out, name), force=args.force)
-            print(f"{name}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
-            if result.status == "blowup":
-                print(f"  ({result.reason})")
+        _run_families(with_overrides(config, **PRESETS[preset]), args.out, args.force)
         return EXIT_OK
     result = run_experiment(config, args.out, force=args.force)
-    print(f"{config.multiplier}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
-    if result.status == "blowup":
-        print(f"  ({result.reason})")
-        return EXIT_BLOWUP
-    return EXIT_OK
+    _print_result(config.multiplier, result)
+    return EXIT_BLOWUP if result.status == "blowup" else EXIT_OK
 
 
 def _claim_out_dir(out_dir, generator):
@@ -114,7 +124,7 @@ def _cmd_admissibility(args):
     generator = "gnwaves admissibility"
     if args.out:
         _claim_out_dir(args.out, generator)
-    reports = [check_admissibility(spec, layer, mu=1.0) for layer in (1, 2)]
+    reports = [check_admissibility(spec, layer) for layer in (1, 2)]
     text = "\n".join(report.summary() for report in reports) + "\n"
     print(text, end="")
     if args.out:
@@ -128,19 +138,19 @@ def _cmd_diag_compare(args):
     cases = [("with_tension", config)]
     if args.preset == "table1":
         cases.append(("without_tension", with_overrides(config, inv_bond=0.0)))
-    os.makedirs(args.out, exist_ok=True)
+    generator = "gnwaves diag-compare"
+    _claim_out_dir(args.out, generator)
     lines = ["case,multiplier,status,t_final,dZ,dV,dI,dH"]
     for tag, case_config in cases:
-        for name in FAMILIES:
-            sub = with_overrides(case_config, multiplier=name)
-            result = run_experiment(sub, os.path.join(args.out, f"{tag}_{name}"), force=args.force)
+        for name, result in _run_families(case_config, args.out, args.force, prefix=f"{tag}_"):
             diag = read_diagnostics(os.path.join(result.out_dir, "diag.csv"))
             drifts = [f"{diag[q][-1] - diag[q][0]:.6e}" for q in ("Z", "V", "I", "H")]
             lines.append(",".join([tag, name, result.status, f"{result.t_final:.6g}", *drifts]))
+    text = "\n".join(lines) + "\n"
     path = os.path.join(args.out, "drift_table.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    digest = write_text(path, text)
+    write_manifest(args.out, {"generator": generator}, {"drift_table.csv": digest})
+    print(text, end="")
     print(f"-> {path}")
     return EXIT_OK
 
@@ -152,8 +162,9 @@ def build_parser():
     # each command takes only the flags it reads: stability and diag-compare
     # run every family, and stability and admissibility overwrite their own
     # output
-    def command(name, summary, presets=(), out_required=True, force=True, multiplier=True):
+    def command(name, summary, handler, presets=(), out_required=True, force=True, multiplier=True):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", required=out_required, help="output directory")
         if force:
@@ -164,34 +175,24 @@ def build_parser():
             p.add_argument("--preset", choices=presets, help="bundled experiment preset")
         return p
 
-    command("simulate", "run the dispersive model", presets=tuple(PRESETS))
-    command("sv", "run the hydrostatic (mu = 0) model")
-    p_stab = command("stability", "emit instability-threshold curves", force=False, multiplier=False)
+    command("simulate", "run the dispersive model", _cmd_simulate, presets=tuple(PRESETS))
+    command("sv", "run the hydrostatic (mu = 0) model", functools.partial(_cmd_simulate, mu=0.0))
+    p_stab = command("stability", "emit instability-threshold curves", _cmd_stability, force=False, multiplier=False)
     p_stab.add_argument("--k-max", type=float, default=100.0)
     p_stab.add_argument("--k-points", type=int, default=1000)
-    command("admissibility", "report multiplier admissibility", out_required=False, force=False)
-    command("diag-compare", "conserved-quantity drift across families", presets=("table1",), multiplier=False)
+    command("admissibility", "report multiplier admissibility", _cmd_admissibility, out_required=False, force=False)
+    command("diag-compare", "conserved-quantity drift across families", _cmd_diag_compare,
+            presets=("table1",), multiplier=False)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sv":
-            return _cmd_simulate(args, mu=0.0)
-        if args.command == "stability":
-            return _cmd_stability(args)
-        if args.command == "admissibility":
-            return _cmd_admissibility(args)
-        if args.command == "diag-compare":
-            return _cmd_diag_compare(args)
+        return args.handler(args)
     except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ excess mass Z, the velocity mass V, the horizontal impulse I, and the total
 energy H. The horizontal momentum M is generally *not* conserved under a
 rigid lid and is reported without any conservation claim; the centroid
 quantity C is conserved only in the one-layer limit gamma = 0. The
-hyperbolicity margin and the high-band spectral amplitude (the largest
-mode from half-Nyquist up) flag incipient shear instability.
+hyperbolicity margin (at mu = 0 the Saint-Venant criterion, in terms of the
+depth-flux function H(X) = h1 h2 / (h1 + gamma h2)) and the high-band
+spectral amplitude (the largest mode from half-Nyquist up) flag incipient
+shear instability.
 """
 
 from dataclasses import dataclass, fields
@@ -14,7 +16,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .operators import LAYER_SIGN, _dxf, capillary_density, layer_depths
-from .saint_venant import sv_hyperbolicity_margin
 from .spectral import inner, mode_amplitudes
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
     "centroid",
     "band_max",
     "hyperbolicity_margin",
+    "depth_flux_second",
+    "sv_hyperbolicity_margin",
     "compute_row",
 ]
 
@@ -108,6 +111,19 @@ def hyperbolicity_margin(params, zeta, w):
     h1, h2 = layer_depths(params, zeta)
     p = params
     return float(np.min((p.gamma + p.delta) - p.epsilon**2 * (h2**-3 + p.gamma * h1**-3) * w**2))
+
+
+def depth_flux_second(params, zeta):
+    """d2H/dX2 = -2 gamma (h1 + h2)^2 / (h1 + gamma h2)^3 (closed form)."""
+    h1, h2 = layer_depths(params, zeta)
+    return -2.0 * params.gamma * (h1 + h2) ** 2 / (h1 + params.gamma * h2) ** 3
+
+
+def sv_hyperbolicity_margin(params, zeta, vbar):
+    """min over x of (gamma+delta) + (eps^2/2) H''(eps*zeta) vbar^2; negative
+    values flag loss of hyperbolicity (the shear threshold)."""
+    p = params
+    return float(np.min((p.gamma + p.delta) + 0.5 * p.epsilon**2 * depth_flux_second(p, zeta) * vbar**2))
 
 
 def compute_row(ctx, t, zeta, v, w):

@@ -4,10 +4,8 @@
 class ConfigError(ValueError):
     """Malformed configuration text (carries the offending line number)."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 

@@ -209,14 +209,14 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def _fit_decay(spec, layer, mu, k_pos):
-    """Largest sigma in {1, 1/2, 0} with F(k)*|k|^sigma bounded on the window.
+def _fit_decay(spec, f, k_pos):
+    """Largest sigma in {1, 1/2, 0} with F(k)*|k|^sigma bounded on the window,
+    from the symbol's values f on the positive ladder k_pos.
 
     Boundedness on a finite window is judged by saturation: the sup over the
     outer half must not exceed the sup over the inner half by more than 5%.
     Custom symbols get a log-log least-squares slope instead.
     """
-    f = eval_multiplier(spec, layer, k_pos, mu)
     if spec.kind == "custom":
         mask = f > 0
         slope = np.polyfit(np.log(k_pos[mask]), np.log(f[mask]), 1)[0]
@@ -233,7 +233,7 @@ def _fit_decay(spec, layer, mu, k_pos):
     return 0.0, float(np.max(f)), False
 
 
-def check_admissibility(spec, layer, mu=1.0, k_max=50.0, samples=100):
+def check_admissibility(spec, layer, k_max=50.0, samples=100):
     """Numerically verify admissibility of one layer's symbol.
 
     Sub-additivity of g(k) = |k| F(k) is tested on the full (k, l) lattice of
@@ -246,29 +246,28 @@ def check_admissibility(spec, layer, mu=1.0, k_max=50.0, samples=100):
         raise ValidationError("samples", f"need at least 100 per axis, got {samples}")
     ks = np.linspace(-k_max, k_max, samples)
 
-    def g_of(k):
-        return np.abs(k) * eval_multiplier(spec, layer, k, mu)
+    def symbol(k):
+        """The raw symbol F(k), eval_multiplier at mu = 1; k_max sets the window."""
+        return eval_multiplier(spec, layer, k, 1.0)
 
-    g = g_of(ks)
+    g = np.abs(ks) * symbol(ks)
     # k_i + l_j lands back on a uniform ladder indexed by i + j.
     sums = np.linspace(-2 * k_max, 2 * k_max, 2 * samples - 1)
-    g_sum = g_of(sums)
+    g_sum = np.abs(sums) * symbol(sums)
     idx = np.arange(samples)
     margin = g[:, None] + g[None, :] - g_sum[idx[:, None] + idx[None, :]]
     worst = float(np.min(margin))
 
-    f0 = float(eval_multiplier(spec, layer, 0.0, mu))
+    f0 = float(symbol(0.0))
     h = 1e-6 * k_max
-    fprime0 = float(
-        (eval_multiplier(spec, layer, h, mu) - eval_multiplier(spec, layer, -h, mu)) / (2 * h)
-    )
+    fprime0 = float((symbol(h) - symbol(-h)) / (2 * h))
     # windowed sup |F''| by central second differences on the sample ladder
     dk = ks[1] - ks[0]
-    f_vals = eval_multiplier(spec, layer, ks, mu)
+    f_vals = symbol(ks)
     second = np.abs(f_vals[2:] - 2 * f_vals[1:-1] + f_vals[:-2]) / dk**2
 
     k_pos = np.linspace(k_max / samples, k_max, samples)
-    sigma, k_const, approx = _fit_decay(spec, layer, mu, k_pos)
+    sigma, k_const, approx = _fit_decay(spec, symbol(k_pos), k_pos)
 
     return AdmissibilityReport(
         label=spec.label,

@@ -41,9 +41,7 @@ is applied to them, stacked, when enabled.
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
 up on the module at call time: pocketfft's ufuncs without ``np.fft``'s
-argument handling, bit for bit the same values. Only the dealiasing of
-``saint_venant.sv_rhs``, the independent oracle :func:`rhs` is tested
-against, keeps ``np.fft``.
+argument handling, bit for bit the same values.
 """
 
 import math
@@ -145,12 +143,11 @@ def _dxf(grid, u, dx_symbols):
     return spectral.irfft(dx_symbols * spectral.rfft(u), grid.n)
 
 
-def r_operator(grid, h, u, dx_symbols, cube=None):
+def r_operator(grid, h, u, dx_symbols, cube):
     """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
-    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``), ``cube`` h**3
-    when the caller has it."""
+    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``), ``cube`` h**3."""
     s = _dxf(grid, u, dx_symbols)
-    t = _dxf(grid, (h**3 if cube is None else cube) * s, dx_symbols)
+    t = _dxf(grid, cube * s, dx_symbols)
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
@@ -281,10 +278,12 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=
     )
 
 
-def r_flux(ctx, h, w, cube=None):
+def r_flux(ctx, consts, w):
     """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1] for the
-    stacked depths h (and their cube, when the caller has it)."""
-    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.dx_symbols, cube=cube)
+    stacked depths and their cube held by ``consts``, the
+    :class:`MassConstants` of zeta (mu > 0)."""
+    h = consts.depths
+    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.dx_symbols, consts.cube)
     return r2 - ctx.params.gamma * r1
 
 
@@ -302,14 +301,15 @@ def capillary_gradient(grid, zeta, params):
 def interface_gradient(ctx, zeta, w, consts=None):
     """The zeta-gradient of the energy functional (the bracket inside dt v);
     ``consts`` passes the :class:`MassConstants` of zeta, as :func:`rhs`
-    does."""
+    does; without it they are built here."""
     p = ctx.params
-    h = layer_depths(p, zeta) if consts is None else consts.depths
-    h1, h2 = h
+    if consts is None:
+        consts = MassConstants(ctx, layer_depths(p, zeta))
+    h1, h2 = consts.depths
     grad = (p.gamma + p.delta) * zeta + capillary_gradient(ctx.grid, zeta, p)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(ctx, h, w, cube=None if consts is None else consts.cube)
+        grad -= p.mu * p.epsilon * r_flux(ctx, consts, w)
     return grad
 
 

@@ -23,9 +23,8 @@ every value is bit for bit ``np.fft``'s, without its per-call argument
 handling (most of the cost of an n = 512 transform). Package callers look the
 pair up on this module at call time (``spectral.rfft(...)``), so a tracer or
 counter rebinds two attributes; the Lawson frame changes of
-``timestepper.ModeRotation`` do too. One place keeps ``np.fft`` on purpose:
-the dealias lines of ``saint_venant.sv_rhs``, the independent oracle that
-``operators.rhs`` is tested against.
+``timestepper.ModeRotation`` do too. No module of the package calls
+``np.fft``.
 """
 
 import numpy as np
@@ -105,12 +104,12 @@ def irfft(f_hat, n, out=None):
     return _pocketfft.irfft(f_hat, 1.0 / n, out=out)
 
 
-def _check_field(grid, f, name="field"):
+def _check_field(grid, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n,):
-        raise ValidationError(name, f"expected shape ({grid.n},), got {f.shape}")
+        raise ValidationError("field", f"expected shape ({grid.n},), got {f.shape}")
     if not np.all(np.isfinite(f)):
-        raise CorruptFieldError(f"{name} contains non-finite values")
+        raise CorruptFieldError("field contains non-finite values")
     return f
 
 

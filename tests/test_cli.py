@@ -267,10 +267,15 @@ def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):
             assert checksums == {name: hashlib.sha256(fh.read()).hexdigest()}
 
 
-@pytest.mark.parametrize("argv", [["stability", "--k-points", "7"], ["admissibility"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "argv",
+    [["stability", "--k-points", "7"], ["admissibility"], ["diag-compare", "--force"]],
+    ids=lambda argv: argv[0],
+)
 def test_stability_and_admissibility_keep_to_their_own_output(argv, fast_config_path, tmp_path, capsys):
     # a run record's directory is refused before anything is written, so its
     # manifest keeps every checksum; the command's own output is rewritten
+    argv = argv + ["--config", fast_config_path]
     record = tmp_path / "run"
     assert main(["simulate", "--config", fast_config_path, "--out", str(record)]) == 0
     manifest, files = (record / "manifest.txt").read_bytes(), sorted(os.listdir(record))
@@ -290,8 +295,12 @@ class TestDiagCompare:
         code = main(["diag-compare", "--config", fast_config_path, "--out", out])
         assert code == 0
         path = os.path.join(out, "drift_table.csv")
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().strip().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
+        assert metadata["generator"] == "gnwaves diag-compare"
+        assert checksums == {"drift_table.csv": hashlib.sha256(data).hexdigest()}
+        lines = data.decode("utf-8").strip().splitlines()
         assert lines[0] == "case,multiplier,status,t_final,dZ,dV,dI,dH"
         assert len(lines) == 4  # three multipliers, one case
         for line in lines[1:]:

@@ -51,14 +51,15 @@ class TestLayerOperators:
     def test_r_vanishes_on_constants(self, grid):
         fsym = np.exp(-0.2 * grid.k)
         h = 1.0 + 0.2 * np.cos(2 * np.pi * grid.x / grid.length)
-        out = r_operator(grid, h, np.full(grid.n, -0.4), grid.ik * fsym)
+        out = r_operator(grid, h, np.full(grid.n, -0.4), grid.ik * fsym, h**3)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_r_constant_depth_identity_symbol(self, grid):
         c = 1.1
         k0 = 4 * np.pi / grid.length
         u = np.sin(k0 * grid.x)
-        out = r_operator(grid, np.full(grid.n, c), u, grid.ik * np.ones_like(grid.k))
+        h = np.full(grid.n, c)
+        out = r_operator(grid, h, u, grid.ik * np.ones_like(grid.k), h**3)
         expected = (c**2 * k0**2 / 2.0) * np.cos(k0 * grid.x) ** 2 - (c**2 * k0**2 / 3.0) * u**2
         assert np.allclose(out, expected, rtol=0, atol=1e-11)
 
@@ -636,7 +637,8 @@ class TestRFluxAssembly:
             + 0.5 * (h2 * dxf2(w / h2)) ** 2
             - 0.5 * g * (h1 * dxf1(w / h1)) ** 2
         )
-        assert np.allclose(r_flux(ctx, h, w), expanded, rtol=0, atol=1e-12)
+        consts = MassConstants(ctx, h)
+        assert np.allclose(r_flux(ctx, consts, w), expanded, rtol=0, atol=1e-12)
 
 
 class TestRhs:

@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
+from gnwaves.diagnostics import depth_flux_second, sv_hyperbolicity_margin
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, rhs
 from gnwaves.params import PhysParams
-from gnwaves.saint_venant import (
-    depth_flux,
-    depth_flux_prime,
-    depth_flux_second,
-    sv_hyperbolicity_margin,
-    sv_rhs,
-)
 from gnwaves.spectral import Grid
 from gnwaves.timestepper import integrate
 
 from conftest import random_smooth_field
+from sv_oracle import depth_flux, depth_flux_prime, sv_rhs
 
 
 def sv_params(**overrides):

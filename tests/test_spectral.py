@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -52,7 +55,7 @@ class TestTransformPair:
 class TestTransformRoute:
     """Every package transform, the Lawson frame changes of the timestepper
     included, goes through gnwaves.spectral's pair, looked up at call time;
-    only the Saint-Venant oracle (saint_venant.sv_rhs) keeps np.fft."""
+    no module of the package calls np.fft."""
 
     @pytest.fixture
     def state(self, small_grid):
@@ -84,6 +87,23 @@ class TestTransformRoute:
         assert result.t == 0.05
         config = with_overrides(ExperimentConfig(), grid_n=32, t_end=0.05, snapshot_times=(0.02,), dealias=True)
         assert run_experiment(config, str(tmp_path / "run")).status == "completed"
+
+    def test_no_module_calls_np_fft(self):
+        # the static counterpart of test_no_np_fft_call, which sees only the
+        # paths it drives: no call through np.fft in any package source
+        def dotted(node):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+        calls = []
+        for path in sorted(pathlib.Path(spectral_mod.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and dotted(node.func).startswith(("np.fft.", "numpy.fft.")):
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
     def test_one_mass_application_is_two_round_trips(self, state, monkeypatch):
         ctx, zeta, w, _ = state

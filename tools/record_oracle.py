@@ -5,10 +5,10 @@ they record.
     python3 tools/record_oracle.py OUT_DIR
 
 It runs ``gnwaves stability`` (Fig. 1, into ``stability_fig1``),
-``gnwaves simulate --preset fig2/fig3/fig4`` and ``gnwaves sv``, then one
-record of each workload of ``perfbench/workloads.py`` (into
-``workload/<name>``), with the gnwaves package of the checkout this script
-sits in (its ``src/``). The workload file is only read. It prints one
+``gnwaves simulate --preset fig2/fig3/fig4``, ``gnwaves sv`` and
+``gnwaves diag-compare --preset table1``, then one record of each
+workload of ``perfbench/workloads.py`` (into ``workload/<name>``), with the
+gnwaves package of the checkout this script sits in (its ``src/``). The workload file is only read. It prints one
 ``<record>/<file> <sha256>`` line per data file, sorted, taken from the
 records' manifests. Two checkouts write the same records when their outputs
 are equal:
@@ -38,6 +38,7 @@ COMMANDS = (
     ("fig3", ["simulate", "--preset", "fig3"]),
     ("fig4", ["simulate", "--preset", "fig4"]),
     ("sv", ["sv"]),
+    ("table1", ["diag-compare", "--preset", "table1"]),
 )
 WORKLOADS_FILE = os.path.join(ROOT, "perfbench", "workloads.py")
 
