@@ -25,10 +25,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import _write_rows, read_diagnostics, read_manifest, write_manifest, write_text
+from .io_store import _write_rows, claim_out_dir, read_diagnostics, write_manifest, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
-from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
+from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, GENERATOR, build_multiplier, run_experiment
 from .stability import threshold_table
 
 # simulate --preset: config overrides, then one run per built-in family;
@@ -83,23 +83,13 @@ def _cmd_simulate(args, **overrides):
     config = with_overrides(_load_config(args), **overrides)
     preset = getattr(args, "preset", None)
     if preset:
+        claim_out_dir(args.out, GENERATOR, args.force)
         _run_families(with_overrides(config, **PRESETS[preset]), args.out, args.force)
+        write_manifest(args.out, {"generator": GENERATOR, "records": ",".join(FAMILIES)}, {})
         return EXIT_OK
     result = run_experiment(config, args.out, force=args.force)
     _print_result(config.multiplier, result)
     return EXIT_BLOWUP if result.status == "blowup" else EXIT_OK
-
-
-def _claim_out_dir(out_dir, generator):
-    """Create out_dir for a command whose manifest names ``generator``. A
-    manifest another generator wrote there (a run record, say) is an error,
-    raised before anything is written; the command's own output is
-    overwritten."""
-    manifest = os.path.join(out_dir, "manifest.txt")
-    owner = read_manifest(manifest)[0].get("generator") if os.path.exists(manifest) else generator
-    if owner != generator:
-        raise ValidationError("out", f"{out_dir} holds the output of {owner}, not of {generator}")
-    os.makedirs(out_dir, exist_ok=True)
 
 
 def _cmd_stability(args):
@@ -108,28 +98,26 @@ def _cmd_stability(args):
         raise ValidationError("k_points", f"must be >= 1, got {args.k_points}")
     if not (np.isfinite(args.k_max) and args.k_max > 0):
         raise ValidationError("k_max", f"must be finite and positive, got {args.k_max}")
-    generator = "gnwaves stability"
-    _claim_out_dir(args.out, generator)
+    claim_out_dir(args.out, args.generator, force=True)
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
     path = os.path.join(args.out, "stability.csv")
     digest = _write_rows(path, ",".join(columns), list(columns.values()))
-    write_manifest(args.out, {"generator": generator, "k_points": args.k_points}, {"stability.csv": digest})
+    write_manifest(args.out, {"generator": args.generator, "k_points": args.k_points}, {"stability.csv": digest})
     print(f"threshold curves -> {path}")
     return EXIT_OK
 
 
 def _cmd_admissibility(args):
     spec = build_multiplier(_load_config(args))
-    generator = "gnwaves admissibility"
     if args.out:
-        _claim_out_dir(args.out, generator)
+        claim_out_dir(args.out, args.generator, force=True)
     reports = [check_admissibility(spec, layer) for layer in (1, 2)]
     text = "\n".join(report.summary() for report in reports) + "\n"
     print(text, end="")
     if args.out:
         digest = write_text(os.path.join(args.out, "admissibility.txt"), text)
-        write_manifest(args.out, {"generator": generator}, {"admissibility.txt": digest})
+        write_manifest(args.out, {"generator": args.generator}, {"admissibility.txt": digest})
     return EXIT_OK
 
 
@@ -138,8 +126,7 @@ def _cmd_diag_compare(args):
     cases = [("with_tension", config)]
     if args.preset == "table1":
         cases.append(("without_tension", with_overrides(config, inv_bond=0.0)))
-    generator = "gnwaves diag-compare"
-    _claim_out_dir(args.out, generator)
+    claim_out_dir(args.out, args.generator, args.force)
     lines = ["case,multiplier,status,t_final,dZ,dV,dI,dH"]
     for tag, case_config in cases:
         for name, result in _run_families(case_config, args.out, args.force, prefix=f"{tag}_"):
@@ -149,7 +136,8 @@ def _cmd_diag_compare(args):
     text = "\n".join(lines) + "\n"
     path = os.path.join(args.out, "drift_table.csv")
     digest = write_text(path, text)
-    write_manifest(args.out, {"generator": generator}, {"drift_table.csv": digest})
+    records = ",".join(f"{tag}_{name}" for tag, _ in cases for name in FAMILIES)
+    write_manifest(args.out, {"generator": args.generator, "records": records}, {"drift_table.csv": digest})
     print(text, end="")
     print(f"-> {path}")
     return EXIT_OK
@@ -160,15 +148,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the flags it reads: stability and diag-compare
-    # run every family, and stability and admissibility overwrite their own
-    # output
+    # run every family, and stability and admissibility always replace their
+    # own output
     def command(name, summary, handler, presets=(), out_required=True, force=True, multiplier=True):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, generator=f"gnwaves {name}")
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", required=out_required, help="output directory")
         if force:
-            p.add_argument("--force", action="store_true", help="overwrite an existing run record")
+            p.add_argument("--force", action="store_true", help="replace this command's earlier output in --out")
         if multiplier:
             p.add_argument("--multiplier", help="override the configured multiplier: id|reg|imp|custom:<path>")
         if presets:

@@ -11,7 +11,10 @@ directory contains::
     spec_t<t>.csv     k,abs_zeta_hat columns at the same times
 
 The diagnostics file is appended and flushed row by row, so a crashed or
-blown-up run keeps everything up to its last accepted step.
+blown-up run keeps everything up to its last accepted step. A manifest's
+``generator`` names the command that wrote it, its ``records = a,b,c`` the
+sub-records in its subdirectories; :func:`claim_out_dir` is the one rule for
+what an output directory may hold.
 
 Every writer returns the sha256 of the bytes it wrote (the diagnostics
 writer keeps one as it appends), and the manifest records those digests
@@ -25,6 +28,7 @@ import os
 
 import numpy as np
 
+from .errors import ValidationError
 from .spectral import mode_amplitudes
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "read_diagnostics",
     "write_manifest",
     "read_manifest",
+    "claim_out_dir",
 ]
 
 
@@ -182,3 +187,38 @@ def read_manifest(path):
                 key, _, value = line.partition("=")
                 metadata[key.strip()] = value.strip()
     return metadata, checksums
+
+
+def _remove_output(out_dir):
+    """Remove the files out_dir/manifest.txt lists, then each of its
+    ``records`` by this same rule (and its directory once empty), then the
+    manifest. A name that leaves out_dir, or a link, is never followed."""
+    manifest = os.path.join(out_dir, "manifest.txt")
+    metadata, checksums = read_manifest(manifest)
+    records = metadata.get("records", "").split(",")
+    for name in [*checksums, *records]:
+        path = os.path.join(out_dir, name)
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            continue
+        if name in checksums and os.path.isfile(path):
+            os.remove(path)
+        elif name in records and not os.path.islink(path) and os.path.isfile(os.path.join(path, "manifest.txt")):
+            _remove_output(path)
+            if not os.listdir(path):
+                os.rmdir(path)
+    os.remove(manifest)
+
+
+def claim_out_dir(out_dir, generator, force):
+    """Create out_dir for ``generator``'s output. Another generator's
+    manifest.txt there is an error even with ``force``; the generator's own is
+    an error without ``force`` and removed with it. Errors touch nothing."""
+    manifest = os.path.join(out_dir, "manifest.txt")
+    if os.path.exists(manifest):
+        owner = read_manifest(manifest)[0].get("generator")
+        if owner != generator:
+            raise ValidationError("out", f"{out_dir} holds the output of {owner}, not of {generator}")
+        if not force:
+            raise ValidationError("out", f"{out_dir} already holds output of {generator} (use force to replace it)")
+        _remove_output(out_dir)
+    os.makedirs(out_dir, exist_ok=True)

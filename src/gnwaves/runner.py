@@ -3,7 +3,8 @@
 One call to :func:`run_experiment` builds the grid, multiplier, and initial
 state, integrates to t_end writing diagnostics and snapshots as it goes, and
 finishes the record with a checksummed manifest, which also names the
-Python and numpy versions and the platform that made it. Shear blow-up
+gnwaves, Python and numpy versions and the platform that made it; out_dir
+is claimed by :func:`gnwaves.io_store.claim_out_dir`. Shear blow-up
 (step-size underflow) is a recorded *result*, not an exception: the last
 healthy state is saved and the returned status says "blowup".
 
@@ -39,7 +40,7 @@ from .diagnostics import DiagnosticsRow, compute_row
 from .errors import CavitationError, ConvergenceError, StepUnderflowError, ValidationError
 from .io_store import (
     DiagnosticsWriter,
-    read_manifest,
+    claim_out_dir,
     snapshot_name,
     spectrum_name,
     write_manifest,
@@ -59,6 +60,7 @@ __all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "run
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+GENERATOR = "gnwaves simulate"  # of every run record and of simulate --preset's manifest
 
 
 @dataclass
@@ -123,6 +125,7 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     shrinks to underflow from the last resolved state instead of creeping up
     to the bound.
     """
+    guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
 
     def f(t, y):
         if workspace.resolution_lost_at is not None:
@@ -131,29 +134,12 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
             tendencies = rhs(ctx, *y, workspace=workspace)
         except (CavitationError, ConvergenceError):
             return np.full(y.shape, np.nan)
-        if _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol):
+        if guarded and _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol):
             workspace.resolution_lost_at = t
             return np.full(y.shape, np.nan)
         return tendencies
 
     return f
-
-
-def _prepare_out_dir(out_dir, force):
-    """Create out_dir. A run record already there is an error, or with
-    ``force`` is removed: the files its manifest names, then the manifest;
-    nothing else in out_dir is touched."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = os.path.join(out_dir, "manifest.txt")
-    if not os.path.exists(manifest):
-        return
-    if not force:
-        raise ValidationError("out", f"{out_dir} already holds a run record (use force to overwrite)")
-    _, checksums = read_manifest(manifest)
-    for name in [*checksums, "manifest.txt"]:
-        path = os.path.join(out_dir, name)
-        if os.path.basename(name) == name and os.path.isfile(path):
-            os.remove(path)
 
 
 def run_experiment(config, out_dir, force=False):
@@ -178,7 +164,7 @@ def run_experiment(config, out_dir, force=False):
         layer_depths(config.params, zeta0)
     except CavitationError as exc:
         raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
-    _prepare_out_dir(out_dir, force)
+    claim_out_dir(out_dir, GENERATOR, force)
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 
     w0 = v0 = np.zeros(grid.n)
@@ -231,7 +217,7 @@ def run_experiment(config, out_dir, force=False):
     checksums["diag.csv"] = diag.hexdigest()
 
     metadata = {
-        "generator": f"gnwaves {__version__}",
+        "generator": GENERATOR,
         "multiplier": spec.label,
         "grid_n": grid.n,
         "t_end": config.t_end,
@@ -243,6 +229,7 @@ def run_experiment(config, out_dir, force=False):
         "rejected": stats.rejected,
         "rhs_evals": stats.rhs_evals,
         # the software environment; kept out of every sha256-covered file
+        "gnwaves": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -43,13 +44,6 @@ class TestSimulate:
         assert code == 0
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["multiplier"] == "improved"
-
-    def test_refuses_existing_record(self, fast_config_path, tmp_path, capsys):
-        out = str(tmp_path / "run")
-        assert main(["simulate", "--config", fast_config_path, "--out", out]) == 0
-        assert main(["simulate", "--config", fast_config_path, "--out", out]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert main(["simulate", "--config", fast_config_path, "--out", out, "--force"]) == 0
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -267,26 +261,91 @@ def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):
             assert checksums == {name: hashlib.sha256(fh.read()).hexdigest()}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["stability", "--k-points", "7"], ["admissibility"], ["diag-compare", "--force"]],
-    ids=lambda argv: argv[0],
-)
-def test_stability_and_admissibility_keep_to_their_own_output(argv, fast_config_path, tmp_path, capsys):
-    # a run record's directory is refused before anything is written, so its
-    # manifest keeps every checksum; the command's own output is rewritten
-    argv = argv + ["--config", fast_config_path]
-    record = tmp_path / "run"
-    assert main(["simulate", "--config", fast_config_path, "--out", str(record)]) == 0
-    manifest, files = (record / "manifest.txt").read_bytes(), sorted(os.listdir(record))
-    capsys.readouterr()
-    assert main(argv + ["--out", str(record)]) == 2
-    assert "out:" in capsys.readouterr().err
-    assert (record / "manifest.txt").read_bytes() == manifest
-    assert sorted(os.listdir(record)) == files
-    own = str(tmp_path / "own")
-    assert main(argv + ["--out", own]) == 0
-    assert main(argv + ["--out", own]) == 0
+# the outputs an --out may already hold, and how each is made
+EXISTING = {
+    "record": ["simulate"],
+    "preset": ["simulate", "--preset", "fig4"],
+    "stability": ["stability", "--k-points", "7"],
+    "admissibility": ["admissibility"],
+    "diag-compare": ["diag-compare", "--preset", "table1"],
+}
+# the commands run into them; "+" adds --force
+COMMANDS = {
+    "simulate": ["simulate"],
+    "preset": ["simulate", "--preset", "fig2"],
+    "stability": ["stability", "--k-points", "7"],
+    "admissibility": ["admissibility"],
+    "diag-compare": ["diag-compare"],
+}
+# the records key each command's manifest writes
+RECORDS = {
+    "preset": "identity,regularized,improved",
+    "diag-compare": "with_tension_identity,with_tension_regularized,with_tension_improved",
+}
+# exit code of each command (column) run into each existing output (row):
+# another generator's output is refused even with --force, the command's own
+# is refused without it; stability and admissibility always replace their own
+RULE = """
+              simulate simulate+ preset preset+ stability admissibility diag-compare diag-compare+
+record               2         0      2       0         2             2            2             2
+preset               2         0      2       0         2             2            2             2
+stability            2         2      2       2         0             2            2             2
+admissibility        2         2      2       2         2             0            2             2
+diag-compare         2         2      2       2         2             2            2             0
+"""
+_header, *_rows = (line.split() for line in RULE.strip().splitlines())
+CASES = [(row[0], column, int(code)) for row in _rows for column, code in zip(_header, row[1:])]
+
+
+def _tree(out):
+    """Every file and directory under out, files with their bytes."""
+    tree = {}
+    for root, dirs, files in os.walk(out):
+        tree.update({os.path.relpath(os.path.join(root, name), out): None for name in dirs})
+        for name in files:
+            with open(os.path.join(root, name), "rb") as fh:
+                tree[os.path.relpath(os.path.join(root, name), out)] = fh.read()
+    return tree
+
+
+def _listed(out, rel=""):
+    """The paths out's manifest names: its files and, by the same rule, its
+    records."""
+    metadata, checksums = read_manifest(os.path.join(out, rel, "manifest.txt"))
+    names = {os.path.join(rel, name) for name in [*checksums, "manifest.txt"]}
+    for record in filter(None, metadata.get("records", "").split(",")):
+        names |= {os.path.join(rel, record)} | _listed(out, os.path.join(rel, record))
+    return names
+
+
+@pytest.fixture(scope="module")
+def existing(tmp_path_factory):
+    """One output of each EXISTING kind, made once for the module."""
+    root = tmp_path_factory.mktemp("existing")
+    config = root / "fast.cfg"
+    config.write_text(FAST)
+    for kind, argv in EXISTING.items():
+        assert main(argv + ["--config", str(config), "--out", str(root / kind)]) == 0
+    return root, str(config)
+
+
+@pytest.mark.parametrize("kind,column,code", CASES, ids=[f"{kind}-{column}" for kind, column, _ in CASES])
+def test_out_dir_rule(kind, column, code, existing, tmp_path, capsys):
+    # a refused --out keeps every file and byte; an accepted one holds
+    # exactly what the new manifest names, sub-records included
+    root, config = existing
+    out = tmp_path / "out"
+    shutil.copytree(root / kind, out)
+    before = _tree(out)
+    argv = COMMANDS[column.rstrip("+")] + ["--config", config, "--out", str(out)] + ["--force"] * column.endswith("+")
+    assert main(argv) == code
+    if code:
+        assert "error: out: " in capsys.readouterr().err
+        assert _tree(out) == before
+        return
+    assert set(_tree(out)) == _listed(out)
+    records = read_manifest(out / "manifest.txt")[0].get("records")
+    assert records == RECORDS.get(column.rstrip("+"))
 
 
 class TestDiagCompare:

@@ -1,11 +1,14 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from gnwaves.diagnostics import DiagnosticsRow
+from gnwaves.errors import ValidationError
 from gnwaves.io_store import (
     DiagnosticsWriter,
+    claim_out_dir,
     read_diagnostics,
     read_manifest,
     read_snapshot,
@@ -179,3 +182,38 @@ class TestManifest:
         write_manifest(str(tmp_path), {}, {"a.csv": write_text(tmp_path / "a.csv", tampered)})
         _, after = read_manifest(tmp_path / "manifest.txt")
         assert before["a.csv"] != after["a.csv"]
+
+
+class TestClaimOutDir:
+    def test_force_removes_what_the_manifest_names_and_nothing_outside(self, tmp_path):
+        # a hand-written manifest whose names leave out_dir: they are never
+        # followed, while its own file and sub-record go
+        outside = tmp_path / "outside"
+        (outside / "rec").mkdir(parents=True)
+        for victim in (outside / "victim.txt", outside / "rec" / "data.csv"):
+            victim.write_text("kept\n")
+        write_manifest(str(outside / "rec"), {"generator": "g"}, {"data.csv": "0" * 64})
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "own.csv").write_text("x\n")
+        (out / "notes.txt").write_text("kept\n")
+        write_manifest(str(out / "sub"), {"generator": "g"}, {})
+        os.symlink(outside / "rec", out / "link")
+        names = ["../outside/victim.txt", str(outside / "victim.txt"), "own.csv"]
+        records = ["", ".", "..", "../outside/rec", str(outside / "rec"), "link", "sub"]
+        write_manifest(str(out), {"generator": "g", "records": ",".join(records)}, {n: "0" * 64 for n in names})
+        claim_out_dir(str(out), "g", force=True)
+        assert sorted(os.listdir(out)) == ["link", "notes.txt"]
+        assert sorted(os.listdir(outside)) == ["rec", "victim.txt"]
+        assert sorted(os.listdir(outside / "rec")) == ["data.csv", "manifest.txt"]
+
+    def test_refusals_touch_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.csv").write_text("x\n")
+        write_manifest(str(out), {"generator": "g"}, {"a.csv": "0" * 64})
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        for generator, force in (("other", True), ("other", False), ("g", False)):
+            with pytest.raises(ValidationError, match="out: "):
+                claim_out_dir(str(out), generator, force)
+            assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before

@@ -5,6 +5,7 @@ import platform
 import numpy as np
 import pytest
 
+import gnwaves
 import gnwaves.runner as runner_mod
 from gnwaves.cli import _load_config, build_parser, main
 from gnwaves.errors import StepUnderflowError, ValidationError
@@ -170,6 +171,19 @@ class TestGuardedRhs:
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["reason"] == result.reason
 
+    def test_linear_run_from_kinked_data_completes(self, tmp_path):
+        # at epsilon = 0 rhs forms no product, so nothing can alias: a
+        # Gaussian that is kinked as a periodic field (exp(-4) at x = +-2)
+        # must not read as lost resolution
+        config = with_overrides(
+            ExperimentConfig(), epsilon=0.0, domain_half_length=2.0, ic_width=1.0, t_end=0.5, grid_n=64
+        )
+        out = str(tmp_path / "linear")
+        result = run_experiment(config, out)
+        assert result.status == "completed" and result.t_final == 0.5
+        h = read_diagnostics(os.path.join(out, "diag.csv"))["H"]
+        assert np.max(np.abs(h - h[0])) <= 1e-12 * abs(h[0])
+
 
 class TestRunExperiment:
     def test_record_layout_and_manifest(self, tmp_path):
@@ -291,6 +305,7 @@ class TestRunExperiment:
         run_experiment(fast_config(), out2)
         meta1, sums1 = read_manifest(os.path.join(out1, "manifest.txt"))
         meta2, sums2 = read_manifest(os.path.join(out2, "manifest.txt"))
+        assert meta1["generator"] == "gnwaves simulate" and meta1["gnwaves"] == gnwaves.__version__
         assert meta1["python"] == platform.python_version()
         assert meta1["numpy"] == np.__version__
         assert meta1["platform"] == here
