@@ -3,7 +3,8 @@
 #
 # All three families agree on the smooth main wave. The classical model
 # (identity) additionally grows a high-frequency component out of round-off
-# noise: look at the spectrum files, or at the high_band column of diag.csv.
+# noise: look at the high_band column of diag.csv, or at the spectrum of a
+# snapshot, mode_amplitudes(Grid(n, L), read_snapshot(path)[1]).
 # Conserved-quantity drifts land at integrator accuracy (1e-16 .. 1e-12),
 # except the identity run's impulse, which drifts by about 2e-8 as its
 # high band grows.
@@ -28,4 +29,4 @@ for name in ("identity", "regularized", "improved"):
         f"high_band(t=2)={diag['high_band'][-1]:.2e}"
     )
 
-print(f"run records in {out_root}/<multiplier>/ (snapshots, spectra, diag.csv, manifest)")
+print(f"run records in {out_root}/<multiplier>/ (snapshots, diag.csv, manifest)")

@@ -1,4 +1,4 @@
-"""On-disk run records: snapshots, spectra, diagnostics, manifest.
+"""On-disk run records: snapshots, diagnostics, manifest.
 
 Everything is plain CSV with 17 significant digits (round-trip exact for
 doubles); at 512 grid points, human-diffable text beats binary. A run
@@ -8,18 +8,19 @@ directory contains::
     manifest.txt      run metadata + sha256 of every data file
     diag.csv          one diagnostics row at t = 0 and per accepted step
     snap_t<t>.csv     x,zeta,w columns at requested times
-    spec_t<t>.csv     k,abs_zeta_hat columns at the same times
 
 The diagnostics file is appended and flushed row by row, so a crashed or
-blown-up run keeps everything up to its last accepted step. A manifest's
-``generator`` names the command that wrote it, its ``records = a,b,c`` the
-sub-records in its subdirectories; :func:`claim_out_dir` is the one rule for
-what an output directory may hold.
+blown-up run keeps everything up to its last accepted step. A record holds
+only what cannot be recomputed: the spectrum of a snapshot is
+``mode_amplitudes(Grid(n, L), read_snapshot(path)[1])``, bit for bit. A
+manifest's ``generator`` names the command that wrote it, its ``records =
+a,b,c`` the sub-records in its subdirectories; :func:`claim_out_dir` is the
+one rule for what an output directory may hold.
 
 Every writer returns the sha256 of the bytes it wrote (the diagnostics
 writer keeps one as it appends), and the manifest records those digests
-without reading any file back. The grid column of snapshots and spectra is
-rendered once per grid, as literal text in the row format.
+without reading any file back. The grid column of snapshots is rendered once
+per grid, as literal text in the row format.
 """
 
 import functools
@@ -34,12 +35,10 @@ from .spectral import mode_amplitudes
 __all__ = [
     "format_time_tag",
     "snapshot_name",
-    "spectrum_name",
     "write_text",
     "write_snapshot",
     "read_snapshot",
     "write_spectrum",
-    "read_spectrum",
     "DiagnosticsWriter",
     "read_diagnostics",
     "write_manifest",
@@ -55,10 +54,6 @@ def format_time_tag(t):
 
 def snapshot_name(t):
     return f"snap_t{format_time_tag(t)}.csv"
-
-
-def spectrum_name(t):
-    return f"spec_t{format_time_tag(t)}.csv"
 
 
 def write_text(path, text):
@@ -111,13 +106,8 @@ def read_snapshot(path):
 
 def write_spectrum(path, grid, zeta):
     """CSV ``k,abs_zeta_hat`` over the nonnegative wavenumber ladder;
-    returns its sha256."""
+    returns its sha256. No record writes it (see the module docstring)."""
     return _write_grid_rows(path, "k,abs_zeta_hat", grid, "k", (mode_amplitudes(grid, zeta),))
-
-
-def read_spectrum(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1]
 
 
 class DiagnosticsWriter:

@@ -12,7 +12,7 @@ and ``_FORMATS`` declares the format once per field type, so an accepted
 config writes a ``config.txt`` that parses back to it. The hydrostatic model
 is the config with ``mu = 0``, the fluid at rest the one with
 ``ic_amplitude = 0``. No key shapes the run record: every record has a
-spectrum beside each snapshot and a diagnostics row per accepted step.
+snapshot at t = 0 and a diagnostics row per accepted step, and no spectra.
 """
 
 import math

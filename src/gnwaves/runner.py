@@ -42,10 +42,9 @@ from .io_store import (
     DiagnosticsWriter,
     claim_out_dir,
     snapshot_name,
-    spectrum_name,
     write_manifest,
     write_snapshot,
-    write_spectrum,
+    write_spectrum,  # unused here but stays bound: perfbench/layertrace.py rebinds it
     write_text,
 )
 from .multipliers import FAMILIES, load_symbol_table
@@ -148,10 +147,12 @@ def run_experiment(config, out_dir, force=False):
     The integrator steps the stacked state y = (zeta, v), a (2, n) array.
     A diagnostics row is written at t = 0 and after every accepted step, so
     the last row is that of the last accepted state (at t_end or at a
-    blow-up), and a spectrum beside every snapshot. With ``force``, an
-    earlier record in out_dir is replaced (its files are removed first). An
-    initial state that already cavitates is a configuration error
-    (ValidationError), raised before anything is written."""
+    blow-up), and a snapshot at t = 0, at every snapshot time and at a
+    blow-up; no spectrum is written, as one is recomputed from a snapshot's
+    zeta (see :mod:`gnwaves.io_store`). With ``force``, an earlier record in
+    out_dir is replaced (its files are removed first). An initial state that
+    already cavitates is a configuration error (ValidationError), raised
+    before anything is written."""
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
     spec = build_multiplier(config)
@@ -178,8 +179,6 @@ def run_experiment(config, out_dir, force=False):
     def save_state(t, zeta, w):
         snap = snapshot_name(t)
         checksums[snap] = write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
-        spec_file = spectrum_name(t)
-        checksums[spec_file] = write_spectrum(os.path.join(out_dir, spec_file), grid, zeta)
 
     status, reason = "completed", ""
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:

@@ -147,7 +147,7 @@ class TestSv:
     )
     def test_retired_keys_are_unknown(self, tmp_path, capsys, line):
         # mu = 0 and ic_amplitude = 0 say what the first two keys said; every
-        # record has spectra, a row per accepted step and the half-Nyquist band
+        # record has a row per accepted step and the half-Nyquist band, and no spectra
         cfg = tmp_path / "old.cfg"
         cfg.write_text(FAST + line + "\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from gnwaves.diagnostics import DiagnosticsRow
 from gnwaves.errors import ValidationError
@@ -12,12 +13,9 @@ from gnwaves.io_store import (
     read_diagnostics,
     read_manifest,
     read_snapshot,
-    read_spectrum,
     snapshot_name,
-    spectrum_name,
     write_manifest,
     write_snapshot,
-    write_spectrum,
     write_text,
 )
 from gnwaves.spectral import Grid, mode_amplitudes
@@ -66,7 +64,7 @@ class TestSnapshots:
 
     def test_names(self):
         assert snapshot_name(2.0) == "snap_t2.csv"
-        assert spectrum_name(0.5) == "spec_t0.5.csv"
+        assert snapshot_name(0.5) == "snap_t0.5.csv"
 
 
 def _oracle_rows(header, columns):
@@ -91,13 +89,18 @@ class TestWriterOracle:
         for i, grid in enumerate((Grid(16, 4.0), Grid(16, 2.5), Grid(32, 4.0), Grid(16, 4.0))):
             zeta = np.concatenate([self.SPECIAL, rng.standard_normal(grid.n - len(self.SPECIAL))])
             w = -zeta[::-1]
-            snap, spec = tmp_path / f"snap{i}.csv", tmp_path / f"spec{i}.csv"
+            snap = tmp_path / f"snap{i}.csv"
             snap_digest = write_snapshot(snap, grid, zeta, w)
-            spec_digest = write_spectrum(spec, grid, zeta)
             assert snap.read_bytes() == _oracle_rows("x,zeta,w", (grid.x, zeta, w))
-            assert spec.read_bytes() == _oracle_rows("k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
             assert snap_digest == hashlib.sha256(snap.read_bytes()).hexdigest()
-            assert spec_digest == hashlib.sha256(spec.read_bytes()).hexdigest()
+            # the oracle that a record without spectrum files loses nothing:
+            # x, zeta and w come back with every bit (signed zeros and
+            # subnormals included), so the spectrum recomputed from the file
+            # is the one the run could have written
+            read = read_snapshot(snap)
+            for got, wrote in zip(read, (grid.x, zeta, w)):
+                assert got.tobytes() == wrote.tobytes()
+            assert_array_equal(mode_amplitudes(grid, read[1]), mode_amplitudes(grid, zeta))
 
     def test_write_text_returns_the_digest_of_the_bytes(self, tmp_path):
         text = "a = 1\nnon-ascii \u00b5\n"
@@ -107,18 +110,20 @@ class TestWriterOracle:
 
 
 class TestSpectra:
+    """The spectrum of a record is mode_amplitudes of its snapshot's zeta."""
+
     def test_rest(self, grid, tmp_path):
-        path = tmp_path / "spec.csv"
-        write_spectrum(path, grid, np.zeros(grid.n))
-        k, amp = read_spectrum(path)
-        assert np.array_equal(k, grid.k)
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, grid, np.zeros(grid.n), np.zeros(grid.n))
+        amp = mode_amplitudes(grid, read_snapshot(path)[1])
+        assert grid.k.shape == amp.shape
         assert np.array_equal(amp, np.zeros(grid.n // 2 + 1))
 
     def test_single_mode_single_bin(self, grid, tmp_path):
         k0 = grid.k[5]
-        path = tmp_path / "spec.csv"
-        write_spectrum(path, grid, np.sin(k0 * grid.x))
-        _, amp = read_spectrum(path)
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, grid, np.sin(k0 * grid.x), np.zeros(grid.n))
+        amp = mode_amplitudes(grid, read_snapshot(path)[1])
         assert amp[5] == pytest.approx(0.5, rel=1e-12)
         others = np.delete(amp, 5)
         assert np.max(others) <= 1e-14

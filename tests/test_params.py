@@ -262,7 +262,7 @@ def test_params_field_must_be_physparams(value):
 
 @pytest.mark.parametrize("key,value", [("write_spectra", False), ("diag_stride", 2), ("k_band", 12.5)])
 def test_retired_keys_are_not_fields(key, value):
-    # every record has spectra, a row per accepted step and the half-Nyquist band
+    # every record has a row per accepted step and the half-Nyquist band, and no spectra
     with pytest.raises(TypeError):
         with_overrides(ExperimentConfig(), **{key: value})
 

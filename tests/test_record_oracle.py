@@ -38,3 +38,23 @@ def test_reads_the_benchmark_workloads():
     assert workloads
     for workload in workloads.values():
         assert isinstance(workload.config(), ExperimentConfig)
+
+
+@pytest.mark.parametrize("stray", ["file", "subdirectory"])
+def test_a_record_holding_what_its_manifest_does_not_name_fails(tmp_path, stray):
+    # every record holds exactly what its manifest names: a stray file, or a
+    # subdirectory that its records key does not name, ends the oracle
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("grid_n = 64\nt_end = 0.1\nrel_tol = 1e-8\nabs_tol = 1e-10\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out / "runs" / "one")]) == 0
+    (out / "runs" / "manifest.txt").write_text("generator = gnwaves simulate\nrecords = one\n")
+    assert record_oracle.checksum_lines(str(out))  # a sub-record its parent names
+    if stray == "file":
+        (out / "runs" / "one" / "spec_t0.csv").write_text("k,abs_zeta_hat\n")
+    else:
+        (out / "runs" / "one" / "old").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        record_oracle.checksum_lines(str(out))
+    message = str(exc.value.code)
+    assert "runs/one" in message and ("spec_t0.csv" if stray == "file" else "old") in message

@@ -13,15 +13,15 @@ from gnwaves.io_store import (
     read_diagnostics,
     read_manifest,
     read_snapshot,
-    read_spectrum,
     snapshot_name,
-    spectrum_name,
+    write_manifest,
+    write_text,
 )
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, parse_config, serialize_config, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, initial_state, run_experiment
-from gnwaves.spectral import Grid
+from gnwaves.spectral import Grid, mode_amplitudes
 
 from conftest import start_with_flux
 
@@ -191,8 +191,10 @@ class TestRunExperiment:
         result = run_experiment(fast_config(), out)
         assert result.status == "completed"
         files = set(os.listdir(out))
-        assert {"config.txt", "manifest.txt", "diag.csv", "snap_t0.csv", "spec_t0.csv"} <= files
-        assert "snap_t0.125.csv" in files and "snap_t0.25.csv" in files
+        # a snapshot at t = 0 and at each snapshot time, and no spectra:
+        # they are mode_amplitudes of a snapshot's zeta
+        snaps = {"snap_t0.csv", "snap_t0.125.csv", "snap_t0.25.csv"}
+        assert files == {"config.txt", "manifest.txt", "diag.csv"} | snaps
         metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "completed"
         assert int(metadata["accepted"]) > 0
@@ -237,13 +239,29 @@ class TestRunExperiment:
         # it, and what is no part of a record stays
         out = str(tmp_path / "run")
         run_experiment(fast_config(snapshot_times=(0.1, 0.25)), out)
-        assert {"snap_t0.1.csv", "spec_t0.1.csv"} <= set(os.listdir(out))
+        assert {"snap_t0.1.csv", "snap_t0.25.csv"} <= set(os.listdir(out))
         notes = tmp_path / "run" / "notes.txt"
         notes.write_text("kept\n")
         run_experiment(fast_config(snapshot_times=()), out, force=True)
         _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt", "notes.txt"}
         assert notes.read_text() == "kept\n"
+
+    def test_force_over_an_older_record_removes_its_spectra(self, tmp_path):
+        # a record written while runs still wrote spec_t<t>.csv beside each
+        # snapshot lists them in its manifest; --force removes them and the
+        # new record lists none
+        out = str(tmp_path / "run")
+        run_experiment(fast_config(snapshot_times=()), out)
+        manifest = os.path.join(out, "manifest.txt")
+        metadata, checksums = read_manifest(manifest)
+        checksums["spec_t0.csv"] = write_text(os.path.join(out, "spec_t0.csv"), "k,abs_zeta_hat\n0,0\n")
+        write_manifest(out, metadata, checksums)
+        run_experiment(fast_config(snapshot_times=()), out, force=True)
+        _, checksums = read_manifest(manifest)
+        assert not [name for name in os.listdir(out) if name.startswith("spec_t")]
+        assert not [name for name in checksums if name.startswith("spec_t")]
+        assert set(os.listdir(out)) == set(checksums) | {"manifest.txt"}
 
     @pytest.mark.parametrize("ending", ["completed", "blowup"])
     def test_stride_keeps_the_last_accepted_row(self, tmp_path, monkeypatch, ending):
@@ -268,9 +286,10 @@ class TestRunExperiment:
         assert diag["t"][-1] == result.t_final
         assert np.all(np.diff(diag["t"]) > 0)
         # the last row describes the saved final state and its spectrum
+        grid = Grid(config.grid_n, config.domain_half_length)
         _, zeta, _ = read_snapshot(os.path.join(out, snapshot_name(result.t_final)))
-        assert diag["Z"][-1] == Grid(config.grid_n, config.domain_half_length).dx * float(np.sum(zeta))
-        k, amp = read_spectrum(os.path.join(out, spectrum_name(result.t_final)))
+        assert diag["Z"][-1] == grid.dx * float(np.sum(zeta))
+        k, amp = grid.k, mode_amplitudes(grid, zeta)
         assert diag["high_band"][-1] == amp[k >= 0.5 * k[-1]].max()
 
     def test_rest_dynamics_flat_diagnostics(self, tmp_path):
@@ -291,7 +310,7 @@ class TestRunExperiment:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         run_experiment(fast_config(), out1)
         run_experiment(fast_config(), out2)
-        for name in ("diag.csv", "snap_t0.25.csv", "spec_t0.25.csv", "config.txt"):
+        for name in ("diag.csv", "snap_t0.25.csv", "config.txt"):
             with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
 
@@ -374,9 +393,10 @@ class TestRunExperiment:
         assert result.t_final == pytest.approx(0.05)
         metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "blowup"
-        snap, spec = snapshot_name(result.t_final), spectrum_name(result.t_final)
+        snap = snapshot_name(result.t_final)
         assert snap.startswith("snap_t0.05")
-        assert {snap, spec} <= set(checksums) and {snap, spec} <= set(os.listdir(out))
+        assert set(checksums) == {"config.txt", "diag.csv", "snap_t0.csv", snap}
+        assert set(os.listdir(out)) == set(checksums) | {"manifest.txt"}
         # the recorded w is the flux of the captured state: A[eps*zeta] w = v
         grid = Grid(config.grid_n, config.domain_half_length)
         ctx = GNContext(grid, config.params, build_multiplier(config), cg_tol=config.cg_tol)

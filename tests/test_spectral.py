@@ -8,7 +8,6 @@ from numpy.testing import assert_array_equal
 import gnwaves.spectral as spectral_mod
 from gnwaves.diagnostics import compute_row
 from gnwaves.errors import CorruptFieldError, ValidationError
-from gnwaves.io_store import write_spectrum
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, with_overrides
@@ -80,7 +79,7 @@ class TestTransformRoute:
         invert_mass_operator(ctx, zeta, v)
         apply_mass_operator(ctx, zeta, w)
         compute_row(ctx, 0.0, zeta, v, w)
-        write_spectrum(str(tmp_path / "spectrum.csv"), ctx.grid, zeta)
+        mode_amplitudes(ctx.grid, zeta)
         ddx(ctx.grid, zeta)
         result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 0.05), np.stack((zeta, v)),
                            snapshot_times=(0.02,), linear=ctx.linear)

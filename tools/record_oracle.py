@@ -10,8 +10,9 @@ It runs ``gnwaves stability`` (Fig. 1, into ``stability_fig1``),
 workload of ``perfbench/workloads.py`` (into ``workload/<name>``), with the
 gnwaves package of the checkout this script sits in (its ``src/``). The workload file is only read. It prints one
 ``<record>/<file> <sha256>`` line per data file, sorted, taken from the
-records' manifests. Two checkouts write the same records when their outputs
-are equal:
+records' manifests, and exits non-zero if a record holds a file or
+subdirectory that its manifest does not name. Two checkouts write the same
+records when their outputs are equal:
 
     diff <(python3 A/tools/record_oracle.py outA) <(python3 B/tools/record_oracle.py outB)
 
@@ -53,13 +54,20 @@ def load_workloads():
 
 def checksum_lines(out_dir):
     """Sorted ``<record>/<file> <sha256>`` lines from every manifest.txt
-    under out_dir; <record> is the manifest's directory relative to out_dir."""
+    under out_dir; <record> is the manifest's directory relative to out_dir.
+    A record must hold exactly what its manifest names: a file that no
+    sha256 line lists, or a subdirectory that its ``records`` key does not
+    name, exits non-zero naming the record."""
     lines = []
-    for root, _, files in os.walk(out_dir):
+    for root, dirs, files in os.walk(out_dir):
         if "manifest.txt" not in files:
             continue
         record = os.path.relpath(root, out_dir).replace(os.sep, "/")
-        _, checksums = read_manifest(os.path.join(root, "manifest.txt"))
+        metadata, checksums = read_manifest(os.path.join(root, "manifest.txt"))
+        stray = sorted(set(files) - set(checksums) - {"manifest.txt"})
+        stray += sorted(set(dirs) - set(metadata.get("records", "").split(",")))
+        if stray:
+            sys.exit(f"record_oracle: {record} holds {stray}, which its manifest does not name")
         lines.extend(f"{record}/{name} {digest}" for name, digest in checksums.items())
     return sorted(lines)
 
