@@ -1,13 +1,14 @@
 """On-disk run records: snapshots, diagnostics, manifest.
 
-Everything is plain CSV with 17 significant digits (round-trip exact for
-doubles); at 512 grid points, human-diffable text beats binary. A run
-directory contains::
+A run directory contains::
 
     config.txt        exact copy of the resolved configuration
     manifest.txt      run metadata + sha256 of every data file
     diag.csv          one diagnostics row at t = 0 and per accepted step
-    snap_t<t>.csv     x,zeta,w columns at requested times
+    snap_t<t>.npy     x, zeta, w fields at requested times
+
+A snapshot is a NumPy ``.npy`` (NEP 1) of float64 fields ``x, zeta, w``, exact as
+computed; ``%.17g`` text took 0.76 ms per 512-point snapshot, 12% of a run writing 200.
 
 The diagnostics file is appended and flushed row by row, so a crashed or
 blown-up run keeps everything up to its last accepted step. A record holds
@@ -19,12 +20,11 @@ one rule for what an output directory may hold.
 
 Every writer returns the sha256 of the bytes it wrote (the diagnostics
 writer keeps one as it appends), and the manifest records those digests
-without reading any file back. The grid column of snapshots is rendered once
-per grid, as literal text in the row format.
+without reading any file back.
 """
 
-import functools
 import hashlib
+import io
 import os
 
 import numpy as np
@@ -53,19 +53,25 @@ def format_time_tag(t):
 
 
 def snapshot_name(t):
-    return f"snap_t{format_time_tag(t)}.csv"
+    return f"snap_t{format_time_tag(t)}.npy"
 
 
-def write_text(path, text):
-    """Write ``text`` to path as UTF-8; returns the sha256 hex digest of the
-    bytes written."""
-    data = text.encode("utf-8")
+_SNAPSHOT_DTYPE = np.dtype([("x", "<f8"), ("zeta", "<f8"), ("w", "<f8")])
+
+
+def _write_bytes(path, data):
+    """Write ``data`` to path; returns the sha256 hex digest of it."""
     try:
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
     return hashlib.sha256(data).hexdigest()
+
+
+def write_text(path, text):
+    """Write ``text`` to path as UTF-8; returns the sha256 of the bytes."""
+    return _write_bytes(path, text.encode("utf-8"))
 
 
 def _write_rows(path, header, columns):
@@ -78,36 +84,29 @@ def _write_rows(path, header, columns):
     return write_text(path, header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_row_format(grid, column, fields):
-    """The %-format of a table whose first column is ``grid.<column>``,
-    rendered here once as literal text, followed by ``fields`` free %.17g
-    columns."""
-    row = "%.17g" + ",%%.17g" * fields + "\n"
-    return "".join(row % value for value in getattr(grid, column).tolist())
-
-
-def _write_grid_rows(path, header, grid, column, fields):
-    """:func:`_write_rows` of ``(grid.<column>, *fields)``, with the grid
-    column taken from :func:`_grid_row_format`."""
-    values = np.column_stack(fields).ravel().tolist()
-    return write_text(path, header + "\n" + _grid_row_format(grid, column, len(fields)) % tuple(values))
-
-
 def write_snapshot(path, grid, zeta, w):
-    """CSV ``x,zeta,w`` at 17 significant digits; returns its sha256."""
-    return _write_grid_rows(path, "x,zeta,w", grid, "x", (zeta, w))
+    """``.npy`` of float64 fields ``x, zeta, w``; returns its sha256."""
+    table = np.rec.fromarrays((grid.x, zeta, w), dtype=_SNAPSHOT_DTYPE)
+    buf = io.BytesIO()
+    np.save(buf, table, allow_pickle=False)
+    return _write_bytes(path, buf.getvalue())
 
 
 def read_snapshot(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1], data[:, 2]
+    """``x, zeta, w`` as float64 arrays; another file is a ValueError naming it."""
+    try:
+        table = np.load(path, allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a snapshot: {exc}") from exc
+    if not isinstance(table, np.ndarray) or table.dtype != _SNAPSHOT_DTYPE or table.ndim != 1:
+        raise ValueError(f"{path} is not a snapshot: expected a 1-d array of dtype {_SNAPSHOT_DTYPE}")
+    return tuple(np.ascontiguousarray(table[name]) for name in _SNAPSHOT_DTYPE.names)
 
 
 def write_spectrum(path, grid, zeta):
     """CSV ``k,abs_zeta_hat`` over the nonnegative wavenumber ladder;
     returns its sha256. No record writes it (see the module docstring)."""
-    return _write_grid_rows(path, "k,abs_zeta_hat", grid, "k", (mode_amplitudes(grid, zeta),))
+    return _write_rows(path, "k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
 
 
 class DiagnosticsWriter:

@@ -6,20 +6,23 @@ the test suite.
 ``perfbench/calibrate.py`` paces a timed run by wrapping
 ``DiagnosticsWriter.append``, one kernel call per diagnostics row. The
 benchmark's ``wall_rel`` divides by those calls, so a row written some other
-way would skew it silently.
+way would skew it silently. ``perfbench/gate.py`` reads every benchmarked run
+record (diagnostics, manifest and final snapshot), so a change to the record
+format that breaks it fails here.
 """
 
 import os
 import subprocess
 import sys
 
-from gnwaves.io_store import read_diagnostics
+from gnwaves.io_store import read_diagnostics, read_snapshot, snapshot_name
 from gnwaves.params import ExperimentConfig, serialize_config, with_overrides
 from gnwaves.runner import run_experiment
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 import calibrate  # noqa: E402
+import gate  # noqa: E402
 
 
 def test_setup_probe_builds_the_default_config(tmp_path):
@@ -44,3 +47,13 @@ def test_pace_runs_once_per_diagnostics_row(tmp_path):
     assert rows == result.stats.accepted + 1
     assert pace.calls == rows
     assert pace.wall_s > 0.0 and pace.cpu_s > 0.0
+
+
+def test_gate_passes_a_real_record(tmp_path):
+    config = with_overrides(ExperimentConfig(), grid_n=64, t_end=0.25, snapshot_times=(0.125, 0.25))
+    result = run_experiment(config, str(tmp_path / "run"))
+    again = run_experiment(config, str(tmp_path / "again"))
+    _, zeta_ref, _ = read_snapshot(os.path.join(again.out_dir, snapshot_name(config.t_end)))
+    problems, final_state_err, _ = gate.check_run(None, config, result, zeta_ref)
+    assert problems == []
+    assert final_state_err == 0.0

@@ -8,7 +8,7 @@ import pytest
 import gnwaves.runner as runner_mod
 from gnwaves.cli import main
 from gnwaves.errors import StepUnderflowError
-from gnwaves.io_store import read_manifest
+from gnwaves.io_store import read_manifest, snapshot_name
 from gnwaves.params import parse_config
 
 from conftest import start_with_flux
@@ -164,7 +164,7 @@ class TestSv:
         metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "blowup"
         assert 0.0 < float(metadata["t_final"]) < 2.0
-        snap = [name for name in checksums if name.startswith("snap_t") and name != "snap_t0.csv"]
+        snap = [name for name in checksums if name.startswith("snap_t") and name != snapshot_name(0.0)]
         assert len(snap) == 1
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -28,9 +29,29 @@ def grid():
     return Grid(64, 4.0)
 
 
+SNAPSHOT_DTYPE = np.dtype([("x", "<f8"), ("zeta", "<f8"), ("w", "<f8")])
+
+
+def _npy_parts(path):
+    """(shape, fortran_order, dtype, payload) of an .npy file, parsed by
+    numpy's format reader rather than np.load."""
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        return shape, fortran_order, dtype, fh.read()
+
+
+def _assert_snapshot_file(path, grid, zeta, w):
+    """The file is a 1.0 .npy of (n,) x, zeta, w float64 records, C order,
+    whose payload is the rows of the three columns as little-endian doubles."""
+    shape, fortran_order, dtype, payload = _npy_parts(path)
+    assert (shape, fortran_order, dtype) == ((grid.n,), False, SNAPSHOT_DTYPE)
+    assert payload == np.column_stack((grid.x, zeta, w)).astype("<f8").tobytes()
+
+
 class TestSnapshots:
     def test_rest_state_columns(self, grid, tmp_path):
-        path = tmp_path / "snap_t0.csv"
+        path = tmp_path / snapshot_name(0.0)
         write_snapshot(path, grid, np.zeros(grid.n), np.zeros(grid.n))
         x, zeta, w = read_snapshot(path)
         assert np.array_equal(x, grid.x)
@@ -41,45 +62,78 @@ class TestSnapshots:
         rng = np.random.default_rng(1)
         zeta = random_smooth_field(grid, rng)
         w = random_smooth_field(grid, rng)
-        path = tmp_path / "snap.csv"
+        path = tmp_path / "snap.npy"
         write_snapshot(path, grid, zeta, w)
         _, zeta2, w2 = read_snapshot(path)
-        assert np.array_equal(zeta, zeta2)  # 17 digits round-trips doubles
+        assert np.array_equal(zeta, zeta2)
         assert np.array_equal(w, w2)
 
-    def test_bytes_equal_the_per_value_format(self, tmp_path):
-        # the one %-format over the whole table writes what formatting each
-        # value with f"{v:.17g}", row by row, wrote
+    def test_special_values_bit_for_bit(self, tmp_path):
         special = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, np.inf, -np.inf, np.nan,
                    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -123456.789e-300]
         grid = Grid(16, 4.0)
         zeta = np.array(special + [2.0**-1074 * 3, 1e16 + 2, -1e-5, 7.0])
         w = zeta[::-1] * 0.5
-        path = tmp_path / "snap.csv"
+        path = tmp_path / "snap.npy"
         write_snapshot(path, grid, zeta, w)
-        expected = "x,zeta,w\n" + "".join(
-            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(grid.x, zeta, w)
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
+        _assert_snapshot_file(path, grid, zeta, w)
+        for got, wrote in zip(read_snapshot(path), (grid.x, zeta, w)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == wrote.tobytes()
 
     def test_names(self):
-        assert snapshot_name(2.0) == "snap_t2.csv"
-        assert snapshot_name(0.5) == "snap_t0.5.csv"
+        assert snapshot_name(2.0) == "snap_t2.npy"
+        assert snapshot_name(0.5) == "snap_t0.5.npy"
 
 
-def _oracle_rows(header, columns):
-    """The bytes of a CSV table as one %-format over the whole table,
-    grid column included, wrote them."""
-    table = np.column_stack(columns)
-    rows, cols = table.shape
-    line = "%.17g," * (cols - 1) + "%.17g\n"
-    return (header + "\n" + (line * rows) % tuple(table.ravel().tolist())).encode("utf-8")
+class _Trap:
+    """Unpickling this makes the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+class TestReadSnapshotRejects:
+    """A .npy that is not a snapshot, or no .npy at all, is a ValueError
+    naming the file; an object array is never unpickled."""
+
+    def _rejects(self, path):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_snapshot(path)
+
+    def test_object_array_is_not_unpickled(self, tmp_path):
+        trap = tmp_path / "unpickled"
+        path = tmp_path / "objects.npy"
+        np.save(path, np.array([_Trap(str(trap)), 1.0], dtype=object), allow_pickle=True)
+        self._rejects(path)
+        assert not trap.exists()
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((64, 3)),
+            np.zeros(64, dtype=[("x", "<f8"), ("eta", "<f8"), ("w", "<f8")]),
+            np.zeros(64, dtype=[("x", "<f8"), ("zeta", "<f8")]),
+            np.zeros(64, dtype=[("x", "<f8"), ("zeta", "<f8"), ("w", "<f8"), ("v", "<f8")]),
+            np.zeros((2, 64), dtype=SNAPSHOT_DTYPE),
+        ],
+        ids=["plain_n_by_3", "eta_for_zeta", "no_w", "extra_field", "two_dimensional"],
+    )
+    def test_other_arrays(self, tmp_path, table):
+        path = tmp_path / "table.npy"
+        np.save(path, table)
+        self._rejects(path)
+
+    def test_csv_snapshot(self, tmp_path):
+        path = tmp_path / "snap_t0.csv"
+        path.write_text("x,zeta,w\n0,0,0\n")
+        self._rejects(path)
 
 
 class TestWriterOracle:
-    """The grid column is rendered once per grid; the bytes stay those of
-    the whole-table format."""
-
     SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-310, 1e300, -1e300, 1 / 3, -7.0]
 
     def test_snapshot_and_spectrum_bytes_per_grid(self, tmp_path):
@@ -89,9 +143,9 @@ class TestWriterOracle:
         for i, grid in enumerate((Grid(16, 4.0), Grid(16, 2.5), Grid(32, 4.0), Grid(16, 4.0))):
             zeta = np.concatenate([self.SPECIAL, rng.standard_normal(grid.n - len(self.SPECIAL))])
             w = -zeta[::-1]
-            snap = tmp_path / f"snap{i}.csv"
+            snap = tmp_path / f"snap{i}.npy"
             snap_digest = write_snapshot(snap, grid, zeta, w)
-            assert snap.read_bytes() == _oracle_rows("x,zeta,w", (grid.x, zeta, w))
+            _assert_snapshot_file(snap, grid, zeta, w)
             assert snap_digest == hashlib.sha256(snap.read_bytes()).hexdigest()
             # the oracle that a record without spectrum files loses nothing:
             # x, zeta and w come back with every bit (signed zeros and
@@ -113,7 +167,7 @@ class TestSpectra:
     """The spectrum of a record is mode_amplitudes of its snapshot's zeta."""
 
     def test_rest(self, grid, tmp_path):
-        path = tmp_path / "snap.csv"
+        path = tmp_path / "snap.npy"
         write_snapshot(path, grid, np.zeros(grid.n), np.zeros(grid.n))
         amp = mode_amplitudes(grid, read_snapshot(path)[1])
         assert grid.k.shape == amp.shape
@@ -121,7 +175,7 @@ class TestSpectra:
 
     def test_single_mode_single_bin(self, grid, tmp_path):
         k0 = grid.k[5]
-        path = tmp_path / "snap.csv"
+        path = tmp_path / "snap.npy"
         write_snapshot(path, grid, np.sin(k0 * grid.x), np.zeros(grid.n))
         amp = mode_amplitudes(grid, read_snapshot(path)[1])
         assert amp[5] == pytest.approx(0.5, rel=1e-12)
@@ -171,22 +225,25 @@ class TestDiagnosticsWriter:
 
 class TestManifest:
     def test_checksums_cover_files(self, grid, tmp_path):
-        digest = write_snapshot(tmp_path / "snap_t0.csv", grid, np.zeros(grid.n), np.zeros(grid.n))
-        write_manifest(str(tmp_path), {"status": "completed", "accepted": 10}, {"snap_t0.csv": digest})
+        snap = snapshot_name(0.0)
+        digest = write_snapshot(tmp_path / snap, grid, np.zeros(grid.n), np.zeros(grid.n))
+        write_manifest(str(tmp_path), {"status": "completed", "accepted": 10}, {snap: digest})
         metadata, checksums = read_manifest(tmp_path / "manifest.txt")
         assert metadata["status"] == "completed"
         assert metadata["accepted"] == "10"
-        assert set(checksums) == {"snap_t0.csv"}
-        assert len(checksums["snap_t0.csv"]) == 64
+        assert set(checksums) == {snap}
+        assert len(checksums[snap]) == 64
 
     def test_checksum_detects_modification(self, grid, tmp_path):
-        digest = write_snapshot(tmp_path / "a.csv", grid, np.zeros(grid.n), np.zeros(grid.n))
-        write_manifest(str(tmp_path), {}, {"a.csv": digest})
+        snap = snapshot_name(0.0)
+        digest = write_snapshot(tmp_path / snap, grid, np.zeros(grid.n), np.zeros(grid.n))
+        write_manifest(str(tmp_path), {}, {snap: digest})
         _, before = read_manifest(tmp_path / "manifest.txt")
-        tampered = (tmp_path / "a.csv").read_text(encoding="utf-8") + "tampered\n"
-        write_manifest(str(tmp_path), {}, {"a.csv": write_text(tmp_path / "a.csv", tampered)})
+        tampered = (tmp_path / snap).read_bytes() + b"tampered\n"
+        (tmp_path / snap).write_bytes(tampered)
+        write_manifest(str(tmp_path), {}, {snap: hashlib.sha256(tampered).hexdigest()})
         _, after = read_manifest(tmp_path / "manifest.txt")
-        assert before["a.csv"] != after["a.csv"]
+        assert before[snap] != after[snap]
 
 
 class TestClaimOutDir:

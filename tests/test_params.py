@@ -112,7 +112,7 @@ class TestParseConfig:
             # never reached: the state at t_end would not be recorded either
             pytest.param("t_end = 0.2\nsnapshot_times = 5", "times must not exceed t_end = 0.2", id="past_t_end"),
             pytest.param("snapshot_times = 0.5,2.0000001", "times must not exceed t_end = 2.0", id="just_past_t_end"),
-            # both would write snap_t0.1.csv
+            # both would write snap_t0.1.npy
             pytest.param(
                 "snapshot_times = 0.1000001,0.1000002", "two times share the file name tag '0.1'", id="same_tag"
             ),

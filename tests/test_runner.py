@@ -193,7 +193,7 @@ class TestRunExperiment:
         files = set(os.listdir(out))
         # a snapshot at t = 0 and at each snapshot time, and no spectra:
         # they are mode_amplitudes of a snapshot's zeta
-        snaps = {"snap_t0.csv", "snap_t0.125.csv", "snap_t0.25.csv"}
+        snaps = {snapshot_name(t) for t in (0.0, 0.125, 0.25)}
         assert files == {"config.txt", "manifest.txt", "diag.csv"} | snaps
         metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "completed"
@@ -239,7 +239,7 @@ class TestRunExperiment:
         # it, and what is no part of a record stays
         out = str(tmp_path / "run")
         run_experiment(fast_config(snapshot_times=(0.1, 0.25)), out)
-        assert {"snap_t0.1.csv", "snap_t0.25.csv"} <= set(os.listdir(out))
+        assert {snapshot_name(0.1), snapshot_name(0.25)} <= set(os.listdir(out))
         notes = tmp_path / "run" / "notes.txt"
         notes.write_text("kept\n")
         run_experiment(fast_config(snapshot_times=()), out, force=True)
@@ -247,20 +247,26 @@ class TestRunExperiment:
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt", "notes.txt"}
         assert notes.read_text() == "kept\n"
 
-    def test_force_over_an_older_record_removes_its_spectra(self, tmp_path):
+    @pytest.mark.parametrize(
+        "old,text",
+        [("spec_t0.csv", "k,abs_zeta_hat\n0,0\n"), ("snap_t0.csv", "x,zeta,w\n0,0,0\n")],
+        ids=["spec_t0.csv", "snap_t0.csv"],
+    )
+    def test_force_over_an_older_record_removes_its_retired_files(self, tmp_path, old, text):
         # a record written while runs still wrote spec_t<t>.csv beside each
-        # snapshot lists them in its manifest; --force removes them and the
-        # new record lists none
+        # snapshot, or CSV snapshots, lists them in its manifest; --force
+        # removes them and the new record lists none
         out = str(tmp_path / "run")
         run_experiment(fast_config(snapshot_times=()), out)
         manifest = os.path.join(out, "manifest.txt")
         metadata, checksums = read_manifest(manifest)
-        checksums["spec_t0.csv"] = write_text(os.path.join(out, "spec_t0.csv"), "k,abs_zeta_hat\n0,0\n")
+        checksums[old] = write_text(os.path.join(out, old), text)
         write_manifest(out, metadata, checksums)
         run_experiment(fast_config(snapshot_times=()), out, force=True)
         _, checksums = read_manifest(manifest)
+        assert old not in os.listdir(out)
         assert not [name for name in os.listdir(out) if name.startswith("spec_t")]
-        assert not [name for name in checksums if name.startswith("spec_t")]
+        assert [name for name in checksums if name.endswith(".csv")] == ["diag.csv"]
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt"}
 
     @pytest.mark.parametrize("ending", ["completed", "blowup"])
@@ -310,7 +316,7 @@ class TestRunExperiment:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         run_experiment(fast_config(), out1)
         run_experiment(fast_config(), out2)
-        for name in ("diag.csv", "snap_t0.25.csv", "config.txt"):
+        for name in ("diag.csv", snapshot_name(0.25), "config.txt"):
             with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
 
@@ -395,7 +401,7 @@ class TestRunExperiment:
         assert metadata["status"] == "blowup"
         snap = snapshot_name(result.t_final)
         assert snap.startswith("snap_t0.05")
-        assert set(checksums) == {"config.txt", "diag.csv", "snap_t0.csv", snap}
+        assert set(checksums) == {"config.txt", "diag.csv", snapshot_name(0.0), snap}
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt"}
         # the recorded w is the flux of the captured state: A[eps*zeta] w = v
         grid = Grid(config.grid_n, config.domain_half_length)
@@ -418,6 +424,6 @@ class TestRunExperiment:
                         build_multiplier(config), dealias=True)
         top = slice(config.grid_n // 3 + 1, None)
         assert np.all(ctx.linear.omega[top] == 0.0) and ctx.linear.omega[1 : top.start].min() > 0.0
-        _, zeta0, _ = read_snapshot(os.path.join(out, "snap_t0.csv"))
-        _, zeta, _ = read_snapshot(os.path.join(out, "snap_t0.25.csv"))
+        _, zeta0, _ = read_snapshot(os.path.join(out, snapshot_name(0.0)))
+        _, zeta, _ = read_snapshot(os.path.join(out, snapshot_name(0.25)))
         assert np.max(np.abs(np.fft.rfft(zeta)[top] - np.fft.rfft(zeta0)[top])) <= 1e-13
