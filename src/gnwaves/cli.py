@@ -148,8 +148,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the flags it reads: stability and diag-compare
-    # run every family, and stability and admissibility always replace their
-    # own output
+    # run every family, sv runs at mu = 0, where every family's symbol is 1,
+    # and stability and admissibility always replace their own output
     def command(name, summary, handler, presets=(), out_required=True, force=True, multiplier=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler, generator=f"gnwaves {name}")
@@ -164,7 +164,7 @@ def build_parser():
         return p
 
     command("simulate", "run the dispersive model", _cmd_simulate, presets=tuple(PRESETS))
-    command("sv", "run the hydrostatic (mu = 0) model", functools.partial(_cmd_simulate, mu=0.0))
+    command("sv", "run the hydrostatic (mu = 0) model", functools.partial(_cmd_simulate, mu=0.0), multiplier=False)
     p_stab = command("stability", "emit instability-threshold curves", _cmd_stability, force=False, multiplier=False)
     p_stab.add_argument("--k-max", type=float, default=100.0)
     p_stab.add_argument("--k-points", type=int, default=1000)

@@ -5,10 +5,10 @@ excess mass Z, the velocity mass V, the horizontal impulse I, and the total
 energy H. The horizontal momentum M is generally *not* conserved under a
 rigid lid and is reported without any conservation claim; the centroid
 quantity C is conserved only in the one-layer limit gamma = 0. The
-hyperbolicity margin (at mu = 0 the Saint-Venant criterion, in terms of the
-depth-flux function H(X) = h1 h2 / (h1 + gamma h2)) and the high-band
-spectral amplitude (the largest mode from half-Nyquist up) flag incipient
-shear instability.
+high-band spectral amplitude (the largest mode from half-Nyquist up) flags
+incipient shear instability. ``hyp_margin`` reads the hydrostatic system in
+(zeta, vbar = w/H), H(X) = h1 h2 / (h1 + gamma h2): at mu = 0 it is zero
+where the two characteristic speeds coalesce, at mu > 0 where one is zero.
 """
 
 from dataclasses import dataclass, fields
@@ -106,8 +106,10 @@ def band_max(grid, zeta):
 
 
 def hyperbolicity_margin(params, zeta, w):
-    """min over x of (gamma+delta) - eps^2 (h2^-3 + gamma h1^-3) w^2; a
-    nonpositive value flags departure from the hyperbolic domain."""
+    """min over x of (gamma+delta) - eps^2 (h2^-3 + gamma h1^-3) w^2, which
+    is -lambda_+ lambda_- / H for the hydrostatic characteristic speeds at
+    vbar = w/H: zero where one speed is zero (composite Froude number 1),
+    not where they coalesce; never above the SV margin at vbar = w/H."""
     h1, h2 = layer_depths(params, zeta)
     p = params
     return float(np.min((p.gamma + p.delta) - p.epsilon**2 * (h2**-3 + p.gamma * h1**-3) * w**2))
@@ -120,8 +122,9 @@ def depth_flux_second(params, zeta):
 
 
 def sv_hyperbolicity_margin(params, zeta, vbar):
-    """min over x of (gamma+delta) + (eps^2/2) H''(eps*zeta) vbar^2; negative
-    values flag loss of hyperbolicity (the shear threshold)."""
+    """min over x of (gamma+delta) + (eps^2/2) H''(eps*zeta) vbar^2; zero
+    where the two hydrostatic characteristic speeds coalesce, negative past
+    that loss of hyperbolicity (the shear threshold)."""
     p = params
     return float(np.min((p.gamma + p.delta) + 0.5 * p.epsilon**2 * depth_flux_second(p, zeta) * vbar**2))
 
@@ -130,7 +133,8 @@ def compute_row(ctx, t, zeta, v, w):
     """One diagnostics record from a state snapshot (w already recovered).
 
     At mu = 0 the integrated system is the hydrostatic one, v equals vbar,
-    and hyp_margin is its criterion :func:`sv_hyperbolicity_margin`.
+    and hyp_margin is its criterion :func:`sv_hyperbolicity_margin`; at
+    mu > 0 it is :func:`hyperbolicity_margin`, another condition.
     """
     grid = ctx.grid
     if ctx.params.mu == 0.0:

@@ -35,8 +35,8 @@ solve and the quadratic flux R), and CG's own preconditioner, ``A p`` and
 update buffers per solve. Every floating-point operation stays as it was
 written per application. Pointwise products are evaluated in physical space
 between spectral derivative/multiplier applications; the two tendencies come
-out of one batched inverse transform, and the optional 2/3-rule dealias mask
-is applied to them, stacked, when enabled.
+out of one batched inverse transform after one multiply by the context's
+derivative symbol ``ik``, which carries the optional 2/3-rule mask.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -104,13 +104,14 @@ class GNContext:
 
     Holds the stacked layer symbols (F1, F2) on the wavenumber ladder and
     ``dx_symbols = grid.ik * symbols``, the symbols of dx F1 and dx F2 that
-    every dispersive term applies, formed once per context; the
-    flat-interface symbol A0 of the mass operator used as CG preconditioner
-    (and ``flat_symbol_complex``, the complex copy CG divides by: the cast
-    numpy would otherwise make on every division), the propagator ``linear``
-    of the flat-interface linear part of :func:`rhs` (frequencies
-    omega = |k| sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo); masked with the
-    tendencies under ``dealias``), and the solver/dealias settings.
+    every dispersive term applies, formed once per context; ``ik``, the
+    derivative symbol of the tendencies: ``grid.ik``, or ``grid.ik *
+    dealias_mask(grid)`` under ``dealias``; the flat-interface symbol A0 of
+    the mass operator used as CG preconditioner (and ``flat_symbol_complex``,
+    the complex copy CG divides by: the cast numpy would otherwise make on
+    every division), the propagator ``linear`` of the flat-interface linear
+    part of :func:`rhs` built from the same ``ik`` (frequencies omega = |k|
+    sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), and the solver settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
@@ -129,13 +130,10 @@ class GNContext:
         k = grid.ik.imag
         self.flat_symbol, _ = _flat_interface(params, self.symbols, k)
         self.flat_symbol_complex = self.flat_symbol.astype(complex)
-        self.mask = dealias_mask(grid) if dealias else None
+        self.ik = grid.ik * dealias_mask(grid) if dealias else grid.ik
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
-        upper, lower = -grid.ik / self.flat_symbol, -grid.ik * _restoring_symbol(params, k)
-        if self.mask is not None:
-            upper, lower = upper * self.mask, lower * self.mask
-        self.linear = ModeRotation(upper, lower)
+        self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * _restoring_symbol(params, k))
 
 
 def _dxf(grid, u, dx_symbols):
@@ -320,9 +318,9 @@ def rhs(ctx, zeta, v, workspace=None):
     Builds the :class:`MassConstants` of zeta once, for the CG solve and R.
     Recovers w = A^{-1} v first (warm-started through the workspace, which
     keeps w and its real FFT), then assembles the two exact spatial
-    derivatives, -dx w and -dx of the zeta-gradient, with one batched
-    inverse transform. Hyperbolicity is a monitored diagnostic, not checked
-    here.
+    derivatives, -dx w and -dx of the zeta-gradient, through ``ctx.ik``
+    (so dealiased under ``dealias``) and one batched inverse transform.
+    Hyperbolicity is a monitored diagnostic, not checked here.
     """
     grid = ctx.grid
     consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
@@ -333,15 +331,10 @@ def rhs(ctx, zeta, v, workspace=None):
         workspace.w_prev, workspace.w_hat = w, w_hat
     grad = interface_gradient(ctx, zeta, w, consts=consts)
     spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
-    np.multiply(w_hat, grid.ik, out=spec[0])
-    np.multiply(spectral.rfft(grad), grid.ik, out=spec[1])
+    np.multiply(w_hat, ctx.ik, out=spec[0])
+    np.multiply(spectral.rfft(grad), ctx.ik, out=spec[1])
     out = spectral.irfft(spec, grid.n)
-    np.negative(out, out=out)
-    if ctx.mask is not None:
-        spec = spectral.rfft(out)
-        np.multiply(ctx.mask, spec, out=spec)
-        out = spectral.irfft(spec, grid.n)
-    return out
+    return np.negative(out, out=out)
 
 
 class GNWorkspace:

@@ -141,6 +141,16 @@ class TestSv:
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "completed" and "model" not in metadata
 
+    def test_config_multiplier_key_still_parses(self, tmp_path):
+        # at mu = 0 every family's symbol is 1, so sv takes no --multiplier,
+        # but a config that names one runs and records it
+        cfg = tmp_path / "sv.cfg"
+        cfg.write_text(FAST + "multiplier = improved\n")
+        out = tmp_path / "run"
+        assert main(["sv", "--config", str(cfg), "--out", str(out)]) == 0
+        recorded = parse_config((out / "config.txt").read_text())
+        assert recorded.multiplier == "improved" and recorded.params.mu == 0.0
+
     @pytest.mark.parametrize(
         "line",
         ["model = sv", "initial_condition = rest", "write_spectra = true", "diag_stride = 1", "k_band = auto"],
@@ -381,6 +391,7 @@ class TestDiagCompare:
     [
         ["stability", "--force"],
         ["stability", "--multiplier", "id"],
+        ["sv", "--multiplier", "imp"],
         ["admissibility", "--force"],
         ["diag-compare", "--multiplier", "id"],
     ],

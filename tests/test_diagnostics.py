@@ -5,17 +5,21 @@ from gnwaves.diagnostics import (
     band_max,
     centroid,
     compute_row,
+    depth_flux_second,
     energy,
     hyperbolicity_margin,
     impulse,
     mass,
     momentum,
+    sv_hyperbolicity_margin,
 )
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, apply_mass_operator, invert_mass_operator
 from gnwaves.params import PhysParams
+from gnwaves.spectral import Grid
 
 from conftest import REF_PARAMS, random_smooth_field
+from sv_oracle import depth_flux, depth_flux_prime
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None):
@@ -154,6 +158,44 @@ class TestHyperbolicityMargin:
         m1 = hyperbolicity_margin(p, np.zeros(grid.n), np.full(grid.n, 0.2))
         m2 = hyperbolicity_margin(p, np.zeros(grid.n), np.full(grid.n, 0.6))
         assert m2 < m1 < p.gamma + p.delta
+
+    @staticmethod
+    def pointwise(margin, p, zeta, f):
+        return np.array([margin(p, zeta[j : j + 1], f[j : j + 1]) for j in range(zeta.size)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_what_it_measures(self, seed):
+        # with vbar = w/H, the hydrostatic system (tests/sv_oracle.py) has the
+        # characteristic speeds eps H' vbar +- sqrt(H s), s the SV margin's
+        # integrand. hyp_margin is -(their product)/H, so it is zero where one
+        # speed is zero; the SV margin is zero where the two coalesce, and
+        # hyp_margin = s - eps^2 H'^2 vbar^2 / H is never above it
+        p = REF_PARAMS
+        grid = Grid(64, 4.0)
+        rng = np.random.default_rng(seed)
+        zeta = random_smooth_field(grid, rng, max_abs=0.9)
+        vbar = random_smooth_field(grid, rng, max_abs=5.0)
+        h, h_prime = depth_flux(p, zeta), depth_flux_prime(p, zeta)
+        s = (p.gamma + p.delta) + 0.5 * p.epsilon**2 * depth_flux_second(p, zeta) * vbar**2
+        speed_product = p.epsilon**2 * h_prime**2 * vbar**2 - h * s
+        hyp = self.pointwise(hyperbolicity_margin, p, zeta, h * vbar)
+        sv = self.pointwise(sv_hyperbolicity_margin, p, zeta, vbar)
+        assert np.min(hyp) < 0.0 < np.max(hyp) and np.min(sv) < 0.0 < np.max(sv)
+        assert np.allclose(hyp, -speed_product / h, rtol=0, atol=1e-12 * np.max(np.abs(h * s)))
+        assert np.array_equal(sv, s)
+        assert np.all(hyp <= sv)
+        assert hyperbolicity_margin(p, zeta, h * vbar) <= sv_hyperbolicity_margin(p, zeta, vbar)
+
+    def test_flat_interface_zeros(self):
+        # reference parameters, zeta = 0: hyp_margin reaches 0 at vbar =
+        # 3.368 (speeds -1.121 and 0, SV margin +0.456); the SV margin at
+        # vbar = 4.068 (both speeds -0.677, hyp_margin -0.665)
+        p = REF_PARAMS
+        zeta = np.zeros(1)
+        h = depth_flux(p, zeta)
+        for vbar, hyp, sv in ((3.368, 0.0, 0.456), (4.068, -0.665, 0.0)):
+            assert hyperbolicity_margin(p, zeta, h * vbar) == pytest.approx(hyp, abs=1e-3)
+            assert sv_hyperbolicity_margin(p, zeta, vbar) == pytest.approx(sv, abs=1e-3)
 
 
 class TestTranslationInvariance:

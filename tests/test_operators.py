@@ -22,7 +22,7 @@ from gnwaves.operators import (
     rhs,
 )
 from gnwaves.params import PhysParams
-from gnwaves.spectral import Grid, ddx, inner
+from gnwaves.spectral import Grid, ddx, dealias_mask, inner
 
 from conftest import REF_PARAMS, random_smooth_field
 
@@ -360,8 +360,8 @@ def _oracle_r_flux(ctx, h, w):
 def _oracle_rhs(ctx, zeta, v, workspace=None):
     """rhs as one 1-D transform per tendency wrote it: the flux from the
     oracle CG (pointwise at mu = 0), the zeta-gradient through checked
-    derivatives, -dx of each tendency and the dealias mask applied to each
-    separately. Returns (dzeta, dv)."""
+    derivatives, and -dx of each tendency through the context's derivative
+    symbol, which carries the dealias mask. Returns (dzeta, dv)."""
     p, grid = ctx.params, ctx.grid
     h = _oracle_layer_depths(p, zeta)
     h1, h2 = h
@@ -377,11 +377,8 @@ def _oracle_rhs(ctx, zeta, v, workspace=None):
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
         grad -= p.mu * p.epsilon * _oracle_r_flux(ctx, h, w)
-    dzeta = -np.fft.irfft(w_hat * grid.ik, grid.n)
-    dv = -ddx(grid, grad)
-    if ctx.mask is not None:
-        dzeta = np.fft.irfft(ctx.mask * np.fft.rfft(dzeta), grid.n)
-        dv = np.fft.irfft(ctx.mask * np.fft.rfft(dv), grid.n)
+    dzeta = -np.fft.irfft(w_hat * ctx.ik, grid.n)
+    dv = -np.fft.irfft(np.fft.rfft(grad) * ctx.ik, grid.n)
     return dzeta, dv
 
 
@@ -712,6 +709,41 @@ class TestSymmetries:
         shift = 37
         expected = np.roll(rhs(ctx, zeta, v), shift, axis=-1)
         self.assert_rel_close(rhs(ctx, np.roll(zeta, shift), np.roll(v, shift)), expected)
+
+
+class TestDealias:
+    """Under ``dealias`` the 2/3 rule is part of the context's derivative
+    symbol ``ctx.ik``: rhs and the Lawson propagator apply it with the
+    derivative, with no transform of its own."""
+
+    def test_symbol(self, grid):
+        plain, ctx = make_ctx(grid), make_ctx(grid, dealias=True)
+        assert plain.ik is grid.ik
+        assert np.array_equal(ctx.ik, grid.ik * dealias_mask(grid))
+        # the masked modes have no linear part, so the propagator leaves them be
+        masked = dealias_mask(grid) == 0.0
+        assert np.all(ctx.linear.coef[:, masked] == 0.0) and np.all(ctx.linear.omega[masked] == 0.0)
+        assert np.array_equal(ctx.linear.coef[:, ~masked], plain.linear.coef[:, ~masked])
+
+    @pytest.mark.parametrize("mu", [0.1, 0.0], ids=["mu0.1", "mu0"])
+    @pytest.mark.parametrize("family", list(FAMILY_BUILDERS))
+    def test_rhs_equals_round_trip_mask(self, family, mu):
+        # the earlier form: the plain tendencies, then the mask through one
+        # more rfft/irfft round trip
+        grid = Grid(128, 4.0)
+        p = PhysParams(gamma=0.95, epsilon=0.5, mu=mu, delta=0.5, inv_bond=5e-4)
+        spec = FAMILY_BUILDERS[family](p.delta, None, None)
+        plain, ctx = GNContext(grid, p, spec), GNContext(grid, p, spec, dealias=True)
+        rng = np.random.default_rng(167)
+        zeta = random_smooth_field(grid, rng, max_abs=0.9, modes=30)
+        v = random_smooth_field(grid, rng, modes=30)
+        unmasked = rhs(plain, zeta, v)
+        expected = np.fft.irfft(dealias_mask(grid) * np.fft.rfft(unmasked), grid.n)
+        got = rhs(ctx, zeta, v)
+        for g, e, u in zip(got, expected, unmasked):
+            scale = np.max(np.abs(e))
+            assert np.max(np.abs(u - e)) > 1e-6 * scale  # the mask removes something
+            assert np.max(np.abs(g - e)) <= 1e-14 * scale
 
 
 class TestLinearDispersion:
