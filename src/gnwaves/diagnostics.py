@@ -9,14 +9,21 @@ high-band spectral amplitude (the largest mode from half-Nyquist up) flags
 incipient shear instability. ``hyp_margin`` reads the hydrostatic system in
 (zeta, vbar = w/H), H(X) = h1 h2 / (h1 + gamma h2): at mu = 0 it is zero
 where the two characteristic speeds coalesce, at mu > 0 where one is zero.
+
+A row's transforms are those of one spectral pass at (zeta, w),
+:func:`gnwaves.operators.stage_pass`: the depths, velocities, slope,
+dx F u and zeta_hat it forms feed the energy, the margin and the high band.
+The runner passes the workspace of the accepted (FSAL) stage, whose pass
+``rhs`` has just run, so its rows make no transform; without a stage,
+:func:`compute_row` runs the pass itself, once for the whole row.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import LAYER_SIGN, _dxf, capillary_density, layer_depths
-from .spectral import inner, mode_amplitudes
+from .operators import capillary_density, layer_depths, stage_pass
+from .spectral import inner
 
 __all__ = [
     "DiagnosticsRow",
@@ -62,28 +69,40 @@ def impulse(grid, zeta, v):
     return inner(grid, zeta, v)
 
 
-def energy(ctx, zeta, w):
+def _stage(ctx, zeta, w, stage):
+    """``stage``, or the products of :func:`~gnwaves.operators.stage_pass`
+    at (zeta, w) formed here when it is None."""
+    if stage is None:
+        stage = stage_pass(ctx, zeta, w, layer_depths(ctx.params, zeta))
+    return stage
+
+
+def energy(ctx, zeta, w, stage=None):
     """Total energy
     integral[ (gamma+delta) zeta^2 + capillary
               + sum_i gamma_i ( h_i u_i^2 + (mu/3) h_i (h_i dx F_i u_i)^2 ) ]
     with layer weights (gamma_1, gamma_2) = (gamma, 1).
 
+    The depths, velocities, slope and dx F u are read from ``stage``, the
+    products of the spectral pass at (zeta, w) (the runner passes those of
+    the accepted stage); without it the pass runs here.
     Identically zero at rest, so drift needs no reference subtraction.
     """
     p = ctx.params
-    grid = ctx.grid
-    h = layer_depths(p, zeta)
-    u = LAYER_SIGN * w / h
-    density = (p.gamma + p.delta) * zeta**2 + capillary_density(grid, zeta, p)
+    stage = _stage(ctx, zeta, w, stage)
+    h, u = stage.depths, stage.u
+    density = (p.gamma + p.delta) * zeta**2
+    if p.inv_bond > 0.0:
+        density += capillary_density(p, stage.slope)
     kinetic = np.array([[p.gamma], [1.0]]) * h * u**2
     density += kinetic[0] + kinetic[1]
     if p.mu > 0.0:
-        s = _dxf(grid, u, ctx.dx_symbols)
+        s = stage.dxf_u
         # layer i carries mu*gamma_i/3, rounded as mu*(gamma/3) and mu/3
         dispersive = np.array([[p.mu * (p.gamma / 3.0)], [p.mu / 3.0]]) * h * (h * s) ** 2
         density += dispersive[0]
         density += dispersive[1]
-    return grid.dx * float(np.sum(density))
+    return ctx.grid.dx * float(np.sum(density))
 
 
 def momentum(grid, params, w):
@@ -98,19 +117,21 @@ def centroid(grid, zeta, w, t):
     return grid.dx * float(np.sum(zeta * grid.x - t * w))
 
 
-def band_max(grid, zeta):
-    """max |zeta_hat(k)| over |k| >= grid.nyquist / 2, with the single-mode
-    normalization |zeta_hat| = amplitude/2."""
-    amps = mode_amplitudes(grid, zeta)
+def band_max(grid, zeta_hat):
+    """max |zeta_hat(k)| / n over |k| >= grid.nyquist / 2 for zeta_hat =
+    rfft(zeta): the normalization of ``spectral.mode_amplitudes``, under
+    which a single mode has amplitude/2."""
+    amps = np.abs(zeta_hat) / grid.n
     return float(amps[grid.k >= 0.5 * grid.nyquist].max())
 
 
-def hyperbolicity_margin(params, zeta, w):
+def hyperbolicity_margin(params, zeta, w, depths=None):
     """min over x of (gamma+delta) - eps^2 (h2^-3 + gamma h1^-3) w^2, which
     is -lambda_+ lambda_- / H for the hydrostatic characteristic speeds at
     vbar = w/H: zero where one speed is zero (composite Froude number 1),
-    not where they coalesce; never above the SV margin at vbar = w/H."""
-    h1, h2 = layer_depths(params, zeta)
+    not where they coalesce; never above the SV margin at vbar = w/H.
+    ``depths`` passes ``layer_depths(params, zeta)`` when the caller has it."""
+    h1, h2 = layer_depths(params, zeta) if depths is None else depths
     p = params
     return float(np.min((p.gamma + p.delta) - p.epsilon**2 * (h2**-3 + p.gamma * h1**-3) * w**2))
 
@@ -129,26 +150,32 @@ def sv_hyperbolicity_margin(params, zeta, vbar):
     return float(np.min((p.gamma + p.delta) + 0.5 * p.epsilon**2 * depth_flux_second(p, zeta) * vbar**2))
 
 
-def compute_row(ctx, t, zeta, v, w):
+def compute_row(ctx, t, zeta, v, w, stage=None):
     """One diagnostics record from a state snapshot (w already recovered).
+
+    ``stage`` passes the products of the spectral pass at (zeta, w) (a
+    :class:`~gnwaves.operators.GNWorkspace` right after :func:`rhs` at
+    that state, as the runner's accepted FSAL stage): the row then makes no
+    transform. Without it the pass runs here, once for the whole row.
 
     At mu = 0 the integrated system is the hydrostatic one, v equals vbar,
     and hyp_margin is its criterion :func:`sv_hyperbolicity_margin`; at
     mu > 0 it is :func:`hyperbolicity_margin`, another condition.
     """
     grid = ctx.grid
+    stage = _stage(ctx, zeta, w, stage)
     if ctx.params.mu == 0.0:
         hyp_margin = sv_hyperbolicity_margin(ctx.params, zeta, v)
     else:
-        hyp_margin = hyperbolicity_margin(ctx.params, zeta, w)
+        hyp_margin = hyperbolicity_margin(ctx.params, zeta, w, stage.depths)
     return DiagnosticsRow(
         t=t,
         Z=mass(grid, zeta),
         V=grid.dx * float(np.sum(v)),
         I=impulse(grid, zeta, v),
-        H=energy(ctx, zeta, w),
+        H=energy(ctx, zeta, w, stage),
         M=momentum(grid, ctx.params, w),
         C=centroid(grid, zeta, w, t),
         hyp_margin=hyp_margin,
-        high_band=band_max(grid, zeta),
+        high_band=band_max(grid, stage.zeta_hat),
     )

@@ -9,6 +9,10 @@ A run directory contains::
 
 A snapshot is a NumPy ``.npy`` (NEP 1) of float64 fields ``x, zeta, w``, exact as
 computed; ``%.17g`` text took 0.76 ms per 512-point snapshot, 12% of a run writing 200.
+Its header is formed once per grid size, by ``np.save`` itself, and the
+table is filled field by field behind it: the bytes of ``np.save`` without
+its per-call work (3.8 us instead of 42 us at n = 512 on a 2-vCPU x86
+VM, before the file write).
 
 The diagnostics file is appended and flushed row by row, so a crashed or
 blown-up run keeps everything up to its last accepted step. A record holds
@@ -23,6 +27,7 @@ writer keeps one as it appends), and the manifest records those digests
 without reading any file back.
 """
 
+import functools
 import hashlib
 import io
 import os
@@ -84,12 +89,23 @@ def _write_rows(path, header, columns):
     return write_text(path, header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
 
 
-def write_snapshot(path, grid, zeta, w):
-    """``.npy`` of float64 fields ``x, zeta, w``; returns its sha256."""
-    table = np.rec.fromarrays((grid.x, zeta, w), dtype=_SNAPSHOT_DTYPE)
+@functools.cache
+def _snapshot_header(n):
+    """The bytes ``np.save`` writes before the data of an ``(n,)`` array of
+    the snapshot dtype: its magic string and padded header."""
     buf = io.BytesIO()
-    np.save(buf, table, allow_pickle=False)
-    return _write_bytes(path, buf.getvalue())
+    np.save(buf, np.zeros(n, dtype=_SNAPSHOT_DTYPE), allow_pickle=False)
+    return buf.getvalue()[: -n * _SNAPSHOT_DTYPE.itemsize]
+
+
+def write_snapshot(path, grid, zeta, w):
+    """``.npy`` of float64 fields ``x, zeta, w``, the bytes ``np.save``
+    writes for that table; returns its sha256."""
+    table = np.empty(grid.n, dtype=_SNAPSHOT_DTYPE)
+    table["x"] = grid.x
+    table["zeta"] = zeta
+    table["w"] = w
+    return _write_bytes(path, _snapshot_header(grid.n) + table.tobytes())
 
 
 def read_snapshot(path):

@@ -33,10 +33,18 @@ complex copy of the preconditioner symbol, are formed per context
 buffers once per :func:`rhs` call (:class:`MassConstants`, shared by the CG
 solve and the quadratic flux R), and CG's own preconditioner, ``A p`` and
 update buffers per solve. Every floating-point operation stays as it was
-written per application. Pointwise products are evaluated in physical space
-between spectral derivative/multiplier applications; the two tendencies come
-out of one batched inverse transform after one multiply by the context's
-derivative symbol ``ik``, which carries the optional 2/3-rule mask.
+written per application.
+
+After the solve, one stacked spectral pass forms the zeta-gradient
+(:func:`interface_gradient`): one rfft of the rows w, zeta and u; one irfft
+of the slope dx zeta (symbol ``grid.ik``) and of dx F u (``dx_symbols``);
+the pointwise middle steps of the capillary and R chains; one rfft and one
+irfft of their derivatives; then the pointwise closings. The two tendencies
+come out of one batched inverse transform after one multiply by the
+context's derivative symbol ``ik``, which carries the optional 2/3-rule
+mask: three rfft and three irfft calls per :func:`rhs` besides CG's. The
+workspace keeps the products of the pass (:func:`stage_pass`), so the
+diagnostics row of an accepted stage makes no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -52,7 +60,7 @@ import numpy as np
 from . import spectral
 from .errors import CavitationError, ConvergenceError, ValidationError
 from .multipliers import layer_symbols
-from .spectral import _ddx, dealias_mask, ddx, inner
+from .spectral import dealias_mask, ddx, inner
 from .stability import _flat_interface, _restoring_symbol
 from .timestepper import ModeRotation
 
@@ -64,6 +72,7 @@ __all__ = [
     "MassConstants",
     "r_operator",
     "layer_depths",
+    "stage_pass",
     "apply_mass_operator",
     "invert_mass_operator",
     "r_flux",
@@ -111,7 +120,10 @@ class GNContext:
     the complex copy CG divides by: the cast numpy would otherwise make on
     every division), the propagator ``linear`` of the flat-interface linear
     part of :func:`rhs` built from the same ``ik`` (frequencies omega = |k|
-    sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), and the solver settings.
+    sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), the symbols
+    ``pass_symbols`` of the rows of a stage pass (:func:`stage_pass`) with
+    the slices ``pass_first``/``pass_second`` of the rows each of its two
+    irffts takes, and the solver settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
@@ -134,19 +146,14 @@ class GNContext:
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
         self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * _restoring_symbol(params, k))
-
-
-def _dxf(grid, u, dx_symbols):
-    """dx F{u} for precomputed dx F symbols; row by row for stacked layers."""
-    return spectral.irfft(dx_symbols * spectral.rfft(u), grid.n)
-
-
-def r_operator(grid, h, u, dx_symbols, cube):
-    """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} };
-    ``dx_symbols`` is the symbol of dx F (``grid.ik * fsym``), ``cube`` h**3."""
-    s = _dxf(grid, u, dx_symbols)
-    t = _dxf(grid, cube * s, dx_symbols)
-    return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
+        # pass rows w, zeta, u1, u2 and their symbols: ik (the tendency),
+        # grid.ik (the slope), dx F; the rfft takes the rows up to the end
+        # of pass_first, the second irfft the stress (with tension) and
+        # h^3 dx F u (R, mu*eps > 0)
+        tension, dispersive = params.inv_bond > 0.0, params.mu > 0.0
+        self.pass_symbols = np.concatenate(([self.ik, grid.ik], self.dx_symbols))
+        self.pass_first = slice(1 if tension else 2, 4 if dispersive else 2)
+        self.pass_second = slice(self.pass_first.start, 4 if dispersive and params.epsilon > 0.0 else 2)
 
 
 class MassConstants:
@@ -181,7 +188,7 @@ def apply_mass_operator(ctx, zeta, w, consts=None, out=None):
     if mu > 0.0:
         spec, t = consts.spectral, consts.physical
         n = ctx.grid.n
-        # dx F{ h^3 dx F{ w/h } } as _dxf forms it, operands in its order,
+        # dx F{ h^3 dx F{ w/h } }, each dx F as irfft(dx_symbols * rfft(.)),
         # with every result written into the solve's two buffers
         np.divide(w, consts.depths, out=t)
         spectral.rfft(t, out=spec)
@@ -276,38 +283,112 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=
     )
 
 
-def r_flux(ctx, consts, w):
-    """R[eps*zeta, w] = R_2[h2, w/h2] - gamma * R_1[h1, -w/h1] for the
-    stacked depths and their cube held by ``consts``, the
-    :class:`MassConstants` of zeta (mu > 0)."""
-    h = consts.depths
-    r1, r2 = r_operator(ctx.grid, h, LAYER_SIGN * w / h, ctx.dx_symbols, consts.cube)
-    return r2 - ctx.params.gamma * r1
+def _capillary_root(params, slope):
+    """sqrt(1 + mu eps^2 slope^2), shared by the capillary stress and density."""
+    return np.sqrt(1.0 + params.mu * params.epsilon**2 * slope**2)
 
 
-def capillary_gradient(grid, zeta, params):
-    """-(gamma+delta)/Bo * dx( dx zeta / sqrt(1 + mu eps^2 (dx zeta)^2) ),
-    the surface-tension part of the zeta-gradient."""
+def capillary_gradient(params, dx_stress):
+    """The surface-tension part of the zeta-gradient,
+    -(gamma+delta)/Bo * dx( dx zeta / sqrt(1 + mu eps^2 (dx zeta)^2) ), from
+    ``dx_stress``, the derivative of the stress in the parentheses (the
+    pass of :func:`interface_gradient` forms both)."""
+    return -(params.gamma + params.delta) * params.inv_bond * dx_stress
+
+
+def capillary_density(params, slope):
+    """Pointwise capillary energy density
+    2 (gamma+delta)/Bo * s^2 / (1 + sqrt(1 + mu eps^2 s^2)) at the slope
+    s = dx zeta.
+
+    Algebraically equal to 2(gamma+delta)/(mu eps^2 Bo) (sqrt(1+...) - 1) but
+    free of the removable mu*eps^2 -> 0 singularity and of cancellation.
+    """
     p = params
-    if p.inv_bond == 0.0:
-        return np.zeros(grid.n)
-    s = _ddx(grid, zeta)
-    slope_sq = p.mu * p.epsilon**2 * s**2
-    return -(p.gamma + p.delta) * p.inv_bond * _ddx(grid, s / np.sqrt(1.0 + slope_sq))
+    return 2.0 * (p.gamma + p.delta) * p.inv_bond * slope**2 / (1.0 + _capillary_root(p, slope))
 
 
-def interface_gradient(ctx, zeta, w, consts=None):
-    """The zeta-gradient of the energy functional (the bracket inside dt v);
+def r_operator(h, u, s, t):
+    """Quadratic layer term  (1/2)(h dx F{u})^2 + (1/3) h^{-1} u dx F{ h^3 dx F{u} }
+    from s = dx F{u} and t = dx F{h^3 s}."""
+    return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
+
+
+def r_flux(params, h, u, s, t):
+    """R[eps*zeta, w] = R_2[h2, u2] - gamma * R_1[h1, u1] for the stacked
+    depths h, velocities u = LAYER_SIGN * w / h and their s = dx F{u},
+    t = dx F{h^3 s} (mu > 0)."""
+    r1, r2 = r_operator(h, u, s, t)
+    return r2 - params.gamma * r1
+
+
+def _dx_rows(ctx, spec, rows):
+    """irfft of the pass rows ``rows`` (a slice) of the stacked spectra
+    ``spec`` times their symbols ``ctx.pass_symbols[rows]``."""
+    return spectral.irfft(spec * ctx.pass_symbols[rows], ctx.grid.n)
+
+
+def stage_pass(ctx, zeta, w, depths, stage=None):
+    """The first half of the spectral pass at (zeta, w), written into
+    ``stage`` (a :class:`GNWorkspace`, a fresh one when None), which it
+    returns.
+
+    It forms the velocities u = LAYER_SIGN * w / h (h the stacked
+    ``depths``); one rfft takes the stacked rows w, zeta and, at mu > 0, u;
+    one irfft takes the rows the gradient and the energy differentiate, each
+    times its symbol: zeta by ``grid.ik`` for the slope (with tension), u by
+    dx F for dx F u (mu > 0, at epsilon = 0 too, where only the energy reads
+    it).
+    ``stage`` keeps ``depths``, ``u``, ``w_hat``, ``zeta_hat``, ``slope``
+    and ``dxf_u`` (the last two None where not formed).
+    """
+    p = ctx.params
+    stage = GNWorkspace() if stage is None else stage
+    rows = np.empty((4, ctx.grid.n))
+    rows[0] = w
+    rows[1] = zeta
+    u = rows[2:]
+    np.multiply(LAYER_SIGN, w, out=u)
+    np.divide(u, depths, out=u)
+    first = ctx.pass_first
+    spec = spectral.rfft(rows[: first.stop])
+    dx = _dx_rows(ctx, spec[first], first) if first.stop > first.start else None
+    stage.depths, stage.u = depths, u
+    stage.w_hat, stage.zeta_hat = spec[0], spec[1]
+    stage.slope = dx[0] if p.inv_bond > 0.0 else None
+    stage.dxf_u = dx[-2:] if p.mu > 0.0 else None
+    return stage
+
+
+def interface_gradient(ctx, zeta, w, consts=None, stage=None):
+    """The zeta-gradient of the energy functional (the bracket inside dt v).
+
+    This is the stage's spectral pass: :func:`stage_pass` into ``stage``
+    (:func:`rhs` passes its workspace; a fresh :class:`GNWorkspace` when
+    None), then the capillary chain and the R chain in lockstep: the
+    pointwise middle steps (the stress dx zeta / sqrt(1 + mu eps^2
+    (dx zeta)^2), and h^3 dx F u for mu*eps > 0), one rfft, one irfft of
+    their products by ``grid.ik`` and dx F, then the closings.
     ``consts`` passes the :class:`MassConstants` of zeta, as :func:`rhs`
-    does; without it they are built here."""
+    does; without it they are built here.
+    """
     p = ctx.params
     if consts is None:
         consts = MassConstants(ctx, layer_depths(p, zeta))
+    stage = stage_pass(ctx, zeta, w, consts.depths, stage)
+    second = ctx.pass_second
+    if second.stop > second.start:
+        middle = np.empty((second.stop - second.start, ctx.grid.n))
+        if p.inv_bond > 0.0:
+            np.divide(stage.slope, _capillary_root(p, stage.slope), out=middle[0])
+        if p.mu > 0.0 and p.epsilon > 0.0:
+            np.multiply(consts.cube, stage.dxf_u, out=middle[-2:])
+        dx = _dx_rows(ctx, spectral.rfft(middle), second)
     h1, h2 = consts.depths
-    grad = (p.gamma + p.delta) * zeta + capillary_gradient(ctx.grid, zeta, p)
+    grad = (p.gamma + p.delta) * zeta + (capillary_gradient(p, dx[0]) if p.inv_bond > 0.0 else 0.0)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(ctx, consts, w)
+        grad -= p.mu * p.epsilon * r_flux(p, consts.depths, stage.u, stage.dxf_u, dx[-2:])
     return grad
 
 
@@ -316,52 +397,42 @@ def rhs(ctx, zeta, v, workspace=None):
     array, so ``dzeta, dv = rhs(...)`` unpacks them.
 
     Builds the :class:`MassConstants` of zeta once, for the CG solve and R.
-    Recovers w = A^{-1} v first (warm-started through the workspace, which
-    keeps w and its real FFT), then assembles the two exact spatial
-    derivatives, -dx w and -dx of the zeta-gradient, through ``ctx.ik``
-    (so dealiased under ``dealias``) and one batched inverse transform.
-    Hyperbolicity is a monitored diagnostic, not checked here.
+    Recovers w = A^{-1} v first (warm-started from ``workspace.w_prev``),
+    then the zeta-gradient through the pass of :func:`interface_gradient`,
+    whose products the workspace keeps, and assembles the two exact spatial
+    derivatives, -dx w and -dx of the zeta-gradient, through ``ctx.ik`` (so
+    dealiased under ``dealias``) and one batched inverse transform: three
+    rfft and three irfft calls besides CG's. Hyperbolicity is a monitored
+    diagnostic, not checked here.
     """
     grid = ctx.grid
     consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
-    x0 = workspace.w_prev if workspace is not None else None
-    w = invert_mass_operator(ctx, zeta, v, x0=x0, consts=consts)
-    w_hat = spectral.rfft(w)
-    if workspace is not None:
-        workspace.w_prev, workspace.w_hat = w, w_hat
-    grad = interface_gradient(ctx, zeta, w, consts=consts)
+    stage = GNWorkspace() if workspace is None else workspace
+    w = invert_mass_operator(ctx, zeta, v, x0=stage.w_prev, consts=consts)
+    stage.w_prev = w
+    grad = interface_gradient(ctx, zeta, w, consts=consts, stage=stage)
     spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
-    np.multiply(w_hat, ctx.ik, out=spec[0])
+    np.multiply(stage.w_hat, ctx.ik, out=spec[0])
     np.multiply(spectral.rfft(grad), ctx.ik, out=spec[1])
     out = spectral.irfft(spec, grid.n)
     return np.negative(out, out=out)
 
 
 class GNWorkspace:
-    """Per-integration scratch: ``w_prev`` is the flux of the last evaluated
-    stage (the next CG warm start), ``w_hat`` its real FFT, and
-    ``resolution_lost_at`` the stage time at which a resolution guard tripped
-    (None while clean). Not shareable between concurrent integrations."""
+    """Per-integration scratch, and the products of the spectral pass of
+    the last evaluated stage (see :func:`stage_pass`): ``w_prev``, the
+    stage's flux (the next CG warm start); ``depths``, ``u``, ``w_hat``,
+    ``zeta_hat``, ``slope`` (with tension) and ``dxf_u`` (mu > 0), which
+    the diagnostics row of an accepted (FSAL) stage reads instead of
+    transforming again; and ``resolution_lost_at``, the stage time at which
+    a resolution guard tripped (None while clean). Not shareable between
+    concurrent integrations."""
 
     def __init__(self):
         self.w_prev = None
         self.w_hat = None
+        self.depths = self.u = self.zeta_hat = self.slope = self.dxf_u = None
         self.resolution_lost_at = None
-
-
-def capillary_density(grid, zeta, params):
-    """Pointwise capillary energy density
-    2 (gamma+delta)/Bo * (dx zeta)^2 / (1 + sqrt(1 + mu eps^2 (dx zeta)^2)).
-
-    Algebraically equal to 2(gamma+delta)/(mu eps^2 Bo) (sqrt(1+...) - 1) but
-    free of the removable mu*eps^2 -> 0 singularity and of cancellation.
-    """
-    p = params
-    if p.inv_bond == 0.0:
-        return np.zeros(grid.n)
-    s = ddx(grid, zeta)
-    slope_sq = p.mu * p.epsilon**2 * s**2
-    return 2.0 * (p.gamma + p.delta) * p.inv_bond * s**2 / (1.0 + np.sqrt(1.0 + slope_sq))
 
 
 def hamiltonian(ctx, zeta, v):
@@ -376,5 +447,7 @@ def hamiltonian(ctx, zeta, v):
     p = ctx.params
     w = invert_mass_operator(ctx, zeta, v, tol=1e-14, max_iter=max(ctx.cg_max_iter, 400))
     quad = inner(ctx.grid, zeta, (p.gamma + p.delta) * zeta)
-    cap = inner(ctx.grid, capillary_density(ctx.grid, zeta, p), np.ones(ctx.grid.n))
+    cap = 0.0
+    if p.inv_bond > 0.0:
+        cap = inner(ctx.grid, capillary_density(p, ddx(ctx.grid, zeta)), np.ones(ctx.grid.n))
     return 0.5 * (quad + cap + inner(ctx.grid, w, v))

@@ -10,8 +10,11 @@ healthy state is saved and the returned status says "blowup".
 
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
-take the flux w = A^{-1} v it left in ``GNWorkspace.w_prev``; the blow-up
-snapshot takes that of the last accepted step (w0 if none was accepted).
+take the flux w = A^{-1} v it left in ``GNWorkspace.w_prev``, and a row
+reads the other products of that stage's spectral pass from the workspace,
+with no transform of its own (the t = 0 row runs the pass itself, not
+``rhs``); the blow-up snapshot takes the flux of the last accepted step (w0
+if none was accepted).
 
 During time integration, cavitation, solver-convergence failures and loss of
 spectral resolution inside a trial stage are converted to NaN tendencies
@@ -186,11 +189,12 @@ def run_experiment(config, out_dir, force=False):
         save_state(0.0, zeta0, w0)
         accepted_w = w0  # flux of the last accepted state, for the blow-up snapshot
 
-        # integrate calls these right after the stage at y: w_prev is y's flux
+        # integrate calls these right after the stage at y: the workspace
+        # holds y's flux and the products of its spectral pass
         def on_step(t, y, stats):
             nonlocal accepted_w
             accepted_w = workspace.w_prev
-            diag.append(compute_row(ctx, t, *y, accepted_w))
+            diag.append(compute_row(ctx, t, *y, accepted_w, workspace))
 
         def on_snapshot(t, y):
             save_state(t, y[0], workspace.w_prev)

@@ -113,15 +113,9 @@ def _check_field(grid, f):
     return f
 
 
-def _ddx(grid, f):
-    """:func:`ddx` without the shape and finiteness check, for fields the
-    package formed itself."""
-    return irfft(rfft(f) * grid.ik, grid.n)
-
-
 def ddx(grid, f):
     """Spectral derivative; the Nyquist mode of the result is zeroed."""
-    return _ddx(grid, _check_field(grid, f))
+    return irfft(rfft(_check_field(grid, f)) * grid.ik, grid.n)
 
 
 def inner(grid, f, g):

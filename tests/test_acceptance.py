@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from gnwaves.io_store import read_diagnostics
+from gnwaves.io_store import read_diagnostics, read_snapshot, snapshot_name
 from gnwaves.multipliers import MultiplierSpec, check_admissibility
 from gnwaves.operators import (
     GNContext,
@@ -32,7 +32,7 @@ from gnwaves.operators import (
     rhs,
 )
 from gnwaves.params import ExperimentConfig, PhysParams, with_overrides
-from gnwaves.runner import guarded_rhs, run_experiment
+from gnwaves.runner import build_multiplier, guarded_rhs, run_experiment
 from gnwaves.spectral import Grid, inner
 from gnwaves.stability import euler_coeffs, growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
@@ -329,3 +329,23 @@ def test_criterion_10_integrator_oracles():
     ok = exp_err <= 1e-8 and monotone
     _report(10, "integrator oracles (exp growth, tolerance halving)", ok,
             f"|y(1)-e| = {exp_err:.1e}, monotone over {len(errors)} halvings: {monotone}")
+
+
+@pytest.mark.parametrize("inv_bond", [5e-4, 0.0], ids=["tension", "no_tension"])
+@pytest.mark.parametrize("family", ["identity", "regularized", "improved"])
+def test_criterion_11_rest_start_run_keeps_parity(tmp_path, family, inv_bond):
+    # the symmetry part of criterion 11: the reflection x -> -x maps node j
+    # to (-j) mod n, and a rest-start Gaussian stays in the class the
+    # models preserve, zeta even and v (so w = A^{-1} v) odd, to rounding
+    config = with_overrides(ExperimentConfig(), grid_n=64, t_end=0.25, multiplier=family, inv_bond=inv_bond)
+    result = run_experiment(config, str(tmp_path / "run"))
+    grid = Grid(config.grid_n, config.domain_half_length)
+    _, zeta, w = read_snapshot(os.path.join(result.out_dir, snapshot_name(result.t_final)))
+    ctx = GNContext(grid, config.params, build_multiplier(config))
+    v = apply_mass_operator(ctx, zeta, w)
+    flip = (-np.arange(grid.n)) % grid.n
+    odd = np.max(np.abs(zeta - zeta[flip])) / np.max(np.abs(zeta))
+    even = max(np.max(np.abs(f + f[flip])) / np.max(np.abs(f)) for f in (w, v))
+    ok = result.status == "completed" and result.t_final == config.t_end and odd <= 1e-13 and even <= 1e-13
+    _report(11, f"rest-start parity ({family}, inv_bond={inv_bond:g})", ok,
+            f"odd part of zeta {odd:.1e}, even part of w and v {even:.1e} (relative)")

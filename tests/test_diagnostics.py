@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,18 @@ from gnwaves.diagnostics import (
     momentum,
     sv_hyperbolicity_margin,
 )
-from gnwaves.multipliers import MultiplierSpec
-from gnwaves.operators import GNContext, apply_mass_operator, invert_mass_operator
+from gnwaves.multipliers import FAMILIES, MultiplierSpec
+from gnwaves.operators import (
+    LAYER_SIGN,
+    GNContext,
+    GNWorkspace,
+    apply_mass_operator,
+    invert_mass_operator,
+    layer_depths,
+    rhs,
+)
 from gnwaves.params import PhysParams
-from gnwaves.spectral import Grid
+from gnwaves.spectral import Grid, rfft
 
 from conftest import REF_PARAMS, random_smooth_field
 from sv_oracle import depth_flux, depth_flux_prime
@@ -130,20 +140,20 @@ class TestBandMax:
     def test_low_mode_below_band(self, grid):
         k0 = 2 * np.pi / grid.length
         zeta = np.sin(k0 * grid.x)
-        assert band_max(grid, zeta) <= 1e-14
+        assert band_max(grid, rfft(zeta)) <= 1e-14
 
     def test_normalization(self, grid):
         # k0 lies above half-Nyquist, so inside the band
         k0 = grid.k[grid.n // 4 + 3]
         zeta = 1e-6 * np.sin(k0 * grid.x)
-        assert band_max(grid, zeta) == pytest.approx(5e-7, rel=1e-12)
+        assert band_max(grid, rfft(zeta)) == pytest.approx(5e-7, rel=1e-12)
 
     def test_default_band_is_half_nyquist(self, grid):
         k_half = 0.5 * grid.nyquist
         below = 1e-3 * np.sin((k_half - grid.k[1]) * grid.x)
         above = 1e-3 * np.sin((k_half + grid.k[1]) * grid.x)
-        assert band_max(grid, below) <= 1e-15
-        assert band_max(grid, above) == pytest.approx(5e-4, rel=1e-10)
+        assert band_max(grid, rfft(below)) <= 1e-15
+        assert band_max(grid, rfft(above)) == pytest.approx(5e-4, rel=1e-10)
 
 
 class TestHyperbolicityMargin:
@@ -260,3 +270,58 @@ def test_compute_row_fields(grid):
     assert np.isfinite([row.V, row.H, row.M, row.C, row.hyp_margin, row.high_band]).all()
     text = row.as_csv()
     assert len(text.split(",")) == 9
+
+
+def _oracle_row(ctx, t, zeta, v, w):
+    """compute_row written out with one np.fft transform per derivative:
+    the slope through grid.ik, dx F u through ctx.dx_symbols, and the
+    band amplitudes of rfft(zeta), each formed anew."""
+    p, grid = ctx.params, ctx.grid
+    h = layer_depths(p, zeta)
+    h1, h2 = h
+    u = LAYER_SIGN * w / h
+    cap = np.zeros(grid.n)
+    if p.inv_bond > 0.0:
+        s = np.fft.irfft(np.fft.rfft(zeta) * grid.ik, grid.n)
+        slope_sq = p.mu * p.epsilon**2 * s**2
+        cap = 2.0 * (p.gamma + p.delta) * p.inv_bond * s**2 / (1.0 + np.sqrt(1.0 + slope_sq))
+    density = (p.gamma + p.delta) * zeta**2 + cap
+    kinetic = np.array([[p.gamma], [1.0]]) * h * u**2
+    density += kinetic[0] + kinetic[1]
+    if p.mu > 0.0:
+        s = np.fft.irfft(ctx.dx_symbols * np.fft.rfft(u), grid.n)
+        dispersive = np.array([[p.mu * (p.gamma / 3.0)], [p.mu / 3.0]]) * h * (h * s) ** 2
+        density += dispersive[0]
+        density += dispersive[1]
+    if p.mu == 0.0:
+        hyp_margin = sv_hyperbolicity_margin(p, zeta, v)
+    else:
+        hyp_margin = float(np.min((p.gamma + p.delta) - p.epsilon**2 * (h2**-3 + p.gamma * h1**-3) * w**2))
+    amps = np.abs(np.fft.rfft(zeta)) / grid.n
+    return (t, mass(grid, zeta), grid.dx * float(np.sum(v)), impulse(grid, zeta, v),
+            grid.dx * float(np.sum(density)), momentum(grid, p, w), centroid(grid, zeta, w, t),
+            hyp_margin, float(amps[grid.k >= 0.5 * grid.nyquist].max()))
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+@pytest.mark.parametrize("epsilon", [0.5, 0.0], ids=["eps0.5", "eps0"])
+@pytest.mark.parametrize("mu", [0.1, 0.0], ids=["mu0.1", "mu0"])
+@pytest.mark.parametrize("inv_bond", [5e-4, 0.0], ids=["tension", "no_tension"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_row_from_the_stage_equals_the_recomputed_row(small_grid, family, inv_bond, mu, epsilon, dealias):
+    # the runner's rows read the products rhs left in the workspace; they
+    # must be the row compute_row forms from (zeta, v, w) alone, and the
+    # row of the transform-per-derivative oracle, bit for bit
+    p = PhysParams(gamma=0.95, epsilon=epsilon, mu=mu, delta=0.5, inv_bond=inv_bond)
+    ctx = GNContext(small_grid, p, FAMILIES[family](p.delta, None, None), dealias=dealias)
+    rng = np.random.default_rng(19)
+    zeta = random_smooth_field(small_grid, rng, max_abs=0.9)
+    v = random_smooth_field(small_grid, rng)
+    ws = GNWorkspace()
+    rhs(ctx, zeta, v, workspace=ws)
+    w = ws.w_prev
+    rows = (astuple(compute_row(ctx, 0.75, zeta, v, w, ws)), astuple(compute_row(ctx, 0.75, zeta, v, w)),
+            _oracle_row(ctx, 0.75, zeta, v, w))
+    bits = [np.array(row).view(np.uint64) for row in rows]
+    assert np.array_equal(bits[0], bits[1])
+    assert np.array_equal(bits[0], bits[2])

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import re
 
@@ -30,6 +31,10 @@ def grid():
 
 
 SNAPSHOT_DTYPE = np.dtype([("x", "<f8"), ("zeta", "<f8"), ("w", "<f8")])
+# signed zeros, subnormals, infinities, NaN, the extremes and ordinary values
+SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, np.inf, -np.inf, np.nan,
+           1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -123456.789e-300,
+           2.0**-1074 * 3, 1e16 + 2, -1e-5, 7.0]
 
 
 def _npy_parts(path):
@@ -69,16 +74,29 @@ class TestSnapshots:
         assert np.array_equal(w, w2)
 
     def test_special_values_bit_for_bit(self, tmp_path):
-        special = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, np.inf, -np.inf, np.nan,
-                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -123456.789e-300]
         grid = Grid(16, 4.0)
-        zeta = np.array(special + [2.0**-1074 * 3, 1e16 + 2, -1e-5, 7.0])
+        zeta = np.array(SPECIAL)
         w = zeta[::-1] * 0.5
         path = tmp_path / "snap.npy"
         write_snapshot(path, grid, zeta, w)
         _assert_snapshot_file(path, grid, zeta, w)
         for got, wrote in zip(read_snapshot(path), (grid.x, zeta, w)):
             assert got.dtype == np.float64
+            assert got.tobytes() == wrote.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 4096])
+    def test_bytes_are_np_save_bytes(self, tmp_path, n):
+        # the cached header and the table behind it are what np.save writes
+        grid = Grid(n, 4.0)
+        pool = np.concatenate([SPECIAL, np.random.default_rng(n).standard_normal(2 * n - len(SPECIAL))])
+        zeta, w = pool[:n], pool[n:][::-1]
+        buf = io.BytesIO()
+        np.save(buf, np.rec.fromarrays((grid.x, zeta, w), dtype=SNAPSHOT_DTYPE), allow_pickle=False)
+        path = tmp_path / "snap.npy"
+        digest = write_snapshot(path, grid, zeta, w)
+        assert path.read_bytes() == buf.getvalue()
+        assert digest == hashlib.sha256(buf.getvalue()).hexdigest()
+        for got, wrote in zip(read_snapshot(path), (grid.x, zeta, w)):
             assert got.tobytes() == wrote.tobytes()
 
     def test_names(self):

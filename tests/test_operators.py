@@ -12,7 +12,6 @@ from gnwaves.operators import (
     GNWorkspace,
     MassConstants,
     apply_mass_operator,
-    capillary_gradient,
     hamiltonian,
     interface_gradient,
     invert_mass_operator,
@@ -47,11 +46,19 @@ def _layer_dxf(grid, spec, layer, mu):
     return lambda u: ddx(grid, np.fft.irfft(fsym * np.fft.rfft(u), grid.n))
 
 
+def _dxf(grid, dx_symbols):
+    """u -> dx F{u} for the symbol ``dx_symbols`` of dx F, through np.fft."""
+    return lambda u: np.fft.irfft(dx_symbols * np.fft.rfft(u), grid.n)
+
+
 class TestLayerOperators:
     def test_r_vanishes_on_constants(self, grid):
         fsym = np.exp(-0.2 * grid.k)
         h = 1.0 + 0.2 * np.cos(2 * np.pi * grid.x / grid.length)
-        out = r_operator(grid, h, np.full(grid.n, -0.4), grid.ik * fsym, h**3)
+        u = np.full(grid.n, -0.4)
+        dxf = _dxf(grid, grid.ik * fsym)
+        s = dxf(u)
+        out = r_operator(h, u, s, dxf(h**3 * s))
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_r_constant_depth_identity_symbol(self, grid):
@@ -59,7 +66,9 @@ class TestLayerOperators:
         k0 = 4 * np.pi / grid.length
         u = np.sin(k0 * grid.x)
         h = np.full(grid.n, c)
-        out = r_operator(grid, h, u, grid.ik * np.ones_like(grid.k), h**3)
+        dxf = _dxf(grid, grid.ik * np.ones_like(grid.k))
+        s = dxf(u)
+        out = r_operator(h, u, s, dxf(h**3 * s))
         expected = (c**2 * k0**2 / 2.0) * np.cos(k0 * grid.x) ** 2 - (c**2 * k0**2 / 3.0) * u**2
         assert np.allclose(out, expected, rtol=0, atol=1e-11)
 
@@ -568,21 +577,30 @@ class TestVelocities:
         assert np.allclose(h1 * u1 + h2 * u2, 0.0, atol=1e-15)
 
 
+def capillary_part(grid, zeta, params):
+    """The surface-tension part of the zeta-gradient as the pass of
+    interface_gradient forms it: the gradient at w = 0 less its
+    (gamma+delta) zeta term."""
+    ctx = GNContext(grid, params, MultiplierSpec.identity())
+    return interface_gradient(ctx, zeta, np.zeros(grid.n)) - (params.gamma + params.delta) * zeta
+
+
 class TestSurfaceTension:
-    """The surface-tension term as it enters dt v, -dx of capillary_gradient."""
+    """The surface-tension term as it enters dt v, -dx of its part of the
+    zeta-gradient (capillary_part)."""
 
     def test_zero_without_tension(self, grid):
         p = PhysParams(inv_bond=0.0)
         rng = np.random.default_rng(47)
         zeta = random_smooth_field(grid, rng)
-        assert np.array_equal(-ddx(grid, capillary_gradient(grid, zeta, p)), np.zeros(grid.n))
+        assert np.array_equal(-ddx(grid, capillary_part(grid, zeta, p)), np.zeros(grid.n))
 
     def test_linear_reduction_single_mode(self, grid):
         # with mu*eps^2 = 0 the term is (gamma+delta)/Bo * dddx zeta
         p = PhysParams(gamma=0.95, epsilon=0.0, mu=0.1, delta=0.5, inv_bond=5e-4)
         k0 = 8 * np.pi / grid.length
         zeta = np.sin(k0 * grid.x)
-        out = -ddx(grid, capillary_gradient(grid, zeta, p))
+        out = -ddx(grid, capillary_part(grid, zeta, p))
         expected = (p.gamma + p.delta) * p.inv_bond * (-(k0**3)) * np.cos(k0 * grid.x)
         assert np.allclose(out, expected, rtol=1e-11)
 
@@ -593,7 +611,7 @@ class TestSurfaceTension:
         for n in (1024, 2048, 4096):
             g = Grid(n, 4.0)
             zeta = np.exp(-2 * g.x**2) * np.sin(g.x)
-            spectral = -ddx(g, capillary_gradient(g, zeta, p))
+            spectral = -ddx(g, capillary_part(g, zeta, p))
 
             def fd_d1(f, dx):
                 return (np.roll(f, -1) - np.roll(f, 1)) / (2 * dx)
@@ -634,8 +652,10 @@ class TestRFluxAssembly:
             + 0.5 * (h2 * dxf2(w / h2)) ** 2
             - 0.5 * g * (h1 * dxf1(w / h1)) ** 2
         )
-        consts = MassConstants(ctx, h)
-        assert np.allclose(r_flux(ctx, consts, w), expanded, rtol=0, atol=1e-12)
+        dxf = _dxf(grid, ctx.dx_symbols)
+        u = LAYER_SIGN * w / h
+        s = dxf(u)
+        assert np.allclose(r_flux(ctx.params, h, u, s, dxf(h**3 * s)), expanded, rtol=0, atol=1e-12)
 
 
 class TestRhs:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import gnwaves.operators as operators_mod
 import gnwaves.spectral as spectral_mod
 from gnwaves.diagnostics import compute_row
 from gnwaves.errors import CorruptFieldError, ValidationError
@@ -128,6 +129,27 @@ class TestTransformRoute:
         calls = self.count_transforms(monkeypatch)
         apply_mass_operator(ctx, zeta, w)
         assert calls == {"rfft": 2, "irfft": 2}
+
+    def test_rhs_is_three_round_trips_besides_the_solve(self, state, monkeypatch):
+        # one rfft of the stacked w, zeta, u; one irfft of the slope and
+        # dx F u; one rfft/irfft pair for the stress and h^3 dx F u; one rfft
+        # of the gradient and one irfft of both tendencies
+        ctx, zeta, w, v = state
+        assert ctx.params.epsilon > 0.0
+        monkeypatch.setattr(operators_mod, "invert_mass_operator", lambda *args, **kwargs: w)
+        calls = self.count_transforms(monkeypatch)
+        ws = GNWorkspace()
+        rhs(ctx, zeta, v, workspace=ws)
+        assert calls == {"rfft": 3, "irfft": 3}
+        assert ws.w_prev is w
+
+    def test_row_of_an_evaluated_stage_makes_no_transform(self, state, monkeypatch):
+        ctx, zeta, _, v = state
+        ws = GNWorkspace()
+        rhs(ctx, zeta, v, workspace=ws)
+        calls = self.count_transforms(monkeypatch)
+        compute_row(ctx, 0.5, zeta, v, ws.w_prev, ws)
+        assert calls == {"rfft": 0, "irfft": 0}
 
     def test_dealias_costs_no_transform(self, state, monkeypatch):
         ctx, zeta, _, v = state
