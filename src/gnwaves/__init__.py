@@ -5,17 +5,16 @@ the hydrostatic (Saint-Venant) limit and conserved-quantity diagnostics."""
 __version__ = "0.1.0"
 
 from .params import ExperimentConfig, PhysParams, parse_config, serialize_config
-from .spectral import Grid, ddx, inner
+from .spectral import Grid, inner
 from .multipliers import AdmissibilityReport, MultiplierSpec, check_admissibility, eval_multiplier
 from .operators import (
     GNContext,
     GNWorkspace,
     apply_mass_operator,
-    hamiltonian,
     invert_mass_operator,
     rhs,
 )
-from .stability import euler_coeffs, euler_threshold_curve, model_coeffs, threshold_curve
+from .stability import euler_threshold_curve, model_coeffs, threshold_curve
 from .diagnostics import sv_hyperbolicity_margin
 from .timestepper import IntegrationResult, integrate
 from .runner import RunResult, run_experiment
@@ -27,7 +26,6 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "Grid",
-    "ddx",
     "inner",
     "AdmissibilityReport",
     "MultiplierSpec",
@@ -36,10 +34,8 @@ __all__ = [
     "GNContext",
     "GNWorkspace",
     "apply_mass_operator",
-    "hamiltonian",
     "invert_mass_operator",
     "rhs",
-    "euler_coeffs",
     "euler_threshold_curve",
     "model_coeffs",
     "threshold_curve",

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import _write_rows, claim_out_dir, read_diagnostics, write_manifest, write_text
+from .io_store import claim_out_dir, read_diagnostics, write_manifest, write_table, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
 from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, GENERATOR, build_multiplier, run_experiment
@@ -102,7 +102,7 @@ def _cmd_stability(args):
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
     path = os.path.join(args.out, "stability.csv")
-    digest = _write_rows(path, ",".join(columns), list(columns.values()))
+    digest = write_table(path, ",".join(columns), list(columns.values()))
     write_manifest(args.out, {"generator": args.generator, "k_points": args.k_points}, {"stability.csv": digest})
     print(f"threshold curves -> {path}")
     return EXIT_OK

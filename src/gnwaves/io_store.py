@@ -41,6 +41,7 @@ __all__ = [
     "format_time_tag",
     "snapshot_name",
     "write_text",
+    "write_table",
     "write_snapshot",
     "read_snapshot",
     "write_spectrum",
@@ -79,7 +80,7 @@ def write_text(path, text):
     return _write_bytes(path, text.encode("utf-8"))
 
 
-def _write_rows(path, header, columns):
+def write_table(path, header, columns):
     """CSV of equal-length columns at 17 significant digits, formatted by
     one %-format over the whole table (the same bytes as f"{v:.17g}");
     returns the sha256 of the file."""
@@ -122,7 +123,7 @@ def read_snapshot(path):
 def write_spectrum(path, grid, zeta):
     """CSV ``k,abs_zeta_hat`` over the nonnegative wavenumber ladder;
     returns its sha256. No record writes it (see the module docstring)."""
-    return _write_rows(path, "k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
+    return write_table(path, "k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
 
 
 class DiagnosticsWriter:

@@ -60,8 +60,8 @@ import numpy as np
 from . import spectral
 from .errors import CavitationError, ConvergenceError, ValidationError
 from .multipliers import layer_symbols
-from .spectral import dealias_mask, ddx, inner
-from .stability import _flat_interface, _restoring_symbol
+from .spectral import dealias_mask
+from .stability import flat_interface, restoring_symbol
 from .timestepper import ModeRotation
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "capillary_density",
     "interface_gradient",
     "rhs",
-    "hamiltonian",
 ]
 
 # CG positive-definiteness degrades as a depth approaches zero; treat
@@ -140,12 +139,12 @@ class GNContext:
         self.dx_symbols = grid.ik * self.symbols
         # symbol of A at zeta = 0, on the Nyquist-truncated derivative ladder
         k = grid.ik.imag
-        self.flat_symbol, _ = _flat_interface(params, self.symbols, k)
+        self.flat_symbol, _ = flat_interface(params, self.symbols, k)
         self.flat_symbol_complex = self.flat_symbol.astype(complex)
         self.ik = grid.ik * dealias_mask(grid) if dealias else grid.ik
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
-        self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * _restoring_symbol(params, k))
+        self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * restoring_symbol(params, k))
         # pass rows w, zeta, u1, u2 and their symbols: ik (the tendency),
         # grid.ik (the slope), dx F; the rfft takes the rows up to the end
         # of pass_first, the second irfft the stress (with tension) and
@@ -434,20 +433,3 @@ class GNWorkspace:
         self.depths = self.u = self.zeta_hat = self.slope = self.dxf_u = None
         self.resolution_lost_at = None
 
-
-def hamiltonian(ctx, zeta, v):
-    """The conserved functional H(zeta, v) =
-    (1/2) integral[ (gamma+delta) zeta^2 + capillary + w A w ]  with w = A^{-1} v.
-
-    Its gradients are dH/dzeta = interface_gradient and dH/dv = w; the finite
-    differences of this function are the oracle for both. Inverted tighter
-    than the evolution default (tol 1e-14, at least 400 iterations) so
-    central differences stay clean.
-    """
-    p = ctx.params
-    w = invert_mass_operator(ctx, zeta, v, tol=1e-14, max_iter=max(ctx.cg_max_iter, 400))
-    quad = inner(ctx.grid, zeta, (p.gamma + p.delta) * zeta)
-    cap = 0.0
-    if p.inv_bond > 0.0:
-        cap = inner(ctx.grid, capillary_density(p, ddx(ctx.grid, zeta)), np.ones(ctx.grid.n))
-    return 0.5 * (quad + cap + inner(ctx.grid, w, v))

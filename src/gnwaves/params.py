@@ -25,7 +25,7 @@ from .errors import ConfigError, ValidationError
 from .io_store import format_time_tag
 from .multipliers import FAMILIES
 from .operators import CG_MAX_ITER, CG_TOL
-from .spectral import _is_power_of_two
+from .spectral import is_power_of_two
 from .timestepper import ABS_TOL, REL_TOL
 
 __all__ = [
@@ -131,7 +131,7 @@ class ExperimentConfig:
         mult = self.multiplier
         if mult not in FAMILIES and not mult.startswith("custom:"):
             raise ValidationError("multiplier", f"must be {'|'.join(FAMILIES)}|custom:<path>, got {mult!r}")
-        if self.grid_n < 8 or not _is_power_of_two(self.grid_n):
+        if self.grid_n < 8 or not is_power_of_two(self.grid_n):
             raise ValidationError("grid_n", f"must be a power of two >= 8, got {self.grid_n}")
         # theta1/theta2 may also be None (auto)
         for name in ("domain_half_length", "t_end", "rel_tol", "abs_tol", "theta1", "theta2", "ic_width", "cg_tol"):

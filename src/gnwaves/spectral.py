@@ -7,9 +7,9 @@ even, real functions of k for the output to stay real.
 
 Conventions:
 
-* ``ddx`` multiplies by the derivative ladder ``grid.ik``, which is ik with
-  the Nyquist entry zeroed; the odd symbol ik has no real representative
-  there, and keeping it would leak a spurious imaginary part.
+* ``grid.ik`` is the derivative ladder: ik with the Nyquist entry zeroed;
+  the odd symbol ik has no real representative there, and keeping it would
+  leak a spurious imaginary part.
 * ``inner`` is the rectangle rule (L/n) * sum(f*g), which is exact for
   band-limited products resolvable on the grid.
 
@@ -36,14 +36,15 @@ __all__ = [
     "Grid",
     "rfft",
     "irfft",
-    "ddx",
     "inner",
     "mode_amplitudes",
     "dealias_mask",
+    "is_power_of_two",
 ]
 
 
-def _is_power_of_two(n):
+def is_power_of_two(n):
+    """True when the int n is 1, 2, 4, 8, ..."""
     return n >= 1 and (n & (n - 1)) == 0
 
 
@@ -59,7 +60,7 @@ class Grid:
     __slots__ = ("n", "half_length", "length", "dx", "x", "k", "ik", "nyquist")
 
     def __init__(self, n, half_length):
-        if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 8:
+        if not isinstance(n, (int, np.integer)) or not is_power_of_two(int(n)) or n < 8:
             raise ValidationError("n", f"grid size must be a power of two >= 8, got {n!r}")
         if not half_length > 0:
             raise ValidationError("half_length", f"must be positive, got {half_length!r}")
@@ -111,11 +112,6 @@ def _check_field(grid, f):
     if not np.all(np.isfinite(f)):
         raise CorruptFieldError("field contains non-finite values")
     return f
-
-
-def ddx(grid, f):
-    """Spectral derivative; the Nyquist mode of the result is zeroed."""
-    return irfft(rfft(_check_field(grid, f)) * grid.ik, grid.n)
 
 
 def inner(grid, f, g):

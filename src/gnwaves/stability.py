@@ -10,11 +10,10 @@ whose plane-wave frequencies are omega = k (c +- sqrt(a b)). Since b > 0, a
 mode is neutrally stable exactly when a(k) > 0; the growth rate of an
 unstable mode is |k| sqrt(-a b).
 
-``euler_coeffs`` gives the exact-dispersion coefficients (tanh kernels,
-evaluated through tanh(x)/x so every k -> 0 limit is removable), and
-``model_coeffs`` the multiplier-model counterparts. The shear is specified
-as vbar = u2 - gamma*u1 for the Euler system and as the flux wbar for the
-models; the two are linked by wbar = vbar / (gamma + delta).
+``model_coeffs`` gives the multiplier-model coefficients, with the shear
+specified as the flux wbar. ``euler_threshold_curve`` gives the
+exact-dispersion threshold (tanh kernels, evaluated through tanh(x)/x so
+every k -> 0 limit is removable).
 """
 
 import numpy as np
@@ -23,7 +22,8 @@ from .errors import ValidationError
 from .multipliers import FAMILIES, layer_symbols
 
 __all__ = [
-    "euler_coeffs",
+    "restoring_symbol",
+    "flat_interface",
     "model_coeffs",
     "threshold_curve",
     "euler_threshold_curve",
@@ -44,38 +44,21 @@ def _tanhc(x):
     return out
 
 
-def euler_coeffs(k, params, vbar):
-    """Exact-dispersion shear coefficients (a, b, c) at wavenumber k.
-
-    Written with t_i = tanh(s_i)/s_i, s_1 = sqrt(mu)|k|, s_2 = sqrt(mu)|k|/delta,
-    which removes every 0/0: at k = 0 they reduce to b = 1/(gamma+delta) and
-    c = (delta^2-gamma)/(gamma+delta)^2 * eps*vbar.
-    """
-    g, d, eps, mu = params.gamma, params.delta, params.epsilon, params.mu
-    k = np.abs(np.asarray(k, dtype=float))
-    t1, t2 = _tanhc(np.sqrt(mu) * k), _tanhc(np.sqrt(mu) * k / d)
-    den = t1 + g * t2 / d
-    b = (t1 * t2 / d) / den
-    c = (d * t1 - g * t2 / d) / den * eps * vbar / (g + d)
-    a = _restoring_symbol(params, k) - g * (d + 1.0) ** 2 / (d + g) ** 2 * (eps * vbar) ** 2 / den
-    return a, b, c
-
-
-def _restoring_symbol(params, k):
+def restoring_symbol(params, k):
     """Flat-interface restoring symbol a0(k) = (gamma+delta)(1 + k^2/Bo): the
     shear-free a(k) of the stability analysis and the stiffness of the linear
     propagator."""
     return (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2)
 
 
-def _flat_interface(params, f, k):
+def flat_interface(params, f, k):
     """Flat-interface algebra shared by the mass operator and the shear analysis.
 
     Returns the symbol of the mass operator at zeta = 0,
     A0(k) = (gamma+delta) + (mu/3)(F2^2/delta + gamma F1^2) k^2, and the shear
     factor Gamma(k) = gamma (delta+1)^2 / delta * (delta^2 + mu k^2 F2^2/3)
     (1 + mu k^2 F1^2/3) / A0(k), so that a(k) = a0(k) - eps^2 wbar^2 Gamma(k)
-    with a0 from :func:`_restoring_symbol`. ``f`` holds the layer symbols
+    with a0 from :func:`restoring_symbol`. ``f`` holds the layer symbols
     (F1, F2) at k.
     """
     g, d, mu = params.gamma, params.delta, params.mu
@@ -91,10 +74,10 @@ def model_coeffs(k, params, spec, wbar):
     g, d, eps, mu = params.gamma, params.delta, params.epsilon, params.mu
     k = np.abs(np.asarray(k, dtype=float))
     f1, f2 = f = layer_symbols(spec, k, mu)
-    a0, shear = _flat_interface(params, f, k)
+    a0, shear = flat_interface(params, f, k)
     b = 1.0 / a0
     c = eps * wbar * ((d**2 - g) + mu * (f2**2 - g * f1**2) * k**2 / 3.0) / a0
-    a = _restoring_symbol(params, k) - (eps * wbar) ** 2 * shear
+    a = restoring_symbol(params, k) - (eps * wbar) ** 2 * shear
     return a, b, c
 
 
@@ -107,7 +90,7 @@ def _threshold_curve(k_grid, params, shear_factor):
         raise ValidationError("k_grid", "wavenumbers must be positive")
     gamma_k = shear_factor(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        thr = _restoring_symbol(params, k) / gamma_k
+        thr = restoring_symbol(params, k) / gamma_k
     return np.where(gamma_k <= 0.0, np.nan, thr)
 
 
@@ -117,7 +100,7 @@ def threshold_curve(k_grid, params, spec):
     marks modes that are stable for every shear."""
 
     def shear_factor(k):
-        return _flat_interface(params, layer_symbols(spec, k, params.mu), k)[1]
+        return flat_interface(params, layer_symbols(spec, k, params.mu), k)[1]
 
     return _threshold_curve(k_grid, params, shear_factor)
 

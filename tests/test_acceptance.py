@@ -26,7 +26,6 @@ from gnwaves.operators import (
     GNContext,
     GNWorkspace,
     apply_mass_operator,
-    hamiltonian,
     interface_gradient,
     invert_mass_operator,
     rhs,
@@ -34,11 +33,11 @@ from gnwaves.operators import (
 from gnwaves.params import ExperimentConfig, PhysParams, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, run_experiment
 from gnwaves.spectral import Grid, inner
-from gnwaves.stability import euler_coeffs, growth_rates, model_coeffs, threshold_curve
+from gnwaves.stability import growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
-from sv_oracle import sv_rhs
+from oracles import euler_coeffs, hamiltonian, serre_solitary_wave, sv_rhs
 
 
 def _report(num, label, ok, detail=""):
@@ -263,7 +262,7 @@ def test_criterion_08_linear_growth_rate_in_nonlinear_code():
     t_end = 1.0 / sigma  # one e-folding
     integrate(
         guarded_rhs(ctx, GNWorkspace()), (0.0, t_end), _pack(zeta0, v0),
-        rel_tol=1e-10, abs_tol=1e-13, on_step=watch,
+        rel_tol=1e-10, abs_tol=1e-13, on_step=watch, linear=ctx.linear,
     )
     ts = np.array([t for t, _ in trace])
     amps = np.array([a_ for _, a_ in trace])
@@ -349,3 +348,32 @@ def test_criterion_11_rest_start_run_keeps_parity(tmp_path, family, inv_bond):
     ok = result.status == "completed" and result.t_final == config.t_end and odd <= 1e-13 and even <= 1e-13
     _report(11, f"rest-start parity ({family}, inv_bond={inv_bond:g})", ok,
             f"odd part of zeta {odd:.1e}, even part of w and v {even:.1e} (relative)")
+
+
+def test_criterion_12_serre_solitary_wave():
+    # identity family at gamma = 0 without tension: the one-layer Serre
+    # system, whose solitary wave is known in closed form (tests/oracles.py)
+    start = time.monotonic()
+    p = PhysParams(gamma=0.0, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=0.0)
+    grid = Grid(512, 32.0)
+    ctx = GNContext(grid, p, MultiplierSpec.identity())
+    amplitude = 0.5
+    zeta0, w0, c = serre_solitary_wave(p, amplitude, grid.x)
+    v0 = apply_mass_operator(ctx, zeta0, w0)
+    residual = float(np.max(np.abs(c * v0 - interface_gradient(ctx, zeta0, w0))))
+    ok = residual <= 1e-13
+    details = [f"travelling-wave residual {residual:.1e}"]
+    t_end = 2.0
+    zeta_exact, _, _ = serre_solitary_wave(p, amplitude, grid.x, t_end)
+    peak = amplitude / p.epsilon
+    for rel_tol in (1e-8, 1e-10):
+        result = integrate(
+            guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
+            rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
+        )
+        err = float(np.max(np.abs(result.y[0] - zeta_exact))) / peak
+        ok = ok and result.t == t_end and err <= rel_tol
+        s = result.stats
+        details.append(f"rel_tol {rel_tol:g}: error {err:.1e} ({s.accepted}/{s.rejected}/{s.rhs_evals} steps)")
+    elapsed = time.monotonic() - start
+    _report(12, "Serre solitary wave: residual and error at t=2", ok, "; ".join(details) + f"; {elapsed:.2f} s")

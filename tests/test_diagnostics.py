@@ -29,7 +29,7 @@ from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid, rfft
 
 from conftest import REF_PARAMS, random_smooth_field
-from sv_oracle import depth_flux, depth_flux_prime
+from oracles import depth_flux, depth_flux_prime, hamiltonian
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None):
@@ -100,8 +100,6 @@ class TestEnergy:
 
     def test_matches_hamiltonian_quadratic_form(self, grid):
         # energy = 2 * H where H = (1/2) [ (gamma+delta) zeta^2 + cap + w A w ]
-        from gnwaves.operators import hamiltonian
-
         ctx = make_ctx(grid)
         rng = np.random.default_rng(4)
         zeta = random_smooth_field(grid, rng, max_abs=0.6)
@@ -175,7 +173,7 @@ class TestHyperbolicityMargin:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_what_it_measures(self, seed):
-        # with vbar = w/H, the hydrostatic system (tests/sv_oracle.py) has the
+        # with vbar = w/H, the hydrostatic system (tests/oracles.py) has the
         # characteristic speeds eps H' vbar +- sqrt(H s), s the SV margin's
         # integrand. hyp_margin is -(their product)/H, so it is zero where one
         # speed is zero; the SV margin is zero where the two coalesce, and

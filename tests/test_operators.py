@@ -12,7 +12,6 @@ from gnwaves.operators import (
     GNWorkspace,
     MassConstants,
     apply_mass_operator,
-    hamiltonian,
     interface_gradient,
     invert_mass_operator,
     layer_depths,
@@ -21,9 +20,10 @@ from gnwaves.operators import (
     rhs,
 )
 from gnwaves.params import PhysParams
-from gnwaves.spectral import Grid, ddx, dealias_mask, inner
+from gnwaves.spectral import Grid, dealias_mask, inner
 
 from conftest import REF_PARAMS, random_smooth_field
+from oracles import ddx, hamiltonian
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
@@ -341,7 +341,7 @@ def _oracle_layer_depths(params, zeta):
 
 
 def _oracle_capillary_gradient(grid, zeta, params):
-    """capillary_gradient through the checked public ddx."""
+    """capillary_gradient through the checked oracle ddx."""
     p = params
     if p.inv_bond == 0.0:
         return np.zeros(grid.n)

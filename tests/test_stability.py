@@ -3,7 +3,6 @@ import pytest
 
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.stability import (
-    euler_coeffs,
     euler_threshold_curve,
     growth_rates,
     model_coeffs,
@@ -12,6 +11,7 @@ from gnwaves.stability import (
 )
 
 from conftest import REF_PARAMS
+from oracles import euler_coeffs
 
 
 class TestEulerCoeffs:
