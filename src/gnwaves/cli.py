@@ -25,10 +25,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import claim_out_dir, read_diagnostics, write_manifest, write_table, write_text
+from .io_store import RUN_GENERATOR, claim_out_dir, read_diagnostics, write_manifest, write_table, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
-from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, GENERATOR, build_multiplier, run_experiment
+from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
 from .stability import threshold_table
 
 # simulate --preset: config overrides, then one run per built-in family;
@@ -83,9 +83,9 @@ def _cmd_simulate(args, **overrides):
     config = with_overrides(_load_config(args), **overrides)
     preset = getattr(args, "preset", None)
     if preset:
-        claim_out_dir(args.out, GENERATOR, args.force)
+        claim_out_dir(args.out, RUN_GENERATOR, args.force)
         _run_families(with_overrides(config, **PRESETS[preset]), args.out, args.force)
-        write_manifest(args.out, {"generator": GENERATOR, "records": ",".join(FAMILIES)}, {})
+        write_manifest(args.out, {"generator": RUN_GENERATOR, "records": ",".join(FAMILIES)}, {})
         return EXIT_OK
     result = run_experiment(config, args.out, force=args.force)
     _print_result(config.multiplier, result)

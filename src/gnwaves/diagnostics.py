@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import capillary_density, layer_depths, stage_pass
+from .operators import GNWorkspace, capillary_density, layer_depths, stage_pass
 from .spectral import inner
 
 __all__ = [
@@ -71,9 +71,9 @@ def impulse(grid, zeta, v):
 
 def _stage(ctx, zeta, w, stage):
     """``stage``, or the products of :func:`~gnwaves.operators.stage_pass`
-    at (zeta, w) formed here when it is None."""
+    at (zeta, w) formed here, in a freshly loaded workspace, when it is None."""
     if stage is None:
-        stage = stage_pass(ctx, zeta, w, layer_depths(ctx.params, zeta))
+        stage = stage_pass(ctx, zeta, w, GNWorkspace().load(ctx, zeta))
     return stage
 
 

@@ -31,6 +31,7 @@ import functools
 import hashlib
 import io
 import os
+import re
 
 import numpy as np
 
@@ -49,8 +50,12 @@ __all__ = [
     "read_diagnostics",
     "write_manifest",
     "read_manifest",
+    "RUN_GENERATOR",
     "claim_out_dir",
 ]
+
+# the generator of every run record and of simulate --preset's manifest
+RUN_GENERATOR = "gnwaves simulate"
 
 
 def format_time_tag(t):
@@ -218,10 +223,13 @@ def _remove_output(out_dir):
 def claim_out_dir(out_dir, generator, force):
     """Create out_dir for ``generator``'s output. Another generator's
     manifest.txt there is an error even with ``force``; the generator's own is
-    an error without ``force`` and removed with it. Errors touch nothing."""
+    an error without ``force`` and removed with it. Errors touch nothing.
+    ``gnwaves <version>`` (older run records) reads as :data:`RUN_GENERATOR`."""
     manifest = os.path.join(out_dir, "manifest.txt")
     if os.path.exists(manifest):
         owner = read_manifest(manifest)[0].get("generator")
+        if re.fullmatch(r"gnwaves \d\S*", owner or ""):
+            owner = RUN_GENERATOR
         if owner != generator:
             raise ValidationError("out", f"{out_dir} holds the output of {owner}, not of {generator}")
         if not force:

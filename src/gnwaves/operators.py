@@ -30,10 +30,10 @@ workspace). CG is the hot path: what an application of A needs besides w
 is formed once, not per application. The symbols of dx F1 and dx F2, and the
 complex copy of the preconditioner symbol, are formed per context
 (:class:`GNContext`); the depths, the depth coefficient, h^3 and the FFT
-buffers once per :func:`rhs` call (:class:`MassConstants`, shared by the CG
-solve and the quadratic flux R), and CG's own preconditioner, ``A p`` and
-update buffers per solve. Every floating-point operation stays as it was
-written per application.
+buffers once per :func:`rhs` call by :meth:`GNWorkspace.load`, into the
+one holder of a stage, which the CG solve, the pass and R read; CG's own
+preconditioner, ``A p`` and update buffers per solve. Every floating-point
+operation stays as it was written per application.
 
 After the solve, one stacked spectral pass forms the zeta-gradient
 (:func:`interface_gradient`): one rfft of the rows w, zeta and u; one irfft
@@ -43,8 +43,8 @@ irfft of their derivatives; then the pointwise closings. The two tendencies
 come out of one batched inverse transform after one multiply by the
 context's derivative symbol ``ik``, which carries the optional 2/3-rule
 mask: three rfft and three irfft calls per :func:`rhs` besides CG's. The
-workspace keeps the products of the pass (:func:`stage_pass`), so the
-diagnostics row of an accepted stage makes no transform.
+diagnostics row of an accepted stage reads the pass products
+(:func:`stage_pass`) and makes no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -69,7 +69,6 @@ __all__ = [
     "LAYER_SIGN",
     "GNContext",
     "GNWorkspace",
-    "MassConstants",
     "r_operator",
     "layer_depths",
     "stage_pass",
@@ -155,74 +154,87 @@ class GNContext:
         self.pass_second = slice(self.pass_first.start, 4 if dispersive and params.epsilon > 0.0 else 2)
 
 
-class MassConstants:
-    """The per-state part of A[eps*zeta], built once per :func:`rhs` call
-    (or per direct CG solve): the stacked depths h, the pointwise coefficient
-    (h1 + gamma*h2)/(h1*h2) and, for mu > 0, h^3, which R reuses, with one
-    spectral and one physical (2, n) buffer that the batched FFTs and the
-    closing pointwise terms of every application write into. The buffers are
-    used up inside :func:`apply_mass_operator`; nothing it returns views
-    them."""
+class GNWorkspace:
+    """One stage's data, and per-integration scratch.
 
-    def __init__(self, ctx, depths):
-        h1, h2 = depths
-        self.depths = depths
+    :meth:`load` sets the per-state part of A[eps*zeta]: the stacked
+    ``depths`` h, the coefficient ``local`` = (h1 + gamma*h2)/(h1*h2) and,
+    for mu > 0, ``cube`` = h^3 and the spectral and physical (2, n) buffers
+    every application writes into (used up inside
+    :func:`apply_mass_operator`; nothing it returns views them).
+    :func:`stage_pass` adds ``u``, ``w_hat``, ``zeta_hat``, ``slope`` (with
+    tension) and ``dxf_u`` (mu > 0), which the diagnostics row of an
+    accepted (FSAL) stage reads. ``w_prev`` keeps the last stage's flux (the
+    next CG warm start), ``resolution_lost_at`` the stage time at which a
+    resolution guard tripped (None while clean). Not shareable between
+    concurrent integrations."""
+
+    def __init__(self):
+        self.w_prev = self.w_hat = self.depths = self.local = self.cube = None
+        self.u = self.zeta_hat = self.slope = self.dxf_u = self.resolution_lost_at = None
+
+    def load(self, ctx, zeta):
+        """Set the per-state data of zeta (cavitation checked by
+        :func:`layer_depths`); returns the workspace."""
+        self.depths = layer_depths(ctx.params, zeta)
+        h1, h2 = self.depths
         self.local = (h1 + ctx.params.gamma * h2) / (h1 * h2)
         if ctx.params.mu > 0.0:
-            self.cube = depths**3
+            self.cube = self.depths**3
             self.spectral = np.empty((2, ctx.grid.n // 2 + 1), dtype=complex)
             self.physical = np.empty((2, ctx.grid.n))
+        return self
 
 
-def apply_mass_operator(ctx, zeta, w, consts=None, out=None):
+def apply_mass_operator(ctx, zeta, w, stage=None, out=None):
     """A[eps*zeta] w, written into ``out`` when given.
 
-    ``consts`` passes the :class:`MassConstants` of zeta, as CG does for
-    every application of a solve; without it they are built here from zeta.
+    ``stage`` passes a :class:`GNWorkspace` loaded at zeta, as CG does for
+    every application of a solve; without it one is loaded here.
     """
-    if consts is None:
-        consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
+    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
     g, mu = ctx.params.gamma, ctx.params.mu
-    out = np.multiply(consts.local, w, out=out)
+    out = np.multiply(stage.local, w, out=out)
     if mu > 0.0:
-        spec, t = consts.spectral, consts.physical
+        spec, t = stage.spectral, stage.physical
         n = ctx.grid.n
         # dx F{ h^3 dx F{ w/h } }, each dx F as irfft(dx_symbols * rfft(.)),
         # with every result written into the solve's two buffers
-        np.divide(w, consts.depths, out=t)
+        np.divide(w, stage.depths, out=t)
         spectral.rfft(t, out=spec)
         np.multiply(ctx.dx_symbols, spec, out=spec)
         spectral.irfft(spec, n, out=t)
-        np.multiply(consts.cube, t, out=t)
+        np.multiply(stage.cube, t, out=t)
         spectral.rfft(t, out=spec)
         np.multiply(ctx.dx_symbols, spec, out=spec)
         spectral.irfft(spec, n, out=t)
         # (mu/3.0) * (t2/h2 + g*t1/h1), operation by operation, in t
         t1, t2 = t
         np.multiply(g, t1, out=t1)
-        np.divide(t, consts.depths, out=t)
+        np.divide(t, stage.depths, out=t)
         np.add(t2, t1, out=t2)
         np.multiply(mu / 3.0, t2, out=t2)
         out -= t2
     return out
 
 
-def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=None):
+def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, stage=None):
     """Solve A[eps*zeta] w = v for w.
 
     mu = 0 makes A a pointwise multiplication and the inverse is exact; the
     general case runs conjugate gradients on the self-adjoint positive
     definite operator, preconditioned by the flat-interface symbol and
-    warm-started from ``x0`` when given. ``consts`` passes the
-    :class:`MassConstants` of zeta, as :func:`rhs` does; without it they are
-    built here. The preconditioner, ``A p`` and update buffers are built once
-    per solve. The relative residual ||A w - v|| <= tol ||v|| is guaranteed
-    on return; a non-finite ||v|| (for every mu) or residual norm is a
-    breakdown (ConvergenceError) as soon as it is seen.
+    warm-started from ``x0`` when given. ``stage`` passes a
+    :class:`GNWorkspace` loaded at zeta, as :func:`rhs` does; without it one
+    is loaded here. The preconditioner, ``A p`` and update buffers are built
+    once per solve. The relative residual ||A w - v|| <= tol ||v|| is
+    guaranteed on return; a non-finite ||v|| (for every mu) or residual norm
+    is a breakdown (ConvergenceError) as soon as it is seen.
     """
     tol = ctx.cg_tol if tol is None else tol
     max_iter = ctx.cg_max_iter if max_iter is None else max_iter
-    h = layer_depths(ctx.params, zeta) if consts is None else consts.depths
+    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
+    h = stage.depths
     b_norm = math.sqrt(v @ v)
     if not math.isfinite(b_norm):
         raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite", [])
@@ -232,8 +244,6 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=
     n = ctx.grid.n
     if b_norm == 0.0:
         return np.zeros_like(v)
-    if consts is None:
-        consts = MassConstants(ctx, h)
     spec = np.empty(n // 2 + 1, dtype=complex)
     z = np.empty(n)
     ap = np.empty(n)
@@ -246,7 +256,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=
         r = v.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = v - apply_mass_operator(ctx, zeta, x, consts=consts, out=ap)
+        r = v - apply_mass_operator(ctx, zeta, x, stage=stage, out=ap)
     # each pass checks the residual, then takes one preconditioned step
     for it in range(max_iter + 1):
         norm = math.sqrt(r @ r)
@@ -268,7 +278,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, consts=
             p *= rz_next / rz
             p += z
         rz = rz_next
-        apply_mass_operator(ctx, zeta, p, consts=consts, out=ap)
+        apply_mass_operator(ctx, zeta, p, stage=stage, out=ap)
         alpha = rz / float(p @ ap)
         # x += alpha*p and r -= alpha*ap through one scratch vector
         np.multiply(alpha, p, out=tmp)
@@ -327,67 +337,60 @@ def _dx_rows(ctx, spec, rows):
     return spectral.irfft(spec * ctx.pass_symbols[rows], ctx.grid.n)
 
 
-def stage_pass(ctx, zeta, w, depths, stage=None):
+def stage_pass(ctx, zeta, w, stage):
     """The first half of the spectral pass at (zeta, w), written into
-    ``stage`` (a :class:`GNWorkspace`, a fresh one when None), which it
-    returns.
+    ``stage`` (a :class:`GNWorkspace` loaded at zeta), which it returns.
 
-    It forms the velocities u = LAYER_SIGN * w / h (h the stacked
-    ``depths``); one rfft takes the stacked rows w, zeta and, at mu > 0, u;
-    one irfft takes the rows the gradient and the energy differentiate, each
-    times its symbol: zeta by ``grid.ik`` for the slope (with tension), u by
-    dx F for dx F u (mu > 0, at epsilon = 0 too, where only the energy reads
-    it).
-    ``stage`` keeps ``depths``, ``u``, ``w_hat``, ``zeta_hat``, ``slope``
-    and ``dxf_u`` (the last two None where not formed).
+    It forms the velocities u = LAYER_SIGN * w / h (h = ``stage.depths``);
+    one rfft takes the stacked rows w, zeta and, at mu > 0, u; one irfft
+    takes the rows the gradient and the energy differentiate, each times its
+    symbol: zeta by ``grid.ik`` for the slope (with tension), u by dx F for
+    dx F u (mu > 0, at epsilon = 0 too, where only the energy reads it).
+    ``stage`` keeps ``u``, ``w_hat``, ``zeta_hat``, ``slope`` and ``dxf_u``
+    (the last two None where not formed).
     """
     p = ctx.params
-    stage = GNWorkspace() if stage is None else stage
     rows = np.empty((4, ctx.grid.n))
     rows[0] = w
     rows[1] = zeta
     u = rows[2:]
     np.multiply(LAYER_SIGN, w, out=u)
-    np.divide(u, depths, out=u)
+    np.divide(u, stage.depths, out=u)
     first = ctx.pass_first
     spec = spectral.rfft(rows[: first.stop])
     dx = _dx_rows(ctx, spec[first], first) if first.stop > first.start else None
-    stage.depths, stage.u = depths, u
-    stage.w_hat, stage.zeta_hat = spec[0], spec[1]
+    stage.u, stage.w_hat, stage.zeta_hat = u, spec[0], spec[1]
     stage.slope = dx[0] if p.inv_bond > 0.0 else None
     stage.dxf_u = dx[-2:] if p.mu > 0.0 else None
     return stage
 
 
-def interface_gradient(ctx, zeta, w, consts=None, stage=None):
+def interface_gradient(ctx, zeta, w, stage=None):
     """The zeta-gradient of the energy functional (the bracket inside dt v).
 
-    This is the stage's spectral pass: :func:`stage_pass` into ``stage``
-    (:func:`rhs` passes its workspace; a fresh :class:`GNWorkspace` when
-    None), then the capillary chain and the R chain in lockstep: the
-    pointwise middle steps (the stress dx zeta / sqrt(1 + mu eps^2
-    (dx zeta)^2), and h^3 dx F u for mu*eps > 0), one rfft, one irfft of
-    their products by ``grid.ik`` and dx F, then the closings.
-    ``consts`` passes the :class:`MassConstants` of zeta, as :func:`rhs`
-    does; without it they are built here.
+    This is the stage's spectral pass: :func:`stage_pass` into ``stage``, a
+    :class:`GNWorkspace` loaded at zeta (:func:`rhs` passes its workspace;
+    one is loaded here when None), then the capillary chain and the R chain
+    in lockstep: the pointwise middle steps (the stress dx zeta / sqrt(1 +
+    mu eps^2 (dx zeta)^2), and h^3 dx F u for mu*eps > 0), one rfft, one
+    irfft of their products by ``grid.ik`` and dx F, then the closings.
     """
     p = ctx.params
-    if consts is None:
-        consts = MassConstants(ctx, layer_depths(p, zeta))
-    stage = stage_pass(ctx, zeta, w, consts.depths, stage)
+    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
+    stage_pass(ctx, zeta, w, stage)
     second = ctx.pass_second
     if second.stop > second.start:
         middle = np.empty((second.stop - second.start, ctx.grid.n))
         if p.inv_bond > 0.0:
             np.divide(stage.slope, _capillary_root(p, stage.slope), out=middle[0])
         if p.mu > 0.0 and p.epsilon > 0.0:
-            np.multiply(consts.cube, stage.dxf_u, out=middle[-2:])
+            np.multiply(stage.cube, stage.dxf_u, out=middle[-2:])
         dx = _dx_rows(ctx, spectral.rfft(middle), second)
-    h1, h2 = consts.depths
+    h1, h2 = stage.depths
     grad = (p.gamma + p.delta) * zeta + (capillary_gradient(p, dx[0]) if p.inv_bond > 0.0 else 0.0)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(p, consts.depths, stage.u, stage.dxf_u, dx[-2:])
+        grad -= p.mu * p.epsilon * r_flux(p, stage.depths, stage.u, stage.dxf_u, dx[-2:])
     return grad
 
 
@@ -395,41 +398,23 @@ def rhs(ctx, zeta, v, workspace=None):
     """Tendencies (dt zeta, dt v) at state (zeta, v), stacked as one (2, n)
     array, so ``dzeta, dv = rhs(...)`` unpacks them.
 
-    Builds the :class:`MassConstants` of zeta once, for the CG solve and R.
-    Recovers w = A^{-1} v first (warm-started from ``workspace.w_prev``),
-    then the zeta-gradient through the pass of :func:`interface_gradient`,
-    whose products the workspace keeps, and assembles the two exact spatial
-    derivatives, -dx w and -dx of the zeta-gradient, through ``ctx.ik`` (so
+    Loads ``workspace`` (a fresh :class:`GNWorkspace` when None) at zeta
+    once, for the CG solve, the pass and R. Recovers w = A^{-1} v first
+    (warm-started from ``workspace.w_prev``), then the zeta-gradient through
+    the pass of :func:`interface_gradient`, whose products the workspace
+    keeps, and assembles the two exact spatial derivatives, -dx w and -dx of the zeta-gradient, through ``ctx.ik`` (so
     dealiased under ``dealias``) and one batched inverse transform: three
     rfft and three irfft calls besides CG's. Hyperbolicity is a monitored
     diagnostic, not checked here.
     """
     grid = ctx.grid
-    consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
-    stage = GNWorkspace() if workspace is None else workspace
-    w = invert_mass_operator(ctx, zeta, v, x0=stage.w_prev, consts=consts)
+    stage = (GNWorkspace() if workspace is None else workspace).load(ctx, zeta)
+    w = invert_mass_operator(ctx, zeta, v, x0=stage.w_prev, stage=stage)
     stage.w_prev = w
-    grad = interface_gradient(ctx, zeta, w, consts=consts, stage=stage)
+    grad = interface_gradient(ctx, zeta, w, stage=stage)
     spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
     np.multiply(stage.w_hat, ctx.ik, out=spec[0])
     np.multiply(spectral.rfft(grad), ctx.ik, out=spec[1])
     out = spectral.irfft(spec, grid.n)
     return np.negative(out, out=out)
-
-
-class GNWorkspace:
-    """Per-integration scratch, and the products of the spectral pass of
-    the last evaluated stage (see :func:`stage_pass`): ``w_prev``, the
-    stage's flux (the next CG warm start); ``depths``, ``u``, ``w_hat``,
-    ``zeta_hat``, ``slope`` (with tension) and ``dxf_u`` (mu > 0), which
-    the diagnostics row of an accepted (FSAL) stage reads instead of
-    transforming again; and ``resolution_lost_at``, the stage time at which
-    a resolution guard tripped (None while clean). Not shareable between
-    concurrent integrations."""
-
-    def __init__(self):
-        self.w_prev = None
-        self.w_hat = None
-        self.depths = self.u = self.zeta_hat = self.slope = self.dxf_u = None
-        self.resolution_lost_at = None
 

@@ -42,6 +42,7 @@ from . import __version__
 from .diagnostics import DiagnosticsRow, compute_row
 from .errors import CavitationError, ConvergenceError, StepUnderflowError, ValidationError
 from .io_store import (
+    RUN_GENERATOR,
     DiagnosticsWriter,
     claim_out_dir,
     snapshot_name,
@@ -62,7 +63,6 @@ __all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "run
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
-GENERATOR = "gnwaves simulate"  # of every run record and of simulate --preset's manifest
 
 
 @dataclass
@@ -168,7 +168,7 @@ def run_experiment(config, out_dir, force=False):
         layer_depths(config.params, zeta0)
     except CavitationError as exc:
         raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
-    claim_out_dir(out_dir, GENERATOR, force)
+    claim_out_dir(out_dir, RUN_GENERATOR, force)
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 
     w0 = v0 = np.zeros(grid.n)
@@ -220,7 +220,7 @@ def run_experiment(config, out_dir, force=False):
     checksums["diag.csv"] = diag.hexdigest()
 
     metadata = {
-        "generator": GENERATOR,
+        "generator": RUN_GENERATOR,
         "multiplier": spec.label,
         "grid_n": grid.n,
         "t_end": config.t_end,

@@ -9,7 +9,10 @@ independently of the code paths that runs take.
   (criterion 4).
 * :func:`sv_rhs`, the hydrostatic limit (criterion 9).
 * :func:`serre_solitary_wave`, a closed-form travelling wave of the
-  identity family at gamma = 0 (criterion 12).
+  identity family at gamma = 0 (criterion 12), and
+  :func:`travelling_wave`, Newton's periodic travelling wave of
+  :func:`zeta_gradient`, the zeta-gradient written out with a transform
+  per derivative, for every family (criterion 13).
 
 The hydrostatic (mu = 0) limit with surface tension is written out
 independently of the package's one right-hand side, in variables
@@ -33,7 +36,7 @@ import math
 
 import numpy as np
 
-from gnwaves.operators import capillary_density, invert_mass_operator, layer_depths
+from gnwaves.operators import LAYER_SIGN, apply_mass_operator, capillary_density, invert_mass_operator, layer_depths
 from gnwaves.spectral import _check_field, inner, irfft, rfft
 from gnwaves.stability import _tanhc, restoring_symbol
 
@@ -121,3 +124,75 @@ def serre_solitary_wave(params, amplitude, x, t=0.0):
     kappa = math.sqrt(3.0 * amplitude / (4.0 * depth**2 * (depth + amplitude))) / math.sqrt(params.mu)
     zeta = amplitude / params.epsilon / np.cosh(kappa * (x - c * t)) ** 2
     return zeta, c * zeta, c
+
+
+def zeta_gradient(ctx, zeta, w):
+    """The zeta-gradient of the energy (``interface_gradient``) as the
+    formula in :mod:`gnwaves.operators` writes it, one transform pair per
+    derivative: the capillary stress through :func:`ddx`, dx F = ik * F *
+    rfft through np.fft, and R = R_2 - gamma * R_1 with u = LAYER_SIGN * w / h
+    and h**3 formed here."""
+    p, grid = ctx.params, ctx.grid
+    ez = p.epsilon * zeta
+    h = np.stack((1.0 - ez, 1.0 / p.delta + ez))
+    h1, h2 = h
+    grad = (p.gamma + p.delta) * zeta
+    if p.inv_bond > 0.0:
+        s = ddx(grid, zeta)
+        grad -= (p.gamma + p.delta) * p.inv_bond * ddx(grid, s / np.sqrt(1.0 + p.mu * p.epsilon**2 * s**2))
+    grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
+    if p.mu > 0.0 and p.epsilon > 0.0:
+
+        def dxf(u):
+            return np.fft.irfft(grid.ik * ctx.symbols * np.fft.rfft(u), grid.n)
+
+        u = LAYER_SIGN * w / h
+        s = dxf(u)
+        t = dxf(h**3 * s)
+        r1, r2 = 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
+        grad -= p.mu * p.epsilon * (r2 - p.gamma * r1)
+    return grad
+
+
+def travelling_wave(ctx, a1):
+    """The periodic travelling wave zeta = sum_{m=1..N} a_m cos(m k1 (x - c t)),
+    w = c zeta, of mode-1 amplitude a_1 = ``a1`` on the context's grid, with
+    N = n/2 - 1 (so the discrete wave is exact) and k1 = grid.k[1].
+
+    Newton on the unknowns (a_2, ..., a_N, c), from the linear wave (c =
+    ``ctx.linear.omega[1] / k1``), with a forward-difference Jacobian. The
+    equations are the cosine projections, modes 1..N, of
+    c A[eps*zeta](c zeta) - zeta_gradient(zeta, c zeta); mode 0 is the
+    integration constant. Returns ``(profile, c, residual)``: profile(t) is
+    zeta at grid.x and time t, residual the largest projection left.
+    """
+    grid = ctx.grid
+    k1 = grid.k[1]
+    modes = np.arange(1, grid.n // 2)
+    basis = np.cos(np.outer(modes, k1 * grid.x))
+
+    def residual(unknowns):
+        zeta = np.concatenate(([a1], unknowns[:-1])) @ basis
+        c = unknowns[-1]
+        r = c * apply_mass_operator(ctx, zeta, c * zeta) - zeta_gradient(ctx, zeta, c * zeta)
+        return basis @ r * (2.0 / grid.n)
+
+    unknowns = np.zeros(modes.size)
+    unknowns[-1] = ctx.linear.omega[1] / k1
+    for _ in range(10):
+        f = residual(unknowns)
+        if np.max(np.abs(f)) <= 1e-14:
+            break
+        jac = np.empty((f.size, unknowns.size))
+        for j in range(unknowns.size):
+            step = 1e-7 * max(1.0, abs(unknowns[j]))
+            shifted = unknowns.copy()
+            shifted[j] += step
+            jac[:, j] = (residual(shifted) - f) / step
+        unknowns -= np.linalg.solve(jac, f)
+    coefficients, c = np.concatenate(([a1], unknowns[:-1])), unknowns[-1]
+
+    def profile(t):
+        return coefficients @ np.cos(np.outer(modes, k1 * (grid.x - c * t)))
+
+    return profile, c, float(np.max(np.abs(residual(unknowns))))

@@ -37,7 +37,7 @@ from gnwaves.stability import growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import euler_coeffs, hamiltonian, serre_solitary_wave, sv_rhs
+from oracles import euler_coeffs, hamiltonian, serre_solitary_wave, sv_rhs, travelling_wave
 
 
 def _report(num, label, ok, detail=""):
@@ -377,3 +377,33 @@ def test_criterion_12_serre_solitary_wave():
         details.append(f"rel_tol {rel_tol:g}: error {err:.1e} ({s.accepted}/{s.rejected}/{s.rhs_evals} steps)")
     elapsed = time.monotonic() - start
     _report(12, "Serre solitary wave: residual and error at t=2", ok, "; ".join(details) + f"; {elapsed:.2f} s")
+
+
+@pytest.mark.parametrize("inv_bond", [5e-4, 0.0], ids=["tension", "no_tension"])
+@pytest.mark.parametrize("family", ["identity", "regularized", "improved"])
+def test_criterion_13_travelling_wave(family, inv_bond):
+    # Newton's periodic wave of the oracle zeta-gradient (tests/oracles.py):
+    # the package's equations must hold at it, and a run must carry it
+    # along unchanged; at rel_tol 1e-10 the error is 2.7e-12 to 3.1e-12 of
+    # the peak over the six cases, so 0.05 * rel_tol bounds it
+    start = time.monotonic()
+    config = with_overrides(ExperimentConfig(), multiplier=family, inv_bond=inv_bond)
+    grid = Grid(64, 4.0)
+    ctx = GNContext(grid, config.params, build_multiplier(config))
+    profile, c, newton_residual = travelling_wave(ctx, 0.2)
+    zeta0 = profile(0.0)
+    v0 = apply_mass_operator(ctx, zeta0, c * zeta0)
+    r = c * v0 - interface_gradient(ctx, zeta0, c * zeta0)
+    residual = float(np.max(np.abs(r - np.mean(r))))  # up to the integration constant
+    t_end, rel_tol = 2.0, 1e-10
+    result = integrate(
+        guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
+        rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
+    )
+    err = float(np.max(np.abs(result.y[0] - profile(t_end)))) / float(np.max(np.abs(zeta0)))
+    ok = newton_residual <= 1e-14 and residual <= 1e-13 and result.t == t_end and err <= 0.05 * rel_tol
+    s = result.stats
+    _report(13, f"travelling wave ({family}, inv_bond={inv_bond:g})", ok,
+            f"c = {c:.6f}, Newton residual {newton_residual:.1e}, package residual {residual:.1e}, "
+            f"error at t=2 {err:.1e} ({s.accepted}/{s.rejected}/{s.rhs_evals} steps), "
+            f"{time.monotonic() - start:.2f} s")

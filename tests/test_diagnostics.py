@@ -15,6 +15,7 @@ from gnwaves.diagnostics import (
     momentum,
     sv_hyperbolicity_margin,
 )
+from gnwaves.errors import ConvergenceError
 from gnwaves.multipliers import FAMILIES, MultiplierSpec
 from gnwaves.operators import (
     LAYER_SIGN,
@@ -323,3 +324,23 @@ def test_row_from_the_stage_equals_the_recomputed_row(small_grid, family, inv_bo
     bits = [np.array(row).view(np.uint64) for row in rows]
     assert np.array_equal(bits[0], bits[1])
     assert np.array_equal(bits[0], bits[2])
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.0], ids=["mu0.1", "mu0"])
+def test_row_after_a_failed_stage_equals_the_recomputed_row(small_grid, mu):
+    # rhs loads its workspace before the solve, so a stage whose solve fails
+    # leaves that stage's depths beside the last pass's products; the next
+    # successful rhs loads and passes again, and its row must not see them
+    p = PhysParams(gamma=0.95, epsilon=0.5, mu=mu, delta=0.5, inv_bond=5e-4)
+    ctx = GNContext(small_grid, p, MultiplierSpec.regularized_for_depth(p.delta))
+    rng = np.random.default_rng(23)
+    zeta, v = random_smooth_field(small_grid, rng, max_abs=0.9), random_smooth_field(small_grid, rng)
+    failed_zeta = random_smooth_field(small_grid, rng, max_abs=0.9)
+    ws = GNWorkspace()
+    rhs(ctx, failed_zeta, v, workspace=ws)
+    with pytest.raises(ConvergenceError):
+        rhs(ctx, -failed_zeta, np.full(small_grid.n, np.nan), workspace=ws)
+    assert np.array_equal(ws.depths, layer_depths(p, -failed_zeta))
+    rhs(ctx, zeta, v, workspace=ws)
+    rows = astuple(compute_row(ctx, 0.5, zeta, v, ws.w_prev, ws)), astuple(compute_row(ctx, 0.5, zeta, v, ws.w_prev))
+    assert np.array_equal(np.array(rows[0]).view(np.uint64), np.array(rows[1]).view(np.uint64))

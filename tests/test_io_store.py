@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 from gnwaves.diagnostics import DiagnosticsRow
 from gnwaves.errors import ValidationError
 from gnwaves.io_store import (
+    RUN_GENERATOR,
     DiagnosticsWriter,
     claim_out_dir,
     read_diagnostics,
@@ -297,3 +298,19 @@ class TestClaimOutDir:
             with pytest.raises(ValidationError, match="out: "):
                 claim_out_dir(str(out), generator, force)
             assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_a_versioned_run_record_is_read_as_a_run_record(self, tmp_path):
+        # run records once named the package version as their generator
+        # ("gnwaves 0.1.0"); they are refused without force and replaced
+        # with it, and stay another command's output for every other one
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "snap_t0.csv").write_text("x,zeta,w\n0,0,0\n")
+        (out / "notes.txt").write_text("kept\n")
+        (out / "manifest.txt").write_text("generator = gnwaves 0.1.0\nsha256 " + "0" * 64 + " snap_t0.csv\n")
+        for generator, force in (("gnwaves stability", True), (RUN_GENERATOR, False)):
+            with pytest.raises(ValidationError, match="out: "):
+                claim_out_dir(str(out), generator, force)
+        assert sorted(os.listdir(out)) == ["manifest.txt", "notes.txt", "snap_t0.csv"]
+        claim_out_dir(str(out), RUN_GENERATOR, force=True)
+        assert os.listdir(out) == ["notes.txt"]

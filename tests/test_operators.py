@@ -10,7 +10,6 @@ from gnwaves.operators import (
     LAYER_SIGN,
     GNContext,
     GNWorkspace,
-    MassConstants,
     apply_mass_operator,
     interface_gradient,
     invert_mass_operator,
@@ -23,7 +22,7 @@ from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid, dealias_mask, inner
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import ddx, hamiltonian
+from oracles import ddx, hamiltonian, zeta_gradient
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
@@ -340,40 +339,13 @@ def _oracle_layer_depths(params, zeta):
     return h
 
 
-def _oracle_capillary_gradient(grid, zeta, params):
-    """capillary_gradient through the checked oracle ddx."""
-    p = params
-    if p.inv_bond == 0.0:
-        return np.zeros(grid.n)
-    s = ddx(grid, zeta)
-    slope_sq = p.mu * p.epsilon**2 * s**2
-    return -(p.gamma + p.delta) * p.inv_bond * ddx(grid, s / np.sqrt(1.0 + slope_sq))
-
-
-def _oracle_r_flux(ctx, h, w):
-    """r_flux written out: u = LAYER_SIGN * w / h per layer, dx F = ik * fsym
-    * rfft through np.fft, h**3 formed here, and R = R_2 - gamma * R_1 in
-    the same operation order."""
-    grid = ctx.grid
-
-    def dxf(u):
-        return np.fft.irfft(grid.ik * ctx.symbols * np.fft.rfft(u), grid.n)
-
-    u = LAYER_SIGN * w / h
-    s = dxf(u)
-    t = dxf(h**3 * s)
-    r1, r2 = 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
-    return r2 - ctx.params.gamma * r1
-
-
 def _oracle_rhs(ctx, zeta, v, workspace=None):
     """rhs as one 1-D transform per tendency wrote it: the flux from the
-    oracle CG (pointwise at mu = 0), the zeta-gradient through checked
-    derivatives, and -dx of each tendency through the context's derivative
+    oracle CG (pointwise at mu = 0), the zeta-gradient of
+    ``oracles.zeta_gradient``, and -dx of each tendency through the context's derivative
     symbol, which carries the dealias mask. Returns (dzeta, dv)."""
     p, grid = ctx.params, ctx.grid
     h = _oracle_layer_depths(p, zeta)
-    h1, h2 = h
     x0 = workspace.w_prev if workspace is not None else None
     if p.mu == 0.0:
         w = v * (h[0] * h[1]) / (h[0] + p.gamma * h[1])
@@ -382,10 +354,7 @@ def _oracle_rhs(ctx, zeta, v, workspace=None):
     w_hat = np.fft.rfft(w)
     if workspace is not None:
         workspace.w_prev, workspace.w_hat = w, w_hat
-    grad = (p.gamma + p.delta) * zeta + _oracle_capillary_gradient(grid, zeta, p)
-    grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
-    if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * _oracle_r_flux(ctx, h, w)
+    grad = zeta_gradient(ctx, zeta, w)
     dzeta = -np.fft.irfft(w_hat * ctx.ik, grid.n)
     dv = -np.fft.irfft(np.fft.rfft(grad) * ctx.ik, grid.n)
     return dzeta, dv
@@ -443,16 +412,16 @@ class TestHotPathOracle:
         rng = np.random.default_rng(107)
         zeta, w = random_state(ctx, rng)
         other = random_smooth_field(grid, rng)
-        consts = MassConstants(ctx, layer_depths(ctx.params, zeta))
+        stage = GNWorkspace().load(ctx, zeta)
         expected = apply_mass_operator(ctx, zeta, w)
         # reused buffers: an application in between must leave no trace
-        first = apply_mass_operator(ctx, zeta, w, consts=consts)
-        between = apply_mass_operator(ctx, zeta, other, consts=consts)
-        again = apply_mass_operator(ctx, zeta, w, consts=consts)
+        first = apply_mass_operator(ctx, zeta, w, stage=stage)
+        between = apply_mass_operator(ctx, zeta, other, stage=stage)
+        again = apply_mass_operator(ctx, zeta, w, stage=stage)
         assert np.array_equal(first, expected)
         assert np.array_equal(again, expected)
         assert np.array_equal(between, apply_mass_operator(ctx, zeta, other))
-        for buf in (consts.spectral, consts.physical):
+        for buf in (stage.spectral, stage.physical):
             assert not np.shares_memory(first, buf)
 
     def test_mu_zero_constants_match_oracle(self, grid):
@@ -460,8 +429,8 @@ class TestHotPathOracle:
         ctx = GNContext(grid, p, MultiplierSpec.identity())
         rng = np.random.default_rng(109)
         zeta, w = random_state(ctx, rng)
-        consts = MassConstants(ctx, layer_depths(p, zeta))
-        assert np.array_equal(apply_mass_operator(ctx, zeta, w, consts=consts), _oracle_mass_operator(ctx, zeta, w))
+        stage = GNWorkspace().load(ctx, zeta)
+        assert np.array_equal(apply_mass_operator(ctx, zeta, w, stage=stage), _oracle_mass_operator(ctx, zeta, w))
 
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -505,20 +474,20 @@ class TestHotPathOracle:
 
 
 class TestSharedConstants:
-    """rhs builds the per-state constants of A once and shares them with the
-    CG solve and R; CG writes A p into its own buffer and divides by the
-    complex copy of the preconditioner symbol."""
+    """rhs loads the per-state constants of A into its workspace once, for
+    the CG solve, the pass and R; CG writes A p into its own buffer and
+    divides by the complex copy of the preconditioner symbol."""
 
     @staticmethod
     def count_constants(monkeypatch):
         built = []
+        load = operators_mod.GNWorkspace.load
 
-        class Counted(MassConstants):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        def counted(self, ctx, zeta):
+            built.append(1)
+            return load(self, ctx, zeta)
 
-        monkeypatch.setattr(operators_mod, "MassConstants", Counted)
+        monkeypatch.setattr(operators_mod.GNWorkspace, "load", counted)
         return built
 
     @pytest.mark.parametrize("mu", [0.1, 0.0], ids=["dispersive", "hydrostatic"])

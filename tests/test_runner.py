@@ -269,6 +269,18 @@ class TestRunExperiment:
         assert [name for name in checksums if name.endswith(".csv")] == ["diag.csv"]
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt"}
 
+    def test_force_replaces_a_versioned_record(self, tmp_path):
+        # records written while the generator named the version
+        out = str(tmp_path / "run")
+        run_experiment(fast_config(snapshot_times=()), out)
+        manifest = os.path.join(out, "manifest.txt")
+        metadata, checksums = read_manifest(manifest)
+        write_manifest(out, {**metadata, "generator": "gnwaves 0.1.0"}, checksums)
+        with pytest.raises(ValidationError, match="already holds output of gnwaves simulate"):
+            run_experiment(fast_config(snapshot_times=()), out)
+        run_experiment(fast_config(snapshot_times=()), out, force=True)
+        assert read_manifest(manifest)[0]["generator"] == "gnwaves simulate"
+
     @pytest.mark.parametrize("ending", ["completed", "blowup"])
     def test_stride_keeps_the_last_accepted_row(self, tmp_path, monkeypatch, ending):
         # diag-compare reads the last row as the final drift: diag.csv holds
