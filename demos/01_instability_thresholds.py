@@ -10,6 +10,7 @@
 
 import numpy as np
 
+from gnwaves.io_store import write_table
 from gnwaves.params import PhysParams
 from gnwaves.stability import threshold_table
 
@@ -29,10 +30,7 @@ for name in ("threshold_original", "threshold_regularized", "threshold_improved"
     print(f"{name:24s} min threshold {thr[i_min]:.4f} at k = {k[i_min]:.2f}")
 
 out = "thresholds.csv"
-with open(out, "w", encoding="utf-8") as fh:
-    fh.write(",".join(columns) + "\n")
-    for row in zip(*columns.values()):
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+write_table(out, ",".join(columns), list(columns.values()))
 print(f"wrote {out}")
 
 try:

@@ -28,7 +28,7 @@ from .errors import ConfigError, ValidationError
 from .io_store import RUN_GENERATOR, claim_out_dir, read_diagnostics, write_manifest, write_table, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
-from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, run_experiment
+from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, initial_state, run_experiment
 from .stability import threshold_table
 
 # simulate --preset: config overrides, then one run per built-in family;
@@ -83,6 +83,7 @@ def _cmd_simulate(args, **overrides):
     config = with_overrides(_load_config(args), **overrides)
     preset = getattr(args, "preset", None)
     if preset:
+        initial_state(config)  # refuses a cavitating start before the claim
         claim_out_dir(args.out, RUN_GENERATOR, args.force)
         _run_families(with_overrides(config, **PRESETS[preset]), args.out, args.force)
         write_manifest(args.out, {"generator": RUN_GENERATOR, "records": ",".join(FAMILIES)}, {})
@@ -123,9 +124,13 @@ def _cmd_admissibility(args):
 
 def _cmd_diag_compare(args):
     config = _load_config(args)
-    cases = [("with_tension", config)]
+    tension = config.params.inv_bond > 0.0
+    cases = [("with_tension" if tension else "without_tension", config)]
     if args.preset == "table1":
+        if not tension:
+            raise ValidationError("inv_bond", "--preset table1 compares runs with and without tension; got 0")
         cases.append(("without_tension", with_overrides(config, inv_bond=0.0)))
+    initial_state(config)  # refuses a cavitating start before the claim
     claim_out_dir(args.out, args.generator, args.force)
     lines = ["case,multiplier,status,t_final,dZ,dV,dI,dH"]
     for tag, case_config in cases:

@@ -10,19 +10,21 @@ incipient shear instability. ``hyp_margin`` reads the hydrostatic system in
 (zeta, vbar = w/H), H(X) = h1 h2 / (h1 + gamma h2): at mu = 0 it is zero
 where the two characteristic speeds coalesce, at mu > 0 where one is zero.
 
-A row's transforms are those of one spectral pass at (zeta, w),
-:func:`gnwaves.operators.stage_pass`: the depths, velocities, slope,
-dx F u and zeta_hat it forms feed the energy, the margin and the high band.
-The runner passes the workspace of the accepted (FSAL) stage, whose pass
-``rhs`` has just run, so its rows make no transform; without a stage,
-:func:`compute_row` runs the pass itself, once for the whole row.
+A row reads the products of one spectral pass at (zeta, w), the pass of
+:func:`gnwaves.operators.interface_gradient`: the depths, velocities,
+slope, dx F u and zeta_hat it keeps on the workspace feed the energy, the
+margin and the high band. The runner passes the workspace of the accepted
+(FSAL) stage, whose pass ``rhs`` has just run, so its rows make no
+transform; without a stage (the t = 0 row), :func:`compute_row` runs
+``interface_gradient`` on a fresh workspace, once for the whole row, and
+discards the gradient.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import GNWorkspace, capillary_density, layer_depths, stage_pass
+from .operators import GNWorkspace, capillary_density, interface_gradient, layer_depths
 from .spectral import inner
 
 __all__ = [
@@ -70,10 +72,13 @@ def impulse(grid, zeta, v):
 
 
 def _stage(ctx, zeta, w, stage):
-    """``stage``, or the products of :func:`~gnwaves.operators.stage_pass`
-    at (zeta, w) formed here, in a freshly loaded workspace, when it is None."""
+    """``stage``, or, when it is None, a freshly loaded workspace holding the
+    products of the spectral pass at (zeta, w): it runs
+    :func:`~gnwaves.operators.interface_gradient` and discards the gradient
+    (whose rfft/irfft pair the products do not need)."""
     if stage is None:
-        stage = stage_pass(ctx, zeta, w, GNWorkspace().load(ctx, zeta))
+        stage = GNWorkspace().load(ctx, zeta)
+        interface_gradient(ctx, zeta, w, stage)
     return stage
 
 

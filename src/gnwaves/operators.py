@@ -35,16 +35,16 @@ one holder of a stage, which the CG solve, the pass and R read; CG's own
 preconditioner, ``A p`` and update buffers per solve. Every floating-point
 operation stays as it was written per application.
 
-After the solve, one stacked spectral pass forms the zeta-gradient
-(:func:`interface_gradient`): one rfft of the rows w, zeta and u; one irfft
-of the slope dx zeta (symbol ``grid.ik``) and of dx F u (``dx_symbols``);
-the pointwise middle steps of the capillary and R chains; one rfft and one
-irfft of their derivatives; then the pointwise closings. The two tendencies
-come out of one batched inverse transform after one multiply by the
-context's derivative symbol ``ik``, which carries the optional 2/3-rule
-mask: three rfft and three irfft calls per :func:`rhs` besides CG's. The
-diagnostics row of an accepted stage reads the pass products
-(:func:`stage_pass`) and makes no transform.
+After the solve, one function runs the stage's stacked spectral pass and
+forms the zeta-gradient (:func:`interface_gradient`): one rfft of the rows
+w, zeta and u; one irfft of the slope dx zeta (symbol ``grid.ik``) and of
+dx F u (``dx_symbols``); the pointwise middle steps of the capillary and R
+chains; one rfft and one irfft of their derivatives; then the closings in
+place. The two tendencies come out of one batched inverse transform after
+one multiply by the context's derivative symbol ``ik``, which carries the
+optional 2/3-rule mask: three rfft and three irfft calls per :func:`rhs`
+besides CG's. The pass keeps its products on the workspace, and the
+diagnostics row of an accepted stage reads them with no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -71,11 +71,8 @@ __all__ = [
     "GNWorkspace",
     "r_operator",
     "layer_depths",
-    "stage_pass",
     "apply_mass_operator",
     "invert_mass_operator",
-    "r_flux",
-    "capillary_gradient",
     "capillary_density",
     "interface_gradient",
     "rhs",
@@ -119,9 +116,10 @@ class GNContext:
     every division), the propagator ``linear`` of the flat-interface linear
     part of :func:`rhs` built from the same ``ik`` (frequencies omega = |k|
     sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), the symbols
-    ``pass_symbols`` of the rows of a stage pass (:func:`stage_pass`) with
-    the slices ``pass_first``/``pass_second`` of the rows each of its two
-    irffts takes, and the solver settings.
+    ``pass_symbols`` of the rows of the spectral pass
+    (:func:`interface_gradient`) with the slices ``pass_first``/
+    ``pass_second`` of the rows each of its two irffts takes, and the
+    solver settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
@@ -162,12 +160,12 @@ class GNWorkspace:
     for mu > 0, ``cube`` = h^3 and the spectral and physical (2, n) buffers
     every application writes into (used up inside
     :func:`apply_mass_operator`; nothing it returns views them).
-    :func:`stage_pass` adds ``u``, ``w_hat``, ``zeta_hat``, ``slope`` (with
-    tension) and ``dxf_u`` (mu > 0), which the diagnostics row of an
-    accepted (FSAL) stage reads. ``w_prev`` keeps the last stage's flux (the
-    next CG warm start), ``resolution_lost_at`` the stage time at which a
-    resolution guard tripped (None while clean). Not shareable between
-    concurrent integrations."""
+    The pass of :func:`interface_gradient` adds ``u``, ``w_hat``,
+    ``zeta_hat``, ``slope`` (with tension) and ``dxf_u`` (mu > 0), which the
+    diagnostics row of an accepted (FSAL) stage reads. ``w_prev`` keeps the
+    last stage's flux (the next CG warm start), ``resolution_lost_at`` the
+    stage time at which a resolution guard tripped (None while clean). Not
+    shareable between concurrent integrations."""
 
     def __init__(self):
         self.w_prev = self.w_hat = self.depths = self.local = self.cube = None
@@ -297,14 +295,6 @@ def _capillary_root(params, slope):
     return np.sqrt(1.0 + params.mu * params.epsilon**2 * slope**2)
 
 
-def capillary_gradient(params, dx_stress):
-    """The surface-tension part of the zeta-gradient,
-    -(gamma+delta)/Bo * dx( dx zeta / sqrt(1 + mu eps^2 (dx zeta)^2) ), from
-    ``dx_stress``, the derivative of the stress in the parentheses (the
-    pass of :func:`interface_gradient` forms both)."""
-    return -(params.gamma + params.delta) * params.inv_bond * dx_stress
-
-
 def capillary_density(params, slope):
     """Pointwise capillary energy density
     2 (gamma+delta)/Bo * s^2 / (1 + sqrt(1 + mu eps^2 s^2)) at the slope
@@ -323,33 +313,28 @@ def r_operator(h, u, s, t):
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
-def r_flux(params, h, u, s, t):
-    """R[eps*zeta, w] = R_2[h2, u2] - gamma * R_1[h1, u1] for the stacked
-    depths h, velocities u = LAYER_SIGN * w / h and their s = dx F{u},
-    t = dx F{h^3 s} (mu > 0)."""
-    r1, r2 = r_operator(h, u, s, t)
-    return r2 - params.gamma * r1
-
-
 def _dx_rows(ctx, spec, rows):
     """irfft of the pass rows ``rows`` (a slice) of the stacked spectra
     ``spec`` times their symbols ``ctx.pass_symbols[rows]``."""
     return spectral.irfft(spec * ctx.pass_symbols[rows], ctx.grid.n)
 
 
-def stage_pass(ctx, zeta, w, stage):
-    """The first half of the spectral pass at (zeta, w), written into
-    ``stage`` (a :class:`GNWorkspace` loaded at zeta), which it returns.
+def interface_gradient(ctx, zeta, w, stage=None):
+    """The zeta-gradient of the energy functional (the bracket inside dt v):
+    the stage's spectral pass at (zeta, w) into ``stage``, a
+    :class:`GNWorkspace` loaded at zeta (one is loaded here when None).
 
-    It forms the velocities u = LAYER_SIGN * w / h (h = ``stage.depths``);
-    one rfft takes the stacked rows w, zeta and, at mu > 0, u; one irfft
-    takes the rows the gradient and the energy differentiate, each times its
-    symbol: zeta by ``grid.ik`` for the slope (with tension), u by dx F for
-    dx F u (mu > 0, at epsilon = 0 too, where only the energy reads it).
-    ``stage`` keeps ``u``, ``w_hat``, ``zeta_hat``, ``slope`` and ``dxf_u``
-    (the last two None where not formed).
+    u = LAYER_SIGN * w / h; one rfft of the rows w, zeta and (mu > 0) u; one
+    irfft of the slope (zeta times ``grid.ik``, with tension) and of dx F u
+    (mu > 0, epsilon = 0 too, where only the energy reads it), which
+    ``stage`` keeps with ``u``, ``w_hat`` and ``zeta_hat`` (None where not
+    formed). Then the capillary and R chains in lockstep: the stress dx zeta
+    / sqrt(1 + mu eps^2 (dx zeta)^2) and h^3 dx F u (mu*eps > 0), one rfft,
+    one irfft by ``grid.ik`` and dx F, and the closings -(gamma+delta)/Bo
+    dx stress and R = R_2 - gamma R_1 (:func:`r_operator`).
     """
     p = ctx.params
+    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
     rows = np.empty((4, ctx.grid.n))
     rows[0] = w
     rows[1] = zeta
@@ -362,22 +347,6 @@ def stage_pass(ctx, zeta, w, stage):
     stage.u, stage.w_hat, stage.zeta_hat = u, spec[0], spec[1]
     stage.slope = dx[0] if p.inv_bond > 0.0 else None
     stage.dxf_u = dx[-2:] if p.mu > 0.0 else None
-    return stage
-
-
-def interface_gradient(ctx, zeta, w, stage=None):
-    """The zeta-gradient of the energy functional (the bracket inside dt v).
-
-    This is the stage's spectral pass: :func:`stage_pass` into ``stage``, a
-    :class:`GNWorkspace` loaded at zeta (:func:`rhs` passes its workspace;
-    one is loaded here when None), then the capillary chain and the R chain
-    in lockstep: the pointwise middle steps (the stress dx zeta / sqrt(1 +
-    mu eps^2 (dx zeta)^2), and h^3 dx F u for mu*eps > 0), one rfft, one
-    irfft of their products by ``grid.ik`` and dx F, then the closings.
-    """
-    p = ctx.params
-    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
-    stage_pass(ctx, zeta, w, stage)
     second = ctx.pass_second
     if second.stop > second.start:
         middle = np.empty((second.stop - second.start, ctx.grid.n))
@@ -387,10 +356,11 @@ def interface_gradient(ctx, zeta, w, stage=None):
             np.multiply(stage.cube, stage.dxf_u, out=middle[-2:])
         dx = _dx_rows(ctx, spectral.rfft(middle), second)
     h1, h2 = stage.depths
-    grad = (p.gamma + p.delta) * zeta + (capillary_gradient(p, dx[0]) if p.inv_bond > 0.0 else 0.0)
+    grad = (p.gamma + p.delta) * zeta + (-(p.gamma + p.delta) * p.inv_bond * dx[0] if p.inv_bond > 0.0 else 0.0)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
-        grad -= p.mu * p.epsilon * r_flux(p, stage.depths, stage.u, stage.dxf_u, dx[-2:])
+        r1, r2 = r_operator(stage.depths, u, stage.dxf_u, dx[-2:])
+        grad -= p.mu * p.epsilon * (r2 - p.gamma * r1)
     return grad
 
 

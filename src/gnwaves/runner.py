@@ -84,11 +84,20 @@ def build_multiplier(config):
     return load_symbol_table(name.removeprefix("custom:"))
 
 
-def initial_state(config, grid):
-    """The initial interface zeta0 = ic_amplitude * exp(-ic_width x^2), the
-    +0.0 rest state at ic_amplitude = 0; the fluid starts at rest
-    (w0 = v0 = 0)."""
-    return config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
+def initial_state(config, grid=None):
+    """The initial interface zeta0 = ic_amplitude * exp(-ic_width x^2) on
+    ``grid`` (config's grid when None), the +0.0 rest state at
+    ic_amplitude = 0; the fluid starts at rest (w0 = v0 = 0). One that
+    already cavitates is a configuration error (ValidationError naming
+    ``ic_amplitude``). Neither the multiplier nor ``inv_bond`` enters, so a
+    command running several families checks once, before it claims --out."""
+    grid = Grid(config.grid_n, config.domain_half_length) if grid is None else grid
+    zeta0 = config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
+    try:
+        layer_depths(config.params, zeta0)
+    except CavitationError as exc:
+        raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
+    return zeta0
 
 
 def _resolution_lost(w, w_hat, rel_tol):
@@ -164,10 +173,6 @@ def run_experiment(config, out_dir, force=False):
         cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
     )
     zeta0 = initial_state(config, grid)
-    try:
-        layer_depths(config.params, zeta0)
-    except CavitationError as exc:
-        raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
     claim_out_dir(out_dir, RUN_GENERATOR, force)
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
 

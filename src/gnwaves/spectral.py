@@ -76,16 +76,6 @@ class Grid:
     def __repr__(self):
         return f"Grid(n={self.n}, half_length={self.half_length})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and self.half_length == other.half_length
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.half_length))
-
 
 def rfft(f, out=None):
     """``np.fft.rfft(f)`` along the last axis, bit for bit; that axis must

@@ -358,6 +358,21 @@ def test_out_dir_rule(kind, column, code, existing, tmp_path, capsys):
     assert records == RECORDS.get(column.rstrip("+"))
 
 
+@pytest.mark.parametrize("kind,argv", [("preset", ["simulate", "--preset", "fig2"]), ("diag-compare", ["diag-compare"])])
+def test_cavitating_config_keeps_the_earlier_output(kind, argv, existing, tmp_path, capsys):
+    # the initial state is judged before --out is claimed, so a refused
+    # config leaves the command's own earlier output as it was, --force or not
+    root, _ = existing
+    out = tmp_path / "out"
+    shutil.copytree(root / kind, out)
+    before = _tree(out)
+    cfg = tmp_path / "cav.cfg"
+    cfg.write_text(FAST + "ic_amplitude = -5\n")
+    assert main(argv + ["--config", str(cfg), "--out", str(out), "--force"]) == 2
+    assert "ic_amplitude: the initial state cavitates" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
 class TestDiagCompare:
     def test_drift_table(self, fast_config_path, tmp_path, capsys):
         out = str(tmp_path / "cmp")
@@ -384,6 +399,26 @@ class TestDiagCompare:
         assert len(lines) == 7  # three multipliers x two cases
         cases = {line.split(",")[0] for line in lines[1:]}
         assert cases == {"with_tension", "without_tension"}
+
+    def test_a_config_without_tension_names_its_case(self, tmp_path):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(FAST + "inv_bond = 0\n")
+        out = tmp_path / "cmp"
+        assert main(["diag-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        records = [f"without_tension_{name}" for name in ("identity", "regularized", "improved")]
+        assert read_manifest(out / "manifest.txt")[0]["records"] == ",".join(records)
+        assert sorted(os.listdir(out)) == sorted(["drift_table.csv", "manifest.txt", *records])
+        lines = (out / "drift_table.csv").read_text(encoding="utf-8").strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["without_tension"] * 3
+
+    def test_table1_refuses_a_config_without_tension(self, tmp_path, capsys):
+        # its two cases would be one run under two names
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(FAST + "inv_bond = 0\n")
+        out = tmp_path / "cmp"
+        assert main(["diag-compare", "--config", str(cfg), "--out", str(out), "--preset", "table1"]) == 2
+        assert "inv_bond: --preset table1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -191,3 +191,28 @@ def test_load_symbol_table(tmp_path):
     assert np.allclose(got, f, rtol=0, atol=1e-15)
     # even extension
     assert np.allclose(eval_multiplier(spec, 1, -k, 1.0), f, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        pytest.param(lambda path: MultiplierSpec.regularized(0.0, 1.0), "theta", id="theta1_zero"),
+        pytest.param(lambda path: MultiplierSpec.regularized(1.0, -1.0), "theta", id="theta2_negative"),
+        pytest.param(lambda path: MultiplierSpec.improved(0.0), "delta", id="delta_zero"),
+        pytest.param(lambda path: MultiplierSpec.custom([0.0], [1.0]), "table", id="one_row"),
+        pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0], [1.0, 0.5, 0.2]), "table", id="ragged"),
+        pytest.param(lambda path: MultiplierSpec.custom([0.5, 1.0], [1.0, 0.5]), "table", id="no_k0_row"),
+        pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0, 1.0], [1.0, 0.5, 0.4]), "table", id="k_repeated"),
+        pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0], [1.0, np.nan]), "table", id="nan_symbol"),
+        pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 3, [1.0], 0.1), "layer", id="layer_3"),
+        pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 1, [1.0], -0.1), "mu", id="mu_negative"),
+        pytest.param(load_symbol_table, "table", id="three_columns"),
+        pytest.param(lambda path: check_admissibility(MultiplierSpec.identity(), 1, k_max=0.0), "k_max", id="k_max_zero"),
+    ],
+)
+def test_refusals_name_their_field(make, field, tmp_path):
+    path = tmp_path / "three_columns.csv"
+    path.write_text("0,1,2\n1,0.5,0\n")
+    with pytest.raises(ValidationError) as err:
+        make(str(path))
+    assert err.value.field == field

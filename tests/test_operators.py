@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,11 @@ from gnwaves.operators import (
     interface_gradient,
     invert_mass_operator,
     layer_depths,
-    r_flux,
     r_operator,
     rhs,
 )
 from gnwaves.params import PhysParams
+from gnwaves.runner import guarded_rhs
 from gnwaves.spectral import Grid, dealias_mask, inner
 
 from conftest import REF_PARAMS, random_smooth_field
@@ -524,8 +526,22 @@ class TestSharedConstants:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_cg_iteration_cap(grid, max_iter):
+    # a solve that cannot reach tol in max_iter iterations raises with every
+    # residual it saw, and a stage under guarded_rhs turns that into NaN
+    ctx = make_ctx(grid, cg_max_iter=max_iter)
+    zeta, w = random_state(ctx, np.random.default_rng(157))
+    v = apply_mass_operator(ctx, zeta, w)
+    with pytest.raises(ConvergenceError, match="did not reach tol") as err:
+        invert_mass_operator(ctx, zeta, v)
+    assert len(err.value.residuals) == max_iter + 1
+    tendencies = guarded_rhs(ctx, GNWorkspace())(0.0, np.stack((zeta, v)))
+    assert tendencies.shape == (2, grid.n) and np.isnan(tendencies).all()
+
+
 class TestVelocities:
-    """u = LAYER_SIGN * w / h, the layer velocities r_flux forms."""
+    """u = LAYER_SIGN * w / h, the layer velocities interface_gradient forms."""
 
     def test_zero_flux(self, grid):
         u1, u2 = LAYER_SIGN * np.zeros(grid.n) / layer_depths(REF_PARAMS, np.zeros(grid.n))
@@ -601,18 +617,19 @@ class TestSurfaceTension:
 
 class TestRFluxAssembly:
     def test_matches_expanded_form(self, grid):
-        # R[eps zeta, w] assembled from the layer operators must equal the
-        # fully expanded expression (independent path)
+        # R[eps zeta, w], the part of interface_gradient the other terms
+        # leave (no tension) divided by -mu*eps, must equal the fully
+        # expanded expression (independent path)
         spec = MultiplierSpec.improved(REF_PARAMS.delta)
-        ctx = make_ctx(grid, spec=spec)
+        p = replace(REF_PARAMS, inv_bond=0.0)
+        ctx = make_ctx(grid, params=p, spec=spec)
         rng = np.random.default_rng(53)
         zeta, w = random_state(ctx, rng)
-        h = layer_depths(ctx.params, zeta)
-        h1, h2 = h
-        dxf1 = _layer_dxf(grid, spec, 1, ctx.params.mu)
-        dxf2 = _layer_dxf(grid, spec, 2, ctx.params.mu)
+        h1, h2 = layer_depths(p, zeta)
+        dxf1 = _layer_dxf(grid, spec, 1, p.mu)
+        dxf2 = _layer_dxf(grid, spec, 2, p.mu)
 
-        g = ctx.params.gamma
+        g = p.gamma
         t2 = dxf2(h2**3 * dxf2(w / h2))
         t1 = dxf1(h1**3 * dxf1(w / h1))
         expanded = (
@@ -621,10 +638,9 @@ class TestRFluxAssembly:
             + 0.5 * (h2 * dxf2(w / h2)) ** 2
             - 0.5 * g * (h1 * dxf1(w / h1)) ** 2
         )
-        dxf = _dxf(grid, ctx.dx_symbols)
-        u = LAYER_SIGN * w / h
-        s = dxf(u)
-        assert np.allclose(r_flux(ctx.params, h, u, s, dxf(h**3 * s)), expanded, rtol=0, atol=1e-12)
+        rest = (p.gamma + p.delta) * zeta + 0.5 * p.epsilon * (h1**2 - g * h2**2) / (h1 * h2) ** 2 * w**2
+        r = (rest - interface_gradient(ctx, zeta, w)) / (p.mu * p.epsilon)
+        assert np.allclose(r, expanded, rtol=0, atol=1e-12)
 
 
 class TestRhs:

@@ -273,3 +273,28 @@ def test_with_overrides_nested_params():
     assert changed.params.mu == 0.0
     assert changed.multiplier == "identity"
     assert changed.params.gamma == config.params.gamma
+
+
+@pytest.mark.parametrize(
+    "changes,field",
+    [
+        ({"grid_n": 12}, "grid_n"),
+        ({"grid_n": 4}, "grid_n"),
+        ({"domain_half_length": 0.0}, "domain_half_length"),
+        ({"t_end": -1.0}, "t_end"),
+        ({"rel_tol": 0.0}, "rel_tol"),
+        ({"abs_tol": -1e-10}, "abs_tol"),
+        ({"theta1": 0.0}, "theta1"),
+        ({"theta2": -0.1}, "theta2"),
+        ({"ic_width": 0.0}, "ic_width"),
+        ({"cg_tol": 0.0}, "cg_tol"),
+        ({"snapshot_times": (0.5, -0.1)}, "snapshot_times"),
+        ({"cg_max_iter": 0}, "cg_max_iter"),
+    ],
+)
+def test_experiment_config_refuses_values_out_of_range(changes, field):
+    # each value has its field's type, so the range checks of
+    # ExperimentConfig itself refuse it
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig(**changes)
+    assert err.value.field == field

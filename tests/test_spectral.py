@@ -183,6 +183,12 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid(bad_n, 4.0)
 
+    @pytest.mark.parametrize("half_length", [0.0, -4.0, np.nan])
+    def test_rejects_a_non_positive_half_length(self, half_length):
+        with pytest.raises(ValidationError) as err:
+            Grid(64, half_length)
+        assert err.value.field == "half_length"
+
 
 class TestDdx:
     def test_constant(self, grid):

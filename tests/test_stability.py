@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gnwaves.errors import ValidationError
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.stability import (
     euler_threshold_curve,
@@ -214,3 +215,15 @@ class TestGrowthRate:
     def test_vectorized_wrapper(self):
         rates = growth_rates(np.array([1.0, 2.0]), REF_PARAMS, MultiplierSpec.identity(), 0.0)
         assert np.array_equal(rates, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("k_grid", [[0.0, 1.0], [2.0, -1.0]], ids=["zero", "negative"])
+@pytest.mark.parametrize(
+    "curve",
+    [lambda k: threshold_curve(k, REF_PARAMS, MultiplierSpec.identity()), lambda k: euler_threshold_curve(k, REF_PARAMS)],
+    ids=["model", "euler"],
+)
+def test_threshold_curves_refuse_non_positive_wavenumbers(curve, k_grid):
+    with pytest.raises(ValidationError) as err:
+        curve(np.array(k_grid))
+    assert err.value.field == "k_grid"

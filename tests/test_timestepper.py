@@ -425,3 +425,12 @@ def test_lawson_run_matches_np_fft_propagator_bitwise(dealias):
     assert [t for t, _ in new_snaps] == [t for t, _ in old_snaps] == [0.1, 0.25, 0.4]
     for (_, y_new), (_, y_old) in zip(new_snaps, old_snaps):
         assert np.array_equal(y_new, y_old)
+
+
+@pytest.mark.parametrize(
+    "t_span", [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0)], ids=["reversed", "empty", "inf", "nan"]
+)
+def test_integrate_refuses_a_bad_time_span(t_span):
+    with pytest.raises(ValidationError) as err:
+        integrate(lambda t, y: y, t_span, np.array([1.0]))
+    assert err.value.field == "t_span"
