@@ -154,7 +154,8 @@ def build_parser():
 
     # each command takes only the flags it reads: stability and diag-compare
     # run every family, sv runs at mu = 0, where every family's symbol is 1,
-    # and stability and admissibility always replace their own output
+    # and stability and admissibility always replace their own output; a
+    # preset runs every family, so it and --multiplier exclude each other
     def command(name, summary, handler, presets=(), out_required=True, force=True, multiplier=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler, generator=f"gnwaves {name}")
@@ -162,10 +163,11 @@ def build_parser():
         p.add_argument("--out", required=out_required, help="output directory")
         if force:
             p.add_argument("--force", action="store_true", help="replace this command's earlier output in --out")
+        choice = p.add_mutually_exclusive_group()
         if multiplier:
-            p.add_argument("--multiplier", help="override the configured multiplier: id|reg|imp|custom:<path>")
+            choice.add_argument("--multiplier", help="override the configured multiplier: id|reg|imp|custom:<path>")
         if presets:
-            p.add_argument("--preset", choices=presets, help="bundled experiment preset")
+            choice.add_argument("--preset", choices=presets, help="bundled experiment preset")
         return p
 
     command("simulate", "run the dispersive model", _cmd_simulate, presets=tuple(PRESETS))

@@ -40,11 +40,14 @@ forms the zeta-gradient (:func:`interface_gradient`): one rfft of the rows
 w, zeta and u; one irfft of the slope dx zeta (symbol ``grid.ik``) and of
 dx F u (``dx_symbols``); the pointwise middle steps of the capillary and R
 chains; one rfft and one irfft of their derivatives; then the closings in
-place. The two tendencies come out of one batched inverse transform after
-one multiply by the context's derivative symbol ``ik``, which carries the
-optional 2/3-rule mask: three rfft and three irfft calls per :func:`rhs`
-besides CG's. The pass keeps its products on the workspace, and the
-diagnostics row of an accepted stage reads them with no transform.
+place. Both irffts take the one row set ``GNContext.pass_rows``: zeta with
+tension, u for mu > 0. At epsilon = 0 the pass still forms h^3 dx F u and
+R, which the factor mu*eps = 0 removes. The two tendencies come out of one
+batched inverse transform after one multiply by the context's derivative
+symbol ``ik``, which carries the optional 2/3-rule mask: three rfft and
+three irfft calls per :func:`rhs` besides CG's. The pass keeps its products
+on the workspace, and the diagnostics row of an accepted stage reads them
+with no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -115,11 +118,11 @@ class GNContext:
     the complex copy CG divides by: the cast numpy would otherwise make on
     every division), the propagator ``linear`` of the flat-interface linear
     part of :func:`rhs` built from the same ``ik`` (frequencies omega = |k|
-    sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), the symbols
-    ``pass_symbols`` of the rows of the spectral pass
-    (:func:`interface_gradient`) with the slices ``pass_first``/
-    ``pass_second`` of the rows each of its two irffts takes, and the
-    solver settings.
+    sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), the slice ``pass_rows``
+    of the rows w, zeta, u1, u2 that both irffts of the spectral pass
+    (:func:`interface_gradient`) take (zeta with tension, u for mu > 0, at
+    every epsilon) and their symbols ``pass_symbols`` (``grid.ik``, dx F),
+    and the solver settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
@@ -142,14 +145,11 @@ class GNContext:
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
         self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * restoring_symbol(params, k))
-        # pass rows w, zeta, u1, u2 and their symbols: ik (the tendency),
-        # grid.ik (the slope), dx F; the rfft takes the rows up to the end
-        # of pass_first, the second irfft the stress (with tension) and
-        # h^3 dx F u (R, mu*eps > 0)
-        tension, dispersive = params.inv_bond > 0.0, params.mu > 0.0
-        self.pass_symbols = np.concatenate(([self.ik, grid.ik], self.dx_symbols))
-        self.pass_first = slice(1 if tension else 2, 4 if dispersive else 2)
-        self.pass_second = slice(self.pass_first.start, 4 if dispersive and params.epsilon > 0.0 else 2)
+        # pass rows w, zeta, u1, u2: the rfft takes them up to the end of
+        # pass_rows, both irffts zeta (with tension) and u (mu > 0); pass row
+        # r has symbol r - 1 of (grid.ik (the slope), dx F1, dx F2)
+        self.pass_rows = rows = slice(1 if params.inv_bond > 0.0 else 2, 4 if params.mu > 0.0 else 2)
+        self.pass_symbols = np.concatenate(([grid.ik], self.dx_symbols))[rows.start - 1 : rows.stop - 1]
 
 
 class GNWorkspace:
@@ -313,25 +313,20 @@ def r_operator(h, u, s, t):
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
-def _dx_rows(ctx, spec, rows):
-    """irfft of the pass rows ``rows`` (a slice) of the stacked spectra
-    ``spec`` times their symbols ``ctx.pass_symbols[rows]``."""
-    return spectral.irfft(spec * ctx.pass_symbols[rows], ctx.grid.n)
-
-
 def interface_gradient(ctx, zeta, w, stage=None):
     """The zeta-gradient of the energy functional (the bracket inside dt v):
     the stage's spectral pass at (zeta, w) into ``stage``, a
     :class:`GNWorkspace` loaded at zeta (one is loaded here when None).
 
     u = LAYER_SIGN * w / h; one rfft of the rows w, zeta and (mu > 0) u; one
-    irfft of the slope (zeta times ``grid.ik``, with tension) and of dx F u
-    (mu > 0, epsilon = 0 too, where only the energy reads it), which
-    ``stage`` keeps with ``u``, ``w_hat`` and ``zeta_hat`` (None where not
-    formed). Then the capillary and R chains in lockstep: the stress dx zeta
-    / sqrt(1 + mu eps^2 (dx zeta)^2) and h^3 dx F u (mu*eps > 0), one rfft,
-    one irfft by ``grid.ik`` and dx F, and the closings -(gamma+delta)/Bo
-    dx stress and R = R_2 - gamma R_1 (:func:`r_operator`).
+    irfft of the rows ``ctx.pass_rows``: the slope (zeta times ``grid.ik``,
+    with tension) and dx F u (mu > 0), which ``stage`` keeps with ``u``,
+    ``w_hat`` and ``zeta_hat`` (None where not formed). Then the capillary
+    and R chains in lockstep on the same rows: the stress dx zeta /
+    sqrt(1 + mu eps^2 (dx zeta)^2) and h^3 dx F u, one rfft, one irfft by
+    ``grid.ik`` and dx F, and the closings -(gamma+delta)/Bo dx stress and
+    mu*eps R, R = R_2 - gamma R_1 (:func:`r_operator`); at epsilon = 0 that
+    factor is 0 and R drops out.
     """
     p = ctx.params
     stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
@@ -341,24 +336,24 @@ def interface_gradient(ctx, zeta, w, stage=None):
     u = rows[2:]
     np.multiply(LAYER_SIGN, w, out=u)
     np.divide(u, stage.depths, out=u)
-    first = ctx.pass_first
-    spec = spectral.rfft(rows[: first.stop])
-    dx = _dx_rows(ctx, spec[first], first) if first.stop > first.start else None
+    cut, n = ctx.pass_rows, ctx.grid.n
+    spec = spectral.rfft(rows[: cut.stop])
     stage.u, stage.w_hat, stage.zeta_hat = u, spec[0], spec[1]
-    stage.slope = dx[0] if p.inv_bond > 0.0 else None
-    stage.dxf_u = dx[-2:] if p.mu > 0.0 else None
-    second = ctx.pass_second
-    if second.stop > second.start:
-        middle = np.empty((second.stop - second.start, ctx.grid.n))
+    stage.slope = stage.dxf_u = None
+    if cut.stop > cut.start:
+        dx = spectral.irfft(spec[cut] * ctx.pass_symbols, n)
+        middle = np.empty_like(dx)
         if p.inv_bond > 0.0:
+            stage.slope = dx[0]
             np.divide(stage.slope, _capillary_root(p, stage.slope), out=middle[0])
-        if p.mu > 0.0 and p.epsilon > 0.0:
+        if p.mu > 0.0:
+            stage.dxf_u = dx[-2:]
             np.multiply(stage.cube, stage.dxf_u, out=middle[-2:])
-        dx = _dx_rows(ctx, spectral.rfft(middle), second)
+        dx = spectral.irfft(spectral.rfft(middle) * ctx.pass_symbols, n)
     h1, h2 = stage.depths
     grad = (p.gamma + p.delta) * zeta + (-(p.gamma + p.delta) * p.inv_bond * dx[0] if p.inv_bond > 0.0 else 0.0)
     grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
-    if p.mu > 0.0 and p.epsilon > 0.0:
+    if p.mu > 0.0:
         r1, r2 = r_operator(stage.depths, u, stage.dxf_u, dx[-2:])
         grad -= p.mu * p.epsilon * (r2 - p.gamma * r1)
     return grad

@@ -373,6 +373,20 @@ def test_cavitating_config_keeps_the_earlier_output(kind, argv, existing, tmp_pa
     assert _tree(out) == before
 
 
+def test_preset_with_multiplier_keeps_the_earlier_output(existing, tmp_path, capsys):
+    # a preset runs every family: a --multiplier beside it is refused before
+    # --out is claimed, so even with --force the earlier output stays
+    root, config = existing
+    out = tmp_path / "out"
+    shutil.copytree(root / "preset", out)
+    before = _tree(out)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--preset", "fig4", "--multiplier", "imp", "--config", config, "--out", str(out), "--force"])
+    assert exc.value.code == 2
+    assert "--multiplier" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
 class TestDiagCompare:
     def test_drift_table(self, fast_config_path, tmp_path, capsys):
         out = str(tmp_path / "cmp")

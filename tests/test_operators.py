@@ -371,9 +371,10 @@ def _assert_rhs_matches_oracle(ctx, states):
         expected = np.stack(_oracle_rhs(ctx, zeta, v))
         got = rhs(ctx, zeta, v)
         assert got.shape == (2, ctx.grid.n)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         got = rhs(ctx, zeta, v, workspace=ws)
-        assert np.array_equal(got, np.stack(_oracle_rhs(ctx, zeta, v, workspace=oracle_ws)))
+        expected = np.stack(_oracle_rhs(ctx, zeta, v, workspace=oracle_ws))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(ws.w_prev, oracle_ws.w_prev)
         assert np.array_equal(ws.w_hat, oracle_ws.w_hat)
 
@@ -446,11 +447,20 @@ class TestHotPathOracle:
         _assert_rhs_matches_oracle(ctx, states)
 
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    def test_rhs_at_mu_zero_matches_oracle_bitwise(self, grid, dealias):
-        p = PhysParams(gamma=0.95, epsilon=0.5, mu=0.0, delta=0.5, inv_bond=5e-4)
-        ctx = GNContext(grid, p, MultiplierSpec.identity(), dealias=dealias)
+    @pytest.mark.parametrize("epsilon", [0.5, 0.0], ids=["eps0.5", "eps0"])
+    @pytest.mark.parametrize("mu", [0.1, 0.0], ids=["mu0.1", "mu0"])
+    @pytest.mark.parametrize("inv_bond", [5e-4, 0.0], ids=["tension", "no_tension"])
+    @pytest.mark.parametrize("family", list(FAMILY_BUILDERS))
+    def test_rhs_matches_oracle_bitwise_in_every_configuration(self, small_grid, family, inv_bond, mu, epsilon, dealias):
+        # every row set of the spectral pass (with or without tension, mu > 0
+        # or not), at epsilon = 0 too, where R is formed and multiplied by 0
+        p = PhysParams(gamma=0.95, epsilon=epsilon, mu=mu, delta=0.5, inv_bond=inv_bond)
+        ctx = GNContext(small_grid, p, FAMILY_BUILDERS[family](p.delta, None, None), dealias=dealias)
         rng = np.random.default_rng(129)
-        states = [(random_smooth_field(grid, rng, max_abs=0.9), random_smooth_field(grid, rng)) for _ in range(2)]
+        states = []
+        for _ in range(2):
+            zeta = random_smooth_field(small_grid, rng, max_abs=0.9)
+            states.append((zeta, _oracle_mass_operator(ctx, zeta, random_smooth_field(small_grid, rng))))
         _assert_rhs_matches_oracle(ctx, states)
 
     def test_results_survive_later_calls(self, grid):
