@@ -14,9 +14,10 @@ delta_2 = delta:
 * custom:       tabulated even symbol, linearly interpolated
 
 A symbol is admissible when it is even, positive, F(0)=1, F'(0)=0, has a
-bounded second derivative, and k |-> |k| F(k) is sub-additive. Those
-properties are what the well-posedness theory needs, and
-:func:`check_admissibility` verifies them numerically on a sampled window.
+bounded second derivative, and k |-> |k| F(k) is sub-additive; the
+well-posedness theory needs these. :func:`check_admissibility` checks all but
+two on a sampled window: evenness holds by construction (F is evaluated at
+|k|), positivity is not checked.
 """
 
 from dataclasses import dataclass
@@ -175,8 +176,12 @@ def layer_symbols(spec, k, mu):
 
 def load_symbol_table(path):
     """Read a two-column CSV ``k,F`` on k >= 0 into a custom spec; the even
-    extension to k < 0 is implied and evaluation clamps to the table ends."""
-    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    extension to k < 0 is implied and evaluation clamps to the table ends.
+    A header must be a ``#`` comment; a non-numeric or ragged row is refused."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError("table", f"{path}: {exc}") from None
     if rows.shape[1] != 2:
         raise ValidationError("table", f"{path}: expected two columns k,F")
     return MultiplierSpec.custom(rows[:, 0], rows[:, 1], label=f"custom:{path}")
@@ -193,7 +198,6 @@ class AdmissibilityReport:
     second_derivative_bound: float
     sigma: float
     k_constant: float
-    sigma_approximate: bool
 
     def summary(self):
         lines = [
@@ -203,34 +207,26 @@ class AdmissibilityReport:
             f"  F(0) = 1: {'ok' if self.f0_ok else 'FAILED'}",
             f"  F'(0) = 0: {'ok' if self.fprime0_ok else 'FAILED'}",
             f"  sup |F''| on window: {self.second_derivative_bound:.6g}",
-            f"  decay fit: F(k) <= {self.k_constant:.6g} * |k|^-{self.sigma:g}"
-            + ("  (least-squares, approximate)" if self.sigma_approximate else ""),
+            f"  decay fit: F(k) <= {self.k_constant:.6g} * |k|^-{self.sigma:g}",
         ]
         return "\n".join(lines)
 
 
-def _fit_decay(spec, f, k_pos):
+def _fit_decay(f, k_pos):
     """Largest sigma in {1, 1/2, 0} with F(k)*|k|^sigma bounded on the window,
     from the symbol's values f on the positive ladder k_pos.
 
     Boundedness on a finite window is judged by saturation: the sup over the
     outer half must not exceed the sup over the inner half by more than 5%.
-    Custom symbols get a log-log least-squares slope instead.
     """
-    if spec.kind == "custom":
-        mask = f > 0
-        slope = np.polyfit(np.log(k_pos[mask]), np.log(f[mask]), 1)[0]
-        sigma = float(min(1.0, max(0.0, -slope)))
-        k_const = float(np.max(f * k_pos**sigma))
-        return sigma, k_const, True
     half = k_pos <= 0.5 * k_pos[-1]
     for sigma in (1.0, 0.5, 0.0):
         g = f * k_pos**sigma
         inner_sup = float(np.max(g[half]))
         outer_sup = float(np.max(g[~half]))
         if outer_sup <= 1.05 * inner_sup:
-            return sigma, max(inner_sup, outer_sup), False
-    return 0.0, float(np.max(f)), False
+            return sigma, max(inner_sup, outer_sup)
+    return 0.0, float(np.max(f))
 
 
 def check_admissibility(spec, layer, k_max=50.0, samples=100):
@@ -250,7 +246,8 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
         """The raw symbol F(k), eval_multiplier at mu = 1; k_max sets the window."""
         return eval_multiplier(spec, layer, k, 1.0)
 
-    g = np.abs(ks) * symbol(ks)
+    f_vals = symbol(ks)
+    g = np.abs(ks) * f_vals
     # k_i + l_j lands back on a uniform ladder indexed by i + j.
     sums = np.linspace(-2 * k_max, 2 * k_max, 2 * samples - 1)
     g_sum = np.abs(sums) * symbol(sums)
@@ -258,16 +255,16 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
     margin = g[:, None] + g[None, :] - g_sum[idx[:, None] + idx[None, :]]
     worst = float(np.min(margin))
 
-    f0 = float(symbol(0.0))
+    # F'(0) one-sided (F is even): F(h) - F(0) is a quarter of F(2h) - F(0)
+    # for a smooth onset, a half for a corner
     h = 1e-6 * k_max
-    fprime0 = float((symbol(h) - symbol(-h)) / (2 * h))
+    f0, f_h, f_2h = symbol(np.array([0.0, h, 2 * h])).tolist()
     # windowed sup |F''| by central second differences on the sample ladder
     dk = ks[1] - ks[0]
-    f_vals = symbol(ks)
     second = np.abs(f_vals[2:] - 2 * f_vals[1:-1] + f_vals[:-2]) / dk**2
 
     k_pos = np.linspace(k_max / samples, k_max, samples)
-    sigma, k_const, approx = _fit_decay(spec, symbol(k_pos), k_pos)
+    sigma, k_const = _fit_decay(symbol(k_pos), k_pos)
 
     return AdmissibilityReport(
         label=spec.label,
@@ -275,9 +272,8 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
         subadditive_ok=worst >= -1e-12,
         worst_violation=worst,
         f0_ok=abs(f0 - 1.0) <= 1e-12,
-        fprime0_ok=abs(fprime0) <= 1e-8,
+        fprime0_ok=abs(f_h - f0) <= 0.3 * abs(f_2h - f0) + 1e-15,
         second_derivative_bound=float(np.max(second)),
         sigma=sigma,
         k_constant=k_const,
-        sigma_approximate=approx,
     )

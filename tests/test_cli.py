@@ -252,6 +252,16 @@ class TestAdmissibility:
         assert main(["admissibility", "--config", str(cfg)]) == 0
         assert "VIOLATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["admissibility", "simulate"])
+    @pytest.mark.parametrize("text", ["k,F\n0,1\n10,0.5\n", "0,1\n1\n"], ids=["header_line", "ragged_row"])
+    def test_malformed_table_is_a_usage_error(self, command, text, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--multiplier", f"custom:{table}", "--out", str(out)]) == 2
+        assert f"error: table: {table}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_file_written(self, tmp_path, capsys):
         out = str(tmp_path / "adm")
         assert main(["admissibility", "--out", out]) == 0

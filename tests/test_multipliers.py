@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,13 +165,46 @@ class TestAdmissibility:
         report = check_admissibility(spec, 1, k_max=4.0)
         assert not report.subadditive_ok
         assert report.worst_violation < -1e-6
-        assert report.sigma_approximate
 
     def test_flat_table_matches_identity(self):
         spec = MultiplierSpec.custom([0.0, 100.0], [1.0, 1.0])
         report = check_admissibility(spec, 1)
         assert report.subadditive_ok
         assert report.f0_ok
+
+    def test_corner_at_zero_fails_fprime0(self):
+        # linear from F(0) = 1: F(h) - F(0) is half of F(2h) - F(0)
+        spec = MultiplierSpec.custom([0.0, 1.0, 100.0], [1.0, 0.5, 0.005])
+        report = check_admissibility(spec, 1)
+        assert report.f0_ok and not report.fprime0_ok
+        assert report.sigma == 0.5
+        assert report.k_constant == pytest.approx(1.95342, rel=1e-5)
+
+    def test_flat_first_interval_passes_fprime0(self):
+        spec = MultiplierSpec.custom([0.0, 0.5, 1.0, 100.0], [1.0, 1.0, 0.9, 0.01])
+        assert check_admissibility(spec, 1).fprime0_ok
+
+    def test_fine_table_decays_as_its_family(self):
+        family = MultiplierSpec.regularized_for_depth(0.5)
+        k = np.linspace(0.0, 60.0, 6001)
+        spec = MultiplierSpec.custom(k, eval_multiplier(family, 1, k, 1.0))
+        report = check_admissibility(spec, 1)
+        assert report.sigma == check_admissibility(family, 1).sigma == 1.0
+
+    @pytest.mark.parametrize(
+        "k_tab,f_tab",
+        [
+            pytest.param([0.0, 0.001, 100.0], [1.0, -1.0, -1.0], id="no_positive_sample"),
+            pytest.param([0.0, 0.4, 0.6, 100.0], [1.0, 0.5, -0.2, -0.2], id="one_positive_sample"),
+        ],
+    )
+    def test_non_positive_table_reports_without_warning(self, k_tab, f_tab):
+        # positivity is not checked, but the report must still come out
+        spec = MultiplierSpec.custom(k_tab, f_tab)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_admissibility(spec, 1)
+        assert report.f0_ok and "decay fit" in report.summary()
 
     def test_second_derivative_window(self):
         report = check_admissibility(MultiplierSpec.regularized(1.0, 1.0), 1, k_max=10.0, samples=2001)
@@ -193,6 +228,15 @@ def test_load_symbol_table(tmp_path):
     assert np.allclose(eval_multiplier(spec, 1, -k, 1.0), f, atol=1e-15)
 
 
+def load_text(text):
+    """A refusal case: write text as the table file, then load it."""
+    def make(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_symbol_table(path)
+    return make
+
+
 @pytest.mark.parametrize(
     "make,field",
     [
@@ -206,13 +250,13 @@ def test_load_symbol_table(tmp_path):
         pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0], [1.0, np.nan]), "table", id="nan_symbol"),
         pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 3, [1.0], 0.1), "layer", id="layer_3"),
         pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 1, [1.0], -0.1), "mu", id="mu_negative"),
-        pytest.param(load_symbol_table, "table", id="three_columns"),
+        pytest.param(load_text("0,1,2\n1,0.5,0\n"), "table", id="three_columns"),
+        pytest.param(load_text("k,F\n0,1\n10,0.5\n"), "table", id="header_line"),
+        pytest.param(load_text("0,1\n1\n"), "table", id="ragged_row"),
         pytest.param(lambda path: check_admissibility(MultiplierSpec.identity(), 1, k_max=0.0), "k_max", id="k_max_zero"),
     ],
 )
 def test_refusals_name_their_field(make, field, tmp_path):
-    path = tmp_path / "three_columns.csv"
-    path.write_text("0,1,2\n1,0.5,0\n")
     with pytest.raises(ValidationError) as err:
-        make(str(path))
+        make(str(tmp_path / "table.csv"))
     assert err.value.field == field

@@ -332,6 +332,21 @@ class TestRunExperiment:
             with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
 
+    def test_flat_custom_table_runs_the_identity_family(self, tmp_path):
+        # 0,1 / 100,1 interpolates to exactly 1 on the grid: the same run as
+        # the identity family, byte for byte, except the config that names it
+        table = tmp_path / "flat.csv"
+        table.write_text("0,1\n100,1\n")
+        out_tab, out_id = str(tmp_path / "table"), str(tmp_path / "identity")
+        run_tab = run_experiment(fast_config(multiplier=f"custom:{table}"), out_tab)
+        run_id = run_experiment(fast_config(multiplier="identity"), out_id)
+        assert (run_tab.stats.accepted, run_tab.stats.rejected) == (run_id.stats.accepted, run_id.stats.rejected)
+        meta_tab, sums_tab = read_manifest(os.path.join(out_tab, "manifest.txt"))
+        _, sums_id = read_manifest(os.path.join(out_id, "manifest.txt"))
+        assert meta_tab["multiplier"] == f"custom:{table}"
+        assert sums_tab.pop("config.txt") != sums_id.pop("config.txt")
+        assert sums_tab == sums_id and len(sums_tab) == 4  # diag.csv and three snapshots
+
     def test_manifest_names_the_environment_outside_the_checksums(self, tmp_path, monkeypatch):
         # the environment keys sit in the manifest only: another platform
         # string leaves every data file's sha256 line as it was
