@@ -16,10 +16,11 @@ delta_2 = delta:
 A symbol is admissible when it is even, positive, F(0)=1, F'(0)=0, has a
 bounded second derivative, and k |-> |k| F(k) is sub-additive; the
 well-posedness theory needs these. :func:`check_admissibility` checks all but
-two on a sampled window: evenness holds by construction (F is evaluated at
-|k|), positivity is not checked.
+evenness on a sampled window; evenness holds by construction (F is evaluated
+at |k|).
 """
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,11 +178,16 @@ def layer_symbols(spec, k, mu):
 def load_symbol_table(path):
     """Read a two-column CSV ``k,F`` on k >= 0 into a custom spec; the even
     extension to k < 0 is implied and evaluation clamps to the table ends.
-    A header must be a ``#`` comment; a non-numeric or ragged row is refused."""
+    A header must be a ``#`` comment; a non-numeric or ragged row, or a
+    file with no row at all (numpy warns on it), is refused."""
     try:
-        rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise ValidationError("table", f"{path}: {exc}") from None
+    except UserWarning:
+        raise ValidationError("table", f"{path}: holds no k,F row") from None
     if rows.shape[1] != 2:
         raise ValidationError("table", f"{path}: expected two columns k,F")
     return MultiplierSpec.custom(rows[:, 0], rows[:, 1], label=f"custom:{path}")
@@ -195,6 +201,7 @@ class AdmissibilityReport:
     worst_violation: float        # min over pairs of g(k)+g(l)-g(k+l); bad if < -1e-12
     f0_ok: bool
     fprime0_ok: bool
+    positive_ok: bool             # min F > 0 on the window
     second_derivative_bound: float
     sigma: float
     k_constant: float
@@ -206,6 +213,7 @@ class AdmissibilityReport:
             f" (worst margin {self.worst_violation:+.3e})",
             f"  F(0) = 1: {'ok' if self.f0_ok else 'FAILED'}",
             f"  F'(0) = 0: {'ok' if self.fprime0_ok else 'FAILED'}",
+            f"  positive on window: {'ok' if self.positive_ok else 'FAILED'}",
             f"  sup |F''| on window: {self.second_derivative_bound:.6g}",
             f"  decay fit: F(k) <= {self.k_constant:.6g} * |k|^-{self.sigma:g}",
         ]
@@ -234,7 +242,8 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
 
     Sub-additivity of g(k) = |k| F(k) is tested on the full (k, l) lattice of
     ``samples`` points per axis in [-k_max, k_max]; with the default 100 that
-    is 10^4 ordered pairs. Violations are reported, never raised.
+    is 10^4 ordered pairs; positivity is min F > 0 on the ``samples`` points
+    of [-k_max, k_max]. Violations are reported, never raised.
     """
     if not k_max > 0:
         raise ValidationError("k_max", f"must be positive, got {k_max}")
@@ -273,6 +282,7 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
         worst_violation=worst,
         f0_ok=abs(f0 - 1.0) <= 1e-12,
         fprime0_ok=abs(f_h - f0) <= 0.3 * abs(f_2h - f0) + 1e-15,
+        positive_ok=bool(np.min(f_vals) > 0.0),
         second_derivative_bound=float(np.max(second)),
         sigma=sigma,
         k_constant=k_const,

@@ -113,10 +113,11 @@ class GNContext:
     ``dx_symbols = grid.ik * symbols``, the symbols of dx F1 and dx F2 that
     every dispersive term applies, formed once per context; ``ik``, the
     derivative symbol of the tendencies: ``grid.ik``, or ``grid.ik *
-    dealias_mask(grid)`` under ``dealias``; the flat-interface symbol A0 of
-    the mass operator used as CG preconditioner (and ``flat_symbol_complex``,
-    the complex copy CG divides by: the cast numpy would otherwise make on
-    every division), the propagator ``linear`` of the flat-interface linear
+    dealias_mask(grid)`` under ``dealias``; ``last_mode``, the last mode it
+    keeps (n//3 under ``dealias``, Nyquist n//2 without); the flat-interface
+    symbol A0 of the mass operator used as CG preconditioner (and
+    ``flat_symbol_complex``, the complex copy CG divides by: the cast numpy
+    would otherwise make on every division), the propagator ``linear`` of the flat-interface linear
     part of :func:`rhs` built from the same ``ik`` (frequencies omega = |k|
     sqrt(a0/A0), a0 = (gamma+delta) (1 + k^2/Bo)), the slice ``pass_rows``
     of the rows w, zeta, u1, u2 that both irffts of the spectral pass
@@ -142,6 +143,7 @@ class GNContext:
         self.flat_symbol, _ = flat_interface(params, self.symbols, k)
         self.flat_symbol_complex = self.flat_symbol.astype(complex)
         self.ik = grid.ik * dealias_mask(grid) if dealias else grid.ik
+        self.last_mode = grid.n // 3 if dealias else grid.n // 2
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
         self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * restoring_symbol(params, k))

@@ -122,7 +122,7 @@ class ExperimentConfig:
     ic_amplitude: float = -1.0            # zeta0 = ic_amplitude * exp(-ic_width x^2)
     ic_width: float = 4.0
     snapshot_times: tuple = ()            # empty -> snapshot at t_end only; each <= t_end
-    dealias: bool = False
+    dealias: bool = True
     cg_tol: float = CG_TOL
     cg_max_iter: int = CG_MAX_ITER
 

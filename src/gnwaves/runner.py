@@ -19,9 +19,14 @@ if none was accepted).
 During time integration, cavitation, solver-convergence failures and loss of
 spectral resolution inside a trial stage are converted to NaN tendencies
 (:func:`guarded_rhs`); the error controller then rejects the step and shrinks,
-so every terminal failure surfaces uniformly as step-size underflow. A run
-ended by lost resolution says so in the manifest's reason, with the time of
-the stage that tripped the guard.
+so every terminal failure surfaces uniformly as step-size underflow. The
+resolution guard reads the flux spectrum of each stage in two bands: the
+full ladder, against a rise toward Nyquist above the aliasing level
+sqrt(rel_tol), and, under the 2/3 rule (``dealias``, the default), the
+modes up to the cut n/3 that the run evolves, against a tail that does not
+decay toward the cut above the truncation level 10 rel_tol. A run ended by
+lost resolution says so in the manifest's reason, with the time of the
+stage that tripped the guard.
 
 The hydrostatic (Saint-Venant) model is the mu = 0 member of the dispersive
 family: a config with mu = 0 runs through the same rhs and diagnostics.
@@ -100,14 +105,28 @@ def initial_state(config, grid=None):
     return zeta0
 
 
-def _resolution_lost(w, w_hat, rel_tol):
+def _band_peaks(amp, last):
+    """The largest of ``amp`` over the top third (2M/3 < m <= M) and over
+    the middle third (M/3 < m <= 2M/3) of the modes 0..M, M = ``last``."""
+    return (np.maximum.reduce(amp[2 * last // 3 + 1 : last + 1]),
+            np.maximum.reduce(amp[last // 3 + 1 : 2 * last // 3 + 1]))
+
+
+def _resolution_lost(w, w_hat, rel_tol, last_mode):
     """True when the flux spectrum ``w_hat = rfft(w)`` rises toward Nyquist
-    above the tail level (see :func:`guarded_rhs`)."""
+    above the aliasing level, or, when the tendencies evolve only the modes
+    up to ``last_mode`` < n/2, fails to decay toward that cut above the
+    truncation level (see :func:`guarded_rhs`)."""
     n = w.size
     amp = np.abs(w_hat)
-    top = np.maximum.reduce(amp[n // 3 + 1 :])
-    middle = np.maximum.reduce(amp[n // 6 + 1 : n // 3 + 1])
-    return top > middle and top > math.sqrt(rel_tol) * n * np.maximum.reduce(np.abs(w))
+    scale = n * np.maximum.reduce(np.abs(w))
+    top, middle = _band_peaks(amp, n // 2)
+    if top > middle and top > math.sqrt(rel_tol) * scale:
+        return True
+    if last_mode == n // 2:
+        return False
+    top, middle = _band_peaks(amp, last_mode)
+    return top > 0.1 * middle and top > 10.0 * rel_tol * scale
 
 
 def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
@@ -119,22 +138,40 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
-    w_hat_m its unnormalized real-FFT coefficients on the n-point grid, the
-    stage has lost resolution when the largest |w_hat_m| over the top third
-    of the ladder (m > n/3) exceeds both
+    w_hat_m its unnormalized real-FFT coefficients on the n-point grid and
+    T = n * max|w| (an upper bound of every |w_hat_m|), a band of modes
+    0..M is judged by the largest |w_hat_m| over its top third (2M/3 < m
+    <= M) against the largest over its middle third (M/3 < m <= 2M/3).
+    The stage has lost resolution when either test trips:
 
-    * the largest over the middle third (n/6 < m <= n/3): the spectrum
-      rises toward Nyquist instead of decaying, and
-    * sqrt(rel_tol) * n * max|w|.
+    * the full ladder (M = n/2): top > middle, the spectrum rises toward
+      Nyquist instead of decaying, and top > sqrt(rel_tol) * T. The top
+      third is the band whose quadratic products alias back onto the
+      resolved modes; its self-aliasing error is of order tail^2, so this
+      bound keeps that error below the relative error the step controller
+      accepts (``rel_tol``, the tolerance given to :func:`integrate`).
+      Under the 2/3 rule it also catches content above the cut, which the
+      mask would carry frozen.
+    * under the 2/3 rule only, the band the tendencies evolve (M =
+      ``ctx.last_mode`` = n/3): top > 0.1 * middle and top > 10 * rel_tol
+      * T. The mask freezes the ladder's top third, so an ill-posed masked
+      run fills the band just below the cut and the first test never sees
+      it; and the tail the mask drops is itself the truncation error, so
+      the bound is a multiple of ``rel_tol``, not of its square root. Both
+      constants are measured on the reference experiment, with a margin of
+      2 or more on each side: resolved masked runs keep the tail under 1.8
+      * rel_tol (the default config at n = 1024 and 2048) and the top third
+      under 0.045 of the middle (the default config at epsilon = 1.5, its
+      tail 4e4 * rel_tol); ill-posed ones cross both, the identity runs
+      without tension by the tail (it grows exponentially, so a bound 3
+      times lower or higher moves their trip by less than 0.2 in t) and the
+      hydrostatic run at epsilon = 1.9 by the rise, which reaches 0.1 at t
+      = 0.18 and stays under 0.5 while its tail grows to 1e7 * rel_tol.
 
-    The top third is the band whose quadratic products alias back onto the
-    resolved modes; its self-aliasing error is of order tail^2, so the second
-    bound keeps that error below the relative error the step controller
-    accepts (``rel_tol``, the tolerance given to :func:`integrate`). A trip
-    is sticky: ``workspace.resolution_lost_at`` records the stage time and
-    every later stage of the integration returns NaN too, so the step
-    shrinks to underflow from the last resolved state instead of creeping up
-    to the bound.
+    A trip is sticky: ``workspace.resolution_lost_at`` records the stage
+    time and every later stage of the integration returns NaN too, so the
+    step shrinks to underflow from the last resolved state instead of
+    creeping up to the bound.
     """
     guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
 
@@ -145,7 +182,7 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
             tendencies = rhs(ctx, *y, workspace=workspace)
         except (CavitationError, ConvergenceError):
             return np.full(y.shape, np.nan)
-        if guarded and _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol):
+        if guarded and _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol, ctx.last_mode):
             workspace.resolution_lost_at = t
             return np.full(y.shape, np.nan)
         return tendencies

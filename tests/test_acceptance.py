@@ -6,11 +6,13 @@ execute. Criteria 2 and 3a-3c read run records: the reference experiment as
 every diagnostics row), shared by one module-scoped fixture.
 
 Criterion 3 note: without surface tension the classical (identity) model
-is unstable at every high frequency. On 512 points the resolution guard of
-``runner.guarded_rhs`` sees its flux spectrum rise toward Nyquist and ends
-the run by step-size underflow at the last resolved state (t = 1.508),
-before the flow is spectrally destroyed at t = 2. The high band has grown
-by more than four orders by then (3b); the regularized run stays smooth and
+is unstable at every high frequency. On 512 points, under the default 2/3
+rule, the resolution guard of ``runner.guarded_rhs`` sees the flux spectrum
+of the modes the run evolves stop decaying toward the cut n/3, and ends the
+run by step-size underflow at the last resolved state (t = 1.698; t = 1.508
+with ``dealias = false``, where the spectrum rises toward Nyquist), before
+the flow is spectrally destroyed at t = 2. The high band has grown by more
+than four orders by then (3b: 8.4); the regularized run stays smooth and
 completes (3c).
 """
 

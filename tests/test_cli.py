@@ -262,6 +262,18 @@ class TestAdmissibility:
         assert f"error: table: {table}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["admissibility", "simulate"])
+    @pytest.mark.parametrize("text", ["", "# k,F\n"], ids=["empty", "comment_only"])
+    def test_table_without_rows_is_a_usage_error(self, command, text, tmp_path, capsys):
+        # numpy warns on a file with no data; warnings are errors here, as
+        # under python -W error
+        table = tmp_path / "empty.csv"
+        table.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--multiplier", f"custom:{table}", "--out", str(out)]) == 2
+        assert f"error: table: {table}: holds no k,F row" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_file_written(self, tmp_path, capsys):
         out = str(tmp_path / "adm")
         assert main(["admissibility", "--out", out]) == 0

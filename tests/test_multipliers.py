@@ -5,6 +5,7 @@ import pytest
 
 from gnwaves.errors import ValidationError
 from gnwaves.multipliers import (
+    FAMILIES,
     IMPROVED_SQ_COEFFS,
     MultiplierSpec,
     X_SERIES_SWITCH,
@@ -205,6 +206,19 @@ class TestAdmissibility:
             warnings.simplefilter("error")
             report = check_admissibility(spec, 1)
         assert report.f0_ok and "decay fit" in report.summary()
+
+    def test_positivity_line(self):
+        # a table that turns negative reads FAILED; every built-in family is
+        # positive on the window
+        spec = MultiplierSpec.custom([0.0, 0.001, 100.0], [1.0, -1.0, -1.0])
+        report = check_admissibility(spec, 1)
+        assert not report.positive_ok
+        assert "  positive on window: FAILED" in report.summary().splitlines()
+        for build in FAMILIES.values():
+            for layer in (1, 2):
+                report = check_admissibility(build(0.5, None, None), layer)
+                assert report.positive_ok
+                assert "  positive on window: ok" in report.summary().splitlines()
 
     def test_second_derivative_window(self):
         report = check_admissibility(MultiplierSpec.regularized(1.0, 1.0), 1, k_max=10.0, samples=2001)

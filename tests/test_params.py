@@ -148,7 +148,7 @@ abs_tol = 1e-12
 ic_amplitude = -1.0
 ic_width = 4.0
 snapshot_times = \n\
-dealias = false
+dealias = true
 cg_tol = 1e-12
 cg_max_iter = 200
 """

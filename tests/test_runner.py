@@ -185,6 +185,88 @@ class TestGuardedRhs:
         assert np.max(np.abs(h - h[0])) <= 1e-12 * abs(h[0])
 
 
+def unmasked_rule(w, rel_tol):
+    """The full-ladder test as it stood before the masked band was watched,
+    written out: top third of the ladder against its middle third."""
+    top, middle = flux_bands(w)
+    return bool(top > middle and top > np.sqrt(rel_tol) * w.size * np.max(np.abs(w)))
+
+
+def synthetic_flux(n, modes, amplitudes, decay=0.3):
+    """A flux whose spectrum decays as exp(-decay m), plus the given single
+    modes; returns (w, rfft(w))."""
+    m = np.arange(n // 2 + 1)
+    w_hat = n * np.exp(-decay * m).astype(complex)
+    w_hat[modes] += n * np.asarray(amplitudes)
+    w = np.fft.irfft(w_hat, n)
+    return w, np.fft.rfft(w)
+
+
+class TestResolutionBands:
+    """``runner._resolution_lost`` on synthetic spectra: the full-ladder test
+    is the formula it always was; under the mask (last mode n//3) the band
+    the run evolves is tested too."""
+
+    REL_TOL = 1e-10
+
+    def test_without_the_mask_decisions_equal_the_full_ladder_formula(self):
+        rng = np.random.default_rng(31)
+        decisions = []
+        for _ in range(400):
+            n = int(rng.choice([32, 64, 512]))
+            m = np.arange(n // 2 + 1)
+            amp = np.exp(-rng.uniform(0.0, 1.0) * m) * 10.0 ** rng.uniform(-8, 0, m.size)
+            w_hat = amp * np.exp(2j * np.pi * rng.uniform(size=m.size))
+            w = np.fft.irfft(w_hat, n)
+            w_hat = np.fft.rfft(w)
+            rel_tol = 10.0 ** rng.uniform(-14, -4)
+            expected = unmasked_rule(w, rel_tol)
+            assert bool(runner_mod._resolution_lost(w, w_hat, rel_tol, n // 2)) == expected
+            decisions.append(expected)
+        assert 0 < sum(decisions) < len(decisions)
+
+    def test_decaying_spectrum_passes(self):
+        n = 512
+        w, w_hat = synthetic_flux(n, [], [])
+        assert not runner_mod._resolution_lost(w, w_hat, self.REL_TOL, n // 3)
+
+    def test_rising_tail_at_the_top_of_the_evolved_band_trips(self):
+        # a tail rising to 1e-6 of the peak over the top third of modes
+        # 0..n/3: the full ladder's middle third holds it, so only the
+        # evolved band sees it
+        n = 512
+        modes = np.arange(2 * (n // 3) // 3 + 1, n // 3 + 1)
+        w, w_hat = synthetic_flux(n, modes, np.geomspace(1e-8, 1e-6, modes.size))
+        assert not runner_mod._resolution_lost(w, w_hat, self.REL_TOL, n // 2)
+        assert runner_mod._resolution_lost(w, w_hat, self.REL_TOL, n // 3)
+        # below the tail level the same shape passes
+        w, w_hat = synthetic_flux(n, modes, np.geomspace(1e-12, 1e-10, modes.size))
+        assert not runner_mod._resolution_lost(w, w_hat, self.REL_TOL, n // 3)
+
+    def test_content_above_the_cut_trips(self):
+        # the mask would carry a mode above n/3 frozen: the full-ladder test
+        # still applies under it
+        n = 512
+        w, w_hat = synthetic_flux(n, [5 * n // 12], [1e-3])
+        assert runner_mod._resolution_lost(w, w_hat, self.REL_TOL, n // 3)
+
+
+class TestIllPosednessSignature:
+    """Fig. 4's identity run without tension is ill-posed: under the default
+    config (2/3 rule) the guard ends it before t = 2, and earlier on a finer
+    grid, where faster modes are resolved."""
+
+    def test_identity_without_tension_trips_earlier_when_finer(self, tmp_path):
+        times = []
+        for n in (512, 1024):
+            config = with_overrides(ExperimentConfig(), multiplier="identity", inv_bond=0.0, grid_n=n)
+            result = run_experiment(config, str(tmp_path / str(n)))
+            assert result.status == "blowup"
+            assert result.reason.startswith("spectral resolution lost at t=")
+            times.append(result.t_final)
+        assert times[1] < times[0] < 2.0
+
+
 class TestRunExperiment:
     def test_record_layout_and_manifest(self, tmp_path):
         out = str(tmp_path / "run")

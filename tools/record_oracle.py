@@ -8,8 +8,8 @@ It runs ``gnwaves stability`` (Fig. 1, into ``stability_fig1``),
 ``gnwaves simulate --preset fig2/fig3/fig4``, ``gnwaves sv`` and
 ``gnwaves diag-compare --preset table1``, then one record of each
 workload of ``perfbench/workloads.py`` (into ``workload/<name>``) and one of
-the default config with ``dealias = true`` to ``t_end = 0.5`` (into
-``dealias``), the only record on the 2/3-rule path, with the
+the default config with ``dealias = false`` to ``t_end = 0.5`` (into
+``unmasked``), the only record without the 2/3 rule, with the
 gnwaves package of the checkout this script sits in (its ``src/``). The workload file is only read. It prints one
 ``<record>/<file> <sha256>`` line per data file, sorted, taken from the
 records' manifests, and exits non-zero if a record holds a file or
@@ -90,7 +90,7 @@ def main(argv=None):
             sys.exit(f"record_oracle: gnwaves {' '.join(command)} exited {code}")
     for name, workload in load_workloads().items():
         run_experiment(workload.config(), os.path.join(out_dir, "workload", name))
-    run_experiment(with_overrides(ExperimentConfig(), dealias=True, t_end=0.5), os.path.join(out_dir, "dealias"))
+    run_experiment(with_overrides(ExperimentConfig(), dealias=False, t_end=0.5), os.path.join(out_dir, "unmasked"))
     print("\n".join(checksum_lines(out_dir)))
 
 
