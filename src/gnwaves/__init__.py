@@ -5,7 +5,7 @@ the hydrostatic (Saint-Venant) limit and conserved-quantity diagnostics."""
 __version__ = "0.1.0"
 
 from .params import ExperimentConfig, PhysParams, parse_config, serialize_config
-from .spectral import Grid, inner
+from .spectral import Grid
 from .multipliers import AdmissibilityReport, MultiplierSpec, check_admissibility, eval_multiplier
 from .operators import (
     GNContext,
@@ -26,7 +26,6 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "Grid",
-    "inner",
     "AdmissibilityReport",
     "MultiplierSpec",
     "check_admissibility",

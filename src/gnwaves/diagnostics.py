@@ -6,9 +6,12 @@ energy H. The horizontal momentum M is generally *not* conserved under a
 rigid lid and is reported without any conservation claim; the centroid
 quantity C is conserved only in the one-layer limit gamma = 0. The
 high-band spectral amplitude (the largest mode from half-Nyquist up) flags
-incipient shear instability. ``hyp_margin`` reads the hydrostatic system in
-(zeta, vbar = w/H), H(X) = h1 h2 / (h1 + gamma h2): at mu = 0 it is zero
-where the two characteristic speeds coalesce, at mu > 0 where one is zero.
+incipient shear instability. Every column but H and ``hyp_margin`` is one
+rectangle-rule integral, dx * sum, or one spectral maximum, written out in
+:func:`compute_row`; the fields of :class:`DiagnosticsRow` say what each
+is. ``hyp_margin`` reads the hydrostatic system in (zeta, vbar = w/H),
+H(X) = h1 h2 / (h1 + gamma h2): at mu = 0 it is zero where the two
+characteristic speeds coalesce, at mu > 0 where one is zero.
 
 A row reads the products of one spectral pass at (zeta, w), the pass of
 :func:`gnwaves.operators.interface_gradient`: the depths, velocities,
@@ -25,16 +28,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .operators import GNWorkspace, capillary_density, interface_gradient, layer_depths
-from .spectral import inner
 
 __all__ = [
     "DiagnosticsRow",
-    "mass",
-    "impulse",
     "energy",
-    "momentum",
-    "centroid",
-    "band_max",
     "hyperbolicity_margin",
     "depth_flux_second",
     "sv_hyperbolicity_margin",
@@ -45,13 +42,17 @@ __all__ = [
 @dataclass
 class DiagnosticsRow:
     t: float
-    Z: float
-    V: float
-    I: float
-    H: float
+    Z: float  # integral of zeta
+    V: float  # integral of v
+    I: float  # integral of zeta * v
+    H: float  # :func:`energy`
+    # integral of gamma h1 u1 + h2 u2 = (1 - gamma) * integral of w; the
+    # rigid lid breaks its conservation, so it is monitored only
     M: float
-    C: float
+    C: float  # integral of (zeta * x - t * w); conserved only at gamma = 0
     hyp_margin: float
+    # max |zeta_hat(k)| / n over |k| >= nyquist / 2: the normalisation of
+    # spectral.mode_amplitudes, under which a single mode has amplitude/2
     high_band: float
 
     def as_csv(self):
@@ -59,16 +60,6 @@ class DiagnosticsRow:
 
 
 DiagnosticsRow.HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
-
-
-def mass(grid, zeta):
-    """Z = integral of zeta."""
-    return grid.dx * float(np.sum(zeta))
-
-
-def impulse(grid, zeta, v):
-    """I = integral of zeta * v."""
-    return inner(grid, zeta, v)
 
 
 def _stage(ctx, zeta, w, stage):
@@ -110,26 +101,6 @@ def energy(ctx, zeta, w, stage=None):
     return ctx.grid.dx * float(np.sum(density))
 
 
-def momentum(grid, params, w):
-    """M = integral of gamma h1 u1 + h2 u2 = (1 - gamma) * integral of w.
-    Monitored only; the rigid lid breaks its conservation."""
-    return (1.0 - params.gamma) * grid.dx * float(np.sum(w))
-
-
-def centroid(grid, zeta, w, t):
-    """C = integral of (zeta * x - t * w); a conservation check only for
-    gamma = 0."""
-    return grid.dx * float(np.sum(zeta * grid.x - t * w))
-
-
-def band_max(grid, zeta_hat):
-    """max |zeta_hat(k)| / n over |k| >= grid.nyquist / 2 for zeta_hat =
-    rfft(zeta): the normalization of ``spectral.mode_amplitudes``, under
-    which a single mode has amplitude/2."""
-    amps = np.abs(zeta_hat) / grid.n
-    return float(amps[grid.k >= 0.5 * grid.nyquist].max())
-
-
 def hyperbolicity_margin(params, zeta, w, depths=None):
     """min over x of (gamma+delta) - eps^2 (h2^-3 + gamma h1^-3) w^2, which
     is -lambda_+ lambda_- / H for the hydrostatic characteristic speeds at
@@ -167,20 +138,21 @@ def compute_row(ctx, t, zeta, v, w, stage=None):
     and hyp_margin is its criterion :func:`sv_hyperbolicity_margin`; at
     mu > 0 it is :func:`hyperbolicity_margin`, another condition.
     """
-    grid = ctx.grid
+    grid, p = ctx.grid, ctx.params
     stage = _stage(ctx, zeta, w, stage)
-    if ctx.params.mu == 0.0:
-        hyp_margin = sv_hyperbolicity_margin(ctx.params, zeta, v)
+    if p.mu == 0.0:
+        hyp_margin = sv_hyperbolicity_margin(p, zeta, v)
     else:
-        hyp_margin = hyperbolicity_margin(ctx.params, zeta, w, stage.depths)
+        hyp_margin = hyperbolicity_margin(p, zeta, w, stage.depths)
+    amps = np.abs(stage.zeta_hat) / grid.n
     return DiagnosticsRow(
         t=t,
-        Z=mass(grid, zeta),
+        Z=grid.dx * float(np.sum(zeta)),
         V=grid.dx * float(np.sum(v)),
-        I=impulse(grid, zeta, v),
+        I=grid.dx * float(zeta @ v),
         H=energy(ctx, zeta, w, stage),
-        M=momentum(grid, ctx.params, w),
-        C=centroid(grid, zeta, w, t),
+        M=(1.0 - p.gamma) * grid.dx * float(np.sum(w)),
+        C=grid.dx * float(np.sum(zeta * grid.x - t * w)),
         hyp_margin=hyp_margin,
-        high_band=band_max(grid, stage.zeta_hat),
+        high_band=float(amps[grid.k >= 0.5 * grid.nyquist].max()),
     )

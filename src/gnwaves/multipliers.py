@@ -125,6 +125,8 @@ class MultiplierSpec:
         f_table = np.asarray(f_table, dtype=float)
         if k_table.ndim != 1 or k_table.shape != f_table.shape or k_table.size < 2:
             raise ValidationError("table", "need matching 1-D arrays with >= 2 rows")
+        if not np.all(np.isfinite(k_table)):
+            raise ValidationError("table", f"table {label!r} has a non-finite k")
         if k_table[0] != 0.0:
             raise ValidationError("table", "first row must tabulate k = 0")
         if np.any(np.diff(k_table) <= 0):
@@ -268,9 +270,11 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
     # for a smooth onset, a half for a corner
     h = 1e-6 * k_max
     f0, f_h, f_2h = symbol(np.array([0.0, h, 2 * h])).tolist()
-    # windowed sup |F''| by central second differences on the sample ladder
+    # windowed sup |F''| by central second differences on the sample ladder,
+    # which has no node at 0, and there (F is even) by 2 (F(h) - F(0)) / h^2
     dk = ks[1] - ks[0]
     second = np.abs(f_vals[2:] - 2 * f_vals[1:-1] + f_vals[:-2]) / dk**2
+    second_at_0 = 2.0 * abs(f_h - f0) / h**2
 
     k_pos = np.linspace(k_max / samples, k_max, samples)
     sigma, k_const = _fit_decay(symbol(k_pos), k_pos)
@@ -283,7 +287,7 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
         f0_ok=abs(f0 - 1.0) <= 1e-12,
         fprime0_ok=abs(f_h - f0) <= 0.3 * abs(f_2h - f0) + 1e-15,
         positive_ok=bool(np.min(f_vals) > 0.0),
-        second_derivative_bound=float(np.max(second)),
+        second_derivative_bound=max(float(np.max(second)), second_at_0),
         sigma=sigma,
         k_constant=k_const,
     )

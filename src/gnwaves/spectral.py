@@ -5,13 +5,9 @@ takes the grid explicitly. Transforms use the real-to-complex FFT, so symbols
 are evaluated on the nonnegative wavenumber ladder ``grid.k`` and must be
 even, real functions of k for the output to stay real.
 
-Conventions:
-
-* ``grid.ik`` is the derivative ladder: ik with the Nyquist entry zeroed;
-  the odd symbol ik has no real representative there, and keeping it would
-  leak a spurious imaginary part.
-* ``inner`` is the rectangle rule (L/n) * sum(f*g), which is exact for
-  band-limited products resolvable on the grid.
+``grid.ik`` is the derivative ladder: ik with the Nyquist entry zeroed;
+the odd symbol ik has no real representative there, and keeping it would
+leak a spurious imaginary part.
 
 No dealiasing happens here; callers that want the 2/3 rule multiply the
 spectrum by ``dealias_mask``.
@@ -36,7 +32,6 @@ __all__ = [
     "Grid",
     "rfft",
     "irfft",
-    "inner",
     "mode_amplitudes",
     "dealias_mask",
     "is_power_of_two",
@@ -102,15 +97,6 @@ def _check_field(grid, f):
     if not np.all(np.isfinite(f)):
         raise CorruptFieldError("field contains non-finite values")
     return f
-
-
-def inner(grid, f, g):
-    """Rectangle-rule approximation of the integral of f*g over one period."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (grid.n,) or g.shape != (grid.n,):
-        raise ValidationError("field", "inner() requires both fields on the same grid")
-    return grid.dx * float(f @ g)
 
 
 def mode_amplitudes(grid, f):

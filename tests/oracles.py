@@ -1,6 +1,8 @@
 """Reference quantities the tests measure the package against, written
 independently of the code paths that runs take.
 
+* :func:`inner`, the rectangle rule (L/n) * sum(f*g), which is exact for
+  band-limited products resolvable on the grid.
 * :func:`ddx`, the checked spectral derivative, and :func:`hamiltonian`, the
   conserved functional whose finite differences are the oracle of the
   zeta- and v-gradients (criterion 7).
@@ -36,9 +38,19 @@ import math
 
 import numpy as np
 
+from gnwaves.errors import ValidationError
 from gnwaves.operators import LAYER_SIGN, apply_mass_operator, capillary_density, invert_mass_operator, layer_depths
-from gnwaves.spectral import _check_field, inner, irfft, rfft
+from gnwaves.spectral import _check_field, irfft, rfft
 from gnwaves.stability import _tanhc, restoring_symbol
+
+
+def inner(grid, f, g):
+    """Rectangle-rule approximation of the integral of f*g over one period."""
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if f.shape != (grid.n,) or g.shape != (grid.n,):
+        raise ValidationError("field", "inner() requires both fields on the same grid")
+    return grid.dx * float(f @ g)
 
 
 def ddx(grid, f):

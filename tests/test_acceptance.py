@@ -34,12 +34,12 @@ from gnwaves.operators import (
 )
 from gnwaves.params import ExperimentConfig, PhysParams, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, run_experiment
-from gnwaves.spectral import Grid, inner
+from gnwaves.spectral import Grid
 from gnwaves.stability import growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import euler_coeffs, hamiltonian, serre_solitary_wave, sv_rhs, travelling_wave
+from oracles import euler_coeffs, hamiltonian, inner, serre_solitary_wave, sv_rhs, travelling_wave
 
 
 def _report(num, label, ok, detail=""):
@@ -79,12 +79,13 @@ def records(tmp_path_factory):
 
 
 def test_criterion_01_rest_state_fixed_point():
+    # unmasked and under the 2/3 rule that run records use
     start = time.monotonic()
     worst = 0.0
-    for epsilon in (0.5, 1.7):
+    for epsilon, dealias in ((0.5, False), (1.7, False), (0.5, True), (1.7, True)):
         params = PhysParams(gamma=0.95, epsilon=epsilon, mu=0.1, delta=0.5, inv_bond=5e-4)
         grid = Grid(512, 4.0)
-        ctx = GNContext(grid, params, MultiplierSpec.regularized_for_depth(params.delta))
+        ctx = GNContext(grid, params, MultiplierSpec.regularized_for_depth(params.delta), dealias=dealias)
         peaks = []
 
         def watch(t, y, stats):
@@ -354,29 +355,32 @@ def test_criterion_11_rest_start_run_keeps_parity(tmp_path, family, inv_bond):
 
 def test_criterion_12_serre_solitary_wave():
     # identity family at gamma = 0 without tension: the one-layer Serre
-    # system, whose solitary wave is known in closed form (tests/oracles.py)
+    # system, whose solitary wave is known in closed form (tests/oracles.py),
+    # unmasked and under the 2/3 rule that run records use
     start = time.monotonic()
     p = PhysParams(gamma=0.0, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=0.0)
     grid = Grid(512, 32.0)
-    ctx = GNContext(grid, p, MultiplierSpec.identity())
     amplitude = 0.5
     zeta0, w0, c = serre_solitary_wave(p, amplitude, grid.x)
-    v0 = apply_mass_operator(ctx, zeta0, w0)
-    residual = float(np.max(np.abs(c * v0 - interface_gradient(ctx, zeta0, w0))))
-    ok = residual <= 1e-13
-    details = [f"travelling-wave residual {residual:.1e}"]
     t_end = 2.0
     zeta_exact, _, _ = serre_solitary_wave(p, amplitude, grid.x, t_end)
     peak = amplitude / p.epsilon
-    for rel_tol in (1e-8, 1e-10):
-        result = integrate(
-            guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
-            rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
-        )
-        err = float(np.max(np.abs(result.y[0] - zeta_exact))) / peak
-        ok = ok and result.t == t_end and err <= rel_tol
-        s = result.stats
-        details.append(f"rel_tol {rel_tol:g}: error {err:.1e} ({s.accepted}/{s.rejected}/{s.rhs_evals} steps)")
+    ok, details = True, []
+    for dealias in (False, True):
+        ctx = GNContext(grid, p, MultiplierSpec.identity(), dealias=dealias)
+        v0 = apply_mass_operator(ctx, zeta0, w0)
+        residual = float(np.max(np.abs(c * v0 - interface_gradient(ctx, zeta0, w0))))
+        ok = ok and residual <= 1e-13
+        details.append(f"{'2/3 rule' if dealias else 'unmasked'}: travelling-wave residual {residual:.1e}")
+        for rel_tol in (1e-8, 1e-10):
+            result = integrate(
+                guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
+                rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
+            )
+            err = float(np.max(np.abs(result.y[0] - zeta_exact))) / peak
+            ok = ok and result.t == t_end and err <= rel_tol
+            s = result.stats
+            details.append(f"rel_tol {rel_tol:g}: error {err:.1e} ({s.accepted}/{s.rejected}/{s.rhs_evals} steps)")
     elapsed = time.monotonic() - start
     _report(12, "Serre solitary wave: residual and error at t=2", ok, "; ".join(details) + f"; {elapsed:.2f} s")
 
@@ -386,26 +390,30 @@ def test_criterion_12_serre_solitary_wave():
 def test_criterion_13_travelling_wave(family, inv_bond):
     # Newton's periodic wave of the oracle zeta-gradient (tests/oracles.py):
     # the package's equations must hold at it, and a run must carry it
-    # along unchanged; at rel_tol 1e-10 the error is 2.7e-12 to 3.1e-12 of
-    # the peak over the six cases, so 0.05 * rel_tol bounds it
+    # along unchanged, unmasked and under the 2/3 rule that run records
+    # use; at rel_tol 1e-10 the error is 2.7e-12 to 3.1e-12 of the peak
+    # over the twelve cases, so 0.05 * rel_tol bounds it
     start = time.monotonic()
     config = with_overrides(ExperimentConfig(), multiplier=family, inv_bond=inv_bond)
     grid = Grid(64, 4.0)
-    ctx = GNContext(grid, config.params, build_multiplier(config))
-    profile, c, newton_residual = travelling_wave(ctx, 0.2)
-    zeta0 = profile(0.0)
-    v0 = apply_mass_operator(ctx, zeta0, c * zeta0)
-    r = c * v0 - interface_gradient(ctx, zeta0, c * zeta0)
-    residual = float(np.max(np.abs(r - np.mean(r))))  # up to the integration constant
     t_end, rel_tol = 2.0, 1e-10
-    result = integrate(
-        guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
-        rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
-    )
-    err = float(np.max(np.abs(result.y[0] - profile(t_end)))) / float(np.max(np.abs(zeta0)))
-    ok = newton_residual <= 1e-14 and residual <= 1e-13 and result.t == t_end and err <= 0.05 * rel_tol
-    s = result.stats
+    ok, details = True, []
+    for dealias in (False, True):
+        ctx = GNContext(grid, config.params, build_multiplier(config), dealias=dealias)
+        profile, c, newton_residual = travelling_wave(ctx, 0.2)
+        zeta0 = profile(0.0)
+        v0 = apply_mass_operator(ctx, zeta0, c * zeta0)
+        r = c * v0 - interface_gradient(ctx, zeta0, c * zeta0)
+        residual = float(np.max(np.abs(r - np.mean(r))))  # up to the integration constant
+        result = integrate(
+            guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
+            rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
+        )
+        err = float(np.max(np.abs(result.y[0] - profile(t_end)))) / float(np.max(np.abs(zeta0)))
+        ok = ok and newton_residual <= 1e-14 and residual <= 1e-13 and result.t == t_end and err <= 0.05 * rel_tol
+        s = result.stats
+        details.append(f"{'2/3 rule' if dealias else 'unmasked'}: c = {c:.6f}, Newton residual {newton_residual:.1e}, "
+                       f"package residual {residual:.1e}, error at t=2 {err:.1e} "
+                       f"({s.accepted}/{s.rejected}/{s.rhs_evals} steps)")
     _report(13, f"travelling wave ({family}, inv_bond={inv_bond:g})", ok,
-            f"c = {c:.6f}, Newton residual {newton_residual:.1e}, package residual {residual:.1e}, "
-            f"error at t=2 {err:.1e} ({s.accepted}/{s.rejected}/{s.rhs_evals} steps), "
-            f"{time.monotonic() - start:.2f} s")
+            "; ".join(details) + f"; {time.monotonic() - start:.2f} s")

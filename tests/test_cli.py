@@ -274,6 +274,17 @@ class TestAdmissibility:
         assert f"error: table: {table}: holds no k,F row" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["admissibility", "simulate"])
+    @pytest.mark.parametrize("text", ["0,1\nnan,0.5\n2,0.2\n", "0,1\n1,0.5\ninf,0.5\n"], ids=["nan_k", "inf_k"])
+    def test_non_finite_k_is_a_usage_error(self, command, text, tmp_path, capsys):
+        # refused before --out is claimed, not run into a step size underflow
+        table = tmp_path / "nank.csv"
+        table.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--multiplier", f"custom:{table}", "--out", str(out)]) == 2
+        assert f"error: table: table 'custom:{table}' has a non-finite k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_file_written(self, tmp_path, capsys):
         out = str(tmp_path / "adm")
         assert main(["admissibility", "--out", out]) == 0

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from gnwaves.diagnostics import (
-    band_max,
-    centroid,
     compute_row,
     depth_flux_second,
     energy,
     hyperbolicity_margin,
-    impulse,
-    mass,
-    momentum,
     sv_hyperbolicity_margin,
 )
 from gnwaves.errors import ConvergenceError
@@ -27,14 +22,21 @@ from gnwaves.operators import (
     rhs,
 )
 from gnwaves.params import PhysParams
-from gnwaves.spectral import Grid, rfft
+from gnwaves.spectral import Grid
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import depth_flux, depth_flux_prime, hamiltonian
+from oracles import depth_flux, depth_flux_prime, hamiltonian, inner
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None):
     return GNContext(grid, params, spec or MultiplierSpec.regularized_for_depth(params.delta))
+
+
+def row(grid, zeta, v=None, w=None, t=0.0):
+    """The diagnostics row of (zeta, v, w) at time t; v and w default to
+    zero. Z, I, M, C and high_band read no operator, so any v and w do."""
+    zero = np.zeros(grid.n)
+    return compute_row(make_ctx(grid), t, zeta, zero if v is None else v, zero if w is None else w)
 
 
 def row_velocity_mass(ctx, zeta, w):
@@ -45,11 +47,11 @@ def row_velocity_mass(ctx, zeta, w):
 
 class TestMass:
     def test_zero(self, grid):
-        assert mass(grid, np.zeros(grid.n)) == 0.0
+        assert row(grid, np.zeros(grid.n)).Z == 0.0
 
     def test_gaussian(self, grid):
         zeta = -np.exp(-4 * grid.x**2)
-        assert mass(grid, zeta) == pytest.approx(-np.sqrt(np.pi) / 2, rel=1e-12)
+        assert row(grid, zeta).Z == pytest.approx(-np.sqrt(np.pi) / 2, rel=1e-12)
 
 
 class TestVelocityMass:
@@ -69,12 +71,12 @@ class TestVelocityMass:
 
 class TestImpulse:
     def test_zero_v(self, grid):
-        assert impulse(grid, np.ones(grid.n), np.zeros(grid.n)) == 0.0
+        assert row(grid, np.ones(grid.n)).I == 0.0
 
     def test_orthogonality(self, grid):
         k0 = 2 * np.pi / grid.length
         f = np.sin(k0 * grid.x)
-        assert impulse(grid, f, f) == pytest.approx(grid.length / 2, rel=1e-13)
+        assert row(grid, f, v=f).I == pytest.approx(grid.length / 2, rel=1e-13)
 
 
 class TestEnergy:
@@ -111,27 +113,27 @@ class TestEnergy:
 
 class TestMomentum:
     def test_zero_w(self, grid):
-        assert momentum(grid, REF_PARAMS, np.zeros(grid.n)) == 0.0
+        assert row(grid, np.zeros(grid.n)).M == 0.0
 
     def test_rigid_lid_weight(self, grid):
         rng = np.random.default_rng(5)
         w = random_smooth_field(grid, rng) + 1.0
         expected = (1 - REF_PARAMS.gamma) * grid.dx * np.sum(w)
-        assert momentum(grid, REF_PARAMS, w) == pytest.approx(expected, rel=1e-14)
+        assert row(grid, np.zeros(grid.n), w=w).M == pytest.approx(expected, rel=1e-14)
 
 
 class TestCentroid:
     def test_even_zeta_at_t0(self, grid):
         # odd integrand; the unpaired boundary node only sees the e^{-64} tail
         zeta = np.exp(-4 * grid.x**2)
-        assert centroid(grid, zeta, np.zeros(grid.n), 0.0) == pytest.approx(0.0, abs=1e-13)
+        assert row(grid, zeta).C == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_in_t(self, grid):
         rng = np.random.default_rng(6)
         zeta = random_smooth_field(grid, rng)
         w = random_smooth_field(grid, rng)
-        c0 = centroid(grid, zeta, w, 0.0)
-        c2 = centroid(grid, zeta, w, 2.0)
+        c0 = row(grid, zeta, w=w, t=0.0).C
+        c2 = row(grid, zeta, w=w, t=2.0).C
         assert c2 - c0 == pytest.approx(-2.0 * grid.dx * np.sum(w), rel=1e-12)
 
 
@@ -139,20 +141,20 @@ class TestBandMax:
     def test_low_mode_below_band(self, grid):
         k0 = 2 * np.pi / grid.length
         zeta = np.sin(k0 * grid.x)
-        assert band_max(grid, rfft(zeta)) <= 1e-14
+        assert row(grid, zeta).high_band <= 1e-14
 
     def test_normalization(self, grid):
         # k0 lies above half-Nyquist, so inside the band
         k0 = grid.k[grid.n // 4 + 3]
         zeta = 1e-6 * np.sin(k0 * grid.x)
-        assert band_max(grid, rfft(zeta)) == pytest.approx(5e-7, rel=1e-12)
+        assert row(grid, zeta).high_band == pytest.approx(5e-7, rel=1e-12)
 
     def test_default_band_is_half_nyquist(self, grid):
         k_half = 0.5 * grid.nyquist
         below = 1e-3 * np.sin((k_half - grid.k[1]) * grid.x)
         above = 1e-3 * np.sin((k_half + grid.k[1]) * grid.x)
-        assert band_max(grid, rfft(below)) <= 1e-15
-        assert band_max(grid, rfft(above)) == pytest.approx(5e-4, rel=1e-10)
+        assert row(grid, below).high_band <= 1e-15
+        assert row(grid, above).high_band == pytest.approx(5e-4, rel=1e-10)
 
 
 class TestHyperbolicityMargin:
@@ -217,9 +219,10 @@ class TestTranslationInvariance:
         v = apply_mass_operator(ctx, zeta, w)
         shift = 37
         zs, ws, vs = np.roll(zeta, shift), np.roll(w, shift), np.roll(v, shift)
-        assert mass(grid, zs) == pytest.approx(mass(grid, zeta), rel=1e-13, abs=1e-15)
+        r, rs = compute_row(ctx, 0.0, zeta, v, w), compute_row(ctx, 0.0, zs, vs, ws)
+        assert rs.Z == pytest.approx(r.Z, rel=1e-13, abs=1e-15)
         assert row_velocity_mass(ctx, zs, ws) == pytest.approx(row_velocity_mass(ctx, zeta, w), rel=1e-12)
-        assert impulse(grid, zs, vs) == pytest.approx(impulse(grid, zeta, v), rel=1e-12)
+        assert rs.I == pytest.approx(r.I, rel=1e-12)
         assert energy(ctx, zs, ws) == pytest.approx(energy(ctx, zeta, w), rel=1e-12)
 
 
@@ -248,12 +251,10 @@ class TestOneLayerConservation:
         result = integrate(f, (0.0, t_end), y0)
         zeta, v = result.y
         w = invert_mass_operator(ctx, zeta, v)
-        c0 = centroid(grid, zeta0, np.zeros(grid.n), 0.0)
-        c1 = centroid(grid, zeta, w, t_end)
-        assert abs(c1 - c0) <= 1e-10
-        m0 = momentum(grid, p, np.zeros(grid.n))
-        m1 = momentum(grid, p, w)
-        assert abs(m1 - m0) <= 1e-10
+        r0 = compute_row(ctx, 0.0, zeta0, np.zeros(grid.n), np.zeros(grid.n))
+        r1 = compute_row(ctx, t_end, zeta, v, w)
+        assert abs(r1.C - r0.C) <= 1e-10
+        assert abs(r1.M - r0.M) <= 1e-10
 
 
 def test_compute_row_fields(grid):
@@ -264,8 +265,8 @@ def test_compute_row_fields(grid):
     v = apply_mass_operator(ctx, zeta, w)
     row = compute_row(ctx, 1.5, zeta, v, w)
     assert row.t == 1.5
-    assert row.Z == pytest.approx(mass(grid, zeta))
-    assert row.I == pytest.approx(impulse(grid, zeta, v))
+    assert row.Z == pytest.approx(inner(grid, zeta, np.ones(grid.n)))
+    assert row.I == pytest.approx(inner(grid, zeta, v))
     assert np.isfinite([row.V, row.H, row.M, row.C, row.hyp_margin, row.high_band]).all()
     text = row.as_csv()
     assert len(text.split(",")) == 9
@@ -274,7 +275,9 @@ def test_compute_row_fields(grid):
 def _oracle_row(ctx, t, zeta, v, w):
     """compute_row written out with one np.fft transform per derivative:
     the slope through grid.ik, dx F u through ctx.dx_symbols, and the
-    band amplitudes of rfft(zeta), each formed anew."""
+    band amplitudes of rfft(zeta), each formed anew. Every column but the
+    mu = 0 margin is written here, with the operands and order of the row's
+    own, so the two agree bit for bit."""
     p, grid = ctx.params, ctx.grid
     h = layer_depths(p, zeta)
     h1, h2 = h
@@ -297,9 +300,10 @@ def _oracle_row(ctx, t, zeta, v, w):
     else:
         hyp_margin = float(np.min((p.gamma + p.delta) - p.epsilon**2 * (h2**-3 + p.gamma * h1**-3) * w**2))
     amps = np.abs(np.fft.rfft(zeta)) / grid.n
-    return (t, mass(grid, zeta), grid.dx * float(np.sum(v)), impulse(grid, zeta, v),
-            grid.dx * float(np.sum(density)), momentum(grid, p, w), centroid(grid, zeta, w, t),
-            hyp_margin, float(amps[grid.k >= 0.5 * grid.nyquist].max()))
+    return (t, grid.dx * float(np.sum(zeta)), grid.dx * float(np.sum(v)), grid.dx * float(zeta @ v),
+            grid.dx * float(np.sum(density)), (1.0 - p.gamma) * grid.dx * float(np.sum(w)),
+            grid.dx * float(np.sum(zeta * grid.x - t * w)), hyp_margin,
+            float(amps[grid.k >= 0.5 * grid.nyquist].max()))
 
 
 @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])

@@ -200,7 +200,8 @@ class TestAdmissibility:
         ],
     )
     def test_non_positive_table_reports_without_warning(self, k_tab, f_tab):
-        # positivity is not checked, but the report must still come out
+        # a table that turns negative gets its report, without a warning;
+        # test_positivity_line checks that it reads FAILED
         spec = MultiplierSpec.custom(k_tab, f_tab)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -224,6 +225,18 @@ class TestAdmissibility:
         report = check_admissibility(MultiplierSpec.regularized(1.0, 1.0), 1, k_max=10.0, samples=2001)
         # |F''(0)| = theta = 1 is the sup for this family
         assert report.second_derivative_bound == pytest.approx(1.0, rel=0.01)
+
+    def test_second_derivative_at_zero(self):
+        # the default ladder has no node at k = 0, where |F''| of both
+        # dispersive families peaks at 1/(15 delta_i^2), and where a corner
+        # table bends hardest
+        for name in ("regularized", "improved"):
+            spec = FAMILIES[name](0.5, None, None)
+            for layer, expected in ((1, 1 / 15), (2, 4 / 15)):
+                report = check_admissibility(spec, layer)
+                assert report.second_derivative_bound == pytest.approx(expected, rel=1e-5)
+        corner = MultiplierSpec.custom([0.0, 0.001, 100.0], [1.0, -1.0, -1.0])
+        assert check_admissibility(corner, 1).second_derivative_bound == pytest.approx(8e7, rel=1e-6)
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValidationError):
@@ -262,6 +275,9 @@ def load_text(text):
         pytest.param(lambda path: MultiplierSpec.custom([0.5, 1.0], [1.0, 0.5]), "table", id="no_k0_row"),
         pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0, 1.0], [1.0, 0.5, 0.4]), "table", id="k_repeated"),
         pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0], [1.0, np.nan]), "table", id="nan_symbol"),
+        # np.diff(k) <= 0 is False on a NaN: the monotonicity check passes it
+        pytest.param(lambda path: MultiplierSpec.custom([0.0, np.nan, 2.0], [1.0, 0.5, 0.2]), "table", id="nan_k"),
+        pytest.param(load_text("0,1\n1,0.5\ninf,0.5\n"), "table", id="inf_k"),
         pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 3, [1.0], 0.1), "layer", id="layer_3"),
         pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 1, [1.0], -0.1), "mu", id="mu_negative"),
         pytest.param(load_text("0,1,2\n1,0.5,0\n"), "table", id="three_columns"),
@@ -274,3 +290,4 @@ def test_refusals_name_their_field(make, field, tmp_path):
     with pytest.raises(ValidationError) as err:
         make(str(tmp_path / "table.csv"))
     assert err.value.field == field
+

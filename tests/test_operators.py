@@ -21,10 +21,10 @@ from gnwaves.operators import (
 )
 from gnwaves.params import PhysParams
 from gnwaves.runner import guarded_rhs
-from gnwaves.spectral import Grid, dealias_mask, inner
+from gnwaves.spectral import Grid, dealias_mask
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import ddx, hamiltonian, zeta_gradient
+from oracles import ddx, hamiltonian, inner, zeta_gradient
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):

@@ -13,12 +13,12 @@ from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, with_overrides
 from gnwaves.runner import guarded_rhs, run_experiment
-from gnwaves.spectral import Grid, dealias_mask, inner, irfft, mode_amplitudes, rfft
+from gnwaves.spectral import Grid, dealias_mask, irfft, mode_amplitudes, rfft
 
 from gnwaves.timestepper import integrate
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import ddx
+from oracles import ddx, inner
 
 
 class TestTransformPair:
