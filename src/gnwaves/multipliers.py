@@ -124,15 +124,15 @@ class MultiplierSpec:
         k_table = np.asarray(k_table, dtype=float)
         f_table = np.asarray(f_table, dtype=float)
         if k_table.ndim != 1 or k_table.shape != f_table.shape or k_table.size < 2:
-            raise ValidationError("table", "need matching 1-D arrays with >= 2 rows")
+            raise ValidationError("table", f"table {label!r}: need matching 1-D arrays with >= 2 rows")
         if not np.all(np.isfinite(k_table)):
             raise ValidationError("table", f"table {label!r} has a non-finite k")
         if k_table[0] != 0.0:
-            raise ValidationError("table", "first row must tabulate k = 0")
+            raise ValidationError("table", f"table {label!r}: first row must tabulate k = 0")
         if np.any(np.diff(k_table) <= 0):
-            raise ValidationError("table", "k column must be strictly increasing")
+            raise ValidationError("table", f"table {label!r}: k column must be strictly increasing")
         if not np.all(np.isfinite(f_table)):
-            raise ValidationError("table", "symbol values must be finite")
+            raise ValidationError("table", f"table {label!r}: symbol values must be finite")
         if abs(f_table[0] - 1.0) > 1e-9:
             raise ValidationError("F(0)", f"table {label!r} has F(0) = {float(f_table[0])}, expected 1")
         return cls("custom", table=(k_table, f_table), label=label)

@@ -134,7 +134,10 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     state y = (zeta, v), returning the (2, n) tendencies of :func:`rhs` as
     they are. A stage that cavitates, whose CG solve fails, or whose flux
     has lost spectral resolution returns NaN tendencies, so the error
-    controller rejects the step and shrinks.
+    controller rejects the step and shrinks. :func:`rhs` gets the stage
+    time t, from which ``workspace`` predicts the CG start
+    (:meth:`GNWorkspace.warm_start`); only a stage that passes every check
+    joins the history of that prediction (:meth:`GNWorkspace.remember`).
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
@@ -179,12 +182,13 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
         if workspace.resolution_lost_at is not None:
             return np.full(y.shape, np.nan)
         try:
-            tendencies = rhs(ctx, *y, workspace=workspace)
+            tendencies = rhs(ctx, *y, workspace=workspace, t=t)
         except (CavitationError, ConvergenceError):
             return np.full(y.shape, np.nan)
         if guarded and _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol, ctx.last_mode):
             workspace.resolution_lost_at = t
             return np.full(y.shape, np.nan)
+        workspace.remember(t, y[1])
         return tendencies
 
     return f

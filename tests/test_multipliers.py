@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -283,11 +284,19 @@ def load_text(text):
         pytest.param(load_text("0,1,2\n1,0.5,0\n"), "table", id="three_columns"),
         pytest.param(load_text("k,F\n0,1\n10,0.5\n"), "table", id="header_line"),
         pytest.param(load_text("0,1\n1\n"), "table", id="ragged_row"),
+        pytest.param(load_text("0,1\n"), "table", id="one_row_file"),
+        pytest.param(load_text("0.5,1\n1,0.5\n"), "table", id="no_k0_row_file"),
+        pytest.param(load_text("0,1\n1,0.5\n1,0.4\n"), "table", id="k_repeated_file"),
+        pytest.param(load_text("0,1\n1,nan\n"), "table", id="nan_symbol_file"),
         pytest.param(lambda path: check_admissibility(MultiplierSpec.identity(), 1, k_max=0.0), "k_max", id="k_max_zero"),
     ],
 )
 def test_refusals_name_their_field(make, field, tmp_path):
+    path = str(tmp_path / "table.csv")
     with pytest.raises(ValidationError) as err:
-        make(str(tmp_path / "table.csv"))
+        make(path)
     assert err.value.field == field
+    if os.path.exists(path):
+        # a refused table file is named, so a config naming several says which
+        assert path in str(err.value)
 

@@ -284,8 +284,9 @@ class TestSolverSettings:
 
 
 def _oracle_mass_operator(ctx, zeta, w):
-    """A[eps*zeta] w written out per application: the coefficient, h**3 and
-    dx F = deriv * fsym * rfft are all formed anew on every call."""
+    """A[eps*zeta] w written out per application: the coefficient, 1/h,
+    h**3, the closing (mu/3) (gamma/h1, 1/h2) and dx F = deriv * fsym * rfft
+    are all formed anew on every call."""
     h = layer_depths(ctx.params, zeta)
     h1, h2 = h
     g, mu = ctx.params.gamma, ctx.params.mu
@@ -296,9 +297,9 @@ def _oracle_mass_operator(ctx, zeta, w):
 
     out = (h1 + g * h2) / (h1 * h2) * w
     if mu > 0.0:
-        t = dxf(w / h)
-        t1, t2 = dxf(h**3 * t)
-        out -= (mu / 3.0) * (t2 / h2 + g * t1 / h1)
+        t = dxf(w * (1.0 / h))
+        t1, t2 = dxf(h**3 * t) * ((1.0 / h) * ((mu / 3.0) * np.array([[g], [1.0]])))
+        out = out - t1 - t2
     return out
 
 
@@ -309,7 +310,7 @@ def _oracle_pcg(ctx, zeta, v, x0=None):
     b_norm = float(np.linalg.norm(v))
 
     def precondition(r):
-        return np.fft.irfft(np.fft.rfft(r) / ctx.flat_symbol, ctx.grid.n)
+        return np.fft.irfft(np.fft.rfft(r) * (1.0 / ctx.flat_symbol), ctx.grid.n)
 
     x = np.zeros_like(v) if x0 is None else np.array(x0, dtype=float)
     r = v - _oracle_mass_operator(ctx, zeta, x) if x0 is not None else v.copy()
@@ -488,7 +489,7 @@ class TestHotPathOracle:
 class TestSharedConstants:
     """rhs loads the per-state constants of A into its workspace once, for
     the CG solve, the pass and R; CG writes A p into its own buffer and
-    divides by the complex copy of the preconditioner symbol."""
+    multiplies by the complex inverse of the preconditioner symbol."""
 
     @staticmethod
     def count_constants(monkeypatch):
@@ -524,15 +525,15 @@ class TestSharedConstants:
         assert apply_mass_operator(ctx, zeta, w, out=buf) is buf
         assert np.array_equal(buf, apply_mass_operator(ctx, zeta, w))
 
-    def test_complex_symbol_divides_like_the_real_one(self, grid):
+    def test_complex_inverse_symbol_multiplies_like_the_real_one(self, grid):
         ctx = make_ctx(grid)
-        assert ctx.flat_symbol_complex.dtype == complex
-        assert np.array_equal(ctx.flat_symbol_complex.real, ctx.flat_symbol)
+        assert ctx.inv_flat_symbol.dtype == complex
+        assert np.array_equal(ctx.inv_flat_symbol.real, 1.0 / ctx.flat_symbol)
         spec = np.fft.rfft(random_smooth_field(grid, np.random.default_rng(149)))
         spec[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, 1.0), complex(1.0, -np.inf)]
         with np.errstate(invalid="ignore"):
-            expected = spec / ctx.flat_symbol
-            got = spec / ctx.flat_symbol_complex
+            expected = spec * (1.0 / ctx.flat_symbol)
+            got = spec * ctx.inv_flat_symbol
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -690,6 +691,87 @@ class TestRhs:
         ws = GNWorkspace()
         rhs(ctx, zeta, v, workspace=ws)
         assert ws.w_prev is not None
+
+
+def count_applications(monkeypatch):
+    """Count the applications of A that every solve of the module makes."""
+    calls = []
+    apply = operators_mod.apply_mass_operator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(operators_mod, "apply_mass_operator", counted)
+    return calls
+
+
+class TestStagePredictor:
+    """The CG start of a timed stage extrapolates the workspace's last three
+    stage solves (t, w, v) and corrects the rest through P^-1."""
+
+    @staticmethod
+    def solved_stage(ctx, ws, zeta, v, t):
+        rhs(ctx, zeta, v, workspace=ws, t=t)
+        ws.remember(t, v)
+
+    def test_quadratic_flux_at_the_flat_interface_takes_one_application(self, grid, monkeypatch):
+        # at zeta = 0, A is P; three stages of a flux quadratic in t leave
+        # nothing for CG to do but check the predicted start's residual
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(151)
+        a, b, c = (random_smooth_field(grid, rng) for _ in range(3))
+        zeta = np.zeros(grid.n)
+
+        def momentum(t):
+            return apply_mass_operator(ctx, zeta, a + t * b + t**2 * c)
+
+        ws = GNWorkspace()
+        for t in (0.0, 0.1, 0.25):
+            self.solved_stage(ctx, ws, zeta, momentum(t), t)
+        calls = count_applications(monkeypatch)
+        rhs(ctx, zeta, momentum(0.4), workspace=ws, t=0.4)
+        assert len(calls) == 1
+        np.testing.assert_allclose(ws.w_prev, a + 0.4 * b + 0.16 * c, rtol=0, atol=1e-12)
+        # the same solve from the last flux alone needs CG iterations
+        calls.clear()
+        cold = GNWorkspace()
+        cold.w_prev = ws.history[-1][1]
+        rhs(ctx, zeta, momentum(0.4), workspace=cold)
+        assert len(calls) > 1
+
+    def test_start_without_time_or_history_is_the_last_flux(self, grid):
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(157)
+        zeta, w = random_state(ctx, rng)
+        v = apply_mass_operator(ctx, zeta, w)
+        ws = GNWorkspace()
+        assert ws.warm_start(ctx, 0.5, v) is None
+        self.solved_stage(ctx, ws, zeta, v, 0.5)
+        assert ws.warm_start(ctx, None, v) is ws.w_prev
+        # one solve known: its flux plus P^-1 of the change in v
+        dv = apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng))
+        expected = ws.w_prev + np.fft.irfft(np.fft.rfft(dv) / ctx.flat_symbol, grid.n)
+        np.testing.assert_allclose(ws.warm_start(ctx, 0.7, v + dv), expected, rtol=0, atol=1e-14)
+
+    def test_repeated_stage_time_replaces_its_entry(self, grid):
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(163)
+        zeta = random_state(ctx, rng)[0]
+        vs = [apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng)) for _ in range(5)]
+        ws = GNWorkspace()
+        for t, v in zip((0.1, 0.2, 0.3, 0.3), vs):
+            self.solved_stage(ctx, ws, zeta, v, t)
+        assert [t for t, _, _ in ws.history] == [0.1, 0.2, 0.3]
+        assert ws.history[-1][1] is ws.w_prev and np.array_equal(ws.history[-1][2], vs[3])
+        # at a known time the start is that entry's flux, corrected by P^-1
+        x0 = ws.warm_start(ctx, 0.3, vs[4])
+        expected = ws.w_prev + np.fft.irfft(np.fft.rfft(vs[4] - vs[3]) / ctx.flat_symbol, grid.n)
+        np.testing.assert_allclose(x0, expected, rtol=0, atol=1e-13)
+        assert np.all(np.isfinite(ws.warm_start(ctx, 0.4, vs[4])))
+        # a new time drops the oldest of three
+        self.solved_stage(ctx, ws, zeta, vs[4], 0.4)
+        assert [t for t, _, _ in ws.history] == [0.2, 0.3, 0.4]
 
 
 @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])

@@ -149,7 +149,7 @@ ic_amplitude = -1.0
 ic_width = 4.0
 snapshot_times = \n\
 dealias = true
-cg_tol = 1e-12
+cg_tol = 1e-13
 cg_max_iter = 200
 """
 

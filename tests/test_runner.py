@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gnwaves
+import gnwaves.operators as operators_mod
 import gnwaves.runner as runner_mod
 from gnwaves.cli import _load_config, build_parser, main
 from gnwaves.errors import StepUnderflowError, ValidationError
@@ -160,6 +161,30 @@ class TestGuardedRhs:
             workspace = GNWorkspace()
             assert np.all(np.isnan(guarded_rhs(ctx, workspace)(0.0, y)))
             assert workspace.w_prev is None and workspace.resolution_lost_at is None
+
+    @staticmethod
+    def history_after_two_stages(ctx, f):
+        y = stacked_state(ctx, smooth_flux(ctx.grid))
+        for t in (0.0, 0.1):
+            assert np.all(np.isfinite(f(t, y)))
+        return y
+
+    def test_failed_stages_leave_the_history(self, grid):
+        # cavitation, a CG breakdown and a tripped resolution guard each
+        # return NaN, and none adds its stage to the predictor's history
+        ctx = no_tension_ctx(grid)
+        workspace = GNWorkspace()
+        f = guarded_rhs(ctx, workspace)
+        y = self.history_after_two_stages(ctx, f)
+        kept = list(workspace.history)
+        cavitating = y.copy()
+        cavitating[0, 0] = 1.0 / ctx.params.epsilon
+        broken = y.copy()
+        broken[1, 5] = np.nan
+        for t, bad in ((0.2, cavitating), (0.2, broken), (0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))):
+            assert np.all(np.isnan(f(t, bad)))
+            assert workspace.history == kept
+        assert workspace.resolution_lost_at == 0.25
 
     def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch):
         config = fast_config(snapshot_times=())
@@ -520,6 +545,57 @@ class TestRunExperiment:
         assert np.array_equal(zeta, y[0])
         residual = apply_mass_operator(ctx, zeta, w) - y[1]
         assert np.linalg.norm(residual) <= config.cg_tol * np.linalg.norm(y[1])
+
+    def test_rows_and_snapshots_take_the_solved_flux(self, tmp_path, monkeypatch):
+        # the predicted CG start never reaches the record: every row and
+        # snapshot after t = 0 holds the flux a solve returned
+        solves = []
+        invert = operators_mod.invert_mass_operator
+
+        def recorded(ctx, zeta, v, **kwargs):
+            w = invert(ctx, zeta, v, **kwargs)
+            solves.append((kwargs.get("x0"), w))
+            return w
+
+        taken = []
+        compute_row, write_snapshot = runner_mod.compute_row, runner_mod.write_snapshot
+
+        def row(ctx, t, zeta, v, w, *stage):
+            taken.append(("row", t, w))
+            return compute_row(ctx, t, zeta, v, w, *stage)
+
+        def snapshot(path, grid, zeta, w):
+            taken.append(("snapshot", path, w))
+            return write_snapshot(path, grid, zeta, w)
+
+        monkeypatch.setattr(operators_mod, "invert_mass_operator", recorded)
+        monkeypatch.setattr(runner_mod, "compute_row", row)
+        monkeypatch.setattr(runner_mod, "write_snapshot", snapshot)
+        run_experiment(fast_config(), str(tmp_path / "run"))
+        # the t = 0 row and snapshot take the rest flux w0
+        later = taken[2:]
+        assert [kind for kind, _, _ in later].count("snapshot") == 2 and len(later) > 4
+        for _, _, w in later:
+            assert any(w is solved and w is not x0 for x0, solved in solves)
+
+    def test_cg_work_per_solve(self, tmp_path, monkeypatch):
+        # 5.36 applications of A per solve with the stage predictor, 7.92
+        # when each solve starts from the last flux; the bound is 5.36 + 5%
+        counts = {"apply": 0, "invert": 0}
+        apply, invert = operators_mod.apply_mass_operator, operators_mod.invert_mass_operator
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(operators_mod, "apply_mass_operator", counted("apply", apply))
+        monkeypatch.setattr(operators_mod, "invert_mass_operator", counted("invert", invert))
+        config = with_overrides(ExperimentConfig(), grid_n=128, t_end=0.2)
+        result = run_experiment(config, str(tmp_path / "run"))
+        assert (result.status, result.stats.rhs_evals) == ("completed", counts["invert"])
+        assert counts["apply"] / counts["invert"] <= 5.36 * 1.05
 
     def test_dealias_config_runs(self, tmp_path):
         # with the 2/3 rule the integrated model leaves the top third of the
