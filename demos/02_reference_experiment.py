@@ -5,9 +5,9 @@
 # (identity) additionally grows a high-frequency component out of round-off
 # noise: look at the high_band column of diag.csv, or at the spectrum of a
 # snapshot, mode_amplitudes(Grid(n, L), read_snapshot(path)[1]). Under the
-# default 2/3 rule that growth stays below the cut n/3 (high_band 9e-11 at
-# t = 2); with dealias = false it reaches 4e-6, and the identity run's
-# impulse drifts by about 5e-9. Conserved-quantity drifts land at
+# default 2/3 rule that growth stays below the cut n/3 (high_band 4e-11 at
+# t = 2); with dealias = false it reaches 3e-6, and the identity run's
+# impulse drifts by about 7e-9. Conserved-quantity drifts land at
 # integrator accuracy (1e-17 .. 1e-12).
 
 import os

@@ -11,7 +11,7 @@ import numpy as np
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import PhysParams
-from gnwaves.spectral import Grid
+from gnwaves.spectral import Grid, irfft
 from gnwaves.stability import growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import integrate
 
@@ -38,8 +38,10 @@ trace = [(0.0, abs(np.fft.rfft(zeta0)[idx]) / grid.n)]
 workspace = GNWorkspace()
 
 
-def f(t, y):
-    return rhs(ctx, *y, workspace=workspace)
+# plain Dormand-Prince stages (no linear part) take the tendencies in
+# physical space: the irfft of rhs's spectral ones
+def f(t, y, u):
+    return irfft(rhs(ctx, *y, workspace=workspace), grid.n)
 
 
 def watch(t, y, stats):

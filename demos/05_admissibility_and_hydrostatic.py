@@ -2,7 +2,7 @@
 #
 # First, the admissibility report: the structural conditions on a dispersion
 # symbol (evenness, F(0)=1, F'(0)=0, positivity, bounded F'', sub-additive
-# |k|F(k)) and the fitted decay F(k) <= K |k|^-sigma. The built-in families decay with
+# |k|F(k)) and the fitted decay |F(k)| <= K |k|^-sigma. The built-in families decay with
 # sigma = 0 (identity), 1 (regularized), 1/2 (improved).
 #
 # Second, the hydrostatic (mu = 0) limit: the same solver with the dispersive

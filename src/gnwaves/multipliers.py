@@ -217,26 +217,28 @@ class AdmissibilityReport:
             f"  F'(0) = 0: {'ok' if self.fprime0_ok else 'FAILED'}",
             f"  positive on window: {'ok' if self.positive_ok else 'FAILED'}",
             f"  sup |F''| on window: {self.second_derivative_bound:.6g}",
-            f"  decay fit: F(k) <= {self.k_constant:.6g} * |k|^-{self.sigma:g}",
+            f"  decay fit: |F(k)| <= {self.k_constant:.6g} * |k|^-{self.sigma:g}",
         ]
         return "\n".join(lines)
 
 
 def _fit_decay(f, k_pos):
-    """Largest sigma in {1, 1/2, 0} with F(k)*|k|^sigma bounded on the window,
-    from the symbol's values f on the positive ladder k_pos.
+    """Largest sigma in {1, 1/2, 0} with |F(k)|*|k|^sigma bounded on the
+    window, from the symbol's values f on the positive ladder k_pos: a bound
+    on the decay of F, whatever its sign.
 
     Boundedness on a finite window is judged by saturation: the sup over the
     outer half must not exceed the sup over the inner half by more than 5%.
     """
     half = k_pos <= 0.5 * k_pos[-1]
+    size = np.abs(f)
     for sigma in (1.0, 0.5, 0.0):
-        g = f * k_pos**sigma
+        g = size * k_pos**sigma
         inner_sup = float(np.max(g[half]))
         outer_sup = float(np.max(g[~half]))
         if outer_sup <= 1.05 * inner_sup:
             return sigma, max(inner_sup, outer_sup)
-    return 0.0, float(np.max(f))
+    return 0.0, float(np.max(size))
 
 
 def check_admissibility(spec, layer, k_max=50.0, samples=100):

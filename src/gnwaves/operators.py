@@ -28,24 +28,30 @@ recovered from v at every evaluation by preconditioned conjugate gradients
 (the Fourier-diagonal flat-interface preconditioner P), to the relative
 residual ``CG_TOL`` = 1e-13. CG is the hot path: what an application of A
 needs besides w is formed once, not per application. The symbols of dx F1
-and dx F2, and the complex 1/A0 that applies P^-1, are formed per context
-(:class:`GNContext`); the depths, the depth coefficient, 1/h, h^3, the
-closing coefficients (mu/3) (gamma/h1, 1/h2) and the FFT buffers once per
-:func:`rhs` call by :meth:`GNWorkspace.load`, into the one holder of a
-stage, which the CG solve, the pass and R read; CG's own preconditioner,
-``A p`` and update buffers per solve. Every floating-point operation stays
-as it was written per application.
+and dx F2, the complex 1/A0 that applies P^-1 and the closing column
+(mu/3) (gamma, 1) are formed per context (:class:`GNContext`); once per
+:func:`rhs` call :meth:`GNWorkspace.load` forms the depths and 1/h, and
+from 1/h the depth coefficient gamma/h1 + 1/h2, the closing coefficients
+(mu/3) (gamma/h1, 1/h2) and the coefficient (eps/2) (1/h2^2 - gamma/h1^2)
+of w^2 in the zeta-gradient, with h^3 = h*h*h and the FFT buffers, into
+the one holder of a stage, which the CG solve, the pass and R read; CG's
+own preconditioner, ``A p`` and update buffers per solve.
 
-Each solve of a timed stage starts from the stage-value predictor of Hairer
-& Wanner (Solving ODEs II, IV.8), :meth:`GNWorkspace.warm_start`: the last
-three successful stage solves (t_j, w_j, v_j), extrapolated to the stage
-time t with quadratic Lagrange weights c_j, plus P^-1 of what they leave of
-v: x0 = sum c_j w_j + P^-1 (v - sum c_j v_j). It takes the reference
-experiment from 6.8 to 5.5 applications of A per solve. The stage time is
-known to ``runner.guarded_rhs``, which passes it to :func:`rhs` and adds a
-stage to the history only once the stage has passed every check. The
-stopping errors of predicted starts are correlated from stage to stage and
-add up in the energy drift, so ``CG_TOL`` is 1e-13, not 1e-12.
+The stages run in Fourier space. :func:`rhs` returns the spectral
+tendencies -ik (w_hat, grad_hat) that the Lawson stages of
+``timestepper.integrate`` take as they are, and ``runner.guarded_rhs`` hands
+it the stage's spectrum of v, the frame row the integrator holds. Each
+solve of a timed stage starts from the stage-value predictor of Hairer &
+Wanner (Solving ODEs II, IV.8), :meth:`GNWorkspace.warm_start`: the last
+three successful stage solves, extrapolated to the stage time t with
+quadratic Lagrange weights c, plus P^-1 of what they leave of v, formed
+in spectral space: x0 = c @ W + irfft((v_hat - c @ V) / A0). It takes the
+reference experiment from 6.8 to 5.5 applications of A per solve. The
+stage time is known to ``runner.guarded_rhs``, which passes it to
+:func:`rhs` and adds a stage to the history only once the stage has passed
+every check. The stopping errors of predicted starts are correlated from
+stage to stage and add up in the energy drift, so ``CG_TOL`` is 1e-13, not
+1e-12.
 
 After the solve, one function runs the stage's stacked spectral pass and
 forms the zeta-gradient (:func:`interface_gradient`): one rfft of the rows
@@ -54,12 +60,13 @@ dx F u (``dx_symbols``); the pointwise middle steps of the capillary and R
 chains; one rfft and one irfft of their derivatives; then the closings in
 place. Both irffts take the one row set ``GNContext.pass_rows``: zeta with
 tension, u for mu > 0. At epsilon = 0 the pass still forms h^3 dx F u and
-R, which the factor mu*eps = 0 removes. The two tendencies come out of one
-batched inverse transform after one multiply by the context's derivative
-symbol ``ik``, which carries the optional 2/3-rule mask: three rfft and
-three irfft calls per :func:`rhs` besides CG's. The pass keeps its products
-on the workspace, and the diagnostics row of an accepted stage reads them
-with no transform.
+R, which the factor mu*eps = 0 removes. The two spectral tendencies are
+the pass's w_hat and the gradient's rfft times the context's ``minus_ik``,
+-ik with the optional 2/3-rule mask, so they are exactly 0 on the masked
+modes: three rfft and two irfft calls per :func:`rhs` besides CG's and the
+predictor's one irfft, and no transform in the Lawson frame change. The
+pass keeps its products on the workspace, and the diagnostics row of an
+accepted stage reads them with no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -125,7 +132,8 @@ class GNContext:
     ``dx_symbols = grid.ik * symbols``, the symbols of dx F1 and dx F2 that
     every dispersive term applies, formed once per context; ``ik``, the
     derivative symbol of the tendencies: ``grid.ik``, or ``grid.ik *
-    dealias_mask(grid)`` under ``dealias``; ``last_mode``, the last mode it
+    dealias_mask(grid)`` under ``dealias``, and ``minus_ik``, its negation,
+    which :func:`rhs` multiplies by; ``last_mode``, the last mode it
     keeps (n//3 under ``dealias``, Nyquist n//2 without); the flat-interface
     symbol A0 of the mass operator used as CG preconditioner P (and
     ``inv_flat_symbol``, the complex 1/A0 that applies P^-1 by one multiply,
@@ -135,7 +143,8 @@ class GNContext:
     of the rows w, zeta, u1, u2 that both irffts of the spectral pass
     (:func:`interface_gradient`) take (zeta with tension, u for mu > 0, at
     every epsilon) and their symbols ``pass_symbols`` (``grid.ik``, dx F),
-    and the solver settings.
+    the column ``closing_weights`` = (mu/3) (gamma, 1) of A's closing, and
+    the solver settings.
     """
 
     def __init__(self, grid, params, spec, cg_tol=CG_TOL, cg_max_iter=CG_MAX_ITER, dealias=False):
@@ -155,7 +164,9 @@ class GNContext:
         self.flat_symbol, _ = flat_interface(params, self.symbols, k)
         self.inv_flat_symbol = (1.0 / self.flat_symbol).astype(complex)
         self.ik = grid.ik * dealias_mask(grid) if dealias else grid.ik
+        self.minus_ik = -self.ik
         self.last_mode = grid.n // 3 if dealias else grid.n // 2
+        self.closing_weights = (params.mu / 3.0) * np.array([[params.gamma], [1.0]])
         # linear part of rhs at the flat interface on stacked (zeta, v):
         # dt zeta_hat = -ik/A0 v_hat, dt v_hat = -ik a0 zeta_hat
         self.linear = ModeRotation(-self.ik / self.flat_symbol, -self.ik * restoring_symbol(params, k))
@@ -169,72 +180,83 @@ class GNContext:
 class GNWorkspace:
     """One stage's data, and per-integration scratch.
 
-    :meth:`load` sets the per-state part of A[eps*zeta]: the stacked
-    ``depths`` h, the coefficient ``local`` = (h1 + gamma*h2)/(h1*h2) and,
-    for mu > 0, ``inv_depths`` = 1/h, ``cube`` = h^3, ``closing`` =
-    (mu/3) (gamma/h1, 1/h2) and the spectral and physical (2, n) buffers
-    every application writes into (used up inside
-    :func:`apply_mass_operator`; nothing it returns views them).
-    The pass of :func:`interface_gradient` adds ``u``, ``w_hat``,
+    :meth:`load` sets the per-state data of the stage, all from
+    ``inv_depths`` = 1/h of the stacked ``depths`` h: the coefficient
+    ``local`` = gamma/h1 + 1/h2 of A, the coefficient ``w2_coef`` =
+    (eps/2) (1/h2^2 - gamma/h1^2) of w^2 in the zeta-gradient and, for mu >
+    0, ``cube`` = h^3, ``closing`` = (mu/3) (gamma/h1, 1/h2) and the
+    spectral and physical (2, n) buffers every application writes into
+    (used up inside :func:`apply_mass_operator`; nothing it returns views
+    them). The pass of :func:`interface_gradient` adds ``u``, ``w_hat``,
     ``zeta_hat``, ``slope`` (with tension) and ``dxf_u`` (mu > 0), which the
     diagnostics row of an accepted (FSAL) stage reads. ``w_prev`` keeps the
-    last stage's solved flux, ``history`` the (t, w, v) of the last three
-    stage solves that :meth:`remember` was given (the CG start of
-    :meth:`warm_start`), ``resolution_lost_at`` the stage time at which a
-    resolution guard tripped (None while clean). Not shareable between
-    concurrent integrations."""
+    last stage's solved flux; ``history`` the (t, row) of the last three
+    stage solves that :meth:`remember` was given, oldest first, whose flux
+    and momentum spectrum are row ``row`` of ``past_w`` and ``past_v_hat``
+    (the CG start of :meth:`warm_start`); ``resolution_lost_at`` the stage
+    time at which a resolution guard tripped (None while clean). Not
+    shareable between concurrent integrations."""
 
     def __init__(self):
         self.w_prev = self.w_hat = self.depths = self.local = self.cube = None
         self.u = self.zeta_hat = self.slope = self.dxf_u = self.resolution_lost_at = None
         self.history = []
+        self.past_w = self.past_v_hat = None
 
     def load(self, ctx, zeta):
         """Set the per-state data of zeta (cavitation checked by
         :func:`layer_depths`); returns the workspace."""
-        self.depths = layer_depths(ctx.params, zeta)
-        h1, h2 = self.depths
-        g, mu = ctx.params.gamma, ctx.params.mu
-        self.local = (h1 + g * h2) / (h1 * h2)
-        if mu > 0.0:
-            self.inv_depths = 1.0 / self.depths
-            self.cube = self.depths**3
-            self.closing = self.inv_depths * ((mu / 3.0) * np.array([[g], [1.0]]))
+        p = ctx.params
+        h = self.depths = layer_depths(p, zeta)
+        inv = self.inv_depths = 1.0 / h
+        self.local = p.gamma * inv[0] + inv[1]
+        self.w2_coef = 0.5 * p.epsilon * (inv[1] ** 2 - p.gamma * inv[0] ** 2)
+        if p.mu > 0.0:
+            self.cube = h * h * h
+            self.closing = inv * ctx.closing_weights
             self.spectral = np.empty((2, ctx.grid.n // 2 + 1), dtype=complex)
             self.physical = np.empty((2, ctx.grid.n))
         return self
 
-    def warm_start(self, ctx, t, v):
-        """The CG start of the stage at time t with momentum v: the stage-value
-        predictor (Hairer & Wanner, Solving ODEs II, IV.8)
+    def warm_start(self, ctx, t, v_hat):
+        """The CG start of the stage at time t whose momentum has the real
+        FFT v_hat: the stage-value predictor (Hairer & Wanner, Solving ODEs
+        II, IV.8)
 
-            x0 = sum_j c_j w_j + P^-1 (v - sum_j c_j v_j)
+            x0 = c @ W + P^-1 (v_hat - c @ V)
 
-        over the stage solves (t_j, w_j, v_j) in ``history``, with c_j the
-        Lagrange weights in t of their times (quadratic from three solves,
-        linear from two, c = 1 from one) and P the flat-interface
-        preconditioner, A at zeta = 0, which carries the part of v that the
-        history does not extrapolate. ``w_prev`` (None: a cold start) without
-        a time or a history, and at mu = 0, where the solve is pointwise and
+        over the stage solves in ``history``, W and V the rows of their
+        fluxes w_j and momentum spectra v_hat_j, with c_j the Lagrange
+        weights in t of their times (quadratic from three solves, linear
+        from two, c = 1 from one) and P the flat-interface preconditioner, A
+        at zeta = 0, which carries the part of v that the history does not
+        extrapolate: one irfft. ``w_prev`` (None: a cold start) without a
+        time or a history, and at mu = 0, where the solve is pointwise and
         takes no start."""
         if t is None or not self.history or ctx.params.mu == 0.0:
             return self.w_prev
-        times = [entry[0] for entry in self.history]
-        x0 = np.zeros_like(v)
-        r = v.copy()
-        for t_j, w_j, v_j in self.history:
-            c = math.prod((t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j)
-            x0 += c * w_j
-            r -= c * v_j
-        x0 += spectral.irfft(spectral.rfft(r) * ctx.inv_flat_symbol, ctx.grid.n)
+        times = [t_j for t_j, _ in self.history]
+        c = np.empty(len(times))
+        for t_j, row in self.history:
+            c[row] = math.prod((t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j)
+        x0 = c @ self.past_w[: c.size]
+        x0 += spectral.irfft((v_hat - c @ self.past_v_hat[: c.size]) * ctx.inv_flat_symbol, ctx.grid.n)
         return x0
 
-    def remember(self, t, v):
-        """Add the stage at time t, whose solve took v to ``w_prev``, to
-        ``history``, which keeps the last three: it replaces an entry at the
-        same t (a repeated stage time, such as Dormand-Prince's c6 = c7 = 1)."""
-        self.history = [entry for entry in self.history if entry[0] != t][-2:]
-        self.history.append((t, self.w_prev, v))
+    def remember(self, t, v_hat):
+        """Add the stage at time t, whose solve took the momentum with
+        spectrum v_hat to ``w_prev``, to the history, which keeps the last
+        three (copies of both): it replaces an entry at the same t (a
+        repeated stage time, such as Dormand-Prince's c6 = c7 = 1), else the
+        oldest once it holds three."""
+        if self.past_w is None:
+            self.past_w = np.empty((3,) + self.w_prev.shape)
+            self.past_v_hat = np.empty((3,) + v_hat.shape, dtype=complex)
+        rows = dict(self.history)
+        row = rows.get(t, len(rows) if len(rows) < 3 else self.history[0][1])
+        self.history = [entry for entry in self.history if entry[1] != row] + [(t, row)]
+        self.past_w[row] = self.w_prev
+        self.past_v_hat[row] = v_hat
 
 
 def apply_mass_operator(ctx, zeta, w, stage=None, out=None):
@@ -399,37 +421,40 @@ def interface_gradient(ctx, zeta, w, stage=None):
             stage.dxf_u = dx[-2:]
             np.multiply(stage.cube, stage.dxf_u, out=middle[-2:])
         dx = spectral.irfft(spectral.rfft(middle) * ctx.pass_symbols, n)
-    h1, h2 = stage.depths
     grad = (p.gamma + p.delta) * zeta + (-(p.gamma + p.delta) * p.inv_bond * dx[0] if p.inv_bond > 0.0 else 0.0)
-    grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
+    grad += stage.w2_coef * w**2
     if p.mu > 0.0:
         r1, r2 = r_operator(stage.depths, u, stage.dxf_u, dx[-2:])
         grad -= p.mu * p.epsilon * (r2 - p.gamma * r1)
     return grad
 
 
-def rhs(ctx, zeta, v, workspace=None, t=None):
-    """Tendencies (dt zeta, dt v) at state (zeta, v), stacked as one (2, n)
-    array, so ``dzeta, dv = rhs(...)`` unpacks them.
+def rhs(ctx, zeta, v, workspace=None, t=None, v_hat=None):
+    """Spectral tendencies (dt zeta_hat, dt v_hat) at state (zeta, v): the
+    real FFTs of the tendencies, stacked as one (2, n/2+1) complex array,
+    as the Lawson stages of ``timestepper.integrate`` take them.
+    ``spectral.irfft(rhs(...), n)`` gives the (2, n) tendencies in physical
+    space, so ``dzeta, dv = spectral.irfft(rhs(...), n)`` unpacks them.
 
     Loads ``workspace`` (a fresh :class:`GNWorkspace` when None) at zeta
     once, for the CG solve, the pass and R. Recovers w = A^{-1} v first,
     started from :meth:`GNWorkspace.warm_start` at the stage time ``t``
-    (``workspace.w_prev`` without one) and kept as ``workspace.w_prev``,
-    then the zeta-gradient through
-    the pass of :func:`interface_gradient`, whose products the workspace
-    keeps, and assembles the two exact spatial derivatives, -dx w and -dx of the zeta-gradient, through ``ctx.ik`` (so
-    dealiased under ``dealias``) and one batched inverse transform: three
-    rfft and three irfft calls besides CG's and the predictor's one pair.
+    and ``v_hat``, the stage's real FFT of v (the two go together), or from
+    ``workspace.w_prev`` without a time, and kept as
+    ``workspace.w_prev``; then the zeta-gradient through the pass of
+    :func:`interface_gradient`, whose products the workspace keeps, and
+    the two exact spatial derivatives, -dx w and -dx of the zeta-gradient,
+    as ``ctx.minus_ik`` times the pass's w_hat and the gradient's rfft (so
+    dealiased under ``dealias``, exactly 0 above the cut): three rfft and
+    two irfft calls besides CG's and the predictor's one irfft.
     Hyperbolicity is a monitored diagnostic, not checked here.
     """
-    grid = ctx.grid
     stage = (GNWorkspace() if workspace is None else workspace).load(ctx, zeta)
-    w = invert_mass_operator(ctx, zeta, v, x0=stage.warm_start(ctx, t, v), stage=stage)
+    w = invert_mass_operator(ctx, zeta, v, x0=stage.warm_start(ctx, t, v_hat), stage=stage)
     stage.w_prev = w
     grad = interface_gradient(ctx, zeta, w, stage=stage)
-    spec = np.empty((2, grid.n // 2 + 1), dtype=complex)
-    np.multiply(stage.w_hat, ctx.ik, out=spec[0])
-    np.multiply(spectral.rfft(grad), ctx.ik, out=spec[1])
-    out = spectral.irfft(spec, grid.n)
-    return np.negative(out, out=out)
+    out = np.empty((2, ctx.grid.n // 2 + 1), dtype=complex)
+    np.multiply(stage.w_hat, ctx.minus_ik, out=out[0])
+    spectral.rfft(grad, out=out[1])
+    out[1] *= ctx.minus_ik
+    return out

@@ -32,7 +32,10 @@ The hydrostatic (Saint-Venant) model is the mu = 0 member of the dispersive
 family: a config with mu = 0 runs through the same rhs and diagnostics.
 Every model is integrated with its flat-interface linear part propagated
 exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
-so the capillary waves at the top of the ladder set no step-size limit.
+so the capillary waves at the top of the ladder set no step-size limit. The
+stages run in Fourier space: :func:`guarded_rhs` hands :func:`rhs` the
+stage's spectrum of v from the integrator's frame, and the integrator the
+spectral tendencies of :func:`rhs`, with no transform between them.
 """
 
 import math
@@ -130,14 +133,17 @@ def _resolution_lost(w, w_hat, rel_tol, last_mode):
 
 
 def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
-    """Stage function f(t, y) for :func:`integrate` on the stacked (2, n)
-    state y = (zeta, v), returning the (2, n) tendencies of :func:`rhs` as
-    they are. A stage that cavitates, whose CG solve fails, or whose flux
-    has lost spectral resolution returns NaN tendencies, so the error
-    controller rejects the step and shrinks. :func:`rhs` gets the stage
-    time t, from which ``workspace`` predicts the CG start
-    (:meth:`GNWorkspace.warm_start`); only a stage that passes every check
-    joins the history of that prediction (:meth:`GNWorkspace.remember`).
+    """Stage function f(t, y, u) for :func:`integrate` with a spectral
+    frame (``linear=ctx.linear``, or a zero ModeRotation for plain
+    Dormand-Prince stages) on the stacked (2, n) state y = (zeta, v) and
+    its (2, n/2+1) real FFT u, returning the spectral tendencies of
+    :func:`rhs` as they are. A stage that cavitates, whose CG solve fails,
+    or whose flux has lost spectral resolution returns NaN tendencies, so
+    the error controller rejects the step and shrinks. :func:`rhs` gets the
+    stage time t and the stage's spectrum of v, u[1], from which
+    ``workspace`` predicts the CG start (:meth:`GNWorkspace.warm_start`);
+    only a stage that passes every check joins the history of that
+    prediction (:meth:`GNWorkspace.remember`).
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
@@ -178,17 +184,17 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     """
     guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
 
-    def f(t, y):
+    def f(t, y, u):
         if workspace.resolution_lost_at is not None:
-            return np.full(y.shape, np.nan)
+            return np.full(u.shape, np.nan, dtype=complex)
         try:
-            tendencies = rhs(ctx, *y, workspace=workspace, t=t)
+            tendencies = rhs(ctx, *y, workspace=workspace, t=t, v_hat=u[1])
         except (CavitationError, ConvergenceError):
-            return np.full(y.shape, np.nan)
+            return np.full(u.shape, np.nan, dtype=complex)
         if guarded and _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol, ctx.last_mode):
             workspace.resolution_lost_at = t
-            return np.full(y.shape, np.nan)
-        workspace.remember(t, y[1])
+            return np.full(u.shape, np.nan, dtype=complex)
+        workspace.remember(t, u[1])
         return tendencies
 
     return f

@@ -13,13 +13,23 @@ stages are taken in the frame u = transform of y and pulled back to the
 start of the step (Lawson, SIAM J. Numer. Anal. 4, 1967):
 
     U_i = exp(c_i h L) (u_n + h sum_j a_ij K_j),   Y_i = state of U_i,
-    K_i = exp(-c_i h L) (f_hat(t_n + c_i h, Y_i) - L U_i),
+    K_i = exp(-c_i h L) (f_hat(t_n + c_i h, Y_i, U_i) - L U_i),
 
 so L is integrated without a step-size limit and only the remainder
 f - L y is Runge-Kutta'd. The seventh stage is still the new state (c_7 = 1,
 a_7j = b_j), so FSAL, exact snapshot landing and the callback contract below
-hold unchanged. Without a linear part the propagator is the identity and the
-stages are plain Dormand-Prince; both run through one stage loop.
+hold unchanged. Without a linear part the propagator is the identity, the
+frame is the state and the stages are plain Dormand-Prince; both run
+through one stage loop.
+
+The stage function is f(t, y, u): it gets the stage in both spaces, the
+state y and its frame u (u is y without a linear part), and returns its
+tendency in the frame, f_hat. With a :class:`ModeRotation` that is the real
+FFT of the tendency, so a right-hand side that works in Fourier space hands
+its spectral tendencies over as they are, and the stage loop makes one
+inverse transform per stage (the stage's state) and none of the tendency.
+Plain Dormand-Prince in the spectral frame is a zero ModeRotation, whose
+rotations are the identity.
 
 The error estimate h sum_j e_j K_j is taken in the integrating-factor frame
 (not rotated to t_n + h) and measured in state space with the elementwise
@@ -89,8 +99,8 @@ class _Identity:
 
     to_state = to_frame
 
-    def tendency(self, f, u):
-        return f
+    def tendency(self, f_hat, u):
+        return f_hat
 
     def rotations(self, s):
         return None
@@ -114,7 +124,8 @@ class ModeRotation:
     where omega = 0. The state is the (2, n) array y, the frame of
     :func:`integrate` its (2, m) real FFT, m = n/2+1; the way back takes
     n = 2(m-1) from the frame. The transforms are ``spectral.rfft``/``irfft``,
-    looked up on the module at call time.
+    looked up on the module at call time. Zero ``upper`` and ``lower`` give
+    plain Dormand-Prince stages in the spectral frame.
     """
 
     def __init__(self, upper, lower):
@@ -130,9 +141,10 @@ class ModeRotation:
     def to_state(self, u):
         return spectral.irfft(u, 2 * (u.shape[-1] - 1))
 
-    def tendency(self, f, u):
-        """The frame tendency f_hat - L u, the part of f that L leaves out."""
-        return spectral.rfft(f) - self.coef * u[::-1]
+    def tendency(self, f_hat, u):
+        """The frame tendency f_hat - L u, the part of f that L leaves out;
+        no transform: the stage function returns f_hat."""
+        return f_hat - self.coef * u[::-1]
 
     def rotations(self, s):
         """cos(omega s_i) and sin(omega s_i) L / omega for the times s_i, the
@@ -161,17 +173,19 @@ class IntegrationResult:
     stats: StepStats
 
 
-def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
+def _initial_step(rhs_fn, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
     """Hairer-style automatic first step, with a safe fallback when the
-    initial tendency vanishes (e.g. a rest state)."""
+    initial tendency vanishes (e.g. a rest state). The norms are the state
+    space's: the frame tendencies f0_hat and f1_hat are taken back to it."""
     span = t_span[1] - t_span[0]
     scale = abs_tol + rel_tol * np.abs(y0)
+    f0 = lin.to_state(f0_hat)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
-    f1 = rhs_fn(t0 + h0, y1)
+    f1 = lin.to_state(rhs_fn(t0 + h0, y1, lin.to_frame(y1)))
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
@@ -182,12 +196,15 @@ def _initial_step(rhs_fn, t0, y0, f0, t_span, rel_tol, abs_tol):
 
 def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_times=(), on_step=None,
               on_snapshot=None, linear=None):
-    """March y' = rhs_fn(t, y) over t_span = (t0, t1) with the error
+    """March y' = f(t, y) over t_span = (t0, t1) with the error
     tolerances ``rel_tol``, ``abs_tol`` (finite and positive).
 
-    ``linear`` is the propagator of a linear part L of rhs_fn (a
+    ``linear`` is the propagator of a linear part L of f (a
     :class:`ModeRotation`) to integrate exactly; None is the identity, plain
-    Dormand-Prince. on_step(t, y, stats) runs after every accepted step,
+    Dormand-Prince. rhs_fn(t, y, u) returns f at the stage y in the frame of
+    ``linear``, given the stage's frame u: with a ModeRotation the real FFT
+    of f and of y, without one f and y themselves (u is y). on_step(t, y,
+    stats) runs after every accepted step,
     on_snapshot(t, y) just before it when the step lands exactly on one of
     snapshot_times. Both run right after rhs_fn was evaluated at exactly
     that y (the FSAL stage), so state rhs_fn keeps from its last call
@@ -204,11 +221,13 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     t = t0
     targets = sorted({float(s) for s in snapshot_times if t0 < s <= t1})
 
-    f = rhs_fn(t, y)
+    # u is y in the frame of the linear part, g the first stage's tendency there
+    u = lin.to_frame(y)
+    f = rhs_fn(t, y, u)
     stats.rhs_evals += 1
     dt = np.nan
     if np.isfinite(f).all():
-        dt = _initial_step(rhs_fn, t0, y, f, (t0, t1), rel_tol, abs_tol)
+        dt = _initial_step(rhs_fn, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)
         stats.rhs_evals += 1
     if not np.isfinite(dt) or dt <= 0.0:
         # a right-hand side that fails already at t0 still gets a few
@@ -216,8 +235,6 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
         dt = 1e-6 * (t1 - t0)
     dt = max(dt, DT_FLOOR)
 
-    # u is y in the frame of the linear part, g the first stage's tendency there
-    u = lin.to_frame(y)
     g = lin.tendency(f, u)
     k = np.empty((7,) + u.shape, dtype=u.dtype)
     flat = k.reshape(7, -1)
@@ -241,7 +258,7 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
                 break
             ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
             yi = lin.to_state(ui)
-            fi = rhs_fn(t + _C[i] * dt_step, yi)
+            fi = rhs_fn(t + _C[i] * dt_step, yi, ui)
             stats.rhs_evals += 1
             gi = lin.tendency(fi, ui)
             k[i] = lin.rotate(rotations, i, gi, inverse=True)

@@ -142,8 +142,9 @@ def zeta_gradient(ctx, zeta, w):
     """The zeta-gradient of the energy (``interface_gradient``) as the
     formula in :mod:`gnwaves.operators` writes it, one transform pair per
     derivative: the capillary stress through :func:`ddx`, dx F = ik * F *
-    rfft through np.fft, and R = R_2 - gamma * R_1 with u = LAYER_SIGN * w / h
-    and h**3 formed here."""
+    rfft through np.fft, the coefficient (eps/2) (1/h2^2 - gamma/h1^2) of w^2
+    from 1/h, and R = R_2 - gamma * R_1 with u = LAYER_SIGN * w / h and h*h*h
+    formed here."""
     p, grid = ctx.params, ctx.grid
     ez = p.epsilon * zeta
     h = np.stack((1.0 - ez, 1.0 / p.delta + ez))
@@ -152,7 +153,7 @@ def zeta_gradient(ctx, zeta, w):
     if p.inv_bond > 0.0:
         s = ddx(grid, zeta)
         grad -= (p.gamma + p.delta) * p.inv_bond * ddx(grid, s / np.sqrt(1.0 + p.mu * p.epsilon**2 * s**2))
-    grad += 0.5 * p.epsilon * (h1**2 - p.gamma * h2**2) / (h1 * h2) ** 2 * w**2
+    grad += 0.5 * p.epsilon * ((1.0 / h2) ** 2 - p.gamma * (1.0 / h1) ** 2) * w**2
     if p.mu > 0.0 and p.epsilon > 0.0:
 
         def dxf(u):
@@ -160,7 +161,7 @@ def zeta_gradient(ctx, zeta, w):
 
         u = LAYER_SIGN * w / h
         s = dxf(u)
-        t = dxf(h**3 * s)
+        t = dxf(h * h * h * s)
         r1, r2 = 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
         grad -= p.mu * p.epsilon * (r2 - p.gamma * r1)
     return grad

@@ -22,7 +22,7 @@ from gnwaves.operators import (
     rhs,
 )
 from gnwaves.params import PhysParams
-from gnwaves.spectral import Grid
+from gnwaves.spectral import Grid, irfft
 
 from conftest import REF_PARAMS, random_smooth_field
 from oracles import depth_flux, depth_flux_prime, hamiltonian, inner
@@ -244,8 +244,8 @@ class TestOneLayerConservation:
         zeta0 = -0.4 * np.exp(-4 * grid.x**2)
         y0 = np.stack((zeta0, np.zeros(grid.n)))
 
-        def f(t, y):
-            return rhs(ctx, *y, workspace=ws)
+        def f(t, y, u):
+            return irfft(rhs(ctx, *y, workspace=ws), grid.n)
 
         t_end = 0.5
         result = integrate(f, (0.0, t_end), y0)

@@ -209,6 +209,14 @@ class TestAdmissibility:
             report = check_admissibility(spec, 1)
         assert report.f0_ok and "decay fit" in report.summary()
 
+    def test_decay_fit_bounds_the_size_of_a_negative_symbol(self):
+        # the fit reads |F|: F = -1 beyond k = 0.001 is bounded, not decaying
+        # like -0.5/|k| (what a fit of the signed values gave)
+        spec = MultiplierSpec.custom([0.0, 0.001, 100.0], [1.0, -1.0, -1.0])
+        report = check_admissibility(spec, 1)
+        assert (report.sigma, report.k_constant) == (0.0, 1.0)
+        assert "decay fit: |F(k)| <= 1 * |k|^-0" in report.summary()
+
     def test_positivity_line(self):
         # a table that turns negative reads FAILED; every built-in family is
         # positive on the window

@@ -21,7 +21,7 @@ from gnwaves.operators import (
 )
 from gnwaves.params import PhysParams
 from gnwaves.runner import guarded_rhs
-from gnwaves.spectral import Grid, dealias_mask
+from gnwaves.spectral import Grid, dealias_mask, irfft, rfft
 
 from conftest import REF_PARAMS, random_smooth_field
 from oracles import ddx, hamiltonian, inner, zeta_gradient
@@ -30,6 +30,12 @@ from oracles import ddx, hamiltonian, inner, zeta_gradient
 def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
     spec = spec or MultiplierSpec.regularized_for_depth(params.delta)
     return GNContext(grid, params, spec, **kw)
+
+
+def physical_rhs(ctx, zeta, v, **kwargs):
+    """The (2, n) tendencies of rhs in physical space: the irfft of its
+    spectral ones."""
+    return irfft(rhs(ctx, zeta, v, **kwargs), ctx.grid.n)
 
 
 def random_state(ctx, rng, zeta_scale=None):
@@ -284,21 +290,21 @@ class TestSolverSettings:
 
 
 def _oracle_mass_operator(ctx, zeta, w):
-    """A[eps*zeta] w written out per application: the coefficient, 1/h,
-    h**3, the closing (mu/3) (gamma/h1, 1/h2) and dx F = deriv * fsym * rfft
-    are all formed anew on every call."""
+    """A[eps*zeta] w written out per application: 1/h, the coefficient
+    gamma/h1 + 1/h2 from it, h*h*h, the closing (mu/3) (gamma/h1, 1/h2) and
+    dx F = deriv * fsym * rfft are all formed anew on every call."""
     h = layer_depths(ctx.params, zeta)
-    h1, h2 = h
+    inv = 1.0 / h
     g, mu = ctx.params.gamma, ctx.params.mu
     grid = ctx.grid
 
     def dxf(u):
         return np.fft.irfft(grid.ik * ctx.symbols * np.fft.rfft(u), grid.n)
 
-    out = (h1 + g * h2) / (h1 * h2) * w
+    out = (g * inv[0] + inv[1]) * w
     if mu > 0.0:
-        t = dxf(w * (1.0 / h))
-        t1, t2 = dxf(h**3 * t) * ((1.0 / h) * ((mu / 3.0) * np.array([[g], [1.0]])))
+        t = dxf(w * inv)
+        t1, t2 = dxf(h * h * h * t) * (inv * ((mu / 3.0) * np.array([[g], [1.0]])))
         out = out - t1 - t2
     return out
 
@@ -364,16 +370,18 @@ def _oracle_rhs(ctx, zeta, v, workspace=None):
 
 
 def _assert_rhs_matches_oracle(ctx, states):
-    """rhs against _oracle_rhs, bit for bit, with and without a workspace;
-    the workspaces carry the warm start from one state to the next."""
+    """rhs against _oracle_rhs, bit for bit, with and without a workspace:
+    the irfft of its spectral tendencies -ik (w_hat, grad_hat) is the
+    oracle's -irfft(ik (w_hat, grad_hat)); the workspaces carry the warm
+    start from one state to the next."""
     ws, oracle_ws = GNWorkspace(), GNWorkspace()
     for zeta, v in states:
         assert np.array_equal(layer_depths(ctx.params, zeta), _oracle_layer_depths(ctx.params, zeta))
         expected = np.stack(_oracle_rhs(ctx, zeta, v))
-        got = rhs(ctx, zeta, v)
-        assert got.shape == (2, ctx.grid.n)
+        assert rhs(ctx, zeta, v).shape == (2, ctx.grid.n // 2 + 1)
+        got = physical_rhs(ctx, zeta, v)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        got = rhs(ctx, zeta, v, workspace=ws)
+        got = physical_rhs(ctx, zeta, v, workspace=ws)
         expected = np.stack(_oracle_rhs(ctx, zeta, v, workspace=oracle_ws))
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(ws.w_prev, oracle_ws.w_prev)
@@ -547,8 +555,9 @@ def test_cg_iteration_cap(grid, max_iter):
     with pytest.raises(ConvergenceError, match="did not reach tol") as err:
         invert_mass_operator(ctx, zeta, v)
     assert len(err.value.residuals) == max_iter + 1
-    tendencies = guarded_rhs(ctx, GNWorkspace())(0.0, np.stack((zeta, v)))
-    assert tendencies.shape == (2, grid.n) and np.isnan(tendencies).all()
+    y = np.stack((zeta, v))
+    tendencies = guarded_rhs(ctx, GNWorkspace())(0.0, y, rfft(y))
+    assert tendencies.shape == (2, grid.n // 2 + 1) and np.isnan(tendencies).all()
 
 
 class TestVelocities:
@@ -657,7 +666,7 @@ class TestRFluxAssembly:
 class TestRhs:
     def test_rest_state_is_steady(self, grid):
         ctx = make_ctx(grid)
-        dzeta, dv = rhs(ctx, np.zeros(grid.n), np.zeros(grid.n))
+        dzeta, dv = physical_rhs(ctx, np.zeros(grid.n), np.zeros(grid.n))
         assert np.allclose(dzeta, 0.0, atol=1e-16)
         assert np.allclose(dv, 0.0, atol=1e-16)
 
@@ -666,7 +675,7 @@ class TestRhs:
         p = ctx.params
         wbar = 0.3
         v = apply_mass_operator(ctx, np.zeros(grid.n), np.full(grid.n, wbar))
-        dzeta, dv = rhs(ctx, np.zeros(grid.n), v)
+        dzeta, dv = physical_rhs(ctx, np.zeros(grid.n), v)
         assert np.max(np.abs(dzeta)) <= 1e-13
         assert np.max(np.abs(dv)) <= 1e-13
 
@@ -708,12 +717,13 @@ def count_applications(monkeypatch):
 
 class TestStagePredictor:
     """The CG start of a timed stage extrapolates the workspace's last three
-    stage solves (t, w, v) and corrects the rest through P^-1."""
+    stage solves (t, w, v_hat) and corrects the rest through P^-1."""
 
     @staticmethod
     def solved_stage(ctx, ws, zeta, v, t):
-        rhs(ctx, zeta, v, workspace=ws, t=t)
-        ws.remember(t, v)
+        v_hat = rfft(v)
+        rhs(ctx, zeta, v, workspace=ws, t=t, v_hat=v_hat)
+        ws.remember(t, v_hat)
 
     def test_quadratic_flux_at_the_flat_interface_takes_one_application(self, grid, monkeypatch):
         # at zeta = 0, A is P; three stages of a flux quadratic in t leave
@@ -730,13 +740,13 @@ class TestStagePredictor:
         for t in (0.0, 0.1, 0.25):
             self.solved_stage(ctx, ws, zeta, momentum(t), t)
         calls = count_applications(monkeypatch)
-        rhs(ctx, zeta, momentum(0.4), workspace=ws, t=0.4)
+        rhs(ctx, zeta, momentum(0.4), workspace=ws, t=0.4, v_hat=rfft(momentum(0.4)))
         assert len(calls) == 1
         np.testing.assert_allclose(ws.w_prev, a + 0.4 * b + 0.16 * c, rtol=0, atol=1e-12)
         # the same solve from the last flux alone needs CG iterations
         calls.clear()
         cold = GNWorkspace()
-        cold.w_prev = ws.history[-1][1]
+        cold.w_prev = ws.past_w[ws.history[-1][1]]
         rhs(ctx, zeta, momentum(0.4), workspace=cold)
         assert len(calls) > 1
 
@@ -746,13 +756,13 @@ class TestStagePredictor:
         zeta, w = random_state(ctx, rng)
         v = apply_mass_operator(ctx, zeta, w)
         ws = GNWorkspace()
-        assert ws.warm_start(ctx, 0.5, v) is None
+        assert ws.warm_start(ctx, 0.5, rfft(v)) is None
         self.solved_stage(ctx, ws, zeta, v, 0.5)
-        assert ws.warm_start(ctx, None, v) is ws.w_prev
+        assert ws.warm_start(ctx, None, None) is ws.w_prev
         # one solve known: its flux plus P^-1 of the change in v
         dv = apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng))
         expected = ws.w_prev + np.fft.irfft(np.fft.rfft(dv) / ctx.flat_symbol, grid.n)
-        np.testing.assert_allclose(ws.warm_start(ctx, 0.7, v + dv), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ws.warm_start(ctx, 0.7, rfft(v + dv)), expected, rtol=0, atol=1e-14)
 
     def test_repeated_stage_time_replaces_its_entry(self, grid):
         ctx = make_ctx(grid)
@@ -762,16 +772,39 @@ class TestStagePredictor:
         ws = GNWorkspace()
         for t, v in zip((0.1, 0.2, 0.3, 0.3), vs):
             self.solved_stage(ctx, ws, zeta, v, t)
-        assert [t for t, _, _ in ws.history] == [0.1, 0.2, 0.3]
-        assert ws.history[-1][1] is ws.w_prev and np.array_equal(ws.history[-1][2], vs[3])
+        assert ws.history == [(0.1, 0), (0.2, 1), (0.3, 2)]
+        # the history holds copies of the last solve at t = 0.3
+        assert np.array_equal(ws.past_w[2], ws.w_prev) and not np.shares_memory(ws.past_w, ws.w_prev)
+        assert np.array_equal(ws.past_v_hat[2], rfft(vs[3]))
         # at a known time the start is that entry's flux, corrected by P^-1
-        x0 = ws.warm_start(ctx, 0.3, vs[4])
+        x0 = ws.warm_start(ctx, 0.3, rfft(vs[4]))
         expected = ws.w_prev + np.fft.irfft(np.fft.rfft(vs[4] - vs[3]) / ctx.flat_symbol, grid.n)
         np.testing.assert_allclose(x0, expected, rtol=0, atol=1e-13)
-        assert np.all(np.isfinite(ws.warm_start(ctx, 0.4, vs[4])))
-        # a new time drops the oldest of three
+        assert np.all(np.isfinite(ws.warm_start(ctx, 0.4, rfft(vs[4]))))
+        # a new time drops the oldest of three and takes its row
         self.solved_stage(ctx, ws, zeta, vs[4], 0.4)
-        assert [t for t, _, _ in ws.history] == [0.2, 0.3, 0.4]
+        assert ws.history == [(0.2, 1), (0.3, 2), (0.4, 0)]
+        assert np.array_equal(ws.past_w[0], ws.w_prev) and np.array_equal(ws.past_v_hat[0], rfft(vs[4]))
+
+    def test_start_is_the_lagrange_extrapolation(self, grid):
+        # x0 = sum_j c_j w_j + P^-1 (v - sum_j c_j v_j), written out per
+        # entry in physical space, against the spectral form
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(167)
+        zeta = random_state(ctx, rng)[0]
+        vs = [apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng)) for _ in range(4)]
+        ws = GNWorkspace()
+        times = (0.1, 0.2, 0.25)
+        ws_w = []
+        for t, v in zip(times, vs):
+            self.solved_stage(ctx, ws, zeta, v, t)
+            ws_w.append(ws.w_prev.copy())
+        t = 0.3
+        expected = np.fft.irfft(np.fft.rfft(vs[3]) / ctx.flat_symbol, grid.n)
+        for j, t_j in enumerate(times):
+            c = np.prod([(t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j])
+            expected += c * (ws_w[j] - np.fft.irfft(np.fft.rfft(vs[j]) / ctx.flat_symbol, grid.n))
+        np.testing.assert_allclose(ws.warm_start(ctx, t, rfft(vs[3])), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
@@ -798,14 +831,14 @@ class TestSymmetries:
     def test_reflection(self, family, mu, dealias):
         ctx, zeta, v = self.state(family, mu, dealias)
         flip = (-np.arange(ctx.grid.n)) % ctx.grid.n  # x_j -> x_{-j} = -x_j
-        dzeta, dv = rhs(ctx, zeta, v)
-        self.assert_rel_close(rhs(ctx, zeta[flip], -v[flip]), (dzeta[flip], -dv[flip]))
+        dzeta, dv = physical_rhs(ctx, zeta, v)
+        self.assert_rel_close(physical_rhs(ctx, zeta[flip], -v[flip]), (dzeta[flip], -dv[flip]))
 
     def test_translation(self, family, mu, dealias):
         ctx, zeta, v = self.state(family, mu, dealias)
         shift = 37
-        expected = np.roll(rhs(ctx, zeta, v), shift, axis=-1)
-        self.assert_rel_close(rhs(ctx, np.roll(zeta, shift), np.roll(v, shift)), expected)
+        expected = np.roll(physical_rhs(ctx, zeta, v), shift, axis=-1)
+        self.assert_rel_close(physical_rhs(ctx, np.roll(zeta, shift), np.roll(v, shift)), expected)
 
 
 class TestDealias:
@@ -834,9 +867,9 @@ class TestDealias:
         rng = np.random.default_rng(167)
         zeta = random_smooth_field(grid, rng, max_abs=0.9, modes=30)
         v = random_smooth_field(grid, rng, modes=30)
-        unmasked = rhs(plain, zeta, v)
+        unmasked = physical_rhs(plain, zeta, v)
         expected = np.fft.irfft(dealias_mask(grid) * np.fft.rfft(unmasked), grid.n)
-        got = rhs(ctx, zeta, v)
+        got = physical_rhs(ctx, zeta, v)
         for g, e, u in zip(got, expected, unmasked):
             scale = np.max(np.abs(e))
             assert np.max(np.abs(u - e)) > 1e-6 * scale  # the mask removes something
@@ -868,8 +901,8 @@ class TestLinearDispersion:
 
         ws = GNWorkspace()
 
-        def f(t, y):
-            return rhs(ctx, *y, workspace=ws)
+        def f(t, y, u):
+            return physical_rhs(ctx, *y, workspace=ws)
 
         # abs_tol must sit far below the 1e-8 mode amplitude or the error
         # control is effectively loose-relative and the phase drifts

@@ -9,14 +9,14 @@ from gnwaves.errors import StepUnderflowError, ValidationError
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, invert_mass_operator
 from gnwaves.runner import guarded_rhs
-from gnwaves.spectral import Grid
+from gnwaves.spectral import Grid, dealias_mask
 from gnwaves.timestepper import MIN_FACTOR, ModeRotation, integrate
 
 from conftest import REF_PARAMS, random_smooth_field
 
 
 def test_exponential_growth_to_e():
-    result = integrate(lambda t, y: y, (0.0, 1.0), np.array([1.0]))
+    result = integrate(lambda t, y, u: y, (0.0, 1.0), np.array([1.0]))
     assert abs(result.y[0] - np.e) <= 1e-8
     assert result.t == 1.0
     assert result.stats.accepted > 0
@@ -24,7 +24,7 @@ def test_exponential_growth_to_e():
 
 def test_harmonic_oscillator_energy_drift():
     # 100 periods of y'' = -y; energy (y^2 + p^2)/2 must hold to 1e-6
-    def f(t, y):
+    def f(t, y, u):
         return np.array([y[1], -y[0]])
 
     t_end = 100 * 2 * np.pi
@@ -36,9 +36,9 @@ def test_harmonic_oscillator_energy_drift():
 @pytest.mark.parametrize(
     "rhs_fn,y0,t_end,exact",
     [
-        (lambda t, y: y, np.array([1.0]), 1.0, np.array([np.e])),
+        (lambda t, y, u: y, np.array([1.0]), 1.0, np.array([np.e])),
         (
-            lambda t, y: np.array([y[1], -y[0]]),
+            lambda t, y, u: np.array([y[1], -y[0]]),
             np.array([1.0, 0.0]),
             5.0,
             np.array([np.cos(5.0), -np.sin(5.0)]),
@@ -64,7 +64,7 @@ def test_error_scales_linearly_with_tolerance():
     errs = {}
     for tol in (1e-6, 1e-8):
         result = integrate(
-            lambda t, y: y, (0.0, 1.0), np.array([1.0]), rel_tol=tol, abs_tol=tol * 1e-2
+            lambda t, y, u: y, (0.0, 1.0), np.array([1.0]), rel_tol=tol, abs_tol=tol * 1e-2
         )
         errs[tol] = abs(result.y[0] - np.e)
     ratio = errs[1e-6] / errs[1e-8]
@@ -74,7 +74,7 @@ def test_error_scales_linearly_with_tolerance():
 def test_zero_rhs_fixed_point_fast():
     calls = {"n": 0}
 
-    def f(t, y):
+    def f(t, y, u):
         calls["n"] += 1
         return np.zeros_like(y)
 
@@ -86,7 +86,7 @@ def test_zero_rhs_fixed_point_fast():
 def test_snapshots_land_exactly():
     hits = []
     result = integrate(
-        lambda t, y: y,
+        lambda t, y, u: y,
         (0.0, 1.0),
         np.array([1.0]),
         snapshot_times=(0.25, 0.5, 0.875),
@@ -99,7 +99,7 @@ def test_snapshots_land_exactly():
 
 
 def test_deterministic_repeatability():
-    def f(t, y):
+    def f(t, y, u):
         return np.array([y[1], -np.sin(y[0])])
 
     runs = []
@@ -112,7 +112,7 @@ def test_deterministic_repeatability():
 
 def test_underflow_raises_with_state():
     # NaN tendencies force permanent rejection: dt collapses to the floor
-    def f(t, y):
+    def f(t, y, u):
         return np.full_like(y, np.nan) if t > 0.1 else y
 
     with pytest.raises(StepUnderflowError) as err:
@@ -123,7 +123,7 @@ def test_underflow_raises_with_state():
 
 
 def test_stats_accumulate():
-    result = integrate(lambda t, y: -50 * y, (0.0, 1.0), np.array([1.0]))
+    result = integrate(lambda t, y, u: -50 * y, (0.0, 1.0), np.array([1.0]))
     stats = result.stats
     assert stats.accepted >= 1
     assert stats.rhs_evals >= 6 * stats.accepted
@@ -137,7 +137,7 @@ def test_no_stage_after_a_non_finite_one():
     bad_call = 2 + 6 * 3 + 3
     calls = []
 
-    def f(t, y):
+    def f(t, y, u):
         calls.append(t)
         return np.full_like(y, np.nan) if len(calls) == bad_call else -y
 
@@ -162,7 +162,7 @@ def test_tolerances_must_be_finite_and_positive(tols):
     # an infinite tolerance would switch error control off without a word
     calls = []
 
-    def f(t, y):
+    def f(t, y, u):
         calls.append(t)
         return y
 
@@ -175,7 +175,7 @@ def test_failure_at_t0_feeds_no_stage():
     # like rhs at mu = 0, this stage function refuses non-finite input
     calls = []
 
-    def f(t, y):
+    def f(t, y, u):
         if not np.isfinite(y).all():
             raise ValueError("stage fed a non-finite state")
         calls.append(t)
@@ -195,7 +195,7 @@ def test_callbacks_follow_a_stage_at_their_state():
     last_input = {}
     seen = []
 
-    def f(t, y):
+    def f(t, y, u):
         last_input["y"] = y.copy()
         return np.array([y[1], -np.sin(y[0])])
 
@@ -230,14 +230,14 @@ def _exact_rotation(linear, y0, t):
 
 
 def test_lawson_is_exact_on_the_linear_part():
-    # rhs = L y: every stage's remainder f_hat - L u is round-off, so each
-    # accepted step, however long against the top frequency, is exp(hL)
+    # rhs = L y: every stage's remainder f_hat - L u is 0, so each accepted
+    # step, however long against the top frequency, is exp(hL)
     ctx = _reference_ctx()
     linear = ctx.linear
     n = ctx.grid.n
 
-    def f(t, y):
-        return linear.to_state(linear.coef * linear.to_frame(y)[::-1])
+    def f(t, y, u):
+        return linear.coef * u[::-1]
 
     rng = np.random.default_rng(5)
     y0 = np.stack((random_smooth_field(ctx.grid, rng, modes=n // 2), random_smooth_field(ctx.grid, rng)))
@@ -264,9 +264,9 @@ def test_lawson_callbacks_follow_a_stage_at_their_state():
     last_input = {}
     seen = []
 
-    def f(t, y):
+    def f(t, y, u):
         last_input["y"] = y.copy()
-        return linear.to_state(linear.coef * linear.to_frame(y)[::-1]) + 0.3 * np.sin(y)
+        return linear.coef * u[::-1] + linear.to_frame(0.3 * np.sin(y))
 
     def check(t, y, stats=None):
         seen.append(t)
@@ -281,12 +281,18 @@ def test_lawson_callbacks_follow_a_stage_at_their_state():
     assert len(seen) == result.stats.accepted + 4
 
 
+def _plain(ctx):
+    """The zero ModeRotation: plain Dormand-Prince stages in the spectral
+    frame that guarded_rhs takes."""
+    return ModeRotation(0 * ctx.ik, 0 * ctx.ik)
+
+
 def _gn_run(ctx, t_end, rel_tol, linear=True, **kw):
     grid = ctx.grid
     y0 = np.stack((-np.exp(-4 * grid.x**2), np.zeros(grid.n)))
     f = guarded_rhs(ctx, GNWorkspace(), rel_tol=1e-10)
     return integrate(f, (0.0, t_end), y0, rel_tol=rel_tol, abs_tol=1e-2 * rel_tol,
-                     linear=ctx.linear if linear else None, **kw)
+                     linear=ctx.linear if linear else _plain(ctx), **kw)
 
 
 def test_gn_error_falls_as_rel_tol_halves():
@@ -316,7 +322,7 @@ def test_gn_fifth_order_in_the_step(linear):
 
 def test_plain_dp5_reference_run_keeps_the_conserved_quantities():
     # the tension reference run of acceptance criterion 2 (n = 512, to t = 2)
-    # with plain Dormand-Prince stages (linear=None), under that criterion's
+    # with plain Dormand-Prince stages (a zero ModeRotation), under that criterion's
     # drift bounds; the final flux comes from a cold CG solve
     elapsed = 0.0
     for spec in (MultiplierSpec.regularized_for_depth(REF_PARAMS.delta), MultiplierSpec.improved(REF_PARAMS.delta)):
@@ -325,7 +331,7 @@ def test_plain_dp5_reference_run_keeps_the_conserved_quantities():
         zeta0, rest = -np.exp(-4 * grid.x**2), np.zeros(grid.n)
         start = time.monotonic()
         result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 2.0), np.stack((zeta0, rest)),
-                           rel_tol=1e-10, abs_tol=1e-12)
+                           rel_tol=1e-10, abs_tol=1e-12, linear=_plain(ctx))
         elapsed += time.monotonic() - start
         assert result.t == 2.0
         zeta, v = result.y
@@ -335,6 +341,37 @@ def test_plain_dp5_reference_run_keeps_the_conserved_quantities():
         assert abs(row.I - row0.I) <= 1e-8, spec.label
         assert abs(row.H - row0.H) / max(abs(row0.H), 1.0) <= 1e-8, spec.label
     assert elapsed < 120.0
+
+
+def test_masked_modes_ride_through_the_steps_unchanged():
+    # under dealias the spectral tendencies are exactly 0 above n/3 and at
+    # Nyquist, so every stage's frame carries the initial spectrum there bit
+    # for bit (an irfft -> rfft round trip of the tendencies fed round-off
+    # into those modes); the first-step probe alone takes its frame from a
+    # state, rfft(y0 + h0 f0)
+    ctx = GNContext(Grid(64, 4.0), REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta),
+                    dealias=True)
+    masked = dealias_mask(ctx.grid) == 0.0
+    assert masked[-1] and masked.sum() == 11
+    y0 = np.stack((-np.exp(-4 * ctx.grid.x**2), np.zeros(ctx.grid.n)))
+    u0 = spectral_mod.rfft(y0)[:, masked]
+    assert np.all(u0[0, :-1] != 0.0)
+    stage = guarded_rhs(ctx, GNWorkspace())
+    frames = []
+
+    def f(t, y, u):
+        frames.append(u[:, masked].copy())
+        tendencies = stage(t, y, u)
+        assert np.all(tendencies[:, masked] == 0.0)
+        return tendencies
+
+    result = integrate(f, (0.0, 0.5), y0, rel_tol=1e-9, abs_tol=1e-11, snapshot_times=(0.2,),
+                       linear=ctx.linear)
+    assert result.t == 0.5 and result.stats.accepted > 3
+    del frames[1]
+    assert len(frames) == result.stats.rhs_evals - 1
+    for frame in frames:
+        assert np.array_equal(frame, u0)
 
 
 def test_truncated_steps_leave_the_pi_memory_alone():
@@ -349,8 +386,9 @@ def test_truncated_steps_leave_the_pi_memory_alone():
 
 def test_lawson_transforms_go_through_the_spectral_pair(monkeypatch):
     # the transforms integrate makes itself are the Lawson frame changes:
-    # rfft of y0 and of every stage's tendency but the first-step probe's;
-    # irfft of every stage's input and of each attempt's error estimate
+    # rfft of y0 and of the first-step probe's state; irfft of both
+    # first-step tendencies, of every later stage's input and of each
+    # attempt's error estimate; none of a tendency
     grid = Grid(64, 4.0)
     linear = ModeRotation(-grid.ik, -grid.ik * (1.0 + grid.k**2 / 50.0))
     calls = {"rfft": 0, "irfft": 0}
@@ -368,12 +406,17 @@ def test_lawson_transforms_go_through_the_spectral_pair(monkeypatch):
     monkeypatch.setattr(spectral_mod, "irfft", counted("irfft"))
     y0 = np.stack((np.exp(-4 * grid.x**2), np.zeros(grid.n)))
     # an rhs that transforms nothing itself
-    result = integrate(lambda t, y: 0.5 * np.sin(y[::-1]), (0.0, 1.0), y0, rel_tol=1e-9, abs_tol=1e-11,
+    result = integrate(lambda t, y, u: -0.5 * u[::-1], (0.0, 1.0), y0, rel_tol=1e-9, abs_tol=1e-11,
                        snapshot_times=(0.25, 0.6), linear=linear)
     stats = result.stats
     assert result.t == 1.0 and stats.accepted > 2
-    assert calls["rfft"] == stats.rhs_evals
-    assert calls["irfft"] == stats.rhs_evals - 2 + stats.accepted + stats.rejected
+    assert calls["rfft"] == 2
+    assert calls["irfft"] == stats.rhs_evals + stats.accepted + stats.rejected
+    # the frame tendency itself makes none
+    u = linear.to_frame(y0)
+    calls.update(rfft=0, irfft=0)
+    linear.tendency(u, u)
+    assert calls == {"rfft": 0, "irfft": 0}
 
 
 class _NpFftModeRotation:
@@ -392,8 +435,8 @@ class _NpFftModeRotation:
     def to_state(self, u):
         return np.fft.irfft(u)
 
-    def tendency(self, f, u):
-        return np.fft.rfft(f) - self.coef * u[::-1]
+    def tendency(self, f_hat, u):
+        return f_hat - self.coef * u[::-1]
 
     def rotations(self, s):
         phase = np.multiply.outer(s, self.omega)
@@ -432,5 +475,5 @@ def test_lawson_run_matches_np_fft_propagator_bitwise(dealias):
 )
 def test_integrate_refuses_a_bad_time_span(t_span):
     with pytest.raises(ValidationError) as err:
-        integrate(lambda t, y: y, t_span, np.array([1.0]))
+        integrate(lambda t, y, u: y, t_span, np.array([1.0]))
     assert err.value.field == "t_span"
