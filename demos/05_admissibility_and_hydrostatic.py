@@ -2,8 +2,9 @@
 #
 # First, the admissibility report: the structural conditions on a dispersion
 # symbol (evenness, F(0)=1, F'(0)=0, positivity, bounded F'', sub-additive
-# |k|F(k)) and the fitted decay |F(k)| <= K |k|^-sigma. The built-in families decay with
-# sigma = 0 (identity), 1 (regularized), 1/2 (improved).
+# |k|F(k)) on the fixed window |k| <= 50, and the fitted decay
+# |F(k)| <= K |k|^-sigma. The built-in families decay with sigma = 0
+# (identity), 1 (regularized), 1/2 (improved).
 #
 # Second, the hydrostatic (mu = 0) limit: the same solver with the dispersive
 # operators switched off; a small-amplitude mode travels at
@@ -19,7 +20,7 @@ from gnwaves.runner import run_experiment
 delta = 0.5
 for spec in (
     MultiplierSpec.identity(),
-    MultiplierSpec.regularized_for_depth(delta),
+    MultiplierSpec.regularized(delta),
     MultiplierSpec.improved(delta),
 ):
     print(check_admissibility(spec, layer=1).summary())

@@ -2,8 +2,9 @@
 
 A multiplier pair (F1, F2) tunes the frequency dispersion of the layered
 model. The operator acts mode-wise as f_hat(k) -> F_i(sqrt(mu)*k) f_hat(k).
-Built-in families, with the per-layer depth convention delta_1 = 1,
-delta_2 = delta:
+A :class:`MultiplierSpec` is that pair of functions, made once by its
+family's builder. Built-in families, with the per-layer depth convention
+delta_1 = 1, delta_2 = delta:
 
 * identity:     F_i = 1 (the classical model, no modification)
 * regularized:  F_i(k) = (1 + theta_i k^2)^(-1/2), order -1 smoothing that
@@ -16,13 +17,14 @@ delta_2 = delta:
 A symbol is admissible when it is even, positive, F(0)=1, F'(0)=0, has a
 bounded second derivative, and k |-> |k| F(k) is sub-additive; the
 well-posedness theory needs these. :func:`check_admissibility` checks all but
-evenness on a sampled window; evenness holds by construction (F is evaluated
-at |k|).
+evenness on the fixed sampled window |k| <= 50; evenness holds by
+construction (F is evaluated at |k|).
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -62,9 +64,10 @@ _XCOTH = [
 IMPROVED_SQ_COEFFS = np.array([float(3 * a) for a in _XCOTH])
 
 
-def _improved_sq(x):
-    """F_imp(x)^2, elementwise, stable through x = 0."""
-    x = np.abs(np.asarray(x, dtype=float))
+def _improved(depth, xi):
+    """F_imp(xi / depth), the improved symbol of a layer of relative depth
+    ``depth``, elementwise, with its square stable through xi = 0."""
+    x = np.abs(np.asarray(xi / depth, dtype=float))
     out = np.empty_like(x)
     small = x <= X_SERIES_SWITCH
     if np.any(small):
@@ -77,47 +80,51 @@ def _improved_sq(x):
     if np.any(big):
         xb = x[big]
         out[big] = 3.0 / (xb * np.tanh(xb)) - 3.0 / xb**2
-    return out
+    return np.sqrt(out)
+
+
+def _regularized(theta, xi):
+    """The regularized symbol (1 + theta xi^2)^(-1/2)."""
+    return 1.0 / np.sqrt(1.0 + theta * xi**2)
+
+
+def _check_finite_positive(**values):
+    """Refuse, by name, the first value not None that is not finite and > 0."""
+    for field, value in values.items():
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ValidationError(field, f"must be finite and positive, got {value}")
 
 
 class MultiplierSpec:
-    """Which multiplier family is active, with its per-layer parameters.
+    """A multiplier family: its ``label`` and its per-layer symbols
+    ``layers = (F1, F2)``, each a function of xi = sqrt(mu)|k| >= 0.
 
     Use the factory classmethods: F_i(0) = 1 holds exactly for each built-in
     family, :meth:`custom` checks it of a table.
     """
 
-    def __init__(self, kind, theta=None, layer_depths=None, table=None, label=None):
-        self.kind = kind
-        self.theta = theta
-        self.layer_depths = layer_depths
-        self.table = table
-        self.label = label or kind
+    def __init__(self, label, layers):
+        self.label = label
+        self.layers = layers
 
     @classmethod
     def identity(cls):
-        return cls("identity")
+        return cls("identity", (np.ones_like, np.ones_like))
 
     @classmethod
-    def regularized(cls, theta1, theta2):
-        if not (theta1 > 0 and theta2 > 0):
-            raise ValidationError("theta", f"must be positive, got {theta1}, {theta2}")
-        return cls("regularized", theta=(float(theta1), float(theta2)))
-
-    @classmethod
-    def regularized_for_depth(cls, delta, theta1=None, theta2=None):
+    def regularized(cls, delta, *, theta1=None, theta2=None):
         """Regularized family; each theta_i not given defaults to
         1/(15 delta_i^2), which matches the exact dispersion to one order
         beyond the unmodified model."""
+        _check_finite_positive(delta=delta, theta1=theta1, theta2=theta2)
         theta1 = 1.0 / 15.0 if theta1 is None else theta1
         theta2 = 1.0 / (15.0 * delta**2) if theta2 is None else theta2
-        return cls.regularized(theta1, theta2)
+        return cls("regularized", (partial(_regularized, float(theta1)), partial(_regularized, float(theta2))))
 
     @classmethod
     def improved(cls, delta):
-        if not delta > 0:
-            raise ValidationError("delta", f"must be positive, got {delta}")
-        return cls("improved", layer_depths=(1.0, float(delta)))
+        _check_finite_positive(delta=delta)
+        return cls("improved", (partial(_improved, 1.0), partial(_improved, float(delta))))
 
     @classmethod
     def custom(cls, k_table, f_table, label="custom"):
@@ -135,7 +142,8 @@ class MultiplierSpec:
             raise ValidationError("table", f"table {label!r}: symbol values must be finite")
         if abs(f_table[0] - 1.0) > 1e-9:
             raise ValidationError("F(0)", f"table {label!r} has F(0) = {float(f_table[0])}, expected 1")
-        return cls("custom", table=(k_table, f_table), label=label)
+        symbol = partial(np.interp, xp=k_table, fp=f_table)
+        return cls(label, (symbol, symbol))
 
     def __repr__(self):
         return f"MultiplierSpec({self.label!r})"
@@ -145,7 +153,7 @@ class MultiplierSpec:
 # (delta, theta1, theta2); a theta left None takes its depth default
 FAMILIES = {
     "identity": lambda delta, theta1, theta2: MultiplierSpec.identity(),
-    "regularized": MultiplierSpec.regularized_for_depth,
+    "regularized": lambda delta, theta1, theta2: MultiplierSpec.regularized(delta, theta1=theta1, theta2=theta2),
     "improved": lambda delta, theta1, theta2: MultiplierSpec.improved(delta),
 }
 # short names that ``gnwaves --multiplier`` accepts for the families
@@ -159,17 +167,9 @@ def eval_multiplier(spec, layer, k, mu):
     """
     if layer not in (1, 2):
         raise ValidationError("layer", f"must be 1 or 2, got {layer}")
-    if mu < 0:
-        raise ValidationError("mu", f"must be nonnegative, got {mu}")
-    xi = np.sqrt(mu) * np.abs(np.asarray(k, dtype=float))
-    if spec.kind == "identity":
-        return np.ones_like(xi)
-    if spec.kind == "regularized":
-        return 1.0 / np.sqrt(1.0 + spec.theta[layer - 1] * xi**2)
-    if spec.kind == "improved":
-        return np.sqrt(_improved_sq(xi / spec.layer_depths[layer - 1]))
-    k_tab, f_tab = spec.table
-    return np.interp(xi, k_tab, f_tab)
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValidationError("mu", f"must be finite and nonnegative, got {mu}")
+    return spec.layers[layer - 1](np.sqrt(mu) * np.abs(np.asarray(k, dtype=float)))
 
 
 def layer_symbols(spec, k, mu):
@@ -193,6 +193,11 @@ def load_symbol_table(path):
     if rows.shape[1] != 2:
         raise ValidationError("table", f"{path}: expected two columns k,F")
     return MultiplierSpec.custom(rows[:, 0], rows[:, 1], label=f"custom:{path}")
+
+
+# the admissibility window: |k| <= K_MAX, sampled at SAMPLES points per axis
+K_MAX = 50.0
+SAMPLES = 100
 
 
 @dataclass
@@ -241,36 +246,32 @@ def _fit_decay(f, k_pos):
     return 0.0, float(np.max(size))
 
 
-def check_admissibility(spec, layer, k_max=50.0, samples=100):
-    """Numerically verify admissibility of one layer's symbol.
+def check_admissibility(spec, layer):
+    """Numerically verify admissibility of one layer's symbol on the window
+    |k| <= K_MAX sampled at SAMPLES points.
 
     Sub-additivity of g(k) = |k| F(k) is tested on the full (k, l) lattice of
-    ``samples`` points per axis in [-k_max, k_max]; with the default 100 that
-    is 10^4 ordered pairs; positivity is min F > 0 on the ``samples`` points
-    of [-k_max, k_max]. Violations are reported, never raised.
+    the window's points, 10^4 ordered pairs; positivity is min F > 0 on
+    them. Violations are reported, never raised.
     """
-    if not k_max > 0:
-        raise ValidationError("k_max", f"must be positive, got {k_max}")
-    if samples < 100:
-        raise ValidationError("samples", f"need at least 100 per axis, got {samples}")
-    ks = np.linspace(-k_max, k_max, samples)
+    ks = np.linspace(-K_MAX, K_MAX, SAMPLES)
 
     def symbol(k):
-        """The raw symbol F(k), eval_multiplier at mu = 1; k_max sets the window."""
+        """The raw symbol F(k), eval_multiplier at mu = 1."""
         return eval_multiplier(spec, layer, k, 1.0)
 
     f_vals = symbol(ks)
     g = np.abs(ks) * f_vals
     # k_i + l_j lands back on a uniform ladder indexed by i + j.
-    sums = np.linspace(-2 * k_max, 2 * k_max, 2 * samples - 1)
+    sums = np.linspace(-2 * K_MAX, 2 * K_MAX, 2 * SAMPLES - 1)
     g_sum = np.abs(sums) * symbol(sums)
-    idx = np.arange(samples)
+    idx = np.arange(SAMPLES)
     margin = g[:, None] + g[None, :] - g_sum[idx[:, None] + idx[None, :]]
     worst = float(np.min(margin))
 
     # F'(0) one-sided (F is even): F(h) - F(0) is a quarter of F(2h) - F(0)
     # for a smooth onset, a half for a corner
-    h = 1e-6 * k_max
+    h = 1e-6 * K_MAX
     f0, f_h, f_2h = symbol(np.array([0.0, h, 2 * h])).tolist()
     # windowed sup |F''| by central second differences on the sample ladder,
     # which has no node at 0, and there (F is even) by 2 (F(h) - F(0)) / h^2
@@ -278,7 +279,7 @@ def check_admissibility(spec, layer, k_max=50.0, samples=100):
     second = np.abs(f_vals[2:] - 2 * f_vals[1:-1] + f_vals[:-2]) / dk**2
     second_at_0 = 2.0 * abs(f_h - f0) / h**2
 
-    k_pos = np.linspace(k_max / samples, k_max, samples)
+    k_pos = np.linspace(K_MAX / SAMPLES, K_MAX, SAMPLES)
     sigma, k_const = _fit_decay(symbol(k_pos), k_pos)
 
     return AdmissibilityReport(

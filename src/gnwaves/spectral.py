@@ -57,8 +57,8 @@ class Grid:
     def __init__(self, n, half_length):
         if not isinstance(n, (int, np.integer)) or not is_power_of_two(int(n)) or n < 8:
             raise ValidationError("n", f"grid size must be a power of two >= 8, got {n!r}")
-        if not half_length > 0:
-            raise ValidationError("half_length", f"must be positive, got {half_length!r}")
+        if not (np.isfinite(half_length) and half_length > 0):
+            raise ValidationError("half_length", f"must be finite and positive, got {half_length!r}")
         self.n = int(n)
         self.half_length = float(half_length)
         self.length = 2.0 * self.half_length

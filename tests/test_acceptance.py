@@ -85,7 +85,7 @@ def test_criterion_01_rest_state_fixed_point():
     for epsilon, dealias in ((0.5, False), (1.7, False), (0.5, True), (1.7, True)):
         params = PhysParams(gamma=0.95, epsilon=epsilon, mu=0.1, delta=0.5, inv_bond=5e-4)
         grid = Grid(512, 4.0)
-        ctx = GNContext(grid, params, MultiplierSpec.regularized_for_depth(params.delta), dealias=dealias)
+        ctx = GNContext(grid, params, MultiplierSpec.regularized(params.delta), dealias=dealias)
         peaks = []
 
         def watch(t, y, stats):
@@ -164,13 +164,13 @@ def test_criterion_05_admissibility_suite():
     start = time.monotonic()
     specs = {
         "identity": (MultiplierSpec.identity(), 0.0),
-        "regularized": (MultiplierSpec.regularized_for_depth(0.5), 1.0),
+        "regularized": (MultiplierSpec.regularized(0.5), 1.0),
         "improved": (MultiplierSpec.improved(0.5), 0.5),
     }
     ok = True
     details = []
     for name, (spec, sigma_expected) in specs.items():
-        report = check_admissibility(spec, layer=1, k_max=50.0, samples=100)
+        report = check_admissibility(spec, layer=1)
         ok = ok and report.subadditive_ok and report.worst_violation >= -1e-12
         ok = ok and report.sigma == sigma_expected
         details.append(f"{name}: worst={report.worst_violation:+.1e} sigma={report.sigma:g}")
@@ -181,7 +181,7 @@ def test_criterion_05_admissibility_suite():
 
 def test_criterion_06_operator_algebra():
     grid = Grid(512, 4.0)
-    ctx = GNContext(grid, REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta))
+    ctx = GNContext(grid, REF_PARAMS, MultiplierSpec.regularized(REF_PARAMS.delta))
     rng = np.random.default_rng(2024)
     worst_sym, worst_res, worst_flat = 0.0, 0.0, 0.0
     coercive = True
@@ -208,7 +208,7 @@ def test_criterion_06_operator_algebra():
 
 def test_criterion_07_hamiltonian_gradient_orders():
     grid = Grid(512, 4.0)
-    ctx = GNContext(grid, REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta))
+    ctx = GNContext(grid, REF_PARAMS, MultiplierSpec.regularized(REF_PARAMS.delta))
     rng = np.random.default_rng(7)
     hs = (1e-2, 1e-3, 1e-4)
     slopes = []

@@ -29,7 +29,7 @@ from oracles import depth_flux, depth_flux_prime, hamiltonian, inner
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None):
-    return GNContext(grid, params, spec or MultiplierSpec.regularized_for_depth(params.delta))
+    return GNContext(grid, params, spec or MultiplierSpec.regularized(params.delta))
 
 
 def row(grid, zeta, v=None, w=None, t=0.0):
@@ -239,7 +239,7 @@ class TestOneLayerConservation:
         # keep the boundary far from the released wave
         p = PhysParams(gamma=0.0, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=0.0)
         grid = Grid(1024, 16.0)
-        ctx = GNContext(grid, p, MultiplierSpec.regularized_for_depth(p.delta))
+        ctx = GNContext(grid, p, MultiplierSpec.regularized(p.delta))
         ws = GNWorkspace()
         zeta0 = -0.4 * np.exp(-4 * grid.x**2)
         y0 = np.stack((zeta0, np.zeros(grid.n)))
@@ -336,7 +336,7 @@ def test_row_after_a_failed_stage_equals_the_recomputed_row(small_grid, mu):
     # leaves that stage's depths beside the last pass's products; the next
     # successful rhs loads and passes again, and its row must not see them
     p = PhysParams(gamma=0.95, epsilon=0.5, mu=mu, delta=0.5, inv_bond=5e-4)
-    ctx = GNContext(small_grid, p, MultiplierSpec.regularized_for_depth(p.delta))
+    ctx = GNContext(small_grid, p, MultiplierSpec.regularized(p.delta))
     rng = np.random.default_rng(23)
     zeta, v = random_smooth_field(small_grid, rng, max_abs=0.9), random_smooth_field(small_grid, rng)
     failed_zeta = random_smooth_field(small_grid, rng, max_abs=0.9)

@@ -40,7 +40,7 @@ class TestEval:
             assert np.all(eval_multiplier(spec, layer, k, 0.3) == 1.0)
 
     def test_regularized_closed_form(self):
-        spec = MultiplierSpec.regularized(1.0, 1.0)
+        spec = MultiplierSpec.regularized(1.0, theta1=1.0, theta2=1.0)
         assert eval_multiplier(spec, 1, 1.0, 1.0) == pytest.approx(1 / np.sqrt(2), rel=1e-15)
 
     def test_improved_at_zero(self):
@@ -74,7 +74,7 @@ class TestEval:
     def test_regularized_matches_improved_to_fourth_order(self):
         # theta_i = 1/(15 delta_i^2) makes the squares agree through x^2
         delta = 0.5
-        reg = MultiplierSpec.regularized_for_depth(delta)
+        reg = MultiplierSpec.regularized(delta)
         imp = MultiplierSpec.improved(delta)
         x = np.linspace(1e-3, 5e-2, 50)
         for layer in (1, 2):
@@ -92,9 +92,14 @@ class TestEval:
         above = float(eval_multiplier(spec, 1, X_SERIES_SWITCH * (1 + eps), 1.0))
         assert abs(below - above) <= 1e-13
 
+    def test_thetas_are_keyword_only(self):
+        # a positional theta would be read as delta and build another symbol
+        with pytest.raises(TypeError):
+            MultiplierSpec.regularized(2.0, 3.0)
+
     def test_scaled_argument(self):
         # eval gives F(sqrt(mu) * k)
-        spec = MultiplierSpec.regularized(2.0, 3.0)
+        spec = MultiplierSpec.regularized(1.0, theta1=2.0, theta2=3.0)
         mu, k = 0.25, 3.0
         expected = 1.0 / np.sqrt(1.0 + 2.0 * (np.sqrt(mu) * k) ** 2)
         assert eval_multiplier(spec, 1, k, mu) == pytest.approx(expected, rel=1e-15)
@@ -114,7 +119,7 @@ class TestFamilyProperties:
     def test_bounded_and_monotone(self, spec_name):
         spec = {
             "identity": MultiplierSpec.identity(),
-            "regularized": MultiplierSpec.regularized_for_depth(0.5),
+            "regularized": MultiplierSpec.regularized(0.5),
             "improved": MultiplierSpec.improved(0.5),
         }[spec_name]
         k = np.linspace(0, 80, 4001)
@@ -139,7 +144,7 @@ class TestAdmissibility:
         assert report.k_constant == pytest.approx(1.0, rel=1e-12)
 
     def test_regularized(self):
-        spec = MultiplierSpec.regularized(1 / 15, 1 / 15)
+        spec = MultiplierSpec.regularized(1.0, theta1=1 / 15, theta2=1 / 15)
         for layer in (1, 2):
             report = check_admissibility(spec, layer)
             assert report.subadditive_ok
@@ -155,7 +160,7 @@ class TestAdmissibility:
             assert report.sigma == 0.5
 
     def test_reference_theta_choice(self):
-        spec = MultiplierSpec.regularized_for_depth(0.5)
+        spec = MultiplierSpec.regularized(0.5)
         for layer in (1, 2):
             assert check_admissibility(spec, layer).sigma == 1.0
 
@@ -164,7 +169,7 @@ class TestAdmissibility:
         k_tab = np.array([0.0, 1.0, 2.0, 3.0, 50.0])
         f_tab = np.array([1.0, 0.2, 1.0, 0.2, 0.2])
         spec = MultiplierSpec.custom(k_tab, f_tab)
-        report = check_admissibility(spec, 1, k_max=4.0)
+        report = check_admissibility(spec, 1)
         assert not report.subadditive_ok
         assert report.worst_violation < -1e-6
 
@@ -187,7 +192,7 @@ class TestAdmissibility:
         assert check_admissibility(spec, 1).fprime0_ok
 
     def test_fine_table_decays_as_its_family(self):
-        family = MultiplierSpec.regularized_for_depth(0.5)
+        family = MultiplierSpec.regularized(0.5)
         k = np.linspace(0.0, 60.0, 6001)
         spec = MultiplierSpec.custom(k, eval_multiplier(family, 1, k, 1.0))
         report = check_admissibility(spec, 1)
@@ -231,7 +236,7 @@ class TestAdmissibility:
                 assert "  positive on window: ok" in report.summary().splitlines()
 
     def test_second_derivative_window(self):
-        report = check_admissibility(MultiplierSpec.regularized(1.0, 1.0), 1, k_max=10.0, samples=2001)
+        report = check_admissibility(MultiplierSpec.regularized(1.0, theta1=1.0, theta2=1.0), 1)
         # |F''(0)| = theta = 1 is the sup for this family
         assert report.second_derivative_bound == pytest.approx(1.0, rel=0.01)
 
@@ -246,10 +251,6 @@ class TestAdmissibility:
                 assert report.second_derivative_bound == pytest.approx(expected, rel=1e-5)
         corner = MultiplierSpec.custom([0.0, 0.001, 100.0], [1.0, -1.0, -1.0])
         assert check_admissibility(corner, 1).second_derivative_bound == pytest.approx(8e7, rel=1e-6)
-
-    def test_rejects_tiny_sample(self):
-        with pytest.raises(ValidationError):
-            check_admissibility(MultiplierSpec.identity(), 1, samples=10)
 
 
 def test_load_symbol_table(tmp_path):
@@ -276,9 +277,15 @@ def load_text(text):
 @pytest.mark.parametrize(
     "make,field",
     [
-        pytest.param(lambda path: MultiplierSpec.regularized(0.0, 1.0), "theta", id="theta1_zero"),
-        pytest.param(lambda path: MultiplierSpec.regularized(1.0, -1.0), "theta", id="theta2_negative"),
+        pytest.param(lambda path: MultiplierSpec.regularized(1.0, theta1=0.0), "theta1", id="theta1_zero"),
+        pytest.param(lambda path: MultiplierSpec.regularized(1.0, theta2=-1.0), "theta2", id="theta2_negative"),
+        pytest.param(lambda path: MultiplierSpec.regularized(1.0, theta2=np.inf), "theta2", id="theta2_inf"),
+        pytest.param(lambda path: MultiplierSpec.regularized(0.0), "delta", id="reg_delta_zero"),
+        pytest.param(lambda path: MultiplierSpec.regularized(-1.0), "delta", id="reg_delta_negative"),
+        pytest.param(lambda path: MultiplierSpec.regularized(np.inf, theta1=1.0, theta2=1.0), "delta", id="reg_delta_inf"),
         pytest.param(lambda path: MultiplierSpec.improved(0.0), "delta", id="delta_zero"),
+        pytest.param(lambda path: MultiplierSpec.improved(-1.0), "delta", id="delta_negative"),
+        pytest.param(lambda path: MultiplierSpec.improved(np.inf), "delta", id="delta_inf"),
         pytest.param(lambda path: MultiplierSpec.custom([0.0], [1.0]), "table", id="one_row"),
         pytest.param(lambda path: MultiplierSpec.custom([0.0, 1.0], [1.0, 0.5, 0.2]), "table", id="ragged"),
         pytest.param(lambda path: MultiplierSpec.custom([0.5, 1.0], [1.0, 0.5]), "table", id="no_k0_row"),
@@ -289,6 +296,8 @@ def load_text(text):
         pytest.param(load_text("0,1\n1,0.5\ninf,0.5\n"), "table", id="inf_k"),
         pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 3, [1.0], 0.1), "layer", id="layer_3"),
         pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 1, [1.0], -0.1), "mu", id="mu_negative"),
+        pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 1, [1.0], np.nan), "mu", id="mu_nan"),
+        pytest.param(lambda path: eval_multiplier(MultiplierSpec.identity(), 1, [1.0], np.inf), "mu", id="mu_inf"),
         pytest.param(load_text("0,1,2\n1,0.5,0\n"), "table", id="three_columns"),
         pytest.param(load_text("k,F\n0,1\n10,0.5\n"), "table", id="header_line"),
         pytest.param(load_text("0,1\n1\n"), "table", id="ragged_row"),
@@ -296,7 +305,6 @@ def load_text(text):
         pytest.param(load_text("0.5,1\n1,0.5\n"), "table", id="no_k0_row_file"),
         pytest.param(load_text("0,1\n1,0.5\n1,0.4\n"), "table", id="k_repeated_file"),
         pytest.param(load_text("0,1\n1,nan\n"), "table", id="nan_symbol_file"),
-        pytest.param(lambda path: check_admissibility(MultiplierSpec.identity(), 1, k_max=0.0), "k_max", id="k_max_zero"),
     ],
 )
 def test_refusals_name_their_field(make, field, tmp_path):

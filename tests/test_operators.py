@@ -28,7 +28,7 @@ from oracles import ddx, hamiltonian, inner, zeta_gradient
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
-    spec = spec or MultiplierSpec.regularized_for_depth(params.delta)
+    spec = spec or MultiplierSpec.regularized(params.delta)
     return GNContext(grid, params, spec, **kw)
 
 
@@ -91,7 +91,7 @@ class TestMassOperator:
         p = REF_PARAMS
         for spec in (
             MultiplierSpec.identity(),
-            MultiplierSpec.regularized_for_depth(p.delta),
+            MultiplierSpec.regularized(p.delta),
             MultiplierSpec.improved(p.delta),
         ):
             ctx = GNContext(grid, p, spec)
@@ -390,7 +390,7 @@ def _assert_rhs_matches_oracle(ctx, states):
 
 FAMILIES = {
     "identity": MultiplierSpec.identity(),
-    "regularized": MultiplierSpec.regularized_for_depth(REF_PARAMS.delta),
+    "regularized": MultiplierSpec.regularized(REF_PARAMS.delta),
     "improved": MultiplierSpec.improved(REF_PARAMS.delta),
 }
 

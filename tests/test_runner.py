@@ -18,7 +18,7 @@ from gnwaves.io_store import (
     write_manifest,
     write_text,
 )
-from gnwaves.multipliers import MultiplierSpec
+from gnwaves.multipliers import MultiplierSpec, eval_multiplier
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, parse_config, serialize_config, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, initial_state, run_experiment
@@ -41,17 +41,20 @@ def fast_config(**overrides):
 
 class TestBuildMultiplier:
     def test_names(self):
-        for name, kind in [("identity", "identity"), ("regularized", "regularized"), ("improved", "improved")]:
+        for name in ("identity", "regularized", "improved"):
             spec = build_multiplier(with_overrides(ExperimentConfig(), multiplier=name))
-            assert spec.kind == kind
+            assert spec.label == name
 
     def test_regularized_theta_defaults_from_delta(self):
+        # F_i(1) = 1/sqrt(1 + theta_i) with theta_i = 1/(15 delta_i^2), delta = 0.5
         spec = build_multiplier(ExperimentConfig())
-        assert spec.theta == pytest.approx((1 / 15, 1 / (15 * 0.25)))
+        for layer, theta in ((1, 1 / 15), (2, 1 / (15 * 0.25))):
+            assert eval_multiplier(spec, layer, 1.0, 1.0) == pytest.approx(1 / np.sqrt(1 + theta), rel=1e-15)
 
     def test_theta_overrides(self):
-        config = with_overrides(ExperimentConfig(), theta1=0.3, theta2=0.4)
-        assert build_multiplier(config).theta == (0.3, 0.4)
+        spec = build_multiplier(with_overrides(ExperimentConfig(), theta1=0.3, theta2=0.4))
+        for layer, theta in ((1, 0.3), (2, 0.4)):
+            assert eval_multiplier(spec, layer, 1.0, 1.0) == pytest.approx(1 / np.sqrt(1 + theta), rel=1e-15)
 
     def test_custom_path_relative_to_config_dir(self, tmp_path, monkeypatch):
         # the CLI makes a relative table path absolute against the config
@@ -64,8 +67,8 @@ class TestBuildMultiplier:
         config = _load_config(build_parser().parse_args(["admissibility", "--config", "a/run.cfg"]))
         assert config.multiplier == f"custom:{table}"
         spec = build_multiplier(config)
-        assert spec.kind == "custom"
         assert spec.label == config.multiplier
+        assert eval_multiplier(spec, 2, 5.0, 1.0) == 0.75
 
 
 class TestInitialState:

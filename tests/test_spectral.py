@@ -61,7 +61,7 @@ class TestTransformRoute:
     @pytest.fixture
     def state(self, small_grid):
         ctx = GNContext(
-            small_grid, REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta), dealias=True
+            small_grid, REF_PARAMS, MultiplierSpec.regularized(REF_PARAMS.delta), dealias=True
         )
         rng = np.random.default_rng(6)
         zeta = random_smooth_field(small_grid, rng, max_abs=0.5)
@@ -170,7 +170,7 @@ class TestTransformRoute:
 
     def test_dealias_costs_no_transform(self, state, monkeypatch):
         ctx, zeta, _, v = state
-        plain = GNContext(ctx.grid, ctx.params, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta))
+        plain = GNContext(ctx.grid, ctx.params, MultiplierSpec.regularized(REF_PARAMS.delta))
         calls = self.count_transforms(monkeypatch)
         counts = []
         for c in (plain, ctx):
@@ -199,7 +199,7 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid(bad_n, 4.0)
 
-    @pytest.mark.parametrize("half_length", [0.0, -4.0, np.nan])
+    @pytest.mark.parametrize("half_length", [0.0, -4.0, np.nan, np.inf])
     def test_rejects_a_non_positive_half_length(self, half_length):
         with pytest.raises(ValidationError) as err:
             Grid(64, half_length)

@@ -102,7 +102,7 @@ class TestModelCoeffs:
         k = np.linspace(0, 500, 2000)
         for spec in (
             MultiplierSpec.identity(),
-            MultiplierSpec.regularized_for_depth(p.delta),
+            MultiplierSpec.regularized(p.delta),
             MultiplierSpec.improved(p.delta),
         ):
             _, b, _ = model_coeffs(k, p, spec, wbar=0.7)
@@ -110,7 +110,7 @@ class TestModelCoeffs:
 
     def test_even_in_k(self):
         p = REF_PARAMS
-        spec = MultiplierSpec.regularized_for_depth(p.delta)
+        spec = MultiplierSpec.regularized(p.delta)
         left = np.array(model_coeffs(-5.3, p, spec, 0.2))
         right = np.array(model_coeffs(5.3, p, spec, 0.2))
         assert np.array_equal(left, right)
@@ -138,7 +138,7 @@ class TestThresholdCurves:
 
         p = PhysParams(gamma=0.95, epsilon=0.5, mu=0.1, delta=0.5, inv_bond=0.0)
         theta1, theta2 = 1 / 15, 1 / (15 * p.delta**2)
-        spec = MultiplierSpec.regularized(theta1, theta2)
+        spec = MultiplierSpec.regularized(p.delta, theta1=theta1, theta2=theta2)
         k = np.linspace(0.1, 1000, 2000)
         thr = threshold_curve(k, p, spec)
         bound = (p.gamma + p.delta) ** 2 * p.delta / (
@@ -202,7 +202,7 @@ class TestGrowthRate:
     def test_direct_eigensolve_oracle(self):
         # brute-force the 2x2 symbol eigenvalues independently
         p = REF_PARAMS
-        spec = MultiplierSpec.regularized_for_depth(p.delta)
+        spec = MultiplierSpec.regularized(p.delta)
         rng = np.random.default_rng(7)
         for _ in range(20):
             k0 = float(rng.uniform(0.2, 60.0))

@@ -215,7 +215,7 @@ def test_callbacks_follow_a_stage_at_their_state():
 
 
 def _reference_ctx(n=512):
-    return GNContext(Grid(n, 4.0), REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta))
+    return GNContext(Grid(n, 4.0), REF_PARAMS, MultiplierSpec.regularized(REF_PARAMS.delta))
 
 
 def _exact_rotation(linear, y0, t):
@@ -325,7 +325,7 @@ def test_plain_dp5_reference_run_keeps_the_conserved_quantities():
     # with plain Dormand-Prince stages (a zero ModeRotation), under that criterion's
     # drift bounds; the final flux comes from a cold CG solve
     elapsed = 0.0
-    for spec in (MultiplierSpec.regularized_for_depth(REF_PARAMS.delta), MultiplierSpec.improved(REF_PARAMS.delta)):
+    for spec in (MultiplierSpec.regularized(REF_PARAMS.delta), MultiplierSpec.improved(REF_PARAMS.delta)):
         grid = Grid(512, 4.0)
         ctx = GNContext(grid, REF_PARAMS, spec)
         zeta0, rest = -np.exp(-4 * grid.x**2), np.zeros(grid.n)
@@ -349,7 +349,7 @@ def test_masked_modes_ride_through_the_steps_unchanged():
     # for bit (an irfft -> rfft round trip of the tendencies fed round-off
     # into those modes); the first-step probe alone takes its frame from a
     # state, rfft(y0 + h0 f0)
-    ctx = GNContext(Grid(64, 4.0), REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta),
+    ctx = GNContext(Grid(64, 4.0), REF_PARAMS, MultiplierSpec.regularized(REF_PARAMS.delta),
                     dealias=True)
     masked = dealias_mask(ctx.grid) == 0.0
     assert masked[-1] and masked.sum() == 11
@@ -450,7 +450,7 @@ class _NpFftModeRotation:
 
 @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
 def test_lawson_run_matches_np_fft_propagator_bitwise(dealias):
-    ctx = GNContext(Grid(64, 4.0), REF_PARAMS, MultiplierSpec.regularized_for_depth(REF_PARAMS.delta),
+    ctx = GNContext(Grid(64, 4.0), REF_PARAMS, MultiplierSpec.regularized(REF_PARAMS.delta),
                     dealias=dealias)
     assert ctx.params.inv_bond > 0.0
     y0 = np.stack((-np.exp(-4 * ctx.grid.x**2), np.zeros(ctx.grid.n)))

@@ -5,9 +5,10 @@ they record.
     python3 tools/record_oracle.py OUT_DIR
 
 It runs ``gnwaves stability`` (Fig. 1, into ``stability_fig1``),
-``gnwaves simulate --preset fig2/fig3/fig4``, ``gnwaves sv`` and
-``gnwaves diag-compare --preset table1``, then one record of each
-workload of ``perfbench/workloads.py`` (into ``workload/<name>``) and one of
+``gnwaves simulate --preset fig2/fig3/fig4``, ``gnwaves sv``,
+``gnwaves diag-compare --preset table1`` and ``gnwaves admissibility`` of
+each built-in family (into ``admissibility_<family>``), then one record of
+each workload of ``perfbench/workloads.py`` (into ``workload/<name>``) and one of
 the default config with ``dealias = false`` to ``t_end = 0.5`` (into
 ``unmasked``), the only record without the 2/3 rule, with the
 gnwaves package of the checkout this script sits in (its ``src/``). The workload file is only read. It prints one
@@ -43,6 +44,9 @@ COMMANDS = (
     ("fig4", ["simulate", "--preset", "fig4"]),
     ("sv", ["sv"]),
     ("table1", ["diag-compare", "--preset", "table1"]),
+    ("admissibility_identity", ["admissibility", "--multiplier", "id"]),
+    ("admissibility_regularized", ["admissibility", "--multiplier", "reg"]),
+    ("admissibility_improved", ["admissibility", "--multiplier", "imp"]),
 )
 WORKLOADS_FILE = os.path.join(ROOT, "perfbench", "workloads.py")
 
