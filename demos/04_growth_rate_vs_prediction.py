@@ -30,7 +30,7 @@ print(f"mode k = {k0:.3f}: threshold eps^2 wbar^2 = {threshold:.4f}, "
 
 amp = 1e-8
 zeta0 = amp * np.cos(k0 * grid.x)
-v0 = apply_mass_operator(ctx, np.zeros(grid.n), np.full(grid.n, wbar))
+v0 = apply_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), np.full(grid.n, wbar))
 v0 = v0 - amp * np.sqrt(-a / b) * np.sin(k0 * grid.x)
 
 idx = int(np.argmin(np.abs(grid.k - k0)))

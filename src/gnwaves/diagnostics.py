@@ -13,21 +13,21 @@ is. ``hyp_margin`` reads the hydrostatic system in (zeta, vbar = w/H),
 H(X) = h1 h2 / (h1 + gamma h2): at mu = 0 it is zero where the two
 characteristic speeds coalesce, at mu > 0 where one is zero.
 
-A row reads the products of one spectral pass at (zeta, w), the pass of
-:func:`gnwaves.operators.interface_gradient`: the depths, velocities,
-slope, dx F u and zeta_hat it keeps on the workspace feed the energy, the
-margin and the high band. The runner passes the workspace of the accepted
-(FSAL) stage, whose pass ``rhs`` has just run, so its rows make no
-transform; without a stage (the t = 0 row), :func:`compute_row` runs
-``interface_gradient`` on a fresh workspace, once for the whole row, and
-discards the gradient.
+A row reads the state (zeta, w) and the products of one spectral pass at
+it from a :class:`~gnwaves.operators.GNWorkspace`: the stage loaded at
+zeta whose pass :func:`gnwaves.operators.interface_gradient` ran with w.
+The depths, velocities, slope, dx F u and zeta_hat it keeps feed the
+energy, the margin and the high band, so a row makes no transform. The
+runner passes the workspace of the accepted (FSAL) stage, whose pass
+``rhs`` has just run; for the t = 0 row it loads that workspace at zeta0
+and runs the pass itself.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import GNWorkspace, capillary_density, interface_gradient, layer_depths
+from .operators import capillary_density, layer_depths
 
 __all__ = [
     "DiagnosticsRow",
@@ -62,32 +62,18 @@ class DiagnosticsRow:
 DiagnosticsRow.HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
-def _stage(ctx, zeta, w, stage):
-    """``stage``, or, when it is None, a freshly loaded workspace holding the
-    products of the spectral pass at (zeta, w): it runs
-    :func:`~gnwaves.operators.interface_gradient` and discards the gradient
-    (whose rfft/irfft pair the products do not need)."""
-    if stage is None:
-        stage = GNWorkspace().load(ctx, zeta)
-        interface_gradient(ctx, zeta, w, stage)
-    return stage
-
-
-def energy(ctx, zeta, w, stage=None):
+def energy(ctx, stage):
     """Total energy
     integral[ (gamma+delta) zeta^2 + capillary
               + sum_i gamma_i ( h_i u_i^2 + (mu/3) h_i (h_i dx F_i u_i)^2 ) ]
-    with layer weights (gamma_1, gamma_2) = (gamma, 1).
-
-    The depths, velocities, slope and dx F u are read from ``stage``, the
-    products of the spectral pass at (zeta, w) (the runner passes those of
-    the accepted stage); without it the pass runs here.
+    with layer weights (gamma_1, gamma_2) = (gamma, 1), at the state
+    (zeta, w) of ``stage``, whose spectral pass has run: zeta, the depths,
+    velocities, slope and dx F u are read from it.
     Identically zero at rest, so drift needs no reference subtraction.
     """
     p = ctx.params
-    stage = _stage(ctx, zeta, w, stage)
     h, u = stage.depths, stage.u
-    density = (p.gamma + p.delta) * zeta**2
+    density = (p.gamma + p.delta) * stage.zeta**2
     if p.inv_bond > 0.0:
         density += capillary_density(p, stage.slope)
     kinetic = np.array([[p.gamma], [1.0]]) * h * u**2
@@ -126,20 +112,19 @@ def sv_hyperbolicity_margin(params, zeta, vbar):
     return float(np.min((p.gamma + p.delta) + 0.5 * p.epsilon**2 * depth_flux_second(p, zeta) * vbar**2))
 
 
-def compute_row(ctx, t, zeta, v, w, stage=None):
-    """One diagnostics record from a state snapshot (w already recovered).
-
-    ``stage`` passes the products of the spectral pass at (zeta, w) (a
-    :class:`~gnwaves.operators.GNWorkspace` right after :func:`rhs` at
-    that state, as the runner's accepted FSAL stage): the row then makes no
-    transform. Without it the pass runs here, once for the whole row.
+def compute_row(ctx, t, v, stage):
+    """One diagnostics record of the state (zeta, v) at time t, zeta and
+    its flux w read from ``stage``, a
+    :class:`~gnwaves.operators.GNWorkspace` loaded at zeta whose spectral
+    pass ran with w (as right after :func:`rhs` at that state, the runner's
+    accepted FSAL stage). The row makes no transform.
 
     At mu = 0 the integrated system is the hydrostatic one, v equals vbar,
     and hyp_margin is its criterion :func:`sv_hyperbolicity_margin`; at
     mu > 0 it is :func:`hyperbolicity_margin`, another condition.
     """
     grid, p = ctx.grid, ctx.params
-    stage = _stage(ctx, zeta, w, stage)
+    zeta, w = stage.zeta, stage.w
     if p.mu == 0.0:
         hyp_margin = sv_hyperbolicity_margin(p, zeta, v)
     else:
@@ -150,7 +135,7 @@ def compute_row(ctx, t, zeta, v, w, stage=None):
         Z=grid.dx * float(np.sum(zeta)),
         V=grid.dx * float(np.sum(v)),
         I=grid.dx * float(zeta @ v),
-        H=energy(ctx, zeta, w, stage),
+        H=energy(ctx, stage),
         M=(1.0 - p.gamma) * grid.dx * float(np.sum(w)),
         C=grid.dx * float(np.sum(zeta * grid.x - t * w)),
         hyp_margin=hyp_margin,

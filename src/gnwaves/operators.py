@@ -30,12 +30,16 @@ residual ``CG_TOL`` = 1e-13. CG is the hot path: what an application of A
 needs besides w is formed once, not per application. The symbols of dx F1
 and dx F2, the complex 1/A0 that applies P^-1 and the closing column
 (mu/3) (gamma, 1) are formed per context (:class:`GNContext`); once per
-:func:`rhs` call :meth:`GNWorkspace.load` forms the depths and 1/h, and
-from 1/h the depth coefficient gamma/h1 + 1/h2, the closing coefficients
-(mu/3) (gamma/h1, 1/h2) and the coefficient (eps/2) (1/h2^2 - gamma/h1^2)
-of w^2 in the zeta-gradient, with h^3 = h*h*h and the FFT buffers, into
-the one holder of a stage, which the CG solve, the pass and R read; CG's
-own preconditioner, ``A p`` and update buffers per solve.
+:func:`rhs` call :meth:`GNWorkspace.load` keeps zeta and forms the depths
+and 1/h, and from 1/h the depth coefficient gamma/h1 + 1/h2, the closing
+coefficients (mu/3) (gamma/h1, 1/h2) and the coefficient (eps/2) (1/h2^2 -
+gamma/h1^2) of w^2 in the zeta-gradient, with h^3 = h*h*h and the FFT
+buffers, into the one holder of a stage, which the CG solve, the pass and
+R read; CG's own preconditioner, ``A p`` and update buffers per solve. A
+loaded stage is the only way a state reaches :func:`apply_mass_operator`,
+:func:`invert_mass_operator` and :func:`interface_gradient`: each takes
+the stage and reads zeta from it, and a library caller loads one with
+``GNWorkspace().load(ctx, zeta)``.
 
 The stages run in Fourier space. :func:`rhs` returns the spectral
 tendencies -ik (w_hat, grad_hat) that the Lawson stages of
@@ -65,8 +69,8 @@ the pass's w_hat and the gradient's rfft times the context's ``minus_ik``,
 -ik with the optional 2/3-rule mask, so they are exactly 0 on the masked
 modes: three rfft and two irfft calls per :func:`rhs` besides CG's and the
 predictor's one irfft, and no transform in the Lawson frame change. The
-pass keeps its products on the workspace, and the diagnostics row of an
-accepted stage reads them with no transform.
+pass keeps w and its products on the workspace, and the diagnostics row of
+an accepted stage reads them with no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -178,18 +182,23 @@ class GNContext:
 
 
 class GNWorkspace:
-    """One stage's data, and per-integration scratch.
+    """One stage's data, and per-integration scratch: the one holder through
+    which a state reaches :func:`apply_mass_operator`,
+    :func:`invert_mass_operator`, :func:`interface_gradient` and the
+    diagnostics row.
 
-    :meth:`load` sets the per-state data of the stage, all from
-    ``inv_depths`` = 1/h of the stacked ``depths`` h: the coefficient
-    ``local`` = gamma/h1 + 1/h2 of A, the coefficient ``w2_coef`` =
-    (eps/2) (1/h2^2 - gamma/h1^2) of w^2 in the zeta-gradient and, for mu >
-    0, ``cube`` = h^3, ``closing`` = (mu/3) (gamma/h1, 1/h2) and the
-    spectral and physical (2, n) buffers every application writes into
-    (used up inside :func:`apply_mass_operator`; nothing it returns views
-    them). The pass of :func:`interface_gradient` adds ``u``, ``w_hat``,
-    ``zeta_hat``, ``slope`` (with tension) and ``dxf_u`` (mu > 0), which the
-    diagnostics row of an accepted (FSAL) stage reads. ``w_prev`` keeps the
+    :meth:`load` sets the per-state data of the stage: ``zeta`` itself (the
+    array it was given, not a copy, so the caller writes no more into it)
+    and, all from ``inv_depths`` = 1/h of the stacked ``depths`` h, the
+    coefficient ``local`` = gamma/h1 + 1/h2 of A, the coefficient
+    ``w2_coef`` = (eps/2) (1/h2^2 - gamma/h1^2) of w^2 in the
+    zeta-gradient and, for mu > 0, ``cube`` = h^3, ``closing`` = (mu/3)
+    (gamma/h1, 1/h2) and the spectral and physical (2, n) buffers every
+    application writes into (used up inside :func:`apply_mass_operator`;
+    nothing it returns views them). The pass of :func:`interface_gradient`
+    adds the flux ``w`` it was given, ``u``, ``w_hat``, ``zeta_hat``,
+    ``slope`` (with tension) and ``dxf_u`` (mu > 0), which the diagnostics
+    row reads. ``w_prev`` keeps the
     last stage's solved flux; ``history`` the (t, row) of the last three
     stage solves that :meth:`remember` was given, oldest first, whose flux
     and momentum spectrum are row ``row`` of ``past_w`` and ``past_v_hat``
@@ -198,7 +207,7 @@ class GNWorkspace:
     shareable between concurrent integrations."""
 
     def __init__(self):
-        self.w_prev = self.w_hat = self.depths = self.local = self.cube = None
+        self.zeta = self.w = self.w_prev = self.w_hat = self.depths = self.local = self.cube = None
         self.u = self.zeta_hat = self.slope = self.dxf_u = self.resolution_lost_at = None
         self.history = []
         self.past_w = self.past_v_hat = None
@@ -207,6 +216,7 @@ class GNWorkspace:
         """Set the per-state data of zeta (cavitation checked by
         :func:`layer_depths`); returns the workspace."""
         p = ctx.params
+        self.zeta = zeta
         h = self.depths = layer_depths(p, zeta)
         inv = self.inv_depths = 1.0 / h
         self.local = p.gamma * inv[0] + inv[1]
@@ -259,13 +269,9 @@ class GNWorkspace:
         self.past_v_hat[row] = v_hat
 
 
-def apply_mass_operator(ctx, zeta, w, stage=None, out=None):
-    """A[eps*zeta] w, written into ``out`` when given.
-
-    ``stage`` passes a :class:`GNWorkspace` loaded at zeta, as CG does for
-    every application of a solve; without it one is loaded here.
-    """
-    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
+def apply_mass_operator(ctx, stage, w, out=None):
+    """A[eps*zeta] w at the state of ``stage``, a :class:`GNWorkspace`
+    loaded at zeta, written into ``out`` when given."""
     out = np.multiply(stage.local, w, out=out)
     if ctx.params.mu > 0.0:
         spec, t = stage.spectral, stage.physical
@@ -287,22 +293,20 @@ def apply_mass_operator(ctx, zeta, w, stage=None, out=None):
     return out
 
 
-def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, stage=None):
-    """Solve A[eps*zeta] w = v for w.
+def invert_mass_operator(ctx, stage, v, x0=None):
+    """Solve A[eps*zeta] w = v for w at the state of ``stage``, a
+    :class:`GNWorkspace` loaded at zeta.
 
     mu = 0 makes A a pointwise multiplication and the inverse is exact; the
     general case runs conjugate gradients on the self-adjoint positive
     definite operator, preconditioned by the flat-interface symbol and
-    warm-started from ``x0`` when given. ``stage`` passes a
-    :class:`GNWorkspace` loaded at zeta, as :func:`rhs` does; without it one
-    is loaded here. The preconditioner, ``A p`` and update buffers are built
-    once per solve. The relative residual ||A w - v|| <= tol ||v|| is
-    guaranteed on return; a non-finite ||v|| (for every mu) or residual norm
-    is a breakdown (ConvergenceError) as soon as it is seen.
+    warm-started from ``x0`` when given, to the context's ``cg_tol`` in at
+    most ``cg_max_iter`` iterations. The preconditioner, ``A p`` and update
+    buffers are built once per solve. The relative residual ||A w - v|| <=
+    cg_tol ||v|| is guaranteed on return; a non-finite ||v|| (for every mu)
+    or residual norm, and an r.z or p.Ap that is not positive, is a
+    breakdown (ConvergenceError) as soon as it is seen.
     """
-    tol = ctx.cg_tol if tol is None else tol
-    max_iter = ctx.cg_max_iter if max_iter is None else max_iter
-    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
     h = stage.depths
     b_norm = math.sqrt(v @ v)
     if not math.isfinite(b_norm):
@@ -317,7 +321,7 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, stage=N
     z = np.empty(n)
     ap = np.empty(n)
     tmp = np.empty(n)
-    stop = tol * b_norm
+    stop = ctx.cg_tol * b_norm
     residuals = []
 
     if x0 is None:
@@ -325,37 +329,42 @@ def invert_mass_operator(ctx, zeta, v, tol=None, max_iter=None, x0=None, stage=N
         r = v.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = v - apply_mass_operator(ctx, zeta, x, stage=stage, out=ap)
+        r = v - apply_mass_operator(ctx, stage, x, out=ap)
     # each pass checks the residual, then takes one preconditioned step
-    for it in range(max_iter + 1):
+    for it in range(ctx.cg_max_iter + 1):
         norm = math.sqrt(r @ r)
         residuals.append(norm)
         if not math.isfinite(norm):
             raise ConvergenceError(f"mass-operator CG: residual norm {norm} is not finite", residuals)
         if norm <= stop:
             return x
-        if it == max_iter:
+        if it == ctx.cg_max_iter:
             break
         # z = irfft(rfft(r) / A0), then p = z, or p = z + (rz_next/rz)*p in place
         spectral.rfft(r, out=spec)
         np.multiply(spec, ctx.inv_flat_symbol, out=spec)
         spectral.irfft(spec, n, out=z)
         rz_next = float(r @ z)
+        if not rz_next > 0.0:
+            raise ConvergenceError(f"mass-operator CG breakdown: r.z = {rz_next:g}", residuals)
         if it == 0:
             p = z.copy()
         else:
             p *= rz_next / rz
             p += z
         rz = rz_next
-        apply_mass_operator(ctx, zeta, p, stage=stage, out=ap)
-        alpha = rz / float(p @ ap)
+        apply_mass_operator(ctx, stage, p, out=ap)
+        pap = float(p @ ap)
+        if not pap > 0.0:
+            raise ConvergenceError(f"mass-operator CG breakdown: p.Ap = {pap:g}", residuals)
+        alpha = rz / pap
         # x += alpha*p and r -= alpha*ap through one scratch vector
         np.multiply(alpha, p, out=tmp)
         x += tmp
         np.multiply(alpha, ap, out=tmp)
         r -= tmp
     raise ConvergenceError(
-        f"mass-operator CG did not reach tol={tol:g} in {max_iter} iterations "
+        f"mass-operator CG did not reach tol={ctx.cg_tol:g} in {ctx.cg_max_iter} iterations "
         f"(relative residual {residuals[-1] / b_norm:.3e})",
         residuals,
     )
@@ -384,23 +393,22 @@ def r_operator(h, u, s, t):
     return 0.5 * (h * s) ** 2 + (u * t) / (3.0 * h)
 
 
-def interface_gradient(ctx, zeta, w, stage=None):
-    """The zeta-gradient of the energy functional (the bracket inside dt v):
-    the stage's spectral pass at (zeta, w) into ``stage``, a
-    :class:`GNWorkspace` loaded at zeta (one is loaded here when None).
+def interface_gradient(ctx, stage, w):
+    """The zeta-gradient of the energy functional (the bracket inside dt v)
+    at (zeta, w): the spectral pass of ``stage``, a :class:`GNWorkspace`
+    loaded at zeta, and the flux w.
 
     u = LAYER_SIGN * w / h; one rfft of the rows w, zeta and (mu > 0) u; one
     irfft of the rows ``ctx.pass_rows``: the slope (zeta times ``grid.ik``,
-    with tension) and dx F u (mu > 0), which ``stage`` keeps with ``u``,
-    ``w_hat`` and ``zeta_hat`` (None where not formed). Then the capillary
+    with tension) and dx F u (mu > 0), which ``stage`` keeps with ``w``,
+    ``u``, ``w_hat`` and ``zeta_hat`` (None where not formed). Then the capillary
     and R chains in lockstep on the same rows: the stress dx zeta /
     sqrt(1 + mu eps^2 (dx zeta)^2) and h^3 dx F u, one rfft, one irfft by
     ``grid.ik`` and dx F, and the closings -(gamma+delta)/Bo dx stress and
     mu*eps R, R = R_2 - gamma R_1 (:func:`r_operator`); at epsilon = 0 that
     factor is 0 and R drops out.
     """
-    p = ctx.params
-    stage = GNWorkspace().load(ctx, zeta) if stage is None else stage
+    p, zeta = ctx.params, stage.zeta
     rows = np.empty((4, ctx.grid.n))
     rows[0] = w
     rows[1] = zeta
@@ -409,7 +417,7 @@ def interface_gradient(ctx, zeta, w, stage=None):
     np.divide(u, stage.depths, out=u)
     cut, n = ctx.pass_rows, ctx.grid.n
     spec = spectral.rfft(rows[: cut.stop])
-    stage.u, stage.w_hat, stage.zeta_hat = u, spec[0], spec[1]
+    stage.w, stage.u, stage.w_hat, stage.zeta_hat = w, u, spec[0], spec[1]
     stage.slope = stage.dxf_u = None
     if cut.stop > cut.start:
         dx = spectral.irfft(spec[cut] * ctx.pass_symbols, n)
@@ -450,9 +458,9 @@ def rhs(ctx, zeta, v, workspace=None, t=None, v_hat=None):
     Hyperbolicity is a monitored diagnostic, not checked here.
     """
     stage = (GNWorkspace() if workspace is None else workspace).load(ctx, zeta)
-    w = invert_mass_operator(ctx, zeta, v, x0=stage.warm_start(ctx, t, v_hat), stage=stage)
+    w = invert_mass_operator(ctx, stage, v, x0=stage.warm_start(ctx, t, v_hat))
     stage.w_prev = w
-    grad = interface_gradient(ctx, zeta, w, stage=stage)
+    grad = interface_gradient(ctx, stage, w)
     out = np.empty((2, ctx.grid.n // 2 + 1), dtype=complex)
     np.multiply(stage.w_hat, ctx.minus_ik, out=out[0])
     spectral.rfft(grad, out=out[1])

@@ -101,8 +101,12 @@ class PhysParams:
         for name in ("epsilon", "mu", "inv_bond"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(name, f"must be nonnegative, got {getattr(self, name)}")
-        if not self.delta > 0.0:
-            raise ValidationError("delta", f"must be positive, got {self.delta}")
+        # the model forms delta^3 (the shear factor of the stability
+        # analysis) and delta^-3 (h2^3 in the mass operator, h2 ~ 1/delta):
+        # this range keeps both at most 1e300, a factor 1e8 under the float
+        # maximum for the k^2 and symbol factors they meet
+        if not 1e-100 <= self.delta <= 1e100:
+            raise ValidationError("delta", f"must lie in [1e-100, 1e100], got {self.delta}")
 
 
 # Defaults reproduce the reference experiment: 512-point grid on [-4, 4],

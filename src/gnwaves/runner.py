@@ -11,9 +11,10 @@ healthy state is saved and the returned status says "blowup".
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
 take the flux w = A^{-1} v it left in ``GNWorkspace.w_prev``, and a row
-reads the other products of that stage's spectral pass from the workspace,
-with no transform of its own (the t = 0 row runs the pass itself, not
-``rhs``); the blow-up snapshot takes the flux of the last accepted step (w0
+reads zeta, w and the other products of that stage's spectral pass from the
+workspace, with no transform of its own. The t = 0 row is not a stage: the
+runner loads the workspace at zeta0 and runs the pass with w0 itself, not
+``rhs``. The blow-up snapshot takes the flux of the last accepted step (w0
 if none was accepted).
 
 During time integration, cavitation, solver-convergence failures and loss of
@@ -61,7 +62,7 @@ from .io_store import (
 )
 from .multipliers import FAMILIES, load_symbol_table
 # invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
-from .operators import GNContext, GNWorkspace, invert_mass_operator, layer_depths, rhs
+from .operators import GNContext, GNWorkspace, interface_gradient, invert_mass_operator, layer_depths, rhs
 from .params import serialize_config
 from .spectral import Grid
 from .timestepper import REL_TOL, integrate
@@ -237,7 +238,9 @@ def run_experiment(config, out_dir, force=False):
 
     status, reason = "completed", ""
     with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
-        diag.append(compute_row(ctx, 0.0, zeta0, v0, w0))
+        # the t = 0 row is not a stage: load the workspace and run the pass here
+        interface_gradient(ctx, workspace.load(ctx, zeta0), w0)
+        diag.append(compute_row(ctx, 0.0, v0, workspace))
         save_state(0.0, zeta0, w0)
         accepted_w = w0  # flux of the last accepted state, for the blow-up snapshot
 
@@ -246,7 +249,7 @@ def run_experiment(config, out_dir, force=False):
         def on_step(t, y, stats):
             nonlocal accepted_w
             accepted_w = workspace.w_prev
-            diag.append(compute_row(ctx, t, *y, accepted_w, workspace))
+            diag.append(compute_row(ctx, t, y[1], workspace))
 
         def on_snapshot(t, y):
             save_state(t, y[0], workspace.w_prev)

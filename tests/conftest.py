@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gnwaves.runner as runner_mod
-from gnwaves.operators import GNContext, apply_mass_operator
+from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, interface_gradient
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid
 
@@ -30,10 +30,18 @@ def start_with_flux(monkeypatch, config, flux):
 
     def integrate_from_flux(rhs_fn, t_span, y0, **kw):
         zeta0 = y0[0]
-        y0 = np.stack((zeta0, apply_mass_operator(ctx, zeta0, flux(grid))))
+        y0 = np.stack((zeta0, apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta0), flux(grid))))
         return real_integrate(rhs_fn, t_span, y0, **kw)
 
     monkeypatch.setattr(runner_mod, "integrate", integrate_from_flux)
+
+
+def passed_stage(ctx, zeta, w):
+    """A workspace loaded at zeta whose spectral pass ran with the flux w:
+    the stage a diagnostics row of the state (zeta, w) reads."""
+    stage = GNWorkspace().load(ctx, zeta)
+    interface_gradient(ctx, stage, w)
+    return stage
 
 
 def random_smooth_field(grid, rng, max_abs=1.0, modes=8):

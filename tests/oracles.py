@@ -39,9 +39,21 @@ import math
 import numpy as np
 
 from gnwaves.errors import ValidationError
-from gnwaves.operators import LAYER_SIGN, apply_mass_operator, capillary_density, invert_mass_operator, layer_depths
+from gnwaves.operators import (
+    LAYER_SIGN,
+    GNWorkspace,
+    apply_mass_operator,
+    capillary_density,
+    invert_mass_operator,
+    layer_depths,
+)
 from gnwaves.spectral import _check_field, irfft, rfft
 from gnwaves.stability import _tanhc, restoring_symbol
+
+
+# GNContext CG settings tighter than the evolution default, for the oracle
+# H and the exact gradients its finite differences are compared with
+TIGHT_CG = {"cg_tol": 1e-14, "cg_max_iter": 800}
 
 
 def inner(grid, f, g):
@@ -63,12 +75,12 @@ def hamiltonian(ctx, zeta, v):
     (1/2) integral[ (gamma+delta) zeta^2 + capillary + w A w ]  with w = A^{-1} v.
 
     Its gradients are dH/dzeta = interface_gradient and dH/dv = w; the finite
-    differences of this function are the oracle for both. Inverted tighter
-    than the evolution default (tol 1e-14, at least 400 iterations) so
-    central differences stay clean.
+    differences of this function are the oracle for both. Inverted at the
+    context's CG settings: build ``ctx`` with :data:`TIGHT_CG`, tighter than
+    the evolution default, so central differences stay clean.
     """
     p = ctx.params
-    w = invert_mass_operator(ctx, zeta, v, tol=1e-14, max_iter=max(ctx.cg_max_iter, 400))
+    w = invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v)
     quad = inner(ctx.grid, zeta, (p.gamma + p.delta) * zeta)
     cap = 0.0
     if p.inv_bond > 0.0:
@@ -187,7 +199,7 @@ def travelling_wave(ctx, a1):
     def residual(unknowns):
         zeta = np.concatenate(([a1], unknowns[:-1])) @ basis
         c = unknowns[-1]
-        r = c * apply_mass_operator(ctx, zeta, c * zeta) - zeta_gradient(ctx, zeta, c * zeta)
+        r = c * apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), c * zeta) - zeta_gradient(ctx, zeta, c * zeta)
         return basis @ r * (2.0 / grid.n)
 
     unknowns = np.zeros(modes.size)

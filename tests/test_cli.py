@@ -292,6 +292,41 @@ class TestAdmissibility:
         assert os.path.exists(os.path.join(out, "admissibility.txt"))
 
 
+class TestFloatRange:
+    """Configs at the edges of the model's float arithmetic end in a
+    recorded result or a usage error, never in an exception (warnings are
+    errors here)."""
+
+    @pytest.mark.parametrize("text", ["cg_tol = 1e-300\n", "delta = 1e-100\nmultiplier = identity\n"],
+                             ids=["cg_tol", "delta"])
+    def test_cg_breakdown_is_a_blowup(self, text, tmp_path, capsys):
+        # the solve's r.z underflows to 0: rejected stages, then step-size underflow
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("grid_n = 64\nt_end = 0.01\n" + text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+        assert "blowup" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta", [1e-100, 1e100, 9e-101, 1.1e100])
+    @pytest.mark.parametrize(
+        "argv",
+        [["stability"]] + [[command, "--multiplier", family]
+                           for command in ("admissibility", "simulate") for family in ("id", "reg", "imp")],
+        ids=lambda argv: "-".join(argv[::2]),
+    )
+    def test_delta_range(self, argv, delta, tmp_path, capsys):
+        # inside [1e-100, 1e100] a command runs (a cavitating start, at
+        # large delta, is a usage error); outside it is refused before --out
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text(f"delta = {delta!r}\ngrid_n = 64\nt_end = 0.01\n")
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        if 1e-100 <= delta <= 1e100:
+            assert code in (0, 2, 3)
+        else:
+            assert code == 2 and "delta: must lie in [1e-100, 1e100]" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):
     # the digests come from the bytes as written; they must be the files' own
     stab, adm = str(tmp_path / "stab"), str(tmp_path / "adm")

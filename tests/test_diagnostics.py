@@ -24,25 +24,26 @@ from gnwaves.operators import (
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid, irfft
 
-from conftest import REF_PARAMS, random_smooth_field
-from oracles import depth_flux, depth_flux_prime, hamiltonian, inner
+from conftest import REF_PARAMS, passed_stage, random_smooth_field
+from oracles import TIGHT_CG, depth_flux, depth_flux_prime, hamiltonian, inner
 
 
-def make_ctx(grid, params=REF_PARAMS, spec=None):
-    return GNContext(grid, params, spec or MultiplierSpec.regularized(params.delta))
+def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
+    return GNContext(grid, params, spec or MultiplierSpec.regularized(params.delta), **kw)
 
 
 def row(grid, zeta, v=None, w=None, t=0.0):
     """The diagnostics row of (zeta, v, w) at time t; v and w default to
     zero. Z, I, M, C and high_band read no operator, so any v and w do."""
-    zero = np.zeros(grid.n)
-    return compute_row(make_ctx(grid), t, zeta, zero if v is None else v, zero if w is None else w)
+    zero, ctx = np.zeros(grid.n), make_ctx(grid)
+    return compute_row(ctx, t, zero if v is None else v, passed_stage(ctx, zeta, zero if w is None else w))
 
 
 def row_velocity_mass(ctx, zeta, w):
     """The V column of the diagnostics row of the state carrying the flux w:
     the integral of v = A[eps*zeta] w."""
-    return compute_row(ctx, 0.0, zeta, apply_mass_operator(ctx, zeta, w), w).V
+    stage = passed_stage(ctx, zeta, w)
+    return compute_row(ctx, 0.0, apply_mass_operator(ctx, stage, w), stage).V
 
 
 class TestMass:
@@ -82,7 +83,7 @@ class TestImpulse:
 class TestEnergy:
     def test_rest_is_zero(self, grid):
         ctx = make_ctx(grid)
-        assert energy(ctx, np.zeros(grid.n), np.zeros(grid.n)) == 0.0
+        assert energy(ctx, passed_stage(ctx, np.zeros(grid.n), np.zeros(grid.n))) == 0.0
 
     def test_flat_quadratic_closed_form(self, grid):
         # Bo^-1 = 0, mu = 0, zeta = 0: energy = integral gamma u1^2 + h2 u2^2
@@ -92,23 +93,25 @@ class TestEnergy:
         k0 = 4 * np.pi / grid.length
         w = 0.2 * np.sin(k0 * grid.x)
         expected = (p.gamma + p.delta) * 0.2**2 * grid.length / 2
-        assert energy(ctx, np.zeros(grid.n), w) == pytest.approx(expected, rel=1e-12)
+        assert energy(ctx, passed_stage(ctx, np.zeros(grid.n), w)) == pytest.approx(expected, rel=1e-12)
 
     def test_even_in_w(self, grid):
         ctx = make_ctx(grid)
         rng = np.random.default_rng(3)
         zeta = random_smooth_field(grid, rng, max_abs=0.6)
         w = random_smooth_field(grid, rng)
-        assert energy(ctx, zeta, w) == pytest.approx(energy(ctx, zeta, -w), rel=1e-14)
+        reversed_flux = energy(ctx, passed_stage(ctx, zeta, -w))
+        assert energy(ctx, passed_stage(ctx, zeta, w)) == pytest.approx(reversed_flux, rel=1e-14)
 
     def test_matches_hamiltonian_quadratic_form(self, grid):
         # energy = 2 * H where H = (1/2) [ (gamma+delta) zeta^2 + cap + w A w ]
-        ctx = make_ctx(grid)
+        ctx = make_ctx(grid, **TIGHT_CG)
         rng = np.random.default_rng(4)
         zeta = random_smooth_field(grid, rng, max_abs=0.6)
         w = random_smooth_field(grid, rng)
-        v = apply_mass_operator(ctx, zeta, w)
-        assert energy(ctx, zeta, w) == pytest.approx(2.0 * hamiltonian(ctx, zeta, v), rel=1e-11)
+        stage = passed_stage(ctx, zeta, w)
+        v = apply_mass_operator(ctx, stage, w)
+        assert energy(ctx, stage) == pytest.approx(2.0 * hamiltonian(ctx, zeta, v), rel=1e-11)
 
 
 class TestMomentum:
@@ -216,14 +219,16 @@ class TestTranslationInvariance:
         rng = np.random.default_rng(8)
         zeta = random_smooth_field(grid, rng, max_abs=0.6)
         w = random_smooth_field(grid, rng)
-        v = apply_mass_operator(ctx, zeta, w)
+        stage = passed_stage(ctx, zeta, w)
+        v = apply_mass_operator(ctx, stage, w)
         shift = 37
         zs, ws, vs = np.roll(zeta, shift), np.roll(w, shift), np.roll(v, shift)
-        r, rs = compute_row(ctx, 0.0, zeta, v, w), compute_row(ctx, 0.0, zs, vs, ws)
+        shifted = passed_stage(ctx, zs, ws)
+        r, rs = compute_row(ctx, 0.0, v, stage), compute_row(ctx, 0.0, vs, shifted)
         assert rs.Z == pytest.approx(r.Z, rel=1e-13, abs=1e-15)
         assert row_velocity_mass(ctx, zs, ws) == pytest.approx(row_velocity_mass(ctx, zeta, w), rel=1e-12)
         assert rs.I == pytest.approx(r.I, rel=1e-12)
-        assert energy(ctx, zs, ws) == pytest.approx(energy(ctx, zeta, w), rel=1e-12)
+        assert energy(ctx, shifted) == pytest.approx(energy(ctx, stage), rel=1e-12)
 
 
 class TestOneLayerConservation:
@@ -250,9 +255,9 @@ class TestOneLayerConservation:
         t_end = 0.5
         result = integrate(f, (0.0, t_end), y0)
         zeta, v = result.y
-        w = invert_mass_operator(ctx, zeta, v)
-        r0 = compute_row(ctx, 0.0, zeta0, np.zeros(grid.n), np.zeros(grid.n))
-        r1 = compute_row(ctx, t_end, zeta, v, w)
+        w = invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v)
+        r0 = compute_row(ctx, 0.0, np.zeros(grid.n), passed_stage(ctx, zeta0, np.zeros(grid.n)))
+        r1 = compute_row(ctx, t_end, v, passed_stage(ctx, zeta, w))
         assert abs(r1.C - r0.C) <= 1e-10
         assert abs(r1.M - r0.M) <= 1e-10
 
@@ -262,8 +267,9 @@ def test_compute_row_fields(grid):
     rng = np.random.default_rng(9)
     zeta = random_smooth_field(grid, rng, max_abs=0.5)
     w = random_smooth_field(grid, rng)
-    v = apply_mass_operator(ctx, zeta, w)
-    row = compute_row(ctx, 1.5, zeta, v, w)
+    stage = passed_stage(ctx, zeta, w)
+    v = apply_mass_operator(ctx, stage, w)
+    row = compute_row(ctx, 1.5, v, stage)
     assert row.t == 1.5
     assert row.Z == pytest.approx(inner(grid, zeta, np.ones(grid.n)))
     assert row.I == pytest.approx(inner(grid, zeta, v))
@@ -313,8 +319,8 @@ def _oracle_row(ctx, t, zeta, v, w):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_row_from_the_stage_equals_the_recomputed_row(small_grid, family, inv_bond, mu, epsilon, dealias):
     # the runner's rows read the products rhs left in the workspace; they
-    # must be the row compute_row forms from (zeta, v, w) alone, and the
-    # row of the transform-per-derivative oracle, bit for bit
+    # must be the row of a stage freshly loaded at zeta and passed with
+    # rhs's w, and the row of the transform-per-derivative oracle, bit for bit
     p = PhysParams(gamma=0.95, epsilon=epsilon, mu=mu, delta=0.5, inv_bond=inv_bond)
     ctx = GNContext(small_grid, p, FAMILIES[family](p.delta, None, None), dealias=dealias)
     rng = np.random.default_rng(19)
@@ -323,7 +329,7 @@ def test_row_from_the_stage_equals_the_recomputed_row(small_grid, family, inv_bo
     ws = GNWorkspace()
     rhs(ctx, zeta, v, workspace=ws)
     w = ws.w_prev
-    rows = (astuple(compute_row(ctx, 0.75, zeta, v, w, ws)), astuple(compute_row(ctx, 0.75, zeta, v, w)),
+    rows = (astuple(compute_row(ctx, 0.75, v, ws)), astuple(compute_row(ctx, 0.75, v, passed_stage(ctx, zeta, w))),
             _oracle_row(ctx, 0.75, zeta, v, w))
     bits = [np.array(row).view(np.uint64) for row in rows]
     assert np.array_equal(bits[0], bits[1])
@@ -346,5 +352,5 @@ def test_row_after_a_failed_stage_equals_the_recomputed_row(small_grid, mu):
         rhs(ctx, -failed_zeta, np.full(small_grid.n, np.nan), workspace=ws)
     assert np.array_equal(ws.depths, layer_depths(p, -failed_zeta))
     rhs(ctx, zeta, v, workspace=ws)
-    rows = astuple(compute_row(ctx, 0.5, zeta, v, ws.w_prev, ws)), astuple(compute_row(ctx, 0.5, zeta, v, ws.w_prev))
+    rows = astuple(compute_row(ctx, 0.5, v, ws)), astuple(compute_row(ctx, 0.5, v, passed_stage(ctx, zeta, ws.w_prev)))
     assert np.array_equal(np.array(rows[0]).view(np.uint64), np.array(rows[1]).view(np.uint64))

@@ -24,7 +24,7 @@ from gnwaves.runner import guarded_rhs
 from gnwaves.spectral import Grid, dealias_mask, irfft, rfft
 
 from conftest import REF_PARAMS, random_smooth_field
-from oracles import ddx, hamiltonian, inner, zeta_gradient
+from oracles import TIGHT_CG, ddx, hamiltonian, inner, zeta_gradient
 
 
 def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
@@ -83,7 +83,8 @@ class TestLayerOperators:
 class TestMassOperator:
     def test_linear_in_w(self, grid):
         ctx = make_ctx(grid)
-        assert np.allclose(apply_mass_operator(ctx, np.zeros(grid.n), np.zeros(grid.n)), 0.0)
+        flat = GNWorkspace().load(ctx, np.zeros(grid.n))
+        assert np.allclose(apply_mass_operator(ctx, flat, np.zeros(grid.n)), 0.0)
 
     def test_flat_interface_symbol(self, grid):
         # at zeta = 0 the operator is diagonal with symbol
@@ -100,7 +101,7 @@ class TestMassOperator:
             f1 = float(eval_multiplier(spec, 1, k0, p.mu))
             f2 = float(eval_multiplier(spec, 2, k0, p.mu))
             symbol = (p.gamma + p.delta) + (p.mu / 3.0) * (f2**2 / p.delta + p.gamma * f1**2) * k0**2
-            out = apply_mass_operator(ctx, np.zeros(grid.n), w)
+            out = apply_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), w)
             assert np.allclose(out, symbol * w, rtol=1e-12)
 
     def test_flat_symbol_matches_stability_b(self, grid):
@@ -121,7 +122,7 @@ class TestMassOperator:
         rng = np.random.default_rng(5)
         zeta, w = random_state(ctx, rng)
         h1, h2 = layer_depths(p, zeta)
-        out = apply_mass_operator(ctx, zeta, w)
+        out = apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), w)
         assert np.allclose(out, w / h2, rtol=1e-14)
 
     def test_self_adjoint_and_positive(self, grid):
@@ -130,8 +131,9 @@ class TestMassOperator:
         for _ in range(10):
             zeta, w = random_state(ctx, rng)
             g = random_smooth_field(grid, rng)
-            aw = apply_mass_operator(ctx, zeta, w)
-            ag = apply_mass_operator(ctx, zeta, g)
+            stage = GNWorkspace().load(ctx, zeta)
+            aw = apply_mass_operator(ctx, stage, w)
+            ag = apply_mass_operator(ctx, stage, g)
             lhs, rhs_ = inner(grid, aw, g), inner(grid, w, ag)
             assert lhs == pytest.approx(rhs_, rel=1e-12)
             assert inner(grid, aw, w) > 0
@@ -154,14 +156,14 @@ class TestMassOperator:
             - (p.mu * p.gamma / 3.0) * dxf1(h1**3 * dxf1(w / h1)) / h1
             - (p.mu / 3.0) * dxf2(h2**3 * dxf2(w / h2)) / h2
         )
-        out = apply_mass_operator(ctx, zeta, w)
+        out = apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), w)
         assert np.allclose(out, expanded, rtol=0, atol=1e-12 * np.max(np.abs(expanded)))
 
     def test_cavitation_raises(self, grid):
         ctx = make_ctx(grid)
         zeta = np.full(grid.n, 2.1)  # h1 = 1 - 0.5*2.1 < 0
         with pytest.raises(CavitationError):
-            apply_mass_operator(ctx, zeta, np.ones(grid.n))
+            GNWorkspace().load(ctx, zeta)
 
 
 class TestInversion:
@@ -171,22 +173,23 @@ class TestInversion:
         rng = np.random.default_rng(23)
         v = random_smooth_field(grid, rng)
         expected = np.fft.irfft(np.fft.rfft(v) / ctx.flat_symbol, grid.n)
-        w = invert_mass_operator(ctx, np.zeros(grid.n), v)
+        w = invert_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), v)
         assert np.max(np.abs(w - expected)) <= 1e-13
 
     def test_zero_rhs(self, grid):
         ctx = make_ctx(grid)
-        w = invert_mass_operator(ctx, np.zeros(grid.n), np.zeros(grid.n))
+        w = invert_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), np.zeros(grid.n))
         assert np.array_equal(w, np.zeros(grid.n))
 
     def test_round_trip_random_states(self, grid):
-        ctx = make_ctx(grid)
+        ctx = make_ctx(grid, cg_tol=1e-12)
         rng = np.random.default_rng(31)
         for _ in range(10):
             zeta, _ = random_state(ctx, rng)
             v = random_smooth_field(grid, rng)
-            w = invert_mass_operator(ctx, zeta, v, tol=1e-12)
-            residual = apply_mass_operator(ctx, zeta, w) - v
+            stage = GNWorkspace().load(ctx, zeta)
+            w = invert_mass_operator(ctx, stage, v)
+            residual = apply_mass_operator(ctx, stage, w) - v
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)
 
     def test_warm_start_converges(self, grid):
@@ -194,8 +197,9 @@ class TestInversion:
         rng = np.random.default_rng(37)
         zeta, _ = random_state(ctx, rng)
         v = random_smooth_field(grid, rng)
-        w1 = invert_mass_operator(ctx, zeta, v)
-        w2 = invert_mass_operator(ctx, zeta, v, x0=w1)
+        stage = GNWorkspace().load(ctx, zeta)
+        w1 = invert_mass_operator(ctx, stage, v)
+        w2 = invert_mass_operator(ctx, stage, v, x0=w1)
         assert np.allclose(w1, w2, atol=1e-11)
 
     def test_mu_zero_is_pointwise(self, grid):
@@ -205,13 +209,23 @@ class TestInversion:
         zeta, _ = random_state(ctx, rng)
         v = random_smooth_field(grid, rng)
         h1, h2 = layer_depths(p, zeta)
-        w = invert_mass_operator(ctx, zeta, v)
+        w = invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v)
         assert np.allclose(w, v * h1 * h2 / (h1 + p.gamma * h2), rtol=1e-15)
 
 
 class TestCGBreakdown:
     """A non-finite right-hand side or residual is a CG breakdown, raised
-    as soon as its norm is seen."""
+    as soon as its norm is seen, and so is an r.z or p.Ap that is not
+    positive."""
+
+    def test_underflowing_inner_product_is_a_breakdown(self):
+        # r.z of a 1e-150 momentum underflows to 0, which the CG update
+        # divided by: a ConvergenceError, not a ZeroDivisionError
+        grid = Grid(64, 4.0)
+        ctx = make_ctx(grid)
+        stage = GNWorkspace().load(ctx, -np.exp(-4 * grid.x**2))
+        with pytest.raises(ConvergenceError, match="breakdown: r.z = 0"):
+            invert_mass_operator(ctx, stage, 1e-150 * np.sin(np.pi * grid.x / 4))
 
     @staticmethod
     def count_applications(monkeypatch):
@@ -230,22 +244,24 @@ class TestCGBreakdown:
     def test_non_finite_v_raises_at_once(self, grid, monkeypatch, bad, warm):
         ctx = make_ctx(grid)
         zeta, w = random_state(ctx, np.random.default_rng(43))
-        v = apply_mass_operator(ctx, zeta, w)
+        stage = GNWorkspace().load(ctx, zeta)
+        v = apply_mass_operator(ctx, stage, w)
         v[grid.n // 3] = bad
         calls = self.count_applications(monkeypatch)
         with pytest.raises(ConvergenceError):
-            invert_mass_operator(ctx, zeta, v, x0=w if warm else None)
+            invert_mass_operator(ctx, stage, v, x0=w if warm else None)
         assert len(calls) <= 1
 
     def test_non_finite_warm_start_raises_after_one_application(self, grid, monkeypatch):
         ctx = make_ctx(grid)
         zeta, w = random_state(ctx, np.random.default_rng(47))
-        v = apply_mass_operator(ctx, zeta, w)
+        stage = GNWorkspace().load(ctx, zeta)
+        v = apply_mass_operator(ctx, stage, w)
         x0 = w.copy()
         x0[7] = np.nan
         calls = self.count_applications(monkeypatch)
         with pytest.raises(ConvergenceError) as exc:
-            invert_mass_operator(ctx, zeta, v, x0=x0)
+            invert_mass_operator(ctx, stage, v, x0=x0)
         assert len(calls) == 1
         assert len(exc.value.residuals) == 1 and np.isnan(exc.value.residuals[0])
 
@@ -259,7 +275,7 @@ class TestCGBreakdown:
         v = np.sin(grid.x)
         v[grid.n // 3] = np.nan
         with pytest.raises(ConvergenceError):
-            invert_mass_operator(ctx, zeta, v)
+            invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v)
         with pytest.raises(ConvergenceError):
             hamiltonian(ctx, zeta, v)
 
@@ -405,7 +421,8 @@ class TestHotPathOracle:
         rng = np.random.default_rng(101)
         for _ in range(3):
             zeta, w = random_state(ctx, rng)
-            assert np.array_equal(apply_mass_operator(ctx, zeta, w), _oracle_mass_operator(ctx, zeta, w))
+            stage = GNWorkspace().load(ctx, zeta)
+            assert np.array_equal(apply_mass_operator(ctx, stage, w), _oracle_mass_operator(ctx, zeta, w))
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -416,7 +433,7 @@ class TestHotPathOracle:
         v = _oracle_mass_operator(ctx, zeta, w_true)
         x0 = w_true + 1e-3 * random_smooth_field(grid, rng) if warm else None
         expected = _oracle_pcg(ctx, zeta, v, x0=x0)
-        got = invert_mass_operator(ctx, zeta, v, x0=x0)
+        got = invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v, x0=x0)
         assert np.array_equal(got, expected)
 
     def test_precomputed_constants_match_zeta_call(self, grid):
@@ -425,14 +442,14 @@ class TestHotPathOracle:
         zeta, w = random_state(ctx, rng)
         other = random_smooth_field(grid, rng)
         stage = GNWorkspace().load(ctx, zeta)
-        expected = apply_mass_operator(ctx, zeta, w)
+        expected = apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), w)
         # reused buffers: an application in between must leave no trace
-        first = apply_mass_operator(ctx, zeta, w, stage=stage)
-        between = apply_mass_operator(ctx, zeta, other, stage=stage)
-        again = apply_mass_operator(ctx, zeta, w, stage=stage)
+        first = apply_mass_operator(ctx, stage, w)
+        between = apply_mass_operator(ctx, stage, other)
+        again = apply_mass_operator(ctx, stage, w)
         assert np.array_equal(first, expected)
         assert np.array_equal(again, expected)
-        assert np.array_equal(between, apply_mass_operator(ctx, zeta, other))
+        assert np.array_equal(between, apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), other))
         for buf in (stage.spectral, stage.physical):
             assert not np.shares_memory(first, buf)
 
@@ -442,7 +459,7 @@ class TestHotPathOracle:
         rng = np.random.default_rng(109)
         zeta, w = random_state(ctx, rng)
         stage = GNWorkspace().load(ctx, zeta)
-        assert np.array_equal(apply_mass_operator(ctx, zeta, w, stage=stage), _oracle_mass_operator(ctx, zeta, w))
+        assert np.array_equal(apply_mass_operator(ctx, stage, w), _oracle_mass_operator(ctx, zeta, w))
 
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -478,11 +495,12 @@ class TestHotPathOracle:
         rng = np.random.default_rng(131)
         zeta, w = random_state(ctx, rng)
         other_zeta, other_w = random_state(ctx, rng)
-        v, other_v = apply_mass_operator(ctx, zeta, w), apply_mass_operator(ctx, other_zeta, other_w)
-        first = invert_mass_operator(ctx, zeta, v)
+        stage, other = GNWorkspace().load(ctx, zeta), GNWorkspace().load(ctx, other_zeta)
+        v, other_v = apply_mass_operator(ctx, stage, w), apply_mass_operator(ctx, other, other_w)
+        first = invert_mass_operator(ctx, stage, v)
         tendencies = rhs(ctx, zeta, v)
         kept = first.copy(), tendencies.copy()
-        invert_mass_operator(ctx, other_zeta, other_v, x0=first)
+        invert_mass_operator(ctx, other, other_v, x0=first)
         rhs(ctx, other_zeta, other_v, workspace=GNWorkspace())
         assert np.array_equal(first, kept[0])
         assert np.array_equal(tendencies, kept[1])
@@ -517,7 +535,7 @@ class TestSharedConstants:
         ctx = make_ctx(grid, params=params, dealias=True)
         rng = np.random.default_rng(137)
         states = [random_state(ctx, rng) for _ in range(3)]
-        states = [(zeta, apply_mass_operator(ctx, zeta, w)) for zeta, w in states]
+        states = [(zeta, apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), w)) for zeta, w in states]
         built = self.count_constants(monkeypatch)
         ws = GNWorkspace()
         for calls, (zeta, v) in enumerate(states, start=1):
@@ -530,8 +548,9 @@ class TestSharedConstants:
         ctx = make_ctx(grid)
         zeta, w = random_state(ctx, np.random.default_rng(139))
         buf = np.full(grid.n, np.nan)
-        assert apply_mass_operator(ctx, zeta, w, out=buf) is buf
-        assert np.array_equal(buf, apply_mass_operator(ctx, zeta, w))
+        stage = GNWorkspace().load(ctx, zeta)
+        assert apply_mass_operator(ctx, stage, w, out=buf) is buf
+        assert np.array_equal(buf, apply_mass_operator(ctx, stage, w))
 
     def test_complex_inverse_symbol_multiplies_like_the_real_one(self, grid):
         ctx = make_ctx(grid)
@@ -551,9 +570,10 @@ def test_cg_iteration_cap(grid, max_iter):
     # residual it saw, and a stage under guarded_rhs turns that into NaN
     ctx = make_ctx(grid, cg_max_iter=max_iter)
     zeta, w = random_state(ctx, np.random.default_rng(157))
-    v = apply_mass_operator(ctx, zeta, w)
+    stage = GNWorkspace().load(ctx, zeta)
+    v = apply_mass_operator(ctx, stage, w)
     with pytest.raises(ConvergenceError, match="did not reach tol") as err:
-        invert_mass_operator(ctx, zeta, v)
+        invert_mass_operator(ctx, stage, v)
     assert len(err.value.residuals) == max_iter + 1
     y = np.stack((zeta, v))
     tendencies = guarded_rhs(ctx, GNWorkspace())(0.0, y, rfft(y))
@@ -587,7 +607,8 @@ def capillary_part(grid, zeta, params):
     interface_gradient forms it: the gradient at w = 0 less its
     (gamma+delta) zeta term."""
     ctx = GNContext(grid, params, MultiplierSpec.identity())
-    return interface_gradient(ctx, zeta, np.zeros(grid.n)) - (params.gamma + params.delta) * zeta
+    gradient = interface_gradient(ctx, GNWorkspace().load(ctx, zeta), np.zeros(grid.n))
+    return gradient - (params.gamma + params.delta) * zeta
 
 
 class TestSurfaceTension:
@@ -659,7 +680,7 @@ class TestRFluxAssembly:
             - 0.5 * g * (h1 * dxf1(w / h1)) ** 2
         )
         rest = (p.gamma + p.delta) * zeta + 0.5 * p.epsilon * (h1**2 - g * h2**2) / (h1 * h2) ** 2 * w**2
-        r = (rest - interface_gradient(ctx, zeta, w)) / (p.mu * p.epsilon)
+        r = (rest - interface_gradient(ctx, GNWorkspace().load(ctx, zeta), w)) / (p.mu * p.epsilon)
         assert np.allclose(r, expanded, rtol=0, atol=1e-12)
 
 
@@ -674,7 +695,7 @@ class TestRhs:
         ctx = make_ctx(grid)
         p = ctx.params
         wbar = 0.3
-        v = apply_mass_operator(ctx, np.zeros(grid.n), np.full(grid.n, wbar))
+        v = apply_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), np.full(grid.n, wbar))
         dzeta, dv = physical_rhs(ctx, np.zeros(grid.n), v)
         assert np.max(np.abs(dzeta)) <= 1e-13
         assert np.max(np.abs(dv)) <= 1e-13
@@ -732,9 +753,10 @@ class TestStagePredictor:
         rng = np.random.default_rng(151)
         a, b, c = (random_smooth_field(grid, rng) for _ in range(3))
         zeta = np.zeros(grid.n)
+        flat = GNWorkspace().load(ctx, zeta)
 
         def momentum(t):
-            return apply_mass_operator(ctx, zeta, a + t * b + t**2 * c)
+            return apply_mass_operator(ctx, flat, a + t * b + t**2 * c)
 
         ws = GNWorkspace()
         for t in (0.0, 0.1, 0.25):
@@ -754,13 +776,14 @@ class TestStagePredictor:
         ctx = make_ctx(grid)
         rng = np.random.default_rng(157)
         zeta, w = random_state(ctx, rng)
-        v = apply_mass_operator(ctx, zeta, w)
+        stage = GNWorkspace().load(ctx, zeta)
+        v = apply_mass_operator(ctx, stage, w)
         ws = GNWorkspace()
         assert ws.warm_start(ctx, 0.5, rfft(v)) is None
         self.solved_stage(ctx, ws, zeta, v, 0.5)
         assert ws.warm_start(ctx, None, None) is ws.w_prev
         # one solve known: its flux plus P^-1 of the change in v
-        dv = apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng))
+        dv = apply_mass_operator(ctx, stage, random_smooth_field(grid, rng))
         expected = ws.w_prev + np.fft.irfft(np.fft.rfft(dv) / ctx.flat_symbol, grid.n)
         np.testing.assert_allclose(ws.warm_start(ctx, 0.7, rfft(v + dv)), expected, rtol=0, atol=1e-14)
 
@@ -768,7 +791,8 @@ class TestStagePredictor:
         ctx = make_ctx(grid)
         rng = np.random.default_rng(163)
         zeta = random_state(ctx, rng)[0]
-        vs = [apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng)) for _ in range(5)]
+        stage = GNWorkspace().load(ctx, zeta)
+        vs = [apply_mass_operator(ctx, stage, random_smooth_field(grid, rng)) for _ in range(5)]
         ws = GNWorkspace()
         for t, v in zip((0.1, 0.2, 0.3, 0.3), vs):
             self.solved_stage(ctx, ws, zeta, v, t)
@@ -792,7 +816,8 @@ class TestStagePredictor:
         ctx = make_ctx(grid)
         rng = np.random.default_rng(167)
         zeta = random_state(ctx, rng)[0]
-        vs = [apply_mass_operator(ctx, zeta, random_smooth_field(grid, rng)) for _ in range(4)]
+        stage = GNWorkspace().load(ctx, zeta)
+        vs = [apply_mass_operator(ctx, stage, random_smooth_field(grid, rng)) for _ in range(4)]
         ws = GNWorkspace()
         times = (0.1, 0.2, 0.25)
         ws_w = []
@@ -918,12 +943,13 @@ class TestLinearDispersion:
 
 class TestHamiltonianGradients:
     def test_gradient_wrt_v_is_w(self, grid):
-        ctx = make_ctx(grid)
+        ctx = make_ctx(grid, **TIGHT_CG)
         rng = np.random.default_rng(67)
         zeta, w0 = random_state(ctx, rng)
-        v = apply_mass_operator(ctx, zeta, w0)
+        stage = GNWorkspace().load(ctx, zeta)
+        v = apply_mass_operator(ctx, stage, w0)
         phi = random_smooth_field(grid, rng)
-        w = invert_mass_operator(ctx, zeta, v, tol=1e-14, max_iter=800)
+        w = invert_mass_operator(ctx, stage, v)
         exact = inner(grid, w, phi)
         for h in (1e-2, 1e-3):
             fd = (hamiltonian(ctx, zeta, v + h * phi) - hamiltonian(ctx, zeta, v - h * phi)) / (2 * h)
@@ -931,13 +957,14 @@ class TestHamiltonianGradients:
             assert fd == pytest.approx(exact, rel=1e-9)
 
     def test_gradient_wrt_zeta_second_order(self, grid):
-        ctx = make_ctx(grid)
+        ctx = make_ctx(grid, **TIGHT_CG)
         rng = np.random.default_rng(71)
         zeta, w0 = random_state(ctx, rng)
-        v = apply_mass_operator(ctx, zeta, w0)
+        stage = GNWorkspace().load(ctx, zeta)
+        v = apply_mass_operator(ctx, stage, w0)
         phi = random_smooth_field(grid, rng, max_abs=0.2)
-        w = invert_mass_operator(ctx, zeta, v, tol=1e-14, max_iter=800)
-        exact = inner(grid, interface_gradient(ctx, zeta, w), phi)
+        w = invert_mass_operator(ctx, stage, v)
+        exact = inner(grid, interface_gradient(ctx, stage, w), phi)
         errs = []
         for h in (1e-2, 1e-3):
             fd = (hamiltonian(ctx, zeta + h * phi, v) - hamiltonian(ctx, zeta - h * phi, v)) / (2 * h)

@@ -29,6 +29,8 @@ class TestPhysParams:
             ({"epsilon": -1.0}, "epsilon"),
             ({"mu": -0.5}, "mu"),
             ({"delta": 0.0}, "delta"),
+            ({"delta": 1e-200}, "delta"),
+            ({"delta": 1e200}, "delta"),
             ({"inv_bond": -1e-3}, "inv_bond"),
         ],
     )

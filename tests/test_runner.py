@@ -99,7 +99,7 @@ def stacked_state(ctx, w):
     """The (2, n) state (zeta, v) for the reference Gaussian interface
     carrying the flux w."""
     zeta = -np.exp(-4 * ctx.grid.x**2)
-    return np.stack((zeta, apply_mass_operator(ctx, zeta, w)))
+    return np.stack((zeta, apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), w)))
 
 
 def smooth_flux(grid):
@@ -555,7 +555,7 @@ class TestRunExperiment:
         _, zeta, w = read_snapshot(os.path.join(out, snap))
         y = captured["y"]
         assert np.array_equal(zeta, y[0])
-        residual = apply_mass_operator(ctx, zeta, w) - y[1]
+        residual = apply_mass_operator(ctx, GNWorkspace().load(ctx, zeta), w) - y[1]
         assert np.linalg.norm(residual) <= config.cg_tol * np.linalg.norm(y[1])
 
     def test_rows_and_snapshots_take_the_solved_flux(self, tmp_path, monkeypatch):
@@ -564,17 +564,17 @@ class TestRunExperiment:
         solves = []
         invert = operators_mod.invert_mass_operator
 
-        def recorded(ctx, zeta, v, **kwargs):
-            w = invert(ctx, zeta, v, **kwargs)
+        def recorded(ctx, stage, v, **kwargs):
+            w = invert(ctx, stage, v, **kwargs)
             solves.append((kwargs.get("x0"), w))
             return w
 
         taken = []
         compute_row, write_snapshot = runner_mod.compute_row, runner_mod.write_snapshot
 
-        def row(ctx, t, zeta, v, w, *stage):
-            taken.append(("row", t, w))
-            return compute_row(ctx, t, zeta, v, w, *stage)
+        def row(ctx, t, v, stage):
+            taken.append(("row", t, stage.w))
+            return compute_row(ctx, t, v, stage)
 
         def snapshot(path, grid, zeta, w):
             taken.append(("snapshot", path, w))
