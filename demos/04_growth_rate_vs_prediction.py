@@ -39,9 +39,10 @@ workspace = GNWorkspace()
 
 
 # plain Dormand-Prince stages (no linear part) take the tendencies in
-# physical space: the irfft of rhs's spectral ones
+# physical space: the irfft of rhs's spectral ones; each solve starts from
+# the last stage's flux
 def f(t, y, u):
-    return irfft(rhs(ctx, *y, workspace=workspace), grid.n)
+    return irfft(rhs(ctx, workspace, *y, x0=workspace.w), grid.n)
 
 
 def watch(t, y, stats):

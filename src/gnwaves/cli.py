@@ -97,8 +97,11 @@ def _cmd_stability(args):
     config = _load_config(args)
     if args.k_points < 1:
         raise ValidationError("k_points", f"must be >= 1, got {args.k_points}")
-    if not (np.isfinite(args.k_max) and args.k_max > 0):
-        raise ValidationError("k_max", f"must be finite and positive, got {args.k_max}")
+    # the table forms inv_bond k^2 and the shear factor's (mu k^2)^2; with
+    # inv_bond and mu at most 1e100, this keeps both finite
+    mu = config.params.mu
+    if not (args.k_max > 0 and args.k_max * args.k_max * max(mu, 1.0) <= 1e150):
+        raise ValidationError("k_max", f"must be > 0 with k_max^2 max(mu, 1) <= 1e150, got {args.k_max} at mu = {mu}")
     claim_out_dir(args.out, args.generator, force=True)
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
     columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)

@@ -43,19 +43,22 @@ the stage and reads zeta from it, and a library caller loads one with
 
 The stages run in Fourier space. :func:`rhs` returns the spectral
 tendencies -ik (w_hat, grad_hat) that the Lawson stages of
-``timestepper.integrate`` take as they are, and ``runner.guarded_rhs`` hands
-it the stage's spectrum of v, the frame row the integrator holds. Each
-solve of a timed stage starts from the stage-value predictor of Hairer &
-Wanner (Solving ODEs II, IV.8), :meth:`GNWorkspace.warm_start`: the last
-three successful stage solves, extrapolated to the stage time t with
-quadratic Lagrange weights c, plus P^-1 of what they leave of v, formed
-in spectral space: x0 = c @ W + irfft((v_hat - c @ V) / A0). It takes the
-reference experiment from 6.8 to 5.5 applications of A per solve. The
-stage time is known to ``runner.guarded_rhs``, which passes it to
-:func:`rhs` and adds a stage to the history only once the stage has passed
-every check. The stopping errors of predicted starts are correlated from
-stage to stage and add up in the energy drift, so ``CG_TOL`` is 1e-13, not
-1e-12.
+``timestepper.integrate`` take as they are. Like
+:func:`invert_mass_operator`, :func:`rhs` takes a stage, which it loads at
+the zeta it is given, and solves from the start ``x0`` it is given, cold
+when None. Each solve of a timed stage starts from the stage-value
+predictor of Hairer & Wanner (Solving ODEs II, IV.8),
+:meth:`GNWorkspace.warm_start`: the last three successful stage solves,
+extrapolated to the stage time t with quadratic Lagrange weights c, plus
+P^-1 of what they leave of v, formed in spectral space: x0 = c @ W +
+irfft((v_hat - c @ V) / A0). It takes the reference experiment from 6.8
+to 5.5 applications of A per solve. The stage time and the stage's
+spectrum of v, the frame row the integrator holds, are known to
+``runner.guarded_rhs``, which forms the start from them, passes it to
+:func:`rhs` and adds a stage to the history only once the stage has
+passed every check. The stopping errors of predicted starts are
+correlated from stage to stage and add up in the energy drift, so
+``CG_TOL`` is 1e-13, not 1e-12.
 
 After the solve, one function runs the stage's stacked spectral pass and
 forms the zeta-gradient (:func:`interface_gradient`): one rfft of the rows
@@ -67,10 +70,11 @@ tension, u for mu > 0. At epsilon = 0 the pass still forms h^3 dx F u and
 R, which the factor mu*eps = 0 removes. The two spectral tendencies are
 the pass's w_hat and the gradient's rfft times the context's ``minus_ik``,
 -ik with the optional 2/3-rule mask, so they are exactly 0 on the masked
-modes: three rfft and two irfft calls per :func:`rhs` besides CG's and the
-predictor's one irfft, and no transform in the Lawson frame change. The
-pass keeps w and its products on the workspace, and the diagnostics row of
-an accepted stage reads them with no transform.
+modes: three rfft and two irfft calls per :func:`rhs` besides CG's (and
+the predictor's one irfft before a timed stage), and no transform in the
+Lawson frame change. The pass keeps w and its products on the workspace,
+and the diagnostics row of an accepted stage reads them with no
+transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -87,7 +91,7 @@ from . import spectral
 from .errors import CavitationError, ConvergenceError, ValidationError
 from .multipliers import layer_symbols
 from .spectral import dealias_mask
-from .stability import flat_interface, restoring_symbol
+from .stability import mass_symbol, restoring_symbol
 from .timestepper import ModeRotation
 
 __all__ = [
@@ -165,7 +169,7 @@ class GNContext:
         self.dx_symbols = grid.ik * self.symbols
         # symbol of A at zeta = 0, on the Nyquist-truncated derivative ladder
         k = grid.ik.imag
-        self.flat_symbol, _ = flat_interface(params, self.symbols, k)
+        self.flat_symbol = mass_symbol(params, self.symbols, k)
         self.inv_flat_symbol = (1.0 / self.flat_symbol).astype(complex)
         self.ik = grid.ik * dealias_mask(grid) if dealias else grid.ik
         self.minus_ik = -self.ik
@@ -184,8 +188,8 @@ class GNContext:
 class GNWorkspace:
     """One stage's data, and per-integration scratch: the one holder through
     which a state reaches :func:`apply_mass_operator`,
-    :func:`invert_mass_operator`, :func:`interface_gradient` and the
-    diagnostics row.
+    :func:`invert_mass_operator`, :func:`interface_gradient`, :func:`rhs`
+    and the diagnostics row.
 
     :meth:`load` sets the per-state data of the stage: ``zeta`` itself (the
     array it was given, not a copy, so the caller writes no more into it)
@@ -196,28 +200,29 @@ class GNWorkspace:
     (gamma/h1, 1/h2) and the spectral and physical (2, n) buffers every
     application writes into (used up inside :func:`apply_mass_operator`;
     nothing it returns views them). The pass of :func:`interface_gradient`
-    adds the flux ``w`` it was given, ``u``, ``w_hat``, ``zeta_hat``,
-    ``slope`` (with tension) and ``dxf_u`` (mu > 0), which the diagnostics
-    row reads. ``w_prev`` keeps the
-    last stage's solved flux; ``history`` the (t, row) of the last three
-    stage solves that :meth:`remember` was given, oldest first, whose flux
-    and momentum spectrum are row ``row`` of ``past_w`` and ``past_v_hat``
-    (the CG start of :meth:`warm_start`); ``resolution_lost_at`` the stage
-    time at which a resolution guard tripped (None while clean). Not
-    shareable between concurrent integrations."""
+    adds the flux ``w`` it was given (under :func:`rhs`, the stage's solved
+    flux), ``u``, ``w_hat``, ``zeta_hat``, ``slope`` (with tension) and
+    ``dxf_u`` (mu > 0), which the diagnostics row reads; ``history`` the
+    (t, row) of the last three stage solves that :meth:`remember` was
+    given, oldest first, whose flux and momentum spectrum are row ``row``
+    of ``past_w`` and ``past_v_hat`` (the CG start of :meth:`warm_start`);
+    ``resolution_lost_at`` the stage time at which a resolution guard
+    tripped (None while clean). Not shareable between concurrent
+    integrations."""
 
     def __init__(self):
-        self.zeta = self.w = self.w_prev = self.w_hat = self.depths = self.local = self.cube = None
+        self.zeta = self.w = self.w_hat = self.depths = self.local = self.cube = None
         self.u = self.zeta_hat = self.slope = self.dxf_u = self.resolution_lost_at = None
         self.history = []
         self.past_w = self.past_v_hat = None
 
     def load(self, ctx, zeta):
         """Set the per-state data of zeta (cavitation checked by
-        :func:`layer_depths`); returns the workspace."""
+        :func:`layer_depths` first: a cavitating zeta changes nothing on
+        the stage); returns the workspace."""
         p = ctx.params
-        self.zeta = zeta
-        h = self.depths = layer_depths(p, zeta)
+        h = layer_depths(p, zeta)
+        self.zeta, self.depths = zeta, h
         inv = self.inv_depths = 1.0 / h
         self.local = p.gamma * inv[0] + inv[1]
         self.w2_coef = 0.5 * p.epsilon * (inv[1] ** 2 - p.gamma * inv[0] ** 2)
@@ -240,11 +245,10 @@ class GNWorkspace:
         weights in t of their times (quadratic from three solves, linear
         from two, c = 1 from one) and P the flat-interface preconditioner, A
         at zeta = 0, which carries the part of v that the history does not
-        extrapolate: one irfft. ``w_prev`` (None: a cold start) without a
-        time or a history, and at mu = 0, where the solve is pointwise and
-        takes no start."""
-        if t is None or not self.history or ctx.params.mu == 0.0:
-            return self.w_prev
+        extrapolate: one irfft. None (a cold start) without a history, and at
+        mu = 0, where the solve is pointwise and takes no start."""
+        if not self.history or ctx.params.mu == 0.0:
+            return None
         times = [t_j for t_j, _ in self.history]
         c = np.empty(len(times))
         for t_j, row in self.history:
@@ -255,17 +259,17 @@ class GNWorkspace:
 
     def remember(self, t, v_hat):
         """Add the stage at time t, whose solve took the momentum with
-        spectrum v_hat to ``w_prev``, to the history, which keeps the last
-        three (copies of both): it replaces an entry at the same t (a
-        repeated stage time, such as Dormand-Prince's c6 = c7 = 1), else the
-        oldest once it holds three."""
+        spectrum v_hat to the flux ``w`` its pass kept, to the history,
+        which keeps the last three (copies of both): it replaces an entry at
+        the same t (a repeated stage time, such as Dormand-Prince's c6 = c7
+        = 1), else the oldest once it holds three."""
         if self.past_w is None:
-            self.past_w = np.empty((3,) + self.w_prev.shape)
+            self.past_w = np.empty((3,) + self.w.shape)
             self.past_v_hat = np.empty((3,) + v_hat.shape, dtype=complex)
         rows = dict(self.history)
         row = rows.get(t, len(rows) if len(rows) < 3 else self.history[0][1])
         self.history = [entry for entry in self.history if entry[1] != row] + [(t, row)]
-        self.past_w[row] = self.w_prev
+        self.past_w[row] = self.w
         self.past_v_hat[row] = v_hat
 
 
@@ -437,30 +441,26 @@ def interface_gradient(ctx, stage, w):
     return grad
 
 
-def rhs(ctx, zeta, v, workspace=None, t=None, v_hat=None):
+def rhs(ctx, stage, zeta, v, x0=None):
     """Spectral tendencies (dt zeta_hat, dt v_hat) at state (zeta, v): the
     real FFTs of the tendencies, stacked as one (2, n/2+1) complex array,
     as the Lawson stages of ``timestepper.integrate`` take them.
     ``spectral.irfft(rhs(...), n)`` gives the (2, n) tendencies in physical
     space, so ``dzeta, dv = spectral.irfft(rhs(...), n)`` unpacks them.
 
-    Loads ``workspace`` (a fresh :class:`GNWorkspace` when None) at zeta
-    once, for the CG solve, the pass and R. Recovers w = A^{-1} v first,
-    started from :meth:`GNWorkspace.warm_start` at the stage time ``t``
-    and ``v_hat``, the stage's real FFT of v (the two go together), or from
-    ``workspace.w_prev`` without a time, and kept as
-    ``workspace.w_prev``; then the zeta-gradient through the pass of
-    :func:`interface_gradient`, whose products the workspace keeps, and
-    the two exact spatial derivatives, -dx w and -dx of the zeta-gradient,
-    as ``ctx.minus_ik`` times the pass's w_hat and the gradient's rfft (so
-    dealiased under ``dealias``, exactly 0 above the cut): three rfft and
-    two irfft calls besides CG's and the predictor's one irfft.
+    Loads ``stage``, a :class:`GNWorkspace`, at zeta once, for the CG
+    solve, the pass and R. Recovers w = A^{-1} v first, started from
+    ``x0`` (cold when None, as :func:`invert_mass_operator` is; a timed
+    stage passes :meth:`GNWorkspace.warm_start`); then the zeta-gradient
+    through the pass of :func:`interface_gradient`, whose products and
+    ``w`` the stage keeps, and the two exact spatial derivatives, -dx w
+    and -dx of the zeta-gradient, as ``ctx.minus_ik`` times the pass's
+    w_hat and the gradient's rfft (so dealiased under ``dealias``, exactly
+    0 above the cut): three rfft and two irfft calls besides CG's.
     Hyperbolicity is a monitored diagnostic, not checked here.
     """
-    stage = (GNWorkspace() if workspace is None else workspace).load(ctx, zeta)
-    w = invert_mass_operator(ctx, stage, v, x0=stage.warm_start(ctx, t, v_hat))
-    stage.w_prev = w
-    grad = interface_gradient(ctx, stage, w)
+    stage.load(ctx, zeta)
+    grad = interface_gradient(ctx, stage, invert_mass_operator(ctx, stage, v, x0=x0))
     out = np.empty((2, ctx.grid.n // 2 + 1), dtype=complex)
     np.multiply(stage.w_hat, ctx.minus_ik, out=out[0])
     spectral.rfft(grad, out=out[1])

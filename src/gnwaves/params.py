@@ -107,6 +107,12 @@ class PhysParams:
         # maximum for the k^2 and symbol factors they meet
         if not 1e-100 <= self.delta <= 1e100:
             raise ValidationError("delta", f"must lie in [1e-100, 1e100], got {self.delta}")
+        # mu enters squared with k^2 (the (mu k^2)^2 of the shear factor, CG's
+        # products at the identity family) and inv_bond times k^2 (the
+        # capillary stress and stiffness): above 1e100 either overflows
+        for name in ("mu", "inv_bond"):
+            if getattr(self, name) > 1e100:
+                raise ValidationError(name, f"must be at most 1e100, got {getattr(self, name)}")
 
 
 # Defaults reproduce the reference experiment: 512-point grid on [-4, 4],

@@ -10,7 +10,7 @@ healthy state is saved and the returned status says "blowup".
 
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
-take the flux w = A^{-1} v it left in ``GNWorkspace.w_prev``, and a row
+take the flux w = A^{-1} v it left in ``GNWorkspace.w``, and a row
 reads zeta, w and the other products of that stage's spectral pass from the
 workspace, with no transform of its own. The t = 0 row is not a stage: the
 runner loads the workspace at zeta0 and runs the pass with w0 itself, not
@@ -34,9 +34,10 @@ family: a config with mu = 0 runs through the same rhs and diagnostics.
 Every model is integrated with its flat-interface linear part propagated
 exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
 so the capillary waves at the top of the ladder set no step-size limit. The
-stages run in Fourier space: :func:`guarded_rhs` hands :func:`rhs` the
-stage's spectrum of v from the integrator's frame, and the integrator the
-spectral tendencies of :func:`rhs`, with no transform between them.
+stages run in Fourier space: :func:`guarded_rhs` forms each stage's CG
+start from the stage's spectrum of v in the integrator's frame, and hands
+the integrator the spectral tendencies of :func:`rhs`, with no transform
+between them.
 """
 
 import math
@@ -61,8 +62,8 @@ from .io_store import (
     write_text,
 )
 from .multipliers import FAMILIES, load_symbol_table
-# invert_mass_operator is unused here but stays bound: perfbench/layertrace.py rebinds it
-from .operators import GNContext, GNWorkspace, interface_gradient, invert_mass_operator, layer_depths, rhs
+from .operators import CAVITATION_FLOOR, GNContext, GNWorkspace, interface_gradient, layer_depths, rhs
+from .operators import invert_mass_operator  # unused here but stays bound: perfbench/layertrace.py rebinds it
 from .params import serialize_config
 from .spectral import Grid
 from .timestepper import REL_TOL, integrate
@@ -98,14 +99,17 @@ def initial_state(config, grid=None):
     ``grid`` (config's grid when None), the +0.0 rest state at
     ic_amplitude = 0; the fluid starts at rest (w0 = v0 = 0). One that
     already cavitates is a configuration error (ValidationError naming
-    ``ic_amplitude``). Neither the multiplier nor ``inv_bond`` enters, so a
-    command running several families checks once, before it claims --out."""
+    ``ic_amplitude``, or ``delta`` when the flat interface cavitates, its
+    lower layer 1/delta deep, which no amplitude mends). Neither the
+    multiplier nor ``inv_bond`` enters, so a command running several
+    families checks once, before it claims --out."""
     grid = Grid(config.grid_n, config.domain_half_length) if grid is None else grid
     zeta0 = config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
     try:
         layer_depths(config.params, zeta0)
     except CavitationError as exc:
-        raise ValidationError("ic_amplitude", f"the initial state cavitates: {exc}") from None
+        key = "delta" if 1.0 / config.params.delta <= CAVITATION_FLOOR else "ic_amplitude"
+        raise ValidationError(key, f"the initial state cavitates: {exc}") from None
     return zeta0
 
 
@@ -140,11 +144,11 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     its (2, n/2+1) real FFT u, returning the spectral tendencies of
     :func:`rhs` as they are. A stage that cavitates, whose CG solve fails,
     or whose flux has lost spectral resolution returns NaN tendencies, so
-    the error controller rejects the step and shrinks. :func:`rhs` gets the
-    stage time t and the stage's spectrum of v, u[1], from which
-    ``workspace`` predicts the CG start (:meth:`GNWorkspace.warm_start`);
-    only a stage that passes every check joins the history of that
-    prediction (:meth:`GNWorkspace.remember`).
+    the error controller rejects the step and shrinks. :func:`rhs` solves
+    from the CG start that ``workspace`` predicts at the stage time t from
+    the stage's spectrum of v, u[1] (:meth:`GNWorkspace.warm_start`); only
+    a stage that passes every check joins the history of that prediction
+    (:meth:`GNWorkspace.remember`).
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
@@ -189,10 +193,10 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
         if workspace.resolution_lost_at is not None:
             return np.full(u.shape, np.nan, dtype=complex)
         try:
-            tendencies = rhs(ctx, *y, workspace=workspace, t=t, v_hat=u[1])
+            tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, t, u[1]))
         except (CavitationError, ConvergenceError):
             return np.full(u.shape, np.nan, dtype=complex)
-        if guarded and _resolution_lost(workspace.w_prev, workspace.w_hat, rel_tol, ctx.last_mode):
+        if guarded and _resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode):
             workspace.resolution_lost_at = t
             return np.full(u.shape, np.nan, dtype=complex)
         workspace.remember(t, u[1])
@@ -248,11 +252,11 @@ def run_experiment(config, out_dir, force=False):
         # holds y's flux and the products of its spectral pass
         def on_step(t, y, stats):
             nonlocal accepted_w
-            accepted_w = workspace.w_prev
+            accepted_w = workspace.w
             diag.append(compute_row(ctx, t, y[1], workspace))
 
         def on_snapshot(t, y):
-            save_state(t, y[0], workspace.w_prev)
+            save_state(t, y[0], workspace.w)
 
         try:
             result = integrate(

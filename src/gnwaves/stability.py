@@ -23,6 +23,7 @@ from .multipliers import FAMILIES, layer_symbols
 
 __all__ = [
     "restoring_symbol",
+    "mass_symbol",
     "flat_interface",
     "model_coeffs",
     "threshold_curve",
@@ -51,20 +52,30 @@ def restoring_symbol(params, k):
     return (params.gamma + params.delta) * (1.0 + params.inv_bond * k**2)
 
 
-def flat_interface(params, f, k):
-    """Flat-interface algebra shared by the mass operator and the shear analysis.
+def mass_symbol(params, f, k):
+    """Symbol of the mass operator at zeta = 0,
+    A0(k) = (gamma+delta) + (mu/3)(F2^2/delta + gamma F1^2) k^2: the CG
+    preconditioner of ``operators.GNContext`` and the b = 1/A0 of the shear
+    analysis. ``f`` holds the layer symbols (F1, F2) at k."""
+    g, d = params.gamma, params.delta
+    f1, f2 = f
+    # this operation order sets the preconditioner's bits, and with them
+    # every run record's; keep it bit for bit
+    return (g + d) + (params.mu / 3.0) * (f2**2 / d + g * f1**2) * k**2
 
-    Returns the symbol of the mass operator at zeta = 0,
-    A0(k) = (gamma+delta) + (mu/3)(F2^2/delta + gamma F1^2) k^2, and the shear
-    factor Gamma(k) = gamma (delta+1)^2 / delta * (delta^2 + mu k^2 F2^2/3)
-    (1 + mu k^2 F1^2/3) / A0(k), so that a(k) = a0(k) - eps^2 wbar^2 Gamma(k)
-    with a0 from :func:`restoring_symbol`. ``f`` holds the layer symbols
-    (F1, F2) at k.
+
+def flat_interface(params, f, k):
+    """Flat-interface algebra of the shear analysis.
+
+    Returns the symbol A0(k) of the mass operator at zeta = 0
+    (:func:`mass_symbol`) and the shear factor Gamma(k) = gamma (delta+1)^2
+    / delta * (delta^2 + mu k^2 F2^2/3) (1 + mu k^2 F1^2/3) / A0(k), so that
+    a(k) = a0(k) - eps^2 wbar^2 Gamma(k) with a0 from
+    :func:`restoring_symbol`. ``f`` holds the layer symbols (F1, F2) at k.
     """
     g, d, mu = params.gamma, params.delta, params.mu
     f1, f2 = f
-    # this operation order is the CG preconditioner's; keep it bit for bit
-    a0 = (g + d) + (mu / 3.0) * (f2**2 / d + g * f1**2) * k**2
+    a0 = mass_symbol(params, f, k)
     shear = g * (d + 1.0) ** 2 / d * (d**2 + mu * k**2 * f2**2 / 3.0) * (1.0 + mu * k**2 * f1**2 / 3.0) / a0
     return a0, shear
 

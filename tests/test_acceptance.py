@@ -312,7 +312,7 @@ def test_criterion_09_saint_venant_checks():
     vbar = random_smooth_field(grid2, rng)
     dz_sv, dv_sv = sv_rhs(grid2, p, zeta, vbar)
     ctx = GNContext(grid2, p, MultiplierSpec.improved(p.delta))
-    dz_gn, dv_gn = irfft(rhs(ctx, zeta, vbar), grid2.n)
+    dz_gn, dv_gn = irfft(rhs(ctx, GNWorkspace(), zeta, vbar), grid2.n)
     equiv = max(float(np.max(np.abs(dz_gn - dz_sv))), float(np.max(np.abs(dv_gn - dv_sv))))
 
     ok = speed_err <= 1e-6 and equiv <= 1e-13

@@ -76,6 +76,15 @@ class TestSimulate:
         assert "ic_amplitude" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cavitating_flat_interface_names_delta(self, tmp_path, capsys):
+        # at delta = 1e7 the lower layer is 1e-7 deep at rest: no amplitude mends that
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("grid_n = 64\ndelta = 1e7\nic_amplitude = 0\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "delta: the initial state cavitates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unrecordable_snapshot_time_is_a_config_error(self, tmp_path, capsys):
         # snapshot_times = 5 past t_end = 0.2 would leave no snapshot at t_end
         cfg = tmp_path / "late.cfg"
@@ -217,6 +226,8 @@ class TestStability:
             ("--k-max", "nan", "k_max"),
             ("--k-max", "inf", "k_max"),
             ("--k-max", "0", "k_max"),
+            ("--k-max", "1e80", "k_max"),
+            ("--k-max", "1e160", "k_max"),
         ],
     )
     def test_invalid_k_grid_is_a_usage_error(self, tmp_path, capsys, flag, value, field):
@@ -224,6 +235,15 @@ class TestStability:
         assert main(["stability", "--out", str(out), flag, value]) == 2
         assert f"{field}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,k_max", [("", "1e75"), ("mu = 1e100\ninv_bond = 1e100\n", "9.99e24")],
+                             ids=["default", "mu1e100"])
+    def test_k_max_at_its_bound_runs_clean(self, text, k_max, tmp_path):
+        # k_max^2 max(mu, 1) <= 1e150 keeps every column finite (warnings are errors here)
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text(text)
+        out = str(tmp_path / "stab")
+        assert main(["stability", "--config", str(cfg), "--out", out, "--k-max", k_max, "--k-points", "50"]) == 0
 
 
 class TestAdmissibility:
@@ -324,6 +344,21 @@ class TestFloatRange:
             assert code in (0, 2, 3)
         else:
             assert code == 2 and "delta: must lie in [1e-100, 1e100]" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1e100, 1e200])
+    @pytest.mark.parametrize("key", ["mu", "inv_bond"])
+    def test_mu_and_inv_bond_range(self, key, value, tmp_path, capsys):
+        # up to 1e100 a run ends in a result; above, the identity family's
+        # shear factor, CG and capillary stiffness overflow: refused before --out
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"{key} = {value!r}\ngrid_n = 64\nt_end = 0.01\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--multiplier", "id", "--config", str(cfg), "--out", str(out)])
+        if value <= 1e100:
+            assert code in (0, 3)
+        else:
+            assert code == 2 and f"{key}: must be at most 1e100" in capsys.readouterr().err
             assert not out.exists()
 
 

@@ -250,7 +250,7 @@ class TestOneLayerConservation:
         y0 = np.stack((zeta0, np.zeros(grid.n)))
 
         def f(t, y, u):
-            return irfft(rhs(ctx, *y, workspace=ws), grid.n)
+            return irfft(rhs(ctx, ws, *y, x0=ws.w), grid.n)
 
         t_end = 0.5
         result = integrate(f, (0.0, t_end), y0)
@@ -327,8 +327,8 @@ def test_row_from_the_stage_equals_the_recomputed_row(small_grid, family, inv_bo
     zeta = random_smooth_field(small_grid, rng, max_abs=0.9)
     v = random_smooth_field(small_grid, rng)
     ws = GNWorkspace()
-    rhs(ctx, zeta, v, workspace=ws)
-    w = ws.w_prev
+    rhs(ctx, ws, zeta, v)
+    w = ws.w
     rows = (astuple(compute_row(ctx, 0.75, v, ws)), astuple(compute_row(ctx, 0.75, v, passed_stage(ctx, zeta, w))),
             _oracle_row(ctx, 0.75, zeta, v, w))
     bits = [np.array(row).view(np.uint64) for row in rows]
@@ -347,10 +347,10 @@ def test_row_after_a_failed_stage_equals_the_recomputed_row(small_grid, mu):
     zeta, v = random_smooth_field(small_grid, rng, max_abs=0.9), random_smooth_field(small_grid, rng)
     failed_zeta = random_smooth_field(small_grid, rng, max_abs=0.9)
     ws = GNWorkspace()
-    rhs(ctx, failed_zeta, v, workspace=ws)
+    rhs(ctx, ws, failed_zeta, v)
     with pytest.raises(ConvergenceError):
-        rhs(ctx, -failed_zeta, np.full(small_grid.n, np.nan), workspace=ws)
+        rhs(ctx, ws, -failed_zeta, np.full(small_grid.n, np.nan), x0=ws.w)
     assert np.array_equal(ws.depths, layer_depths(p, -failed_zeta))
-    rhs(ctx, zeta, v, workspace=ws)
-    rows = astuple(compute_row(ctx, 0.5, v, ws)), astuple(compute_row(ctx, 0.5, v, passed_stage(ctx, zeta, ws.w_prev)))
+    rhs(ctx, ws, zeta, v, x0=ws.w)
+    rows = astuple(compute_row(ctx, 0.5, v, ws)), astuple(compute_row(ctx, 0.5, v, passed_stage(ctx, zeta, ws.w)))
     assert np.array_equal(np.array(rows[0]).view(np.uint64), np.array(rows[1]).view(np.uint64))

@@ -32,10 +32,10 @@ def make_ctx(grid, params=REF_PARAMS, spec=None, **kw):
     return GNContext(grid, params, spec, **kw)
 
 
-def physical_rhs(ctx, zeta, v, **kwargs):
+def physical_rhs(ctx, stage, zeta, v, x0=None):
     """The (2, n) tendencies of rhs in physical space: the irfft of its
     spectral ones."""
-    return irfft(rhs(ctx, zeta, v, **kwargs), ctx.grid.n)
+    return irfft(rhs(ctx, stage, zeta, v, x0=x0), ctx.grid.n)
 
 
 def random_state(ctx, rng, zeta_scale=None):
@@ -116,6 +116,12 @@ class TestMassOperator:
         _, b, _ = model_coeffs(k, p, spec, wbar=0.0)
         assert np.allclose(ctx.flat_symbol[1:-1], 1.0 / b, rtol=1e-12)
 
+    def test_context_forms_no_shear_factor(self):
+        # on a cell 1e-100 wide k^2 reaches 1e203: A0 stays finite, while the
+        # shear factor of the stability analysis, (mu k^2)^2, would overflow
+        ctx = GNContext(Grid(64, 1e-100), REF_PARAMS, MultiplierSpec.identity())
+        assert np.all(np.isfinite(ctx.flat_symbol))
+
     def test_local_limit_gamma_zero_mu_zero(self, grid):
         p = PhysParams(gamma=0.0, epsilon=0.5, mu=0.0, delta=0.5, inv_bond=0.0)
         ctx = GNContext(grid, p, MultiplierSpec.identity())
@@ -164,6 +170,16 @@ class TestMassOperator:
         zeta = np.full(grid.n, 2.1)  # h1 = 1 - 0.5*2.1 < 0
         with pytest.raises(CavitationError):
             GNWorkspace().load(ctx, zeta)
+
+    def test_cavitating_load_changes_nothing(self, grid):
+        # load checks the depths before it assigns: the stage keeps its state
+        ctx = make_ctx(grid)
+        zeta = random_state(ctx, np.random.default_rng(173))[0]
+        stage = GNWorkspace().load(ctx, zeta)
+        depths = stage.depths
+        with pytest.raises(CavitationError):
+            stage.load(ctx, np.full(grid.n, 2.1))
+        assert stage.zeta is zeta and stage.depths is depths
 
 
 class TestInversion:
@@ -371,14 +387,14 @@ def _oracle_rhs(ctx, zeta, v, workspace=None):
     symbol, which carries the dealias mask. Returns (dzeta, dv)."""
     p, grid = ctx.params, ctx.grid
     h = _oracle_layer_depths(p, zeta)
-    x0 = workspace.w_prev if workspace is not None else None
+    x0 = workspace.w if workspace is not None else None
     if p.mu == 0.0:
         w = v * (h[0] * h[1]) / (h[0] + p.gamma * h[1])
     else:
         w = _oracle_pcg(ctx, zeta, v, x0=x0)
     w_hat = np.fft.rfft(w)
     if workspace is not None:
-        workspace.w_prev, workspace.w_hat = w, w_hat
+        workspace.w, workspace.w_hat = w, w_hat
     grad = zeta_gradient(ctx, zeta, w)
     dzeta = -np.fft.irfft(w_hat * ctx.ik, grid.n)
     dv = -np.fft.irfft(np.fft.rfft(grad) * ctx.ik, grid.n)
@@ -394,13 +410,13 @@ def _assert_rhs_matches_oracle(ctx, states):
     for zeta, v in states:
         assert np.array_equal(layer_depths(ctx.params, zeta), _oracle_layer_depths(ctx.params, zeta))
         expected = np.stack(_oracle_rhs(ctx, zeta, v))
-        assert rhs(ctx, zeta, v).shape == (2, ctx.grid.n // 2 + 1)
-        got = physical_rhs(ctx, zeta, v)
+        assert rhs(ctx, GNWorkspace(), zeta, v).shape == (2, ctx.grid.n // 2 + 1)
+        got = physical_rhs(ctx, GNWorkspace(), zeta, v)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        got = physical_rhs(ctx, zeta, v, workspace=ws)
+        got = physical_rhs(ctx, ws, zeta, v, x0=ws.w)
         expected = np.stack(_oracle_rhs(ctx, zeta, v, workspace=oracle_ws))
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(ws.w_prev, oracle_ws.w_prev)
+        assert np.array_equal(ws.w, oracle_ws.w)
         assert np.array_equal(ws.w_hat, oracle_ws.w_hat)
 
 
@@ -498,10 +514,10 @@ class TestHotPathOracle:
         stage, other = GNWorkspace().load(ctx, zeta), GNWorkspace().load(ctx, other_zeta)
         v, other_v = apply_mass_operator(ctx, stage, w), apply_mass_operator(ctx, other, other_w)
         first = invert_mass_operator(ctx, stage, v)
-        tendencies = rhs(ctx, zeta, v)
+        tendencies = rhs(ctx, GNWorkspace(), zeta, v)
         kept = first.copy(), tendencies.copy()
         invert_mass_operator(ctx, other, other_v, x0=first)
-        rhs(ctx, other_zeta, other_v, workspace=GNWorkspace())
+        rhs(ctx, GNWorkspace(), other_zeta, other_v)
         assert np.array_equal(first, kept[0])
         assert np.array_equal(tendencies, kept[1])
 
@@ -539,9 +555,9 @@ class TestSharedConstants:
         built = self.count_constants(monkeypatch)
         ws = GNWorkspace()
         for calls, (zeta, v) in enumerate(states, start=1):
-            rhs(ctx, zeta, v, workspace=ws)
+            rhs(ctx, ws, zeta, v)
             assert len(built) == calls
-        rhs(ctx, states[0][0], np.zeros(grid.n))
+        rhs(ctx, GNWorkspace(), states[0][0], np.zeros(grid.n))
         assert len(built) == len(states) + 1
 
     def test_apply_into_out(self, grid):
@@ -687,7 +703,7 @@ class TestRFluxAssembly:
 class TestRhs:
     def test_rest_state_is_steady(self, grid):
         ctx = make_ctx(grid)
-        dzeta, dv = physical_rhs(ctx, np.zeros(grid.n), np.zeros(grid.n))
+        dzeta, dv = physical_rhs(ctx, GNWorkspace(), np.zeros(grid.n), np.zeros(grid.n))
         assert np.allclose(dzeta, 0.0, atol=1e-16)
         assert np.allclose(dv, 0.0, atol=1e-16)
 
@@ -696,7 +712,7 @@ class TestRhs:
         p = ctx.params
         wbar = 0.3
         v = apply_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), np.full(grid.n, wbar))
-        dzeta, dv = physical_rhs(ctx, np.zeros(grid.n), v)
+        dzeta, dv = physical_rhs(ctx, GNWorkspace(), np.zeros(grid.n), v)
         assert np.max(np.abs(dzeta)) <= 1e-13
         assert np.max(np.abs(dv)) <= 1e-13
 
@@ -709,18 +725,26 @@ class TestRhs:
         outs = []
         for spec in (MultiplierSpec.identity(), MultiplierSpec.improved(p.delta)):
             ctx = GNContext(grid, p, spec)
-            outs.append(rhs(ctx, zeta, v))
+            outs.append(rhs(ctx, GNWorkspace(), zeta, v))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
 
-    def test_workspace_warm_start_used(self, grid):
+    def test_workspace_warm_start_used(self, grid, monkeypatch):
+        # the stage keeps its solved flux as w, and a solve started from
+        # it takes fewer applications of A than a cold one
         ctx = make_ctx(grid)
         rng = np.random.default_rng(61)
         zeta = random_smooth_field(grid, rng, max_abs=0.5)
         v = random_smooth_field(grid, rng)
         ws = GNWorkspace()
-        rhs(ctx, zeta, v, workspace=ws)
-        assert ws.w_prev is not None
+        rhs(ctx, ws, zeta, v)
+        assert np.array_equal(ws.w, invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v))
+        calls = count_applications(monkeypatch)
+        rhs(ctx, ws, zeta, v, x0=ws.w)
+        warm = len(calls)
+        calls.clear()
+        rhs(ctx, ws, zeta, v)
+        assert warm < len(calls)
 
 
 def count_applications(monkeypatch):
@@ -743,7 +767,7 @@ class TestStagePredictor:
     @staticmethod
     def solved_stage(ctx, ws, zeta, v, t):
         v_hat = rfft(v)
-        rhs(ctx, zeta, v, workspace=ws, t=t, v_hat=v_hat)
+        rhs(ctx, ws, zeta, v, x0=ws.warm_start(ctx, t, v_hat))
         ws.remember(t, v_hat)
 
     def test_quadratic_flux_at_the_flat_interface_takes_one_application(self, grid, monkeypatch):
@@ -762,14 +786,12 @@ class TestStagePredictor:
         for t in (0.0, 0.1, 0.25):
             self.solved_stage(ctx, ws, zeta, momentum(t), t)
         calls = count_applications(monkeypatch)
-        rhs(ctx, zeta, momentum(0.4), workspace=ws, t=0.4, v_hat=rfft(momentum(0.4)))
+        rhs(ctx, ws, zeta, momentum(0.4), x0=ws.warm_start(ctx, 0.4, rfft(momentum(0.4))))
         assert len(calls) == 1
-        np.testing.assert_allclose(ws.w_prev, a + 0.4 * b + 0.16 * c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ws.w, a + 0.4 * b + 0.16 * c, rtol=0, atol=1e-12)
         # the same solve from the last flux alone needs CG iterations
         calls.clear()
-        cold = GNWorkspace()
-        cold.w_prev = ws.past_w[ws.history[-1][1]]
-        rhs(ctx, zeta, momentum(0.4), workspace=cold)
+        rhs(ctx, GNWorkspace(), zeta, momentum(0.4), x0=ws.past_w[ws.history[-1][1]])
         assert len(calls) > 1
 
     def test_start_without_time_or_history_is_the_last_flux(self, grid):
@@ -781,10 +803,11 @@ class TestStagePredictor:
         ws = GNWorkspace()
         assert ws.warm_start(ctx, 0.5, rfft(v)) is None
         self.solved_stage(ctx, ws, zeta, v, 0.5)
-        assert ws.warm_start(ctx, None, None) is ws.w_prev
+        # at mu = 0 the solve is pointwise and takes no start
+        assert ws.warm_start(make_ctx(grid, params=replace(REF_PARAMS, mu=0.0)), 0.7, rfft(v)) is None
         # one solve known: its flux plus P^-1 of the change in v
         dv = apply_mass_operator(ctx, stage, random_smooth_field(grid, rng))
-        expected = ws.w_prev + np.fft.irfft(np.fft.rfft(dv) / ctx.flat_symbol, grid.n)
+        expected = ws.w + np.fft.irfft(np.fft.rfft(dv) / ctx.flat_symbol, grid.n)
         np.testing.assert_allclose(ws.warm_start(ctx, 0.7, rfft(v + dv)), expected, rtol=0, atol=1e-14)
 
     def test_repeated_stage_time_replaces_its_entry(self, grid):
@@ -798,17 +821,17 @@ class TestStagePredictor:
             self.solved_stage(ctx, ws, zeta, v, t)
         assert ws.history == [(0.1, 0), (0.2, 1), (0.3, 2)]
         # the history holds copies of the last solve at t = 0.3
-        assert np.array_equal(ws.past_w[2], ws.w_prev) and not np.shares_memory(ws.past_w, ws.w_prev)
+        assert np.array_equal(ws.past_w[2], ws.w) and not np.shares_memory(ws.past_w, ws.w)
         assert np.array_equal(ws.past_v_hat[2], rfft(vs[3]))
         # at a known time the start is that entry's flux, corrected by P^-1
         x0 = ws.warm_start(ctx, 0.3, rfft(vs[4]))
-        expected = ws.w_prev + np.fft.irfft(np.fft.rfft(vs[4] - vs[3]) / ctx.flat_symbol, grid.n)
+        expected = ws.w + np.fft.irfft(np.fft.rfft(vs[4] - vs[3]) / ctx.flat_symbol, grid.n)
         np.testing.assert_allclose(x0, expected, rtol=0, atol=1e-13)
         assert np.all(np.isfinite(ws.warm_start(ctx, 0.4, rfft(vs[4]))))
         # a new time drops the oldest of three and takes its row
         self.solved_stage(ctx, ws, zeta, vs[4], 0.4)
         assert ws.history == [(0.2, 1), (0.3, 2), (0.4, 0)]
-        assert np.array_equal(ws.past_w[0], ws.w_prev) and np.array_equal(ws.past_v_hat[0], rfft(vs[4]))
+        assert np.array_equal(ws.past_w[0], ws.w) and np.array_equal(ws.past_v_hat[0], rfft(vs[4]))
 
     def test_start_is_the_lagrange_extrapolation(self, grid):
         # x0 = sum_j c_j w_j + P^-1 (v - sum_j c_j v_j), written out per
@@ -823,7 +846,7 @@ class TestStagePredictor:
         ws_w = []
         for t, v in zip(times, vs):
             self.solved_stage(ctx, ws, zeta, v, t)
-            ws_w.append(ws.w_prev.copy())
+            ws_w.append(ws.w.copy())
         t = 0.3
         expected = np.fft.irfft(np.fft.rfft(vs[3]) / ctx.flat_symbol, grid.n)
         for j, t_j in enumerate(times):
@@ -856,14 +879,14 @@ class TestSymmetries:
     def test_reflection(self, family, mu, dealias):
         ctx, zeta, v = self.state(family, mu, dealias)
         flip = (-np.arange(ctx.grid.n)) % ctx.grid.n  # x_j -> x_{-j} = -x_j
-        dzeta, dv = physical_rhs(ctx, zeta, v)
-        self.assert_rel_close(physical_rhs(ctx, zeta[flip], -v[flip]), (dzeta[flip], -dv[flip]))
+        dzeta, dv = physical_rhs(ctx, GNWorkspace(), zeta, v)
+        self.assert_rel_close(physical_rhs(ctx, GNWorkspace(), zeta[flip], -v[flip]), (dzeta[flip], -dv[flip]))
 
     def test_translation(self, family, mu, dealias):
         ctx, zeta, v = self.state(family, mu, dealias)
         shift = 37
-        expected = np.roll(physical_rhs(ctx, zeta, v), shift, axis=-1)
-        self.assert_rel_close(physical_rhs(ctx, np.roll(zeta, shift), np.roll(v, shift)), expected)
+        expected = np.roll(physical_rhs(ctx, GNWorkspace(), zeta, v), shift, axis=-1)
+        self.assert_rel_close(physical_rhs(ctx, GNWorkspace(), np.roll(zeta, shift), np.roll(v, shift)), expected)
 
 
 class TestDealias:
@@ -892,9 +915,9 @@ class TestDealias:
         rng = np.random.default_rng(167)
         zeta = random_smooth_field(grid, rng, max_abs=0.9, modes=30)
         v = random_smooth_field(grid, rng, modes=30)
-        unmasked = physical_rhs(plain, zeta, v)
+        unmasked = physical_rhs(plain, GNWorkspace(), zeta, v)
         expected = np.fft.irfft(dealias_mask(grid) * np.fft.rfft(unmasked), grid.n)
-        got = physical_rhs(ctx, zeta, v)
+        got = physical_rhs(ctx, GNWorkspace(), zeta, v)
         for g, e, u in zip(got, expected, unmasked):
             scale = np.max(np.abs(e))
             assert np.max(np.abs(u - e)) > 1e-6 * scale  # the mask removes something
@@ -927,7 +950,7 @@ class TestLinearDispersion:
         ws = GNWorkspace()
 
         def f(t, y, u):
-            return physical_rhs(ctx, *y, workspace=ws)
+            return physical_rhs(ctx, ws, *y, x0=ws.w)
 
         # abs_tol must sit far below the 1e-8 mode amplitude or the error
         # control is effectively loose-relative and the phase drifts

@@ -32,12 +32,18 @@ class TestPhysParams:
             ({"delta": 1e-200}, "delta"),
             ({"delta": 1e200}, "delta"),
             ({"inv_bond": -1e-3}, "inv_bond"),
+            ({"mu": 1e150}, "mu"),
+            ({"inv_bond": 1e150}, "inv_bond"),
         ],
     )
     def test_range_violations_name_the_field(self, kwargs, field):
         with pytest.raises(ValidationError) as err:
             PhysParams(**kwargs)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("field", ["mu", "inv_bond", "delta"])
+    def test_range_bounds_are_accepted(self, field):
+        assert getattr(PhysParams(**{field: 1e100}), field) == 1e100
 
 
 class TestParseConfig:

@@ -3,7 +3,7 @@ import pytest
 
 from gnwaves.diagnostics import depth_flux_second, sv_hyperbolicity_margin
 from gnwaves.multipliers import MultiplierSpec
-from gnwaves.operators import GNContext, rhs
+from gnwaves.operators import GNContext, GNWorkspace, rhs
 from gnwaves.params import PhysParams
 from gnwaves.spectral import Grid, irfft
 from gnwaves.timestepper import integrate
@@ -74,7 +74,7 @@ class TestSvRhs:
         for spec in (MultiplierSpec.identity(), MultiplierSpec.improved(p.delta)):
             ctx = GNContext(grid, p, spec)
             # at mu = 0, v = vbar exactly
-            dz_gn, dv_gn = irfft(rhs(ctx, zeta, vbar), grid.n)
+            dz_gn, dv_gn = irfft(rhs(ctx, GNWorkspace(), zeta, vbar), grid.n)
             assert np.max(np.abs(dz_gn - dz_sv)) <= 1e-13
             assert np.max(np.abs(dv_gn - dv_sv)) <= 1e-13
 

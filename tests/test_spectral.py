@@ -78,7 +78,7 @@ class TestTransformRoute:
 
         monkeypatch.setattr(np.fft, "rfft", forbidden)
         monkeypatch.setattr(np.fft, "irfft", forbidden)
-        rhs(ctx, zeta, v)
+        rhs(ctx, GNWorkspace(), zeta, v)
         stage = GNWorkspace().load(ctx, zeta)
         invert_mass_operator(ctx, stage, v)
         apply_mass_operator(ctx, stage, w)
@@ -143,9 +143,9 @@ class TestTransformRoute:
         monkeypatch.setattr(operators_mod, "invert_mass_operator", lambda *args, **kwargs: w)
         calls = self.count_transforms(monkeypatch)
         ws = GNWorkspace()
-        rhs(ctx, zeta, v, workspace=ws)
+        rhs(ctx, ws, zeta, v)
         assert calls == {"rfft": 3, "irfft": 2}
-        assert ws.w_prev is w
+        assert ws.w is w
 
     def test_run_transform_count(self, monkeypatch, tmp_path):
         # a whole run, regularized with tension, 128 points to t = 0.2: CG,
@@ -164,7 +164,7 @@ class TestTransformRoute:
     def test_row_of_an_evaluated_stage_makes_no_transform(self, state, monkeypatch):
         ctx, zeta, _, v = state
         ws = GNWorkspace()
-        rhs(ctx, zeta, v, workspace=ws)
+        rhs(ctx, ws, zeta, v)
         calls = self.count_transforms(monkeypatch)
         compute_row(ctx, 0.5, v, ws)
         assert calls == {"rfft": 0, "irfft": 0}
@@ -175,7 +175,7 @@ class TestTransformRoute:
         calls = self.count_transforms(monkeypatch)
         counts = []
         for c in (plain, ctx):
-            rhs(c, zeta, v, workspace=GNWorkspace())
+            rhs(c, GNWorkspace(), zeta, v)
             counts.append(dict(calls))
             calls.update(rfft=0, irfft=0)
         assert counts[0]["rfft"] > 0 and counts[1] == counts[0]
