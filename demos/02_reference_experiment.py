@@ -3,8 +3,9 @@
 #
 # All three families agree on the smooth main wave. The classical model
 # (identity) additionally grows a high-frequency component out of round-off
-# noise: look at the high_band column of diag.csv, or at the spectrum of a
-# snapshot, mode_amplitudes(Grid(n, L), read_snapshot(path)[1]). Under the
+# noise: look at the high_band column of diag.csv, or at the spectrum of the
+# i-th snapshot, mode_amplitudes(Grid(n, L), read_snapshots(path)[1][i]) with
+# path the record's snapshots.npy. Under the
 # default 2/3 rule that growth stays below the cut n/3 (high_band 4e-11 at
 # t = 2); with dealias = false it reaches 3e-6, and the identity run's
 # impulse drifts by about 7e-9. Conserved-quantity drifts land at

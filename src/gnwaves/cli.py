@@ -19,6 +19,7 @@ cause.
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -97,14 +98,20 @@ def _cmd_stability(args):
     config = _load_config(args)
     if args.k_points < 1:
         raise ValidationError("k_points", f"must be >= 1, got {args.k_points}")
-    # the table forms inv_bond k^2 and the shear factor's (mu k^2)^2; with
-    # inv_bond and mu at most 1e100, this keeps both finite
-    mu = config.params.mu
-    if not (args.k_max > 0 and args.k_max * args.k_max * max(mu, 1.0) <= 1e150):
-        raise ValidationError("k_max", f"must be > 0 with k_max^2 max(mu, 1) <= 1e150, got {args.k_max} at mu = {mu}")
-    claim_out_dir(args.out, args.generator, force=True)
+    if not 0.0 < args.k_max < math.inf:
+        raise ValidationError("k_max", f"must be finite and > 0, got {args.k_max}")
+    # the table forms inv_bond k^2 and the shear factor's (mu k^2)^2 times
+    # powers of delta: a k_max at which one overflows is refused before --out is claimed
     k_grid = np.linspace(args.k_max / args.k_points, args.k_max, args.k_points)
-    columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
+    try:
+        with np.errstate(over="raise"):
+            columns = threshold_table(k_grid, config.params, theta1=config.theta1, theta2=config.theta2)
+    except FloatingPointError as exc:
+        raise ValidationError(
+            "k_max", f"the threshold table overflows at k_max = {args.k_max} with delta = "
+            f"{config.params.delta} and mu = {config.params.mu} ({exc})",
+        ) from None
+    claim_out_dir(args.out, args.generator, force=True)
     path = os.path.join(args.out, "stability.csv")
     digest = write_table(path, ",".join(columns), list(columns.values()))
     write_manifest(args.out, {"generator": args.generator, "k_points": args.k_points}, {"stability.csv": digest})

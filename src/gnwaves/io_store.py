@@ -5,26 +5,36 @@ A run directory contains::
     config.txt        exact copy of the resolved configuration
     manifest.txt      run metadata + sha256 of every data file
     diag.csv          one diagnostics row at t = 0 and per accepted step
-    snap_t<t>.npy     x, zeta, w fields at requested times
+    snapshots.npy     t, zeta, w at t = 0 and at every snapshot time
+    snap_t<t>.npy     x, zeta, w of the final state (t_end, or the blow-up)
 
-A snapshot is a NumPy ``.npy`` (NEP 1) of float64 fields ``x, zeta, w``, exact as
-computed; ``%.17g`` text took 0.76 ms per 512-point snapshot, 12% of a run writing 200.
-Its header is formed once per grid size, by ``np.save`` itself, and the
-table is filled field by field behind it: the bytes of ``np.save`` without
-its per-call work (3.8 us instead of 42 us at n = 512 on a 2-vCPU x86
-VM, before the file write).
+The snapshot stream ``snapshots.npy`` is a NumPy ``.npy`` (NEP 1) of one
+row per snapshot, with float64 fields ``t``, ``zeta`` and ``w`` (the last
+two of length n), exact as computed; ``x`` is ``Grid(n, L).x`` of the
+record's config. Its header is sized up front for every snapshot time, and
+each row is appended and flushed as it is taken, one file for all of them
+(a file per snapshot took 201 file creations per run writing 200). A run
+that stops early rewrites the row count in place: numpy's header leaves
+room for a 21-digit axis, so its length does not change.
+
+The final state is a NumPy ``.npy`` of float64 fields ``x, zeta, w``; its
+header is formed once per grid size, by ``np.save`` itself, and the table
+is filled field by field behind it: the bytes of ``np.save`` without its
+per-call work.
 
 The diagnostics file is appended and flushed row by row, so a crashed or
 blown-up run keeps everything up to its last accepted step. A record holds
-only what cannot be recomputed: the spectrum of a snapshot is
-``mode_amplitudes(Grid(n, L), read_snapshot(path)[1])``, bit for bit. A
+only what cannot be recomputed: the spectrum of the i-th snapshot is
+``mode_amplitudes(Grid(n, L), read_snapshots(path)[1][i])``, bit for bit. A
 manifest's ``generator`` names the command that wrote it, its ``records =
 a,b,c`` the sub-records in its subdirectories; :func:`claim_out_dir` is the
 one rule for what an output directory may hold.
 
-Every writer returns the sha256 of the bytes it wrote (the diagnostics
-writer keeps one as it appends), and the manifest records those digests
-without reading any file back.
+Every writer returns the sha256 of the bytes it wrote (the appending
+writers keep one as they append), and the manifest records those digests
+without reading any file back; the one exception is a snapshot stream that
+stopped short of its rows (a blow-up), which is hashed once after its row
+count is rewritten.
 """
 
 import functools
@@ -45,6 +55,8 @@ __all__ = [
     "write_table",
     "write_snapshot",
     "read_snapshot",
+    "SnapshotStream",
+    "read_snapshots",
     "write_spectrum",
     "DiagnosticsWriter",
     "read_diagnostics",
@@ -131,25 +143,19 @@ def write_spectrum(path, grid, zeta):
     return write_table(path, "k,abs_zeta_hat", (grid.k, mode_amplitudes(grid, zeta)))
 
 
-class DiagnosticsWriter:
-    """Incremental, crash-safe CSV writer for diagnostics rows; every row is
-    flushed as it is appended, and :meth:`hexdigest` is the sha256 of the
-    bytes written so far."""
+class _AppendedFile:
+    """A file written by appending: every write is flushed as it is made,
+    and :meth:`hexdigest` is the sha256 of the bytes written so far."""
 
-    def __init__(self, path, header):
+    def __init__(self, path):
         self.path = path
         self._digest = hashlib.sha256()
         self._fh = open(path, "wb")
-        self._write(header + "\n")
 
-    def _write(self, text):
-        data = text.encode("utf-8")
+    def _write(self, data):
         self._fh.write(data)
         self._fh.flush()
         self._digest.update(data)
-
-    def append(self, row):
-        self._write(row.as_csv() + "\n")
 
     def hexdigest(self):
         return self._digest.hexdigest()
@@ -163,6 +169,79 @@ class DiagnosticsWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class DiagnosticsWriter(_AppendedFile):
+    """Incremental, crash-safe CSV writer for diagnostics rows; every row is
+    flushed as it is appended."""
+
+    def __init__(self, path, header):
+        super().__init__(path)
+        self._write((header + "\n").encode("utf-8"))
+
+    def append(self, row):
+        self._write((row.as_csv() + "\n").encode("utf-8"))
+
+
+def _stream_dtype(shape):
+    """The row of a snapshot stream whose fields ``zeta`` and ``w`` have ``shape``."""
+    return np.dtype([("t", "<f8"), ("zeta", "<f8", shape), ("w", "<f8", shape)])
+
+
+def _stream_header(n, rows):
+    """The bytes ``np.save`` writes before the data of ``rows`` stream rows
+    of grid size n; their length does not depend on ``rows``."""
+    buf = io.BytesIO()
+    descr = np.lib.format.dtype_to_descr(_stream_dtype((n,)))
+    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": False, "shape": (rows,)})
+    return buf.getvalue()
+
+
+class SnapshotStream(_AppendedFile):
+    """The snapshot stream of a run (see the module docstring): a ``.npy``
+    sized for ``rows`` snapshots on an n-point grid, one row appended and
+    flushed per :meth:`append`. Closing a stream that holds fewer rows
+    rewrites its row count in place and hashes the file once, so
+    :meth:`hexdigest` after :meth:`close` is that of the file on disk."""
+
+    def __init__(self, path, n, rows):
+        super().__init__(path)
+        self._n, self._rows, self._count = n, rows, 0
+        self._row = np.empty((), dtype=_stream_dtype((n,)))
+        self._write(_stream_header(n, rows))
+
+    def append(self, t, zeta, w):
+        if self._count == self._rows:
+            raise ValueError(f"{self.path} is sized for {self._rows} snapshots")
+        row = self._row
+        row["t"] = t
+        row["zeta"] = zeta
+        row["w"] = w
+        self._write(row.tobytes())
+        self._count += 1
+
+    def close(self):
+        if not self._fh.closed and self._count < self._rows:
+            self._fh.seek(0)
+            self._fh.write(_stream_header(self._n, self._count))
+            self._fh.close()
+            with open(self.path, "rb") as fh:
+                self._digest = hashlib.sha256(fh.read())
+        super().close()
+
+
+def read_snapshots(path):
+    """The ``t``, ``zeta`` and ``w`` of a snapshot stream as float64 arrays
+    of shapes (rows,), (rows, n) and (rows, n); another file is a
+    ValueError naming it."""
+    try:
+        table = np.load(path, allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a snapshot stream: {exc}") from exc
+    if (not isinstance(table, np.ndarray) or table.ndim != 1 or table.dtype.names != ("t", "zeta", "w")
+            or len(table.dtype["zeta"].shape) != 1 or table.dtype != _stream_dtype(table.dtype["zeta"].shape)):
+        raise ValueError(f"{path} is not a snapshot stream: expected a 1-d array of float64 fields t, zeta (n,), w (n,)")
+    return tuple(np.ascontiguousarray(table[name]) for name in ("t", "zeta", "w"))
 
 
 def read_diagnostics(path):

@@ -153,7 +153,7 @@ class ExperimentConfig:
         if self.cg_max_iter < 1:
             raise ValidationError("cg_max_iter", "must be >= 1")
         # a time past t_end is never reached, and two times with one file
-        # name tag would write one snapshot file
+        # name tag (snap_t<t>.npy, 6 significant digits) name one state
         if any(t > self.t_end for t in self.snapshot_times):
             raise ValidationError("snapshot_times", f"times must not exceed t_end = {self.t_end!r}")
         tags = [format_time_tag(t) for t in self.snapshot_times]

@@ -1,12 +1,13 @@
 """Wires a configuration to a full simulation with on-disk run records.
 
 One call to :func:`run_experiment` builds the grid, multiplier, and initial
-state, integrates to t_end writing diagnostics and snapshots as it goes, and
-finishes the record with a checksummed manifest, which also names the
-gnwaves, Python and numpy versions and the platform that made it; out_dir
-is claimed by :func:`gnwaves.io_store.claim_out_dir`. Shear blow-up
-(step-size underflow) is a recorded *result*, not an exception: the last
-healthy state is saved and the returned status says "blowup".
+state, integrates to t_end appending diagnostics rows and snapshots to the
+record as it goes, saves the final state, and finishes the record with a
+checksummed manifest, which also names the gnwaves, Python and numpy
+versions and the platform that made it; out_dir is claimed by
+:func:`gnwaves.io_store.claim_out_dir`. Shear blow-up (step-size
+underflow) is a recorded *result*, not an exception: the last healthy state
+is saved and the returned status says "blowup".
 
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
@@ -14,8 +15,8 @@ take the flux w = A^{-1} v it left in ``GNWorkspace.w``, and a row
 reads zeta, w and the other products of that stage's spectral pass from the
 workspace, with no transform of its own. The t = 0 row is not a stage: the
 runner loads the workspace at zeta0 and runs the pass with w0 itself, not
-``rhs``. The blow-up snapshot takes the flux of the last accepted step (w0
-if none was accepted).
+``rhs``. The final state takes the flux of the last accepted step (w0 if
+none was accepted).
 
 During time integration, cavitation, solver-convergence failures and loss of
 spectral resolution inside a trial stage are converted to NaN tendencies
@@ -54,6 +55,7 @@ from .errors import CavitationError, ConvergenceError, StepUnderflowError, Valid
 from .io_store import (
     RUN_GENERATOR,
     DiagnosticsWriter,
+    SnapshotStream,
     claim_out_dir,
     snapshot_name,
     write_manifest,
@@ -211,22 +213,35 @@ def run_experiment(config, out_dir, force=False):
     The integrator steps the stacked state y = (zeta, v), a (2, n) array.
     A diagnostics row is written at t = 0 and after every accepted step, so
     the last row is that of the last accepted state (at t_end or at a
-    blow-up), and a snapshot at t = 0, at every snapshot time and at a
-    blow-up; no spectrum is written, as one is recomputed from a snapshot's
-    zeta (see :mod:`gnwaves.io_store`). With ``force``, an earlier record in
-    out_dir is replaced (its files are removed first). An initial state that
-    already cavitates is a configuration error (ValidationError), raised
-    before anything is written."""
+    blow-up). A row of ``snapshots.npy`` is appended at t = 0 and at every
+    snapshot time the run reaches, and the final state (at t_end or at a
+    blow-up) is also saved as ``snap_t<t_final>.npy``; no spectrum is
+    written, as one is recomputed from a snapshot's zeta (see
+    :mod:`gnwaves.io_store`). With ``force``, an earlier record in out_dir
+    is replaced (its files are removed first). An initial state that
+    already cavitates, or a grid whose flat-interface symbols overflow, is
+    a configuration error (ValidationError), raised before anything is
+    written."""
     t_start = time.monotonic()
     grid = Grid(config.grid_n, config.domain_half_length)
     spec = build_multiplier(config)
-    ctx = GNContext(
-        grid, config.params, spec,
-        cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
-    )
+    try:
+        with np.errstate(over="raise"):
+            ctx = GNContext(
+                grid, config.params, spec,
+                cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
+            )
+    except FloatingPointError as exc:
+        raise ValidationError(
+            "domain_half_length",
+            f"the flat-interface symbols overflow on {grid.n} points at domain_half_length = "
+            f"{config.domain_half_length!r} with the {spec.label} multiplier ({exc})",
+        ) from None
     zeta0 = initial_state(config, grid)
     claim_out_dir(out_dir, RUN_GENERATOR, force)
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
+    # t = 0 and every time the integrator lands on
+    rows = 1 + len({float(s) for s in snapshot_times if 0.0 < s <= config.t_end})
 
     w0 = v0 = np.zeros(grid.n)
     y0 = np.stack((zeta0, v0))
@@ -236,17 +251,14 @@ def run_experiment(config, out_dir, force=False):
     # the sha256 of every data file, as its writer returned it
     checksums = {"config.txt": write_text(os.path.join(out_dir, "config.txt"), serialize_config(config))}
 
-    def save_state(t, zeta, w):
-        snap = snapshot_name(t)
-        checksums[snap] = write_snapshot(os.path.join(out_dir, snap), grid, zeta, w)
-
     status, reason = "completed", ""
-    with DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag:
+    with (DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag,
+          SnapshotStream(os.path.join(out_dir, "snapshots.npy"), grid.n, rows) as snapshots):
         # the t = 0 row is not a stage: load the workspace and run the pass here
         interface_gradient(ctx, workspace.load(ctx, zeta0), w0)
         diag.append(compute_row(ctx, 0.0, v0, workspace))
-        save_state(0.0, zeta0, w0)
-        accepted_w = w0  # flux of the last accepted state, for the blow-up snapshot
+        snapshots.append(0.0, zeta0, w0)
+        accepted_w = w0  # flux of the last accepted state, for the final state
 
         # integrate calls these right after the stage at y: the workspace
         # holds y's flux and the products of its spectral pass
@@ -256,7 +268,7 @@ def run_experiment(config, out_dir, force=False):
             diag.append(compute_row(ctx, t, y[1], workspace))
 
         def on_snapshot(t, y):
-            save_state(t, y[0], workspace.w)
+            snapshots.append(t, y[0], workspace.w)
 
         try:
             result = integrate(
@@ -275,8 +287,10 @@ def run_experiment(config, out_dir, force=False):
             if workspace.resolution_lost_at is not None:
                 reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
             t_final, y_final, stats = blowup.t, blowup.state, blowup.stats
-            save_state(t_final, y_final[0], accepted_w)
     checksums["diag.csv"] = diag.hexdigest()
+    checksums["snapshots.npy"] = snapshots.hexdigest()
+    final = snapshot_name(t_final)
+    checksums[final] = write_snapshot(os.path.join(out_dir, final), grid, y_final[0], accepted_w)
 
     metadata = {
         "generator": RUN_GENERATOR,

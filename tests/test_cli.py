@@ -8,7 +8,7 @@ import pytest
 import gnwaves.runner as runner_mod
 from gnwaves.cli import main
 from gnwaves.errors import StepUnderflowError
-from gnwaves.io_store import read_manifest, snapshot_name
+from gnwaves.io_store import read_manifest, read_snapshots, snapshot_name
 from gnwaves.params import parse_config
 
 from conftest import start_with_flux
@@ -183,8 +183,11 @@ class TestSv:
         metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "blowup"
         assert 0.0 < float(metadata["t_final"]) < 2.0
-        snap = [name for name in checksums if name.startswith("snap_t") and name != snapshot_name(0.0)]
-        assert len(snap) == 1
+        # the snapshots before the stop in one stream, and the final state
+        final = snapshot_name(float(metadata["t_final"]))
+        assert set(checksums) == {"config.txt", "diag.csv", "snapshots.npy", final}
+        t, _, _ = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t.tolist() == [0.0]
 
 
 class TestStability:
@@ -239,7 +242,7 @@ class TestStability:
     @pytest.mark.parametrize("text,k_max", [("", "1e75"), ("mu = 1e100\ninv_bond = 1e100\n", "9.99e24")],
                              ids=["default", "mu1e100"])
     def test_k_max_at_its_bound_runs_clean(self, text, k_max, tmp_path):
-        # k_max^2 max(mu, 1) <= 1e150 keeps every column finite (warnings are errors here)
+        # a k_max below where a column overflows runs clean (warnings are errors here)
         cfg = tmp_path / "stab.cfg"
         cfg.write_text(text)
         out = str(tmp_path / "stab")
@@ -360,6 +363,28 @@ class TestFloatRange:
         else:
             assert code == 2 and f"{key}: must be at most 1e100" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sv"])
+    def test_tiny_domain_is_a_usage_error(self, command, tmp_path, capsys):
+        # on [-5e-101, 5e-101) the regularized family's flat-interface
+        # symbols overflow: refused before --out, naming the length
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("domain_half_length = 1e-100\ngrid_n = 64\nt_end = 0.01\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "domain_half_length: the flat-interface symbols overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stability_overflow_at_large_delta_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text("delta = 1e100\n")
+        out = tmp_path / "stab"
+        argv = ["stability", "--config", str(cfg), "--out", str(out), "--k-points", "10"]
+        assert main(argv + ["--k-max", "1e10"]) == 2
+        err = capsys.readouterr().err
+        assert "k_max: the threshold table overflows" in err and "delta = 1e+100" in err and "mu = 0.1" in err
+        assert not out.exists()
+        assert main(argv + ["--k-max", "100"]) == 0
 
 
 def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):

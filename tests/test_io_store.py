@@ -12,10 +12,12 @@ from gnwaves.errors import ValidationError
 from gnwaves.io_store import (
     RUN_GENERATOR,
     DiagnosticsWriter,
+    SnapshotStream,
     claim_out_dir,
     read_diagnostics,
     read_manifest,
     read_snapshot,
+    read_snapshots,
     snapshot_name,
     write_manifest,
     write_snapshot,
@@ -150,6 +152,93 @@ class TestReadSnapshotRejects:
         path = tmp_path / "snap_t0.csv"
         path.write_text("x,zeta,w\n0,0,0\n")
         self._rejects(path)
+
+
+class TestSnapshotStream:
+    """snapshots.npy: one row per snapshot, the bytes np.save writes for the
+    table of the rows, read back bit for bit."""
+
+    def _rows(self, grid, count):
+        rng = np.random.default_rng(5)
+        table = np.zeros(count, dtype=[("t", "<f8"), ("zeta", "<f8", (grid.n,)), ("w", "<f8", (grid.n,))])
+        table["t"] = np.arange(count) / 8
+        table["zeta"] = rng.standard_normal((count, grid.n))
+        table["zeta"][0, : len(SPECIAL)] = SPECIAL
+        table["w"] = -table["zeta"][:, ::-1]
+        return table
+
+    def _save(self, table):
+        buf = io.BytesIO()
+        np.save(buf, table, allow_pickle=False)
+        return buf.getvalue()
+
+    def test_round_trip(self, grid, tmp_path):
+        table = self._rows(grid, 3)
+        path = tmp_path / "snapshots.npy"
+        with SnapshotStream(path, grid.n, 3) as stream:
+            for row in table:
+                stream.append(row["t"], row["zeta"], row["w"])
+        assert path.read_bytes() == self._save(table)
+        assert stream.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        for got, wrote in zip(read_snapshots(path), (table["t"], table["zeta"], table["w"])):
+            assert got.tobytes() == wrote.tobytes()
+
+    def test_each_row_is_on_disk_as_it_is_appended(self, grid, tmp_path):
+        table = self._rows(grid, 2)
+        path = tmp_path / "snapshots.npy"
+        with SnapshotStream(path, grid.n, 2) as stream:
+            stream.append(table["t"][0], table["zeta"][0], table["w"][0])
+            assert path.read_bytes() == self._save(table)[: -table.itemsize]
+
+    def test_a_short_stream_rewrites_its_row_count(self, grid, tmp_path):
+        # sized for 5 rows, closed after 2: np.load reads the 2, and the
+        # digest is that of the file after the rewrite
+        table = self._rows(grid, 2)
+        path = tmp_path / "snapshots.npy"
+        with SnapshotStream(path, grid.n, 5) as stream:
+            for row in table:
+                stream.append(row["t"], row["zeta"], row["w"])
+        assert path.read_bytes() == self._save(table)
+        assert np.load(path, allow_pickle=False).tobytes() == table.tobytes()
+        assert stream.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_no_row_past_its_size(self, grid, tmp_path):
+        path = tmp_path / "snapshots.npy"
+        with SnapshotStream(path, grid.n, 1) as stream:
+            stream.append(0.0, np.zeros(grid.n), np.zeros(grid.n))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                stream.append(0.1, np.zeros(grid.n), np.zeros(grid.n))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros(64, dtype=SNAPSHOT_DTYPE),
+            np.zeros(2, dtype=[("t", "<f8"), ("zeta", "<f8", (64,))]),
+            np.zeros(2, dtype=[("t", "<f8"), ("zeta", "<f8"), ("w", "<f8")]),
+            np.zeros(2, dtype=[("t", "<f8"), ("zeta", "<f8", (64,)), ("w", "<f8", (32,))]),
+            np.zeros(2, dtype=[("t", "<f8"), ("zeta", "<f4", (64,)), ("w", "<f4", (64,))]),
+            np.zeros(2, dtype=[("t", "<f8"), ("zeta", "<f8", (2, 32)), ("w", "<f8", (2, 32))]),
+            np.zeros((2, 2), dtype=[("t", "<f8"), ("zeta", "<f8", (64,)), ("w", "<f8", (64,))]),
+        ],
+        ids=["snapshot_file", "no_w", "scalar_fields", "unequal_fields", "float32", "two_d_fields",
+             "two_dimensional"],
+    )
+    def test_read_snapshots_refuses_other_arrays(self, tmp_path, table):
+        path = tmp_path / "table.npy"
+        np.save(path, table)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_snapshots(path)
+
+    def test_read_snapshots_refuses_objects_and_text(self, tmp_path):
+        trap = tmp_path / "unpickled"
+        path = tmp_path / "objects.npy"
+        np.save(path, np.array([_Trap(str(trap)), 1.0], dtype=object), allow_pickle=True)
+        text = tmp_path / "snap_t0.csv"
+        text.write_text("x,zeta,w\n0,0,0\n")
+        for bad in (path, text):
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                read_snapshots(bad)
+        assert not trap.exists()
 
 
 class TestWriterOracle:

@@ -14,8 +14,10 @@ from gnwaves.io_store import (
     read_diagnostics,
     read_manifest,
     read_snapshot,
+    read_snapshots,
     snapshot_name,
     write_manifest,
+    write_snapshot,
     write_text,
 )
 from gnwaves.multipliers import MultiplierSpec, eval_multiplier
@@ -86,8 +88,8 @@ class TestInitialState:
     def test_run_starts_at_rest(self, tmp_path):
         out = str(tmp_path / "run")
         run_experiment(fast_config(), out)
-        _, _, w0 = read_snapshot(os.path.join(out, snapshot_name(0.0)))
-        assert np.array_equal(w0, np.zeros(64))
+        t, _, w = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t[0] == 0.0 and np.array_equal(w[0], np.zeros(64))
 
 
 def no_tension_ctx(grid):
@@ -310,10 +312,11 @@ class TestRunExperiment:
         result = run_experiment(fast_config(), out)
         assert result.status == "completed"
         files = set(os.listdir(out))
-        # a snapshot at t = 0 and at each snapshot time, and no spectra:
-        # they are mode_amplitudes of a snapshot's zeta
-        snaps = {snapshot_name(t) for t in (0.0, 0.125, 0.25)}
-        assert files == {"config.txt", "manifest.txt", "diag.csv"} | snaps
+        # one stream of the snapshots at t = 0 and at each snapshot time, the
+        # final state, and no spectra: they are mode_amplitudes of a snapshot's zeta
+        assert files == {"config.txt", "manifest.txt", "diag.csv", "snapshots.npy", snapshot_name(0.25)}
+        t, _, _ = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t.tolist() == [0.0, 0.125, 0.25]
         metadata, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["status"] == "completed"
         assert int(metadata["accepted"]) > 0
@@ -354,14 +357,15 @@ class TestRunExperiment:
         run_experiment(fast_config(), out, force=True)  # force allows it
 
     def test_force_removes_the_old_record_first(self, tmp_path):
-        # the replaced record's snapshots at other times must not outlive
+        # the replaced record's final state at another time must not outlive
         # it, and what is no part of a record stays
         out = str(tmp_path / "run")
-        run_experiment(fast_config(snapshot_times=(0.1, 0.25)), out)
-        assert {snapshot_name(0.1), snapshot_name(0.25)} <= set(os.listdir(out))
+        run_experiment(fast_config(snapshot_times=(0.1, 0.25), t_end=0.3), out)
+        assert {"snapshots.npy", snapshot_name(0.3)} <= set(os.listdir(out))
         notes = tmp_path / "run" / "notes.txt"
         notes.write_text("kept\n")
         run_experiment(fast_config(snapshot_times=()), out, force=True)
+        assert snapshot_name(0.3) not in os.listdir(out)
         _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt", "notes.txt"}
         assert notes.read_text() == "kept\n"
@@ -447,7 +451,7 @@ class TestRunExperiment:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         run_experiment(fast_config(), out1)
         run_experiment(fast_config(), out2)
-        for name in ("diag.csv", snapshot_name(0.25), "config.txt"):
+        for name in ("diag.csv", "snapshots.npy", snapshot_name(0.25), "config.txt"):
             with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
 
@@ -464,7 +468,7 @@ class TestRunExperiment:
         _, sums_id = read_manifest(os.path.join(out_id, "manifest.txt"))
         assert meta_tab["multiplier"] == f"custom:{table}"
         assert sums_tab.pop("config.txt") != sums_id.pop("config.txt")
-        assert sums_tab == sums_id and len(sums_tab) == 4  # diag.csv and three snapshots
+        assert sums_tab == sums_id and len(sums_tab) == 3  # diag.csv, the snapshots and the final state
 
     def test_manifest_names_the_environment_outside_the_checksums(self, tmp_path, monkeypatch):
         # the environment keys sit in the manifest only: another platform
@@ -547,8 +551,11 @@ class TestRunExperiment:
         assert metadata["status"] == "blowup"
         snap = snapshot_name(result.t_final)
         assert snap.startswith("snap_t0.05")
-        assert set(checksums) == {"config.txt", "diag.csv", snapshot_name(0.0), snap}
+        assert set(checksums) == {"config.txt", "diag.csv", "snapshots.npy", snap}
         assert set(os.listdir(out)) == set(checksums) | {"manifest.txt"}
+        # the stream holds the t = 0 snapshot only: the run stopped before t_end
+        t, _, _ = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t.tolist() == [0.0]
         # the recorded w is the flux of the captured state: A[eps*zeta] w = v
         grid = Grid(config.grid_n, config.domain_half_length)
         ctx = GNContext(grid, config.params, build_multiplier(config), cg_tol=config.cg_tol)
@@ -570,25 +577,88 @@ class TestRunExperiment:
             return w
 
         taken = []
-        compute_row, write_snapshot = runner_mod.compute_row, runner_mod.write_snapshot
+        compute_row, append = runner_mod.compute_row, runner_mod.SnapshotStream.append
 
         def row(ctx, t, v, stage):
             taken.append(("row", t, stage.w))
             return compute_row(ctx, t, v, stage)
 
-        def snapshot(path, grid, zeta, w):
-            taken.append(("snapshot", path, w))
-            return write_snapshot(path, grid, zeta, w)
+        def snapshot(stream, t, zeta, w):
+            taken.append(("snapshot", t, w))
+            return append(stream, t, zeta, w)
 
         monkeypatch.setattr(operators_mod, "invert_mass_operator", recorded)
         monkeypatch.setattr(runner_mod, "compute_row", row)
-        monkeypatch.setattr(runner_mod, "write_snapshot", snapshot)
-        run_experiment(fast_config(), str(tmp_path / "run"))
+        monkeypatch.setattr(runner_mod.SnapshotStream, "append", snapshot)
+        out = str(tmp_path / "run")
+        run_experiment(fast_config(), out)
         # the t = 0 row and snapshot take the rest flux w0
         later = taken[2:]
         assert [kind for kind, _, _ in later].count("snapshot") == 2 and len(later) > 4
         for _, _, w in later:
             assert any(w is solved and w is not x0 for x0, solved in solves)
+        # and the stream holds those fluxes
+        _, _, w = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert np.array_equal(w, np.stack([flux for kind, _, flux in taken if kind == "snapshot"]))
+
+    def test_stream_rows_are_the_snapshot_files_of_the_same_states(self, tmp_path, monkeypatch):
+        # each row of snapshots.npy holds the zeta and w, bit for bit, that a
+        # snap_t<t>.npy of the same state holds, and its t
+        config = fast_config(snapshot_times=(0.05, 0.125, 0.25))
+        grid = Grid(config.grid_n, config.domain_half_length)
+        side = tmp_path / "side"
+        side.mkdir()
+        append = runner_mod.SnapshotStream.append
+
+        def also_a_file(stream, t, zeta, w):
+            write_snapshot(side / snapshot_name(t), grid, zeta, w)
+            return append(stream, t, zeta, w)
+
+        monkeypatch.setattr(runner_mod.SnapshotStream, "append", also_a_file)
+        out = str(tmp_path / "run")
+        run_experiment(config, out)
+        t, zeta, w = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t.tolist() == [0.0, 0.05, 0.125, 0.25]
+        for i, ti in enumerate(t):
+            x, zeta_i, w_i = read_snapshot(side / snapshot_name(ti))
+            assert x.tobytes() == grid.x.tobytes()
+            assert (zeta[i].tobytes(), w[i].tobytes()) == (zeta_i.tobytes(), w_i.tobytes())
+        # the final state's own file is the last row's
+        _, zeta_f, w_f = read_snapshot(os.path.join(out, snapshot_name(0.25)))
+        assert (zeta[-1].tobytes(), w[-1].tobytes()) == (zeta_f.tobytes(), w_f.tobytes())
+
+    def test_blowup_record_keeps_the_snapshots_before_the_stop(self, tmp_path, monkeypatch):
+        # a run stopped at t = 0.3 of t_end = 0.5 holds the snapshots at 0, 0.1
+        # and 0.2 (the stream's row count rewritten from the 4 it was sized
+        # for, its manifest digest that of the file) and its final state
+        real_integrate = runner_mod.integrate
+
+        def cut_short(rhs_fn, t_span, y0, **kw):
+            result = real_integrate(rhs_fn, (t_span[0], 0.3), y0, **kw)
+            raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
+
+        monkeypatch.setattr(runner_mod, "integrate", cut_short)
+        out = str(tmp_path / "run")
+        result = run_experiment(fast_config(t_end=0.5, snapshot_times=(0.1, 0.2, 0.4)), out)
+        assert (result.status, result.t_final) == ("blowup", 0.3)
+        stream = os.path.join(out, "snapshots.npy")
+        assert np.load(stream, allow_pickle=False)["t"].tolist() == [0.0, 0.1, 0.2]
+        _, checksums = read_manifest(os.path.join(out, "manifest.txt"))
+        assert set(checksums) == {"config.txt", "diag.csv", "snapshots.npy", snapshot_name(0.3)}
+        with open(stream, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == checksums["snapshots.npy"]
+
+    def test_final_state_is_kept_when_snapshot_times_leave_out_t_end(self, tmp_path):
+        out = str(tmp_path / "run")
+        result = run_experiment(fast_config(t_end=0.2, snapshot_times=(0.1,)), out)
+        assert result.t_final == 0.2
+        assert snapshot_name(0.2) in os.listdir(out)
+        t, _, _ = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t.tolist() == [0.0, 0.1]
+        diag = read_diagnostics(os.path.join(out, "diag.csv"))
+        grid = Grid(64, 4.0)
+        _, zeta_f, _ = read_snapshot(os.path.join(out, snapshot_name(0.2)))
+        assert diag["Z"][-1] == grid.dx * float(np.sum(zeta_f))
 
     def test_cg_work_per_solve(self, tmp_path, monkeypatch):
         # 5.36 applications of A per solve with the stage predictor, 7.92
@@ -621,6 +691,5 @@ class TestRunExperiment:
                         build_multiplier(config), dealias=True)
         top = slice(config.grid_n // 3 + 1, None)
         assert np.all(ctx.linear.omega[top] == 0.0) and ctx.linear.omega[1 : top.start].min() > 0.0
-        _, zeta0, _ = read_snapshot(os.path.join(out, snapshot_name(0.0)))
-        _, zeta, _ = read_snapshot(os.path.join(out, snapshot_name(0.25)))
+        _, (zeta0, _, zeta), _ = read_snapshots(os.path.join(out, "snapshots.npy"))
         assert np.max(np.abs(np.fft.rfft(zeta)[top] - np.fft.rfft(zeta0)[top])) <= 1e-13
