@@ -34,7 +34,7 @@ v0 = apply_mass_operator(ctx, GNWorkspace().load(ctx, np.zeros(grid.n)), np.full
 v0 = v0 - amp * np.sqrt(-a / b) * np.sin(k0 * grid.x)
 
 idx = int(np.argmin(np.abs(grid.k - k0)))
-trace = [(0.0, abs(np.fft.rfft(zeta0)[idx]) / grid.n)]
+trace = []  # integrate reports t = 0 first, then every accepted step
 workspace = GNWorkspace()
 
 

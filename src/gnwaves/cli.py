@@ -29,7 +29,7 @@ from .errors import ConfigError, ValidationError
 from .io_store import RUN_GENERATOR, claim_out_dir, read_diagnostics, write_manifest, write_table, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
-from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, initial_state, run_experiment
+from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, build_multiplier, prepare, run_experiment
 from .stability import threshold_table
 
 # simulate --preset: config overrides, then one run per built-in family;
@@ -60,37 +60,36 @@ def _load_config(args):
     return config
 
 
-def _print_result(label, result):
-    print(f"{label}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
+def _run(config, out_dir, force):
+    """run_experiment, with one line on its outcome (two at a blow-up)."""
+    result = run_experiment(config, out_dir, force=force)
+    print(f"{config.multiplier}: {result.status} at t={result.t_final:.6g} -> {result.out_dir}")
     if result.status == "blowup":
         print(f"  ({result.reason})")
+    return result
 
 
-def _run_families(config, out_dir, force, prefix=""):
-    """One run of config per built-in family, into out_dir/<prefix><family>;
-    returns (family, RunResult) pairs. A blow-up inside a family comparison
-    is a recorded result, not a batch failure; the per-run manifests carry
-    the status."""
-    results = []
-    for name in FAMILIES:
-        sub = with_overrides(config, multiplier=name)
-        result = run_experiment(sub, os.path.join(out_dir, prefix + name), force=force)
-        _print_result(name, result)
-        results.append((name, result))
-    return results
+def _run_families(args, cases):
+    """One run per built-in family of each (prefix, config) case, into
+    --out/<prefix><family>; returns (record, RunResult) pairs. Every run is
+    prepared before --out is claimed, so a refused one leaves --out as it
+    was. A blow-up inside a family comparison is a recorded result, not a
+    batch failure; the per-run manifests carry the status."""
+    runs = [(prefix + name, with_overrides(config, multiplier=name)) for prefix, config in cases for name in FAMILIES]
+    for _, config in runs:
+        prepare(config)
+    claim_out_dir(args.out, args.generator, args.force)
+    return [(record, _run(config, os.path.join(args.out, record), args.force)) for record, config in runs]
 
 
 def _cmd_simulate(args, **overrides):
     config = with_overrides(_load_config(args), **overrides)
     preset = getattr(args, "preset", None)
     if preset:
-        initial_state(config)  # refuses a cavitating start before the claim
-        claim_out_dir(args.out, RUN_GENERATOR, args.force)
-        _run_families(with_overrides(config, **PRESETS[preset]), args.out, args.force)
+        _run_families(args, [("", with_overrides(config, **PRESETS[preset]))])
         write_manifest(args.out, {"generator": RUN_GENERATOR, "records": ",".join(FAMILIES)}, {})
         return EXIT_OK
-    result = run_experiment(config, args.out, force=args.force)
-    _print_result(config.multiplier, result)
+    result = _run(config, args.out, args.force)
     return EXIT_BLOWUP if result.status == "blowup" else EXIT_OK
 
 
@@ -135,23 +134,22 @@ def _cmd_admissibility(args):
 def _cmd_diag_compare(args):
     config = _load_config(args)
     tension = config.params.inv_bond > 0.0
-    cases = [("with_tension" if tension else "without_tension", config)]
+    cases = [("with_tension_" if tension else "without_tension_", config)]
     if args.preset == "table1":
         if not tension:
             raise ValidationError("inv_bond", "--preset table1 compares runs with and without tension; got 0")
-        cases.append(("without_tension", with_overrides(config, inv_bond=0.0)))
-    initial_state(config)  # refuses a cavitating start before the claim
-    claim_out_dir(args.out, args.generator, args.force)
+        cases.append(("without_tension_", with_overrides(config, inv_bond=0.0)))
+    results = _run_families(args, cases)
     lines = ["case,multiplier,status,t_final,dZ,dV,dI,dH"]
-    for tag, case_config in cases:
-        for name, result in _run_families(case_config, args.out, args.force, prefix=f"{tag}_"):
-            diag = read_diagnostics(os.path.join(result.out_dir, "diag.csv"))
-            drifts = [f"{diag[q][-1] - diag[q][0]:.6e}" for q in ("Z", "V", "I", "H")]
-            lines.append(",".join([tag, name, result.status, f"{result.t_final:.6g}", *drifts]))
+    for record, result in results:
+        tag, _, name = record.rpartition("_")
+        diag = read_diagnostics(os.path.join(result.out_dir, "diag.csv"))
+        drifts = [f"{diag[q][-1] - diag[q][0]:.6e}" for q in ("Z", "V", "I", "H")]
+        lines.append(",".join([tag, name, result.status, f"{result.t_final:.6g}", *drifts]))
     text = "\n".join(lines) + "\n"
     path = os.path.join(args.out, "drift_table.csv")
     digest = write_text(path, text)
-    records = ",".join(f"{tag}_{name}" for tag, _ in cases for name in FAMILIES)
+    records = ",".join(record for record, _ in results)
     write_manifest(args.out, {"generator": args.generator, "records": records}, {"drift_table.csv": digest})
     print(text, end="")
     print(f"-> {path}")

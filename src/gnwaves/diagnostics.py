@@ -19,8 +19,8 @@ zeta whose pass :func:`gnwaves.operators.interface_gradient` ran with w.
 The depths, velocities, slope, dx F u and zeta_hat it keeps feed the
 energy, the margin and the high band, so a row makes no transform. The
 runner passes the workspace of the accepted (FSAL) stage, whose pass
-``rhs`` has just run; for the t = 0 row it loads that workspace at zeta0
-and runs the pass itself.
+``rhs`` has just run; the t = 0 row's is the integrator's first stage, at
+the initial state.
 """
 
 from dataclasses import dataclass, fields

@@ -17,10 +17,10 @@ each row is appended and flushed as it is taken, one file for all of them
 that stops early rewrites the row count in place: numpy's header leaves
 room for a 21-digit axis, so its length does not change.
 
-The final state is a NumPy ``.npy`` of float64 fields ``x, zeta, w``; its
-header is formed once per grid size, by ``np.save`` itself, and the table
-is filled field by field behind it: the bytes of ``np.save`` without its
-per-call work.
+The final state is a NumPy ``.npy`` of float64 fields ``x, zeta, w``. Both
+files take their header from numpy's own writer (the one ``np.save``
+calls), and the table is filled field by field behind it: the bytes of
+``np.save`` without its per-call work.
 
 The diagnostics file is appended and flushed row by row, so a crashed or
 blown-up run keeps everything up to its last accepted step. A record holds
@@ -37,7 +37,6 @@ stopped short of its rows (a blow-up), which is hashed once after its row
 count is rewritten.
 """
 
-import functools
 import hashlib
 import io
 import os
@@ -107,13 +106,27 @@ def write_table(path, header, columns):
     return write_text(path, header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
 
 
-@functools.cache
-def _snapshot_header(n):
-    """The bytes ``np.save`` writes before the data of an ``(n,)`` array of
-    the snapshot dtype: its magic string and padded header."""
+def _npy_header(dtype, shape):
+    """The bytes ``np.save`` writes before the data of a C-ordered array of
+    ``dtype`` and ``shape``: its magic string and padded header, whose
+    length does not depend on the row count of ``shape``."""
     buf = io.BytesIO()
-    np.save(buf, np.zeros(n, dtype=_SNAPSHOT_DTYPE), allow_pickle=False)
-    return buf.getvalue()[: -n * _SNAPSHOT_DTYPE.itemsize]
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue()
+
+
+def _load_table(path, what, expected, accepts):
+    """The fields of the 1-d structured array that ``path`` holds, as
+    contiguous arrays, when ``accepts(dtype)``; another file is a ValueError
+    naming it as not a ``what``, which ``expected`` describes."""
+    try:
+        table = np.load(path, allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a {what}: {exc}") from exc
+    if not isinstance(table, np.ndarray) or table.ndim != 1 or not accepts(table.dtype):
+        raise ValueError(f"{path} is not a {what}: expected {expected}")
+    return tuple(np.ascontiguousarray(table[name]) for name in table.dtype.names)
 
 
 def write_snapshot(path, grid, zeta, w):
@@ -123,18 +136,13 @@ def write_snapshot(path, grid, zeta, w):
     table["x"] = grid.x
     table["zeta"] = zeta
     table["w"] = w
-    return _write_bytes(path, _snapshot_header(grid.n) + table.tobytes())
+    return _write_bytes(path, _npy_header(_SNAPSHOT_DTYPE, (grid.n,)) + table.tobytes())
 
 
 def read_snapshot(path):
     """``x, zeta, w`` as float64 arrays; another file is a ValueError naming it."""
-    try:
-        table = np.load(path, allow_pickle=False)
-    except ValueError as exc:
-        raise ValueError(f"{path} is not a snapshot: {exc}") from exc
-    if not isinstance(table, np.ndarray) or table.dtype != _SNAPSHOT_DTYPE or table.ndim != 1:
-        raise ValueError(f"{path} is not a snapshot: expected a 1-d array of dtype {_SNAPSHOT_DTYPE}")
-    return tuple(np.ascontiguousarray(table[name]) for name in _SNAPSHOT_DTYPE.names)
+    return _load_table(path, "snapshot", f"a 1-d array of dtype {_SNAPSHOT_DTYPE}",
+                       lambda dtype: dtype == _SNAPSHOT_DTYPE)
 
 
 def write_spectrum(path, grid, zeta):
@@ -188,15 +196,6 @@ def _stream_dtype(shape):
     return np.dtype([("t", "<f8"), ("zeta", "<f8", shape), ("w", "<f8", shape)])
 
 
-def _stream_header(n, rows):
-    """The bytes ``np.save`` writes before the data of ``rows`` stream rows
-    of grid size n; their length does not depend on ``rows``."""
-    buf = io.BytesIO()
-    descr = np.lib.format.dtype_to_descr(_stream_dtype((n,)))
-    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": False, "shape": (rows,)})
-    return buf.getvalue()
-
-
 class SnapshotStream(_AppendedFile):
     """The snapshot stream of a run (see the module docstring): a ``.npy``
     sized for ``rows`` snapshots on an n-point grid, one row appended and
@@ -206,9 +205,9 @@ class SnapshotStream(_AppendedFile):
 
     def __init__(self, path, n, rows):
         super().__init__(path)
-        self._n, self._rows, self._count = n, rows, 0
+        self._rows, self._count = rows, 0
         self._row = np.empty((), dtype=_stream_dtype((n,)))
-        self._write(_stream_header(n, rows))
+        self._write(_npy_header(self._row.dtype, (rows,)))
 
     def append(self, t, zeta, w):
         if self._count == self._rows:
@@ -223,7 +222,7 @@ class SnapshotStream(_AppendedFile):
     def close(self):
         if not self._fh.closed and self._count < self._rows:
             self._fh.seek(0)
-            self._fh.write(_stream_header(self._n, self._count))
+            self._fh.write(_npy_header(self._row.dtype, (self._count,)))
             self._fh.close()
             with open(self.path, "rb") as fh:
                 self._digest = hashlib.sha256(fh.read())
@@ -234,14 +233,11 @@ def read_snapshots(path):
     """The ``t``, ``zeta`` and ``w`` of a snapshot stream as float64 arrays
     of shapes (rows,), (rows, n) and (rows, n); another file is a
     ValueError naming it."""
-    try:
-        table = np.load(path, allow_pickle=False)
-    except ValueError as exc:
-        raise ValueError(f"{path} is not a snapshot stream: {exc}") from exc
-    if (not isinstance(table, np.ndarray) or table.ndim != 1 or table.dtype.names != ("t", "zeta", "w")
-            or len(table.dtype["zeta"].shape) != 1 or table.dtype != _stream_dtype(table.dtype["zeta"].shape)):
-        raise ValueError(f"{path} is not a snapshot stream: expected a 1-d array of float64 fields t, zeta (n,), w (n,)")
-    return tuple(np.ascontiguousarray(table[name]) for name in ("t", "zeta", "w"))
+    return _load_table(
+        path, "snapshot stream", "a 1-d array of float64 fields t, zeta (n,), w (n,)",
+        lambda dtype: dtype.names == ("t", "zeta", "w") and len(dtype["zeta"].shape) == 1
+        and dtype == _stream_dtype(dtype["zeta"].shape),
+    )
 
 
 def read_diagnostics(path):

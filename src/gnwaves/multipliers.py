@@ -89,10 +89,12 @@ def _regularized(theta, xi):
 
 
 def _check_finite_positive(**values):
-    """Refuse, by name, the first value not None that is not finite and > 0."""
+    """Refuse, by name, the first value not None that is not > 0 and at most
+    1e100, the bound PhysParams puts on delta, mu and inv_bond (theta xi^2
+    overflows above it)."""
     for field, value in values.items():
-        if value is not None and not (np.isfinite(value) and value > 0):
-            raise ValidationError(field, f"must be finite and positive, got {value}")
+        if value is not None and not 0 < value <= 1e100:
+            raise ValidationError(field, f"must be positive and at most 1e100, got {value}")
 
 
 class MultiplierSpec:

@@ -245,14 +245,18 @@ class GNWorkspace:
         weights in t of their times (quadratic from three solves, linear
         from two, c = 1 from one) and P the flat-interface preconditioner, A
         at zeta = 0, which carries the part of v that the history does not
-        extrapolate: one irfft. None (a cold start) without a history, and at
-        mu = 0, where the solve is pointwise and takes no start."""
+        extrapolate: one irfft. None (a cold start) without a history, at
+        mu = 0, where the solve is pointwise and takes no start, and when a
+        weight is not finite (stage times too close for their quotients)."""
         if not self.history or ctx.params.mu == 0.0:
             return None
         times = [t_j for t_j, _ in self.history]
         c = np.empty(len(times))
+        t = float(t)  # in Python floats, as the history's times: an overflow is inf, with no warning
         for t_j, row in self.history:
-            c[row] = math.prod((t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j)
+            c[row] = weight = math.prod((t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j)
+            if not math.isfinite(weight):
+                return None
         x0 = c @ self.past_w[: c.size]
         x0 += spectral.irfft((v_hat - c @ self.past_v_hat[: c.size]) * ctx.inv_flat_symbol, ctx.grid.n)
         return x0
@@ -268,7 +272,7 @@ class GNWorkspace:
             self.past_v_hat = np.empty((3,) + v_hat.shape, dtype=complex)
         rows = dict(self.history)
         row = rows.get(t, len(rows) if len(rows) < 3 else self.history[0][1])
-        self.history = [entry for entry in self.history if entry[1] != row] + [(t, row)]
+        self.history = [entry for entry in self.history if entry[1] != row] + [(float(t), row)]
         self.past_w[row] = self.w
         self.past_v_hat[row] = v_hat
 

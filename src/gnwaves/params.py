@@ -144,10 +144,13 @@ class ExperimentConfig:
         if self.grid_n < 8 or not is_power_of_two(self.grid_n):
             raise ValidationError("grid_n", f"must be a power of two >= 8, got {self.grid_n}")
         # theta1/theta2 may also be None (auto)
-        for name in ("domain_half_length", "t_end", "rel_tol", "abs_tol", "theta1", "theta2", "ic_width", "cg_tol"):
+        for name in ("t_end", "rel_tol", "abs_tol", "theta1", "theta2", "ic_width", "cg_tol"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValidationError(name, f"must be positive, got {value}")
+        # the grid forms its length 2 L and its wavenumber spacing pi/L
+        if not 1e-300 <= self.domain_half_length <= 1e300:
+            raise ValidationError("domain_half_length", f"must lie in [1e-300, 1e300], got {self.domain_half_length}")
         if any(t < 0 for t in self.snapshot_times):
             raise ValidationError("snapshot_times", "times must be nonnegative")
         if self.cg_max_iter < 1:

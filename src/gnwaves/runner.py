@@ -13,10 +13,14 @@ No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
 take the flux w = A^{-1} v it left in ``GNWorkspace.w``, and a row
 reads zeta, w and the other products of that stage's spectral pass from the
-workspace, with no transform of its own. The t = 0 row is not a stage: the
-runner loads the workspace at zeta0 and runs the pass with w0 itself, not
-``rhs``. The final state takes the flux of the last accepted step (w0 if
+workspace, with no transform of its own. The t = 0 row and snapshot are
+those of the integrator's first stage, at the initial state (see
+:func:`gnwaves.timestepper.integrate`): at v0 = 0 its solve returns
+w0 = 0. The final state takes the flux of the last accepted step (w0 if
 none was accepted).
+
+:func:`prepare` is the one set-up of a run and holds its refusals: a
+command that runs several configs prepares each before it claims --out.
 
 During time integration, cavitation, solver-convergence failures and loss of
 spectral resolution inside a trial stage are converted to NaN tendencies
@@ -64,13 +68,13 @@ from .io_store import (
     write_text,
 )
 from .multipliers import FAMILIES, load_symbol_table
-from .operators import CAVITATION_FLOOR, GNContext, GNWorkspace, interface_gradient, layer_depths, rhs
+from .operators import CAVITATION_FLOOR, GNContext, GNWorkspace, layer_depths, rhs
 from .operators import invert_mass_operator  # unused here but stays bound: perfbench/layertrace.py rebinds it
 from .params import serialize_config
 from .spectral import Grid
 from .timestepper import REL_TOL, integrate
 
-__all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "run_experiment"]
+__all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "prepare", "run_experiment"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,23 +100,46 @@ def build_multiplier(config):
     return load_symbol_table(name.removeprefix("custom:"))
 
 
-def initial_state(config, grid=None):
+def initial_state(config, grid):
     """The initial interface zeta0 = ic_amplitude * exp(-ic_width x^2) on
-    ``grid`` (config's grid when None), the +0.0 rest state at
-    ic_amplitude = 0; the fluid starts at rest (w0 = v0 = 0). One that
-    already cavitates is a configuration error (ValidationError naming
-    ``ic_amplitude``, or ``delta`` when the flat interface cavitates, its
-    lower layer 1/delta deep, which no amplitude mends). Neither the
-    multiplier nor ``inv_bond`` enters, so a command running several
-    families checks once, before it claims --out."""
-    grid = Grid(config.grid_n, config.domain_half_length) if grid is None else grid
-    zeta0 = config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
+    ``grid``, the +0.0 rest state at ic_amplitude = 0 (where ic_width x^2
+    overflows, exp(-inf) = 0 is exact); the fluid starts at rest (w0 = v0
+    = 0). One that already cavitates is a configuration error
+    (ValidationError naming ``ic_amplitude``, or ``delta`` when the flat
+    interface cavitates, its lower layer 1/delta deep, which no amplitude
+    mends)."""
+    with np.errstate(over="ignore"):
+        zeta0 = config.ic_amplitude * np.exp(-config.ic_width * grid.x**2)
     try:
         layer_depths(config.params, zeta0)
     except CavitationError as exc:
         key = "delta" if 1.0 / config.params.delta <= CAVITATION_FLOOR else "ic_amplitude"
         raise ValidationError(key, f"the initial state cavitates: {exc}") from None
     return zeta0
+
+
+def prepare(config):
+    """The set-up of a run of config, ``(spec, ctx, zeta0)``: its multiplier
+    (:func:`build_multiplier`), :class:`GNContext` and
+    :func:`initial_state`. A grid whose flat-interface symbols overflow, or
+    an initial state that already cavitates, is a configuration error
+    (ValidationError), raised before anything is written; so is a theta the
+    multiplier refuses. It writes nothing."""
+    grid = Grid(config.grid_n, config.domain_half_length)
+    spec = build_multiplier(config)
+    try:
+        with np.errstate(over="raise"):
+            ctx = GNContext(
+                grid, config.params, spec,
+                cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
+            )
+    except FloatingPointError as exc:
+        raise ValidationError(
+            "domain_half_length",
+            f"the flat-interface symbols overflow on {grid.n} points at domain_half_length = "
+            f"{config.domain_half_length!r} with the {spec.label} multiplier ({exc})",
+        ) from None
+    return spec, ctx, initial_state(config, grid)
 
 
 def _band_peaks(amp, last):
@@ -218,34 +245,17 @@ def run_experiment(config, out_dir, force=False):
     blow-up) is also saved as ``snap_t<t_final>.npy``; no spectrum is
     written, as one is recomputed from a snapshot's zeta (see
     :mod:`gnwaves.io_store`). With ``force``, an earlier record in out_dir
-    is replaced (its files are removed first). An initial state that
-    already cavitates, or a grid whose flat-interface symbols overflow, is
-    a configuration error (ValidationError), raised before anything is
+    is replaced (its files are removed first). A config that
+    :func:`prepare` refuses raises its ValidationError before anything is
     written."""
     t_start = time.monotonic()
-    grid = Grid(config.grid_n, config.domain_half_length)
-    spec = build_multiplier(config)
-    try:
-        with np.errstate(over="raise"):
-            ctx = GNContext(
-                grid, config.params, spec,
-                cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, dealias=config.dealias,
-            )
-    except FloatingPointError as exc:
-        raise ValidationError(
-            "domain_half_length",
-            f"the flat-interface symbols overflow on {grid.n} points at domain_half_length = "
-            f"{config.domain_half_length!r} with the {spec.label} multiplier ({exc})",
-        ) from None
-    zeta0 = initial_state(config, grid)
+    spec, ctx, zeta0 = prepare(config)
     claim_out_dir(out_dir, RUN_GENERATOR, force)
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
     # t = 0 and every time the integrator lands on
     rows = 1 + len({float(s) for s in snapshot_times if 0.0 < s <= config.t_end})
 
-    w0 = v0 = np.zeros(grid.n)
-    y0 = np.stack((zeta0, v0))
-
+    y0 = np.stack((zeta0, np.zeros_like(zeta0)))
     workspace = GNWorkspace()
 
     # the sha256 of every data file, as its writer returned it
@@ -253,15 +263,11 @@ def run_experiment(config, out_dir, force=False):
 
     status, reason = "completed", ""
     with (DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag,
-          SnapshotStream(os.path.join(out_dir, "snapshots.npy"), grid.n, rows) as snapshots):
-        # the t = 0 row is not a stage: load the workspace and run the pass here
-        interface_gradient(ctx, workspace.load(ctx, zeta0), w0)
-        diag.append(compute_row(ctx, 0.0, v0, workspace))
-        snapshots.append(0.0, zeta0, w0)
-        accepted_w = w0  # flux of the last accepted state, for the final state
+          SnapshotStream(os.path.join(out_dir, "snapshots.npy"), config.grid_n, rows) as snapshots):
+        accepted_w = None  # flux of the last accepted state (or of t = 0), for the final state
 
-        # integrate calls these right after the stage at y: the workspace
-        # holds y's flux and the products of its spectral pass
+        # integrate calls these right after the stage at y (at t = 0 too):
+        # the workspace holds y's flux and the products of its spectral pass
         def on_step(t, y, stats):
             nonlocal accepted_w
             accepted_w = workspace.w
@@ -290,12 +296,12 @@ def run_experiment(config, out_dir, force=False):
     checksums["diag.csv"] = diag.hexdigest()
     checksums["snapshots.npy"] = snapshots.hexdigest()
     final = snapshot_name(t_final)
-    checksums[final] = write_snapshot(os.path.join(out_dir, final), grid, y_final[0], accepted_w)
+    checksums[final] = write_snapshot(os.path.join(out_dir, final), ctx.grid, y_final[0], accepted_w)
 
     metadata = {
         "generator": RUN_GENERATOR,
         "multiplier": spec.label,
-        "grid_n": grid.n,
+        "grid_n": config.grid_n,
         "t_end": config.t_end,
         "status": status,
         "t_final": f"{t_final:.17g}",

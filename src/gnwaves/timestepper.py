@@ -45,9 +45,10 @@ ODEs II, IV.2, as in Hairer's DOPRI5): after an accepted step
 
 where err_prev is the error of the last accepted step, floored at 1e-4; a
 rejected step shrinks by clip(SAFETY * err^-(1/5 - 0.75 BETA), MIN_FACTOR, 1).
-Requested snapshot times are landed on exactly by truncating the step, so
-reported states carry no interpolation error; a truncated step neither
-shrinks the natural step size nor updates err_prev. A stage with non-finite
+The initial state is reported first, then requested snapshot times are
+landed on exactly by truncating the step, so reported states carry no
+interpolation error; a truncated step neither shrinks the natural step
+size nor updates err_prev. A stage with non-finite
 tendencies (a failing right-hand side) ends its attempt at once, which is
 rejected at the maximum shrink factor; if dt falls below 1e-14 the
 integration aborts with the last healthy state attached, which is the
@@ -176,17 +177,22 @@ class IntegrationResult:
 def _initial_step(rhs_fn, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
     """Hairer-style automatic first step, with a safe fallback when the
     initial tendency vanishes (e.g. a rest state). The norms are the state
-    space's: the frame tendencies f0_hat and f1_hat are taken back to it."""
+    space's: the frame tendencies f0_hat and f1_hat are taken back to it.
+    Like the step's error norm, they ignore overflow and 0/0, and d2 a
+    division by h0 = 0 (extreme tolerances, where d0 underflows): a step
+    size that is not finite and > 0 falls back in :func:`integrate`."""
     span = t_span[1] - t_span[0]
     scale = abs_tol + rel_tol * np.abs(y0)
     f0 = lin.to_state(f0_hat)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
+    with np.errstate(invalid="ignore", over="ignore"):
+        d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+        h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = lin.to_state(rhs_fn(t0 + h0, y1, lin.to_frame(y1)))
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
@@ -204,11 +210,13 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     Dormand-Prince. rhs_fn(t, y, u) returns f at the stage y in the frame of
     ``linear``, given the stage's frame u: with a ModeRotation the real FFT
     of f and of y, without one f and y themselves (u is y). on_step(t, y,
-    stats) runs after every accepted step,
-    on_snapshot(t, y) just before it when the step lands exactly on one of
-    snapshot_times. Both run right after rhs_fn was evaluated at exactly
-    that y (the FSAL stage), so state rhs_fn keeps from its last call
-    belongs to y. Raises StepUnderflowError on blow-up.
+    stats) runs at t0 and after every accepted step,
+    on_snapshot(t, y) just before it at t0 and when the step lands exactly
+    on one of snapshot_times. Both run right after rhs_fn was evaluated at
+    exactly that y (the FSAL stage; at t0 the first evaluation, whatever
+    its tendencies, before the first step size is probed), so state rhs_fn
+    keeps from its last call belongs to y. Raises StepUnderflowError on
+    blow-up.
     """
     lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -225,6 +233,10 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     u = lin.to_frame(y)
     f = rhs_fn(t, y, u)
     stats.rhs_evals += 1
+    if on_snapshot is not None:
+        on_snapshot(t, y)
+    if on_step is not None:
+        on_step(t, y, stats)
     dt = np.nan
     if np.isfinite(f).all():
         dt = _initial_step(rhs_fn, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import gnwaves.runner as runner_mod
 from gnwaves.cli import main
 from gnwaves.errors import StepUnderflowError
 from gnwaves.io_store import read_manifest, read_snapshots, snapshot_name
-from gnwaves.params import parse_config
+from gnwaves.params import ExperimentConfig, parse_config, serialize_config
 
 from conftest import start_with_flux
 
@@ -386,6 +388,43 @@ class TestFloatRange:
         assert not out.exists()
         assert main(argv + ["--k-max", "100"]) == 0
 
+    def test_every_key_at_its_extremes(self, tmp_path, capsys):
+        # each numeric key at its smallest and largest accepted value, then
+        # values just outside a bound and configs that once ended in a
+        # warning: every command exits 0, 2 naming a key with no --out, or
+        # 3. grid_n and t_end have no largest value (it sizes the arrays, or
+        # the run), cg_max_iter's stands at 2^63 - 1
+        big, tiny = sys.float_info.max, math.ulp(0.0)
+        extremes = {
+            "gamma": (0.0, math.nextafter(1.0, 0.0)), "epsilon": (0.0, big), "mu": (0.0, 1e100),
+            "delta": (1e-100, 1e100), "inv_bond": (0.0, 1e100), "theta1": (tiny, 1e100),
+            "theta2": (tiny, 1e100), "grid_n": (8,), "domain_half_length": (1e-300, 1e300),
+            "t_end": (tiny,), "rel_tol": (tiny, big), "abs_tol": (tiny, big), "ic_amplitude": (-big, big),
+            "ic_width": (tiny, big), "snapshot_times": (0.0, 0.01), "cg_tol": (tiny, big),
+            "cg_max_iter": (1, 2**63 - 1),
+        }
+        cases = [f"{key} = {value!r}\n" for key, values in extremes.items() for value in values] + [
+            "theta2 = 1e306\n", "domain_half_length = 5e-324\n", f"domain_half_length = {big!r}\n",
+            "rel_tol = 1e300\n", "abs_tol = 1e-300\n", "snapshot_times = 1e-300\n",
+        ]
+        keys = {line.split(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()}
+        outcomes = []
+        for i, text in enumerate(cases):
+            cfg = tmp_path / f"{i}.cfg"
+            key = text.split(" = ")[0]
+            cfg.write_text(text + "".join(f"{k} = {v}\n" for k, v in (("grid_n", 64), ("t_end", 0.01)) if k != key))
+            for command in ("simulate", "sv", "stability", "admissibility"):
+                out = tmp_path / f"{i}-{command}"
+                try:
+                    code = main([command, "--config", str(cfg), "--out", str(out)])
+                except Exception as exc:  # a warning too: warnings are errors here
+                    code = f"1 ({type(exc).__name__}: {exc})"
+                err = capsys.readouterr().err
+                named = err.removeprefix("error: ").split(":")[0]
+                if code not in (0, 2, 3) or code == 2 and (named not in keys or out.exists()):
+                    outcomes.append((text, command, code, err))
+        assert outcomes == []
+
 
 def test_stability_and_admissibility_manifests_hash_the_files(tmp_path, capsys):
     # the digests come from the bytes as written; they must be the files' own
@@ -498,6 +537,26 @@ def test_cavitating_config_keeps_the_earlier_output(kind, argv, existing, tmp_pa
     cfg.write_text(FAST + "ic_amplitude = -5\n")
     assert main(argv + ["--config", str(cfg), "--out", str(out), "--force"]) == 2
     assert "ic_amplitude: the initial state cavitates" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["empty", "forced"])
+@pytest.mark.parametrize("kind,argv", [("preset", ["simulate", "--preset", "fig2"]), ("diag-compare", ["diag-compare"])])
+def test_overflowing_family_keeps_the_earlier_output(kind, argv, earlier, existing, tmp_path, capsys):
+    # every family's run is prepared before --out is claimed: on this domain
+    # the identity family's context builds and the regularized one's
+    # overflows, so not even the identity record is written
+    root, _ = existing
+    out = tmp_path / "out"
+    if earlier:
+        shutil.copytree(root / kind, out)
+    else:
+        out.mkdir()
+    before = _tree(out)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("domain_half_length = 1e-100\ngrid_n = 64\nt_end = 0.01\n")
+    assert main(argv + ["--config", str(cfg), "--out", str(out)] + ["--force"] * earlier) == 2
+    assert "domain_half_length: the flat-interface symbols overflow" in capsys.readouterr().err
     assert _tree(out) == before
 
 

@@ -567,7 +567,7 @@ class TestRunExperiment:
 
     def test_rows_and_snapshots_take_the_solved_flux(self, tmp_path, monkeypatch):
         # the predicted CG start never reaches the record: every row and
-        # snapshot after t = 0 holds the flux a solve returned
+        # snapshot holds the flux a solve returned, t = 0's the first stage's
         solves = []
         invert = operators_mod.invert_mass_operator
 
@@ -592,14 +592,30 @@ class TestRunExperiment:
         monkeypatch.setattr(runner_mod.SnapshotStream, "append", snapshot)
         out = str(tmp_path / "run")
         run_experiment(fast_config(), out)
-        # the t = 0 row and snapshot take the rest flux w0
-        later = taken[2:]
-        assert [kind for kind, _, _ in later].count("snapshot") == 2 and len(later) > 4
-        for _, _, w in later:
+        assert [(kind, t) for kind, t, _ in taken[:2]] == [("snapshot", 0.0), ("row", 0.0)]
+        assert [kind for kind, _, _ in taken].count("snapshot") == 3 and len(taken) > 6
+        for _, _, w in taken:
             assert any(w is solved and w is not x0 for x0, solved in solves)
+        # at v0 = 0 the solve returns the rest flux w0 = 0
+        assert taken[0][2].tobytes() == np.zeros(64).tobytes()
         # and the stream holds those fluxes
         _, _, w = read_snapshots(os.path.join(out, "snapshots.npy"))
         assert np.array_equal(w, np.stack([flux for kind, _, flux in taken if kind == "snapshot"]))
+
+    def test_every_stage_is_an_rhs_evaluation(self, tmp_path, monkeypatch):
+        # the t = 0 row reads the first stage: a run loads a stage once per
+        # rhs evaluation, and none of its own
+        loads = []
+        load = GNWorkspace.load
+
+        def counted(stage, ctx, zeta):
+            loads.append(zeta)
+            return load(stage, ctx, zeta)
+
+        monkeypatch.setattr(GNWorkspace, "load", counted)
+        result = run_experiment(fast_config(), str(tmp_path / "run"))
+        assert result.status == "completed"
+        assert len(loads) == result.stats.rhs_evals
 
     def test_stream_rows_are_the_snapshot_files_of_the_same_states(self, tmp_path, monkeypatch):
         # each row of snapshots.npy holds the zeta and w, bit for bit, that a

@@ -92,7 +92,7 @@ def test_snapshots_land_exactly():
         snapshot_times=(0.25, 0.5, 0.875),
         on_snapshot=lambda t, y: hits.append((t, y[0])),
     )
-    assert [t for t, _ in hits] == [0.25, 0.5, 0.875]  # exact float equality
+    assert [t for t, _ in hits] == [0.0, 0.25, 0.5, 0.875]  # t0, then exact float equality
     for t, val in hits:
         assert val == pytest.approx(np.exp(t), rel=1e-9)
     assert result.t == 1.0
@@ -190,8 +190,8 @@ def test_failure_at_t0_feeds_no_stage():
 
 def test_callbacks_follow_a_stage_at_their_state():
     # on_snapshot and on_step run right after a stage evaluated at exactly
-    # their y (t is not compared: a truncated step lands on the boundary,
-    # which may differ from t + dt by one ulp)
+    # their y, at t0 too (t is not compared: a truncated step lands on the
+    # boundary, which may differ from t + dt by one ulp)
     last_input = {}
     seen = []
 
@@ -208,7 +208,35 @@ def test_callbacks_follow_a_stage_at_their_state():
         snapshot_times=(0.1, 1 / 3, 0.7, 2.9), on_step=check, on_snapshot=check,
     )
     assert result.t == 3.0
-    assert len(seen) == result.stats.accepted + 4
+    assert seen[:2] == [0.0, 0.0]
+    assert len(seen) == 2 + result.stats.accepted + 4
+
+
+@pytest.mark.parametrize("rate", [-1.0, np.nan], ids=["finite", "nan"])
+def test_t0_is_reported_right_after_the_first_evaluation(rate):
+    # the first evaluation is the stage of t0: both callbacks report it, with
+    # its stats, before the first step size is probed and whatever its
+    # tendencies; a run whose every stage fails still ends in underflow
+    events = []
+
+    def f(t, y, u):
+        events.append("f")
+        return rate * y
+
+    def run():
+        return integrate(
+            f, (0.0, 1.0), np.array([1.0]),
+            on_step=lambda t, y, stats: events.append(("step", t, y[0], stats.rhs_evals, stats.accepted)),
+            on_snapshot=lambda t, y: events.append(("snapshot", t, y[0])),
+        )
+
+    if np.isnan(rate):
+        with pytest.raises(StepUnderflowError):
+            run()
+    else:
+        assert run().t == 1.0
+        assert events[3] == "f"  # the probe of the first step size
+    assert events[:3] == ["f", ("snapshot", 0.0, 1.0), ("step", 0.0, 1.0, 1, 0)]
 
 
 # --- Lawson (integrating-factor) stages: integrate(..., linear=ModeRotation) ---
@@ -278,7 +306,8 @@ def test_lawson_callbacks_follow_a_stage_at_their_state():
         snapshot_times=(0.1, 1 / 3, 0.7, 0.9), on_step=check, on_snapshot=check, linear=linear,
     )
     assert result.t == 1.0
-    assert len(seen) == result.stats.accepted + 4
+    assert seen[:2] == [0.0, 0.0]
+    assert len(seen) == 2 + result.stats.accepted + 4
 
 
 def _plain(ctx):
@@ -466,7 +495,7 @@ def test_lawson_run_matches_np_fft_propagator_bitwise(dealias):
     assert new.t == old.t == 0.5
     assert new.stats == old.stats and new.stats.accepted > 3
     assert np.array_equal(new.y, old.y)
-    assert [t for t, _ in new_snaps] == [t for t, _ in old_snaps] == [0.1, 0.25, 0.4]
+    assert [t for t, _ in new_snaps] == [t for t, _ in old_snaps] == [0.0, 0.1, 0.25, 0.4]
     for (_, y_new), (_, y_old) in zip(new_snaps, old_snaps):
         assert np.array_equal(y_new, y_old)
 
