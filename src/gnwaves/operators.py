@@ -46,19 +46,21 @@ tendencies -ik (w_hat, grad_hat) that the Lawson stages of
 ``timestepper.integrate`` take as they are. Like
 :func:`invert_mass_operator`, :func:`rhs` takes a stage, which it loads at
 the zeta it is given, and solves from the start ``x0`` it is given, cold
-when None. Each solve of a timed stage starts from the stage-value
-predictor of Hairer & Wanner (Solving ODEs II, IV.8),
-:meth:`GNWorkspace.warm_start`: the last three successful stage solves,
-extrapolated to the stage time t with quadratic Lagrange weights c, plus
-P^-1 of what they leave of v, formed in spectral space: x0 = c @ W +
-irfft((v_hat - c @ V) / A0). It takes the reference experiment from 6.8
-to 5.5 applications of A per solve. The stage time and the stage's
-spectrum of v, the frame row the integrator holds, are known to
-``runner.guarded_rhs``, which forms the start from them, passes it to
-:func:`rhs` and adds a stage to the history only once the stage has
-passed every check. The stopping errors of predicted starts are
-correlated from stage to stage and add up in the energy drift, so
-``CG_TOL`` is 1e-13, not 1e-12.
+when None. Each solve of a timed stage starts from the projection start
+for successive right-hand sides (Fischer, Comput. Methods Appl. Mech.
+Engrg. 163, 1998), :meth:`GNWorkspace.warm_start`: the workspace keeps an
+orthonormal basis Q of the momenta of recent successful stage solves, with
+the same combinations Z of their fluxes and Q_hat of their spectra, and
+the start is a @ Z + irfft((v_hat - a @ Q_hat) / A0), a = Q v: the
+projection of v onto the basis, plus P^-1 of what the basis leaves out.
+It takes the reference experiment from 5.5 applications of A per solve
+(quadratic Lagrange extrapolation in the stage time, before) to 4.1. The
+stage's v and its spectrum, the frame row the integrator holds, are known
+to ``runner.guarded_rhs``, which forms the start from them, passes it to
+:func:`rhs` and adds a stage to the basis (:meth:`GNWorkspace.remember`)
+only once the stage has passed every check. The stopping errors of
+predicted starts are correlated from stage to stage and add up in the
+energy drift, so ``CG_TOL`` is 1e-13, not 1e-12.
 
 After the solve, one function runs the stage's stacked spectral pass and
 forms the zeta-gradient (:func:`interface_gradient`): one rfft of the rows
@@ -118,6 +120,13 @@ LAYER_SIGN = np.array([[-1.0], [1.0]])
 # the mass-operator CG defaults: relative residual and iteration cap
 CG_TOL = 1e-13
 CG_MAX_ITER = 200
+
+# the projection start (GNWorkspace.warm_start): the most rows of its basis,
+# the last solves it is rebuilt from when full, and the relative remainder
+# at or below which a momentum adds no row
+BASIS_ROWS = 20
+REBUILD_SOLVES = 10
+DROP_TOL = 1e-13
 
 
 def layer_depths(params, zeta):
@@ -202,10 +211,10 @@ class GNWorkspace:
     nothing it returns views them). The pass of :func:`interface_gradient`
     adds the flux ``w`` it was given (under :func:`rhs`, the stage's solved
     flux), ``u``, ``w_hat``, ``zeta_hat``, ``slope`` (with tension) and
-    ``dxf_u`` (mu > 0), which the diagnostics row reads; ``history`` the
-    (t, row) of the last three stage solves that :meth:`remember` was
-    given, oldest first, whose flux and momentum spectrum are row ``row``
-    of ``past_w`` and ``past_v_hat`` (the CG start of :meth:`warm_start`);
+    ``dxf_u`` (mu > 0), which the diagnostics row reads; the basis of the
+    CG start of :meth:`warm_start`, which :meth:`remember` builds: its
+    first ``rows`` rows of ``basis`` and ``images``, and the last
+    ``REBUILD_SOLVES`` of the ``solves`` it was given in ``recent``;
     ``resolution_lost_at`` the stage time at which a resolution guard
     tripped (None while clean). Not shareable between concurrent
     integrations."""
@@ -213,8 +222,8 @@ class GNWorkspace:
     def __init__(self):
         self.zeta = self.w = self.w_hat = self.depths = self.local = self.cube = None
         self.u = self.zeta_hat = self.slope = self.dxf_u = self.resolution_lost_at = None
-        self.history = []
-        self.past_w = self.past_v_hat = None
+        self.basis = self.images = self.recent = None
+        self.rows = self.solves = 0
 
     def load(self, ctx, zeta):
         """Set the per-state data of zeta (cavitation checked by
@@ -233,48 +242,70 @@ class GNWorkspace:
             self.physical = np.empty((2, ctx.grid.n))
         return self
 
-    def warm_start(self, ctx, t, v_hat):
-        """The CG start of the stage at time t whose momentum has the real
-        FFT v_hat: the stage-value predictor (Hairer & Wanner, Solving ODEs
-        II, IV.8)
+    def warm_start(self, ctx, v, v_hat):
+        """The CG start of the stage whose momentum is v, with real FFT
+        v_hat: the projection start for successive right-hand sides
+        (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998)
 
-            x0 = c @ W + P^-1 (v_hat - c @ V)
+            x0 = a @ Z + P^-1 (v_hat - a @ Q_hat),  a = Q v,
 
-        over the stage solves in ``history``, W and V the rows of their
-        fluxes w_j and momentum spectra v_hat_j, with c_j the Lagrange
-        weights in t of their times (quadratic from three solves, linear
-        from two, c = 1 from one) and P the flat-interface preconditioner, A
-        at zeta = 0, which carries the part of v that the history does not
-        extrapolate: one irfft. None (a cold start) without a history, at
-        mu = 0, where the solve is pointwise and takes no start, and when a
-        weight is not finite (stage times too close for their quotients)."""
-        if not self.history or ctx.params.mu == 0.0:
+        over the basis that :meth:`remember` built, Q its orthonormal rows
+        (``basis``), Z their fluxes and Q_hat their spectra (``images``),
+        with P the flat-interface preconditioner, A at zeta = 0, which
+        carries the part of v that the basis leaves out: one irfft. At
+        zeta = 0 the start is the solve itself. None (a cold start) while
+        the basis is empty."""
+        m, n = self.rows, v.size
+        if m == 0:
             return None
-        times = [t_j for t_j, _ in self.history]
-        c = np.empty(len(times))
-        t = float(t)  # in Python floats, as the history's times: an overflow is inf, with no warning
-        for t_j, row in self.history:
-            c[row] = weight = math.prod((t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j)
-            if not math.isfinite(weight):
-                return None
-        x0 = c @ self.past_w[: c.size]
-        x0 += spectral.irfft((v_hat - c @ self.past_v_hat[: c.size]) * ctx.inv_flat_symbol, ctx.grid.n)
+        # (a @ Z, a @ Q_hat) in one real product, Q_hat by its real view:
+        # the same bits for any BLAS thread count
+        combined = (self.basis[:m] @ v) @ self.images[:m]
+        x0 = combined[:n]
+        x0 += spectral.irfft((v_hat - combined[n:].view(complex)) * ctx.inv_flat_symbol, n)
         return x0
 
-    def remember(self, t, v_hat):
-        """Add the stage at time t, whose solve took the momentum with
-        spectrum v_hat to the flux ``w`` its pass kept, to the history,
-        which keeps the last three (copies of both): it replaces an entry at
-        the same t (a repeated stage time, such as Dormand-Prince's c6 = c7
-        = 1), else the oldest once it holds three."""
-        if self.past_w is None:
-            self.past_w = np.empty((3,) + self.w.shape)
-            self.past_v_hat = np.empty((3,) + v_hat.shape, dtype=complex)
-        rows = dict(self.history)
-        row = rows.get(t, len(rows) if len(rows) < 3 else self.history[0][1])
-        self.history = [entry for entry in self.history if entry[1] != row] + [(float(t), row)]
-        self.past_w[row] = self.w
-        self.past_v_hat[row] = v_hat
+    def remember(self, v, v_hat):
+        """Add the stage whose solve took the momentum v, with real FFT
+        v_hat, to the flux ``w`` its pass kept, to the basis of
+        :meth:`warm_start`: v's remainder after two passes of classical
+        Gram-Schmidt against the rows of ``basis`` becomes a row, and the
+        same combination of w and v_hat the row of ``images``, its flux and
+        the real view of its spectrum end to end. A remainder of at most
+        ``DROP_TOL`` ||v|| (v = 0, or a v the rows already span) adds no
+        row. The last ``REBUILD_SOLVES`` solves are kept in ``recent`` as
+        copies (v, w, real view of v_hat), and once the basis holds
+        ``BASIS_ROWS`` rows it is rebuilt from them, oldest first."""
+        n = v.size
+        if self.basis is None:
+            self.basis = np.empty((BASIS_ROWS, n))
+            self.images = np.empty((BASIS_ROWS, 2 * n + 2))
+            self.recent = np.empty((REBUILD_SOLVES, 3 * n + 2))
+        solve = self.recent[self.solves % REBUILD_SOLVES]
+        solve[:n], solve[n : 2 * n], solve[2 * n :] = v, self.w, v_hat.view(float)
+        self.solves += 1
+        self._add_row(solve)
+        if self.rows == BASIS_ROWS:
+            self.rows = 0
+            for j in range(self.solves - REBUILD_SOLVES, self.solves):
+                self._add_row(self.recent[j % REBUILD_SOLVES])
+
+    def _add_row(self, solve):
+        """Add the remainder of a kept solve (a row of ``recent``), unless
+        it is at most ``DROP_TOL`` ||v||."""
+        m, n = self.rows, self.basis.shape[1]
+        q = self.basis[:m]
+        v = solve[:n]
+        a = q @ v
+        rest = v - a @ q
+        more = q @ rest
+        rest -= more @ q
+        norm = math.sqrt(rest @ rest)
+        if norm > DROP_TOL * math.sqrt(v @ v):
+            a += more
+            np.divide(rest, norm, out=self.basis[m])
+            np.divide(solve[n:] - a @ self.images[:m], norm, out=self.images[m])
+            self.rows = m + 1
 
 
 def apply_mass_operator(ctx, stage, w, out=None):

@@ -40,7 +40,7 @@ Every model is integrated with its flat-interface linear part propagated
 exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
 so the capillary waves at the top of the ladder set no step-size limit. The
 stages run in Fourier space: :func:`guarded_rhs` forms each stage's CG
-start from the stage's spectrum of v in the integrator's frame, and hands
+start from the stage's v and its spectrum in the integrator's frame, and hands
 the integrator the spectral tendencies of :func:`rhs`, with no transform
 between them.
 """
@@ -174,10 +174,11 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     :func:`rhs` as they are. A stage that cavitates, whose CG solve fails,
     or whose flux has lost spectral resolution returns NaN tendencies, so
     the error controller rejects the step and shrinks. :func:`rhs` solves
-    from the CG start that ``workspace`` predicts at the stage time t from
-    the stage's spectrum of v, u[1] (:meth:`GNWorkspace.warm_start`); only
-    a stage that passes every check joins the history of that prediction
-    (:meth:`GNWorkspace.remember`).
+    from the CG start that ``workspace`` projects from the stage's v, y[1],
+    and its spectrum, u[1] (:meth:`GNWorkspace.warm_start`); only a stage
+    that passes every check joins the basis of that projection
+    (:meth:`GNWorkspace.remember`). At mu = 0 the solve is pointwise:
+    there is no start and no basis.
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
@@ -217,18 +218,20 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     creeping up to the bound.
     """
     guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
+    projected = ctx.params.mu > 0.0  # at mu = 0 the solve is pointwise and takes no start
 
     def f(t, y, u):
         if workspace.resolution_lost_at is not None:
             return np.full(u.shape, np.nan, dtype=complex)
         try:
-            tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, t, u[1]))
+            tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, y[1], u[1]) if projected else None)
         except (CavitationError, ConvergenceError):
             return np.full(u.shape, np.nan, dtype=complex)
         if guarded and _resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode):
             workspace.resolution_lost_at = t
             return np.full(u.shape, np.nan, dtype=complex)
-        workspace.remember(t, u[1])
+        if projected:
+            workspace.remember(y[1], u[1])
         return tendencies
 
     return f

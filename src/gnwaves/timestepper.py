@@ -251,6 +251,7 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     k = np.empty((7,) + u.shape, dtype=u.dtype)
     flat = k.reshape(7, -1)
     err_prev = ERR_PREV_FLOOR
+    rotated_dt = None
     while t < t1:
         if dt < DT_FLOOR:
             raise StepUnderflowError(t, y, stats, dt)
@@ -262,7 +263,9 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
             dt_step = boundary - t
             truncated = True
 
-        rotations = lin.rotations(_C * dt_step)
+        if dt_step != rotated_dt:
+            # most steps repeat the last size: its rotations stay valid
+            rotated_dt, rotations = dt_step, lin.rotations(_C * dt_step)
         k[0] = g
         err = np.nan
         for i in range(1, 7):

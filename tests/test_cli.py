@@ -393,7 +393,10 @@ class TestFloatRange:
         # values just outside a bound and configs that once ended in a
         # warning: every command exits 0, 2 naming a key with no --out, or
         # 3. grid_n and t_end have no largest value (it sizes the arrays, or
-        # the run), cg_max_iter's stands at 2^63 - 1
+        # the run), cg_max_iter's stands at 2^63 - 1. One ulp inside a
+        # bound passes the key's check (a run may still refuse its set-up,
+        # naming the key); one ulp outside, every command refuses it by
+        # that check
         big, tiny = sys.float_info.max, math.ulp(0.0)
         extremes = {
             "gamma": (0.0, math.nextafter(1.0, 0.0)), "epsilon": (0.0, big), "mu": (0.0, 1e100),
@@ -407,6 +410,13 @@ class TestFloatRange:
             "theta2 = 1e306\n", "domain_half_length = 5e-324\n", f"domain_half_length = {big!r}\n",
             "rel_tol = 1e300\n", "abs_tol = 1e-300\n", "snapshot_times = 1e-300\n",
         ]
+        neighbours = {}
+        for key, bound in (("delta", 1e-100), ("delta", 1e100), ("mu", 1e100), ("inv_bond", 1e100),
+                           ("theta1", 1e100), ("theta2", 1e100), ("domain_half_length", 1e-300),
+                           ("domain_half_length", 1e300)):
+            neighbours[f"{key} = {math.nextafter(bound, 1.0)!r}\n"] = "inside"
+            neighbours[f"{key} = {math.nextafter(bound, 0.0 if bound < 1.0 else math.inf)!r}\n"] = "outside"
+        cases += list(neighbours)
         keys = {line.split(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()}
         outcomes = []
         for i, text in enumerate(cases):
@@ -421,7 +431,11 @@ class TestFloatRange:
                     code = f"1 ({type(exc).__name__}: {exc})"
                 err = capsys.readouterr().err
                 named = err.removeprefix("error: ").split(":")[0]
-                if code not in (0, 2, 3) or code == 2 and (named not in keys or out.exists()):
+                refused = code == 2 and named == key and not out.exists()
+                side = neighbours.get(text)
+                if (code not in (0, 2, 3) or code == 2 and (named not in keys or out.exists())
+                        or side == "inside" and code == 2 and (not refused or "must" in err)
+                        or side == "outside" and not refused):
                     outcomes.append((text, command, code, err))
         assert outcomes == []
 

@@ -8,8 +8,10 @@ from gnwaves.errors import CavitationError, ConvergenceError, ValidationError
 from gnwaves.multipliers import FAMILIES as FAMILY_BUILDERS
 from gnwaves.multipliers import MultiplierSpec, eval_multiplier
 from gnwaves.operators import (
+    BASIS_ROWS,
     CAVITATION_FLOOR,
     LAYER_SIGN,
+    REBUILD_SOLVES,
     GNContext,
     GNWorkspace,
     apply_mass_operator,
@@ -761,98 +763,129 @@ def count_applications(monkeypatch):
 
 
 class TestStagePredictor:
-    """The CG start of a timed stage extrapolates the workspace's last three
-    stage solves (t, w, v_hat) and corrects the rest through P^-1."""
+    """The CG start of a timed stage projects its momentum onto the basis
+    of the workspace's recent stage solves and corrects the rest through
+    P^-1."""
 
     @staticmethod
-    def solved_stage(ctx, ws, zeta, v, t):
+    def solved_stage(ctx, ws, zeta, v):
         v_hat = rfft(v)
-        rhs(ctx, ws, zeta, v, x0=ws.warm_start(ctx, t, v_hat))
-        ws.remember(t, v_hat)
+        rhs(ctx, ws, zeta, v, x0=ws.warm_start(ctx, v, v_hat))
+        ws.remember(v, v_hat)
 
-    def test_quadratic_flux_at_the_flat_interface_takes_one_application(self, grid, monkeypatch):
-        # at zeta = 0, A is P; three stages of a flux quadratic in t leave
-        # nothing for CG to do but check the predicted start's residual
+    @staticmethod
+    def momenta(ctx, stage, rng, count, modes=8):
+        return [apply_mass_operator(ctx, stage, random_smooth_field(ctx.grid, rng, modes=modes))
+                for _ in range(count)]
+
+    def test_start_at_the_flat_interface_is_the_solve(self, grid):
+        # at zeta = 0, A is P: the rows' fluxes are P^-1 of the rows, and
+        # the start is A^-1 v for any v, in the span or not
         ctx = make_ctx(grid)
-        rng = np.random.default_rng(151)
-        a, b, c = (random_smooth_field(grid, rng) for _ in range(3))
         zeta = np.zeros(grid.n)
         flat = GNWorkspace().load(ctx, zeta)
-
-        def momentum(t):
-            return apply_mass_operator(ctx, flat, a + t * b + t**2 * c)
-
+        rng = np.random.default_rng(151)
         ws = GNWorkspace()
-        for t in (0.0, 0.1, 0.25):
-            self.solved_stage(ctx, ws, zeta, momentum(t), t)
-        calls = count_applications(monkeypatch)
-        rhs(ctx, ws, zeta, momentum(0.4), x0=ws.warm_start(ctx, 0.4, rfft(momentum(0.4))))
-        assert len(calls) == 1
-        np.testing.assert_allclose(ws.w, a + 0.4 * b + 0.16 * c, rtol=0, atol=1e-12)
-        # the same solve from the last flux alone needs CG iterations
-        calls.clear()
-        rhs(ctx, GNWorkspace(), zeta, momentum(0.4), x0=ws.past_w[ws.history[-1][1]])
-        assert len(calls) > 1
+        assert ws.warm_start(ctx, np.ones(grid.n), rfft(np.ones(grid.n))) is None
+        for v in self.momenta(ctx, flat, rng, 3):
+            self.solved_stage(ctx, ws, zeta, v)
+        assert ws.rows == 3
+        for v in self.momenta(ctx, flat, rng, 2, modes=40):
+            expected = np.fft.irfft(np.fft.rfft(v) / ctx.flat_symbol, grid.n)
+            np.testing.assert_allclose(ws.warm_start(ctx, v, rfft(v)), expected, rtol=0, atol=1e-12)
+        # at mu = 0 the solve is pointwise: the stages take no start and build no basis
+        pointwise = GNWorkspace()
+        f = guarded_rhs(make_ctx(grid, params=replace(REF_PARAMS, mu=0.0)), pointwise)
+        y = np.stack((zeta, v))
+        assert np.all(np.isfinite(f(0.0, y, rfft(y)))) and pointwise.rows == pointwise.solves == 0
 
-    def test_start_without_time_or_history_is_the_last_flux(self, grid):
+    def test_momentum_in_the_span_starts_at_its_solve(self, grid, monkeypatch):
         ctx = make_ctx(grid)
         rng = np.random.default_rng(157)
-        zeta, w = random_state(ctx, rng)
+        zeta = random_state(ctx, rng)[0]
         stage = GNWorkspace().load(ctx, zeta)
-        v = apply_mass_operator(ctx, stage, w)
+        vs = self.momenta(ctx, stage, rng, 4)
         ws = GNWorkspace()
-        assert ws.warm_start(ctx, 0.5, rfft(v)) is None
-        self.solved_stage(ctx, ws, zeta, v, 0.5)
-        # at mu = 0 the solve is pointwise and takes no start
-        assert ws.warm_start(make_ctx(grid, params=replace(REF_PARAMS, mu=0.0)), 0.7, rfft(v)) is None
-        # one solve known: its flux plus P^-1 of the change in v
-        dv = apply_mass_operator(ctx, stage, random_smooth_field(grid, rng))
-        expected = ws.w + np.fft.irfft(np.fft.rfft(dv) / ctx.flat_symbol, grid.n)
-        np.testing.assert_allclose(ws.warm_start(ctx, 0.7, rfft(v + dv)), expected, rtol=0, atol=1e-14)
+        for v in vs:
+            self.solved_stage(ctx, ws, zeta, v)
+        assert ws.rows == 4
+        v = 0.3 * vs[0] - 1.2 * vs[1] + 0.7 * vs[3]
+        x0 = ws.warm_start(ctx, v, rfft(v))
+        np.testing.assert_allclose(x0, invert_mass_operator(ctx, stage, v, x0=x0), rtol=0, atol=1e-12)
+        # CG only checks the start's residual
+        calls = count_applications(monkeypatch)
+        rhs(ctx, ws, zeta, v, x0=x0)
+        assert len(calls) == 1
+        # the same solve from the last flux alone needs CG iterations
+        calls.clear()
+        rhs(ctx, GNWorkspace(), zeta, v, x0=ws.recent[3, grid.n : 2 * grid.n])
+        assert len(calls) > 1
 
-    def test_repeated_stage_time_replaces_its_entry(self, grid):
+    def test_zero_or_repeated_momentum_adds_no_row(self, grid):
+        # v0 = 0 at rest, and Dormand-Prince's c6 = c7 = 1 at an unchanged
+        # state, are solves the basis already spans
         ctx = make_ctx(grid)
         rng = np.random.default_rng(163)
         zeta = random_state(ctx, rng)[0]
-        stage = GNWorkspace().load(ctx, zeta)
-        vs = [apply_mass_operator(ctx, stage, random_smooth_field(grid, rng)) for _ in range(5)]
+        v = self.momenta(ctx, GNWorkspace().load(ctx, zeta), rng, 1)[0]
         ws = GNWorkspace()
-        for t, v in zip((0.1, 0.2, 0.3, 0.3), vs):
-            self.solved_stage(ctx, ws, zeta, v, t)
-        assert ws.history == [(0.1, 0), (0.2, 1), (0.3, 2)]
-        # the history holds copies of the last solve at t = 0.3
-        assert np.array_equal(ws.past_w[2], ws.w) and not np.shares_memory(ws.past_w, ws.w)
-        assert np.array_equal(ws.past_v_hat[2], rfft(vs[3]))
-        # at a known time the start is that entry's flux, corrected by P^-1
-        x0 = ws.warm_start(ctx, 0.3, rfft(vs[4]))
-        expected = ws.w + np.fft.irfft(np.fft.rfft(vs[4] - vs[3]) / ctx.flat_symbol, grid.n)
-        np.testing.assert_allclose(x0, expected, rtol=0, atol=1e-13)
-        assert np.all(np.isfinite(ws.warm_start(ctx, 0.4, rfft(vs[4]))))
-        # a new time drops the oldest of three and takes its row
-        self.solved_stage(ctx, ws, zeta, vs[4], 0.4)
-        assert ws.history == [(0.2, 1), (0.3, 2), (0.4, 0)]
-        assert np.array_equal(ws.past_w[0], ws.w) and np.array_equal(ws.past_v_hat[0], rfft(vs[4]))
+        self.solved_stage(ctx, ws, zeta, np.zeros(grid.n))
+        assert ws.rows == 0 and ws.warm_start(ctx, v, rfft(v)) is None
+        self.solved_stage(ctx, ws, zeta, v)
+        w = ws.w
+        kept = ws.basis[:1].copy(), ws.images[:1].copy()
+        self.solved_stage(ctx, ws, zeta, v)
+        self.solved_stage(ctx, ws, zeta, np.zeros(grid.n))
+        assert ws.rows == 1 and ws.solves == 4
+        assert np.array_equal(ws.basis[:1], kept[0]) and np.array_equal(ws.images[:1], kept[1])
+        # the row is v / ||v|| with its flux and spectrum alike
+        norm = np.sqrt(v @ v)
+        np.testing.assert_array_equal(ws.basis[0], v / norm)
+        np.testing.assert_array_equal(ws.images[0, : grid.n], w / norm)
+        np.testing.assert_array_equal(ws.images[0, grid.n :], rfft(v).view(float) / norm)
 
-    def test_start_is_the_lagrange_extrapolation(self, grid):
-        # x0 = sum_j c_j w_j + P^-1 (v - sum_j c_j v_j), written out per
-        # entry in physical space, against the spectral form
+    def test_failed_stage_leaves_the_basis(self, grid):
+        # a solve that runs out of iterations returns NaN tendencies and
+        # remembers nothing
         ctx = make_ctx(grid)
         rng = np.random.default_rng(167)
         zeta = random_state(ctx, rng)[0]
         stage = GNWorkspace().load(ctx, zeta)
-        vs = [apply_mass_operator(ctx, stage, random_smooth_field(grid, rng)) for _ in range(4)]
         ws = GNWorkspace()
-        times = (0.1, 0.2, 0.25)
-        ws_w = []
-        for t, v in zip(times, vs):
-            self.solved_stage(ctx, ws, zeta, v, t)
-            ws_w.append(ws.w.copy())
-        t = 0.3
-        expected = np.fft.irfft(np.fft.rfft(vs[3]) / ctx.flat_symbol, grid.n)
-        for j, t_j in enumerate(times):
-            c = np.prod([(t - t_k) / (t_j - t_k) for t_k in times if t_k != t_j])
-            expected += c * (ws_w[j] - np.fft.irfft(np.fft.rfft(vs[j]) / ctx.flat_symbol, grid.n))
-        np.testing.assert_allclose(ws.warm_start(ctx, t, rfft(vs[3])), expected, rtol=0, atol=1e-12)
+        for v in self.momenta(ctx, stage, rng, 2):
+            self.solved_stage(ctx, ws, zeta, v)
+        kept = ws.basis[:2].copy(), ws.images[:2].copy(), ws.recent[:2].copy()
+        f = guarded_rhs(make_ctx(grid, cg_max_iter=1), ws)
+        y = np.stack((zeta, self.momenta(ctx, stage, rng, 1, modes=40)[0]))
+        assert np.all(np.isnan(f(0.1, y, rfft(y))))
+        assert (ws.rows, ws.solves) == (2, 2)
+        for now, before in zip((ws.basis[:2], ws.images[:2], ws.recent[:2]), kept):
+            assert np.array_equal(now, before)
+
+    def test_full_basis_is_rebuilt_from_the_last_solves(self, grid):
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(173)
+        zeta = random_state(ctx, rng)[0]
+        stage = GNWorkspace().load(ctx, zeta)
+        vs = self.momenta(ctx, stage, rng, 45, modes=60)
+        ws = GNWorkspace()
+        rows = []
+        for v in vs:
+            self.solved_stage(ctx, ws, zeta, v)
+            rows.append(ws.rows)
+        assert max(rows) == BASIS_ROWS - 1 == 19
+        assert rows[:19] == list(range(1, 20)) and rows[19] == REBUILD_SOLVES == 10
+        # rebuilt at the 20th, 30th and 40th solve: 10 + 5 rows
+        assert rows[-1] == 15
+        # orthonormal rows that span the 15 last momenta
+        q = ws.basis[: ws.rows]
+        np.testing.assert_allclose(q @ q.T, np.eye(ws.rows), rtol=0, atol=1e-13)
+        last = np.array(vs[-15:])
+        np.testing.assert_allclose((last @ q.T) @ q, last, rtol=0, atol=1e-12 * np.abs(last).max())
+        # each row's flux and spectrum are its image under A^-1 and rfft
+        for row, image in zip(q, ws.images[: ws.rows]):
+            np.testing.assert_allclose(apply_mass_operator(ctx, stage, image[: grid.n]), row, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(image[grid.n :].view(complex), rfft(row), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,29 +177,26 @@ class TestGuardedRhs:
             assert np.all(np.isnan(stage(guarded_rhs(ctx, workspace), 0.0, y)))
             assert workspace.w is None and workspace.resolution_lost_at is None
 
-    @staticmethod
-    def history_after_two_stages(ctx, f):
-        y = stacked_state(ctx, smooth_flux(ctx.grid))
-        for t in (0.0, 0.1):
-            assert np.all(np.isfinite(stage(f, t, y)))
-        return y
-
-    def test_failed_stages_leave_the_history(self, grid):
+    def test_failed_stages_leave_the_basis(self, grid):
         # cavitation, a CG breakdown and a tripped resolution guard each
-        # return NaN, and none adds its stage to the predictor's history
+        # return NaN, and none adds its stage to the predictor's basis
         ctx = no_tension_ctx(grid)
         workspace = GNWorkspace()
         f = guarded_rhs(ctx, workspace)
-        y = self.history_after_two_stages(ctx, f)
-        kept = list(workspace.history), workspace.past_w.copy(), workspace.past_v_hat.copy()
+        for t, w in ((0.0, smooth_flux(grid)), (0.1, smooth_flux(grid) ** 2)):
+            y = stacked_state(ctx, w)
+            assert np.all(np.isfinite(stage(f, t, y)))
+        assert (workspace.rows, workspace.solves) == (2, 2)
+        kept = workspace.basis[:2].copy(), workspace.images[:2].copy(), workspace.recent[:2].copy()
         cavitating = y.copy()
         cavitating[0, 0] = 1.0 / ctx.params.epsilon
         broken = y.copy()
         broken[1, 5] = np.nan
         for t, bad in ((0.2, cavitating), (0.2, broken), (0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))):
             assert np.all(np.isnan(stage(f, t, bad)))
-            assert workspace.history == kept[0]
-            assert np.array_equal(workspace.past_w, kept[1]) and np.array_equal(workspace.past_v_hat, kept[2])
+            assert (workspace.rows, workspace.solves) == (2, 2)
+            now = workspace.basis[:2], workspace.images[:2], workspace.recent[:2]
+            assert all(np.array_equal(a, b) for a, b in zip(now, kept))
         assert workspace.resolution_lost_at == 0.25
 
     def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch):
@@ -454,6 +453,24 @@ class TestRunExperiment:
         for name in ("diag.csv", "snapshots.npy", snapshot_name(0.25), "config.txt"):
             with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+    def test_records_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the CG start's products give the same bits on one BLAS thread and
+        # on two; on 512 points a complex product a @ Q_hat did not (on 128
+        # points it did, so a smaller record would not show it)
+        code = ("import sys; from gnwaves.params import ExperimentConfig, with_overrides; "
+                "from gnwaves.runner import run_experiment; "
+                "run_experiment(with_overrides(ExperimentConfig(), t_end=0.1, snapshot_times=()), sys.argv[1])")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gnwaves.__file__)))
+        sums = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True)
+            sums.append(read_manifest(out / "manifest.txt")[1])
+        assert ExperimentConfig().grid_n == 512
+        assert sums[0] == sums[1] and len(sums[0]) == 4
 
     def test_flat_custom_table_runs_the_identity_family(self, tmp_path):
         # 0,1 / 100,1 interpolates to exactly 1 on the grid: the same run as

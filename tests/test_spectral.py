@@ -150,8 +150,9 @@ class TestTransformRoute:
     def test_run_transform_count(self, monkeypatch, tmp_path):
         # a whole run, regularized with tension, 128 points to t = 0.2: CG,
         # the passes, the predictor and the Lawson frame changes, pinned at
-        # the value measured when the t = 0 row became the first stage's
-        # (3440 while the runner ran a pass of its own at t = 0; 3711 before
+        # the value measured when the CG start became the projection onto
+        # the recent stage solves (3436 with the stage-value predictor; 3440
+        # while the runner ran a pass of its own at t = 0; 3711 before
         # the stages moved to Fourier space, when each rhs call took an
         # irfft of its tendencies, the Lawson frame their rfft, and each
         # predicted CG start an rfft of v)
@@ -161,7 +162,7 @@ class TestTransformRoute:
         result = run_experiment(config, str(tmp_path / "run"))
         assert result.status == "completed"
         assert (result.stats.accepted, result.stats.rejected, result.stats.rhs_evals) == (15, 0, 92)
-        assert calls["rfft"] + calls["irfft"] == 3436
+        assert calls["rfft"] + calls["irfft"] == 2513
 
     def test_row_of_an_evaluated_stage_makes_no_transform(self, state, monkeypatch):
         ctx, zeta, _, v = state
