@@ -4,14 +4,14 @@
 # All three start with the half-Nyquist band at the 1.4e-17 round-off floor.
 # The classical model amplifies it by 8.4 orders of magnitude; once its flux
 # spectrum stops decaying toward the 2/3-rule cut the resolution guard ends
-# the run as a blow-up (t = 1.676, "spectral resolution lost"), before the
+# the run as a blow-up (t = 1.761, "spectral resolution lost"), before the
 # spectrum turns to saturated garbage by t = 2 (with dealias = false the
-# guard sees the rise toward Nyquist at t = 1.507). The regularized family
-# is immune to high-frequency shear instability by construction: 0.7 orders
-# by t = 2. The improved model sits in between. Its threshold matches the
+# guard sees the rise toward Nyquist and ends it at t = 1.494). The
+# regularized family is immune to high-frequency shear instability by
+# construction: 0.6 orders by t = 2. The improved model sits in between. Its threshold matches the
 # exact equations, which without surface tension are unstable at short
-# enough wavelengths for any shear, so its band grows too: 1.9 orders under
-# the mask, which freezes the fastest-growing third of the ladder (9.7
+# enough wavelengths for any shear, so its band grows too: 1.8 orders under
+# the mask, which freezes the fastest-growing third of the ladder (10.6
 # orders with dealias = false), and the run completes at t = 2 without
 # tripping the guard. What grows there is round-off and step error, so the
 # final band depends on the integrator's step sequence and on the mask.

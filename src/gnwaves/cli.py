@@ -13,8 +13,7 @@ state that already cavitates), 3 shear blow-up (the
 physically expected outcome for unstable runs; scripts must be able to tell
 it apart from bugs). Blow-up is step-size underflow: cavitation, a failed
 mass-operator solve and lost spectral resolution of the flux all end a run
-this way, and the printed reason names lost resolution when that was the
-cause.
+this way, and the printed reason names the last of them first.
 """
 
 import argparse

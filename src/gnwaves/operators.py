@@ -214,14 +214,12 @@ class GNWorkspace:
     ``dxf_u`` (mu > 0), which the diagnostics row reads; the basis of the
     CG start of :meth:`warm_start`, which :meth:`remember` builds: its
     first ``rows`` rows of ``basis`` and ``images``, and the last
-    ``REBUILD_SOLVES`` of the ``solves`` it was given in ``recent``;
-    ``resolution_lost_at`` the stage time at which a resolution guard
-    tripped (None while clean). Not shareable between concurrent
-    integrations."""
+    ``REBUILD_SOLVES`` of the ``solves`` it was given in ``recent``. Not
+    shareable between concurrent integrations."""
 
     def __init__(self):
         self.zeta = self.w = self.w_hat = self.depths = self.local = self.cube = None
-        self.u = self.zeta_hat = self.slope = self.dxf_u = self.resolution_lost_at = None
+        self.u = self.zeta_hat = self.slope = self.dxf_u = None
         self.basis = self.images = self.recent = None
         self.rows = self.solves = 0
 
@@ -349,7 +347,7 @@ def invert_mass_operator(ctx, stage, v, x0=None):
     h = stage.depths
     b_norm = math.sqrt(v @ v)
     if not math.isfinite(b_norm):
-        raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite", [])
+        raise ConvergenceError(f"mass-operator CG: ||v|| = {b_norm} is not finite")
     if ctx.params.mu == 0.0:
         return v * (h[0] * h[1]) / (h[0] + ctx.params.gamma * h[1])
 
@@ -361,7 +359,6 @@ def invert_mass_operator(ctx, stage, v, x0=None):
     ap = np.empty(n)
     tmp = np.empty(n)
     stop = ctx.cg_tol * b_norm
-    residuals = []
 
     if x0 is None:
         x = np.zeros_like(v)
@@ -372,9 +369,8 @@ def invert_mass_operator(ctx, stage, v, x0=None):
     # each pass checks the residual, then takes one preconditioned step
     for it in range(ctx.cg_max_iter + 1):
         norm = math.sqrt(r @ r)
-        residuals.append(norm)
         if not math.isfinite(norm):
-            raise ConvergenceError(f"mass-operator CG: residual norm {norm} is not finite", residuals)
+            raise ConvergenceError(f"mass-operator CG: residual norm {norm} is not finite")
         if norm <= stop:
             return x
         if it == ctx.cg_max_iter:
@@ -385,7 +381,7 @@ def invert_mass_operator(ctx, stage, v, x0=None):
         spectral.irfft(spec, n, out=z)
         rz_next = float(r @ z)
         if not rz_next > 0.0:
-            raise ConvergenceError(f"mass-operator CG breakdown: r.z = {rz_next:g}", residuals)
+            raise ConvergenceError(f"mass-operator CG breakdown: r.z = {rz_next:g}")
         if it == 0:
             p = z.copy()
         else:
@@ -395,7 +391,7 @@ def invert_mass_operator(ctx, stage, v, x0=None):
         apply_mass_operator(ctx, stage, p, out=ap)
         pap = float(p @ ap)
         if not pap > 0.0:
-            raise ConvergenceError(f"mass-operator CG breakdown: p.Ap = {pap:g}", residuals)
+            raise ConvergenceError(f"mass-operator CG breakdown: p.Ap = {pap:g}")
         alpha = rz / pap
         # x += alpha*p and r -= alpha*ap through one scratch vector
         np.multiply(alpha, p, out=tmp)
@@ -404,8 +400,7 @@ def invert_mass_operator(ctx, stage, v, x0=None):
         r -= tmp
     raise ConvergenceError(
         f"mass-operator CG did not reach tol={ctx.cg_tol:g} in {ctx.cg_max_iter} iterations "
-        f"(relative residual {residuals[-1] / b_norm:.3e})",
-        residuals,
+        f"(relative residual {norm / b_norm:.3e})"
     )
 
 

@@ -22,17 +22,16 @@ none was accepted).
 :func:`prepare` is the one set-up of a run and holds its refusals: a
 command that runs several configs prepares each before it claims --out.
 
-During time integration, cavitation, solver-convergence failures and loss of
-spectral resolution inside a trial stage are converted to NaN tendencies
-(:func:`guarded_rhs`); the error controller then rejects the step and shrinks,
-so every terminal failure surfaces uniformly as step-size underflow. The
+During time integration, a stage that cavitates, whose solve fails or whose
+flux has lost spectral resolution raises a StageRejected naming the cause
+(:func:`guarded_rhs`); the integrator rejects the step and shrinks, so every
+terminal failure surfaces as step-size underflow, and the manifest's reason,
+the StepUnderflowError's message, names the last refusal first. The
 resolution guard reads the flux spectrum of each stage in two bands: the
 full ladder, against a rise toward Nyquist above the aliasing level
 sqrt(rel_tol), and, under the 2/3 rule (``dealias``, the default), the
 modes up to the cut n/3 that the run evolves, against a tail that does not
-decay toward the cut above the truncation level 10 rel_tol. A run ended by
-lost resolution says so in the manifest's reason, with the time of the
-stage that tripped the guard.
+decay toward the cut above the truncation level 10 rel_tol.
 
 The hydrostatic (Saint-Venant) model is the mu = 0 member of the dispersive
 family: a config with mu = 0 runs through the same rhs and diagnostics.
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticsRow, compute_row
-from .errors import CavitationError, ConvergenceError, StepUnderflowError, ValidationError
+from .errors import CavitationError, StageRejected, StepUnderflowError, ValidationError
 from .io_store import (
     RUN_GENERATOR,
     DiagnosticsWriter,
@@ -171,14 +170,15 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     frame (``linear=ctx.linear``, or a zero ModeRotation for plain
     Dormand-Prince stages) on the stacked (2, n) state y = (zeta, v) and
     its (2, n/2+1) real FFT u, returning the spectral tendencies of
-    :func:`rhs` as they are. A stage that cavitates, whose CG solve fails,
-    or whose flux has lost spectral resolution returns NaN tendencies, so
-    the error controller rejects the step and shrinks. :func:`rhs` solves
-    from the CG start that ``workspace`` projects from the stage's v, y[1],
-    and its spectrum, u[1] (:meth:`GNWorkspace.warm_start`); only a stage
-    that passes every check joins the basis of that projection
-    (:meth:`GNWorkspace.remember`). At mu = 0 the solve is pointwise:
-    there is no start and no basis.
+    :func:`rhs` as they are. A stage that cavitates or whose CG solve fails
+    raises the CavitationError or ConvergenceError of :func:`rhs`, and one
+    whose flux has lost spectral resolution raises StageRejected; all three
+    are StageRejected, so :func:`integrate` rejects the step and shrinks.
+    :func:`rhs` solves from the CG start that ``workspace`` projects from
+    the stage's v, y[1], and its spectrum, u[1]
+    (:meth:`GNWorkspace.warm_start`); only a stage that passes every check
+    joins the basis of that projection (:meth:`GNWorkspace.remember`). At
+    mu = 0 the solve is pointwise: there is no start and no basis.
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
@@ -212,27 +212,26 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
       hydrostatic run at epsilon = 1.9 by the rise, which reaches 0.1 at t
       = 0.18 and stays under 0.5 while its tail grows to 1e7 * rel_tol.
 
-    A trip is sticky: ``workspace.resolution_lost_at`` records the stage
-    time and every later stage of the integration returns NaN too, so the
-    step shrinks to underflow from the last resolved state instead of
-    creeping up to the bound.
+    A trip is sticky: the wrapper keeps the stage time, and every later
+    stage it is given raises ``spectral resolution lost at t=<that time>``
+    without a solve, so the step shrinks to underflow from the last resolved
+    state instead of creeping up to the bound. A fresh wrapper starts clean.
     """
     guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
     projected = ctx.params.mu > 0.0  # at mu = 0 the solve is pointwise and takes no start
 
+    lost_at = None  # the stage time of a trip
+
     def f(t, y, u):
-        if workspace.resolution_lost_at is not None:
-            return np.full(u.shape, np.nan, dtype=complex)
-        try:
+        nonlocal lost_at
+        if lost_at is None:
             tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, y[1], u[1]) if projected else None)
-        except (CavitationError, ConvergenceError):
-            return np.full(u.shape, np.nan, dtype=complex)
-        if guarded and _resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode):
-            workspace.resolution_lost_at = t
-            return np.full(u.shape, np.nan, dtype=complex)
-        if projected:
-            workspace.remember(y[1], u[1])
-        return tendencies
+            if not (guarded and _resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode)):
+                if projected:
+                    workspace.remember(y[1], u[1])
+                return tendencies
+            lost_at = t
+        raise StageRejected(f"spectral resolution lost at t={lost_at:.6f}")
 
     return f
 
@@ -291,10 +290,7 @@ def run_experiment(config, out_dir, force=False):
             )
             t_final, y_final, stats = result.t, result.y, result.stats
         except StepUnderflowError as blowup:
-            status = "blowup"
-            reason = str(blowup)
-            if workspace.resolution_lost_at is not None:
-                reason = f"spectral resolution lost at t={workspace.resolution_lost_at:.6f}; {reason}"
+            status, reason = "blowup", str(blowup)
             t_final, y_final, stats = blowup.t, blowup.state, blowup.stats
     checksums["diag.csv"] = diag.hexdigest()
     checksums["snapshots.npy"] = snapshots.hexdigest()

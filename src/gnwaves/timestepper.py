@@ -48,11 +48,12 @@ rejected step shrinks by clip(SAFETY * err^-(1/5 - 0.75 BETA), MIN_FACTOR, 1).
 The initial state is reported first, then requested snapshot times are
 landed on exactly by truncating the step, so reported states carry no
 interpolation error; a truncated step neither shrinks the natural step
-size nor updates err_prev. A stage with non-finite
-tendencies (a failing right-hand side) ends its attempt at once, which is
-rejected at the maximum shrink factor; if dt falls below 1e-14 the
-integration aborts with the last healthy state attached, which is the
-expected outcome for shear-unstable runs rather than a crash.
+size nor updates err_prev. A stage function refuses a stage by raising
+:class:`~gnwaves.errors.StageRejected`; that stage, or one whose tendencies
+are not finite, ends its attempt at once, which is rejected at the maximum
+shrink factor. If dt falls below 1e-14 the integration aborts with the last
+healthy state and the last refusal attached, which is the expected outcome
+for shear-unstable runs rather than a crash.
 """
 
 import math
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import StepUnderflowError, ValidationError
+from .errors import StageRejected, StepUnderflowError, ValidationError
 
 __all__ = ["ModeRotation", "StepStats", "IntegrationResult", "integrate"]
 
@@ -176,11 +177,13 @@ class IntegrationResult:
 
 def _initial_step(rhs_fn, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
     """Hairer-style automatic first step, with a safe fallback when the
-    initial tendency vanishes (e.g. a rest state). The norms are the state
+    initial tendency vanishes (e.g. a rest state), and the StageRejected of
+    its probe stage (None if it gave tendencies). The norms are the state
     space's: the frame tendencies f0_hat and f1_hat are taken back to it.
     Like the step's error norm, they ignore overflow and 0/0, and d2 a
-    division by h0 = 0 (extreme tolerances, where d0 underflows): a step
-    size that is not finite and > 0 falls back in :func:`integrate`."""
+    division by h0 = 0 (extreme tolerances, where d0 underflows); a refused
+    probe leaves d2 NaN, as non-finite tendencies do. A step size that is
+    not finite and > 0 falls back in :func:`integrate`."""
     span = t_span[1] - t_span[0]
     scale = abs_tol + rel_tol * np.abs(y0)
     f0 = lin.to_state(f0_hat)
@@ -190,14 +193,17 @@ def _initial_step(rhs_fn, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
         h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
-    f1 = lin.to_state(rhs_fn(t0 + h0, y1, lin.to_frame(y1)))
+    try:
+        f1, refusal = lin.to_state(rhs_fn(t0 + h0, y1, lin.to_frame(y1))), None
+    except StageRejected as exc:
+        f1, refusal = math.nan, exc
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    return min(100 * h0, h1, span), refusal
 
 
 def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_times=(), on_step=None,
@@ -215,8 +221,17 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     on one of snapshot_times. Both run right after rhs_fn was evaluated at
     exactly that y (the FSAL stage; at t0 the first evaluation, whatever
     its tendencies, before the first step size is probed), so state rhs_fn
-    keeps from its last call belongs to y. Raises StepUnderflowError on
-    blow-up.
+    keeps from its last call belongs to y.
+
+    rhs_fn refuses a stage by raising StageRejected (cavitation, a failed
+    solve and lost resolution under :func:`gnwaves.runner.guarded_rhs`).
+    The refusal counts as an evaluation and is handled like non-finite
+    tendencies: a refused trial stage ends its attempt, which is rejected
+    at MIN_FACTOR; a refused probe of the first step size leaves it to the
+    norms of the first stage; a refused stage at t0, after the callbacks,
+    fails every attempt until the step underflows. Raises
+    StepUnderflowError on blow-up, with the last refusal since the last
+    accepted step as its ``cause``.
     """
     lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -229,32 +244,37 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     t = t0
     targets = sorted({float(s) for s in snapshot_times if t0 < s <= t1})
 
-    # u is y in the frame of the linear part, g the first stage's tendency there
+    # u is y in the frame of the linear part, g the first stage's tendency
+    # there (None if that stage was refused)
     u = lin.to_frame(y)
-    f = rhs_fn(t, y, u)
     stats.rhs_evals += 1
+    cause = f = None  # cause: the last refusal since the last accepted step
+    try:
+        f = rhs_fn(t, y, u)
+    except StageRejected as exc:
+        cause = exc
     if on_snapshot is not None:
         on_snapshot(t, y)
     if on_step is not None:
         on_step(t, y, stats)
     dt = np.nan
-    if np.isfinite(f).all():
-        dt = _initial_step(rhs_fn, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)
+    if f is not None and np.isfinite(f).all():
         stats.rhs_evals += 1
+        dt, cause = _initial_step(rhs_fn, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)
     if not np.isfinite(dt) or dt <= 0.0:
         # a right-hand side that fails already at t0 still gets a few
         # shrinking attempts before the underflow error fires
         dt = 1e-6 * (t1 - t0)
     dt = max(dt, DT_FLOOR)
 
-    g = lin.tendency(f, u)
+    g = None if f is None else lin.tendency(f, u)
     k = np.empty((7,) + u.shape, dtype=u.dtype)
     flat = k.reshape(7, -1)
     err_prev = ERR_PREV_FLOOR
     rotated_dt = None
     while t < t1:
         if dt < DT_FLOOR:
-            raise StepUnderflowError(t, y, stats, dt)
+            raise StepUnderflowError(t, y, stats, dt, cause)
         # truncate to land exactly on the next requested time
         boundary = targets[0] if targets else t1
         dt_step = min(dt, t1 - t)
@@ -266,26 +286,31 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
         if dt_step != rotated_dt:
             # most steps repeat the last size: its rotations stay valid
             rotated_dt, rotations = dt_step, lin.rotations(_C * dt_step)
-        k[0] = g
         err = np.nan
-        for i in range(1, 7):
-            if not np.logical_and.reduce(np.isfinite(k[i - 1]), axis=None):
-                break
-            ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
-            yi = lin.to_state(ui)
-            fi = rhs_fn(t + _C[i] * dt_step, yi, ui)
-            stats.rhs_evals += 1
-            gi = lin.tendency(fi, ui)
-            k[i] = lin.rotate(rotations, i, gi, inverse=True)
-        else:
-            # FSAL: the last stage's input is the 5th-order solution
-            y_new, u_new, g_new = yi, ui, gi
-            err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            with np.errstate(invalid="ignore", over="ignore"):
-                q = (err_vec / scale) ** 2
-                # sqrt(mean(q)) in np.mean's own arithmetic, without its wrapper
-                err = math.sqrt(np.add.reduce(q, axis=None) / q.size)
+        if g is not None:
+            k[0] = g
+            for i in range(1, 7):
+                if not np.logical_and.reduce(np.isfinite(k[i - 1]), axis=None):
+                    break
+                ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
+                yi = lin.to_state(ui)
+                stats.rhs_evals += 1
+                try:
+                    fi = rhs_fn(t + _C[i] * dt_step, yi, ui)
+                except StageRejected as exc:
+                    cause = exc
+                    break
+                gi = lin.tendency(fi, ui)
+                k[i] = lin.rotate(rotations, i, gi, inverse=True)
+            else:
+                # FSAL: the last stage's input is the 5th-order solution
+                y_new, u_new, g_new = yi, ui, gi
+                err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
+                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    q = (err_vec / scale) ** 2
+                    # sqrt(mean(q)) in np.mean's own arithmetic, without its wrapper
+                    err = math.sqrt(np.add.reduce(q, axis=None) / q.size)
 
         if not np.isfinite(err):
             stats.rejected += 1
@@ -293,7 +318,7 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
             continue
         if err <= 1.0:
             t_new = boundary if dt_step == boundary - t else t + dt_step
-            t, y, u, g = float(t_new), y_new, u_new, g_new
+            t, y, u, g, cause = float(t_new), y_new, u_new, g_new, None
             stats.accepted += 1
             if targets and t == targets[0]:
                 targets.pop(0)

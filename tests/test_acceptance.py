@@ -9,7 +9,7 @@ Criterion 3 note: without surface tension the classical (identity) model
 is unstable at every high frequency. On 512 points, under the default 2/3
 rule, the resolution guard of ``runner.guarded_rhs`` sees the flux spectrum
 of the modes the run evolves stop decaying toward the cut n/3, and ends the
-run by step-size underflow at the last resolved state (t = 1.676; t = 1.507
+run by step-size underflow at the last resolved state (t = 1.761; t = 1.494
 with ``dealias = false``, where the spectrum rises toward Nyquist), before
 the flow is spectrally destroyed at t = 2. The high band has grown by more
 than four orders by then (3b: 8.4); the regularized run stays smooth and

@@ -278,10 +278,9 @@ class TestCGBreakdown:
         x0 = w.copy()
         x0[7] = np.nan
         calls = self.count_applications(monkeypatch)
-        with pytest.raises(ConvergenceError) as exc:
+        with pytest.raises(ConvergenceError, match="residual norm nan is not finite"):
             invert_mass_operator(ctx, stage, v, x0=x0)
         assert len(calls) == 1
-        assert len(exc.value.residuals) == 1 and np.isnan(exc.value.residuals[0])
 
     def test_non_finite_v_raises_at_mu_zero(self):
         # the pointwise inverse breaks down on a non-finite v like CG does,
@@ -583,19 +582,21 @@ class TestSharedConstants:
 
 
 @pytest.mark.parametrize("max_iter", [1, 3])
-def test_cg_iteration_cap(grid, max_iter):
-    # a solve that cannot reach tol in max_iter iterations raises with every
-    # residual it saw, and a stage under guarded_rhs turns that into NaN
+def test_cg_iteration_cap(grid, monkeypatch, max_iter):
+    # a solve that cannot reach tol in max_iter iterations raises after
+    # max_iter applications of A from a cold start, and a stage under
+    # guarded_rhs raises it too
     ctx = make_ctx(grid, cg_max_iter=max_iter)
     zeta, w = random_state(ctx, np.random.default_rng(157))
     stage = GNWorkspace().load(ctx, zeta)
     v = apply_mass_operator(ctx, stage, w)
-    with pytest.raises(ConvergenceError, match="did not reach tol") as err:
+    calls = TestCGBreakdown.count_applications(monkeypatch)
+    with pytest.raises(ConvergenceError, match=f"did not reach tol=1e-13 in {max_iter} iterations"):
         invert_mass_operator(ctx, stage, v)
-    assert len(err.value.residuals) == max_iter + 1
+    assert len(calls) == max_iter
     y = np.stack((zeta, v))
-    tendencies = guarded_rhs(ctx, GNWorkspace())(0.0, y, rfft(y))
-    assert tendencies.shape == (2, grid.n // 2 + 1) and np.isnan(tendencies).all()
+    with pytest.raises(ConvergenceError, match="did not reach tol"):
+        guarded_rhs(ctx, GNWorkspace())(0.0, y, rfft(y))
 
 
 class TestVelocities:
@@ -845,8 +846,7 @@ class TestStagePredictor:
         np.testing.assert_array_equal(ws.images[0, grid.n :], rfft(v).view(float) / norm)
 
     def test_failed_stage_leaves_the_basis(self, grid):
-        # a solve that runs out of iterations returns NaN tendencies and
-        # remembers nothing
+        # a solve that runs out of iterations raises and remembers nothing
         ctx = make_ctx(grid)
         rng = np.random.default_rng(167)
         zeta = random_state(ctx, rng)[0]
@@ -857,7 +857,8 @@ class TestStagePredictor:
         kept = ws.basis[:2].copy(), ws.images[:2].copy(), ws.recent[:2].copy()
         f = guarded_rhs(make_ctx(grid, cg_max_iter=1), ws)
         y = np.stack((zeta, self.momenta(ctx, stage, rng, 1, modes=40)[0]))
-        assert np.all(np.isnan(f(0.1, y, rfft(y))))
+        with pytest.raises(ConvergenceError, match="did not reach tol"):
+            f(0.1, y, rfft(y))
         assert (ws.rows, ws.solves) == (2, 2)
         for now, before in zip((ws.basis[:2], ws.images[:2], ws.recent[:2]), kept):
             assert np.array_equal(now, before)

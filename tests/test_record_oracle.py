@@ -20,10 +20,19 @@ def test_checksum_lines_cover_every_record(tmp_path):
     assert main(["stability", "--out", str(out / "stab"), "--k-points", "5"]) == 0
     expected = []
     for record in ("runs/one", "stab"):
-        _, checksums = read_manifest(out / record / "manifest.txt")
+        metadata, checksums = read_manifest(out / record / "manifest.txt")
         expected += [f"{record}/{name} {digest}" for name, digest in checksums.items()]
-    assert record_oracle.checksum_lines(str(out)) == sorted(expected)
+        # a run's outcome is pinned too; a stability table has none
+        expected += [f"{record}/manifest.txt {key} = {metadata[key]}"
+                     for key in ("status", "t_final", "reason", "accepted", "rejected", "rhs_evals")
+                     if key in metadata]
+    lines = record_oracle.checksum_lines(str(out))
+    assert lines == sorted(expected)
     assert "stab/stability.csv" in {line.split()[0] for line in expected}
+    assert "runs/one/manifest.txt status = completed" in lines
+    assert "runs/one/manifest.txt t_final = 0.10000000000000001" in lines
+    assert sum(line.startswith("runs/one/manifest.txt ") for line in lines) == 6
+    assert not any(line.startswith("stab/manifest.txt ") for line in lines)
 
 
 def test_refuses_a_non_empty_out_dir(tmp_path):

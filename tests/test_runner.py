@@ -11,7 +11,7 @@ import gnwaves
 import gnwaves.operators as operators_mod
 import gnwaves.runner as runner_mod
 from gnwaves.cli import _load_config, build_parser, main
-from gnwaves.errors import StepUnderflowError, ValidationError
+from gnwaves.errors import CavitationError, ConvergenceError, StageRejected, StepUnderflowError, ValidationError
 from gnwaves.io_store import (
     read_diagnostics,
     read_manifest,
@@ -146,27 +146,32 @@ class TestGuardedRhs:
         rel_tol = 1e-11
         workspace = GNWorkspace()
         y = stacked_state(ctx, 0.5 * np.exp(-8 * small_grid.x**2))
-        out = stage(guarded_rhs(ctx, workspace, rel_tol=rel_tol), 0.0, y)
+        f = guarded_rhs(ctx, workspace, rel_tol=rel_tol)
+        out = stage(f, 0.0, y)
         top, middle = flux_bands(workspace.w)
         assert top > np.sqrt(rel_tol) * small_grid.n * np.abs(workspace.w).max()
         assert top < middle
         assert np.all(np.isfinite(out))
-        assert workspace.resolution_lost_at is None
+        # the wrapper has not tripped: a further smooth stage passes
+        assert np.all(np.isfinite(stage(f, 0.1, stacked_state(ctx, smooth_flux(small_grid)))))
 
     def test_rising_tail_trips_and_stays_tripped(self, grid):
         ctx = no_tension_ctx(grid)
         workspace = GNWorkspace()
         f = guarded_rhs(ctx, workspace)
-        assert np.all(np.isnan(stage(f, 0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))))
-        assert workspace.resolution_lost_at == 0.25
-        # sticky: a smooth state on the same wrapper is refused too
+        message = "^spectral resolution lost at t=0.250000$"
+        with pytest.raises(StageRejected, match=message):
+            stage(f, 0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))
+        # sticky: a smooth state on the same wrapper is refused too, with
+        # the time of the trip and without a solve
         smooth = stacked_state(ctx, smooth_flux(grid))
-        assert np.all(np.isnan(stage(f, 0.3, smooth)))
-        assert workspace.resolution_lost_at == 0.25
-        # a wrapper with a fresh workspace starts clean
-        fresh = GNWorkspace()
-        assert np.all(np.isfinite(stage(guarded_rhs(ctx, fresh), 0.3, smooth)))
-        assert fresh.resolution_lost_at is None
+        solved = workspace.w
+        with pytest.raises(StageRejected, match=message):
+            stage(f, 0.3, smooth)
+        assert workspace.w is solved
+        # a fresh wrapper starts clean, on the same workspace too
+        for fresh in (GNWorkspace(), workspace):
+            assert np.all(np.isfinite(stage(guarded_rhs(ctx, fresh), 0.3, smooth)))
 
     def test_non_finite_v_is_a_cg_breakdown(self, grid):
         ctx = no_tension_ctx(grid)
@@ -174,12 +179,17 @@ class TestGuardedRhs:
             y = stacked_state(ctx, smooth_flux(grid))
             y[1, 5] = bad
             workspace = GNWorkspace()
-            assert np.all(np.isnan(stage(guarded_rhs(ctx, workspace), 0.0, y)))
-            assert workspace.w is None and workspace.resolution_lost_at is None
+            f = guarded_rhs(ctx, workspace)
+            with pytest.raises(ConvergenceError, match="is not finite"):
+                stage(f, 0.0, y)
+            assert workspace.w is None
+            # a breakdown does not trip the resolution guard
+            assert np.all(np.isfinite(stage(f, 0.1, stacked_state(ctx, smooth_flux(grid)))))
 
     def test_failed_stages_leave_the_basis(self, grid):
         # cavitation, a CG breakdown and a tripped resolution guard each
-        # return NaN, and none adds its stage to the predictor's basis
+        # raise their StageRejected, and none adds its stage to the
+        # predictor's basis
         ctx = no_tension_ctx(grid)
         workspace = GNWorkspace()
         f = guarded_rhs(ctx, workspace)
@@ -192,12 +202,16 @@ class TestGuardedRhs:
         cavitating[0, 0] = 1.0 / ctx.params.epsilon
         broken = y.copy()
         broken[1, 5] = np.nan
-        for t, bad in ((0.2, cavitating), (0.2, broken), (0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))):
-            assert np.all(np.isnan(stage(f, t, bad)))
+        rough = stacked_state(ctx, rough_flux(grid, 1e-3))
+        for t, bad, refusal in ((0.2, cavitating, CavitationError), (0.2, broken, ConvergenceError),
+                                (0.25, rough, StageRejected)):
+            with pytest.raises(refusal):
+                stage(f, t, bad)
             assert (workspace.rows, workspace.solves) == (2, 2)
             now = workspace.basis[:2], workspace.images[:2], workspace.recent[:2]
             assert all(np.array_equal(a, b) for a, b in zip(now, kept))
-        assert workspace.resolution_lost_at == 0.25
+        with pytest.raises(StageRejected, match="lost at t=0.250000"):
+            stage(f, 0.3, y)
 
     def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch):
         config = fast_config(snapshot_times=())
@@ -208,6 +222,38 @@ class TestGuardedRhs:
         assert result.reason.startswith("spectral resolution lost at t=")
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["reason"] == result.reason
+
+    @pytest.mark.parametrize(
+        "config, flux, cause, steps",
+        [
+            pytest.param(with_overrides(ExperimentConfig(), grid_n=64, cg_tol=1e-300, t_end=0.01), None,
+                         "mass-operator CG breakdown: r.z = 0; step size underflow", (10, 27, 136),
+                         id="cg_breakdown"),
+            pytest.param(with_overrides(ExperimentConfig(), grid_n=64, cg_max_iter=1, t_end=0.05), None,
+                         "mass-operator CG did not reach tol=1e-13 in 1 iterations", (0, 17, 19),
+                         id="cg_iteration_cap"),
+            # the upper layer starts 1.5e-6 deep at x = 0, where the flux converges
+            pytest.param(fast_config(ic_amplitude=1.999997, t_end=0.01, snapshot_times=()),
+                         lambda grid: -grid.x * np.exp(-grid.x**2), "layer depth reached", None, id="cavitation"),
+        ],
+    )
+    def test_run_ended_by_a_refused_stage_names_the_cause(self, tmp_path, monkeypatch, capsys,
+                                                          config, flux, cause, steps):
+        # every refusal that ends a run in underflow is named first in the
+        # manifest's reason and in the printed blow-up line (lost
+        # resolution: test_run_ended_by_the_guard_names_the_cause)
+        if flux is not None:
+            start_with_flux(monkeypatch, config, flux)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(serialize_config(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        metadata, _ = read_manifest(out / "manifest.txt")
+        assert metadata["status"] == "blowup"
+        assert metadata["reason"].startswith(cause) and "; step size underflow (dt=" in metadata["reason"]
+        assert f"  ({metadata['reason']})" in capsys.readouterr().out.splitlines()
+        if steps is not None:
+            assert tuple(int(metadata[key]) for key in ("accepted", "rejected", "rhs_evals")) == steps
 
     def test_linear_run_from_kinked_data_completes(self, tmp_path):
         # at epsilon = 0 rhs forms no product, so nothing can alias: a

@@ -5,7 +5,7 @@ import pytest
 
 import gnwaves.spectral as spectral_mod
 from gnwaves.diagnostics import compute_row
-from gnwaves.errors import StepUnderflowError, ValidationError
+from gnwaves.errors import StageRejected, StepUnderflowError, ValidationError
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, invert_mass_operator
 from gnwaves.runner import guarded_rhs
@@ -186,6 +186,58 @@ def test_failure_at_t0_feeds_no_stage():
     assert err.value.t == 0.0
     assert err.value.stats.rhs_evals == len(calls) == 1
     assert err.value.stats.rejected > 0
+
+
+@pytest.mark.parametrize("refused", [lambda t, n: t == 0.0, lambda t, n: t > 0.1, lambda t, n: n == 2],
+                         ids=["t0", "mid_run", "probe"])
+def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused):
+    # a stage function that raises StageRejected gets the same steps,
+    # evaluations and state as one that returns NaN tendencies, and an
+    # integration that underflows carries the last refusal as its cause
+    def run(fail):
+        calls = []
+
+        def f(t, y, u):
+            calls.append(t)
+            return fail(t) if refused(t, len(calls)) else -y
+
+        try:
+            result = integrate(f, (0.0, 1.0), np.array([1.0]))
+        except StepUnderflowError as exc:
+            return exc, (exc.t, exc.state, exc.stats, calls)
+        return None, (result.t, result.y, result.stats, calls)
+
+    refusals = []
+
+    def refuse(t):
+        refusals.append(StageRejected(f"refused at t={t}"))
+        raise refusals[-1]
+
+    blowup, raised = run(refuse)
+    nan_blowup, returned = run(lambda t: np.full(1, np.nan))
+    assert (blowup is None) == (nan_blowup is None)
+    assert raised[0] == returned[0] and np.array_equal(raised[1], returned[1])
+    assert raised[2:] == returned[2:]
+    if blowup is not None:
+        assert blowup.cause is refusals[-1] and nan_blowup.cause is None
+        assert str(blowup) == f"{refusals[-1]}; {nan_blowup}"
+
+
+def test_a_refusal_before_an_accepted_step_is_no_cause():
+    # call 5 is a trial stage of the first attempt; steps are accepted
+    # after it, so the later underflow (NaN past t = 0.5) names no refusal
+    calls = []
+
+    def f(t, y, u):
+        calls.append(t)
+        if len(calls) == 5:
+            raise StageRejected("refused once")
+        return np.full_like(y, np.nan) if t > 0.5 else -y
+
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(f, (0.0, 1.0), np.array([1.0]))
+    assert err.value.cause is None and str(err.value).startswith("step size underflow")
+    assert err.value.stats.accepted > 0 and 0.4 < err.value.t <= 0.5
 
 
 def test_callbacks_follow_a_stage_at_their_state():

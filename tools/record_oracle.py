@@ -1,6 +1,6 @@
 """Byte-identity oracle for run records: run the bundled presets and the
 benchmark's workloads into OUT_DIR and print the sha256 of every data file
-they record.
+they record and the outcome of every run.
 
     python3 tools/record_oracle.py OUT_DIR
 
@@ -8,12 +8,15 @@ It runs ``gnwaves stability`` (Fig. 1, into ``stability_fig1``),
 ``gnwaves simulate --preset fig2/fig3/fig4``, ``gnwaves sv``,
 ``gnwaves diag-compare --preset table1`` and ``gnwaves admissibility`` of
 each built-in family (into ``admissibility_<family>``), then one record of
-each workload of ``perfbench/workloads.py`` (into ``workload/<name>``) and one of
-the default config with ``dealias = false`` to ``t_end = 0.5`` (into
-``unmasked``), the only record without the 2/3 rule, with the
-gnwaves package of the checkout this script sits in (its ``src/``). The workload file is only read. It prints one
-``<record>/<file> <sha256>`` line per data file, sorted, taken from the
-records' manifests, and exits non-zero if a record holds a file or
+each workload of ``perfbench/workloads.py`` (into ``workload/<name>``) and
+one of the default config with ``dealias = false`` to ``t_end = 0.5``
+(into ``unmasked``), the only record without the 2/3 rule, with the
+gnwaves package of the checkout this script sits in (its ``src/``). The
+workload file is only read. It prints one ``<record>/<file> <sha256>``
+line per data file and, for every run, one ``<record>/manifest.txt <key>
+= <value>`` line per key of OUTCOME_KEYS, sorted together, taken from the
+records' manifests, so a moved rejection or a changed blow-up reason shows
+even where the data do not. It exits non-zero if a record holds a file or
 subdirectory that its manifest does not name. Two checkouts write the same
 records when their outputs are equal:
 
@@ -49,6 +52,8 @@ COMMANDS = (
     ("admissibility_improved", ["admissibility", "--multiplier", "imp"]),
 )
 WORKLOADS_FILE = os.path.join(ROOT, "perfbench", "workloads.py")
+# the manifest keys of a run record (one with a status) that state its outcome
+OUTCOME_KEYS = ("status", "t_final", "reason", "accepted", "rejected", "rhs_evals")
 
 
 def load_workloads():
@@ -61,7 +66,9 @@ def load_workloads():
 
 def checksum_lines(out_dir):
     """Sorted ``<record>/<file> <sha256>`` lines from every manifest.txt
-    under out_dir; <record> is the manifest's directory relative to out_dir.
+    under out_dir, with the ``<record>/manifest.txt <key> = <value>`` lines
+    of every run's OUTCOME_KEYS; <record> is the manifest's directory
+    relative to out_dir.
     A record must hold exactly what its manifest names: a file that no
     sha256 line lists, or a subdirectory that its ``records`` key does not
     name, exits non-zero naming the record."""
@@ -76,6 +83,8 @@ def checksum_lines(out_dir):
         if stray:
             sys.exit(f"record_oracle: {record} holds {stray}, which its manifest does not name")
         lines.extend(f"{record}/{name} {digest}" for name, digest in checksums.items())
+        if "status" in metadata:
+            lines.extend(f"{record}/manifest.txt {key} = {metadata[key]}" for key in OUTCOME_KEYS)
     return sorted(lines)
 
 
