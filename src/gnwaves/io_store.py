@@ -48,7 +48,6 @@ from .errors import ValidationError
 from .spectral import mode_amplitudes
 
 __all__ = [
-    "format_time_tag",
     "snapshot_name",
     "write_text",
     "write_table",
@@ -69,13 +68,8 @@ __all__ = [
 RUN_GENERATOR = "gnwaves simulate"
 
 
-def format_time_tag(t):
-    tag = f"{t:.6g}"
-    return tag
-
-
 def snapshot_name(t):
-    return f"snap_t{format_time_tag(t)}.npy"
+    return f"snap_t{t:.6g}.npy"
 
 
 _SNAPSHOT_DTYPE = np.dtype([("x", "<f8"), ("zeta", "<f8"), ("w", "<f8")])

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .io_store import format_time_tag
 from .multipliers import FAMILIES
 from .operators import CG_MAX_ITER, CG_TOL
 from .spectral import is_power_of_two
@@ -155,14 +154,9 @@ class ExperimentConfig:
             raise ValidationError("snapshot_times", "times must be nonnegative")
         if self.cg_max_iter < 1:
             raise ValidationError("cg_max_iter", "must be >= 1")
-        # a time past t_end is never reached, and two times with one file
-        # name tag (snap_t<t>.npy, 6 significant digits) name one state
+        # a time past t_end is never reached
         if any(t > self.t_end for t in self.snapshot_times):
             raise ValidationError("snapshot_times", f"times must not exceed t_end = {self.t_end!r}")
-        tags = [format_time_tag(t) for t in self.snapshot_times]
-        if len(set(tags)) < len(tags):
-            clash = next(tag for tag in tags if tags.count(tag) > 1)
-            raise ValidationError("snapshot_times", f"two times share the file name tag {clash!r}")
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(PhysParams))

@@ -48,11 +48,13 @@ rejected step shrinks by clip(SAFETY * err^-(1/5 - 0.75 BETA), MIN_FACTOR, 1).
 The initial state is reported first, then requested snapshot times are
 landed on exactly by truncating the step, so reported states carry no
 interpolation error; a truncated step neither shrinks the natural step
-size nor updates err_prev. A stage function refuses a stage by raising
-:class:`~gnwaves.errors.StageRejected`; that stage, or one whose tendencies
-are not finite, ends its attempt at once, which is rejected at the maximum
-shrink factor. If dt falls below 1e-14 the integration aborts with the last
-healthy state and the last refusal attached, which is the expected outcome
+size nor updates err_prev. Every stage, the first one and the probe of
+the first step size included, goes through one evaluation, which counts it
+and refuses non-finite tendencies as the stage function refuses a stage:
+by raising :class:`~gnwaves.errors.StageRejected`. A refused trial stage
+ends its attempt at once, which is rejected at the maximum shrink factor.
+If dt falls below 1e-14 the integration aborts with the last healthy state
+and the last refusal attached as its cause, which is the expected outcome
 for shear-unstable runs rather than a crash.
 """
 
@@ -175,15 +177,16 @@ class IntegrationResult:
     stats: StepStats
 
 
-def _initial_step(rhs_fn, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
+def _initial_step(stage, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
     """Hairer-style automatic first step, with a safe fallback when the
-    initial tendency vanishes (e.g. a rest state), and the StageRejected of
-    its probe stage (None if it gave tendencies). The norms are the state
-    space's: the frame tendencies f0_hat and f1_hat are taken back to it.
-    Like the step's error norm, they ignore overflow and 0/0, and d2 a
-    division by h0 = 0 (extreme tolerances, where d0 underflows); a refused
-    probe leaves d2 NaN, as non-finite tendencies do. A step size that is
-    not finite and > 0 falls back in :func:`integrate`."""
+    initial tendency vanishes (e.g. a rest state). Its probe goes through
+    :func:`integrate`'s stage evaluation. The norms are the state space's:
+    the frame tendencies f0_hat and f1_hat are taken back to it. Like the
+    step's error norm, they ignore overflow and 0/0, and d2 a division by
+    h0 = 0 (extreme tolerances, where d0 underflows); a probe that is
+    refused or not finite leaves d2 NaN, so the step comes from the first
+    stage's norms. A step size that is not finite and > 0 falls back in
+    :func:`integrate`."""
     span = t_span[1] - t_span[0]
     scale = abs_tol + rel_tol * np.abs(y0)
     f0 = lin.to_state(f0_hat)
@@ -193,17 +196,15 @@ def _initial_step(rhs_fn, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
         h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
-    try:
-        f1, refusal = lin.to_state(rhs_fn(t0 + h0, y1, lin.to_frame(y1))), None
-    except StageRejected as exc:
-        f1, refusal = math.nan, exc
+    f1_hat = stage(t0 + h0, y1, lin.to_frame(y1))
+    f1 = math.nan if f1_hat is None else lin.to_state(f1_hat)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span), refusal
+    return min(100 * h0, h1, span)
 
 
 def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_times=(), on_step=None,
@@ -223,15 +224,18 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     its tendencies, before the first step size is probed), so state rhs_fn
     keeps from its last call belongs to y.
 
-    rhs_fn refuses a stage by raising StageRejected (cavitation, a failed
-    solve and lost resolution under :func:`gnwaves.runner.guarded_rhs`).
-    The refusal counts as an evaluation and is handled like non-finite
-    tendencies: a refused trial stage ends its attempt, which is rejected
-    at MIN_FACTOR; a refused probe of the first step size leaves it to the
-    norms of the first stage; a refused stage at t0, after the callbacks,
-    fails every attempt until the step underflows. Raises
-    StepUnderflowError on blow-up, with the last refusal since the last
-    accepted step as its ``cause``.
+    Every stage, the one at t0 and the probe of the first step size
+    included, is one evaluation: it is counted in ``stats.rhs_evals``, and
+    it fails when rhs_fn refuses it by raising StageRejected (cavitation, a
+    failed solve and lost resolution under
+    :func:`gnwaves.runner.guarded_rhs`) or returns non-finite tendencies,
+    which it refuses as ``StageRejected("non-finite tendencies at
+    t=...")``. A failed trial stage ends its attempt, which is rejected at
+    MIN_FACTOR; a failed probe leaves the first step size to the norms of
+    the first stage; a failed stage at t0, after the callbacks, fails every
+    attempt until the step underflows. Raises StepUnderflowError on
+    blow-up, with the last refusal since the last accepted step as its
+    ``cause``, None only if the controller alone shrank the step.
     """
     lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -244,23 +248,32 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     t = t0
     targets = sorted({float(s) for s in snapshot_times if t0 < s <= t1})
 
+    cause = None  # the last refusal since the last accepted step
+
+    def stage(t, y, u):
+        """rhs_fn's frame tendency at the stage (t, y, u), counted; None if
+        rhs_fn refused the stage or its tendencies are not finite, with
+        the refusal kept as ``cause``."""
+        nonlocal cause
+        stats.rhs_evals += 1
+        try:
+            f = rhs_fn(t, y, u)
+            if not np.logical_and.reduce(np.isfinite(f), axis=None):
+                raise StageRejected(f"non-finite tendencies at t={t:.6f}")
+        except StageRejected as exc:
+            cause = exc
+            return None
+        return f
+
     # u is y in the frame of the linear part, g the first stage's tendency
-    # there (None if that stage was refused)
+    # there (None if that stage failed)
     u = lin.to_frame(y)
-    stats.rhs_evals += 1
-    cause = f = None  # cause: the last refusal since the last accepted step
-    try:
-        f = rhs_fn(t, y, u)
-    except StageRejected as exc:
-        cause = exc
+    f = stage(t, y, u)
     if on_snapshot is not None:
         on_snapshot(t, y)
     if on_step is not None:
         on_step(t, y, stats)
-    dt = np.nan
-    if f is not None and np.isfinite(f).all():
-        stats.rhs_evals += 1
-        dt, cause = _initial_step(rhs_fn, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)
+    dt = np.nan if f is None else _initial_step(stage, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)
     if not np.isfinite(dt) or dt <= 0.0:
         # a right-hand side that fails already at t0 still gets a few
         # shrinking attempts before the underflow error fires
@@ -290,15 +303,10 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
         if g is not None:
             k[0] = g
             for i in range(1, 7):
-                if not np.logical_and.reduce(np.isfinite(k[i - 1]), axis=None):
-                    break
                 ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
                 yi = lin.to_state(ui)
-                stats.rhs_evals += 1
-                try:
-                    fi = rhs_fn(t + _C[i] * dt_step, yi, ui)
-                except StageRejected as exc:
-                    cause = exc
+                fi = stage(t + _C[i] * dt_step, yi, ui)
+                if fi is None:
                     break
                 gi = lin.tendency(fi, ui)
                 k[i] = lin.rotate(rotations, i, gi, inverse=True)
@@ -317,7 +325,7 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
             dt = dt_step * MIN_FACTOR
             continue
         if err <= 1.0:
-            t_new = boundary if dt_step == boundary - t else t + dt_step
+            t_new = boundary if truncated else t + dt_step
             t, y, u, g, cause = float(t_new), y_new, u_new, g_new, None
             stats.accepted += 1
             if targets and t == targets[0]:

@@ -369,6 +369,21 @@ class TestRunExperiment:
             assert os.path.exists(os.path.join(out, name))
             assert len(digest) == 64
 
+    @pytest.mark.parametrize(
+        "times",
+        [(0.0900001, 0.0900002), (0.09000001, 0.09000002), (0.05, 0.05 + 5e-13, 0.1), (0.05, 0.1, 0.05)],
+        ids=["seven_digits", "same_6_digits", "half_a_picosecond_apart", "repeated"],
+    )
+    def test_stream_holds_every_accepted_snapshot_time(self, tmp_path, times):
+        # close and repeated times are rows of one stream, also where they
+        # agree to 6 significant digits: the stream is sized for exactly the
+        # distinct times integrate lands on
+        config = parse_config(f"grid_n = 64\nt_end = 0.1\nsnapshot_times = {','.join(map(repr, times))}")
+        out = str(tmp_path / "run")
+        assert run_experiment(config, out).status == "completed"
+        t, _, _ = read_snapshots(os.path.join(out, "snapshots.npy"))
+        assert t.tolist() == [0.0, *sorted(set(times))]
+
     def test_manifest_digests_are_the_files_on_disk(self, tmp_path, monkeypatch):
         # the digests come from the bytes as written, diag.csv's as it was
         # appended row by row; a run that blows up must hash the same way

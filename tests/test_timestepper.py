@@ -193,7 +193,8 @@ def test_failure_at_t0_feeds_no_stage():
 def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused):
     # a stage function that raises StageRejected gets the same steps,
     # evaluations and state as one that returns NaN tendencies, and an
-    # integration that underflows carries the last refusal as its cause
+    # integration that underflows carries the last refusal as its cause:
+    # the raised one, or the one that names the non-finite tendencies
     def run(fail):
         calls = []
 
@@ -219,13 +220,18 @@ def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused):
     assert raised[0] == returned[0] and np.array_equal(raised[1], returned[1])
     assert raised[2:] == returned[2:]
     if blowup is not None:
-        assert blowup.cause is refusals[-1] and nan_blowup.cause is None
-        assert str(blowup) == f"{refusals[-1]}; {nan_blowup}"
+        assert blowup.cause is refusals[-1]
+        # the last call is the last failed stage
+        assert str(nan_blowup.cause) == f"non-finite tendencies at t={returned[3][-1]:.6f}"
+        underflow = str(nan_blowup).removeprefix(f"{nan_blowup.cause}; ")
+        assert underflow.startswith("step size underflow")
+        assert str(blowup) == f"{refusals[-1]}; {underflow}"
 
 
 def test_a_refusal_before_an_accepted_step_is_no_cause():
     # call 5 is a trial stage of the first attempt; steps are accepted
-    # after it, so the later underflow (NaN past t = 0.5) names no refusal
+    # after it, so the later underflow (NaN past t = 0.5) names the
+    # non-finite tendencies, not the early refusal
     calls = []
 
     def f(t, y, u):
@@ -236,7 +242,8 @@ def test_a_refusal_before_an_accepted_step_is_no_cause():
 
     with pytest.raises(StepUnderflowError) as err:
         integrate(f, (0.0, 1.0), np.array([1.0]))
-    assert err.value.cause is None and str(err.value).startswith("step size underflow")
+    assert str(err.value.cause) == f"non-finite tendencies at t={calls[-1]:.6f}"
+    assert str(err.value).startswith(f"{err.value.cause}; step size underflow")
     assert err.value.stats.accepted > 0 and 0.4 < err.value.t <= 0.5
 
 
