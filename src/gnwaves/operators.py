@@ -55,12 +55,14 @@ the start is a @ Z + irfft((v_hat - a @ Q_hat) / A0), a = Q v: the
 projection of v onto the basis, plus P^-1 of what the basis leaves out.
 It takes the reference experiment from 5.5 applications of A per solve
 (quadratic Lagrange extrapolation in the stage time, before) to 4.1. The
-stage's v and its spectrum, the frame row the integrator holds, are known
-to ``runner.guarded_rhs``, which forms the start from them, passes it to
-:func:`rhs` and adds a stage to the basis (:meth:`GNWorkspace.remember`)
-only once the stage has passed every check. The stopping errors of
-predicted starts are correlated from stage to stage and add up in the
-energy drift, so ``CG_TOL`` is 1e-13, not 1e-12.
+workspace keeps the start of its stage, v, v_hat and a, and
+:meth:`GNWorkspace.remember` adds that stage to the basis, reusing a for
+the first Gram-Schmidt pass; ``runner.guarded_rhs`` calls it only once
+the stage has passed every check, and the next stage's start replaces
+the start of a refused one. At mu = 0 the solve is pointwise, and
+:meth:`GNWorkspace.warm_start` keeps nothing and returns None. The
+stopping errors of predicted starts are correlated from stage to stage
+and add up in the energy drift, so ``CG_TOL`` is 1e-13, not 1e-12.
 
 After the solve, one function runs the stage's stacked spectral pass and
 forms the zeta-gradient (:func:`interface_gradient`): one rfft of the rows
@@ -73,10 +75,10 @@ R, which the factor mu*eps = 0 removes. The two spectral tendencies are
 the pass's w_hat and the gradient's rfft times the context's ``minus_ik``,
 -ik with the optional 2/3-rule mask, so they are exactly 0 on the masked
 modes: three rfft and two irfft calls per :func:`rhs` besides CG's (and
-the predictor's one irfft before a timed stage), and no transform in the
-Lawson frame change. The pass keeps w and its products on the workspace,
-and the diagnostics row of an accepted stage reads them with no
-transform.
+the projection start's one irfft before a timed stage), and no transform
+in the Lawson frame change. The pass keeps w and its products on the
+workspace, and the diagnostics row of an accepted stage reads them with
+no transform.
 
 Every transform here, and in the Lawson frame changes of
 ``timestepper.ModeRotation``, is ``spectral.rfft``/``spectral.irfft``, looked
@@ -211,16 +213,17 @@ class GNWorkspace:
     nothing it returns views them). The pass of :func:`interface_gradient`
     adds the flux ``w`` it was given (under :func:`rhs`, the stage's solved
     flux), ``u``, ``w_hat``, ``zeta_hat``, ``slope`` (with tension) and
-    ``dxf_u`` (mu > 0), which the diagnostics row reads; the basis of the
-    CG start of :meth:`warm_start`, which :meth:`remember` builds: its
+    ``dxf_u`` (mu > 0), which the diagnostics row reads; the CG start of
+    the stage, which :meth:`warm_start` keeps as ``start`` until
+    :meth:`remember` adds it to the basis the starts are projected on: the
     first ``rows`` rows of ``basis`` and ``images``, and the last
-    ``REBUILD_SOLVES`` of the ``solves`` it was given in ``recent``. Not
+    ``REBUILD_SOLVES`` of the ``solves`` added in ``recent``. Not
     shareable between concurrent integrations."""
 
     def __init__(self):
         self.zeta = self.w = self.w_hat = self.depths = self.local = self.cube = None
         self.u = self.zeta_hat = self.slope = self.dxf_u = None
-        self.basis = self.images = self.recent = None
+        self.basis = self.images = self.recent = self.start = None
         self.rows = self.solves = 0
 
     def load(self, ctx, zeta):
@@ -251,50 +254,60 @@ class GNWorkspace:
         (``basis``), Z their fluxes and Q_hat their spectra (``images``),
         with P the flat-interface preconditioner, A at zeta = 0, which
         carries the part of v that the basis leaves out: one irfft. At
-        zeta = 0 the start is the solve itself. None (a cold start) while
-        the basis is empty."""
+        zeta = 0 the start is the solve itself. The workspace keeps it as
+        ``start`` = (v, v_hat, a) for :meth:`remember`, in place of any
+        earlier one: v and v_hat themselves, not copies, so the caller
+        writes no more into them before then. None (a cold start) while the
+        basis is empty. At mu = 0 the solve is pointwise: no start is kept,
+        so the basis stays empty and the start is None."""
         m, n = self.rows, v.size
+        # no rows (and before the first remember() no basis): no coordinates
+        a = self.basis[:m] @ v if m else np.empty(0)
+        self.start = (v, v_hat, a) if ctx.params.mu > 0.0 else None
         if m == 0:
             return None
         # (a @ Z, a @ Q_hat) in one real product, Q_hat by its real view:
         # the same bits for any BLAS thread count
-        combined = (self.basis[:m] @ v) @ self.images[:m]
-        x0 = combined[:n]
-        x0 += spectral.irfft((v_hat - combined[n:].view(complex)) * ctx.inv_flat_symbol, n)
-        return x0
+        combined = a @ self.images[:m]
+        return combined[:n] + spectral.irfft((v_hat - combined[n:].view(complex)) * ctx.inv_flat_symbol, n)
 
-    def remember(self, v, v_hat):
-        """Add the stage whose solve took the momentum v, with real FFT
-        v_hat, to the flux ``w`` its pass kept, to the basis of
-        :meth:`warm_start`: v's remainder after two passes of classical
-        Gram-Schmidt against the rows of ``basis`` becomes a row, and the
+    def remember(self):
+        """Add the stage whose start :meth:`warm_start` kept, solved to the
+        flux ``w`` its pass kept, to the basis, and drop the start; with no
+        start kept (a fresh workspace, mu = 0, or a stage already
+        remembered) it adds nothing. The momentum v's remainder after two
+        passes of classical Gram-Schmidt against the rows of ``basis``, the
+        first from the start's coordinates a = Q v, becomes a row, and the
         same combination of w and v_hat the row of ``images``, its flux and
         the real view of its spectrum end to end. A remainder of at most
         ``DROP_TOL`` ||v|| (v = 0, or a v the rows already span) adds no
         row. The last ``REBUILD_SOLVES`` solves are kept in ``recent`` as
         copies (v, w, real view of v_hat), and once the basis holds
         ``BASIS_ROWS`` rows it is rebuilt from them, oldest first."""
+        if self.start is None:
+            return
+        (v, v_hat, a), self.start = self.start, None
         n = v.size
         if self.basis is None:
             self.basis = np.empty((BASIS_ROWS, n))
             self.images = np.empty((BASIS_ROWS, 2 * n + 2))
             self.recent = np.empty((REBUILD_SOLVES, 3 * n + 2))
-        solve = self.recent[self.solves % REBUILD_SOLVES]
-        solve[:n], solve[n : 2 * n], solve[2 * n :] = v, self.w, v_hat.view(float)
+        solve = np.concatenate((v, self.w, v_hat.view(float)), out=self.recent[self.solves % REBUILD_SOLVES])
         self.solves += 1
-        self._add_row(solve)
+        self._add_row(solve, a)
         if self.rows == BASIS_ROWS:
             self.rows = 0
             for j in range(self.solves - REBUILD_SOLVES, self.solves):
-                self._add_row(self.recent[j % REBUILD_SOLVES])
+                solve = self.recent[j % REBUILD_SOLVES]
+                self._add_row(solve, self.basis[: self.rows] @ solve[:n])
 
-    def _add_row(self, solve):
-        """Add the remainder of a kept solve (a row of ``recent``), unless
-        it is at most ``DROP_TOL`` ||v||."""
+    def _add_row(self, solve, a):
+        """Add the remainder of a kept solve (a row of ``recent``), whose
+        momentum has coordinates a on the current rows, unless it is at
+        most ``DROP_TOL`` ||v||."""
         m, n = self.rows, self.basis.shape[1]
         q = self.basis[:m]
         v = solve[:n]
-        a = q @ v
         rest = v - a @ q
         more = q @ rest
         rest -= more @ q

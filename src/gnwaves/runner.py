@@ -38,10 +38,10 @@ family: a config with mu = 0 runs through the same rhs and diagnostics.
 Every model is integrated with its flat-interface linear part propagated
 exactly (``linear=ctx.linear``: Lawson stages, see :mod:`gnwaves.timestepper`),
 so the capillary waves at the top of the ladder set no step-size limit. The
-stages run in Fourier space: :func:`guarded_rhs` forms each stage's CG
-start from the stage's v and its spectrum in the integrator's frame, and hands
-the integrator the spectral tendencies of :func:`rhs`, with no transform
-between them.
+stages run in Fourier space: :func:`guarded_rhs` has the workspace form each
+stage's CG start from the stage's v and its spectrum in the integrator's
+frame, and hands the integrator the spectral tendencies of :func:`rhs`, with
+no transform between them.
 """
 
 import math
@@ -175,10 +175,9 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     whose flux has lost spectral resolution raises StageRejected; all three
     are StageRejected, so :func:`integrate` rejects the step and shrinks.
     :func:`rhs` solves from the CG start that ``workspace`` projects from
-    the stage's v, y[1], and its spectrum, u[1]
+    the stage's v, y[1], and its spectrum, u[1], and keeps
     (:meth:`GNWorkspace.warm_start`); only a stage that passes every check
-    joins the basis of that projection (:meth:`GNWorkspace.remember`). At
-    mu = 0 the solve is pointwise: there is no start and no basis.
+    joins the basis of that projection (:meth:`GNWorkspace.remember`).
 
     Resolution is judged on the flux w = A^{-1} v of the stage, from which
     every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
@@ -218,17 +217,15 @@ def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
     state instead of creeping up to the bound. A fresh wrapper starts clean.
     """
     guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
-    projected = ctx.params.mu > 0.0  # at mu = 0 the solve is pointwise and takes no start
 
     lost_at = None  # the stage time of a trip
 
     def f(t, y, u):
         nonlocal lost_at
         if lost_at is None:
-            tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, y[1], u[1]) if projected else None)
+            tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, y[1], u[1]))
             if not (guarded and _resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode)):
-                if projected:
-                    workspace.remember(y[1], u[1])
+                workspace.remember()
                 return tendencies
             lost_at = t
         raise StageRejected(f"spectral resolution lost at t={lost_at:.6f}")

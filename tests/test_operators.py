@@ -763,16 +763,15 @@ def count_applications(monkeypatch):
     return calls
 
 
-class TestStagePredictor:
+class TestProjectionStart:
     """The CG start of a timed stage projects its momentum onto the basis
     of the workspace's recent stage solves and corrects the rest through
-    P^-1."""
+    P^-1; the workspace keeps the start, and remember() adds that stage."""
 
     @staticmethod
     def solved_stage(ctx, ws, zeta, v):
-        v_hat = rfft(v)
-        rhs(ctx, ws, zeta, v, x0=ws.warm_start(ctx, v, v_hat))
-        ws.remember(v, v_hat)
+        rhs(ctx, ws, zeta, v, x0=ws.warm_start(ctx, v, rfft(v)))
+        ws.remember()
 
     @staticmethod
     def momenta(ctx, stage, rng, count, modes=8):
@@ -887,6 +886,53 @@ class TestStagePredictor:
         for row, image in zip(q, ws.images[: ws.rows]):
             np.testing.assert_allclose(apply_mass_operator(ctx, stage, image[: grid.n]), row, rtol=0, atol=1e-9)
             np.testing.assert_allclose(image[grid.n :].view(complex), rfft(row), rtol=0, atol=1e-12)
+
+    def test_no_start_and_no_basis_at_mu_zero(self, grid):
+        # the solve is pointwise: warm_start keeps nothing, so the stage
+        # that remember() would add is not there
+        ctx = make_ctx(grid, params=replace(REF_PARAMS, mu=0.0))
+        rng = np.random.default_rng(179)
+        zeta, v = random_state(ctx, rng)  # any field serves as a momentum
+        ws = GNWorkspace()
+        for _ in range(2):
+            self.solved_stage(ctx, ws, zeta, v)
+            assert ws.warm_start(ctx, v, rfft(v)) is None
+        assert ws.rows == ws.solves == 0 and ws.basis is None
+
+    def test_remember_adds_each_kept_start_once(self, grid):
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(181)
+        zeta = random_state(ctx, rng)[0]
+        v = self.momenta(ctx, GNWorkspace().load(ctx, zeta), rng, 1)[0]
+        ws = GNWorkspace()
+        ws.remember()
+        assert ws.rows == ws.solves == 0 and ws.basis is None
+        self.solved_stage(ctx, ws, zeta, v)
+        assert (ws.rows, ws.solves) == (1, 1)
+        kept = ws.basis[:1].copy(), ws.images[:1].copy(), ws.recent[:1].copy()
+        ws.remember()
+        assert (ws.rows, ws.solves) == (1, 1)
+        for now, before in zip((ws.basis[:1], ws.images[:1], ws.recent[:1]), kept):
+            assert np.array_equal(now, before)
+
+    def test_start_of_a_refused_stage_never_joins_the_basis(self, grid):
+        # stage A's start is kept and A is refused (its solve runs out of
+        # iterations); stage B's start replaces it, and remember() adds B
+        ctx = make_ctx(grid)
+        rng = np.random.default_rng(191)
+        zeta = random_state(ctx, rng)[0]
+        stage = GNWorkspace().load(ctx, zeta)
+        v_a = self.momenta(ctx, stage, rng, 1, modes=40)[0]
+        v_b = self.momenta(ctx, stage, rng, 1)[0]
+        ws = GNWorkspace()
+        y = np.stack((zeta, v_a))
+        with pytest.raises(ConvergenceError, match="did not reach tol"):
+            guarded_rhs(make_ctx(grid, cg_max_iter=1), ws)(0.1, y, rfft(y))
+        assert ws.rows == ws.solves == 0
+        self.solved_stage(ctx, ws, zeta, v_b)
+        assert (ws.rows, ws.solves) == (1, 1)
+        np.testing.assert_array_equal(ws.basis[0], v_b / np.sqrt(v_b @ v_b))
+        np.testing.assert_array_equal(ws.recent[0, : grid.n], v_b)
 
 
 @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
