@@ -6,6 +6,8 @@
 # eigenvector at amplitude 1e-8, and measure the growth of that Fourier bin
 # in the full nonlinear evolution over one e-folding.
 
+import sys
+
 import numpy as np
 
 from gnwaves.multipliers import MultiplierSpec
@@ -49,8 +51,10 @@ def watch(t, y, stats):
     trace.append((t, abs(np.fft.rfft(y[0])[idx]) / grid.n))
 
 
-integrate(f, (0.0, 1.0 / sigma), np.stack((zeta0, v0)),
-          rel_tol=1e-10, abs_tol=1e-13, on_step=watch)
+result = integrate(f, (0.0, 1.0 / sigma), np.stack((zeta0, v0)),
+                   rel_tol=1e-10, abs_tol=1e-13, on_step=watch)
+if result.reason:  # a run that stopped early measures no e-folding
+    sys.exit(f"stopped at t = {result.t:.4f}: {result.reason}")
 
 ts = np.array([t for t, _ in trace])
 amps = np.array([a_ for _, a_ in trace])

@@ -11,9 +11,10 @@ Subcommands::
 Exit codes: 0 success, 2 configuration/usage error (including an initial
 state that already cavitates), 3 shear blow-up (the
 physically expected outcome for unstable runs; scripts must be able to tell
-it apart from bugs). Blow-up is step-size underflow: cavitation, a failed
-mass-operator solve and lost spectral resolution of the flux all end a run
-this way, and the printed reason names the last of them first.
+it apart from bugs). Blow-up is step-size underflow, or a first stage that
+fails: cavitation, a failed mass-operator solve and lost spectral
+resolution of the flux all end a run this way, and the printed reason
+names the last of them first.
 """
 
 import argparse

@@ -33,18 +33,3 @@ class CavitationError(StageRejected):
 class ConvergenceError(StageRejected):
     """The mass-operator solve broke down or ran out of iterations."""
 
-
-class StepUnderflowError(RuntimeError):
-    """Adaptive step size fell below the floor. Expected outcome for
-    shear-unstable runs, so the last healthy state, the integration's
-    StepStats so far and ``cause``, the last StageRejected since the last
-    accepted step (None if none), are attached; the message names the cause
-    first."""
-
-    def __init__(self, t, state, stats, dt, cause=None):
-        message = f"step size underflow (dt={dt:.3e}) at t={t:.6f}"
-        super().__init__(message if cause is None else f"{cause}; {message}")
-        self.t = t
-        self.state = state
-        self.stats = stats
-        self.cause = cause

@@ -140,6 +140,10 @@ class ExperimentConfig:
         mult = self.multiplier
         if mult not in FAMILIES and not mult.startswith("custom:"):
             raise ValidationError("multiplier", f"must be {'|'.join(FAMILIES)}|custom:<path>, got {mult!r}")
+        # config.txt holds the value on one line, read back stripped
+        if mult != mult.strip() or len(mult.splitlines()) > 1:
+            raise ValidationError("multiplier", "must not begin or end with whitespace or hold a line break, "
+                                  f"which config.txt cannot hold, got {mult!r}")
         if self.grid_n < 8 or not is_power_of_two(self.grid_n):
             raise ValidationError("grid_n", f"must be a power of two >= 8, got {self.grid_n}")
         # theta1/theta2 may also be None (auto)

@@ -6,8 +6,10 @@ record as it goes, saves the final state, and finishes the record with a
 checksummed manifest, which also names the gnwaves, Python and numpy
 versions and the platform that made it; out_dir is claimed by
 :func:`gnwaves.io_store.claim_out_dir`. Shear blow-up (step-size
-underflow) is a recorded *result*, not an exception: the last healthy state
-is saved and the returned status says "blowup".
+underflow, or a first stage that fails) is a recorded *result*, as
+:func:`gnwaves.timestepper.integrate` returns it: the last healthy state is
+saved, and the status says "blowup" whenever the integration's reason is
+not empty.
 
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
@@ -25,8 +27,9 @@ command that runs several configs prepares each before it claims --out.
 During time integration, a stage that cavitates, whose solve fails or whose
 flux has lost spectral resolution raises a StageRejected naming the cause
 (:func:`guarded_rhs`); the integrator rejects the step and shrinks, so every
-terminal failure surfaces as step-size underflow, and the manifest's reason,
-the StepUnderflowError's message, names the last refusal first. The
+terminal failure surfaces as step-size underflow (or, at the first stage,
+ends the run at t = 0), and the manifest's reason, the integration's,
+names the last refusal first. The
 resolution guard reads the flux spectrum of each stage in two bands: the
 full ladder, against a rise toward Nyquist above the aliasing level
 sqrt(rel_tol), and, under the 2/3 rule (``dealias``, the default), the
@@ -54,7 +57,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticsRow, compute_row
-from .errors import CavitationError, StageRejected, StepUnderflowError, ValidationError
+from .errors import CavitationError, StageRejected, ValidationError
 from .io_store import (
     RUN_GENERATOR,
     DiagnosticsWriter,
@@ -251,8 +254,6 @@ def run_experiment(config, out_dir, force=False):
     spec, ctx, zeta0 = prepare(config)
     claim_out_dir(out_dir, RUN_GENERATOR, force)
     snapshot_times = tuple(config.snapshot_times) or (config.t_end,)
-    # t = 0 and every time the integrator lands on
-    rows = 1 + len({float(s) for s in snapshot_times if 0.0 < s <= config.t_end})
 
     y0 = np.stack((zeta0, np.zeros_like(zeta0)))
     workspace = GNWorkspace()
@@ -260,9 +261,11 @@ def run_experiment(config, out_dir, force=False):
     # the sha256 of every data file, as its writer returned it
     checksums = {"config.txt": write_text(os.path.join(out_dir, "config.txt"), serialize_config(config))}
 
-    status, reason = "completed", ""
+    # a stream row for t = 0 and one for every snapshot time: it drops those
+    # of repeated times and of t = 0, which the integrator reports once
     with (DiagnosticsWriter(os.path.join(out_dir, "diag.csv"), DiagnosticsRow.HEADER) as diag,
-          SnapshotStream(os.path.join(out_dir, "snapshots.npy"), config.grid_n, rows) as snapshots):
+          SnapshotStream(os.path.join(out_dir, "snapshots.npy"), config.grid_n, 1 + len(snapshot_times))
+          as snapshots):
         accepted_w = None  # flux of the last accepted state (or of t = 0), for the final state
 
         # integrate calls these right after the stage at y (at t = 0 too):
@@ -275,24 +278,20 @@ def run_experiment(config, out_dir, force=False):
         def on_snapshot(t, y):
             snapshots.append(t, y[0], workspace.w)
 
-        try:
-            result = integrate(
-                guarded_rhs(ctx, workspace, rel_tol=config.rel_tol), (0.0, config.t_end), y0,
-                rel_tol=config.rel_tol,
-                abs_tol=config.abs_tol,
-                snapshot_times=snapshot_times,
-                on_step=on_step,
-                on_snapshot=on_snapshot,
-                linear=ctx.linear,
-            )
-            t_final, y_final, stats = result.t, result.y, result.stats
-        except StepUnderflowError as blowup:
-            status, reason = "blowup", str(blowup)
-            t_final, y_final, stats = blowup.t, blowup.state, blowup.stats
+        result = integrate(
+            guarded_rhs(ctx, workspace, rel_tol=config.rel_tol), (0.0, config.t_end), y0,
+            rel_tol=config.rel_tol,
+            abs_tol=config.abs_tol,
+            snapshot_times=snapshot_times,
+            on_step=on_step,
+            on_snapshot=on_snapshot,
+            linear=ctx.linear,
+        )
+    status = "blowup" if result.reason else "completed"
     checksums["diag.csv"] = diag.hexdigest()
     checksums["snapshots.npy"] = snapshots.hexdigest()
-    final = snapshot_name(t_final)
-    checksums[final] = write_snapshot(os.path.join(out_dir, final), ctx.grid, y_final[0], accepted_w)
+    final = snapshot_name(result.t)
+    checksums[final] = write_snapshot(os.path.join(out_dir, final), ctx.grid, result.y[0], accepted_w)
 
     metadata = {
         "generator": RUN_GENERATOR,
@@ -300,12 +299,12 @@ def run_experiment(config, out_dir, force=False):
         "grid_n": config.grid_n,
         "t_end": config.t_end,
         "status": status,
-        "t_final": f"{t_final:.17g}",
-        "reason": reason,
+        "t_final": f"{result.t:.17g}",
+        "reason": result.reason,
         "wall_time_s": f"{time.monotonic() - t_start:.3f}",
-        "accepted": stats.accepted,
-        "rejected": stats.rejected,
-        "rhs_evals": stats.rhs_evals,
+        "accepted": result.stats.accepted,
+        "rejected": result.stats.rejected,
+        "rhs_evals": result.stats.rhs_evals,
         # the software environment; kept out of every sha256-covered file
         "gnwaves": __version__,
         "python": platform.python_version(),
@@ -313,4 +312,4 @@ def run_experiment(config, out_dir, force=False):
         "platform": platform.platform(),
     }
     write_manifest(out_dir, metadata, checksums)
-    return RunResult(status=status, t_final=t_final, out_dir=out_dir, stats=stats, reason=reason)
+    return RunResult(status=status, t_final=result.t, out_dir=out_dir, stats=result.stats, reason=result.reason)

@@ -75,9 +75,9 @@ def flat_interface(params, f, k):
     """
     g, d, mu = params.gamma, params.delta, params.mu
     f1, f2 = f
-    a0 = mass_symbol(params, f, k)
-    shear = g * (d + 1.0) ** 2 / d * (d**2 + mu * k**2 * f2**2 / 3.0) * (1.0 + mu * k**2 * f1**2 / 3.0) / a0
-    return a0, shear
+    A0 = mass_symbol(params, f, k)
+    shear = g * (d + 1.0) ** 2 / d * (d**2 + mu * k**2 * f2**2 / 3.0) * (1.0 + mu * k**2 * f1**2 / 3.0) / A0
+    return A0, shear
 
 
 def model_coeffs(k, params, spec, wbar):
@@ -85,9 +85,9 @@ def model_coeffs(k, params, spec, wbar):
     g, d, eps, mu = params.gamma, params.delta, params.epsilon, params.mu
     k = np.abs(np.asarray(k, dtype=float))
     f1, f2 = f = layer_symbols(spec, k, mu)
-    a0, shear = flat_interface(params, f, k)
-    b = 1.0 / a0
-    c = eps * wbar * ((d**2 - g) + mu * (f2**2 - g * f1**2) * k**2 / 3.0) / a0
+    A0, shear = flat_interface(params, f, k)
+    b = 1.0 / A0
+    c = eps * wbar * ((d**2 - g) + mu * (f2**2 - g * f1**2) * k**2 / 3.0) / A0
     a = restoring_symbol(params, k) - (eps * wbar) ** 2 * shear
     return a, b, c
 

@@ -53,9 +53,13 @@ the first step size included, goes through one evaluation, which counts it
 and refuses non-finite tendencies as the stage function refuses a stage:
 by raising :class:`~gnwaves.errors.StageRejected`. A refused trial stage
 ends its attempt at once, which is rejected at the maximum shrink factor.
-If dt falls below 1e-14 the integration aborts with the last healthy state
-and the last refusal attached as its cause, which is the expected outcome
-for shear-unstable runs rather than a crash.
+
+Every integration returns how it ended: the last healthy state, its
+StepStats and a ``reason``, empty when it reached t1. A run stops early
+when its first stage fails (no step can start without it, at any step
+size) or when dt falls below 1e-14; either way the reason names the last
+refusal first. That is the expected outcome for shear-unstable runs, not a
+crash.
 """
 
 import math
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import StageRejected, StepUnderflowError, ValidationError
+from .errors import StageRejected, ValidationError
 
 __all__ = ["ModeRotation", "StepStats", "IntegrationResult", "integrate"]
 
@@ -175,26 +179,27 @@ class IntegrationResult:
     t: float
     y: np.ndarray
     stats: StepStats
+    reason: str = ""  # why the run stopped before t1; empty if it reached t1
 
 
-def _initial_step(stage, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
-    """Hairer-style automatic first step, with a safe fallback when the
-    initial tendency vanishes (e.g. a rest state). Its probe goes through
-    :func:`integrate`'s stage evaluation. The norms are the state space's:
-    the frame tendencies f0_hat and f1_hat are taken back to it. Like the
-    step's error norm, they ignore overflow and 0/0, and d2 a division by
-    h0 = 0 (extreme tolerances, where d0 underflows); a probe that is
-    refused or not finite leaves d2 NaN, so the step comes from the first
-    stage's norms. A step size that is not finite and > 0 falls back in
-    :func:`integrate`."""
-    span = t_span[1] - t_span[0]
+def _initial_step(stage, lin, t0, y0, f0_hat, span, rel_tol, abs_tol):
+    """Hairer-style automatic first step, with a safe fallback of 1e-6 span
+    when the initial tendency vanishes (e.g. a rest state), when both of
+    its norms overflow (extreme tolerances: d0 / d1 is inf / inf) and when
+    the step it finds is not > 0; never below DT_FLOOR. Its probe goes
+    through :func:`integrate`'s stage evaluation, at a finite time and
+    state. The norms are the state space's: the frame tendencies f0_hat and
+    f1_hat are taken back to it. Like the step's error norm, they ignore
+    overflow and 0/0, and d2 a division by h0 = 0 (extreme tolerances,
+    where d0 underflows); a probe that is refused or not finite leaves d2
+    NaN, so the step comes from the first stage's norms."""
     scale = abs_tol + rel_tol * np.abs(y0)
     f0 = lin.to_state(f0_hat)
     with np.errstate(invalid="ignore", over="ignore"):
         d0 = np.sqrt(np.mean((y0 / scale) ** 2))
         d1 = np.sqrt(np.mean((f0 / scale) ** 2))
         h0 = 1e-6 * span if d1 == 0.0 else 0.01 * d0 / d1
-    h0 = min(h0, span)
+    h0 = 1e-6 * span if np.isnan(h0) else min(h0, span)
     y1 = y0 + h0 * f0
     f1_hat = stage(t0 + h0, y1, lin.to_frame(y1))
     f1 = math.nan if f1_hat is None else lin.to_state(f1_hat)
@@ -204,7 +209,8 @@ def _initial_step(stage, lin, t0, y0, f0_hat, t_span, rel_tol, abs_tol):
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    h = min(100 * h0, h1, span)
+    return max(h if h > 0.0 else 1e-6 * span, DT_FLOOR)
 
 
 def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_times=(), on_step=None,
@@ -232,10 +238,16 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     which it refuses as ``StageRejected("non-finite tendencies at
     t=...")``. A failed trial stage ends its attempt, which is rejected at
     MIN_FACTOR; a failed probe leaves the first step size to the norms of
-    the first stage; a failed stage at t0, after the callbacks, fails every
-    attempt until the step underflows. Raises StepUnderflowError on
-    blow-up, with the last refusal since the last accepted step as its
-    ``cause``, None only if the controller alone shrank the step.
+    the first stage.
+
+    Returns an :class:`IntegrationResult` on every path: the last accepted
+    t and y, the StepStats and ``reason``, "" when the run reached t1. A
+    failed stage at t0 ends the integration right after the callbacks,
+    with no attempt: ``reason`` is "<its refusal>; first stage failed at
+    t=<t0>". On blow-up, when dt falls below DT_FLOOR, it is "<the last
+    refusal since the last accepted step>; step size underflow (dt=...) at
+    t=...", the bare underflow text if the controller alone shrank the
+    step.
     """
     lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -265,29 +277,27 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
             return None
         return f
 
-    # u is y in the frame of the linear part, g the first stage's tendency
-    # there (None if that stage failed)
+    # u is y in the frame of the linear part, g the first stage's tendency there
     u = lin.to_frame(y)
     f = stage(t, y, u)
     if on_snapshot is not None:
         on_snapshot(t, y)
     if on_step is not None:
         on_step(t, y, stats)
-    dt = np.nan if f is None else _initial_step(stage, lin, t0, y, f, (t0, t1), rel_tol, abs_tol)
-    if not np.isfinite(dt) or dt <= 0.0:
-        # a right-hand side that fails already at t0 still gets a few
-        # shrinking attempts before the underflow error fires
-        dt = 1e-6 * (t1 - t0)
-    dt = max(dt, DT_FLOOR)
+    if f is None:
+        # every first step needs this stage, and no step size changes it
+        return IntegrationResult(t, y, stats, f"{cause}; first stage failed at t={t:.6f}")
+    dt = _initial_step(stage, lin, t0, y, f, t1 - t0, rel_tol, abs_tol)
 
-    g = None if f is None else lin.tendency(f, u)
+    g = lin.tendency(f, u)
     k = np.empty((7,) + u.shape, dtype=u.dtype)
     flat = k.reshape(7, -1)
     err_prev = ERR_PREV_FLOOR
     rotated_dt = None
     while t < t1:
         if dt < DT_FLOOR:
-            raise StepUnderflowError(t, y, stats, dt, cause)
+            underflow = f"step size underflow (dt={dt:.3e}) at t={t:.6f}"
+            return IntegrationResult(t, y, stats, underflow if cause is None else f"{cause}; {underflow}")
         # truncate to land exactly on the next requested time
         boundary = targets[0] if targets else t1
         dt_step = min(dt, t1 - t)
@@ -299,26 +309,25 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
         if dt_step != rotated_dt:
             # most steps repeat the last size: its rotations stay valid
             rotated_dt, rotations = dt_step, lin.rotations(_C * dt_step)
+        k[0] = g
         err = np.nan
-        if g is not None:
-            k[0] = g
-            for i in range(1, 7):
-                ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
-                yi = lin.to_state(ui)
-                fi = stage(t + _C[i] * dt_step, yi, ui)
-                if fi is None:
-                    break
-                gi = lin.tendency(fi, ui)
-                k[i] = lin.rotate(rotations, i, gi, inverse=True)
-            else:
-                # FSAL: the last stage's input is the 5th-order solution
-                y_new, u_new, g_new = yi, ui, gi
-                err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                with np.errstate(invalid="ignore", over="ignore"):
-                    q = (err_vec / scale) ** 2
-                    # sqrt(mean(q)) in np.mean's own arithmetic, without its wrapper
-                    err = math.sqrt(np.add.reduce(q, axis=None) / q.size)
+        for i in range(1, 7):
+            ui = lin.rotate(rotations, i, u + ((dt_step * _A[i]) @ flat[:i]).reshape(u.shape))
+            yi = lin.to_state(ui)
+            fi = stage(t + _C[i] * dt_step, yi, ui)
+            if fi is None:
+                break
+            gi = lin.tendency(fi, ui)
+            k[i] = lin.rotate(rotations, i, gi, inverse=True)
+        else:
+            # FSAL: the last stage's input is the 5th-order solution
+            y_new, u_new, g_new = yi, ui, gi
+            err_vec = lin.to_state(((dt_step * _E) @ flat).reshape(u.shape))
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            with np.errstate(invalid="ignore", over="ignore"):
+                q = (err_vec / scale) ** 2
+                # sqrt(mean(q)) in np.mean's own arithmetic, without its wrapper
+                err = math.sqrt(np.add.reduce(q, axis=None) / q.size)
 
         if not np.isfinite(err):
             stats.rejected += 1
@@ -348,4 +357,4 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
             stats.rejected += 1
             dt = dt_step * min(1.0, max(MIN_FACTOR, SAFETY * err**-_ALPHA))
 
-    return IntegrationResult(t=t, y=y, stats=stats)
+    return IntegrationResult(t, y, stats)

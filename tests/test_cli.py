@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,7 +10,6 @@ import pytest
 
 import gnwaves.runner as runner_mod
 from gnwaves.cli import main
-from gnwaves.errors import StepUnderflowError
 from gnwaves.io_store import read_manifest, read_snapshots, snapshot_name
 from gnwaves.params import ExperimentConfig, parse_config, serialize_config
 
@@ -117,12 +117,22 @@ class TestSimulate:
         _, rerun = read_manifest(os.path.join("rerun", "manifest.txt"))
         assert rerun == checksums
 
+    def test_a_multiplier_config_txt_would_change_is_refused(self, fast_config_path, tmp_path, monkeypatch, capsys):
+        # config.txt reads the value back stripped: a table named with a
+        # trailing space would be recorded as one it cannot find again
+        (tmp_path / "sp.csv ").write_text("0,1\n10,0.5\n")
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--config", fast_config_path, "--multiplier", "custom:sp.csv ", "--out", "rec"])
+        assert code == 2
+        assert "multiplier" in capsys.readouterr().err
+        assert not os.path.exists("rec")
+
     def test_blowup_exit_code(self, fast_config_path, tmp_path, monkeypatch, capsys):
         real_integrate = runner_mod.integrate
 
         def sabotaged(rhs_fn, t_span, y0, **kw):
             result = real_integrate(rhs_fn, (t_span[0], 0.02), y0, **kw)
-            raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
+            return dataclasses.replace(result, reason="step size underflow")
 
         monkeypatch.setattr(runner_mod, "integrate", sabotaged)
         out = str(tmp_path / "run")
@@ -132,7 +142,8 @@ class TestSimulate:
 
     def test_resolution_loss_names_the_cause(self, fast_config_path, tmp_path, monkeypatch, capsys):
         # a flux with a strong mode in the top third of the ladder trips the
-        # resolution guard at the first stage
+        # resolution guard at the first stage, which ends the run at once:
+        # no attempt is made without it
         def rough(grid):
             return 0.1 * np.cos(grid.k[5 * grid.n // 12] * grid.x)
 
@@ -140,7 +151,11 @@ class TestSimulate:
         out = str(tmp_path / "run")
         code = main(["simulate", "--config", fast_config_path, "--out", out])
         assert code == 3
-        assert "(spectral resolution lost at t=0.000000; step size underflow" in capsys.readouterr().out
+        reason = "spectral resolution lost at t=0.000000; first stage failed at t=0.000000"
+        assert f"({reason})" in capsys.readouterr().out
+        metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
+        assert (metadata["reason"], metadata["t_final"]) == (reason, "0")
+        assert (metadata["accepted"], metadata["rejected"], metadata["rhs_evals"]) == ("0", "0", "1")
 
 
 class TestSv:

@@ -228,6 +228,25 @@ class TestRoundTrip:
         )
         assert parse_config(serialize_config(config)) == config
 
+    @given(path=st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_multiplier_round_trips(self, path):
+        # config.txt reads a value back stripped, one line per key: a
+        # multiplier it would change is refused, every other one comes back
+        try:
+            config = ExperimentConfig(multiplier=f"custom:{path}")
+        except ValidationError as exc:
+            assert exc.field == "multiplier"
+            return
+        assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize("path", ["sp.csv ", "sp.csv\n", "a\nb.csv", "a\rb.csv", "a\x0cb.csv", "a\u2028b.csv"])
+    def test_a_multiplier_config_txt_would_change_is_refused(self, path):
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(multiplier=f"custom:{path}")
+        assert err.value.field == "multiplier"
+        assert "whitespace or hold a line break" in str(err.value)
+
 
 @pytest.mark.parametrize("key", ["grid_n", "cg_max_iter"])
 @pytest.mark.parametrize("value", [1.5, True])

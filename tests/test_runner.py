@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import platform
@@ -11,7 +12,7 @@ import gnwaves
 import gnwaves.operators as operators_mod
 import gnwaves.runner as runner_mod
 from gnwaves.cli import _load_config, build_parser, main
-from gnwaves.errors import CavitationError, ConvergenceError, StageRejected, StepUnderflowError, ValidationError
+from gnwaves.errors import CavitationError, ConvergenceError, StageRejected, ValidationError
 from gnwaves.io_store import (
     read_diagnostics,
     read_manifest,
@@ -371,18 +372,20 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "times",
-        [(0.0900001, 0.0900002), (0.09000001, 0.09000002), (0.05, 0.05 + 5e-13, 0.1), (0.05, 0.1, 0.05)],
-        ids=["seven_digits", "same_6_digits", "half_a_picosecond_apart", "repeated"],
+        [(0.0900001, 0.0900002), (0.09000001, 0.09000002), (0.05, 0.05 + 5e-13, 0.1), (0.05, 0.1, 0.05),
+         (0.0, 0.05)],
+        ids=["seven_digits", "same_6_digits", "half_a_picosecond_apart", "repeated", "zero"],
     )
     def test_stream_holds_every_accepted_snapshot_time(self, tmp_path, times):
         # close and repeated times are rows of one stream, also where they
-        # agree to 6 significant digits: the stream is sized for exactly the
-        # distinct times integrate lands on
+        # agree to 6 significant digits: the stream holds the t = 0 row and
+        # one row for each distinct time integrate lands on, none for a
+        # repeat or for a requested t = 0
         config = parse_config(f"grid_n = 64\nt_end = 0.1\nsnapshot_times = {','.join(map(repr, times))}")
         out = str(tmp_path / "run")
         assert run_experiment(config, out).status == "completed"
         t, _, _ = read_snapshots(os.path.join(out, "snapshots.npy"))
-        assert t.tolist() == [0.0, *sorted(set(times))]
+        assert t.tolist() == [0.0, *sorted(set(times) - {0.0})]
 
     def test_manifest_digests_are_the_files_on_disk(self, tmp_path, monkeypatch):
         # the digests come from the bytes as written, diag.csv's as it was
@@ -475,7 +478,7 @@ class TestRunExperiment:
 
             def cut_short(rhs_fn, t_span, y0, **kw):
                 result = real_integrate(rhs_fn, (t_span[0], 0.3), y0, **kw)
-                raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
+                return dataclasses.replace(result, reason="step size underflow")
 
             monkeypatch.setattr(runner_mod, "integrate", cut_short)
         out = str(tmp_path / "run")
@@ -617,7 +620,7 @@ class TestRunExperiment:
             result = real_integrate(rhs_fn, (t_span[0], 0.05), y0, **kw)
             captured["y"] = result.y
             stage(rhs_fn, result.t, 1.01 * result.y)  # a stage of a rejected attempt
-            raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
+            return dataclasses.replace(result, reason="step size underflow")
 
         monkeypatch.setattr(runner_mod, "integrate", sabotaged)
         out = str(tmp_path / "blow")
@@ -729,7 +732,7 @@ class TestRunExperiment:
 
         def cut_short(rhs_fn, t_span, y0, **kw):
             result = real_integrate(rhs_fn, (t_span[0], 0.3), y0, **kw)
-            raise StepUnderflowError(result.t, result.y, result.stats, 1e-15)
+            return dataclasses.replace(result, reason="step size underflow")
 
         monkeypatch.setattr(runner_mod, "integrate", cut_short)
         out = str(tmp_path / "run")

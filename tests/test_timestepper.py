@@ -5,7 +5,7 @@ import pytest
 
 import gnwaves.spectral as spectral_mod
 from gnwaves.diagnostics import compute_row
-from gnwaves.errors import StageRejected, StepUnderflowError, ValidationError
+from gnwaves.errors import StageRejected, ValidationError
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, invert_mass_operator
 from gnwaves.runner import guarded_rhs
@@ -110,16 +110,35 @@ def test_deterministic_repeatability():
     assert runs[0][1:] == runs[1][1:]
 
 
-def test_underflow_raises_with_state():
+def test_underflow_returns_with_state():
     # NaN tendencies force permanent rejection: dt collapses to the floor
     def f(t, y, u):
         return np.full_like(y, np.nan) if t > 0.1 else y
 
-    with pytest.raises(StepUnderflowError) as err:
-        integrate(f, (0.0, 1.0), np.array([1.0]))
-    assert err.value.t <= 0.2
-    assert np.isfinite(err.value.state).all()
-    assert err.value.stats.rejected > 0
+    result = integrate(f, (0.0, 1.0), np.array([1.0]))
+    assert result.t <= 0.2
+    assert np.isfinite(result.y).all()
+    assert result.stats.rejected > 0
+    assert "; step size underflow" in result.reason
+
+
+def test_an_integration_the_controller_ended_names_no_refusal():
+    # no step meets tolerances of 1e-300, so the step shrinks to underflow
+    # from the initial state; both norms of the first step size overflow
+    # there (d0 / d1 is inf / inf), and the probe still gets a finite time
+    # and state, so no stage is refused
+    inputs = []
+
+    def f(t, y, u):
+        inputs.append((t, y.copy()))
+        return -y
+
+    result = integrate(f, (0.0, 1.0), np.array([1.0, -2.0]), rel_tol=1e-300, abs_tol=1e-300)
+    assert result.reason.startswith("step size underflow")
+    assert result.t == 0.0 and np.array_equal(result.y, [1.0, -2.0])
+    assert result.stats.accepted == 0 and result.stats.rejected > 0
+    assert len(inputs) == result.stats.rhs_evals
+    assert all(np.isfinite(t) and np.isfinite(y).all() for t, y in inputs)
 
 
 def test_stats_accumulate():
@@ -181,20 +200,26 @@ def test_failure_at_t0_feeds_no_stage():
         calls.append(t)
         return np.full_like(y, np.nan)
 
-    with pytest.raises(StepUnderflowError) as err:
-        integrate(f, (0.0, 1.0), np.array([1.0]))
-    assert err.value.t == 0.0
-    assert err.value.stats.rhs_evals == len(calls) == 1
-    assert err.value.stats.rejected > 0
+    result = integrate(f, (0.0, 1.0), np.array([1.0]))
+    assert result.t == 0.0
+    assert result.stats.rhs_evals == len(calls) == 1
+    assert result.stats.rejected == 0
+    assert result.reason == "non-finite tendencies at t=0.000000; first stage failed at t=0.000000"
 
 
-@pytest.mark.parametrize("refused", [lambda t, n: t == 0.0, lambda t, n: t > 0.1, lambda t, n: n == 2],
-                         ids=["t0", "mid_run", "probe"])
-def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused):
+@pytest.mark.parametrize(
+    "refused,ending",
+    [(lambda t, n: t == 0.0, "first stage failed at t=0.000000"),
+     (lambda t, n: t > 0.1, "step size underflow"),
+     (lambda t, n: n == 2, None)],
+    ids=["t0", "mid_run", "probe"],
+)
+def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused, ending):
     # a stage function that raises StageRejected gets the same steps,
     # evaluations and state as one that returns NaN tendencies, and an
-    # integration that underflows carries the last refusal as its cause:
-    # the raised one, or the one that names the non-finite tendencies
+    # integration that stops early names the last refusal first in its
+    # reason: the raised one, or the one that names the non-finite
+    # tendencies; a failed first stage ends it with no attempt
     def run(fail):
         calls = []
 
@@ -202,11 +227,8 @@ def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused):
             calls.append(t)
             return fail(t) if refused(t, len(calls)) else -y
 
-        try:
-            result = integrate(f, (0.0, 1.0), np.array([1.0]))
-        except StepUnderflowError as exc:
-            return exc, (exc.t, exc.state, exc.stats, calls)
-        return None, (result.t, result.y, result.stats, calls)
+        result = integrate(f, (0.0, 1.0), np.array([1.0]))
+        return result.t, result.y, result.stats, calls, result.reason
 
     refusals = []
 
@@ -214,18 +236,19 @@ def test_a_refused_stage_is_rejected_like_a_non_finite_one(refused):
         refusals.append(StageRejected(f"refused at t={t}"))
         raise refusals[-1]
 
-    blowup, raised = run(refuse)
-    nan_blowup, returned = run(lambda t: np.full(1, np.nan))
-    assert (blowup is None) == (nan_blowup is None)
+    raised = run(refuse)
+    returned = run(lambda t: np.full(1, np.nan))
     assert raised[0] == returned[0] and np.array_equal(raised[1], returned[1])
-    assert raised[2:] == returned[2:]
-    if blowup is not None:
-        assert blowup.cause is refusals[-1]
+    assert raised[2:4] == returned[2:4]
+    if ending is None:
+        assert raised[0] == 1.0 and raised[4] == returned[4] == ""
+    else:
         # the last call is the last failed stage
-        assert str(nan_blowup.cause) == f"non-finite tendencies at t={returned[3][-1]:.6f}"
-        underflow = str(nan_blowup).removeprefix(f"{nan_blowup.cause}; ")
-        assert underflow.startswith("step size underflow")
-        assert str(blowup) == f"{refusals[-1]}; {underflow}"
+        tail = returned[4].removeprefix(f"non-finite tendencies at t={returned[3][-1]:.6f}; ")
+        assert tail.startswith(ending) and tail != returned[4]
+        assert raised[4] == f"{refusals[-1]}; {tail}"
+    if ending == "first stage failed at t=0.000000":
+        assert raised[2].rejected == 0 and raised[2].rhs_evals == 1
 
 
 def test_a_refusal_before_an_accepted_step_is_no_cause():
@@ -240,11 +263,9 @@ def test_a_refusal_before_an_accepted_step_is_no_cause():
             raise StageRejected("refused once")
         return np.full_like(y, np.nan) if t > 0.5 else -y
 
-    with pytest.raises(StepUnderflowError) as err:
-        integrate(f, (0.0, 1.0), np.array([1.0]))
-    assert str(err.value.cause) == f"non-finite tendencies at t={calls[-1]:.6f}"
-    assert str(err.value).startswith(f"{err.value.cause}; step size underflow")
-    assert err.value.stats.accepted > 0 and 0.4 < err.value.t <= 0.5
+    result = integrate(f, (0.0, 1.0), np.array([1.0]))
+    assert result.reason.startswith(f"non-finite tendencies at t={calls[-1]:.6f}; step size underflow")
+    assert result.stats.accepted > 0 and 0.4 < result.t <= 0.5
 
 
 def test_callbacks_follow_a_stage_at_their_state():
@@ -275,7 +296,7 @@ def test_callbacks_follow_a_stage_at_their_state():
 def test_t0_is_reported_right_after_the_first_evaluation(rate):
     # the first evaluation is the stage of t0: both callbacks report it, with
     # its stats, before the first step size is probed and whatever its
-    # tendencies; a run whose every stage fails still ends in underflow
+    # tendencies; a run whose first stage fails ends right after them
     events = []
 
     def f(t, y, u):
@@ -290,8 +311,10 @@ def test_t0_is_reported_right_after_the_first_evaluation(rate):
         )
 
     if np.isnan(rate):
-        with pytest.raises(StepUnderflowError):
-            run()
+        result = run()
+        assert (result.t, result.stats.rejected) == (0.0, 0)
+        assert result.reason.startswith("non-finite tendencies at t=0.000000; ")
+        assert len(events) == 3
     else:
         assert run().t == 1.0
         assert events[3] == "f"  # the probe of the first step size
