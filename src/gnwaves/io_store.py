@@ -13,9 +13,9 @@ row per snapshot, with float64 fields ``t``, ``zeta`` and ``w`` (the last
 two of length n), exact as computed; ``x`` is ``Grid(n, L).x`` of the
 record's config. Its header is sized up front for every snapshot time, and
 each row is appended and flushed as it is taken, one file for all of them
-(a file per snapshot took 201 file creations per run writing 200). A run
-that stops early rewrites the row count in place: numpy's header leaves
-room for a 21-digit axis, so its length does not change.
+(a file per snapshot took 201 file creations per run writing 200). A
+stream that closes with fewer rows rewrites the row count in place: numpy's
+header leaves room for a 21-digit axis, so its length does not change.
 
 The final state is a NumPy ``.npy`` of float64 fields ``x, zeta, w``. Both
 files take their header from numpy's own writer (the one ``np.save``
@@ -33,8 +33,9 @@ one rule for what an output directory may hold.
 Every writer returns the sha256 of the bytes it wrote (the appending
 writers keep one as they append), and the manifest records those digests
 without reading any file back; the one exception is a snapshot stream that
-stopped short of its rows (a blow-up), which is hashed once after its row
-count is rewritten.
+holds fewer rows than it was sized for (a blow-up, or repeated or zero
+snapshot times, which land once), which is hashed once after its row count
+is rewritten.
 """
 
 import hashlib

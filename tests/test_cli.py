@@ -124,7 +124,8 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path)
         code = main(["simulate", "--config", fast_config_path, "--multiplier", "custom:sp.csv ", "--out", "rec"])
         assert code == 2
-        assert "multiplier" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "multiplier" in err and "whitespace or hold a line break" in err
         assert not os.path.exists("rec")
 
     def test_blowup_exit_code(self, fast_config_path, tmp_path, monkeypatch, capsys):

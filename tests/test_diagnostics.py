@@ -254,6 +254,7 @@ class TestOneLayerConservation:
 
         t_end = 0.5
         result = integrate(f, (0.0, t_end), y0)
+        assert result.reason == ""
         zeta, v = result.y
         w = invert_mass_operator(ctx, GNWorkspace().load(ctx, zeta), v)
         r0 = compute_row(ctx, 0.0, np.zeros(grid.n), passed_stage(ctx, zeta0, np.zeros(grid.n)))

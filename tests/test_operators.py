@@ -1034,10 +1034,11 @@ class TestLinearDispersion:
 
         # abs_tol must sit far below the 1e-8 mode amplitude or the error
         # control is effectively loose-relative and the phase drifts
-        integrate(
+        result = integrate(
             f, (0.0, 1.0), np.stack((zeta0, v0)),
             rel_tol=1e-11, abs_tol=1e-19, on_step=watch,
         )
+        assert result.reason == ""
         ts = np.array([t for t, _ in phases])
         unwrapped = np.unwrap(np.array([ph for _, ph in phases]))
         omega_measured = -np.polyfit(ts, unwrapped, 1)[0]

@@ -129,7 +129,8 @@ class TestLinearWaves:
 
         # abs_tol far below the 1e-8 amplitude keeps the control truly relative
         t_end = 1.0
-        integrate(f, (0.0, t_end), y0, rel_tol=1e-11, abs_tol=1e-19, on_step=on_step)
+        result = integrate(f, (0.0, t_end), y0, rel_tol=1e-11, abs_tol=1e-19, on_step=on_step)
+        assert result.reason == ""
         ts = np.array([t for t, _ in phases])
         unwrapped = np.unwrap(np.array([ph for _, ph in phases]))
         # linear fit of phase vs time: slope = -omega
@@ -148,6 +149,7 @@ class TestLinearWaves:
             return np.stack(sv_rhs(grid, p, *y))
 
         result = integrate(f, (0.0, 2.0), y0)
+        assert result.reason == ""
         z_drift = grid.dx * abs(np.sum(result.y[0]) - np.sum(zeta0))
         v_drift = grid.dx * abs(np.sum(result.y[1]))
         assert z_drift <= 1e-10

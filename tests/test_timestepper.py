@@ -29,6 +29,7 @@ def test_harmonic_oscillator_energy_drift():
 
     t_end = 100 * 2 * np.pi
     result = integrate(f, (0.0, t_end), np.array([1.0, 0.0]))
+    assert result.reason == ""
     energy = 0.5 * (result.y[0] ** 2 + result.y[1] ** 2)
     assert abs(energy - 0.5) <= 1e-6
 
@@ -79,6 +80,7 @@ def test_zero_rhs_fixed_point_fast():
         return np.zeros_like(y)
 
     result = integrate(f, (0.0, 1.0), np.array([2.0, -1.0]))
+    assert result.reason == ""
     assert np.array_equal(result.y, [2.0, -1.0])
     assert calls["n"] < 200  # zero error lets dt grow at the max factor
 
@@ -105,6 +107,7 @@ def test_deterministic_repeatability():
     runs = []
     for _ in range(2):
         result = integrate(f, (0.0, 5.0), np.array([1.2, 0.0]), rel_tol=1e-9, abs_tol=1e-11)
+        assert result.reason == ""
         runs.append((result.y.copy(), result.stats.accepted, result.stats.rhs_evals))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1:] == runs[1][1:]
@@ -143,6 +146,7 @@ def test_an_integration_the_controller_ended_names_no_refusal():
 
 def test_stats_accumulate():
     result = integrate(lambda t, y, u: -50 * y, (0.0, 1.0), np.array([1.0]))
+    assert result.reason == ""
     stats = result.stats
     assert stats.accepted >= 1
     assert stats.rhs_evals >= 6 * stats.accepted
@@ -160,8 +164,9 @@ def test_no_stage_after_a_non_finite_one():
         calls.append(t)
         return np.full_like(y, np.nan) if len(calls) == bad_call else -y
 
-    stats = integrate(f, (0.0, 1.0), np.array([1.0])).stats
-    assert stats.rejected == 1
+    result = integrate(f, (0.0, 1.0), np.array([1.0]))
+    stats = result.stats
+    assert result.reason == "" and stats.rejected == 1
     assert stats.rhs_evals == len(calls) == 2 + 6 * stats.accepted + 3
     # the call after the failed one is the first stage of the next attempt,
     # from the same state with the step shrunk by MIN_FACTOR
