@@ -2,11 +2,12 @@
 # without any surface tension (Bo^-1 = 0).
 #
 # All three start with the half-Nyquist band at the 1.4e-17 round-off floor.
-# The classical model amplifies it by 8.4 orders of magnitude; once its flux
-# spectrum stops decaying toward the 2/3-rule cut the resolution guard ends
-# the run as a blow-up (t = 1.761, "spectral resolution lost"), before the
-# spectrum turns to saturated garbage by t = 2 (with dealias = false the
-# guard sees the rise toward Nyquist and ends it at t = 1.494). The
+# The classical model amplifies it by 8.5 orders of magnitude; at the first
+# accepted state whose flux spectrum stops decaying toward the 2/3-rule cut
+# the resolution guard ends the run as a blow-up (t = 1.782, "spectral
+# resolution lost"), before the spectrum turns to saturated garbage by t = 2
+# (with dealias = false the guard sees the rise toward Nyquist and ends it
+# at t = 1.497). The
 # regularized family is immune to high-frequency shear instability by
 # construction: 0.6 orders by t = 2. The improved model sits in between. Its threshold matches the
 # exact equations, which without surface tension are unstable at short

@@ -11,10 +11,11 @@ Subcommands::
 Exit codes: 0 success, 2 configuration/usage error (including an initial
 state that already cavitates), 3 shear blow-up (the
 physically expected outcome for unstable runs; scripts must be able to tell
-it apart from bugs). Blow-up is step-size underflow, or a first stage that
-fails: cavitation, a failed mass-operator solve and lost spectral
-resolution of the flux all end a run this way, and the printed reason
-names the last of them first.
+it apart from bugs). Blow-up is step-size underflow or a first stage that
+fails, where the printed reason names the last refusal first (cavitation
+or a failed mass-operator solve), or an accepted state whose flux has
+lost spectral resolution, where it reads ``spectral resolution lost at
+t=<t>``.
 """
 
 import argparse

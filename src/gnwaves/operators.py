@@ -58,8 +58,8 @@ It takes the reference experiment from 5.5 applications of A per solve
 workspace keeps the start of its stage, v, v_hat and a, and
 :meth:`GNWorkspace.remember` adds that stage to the basis, reusing a for
 the first Gram-Schmidt pass; ``runner.guarded_rhs`` calls it only once
-the stage has passed every check, and the next stage's start replaces
-the start of a refused one. At mu = 0 the solve is pointwise, and
+the stage's rhs has returned, and the next stage's start replaces the
+start of a refused one. At mu = 0 the solve is pointwise, and
 :meth:`GNWorkspace.warm_start` keeps nothing and returns None. The
 stopping errors of predicted starts are correlated from stage to stage
 and add up in the energy drift, so ``CG_TOL`` is 1e-13, not 1e-12.

@@ -5,11 +5,10 @@ state, integrates to t_end appending diagnostics rows and snapshots to the
 record as it goes, saves the final state, and finishes the record with a
 checksummed manifest, which also names the gnwaves, Python and numpy
 versions and the platform that made it; out_dir is claimed by
-:func:`gnwaves.io_store.claim_out_dir`. Shear blow-up (step-size
-underflow, or a first stage that fails) is a recorded *result*, as
-:func:`gnwaves.timestepper.integrate` returns it: the last healthy state is
-saved, and the status says "blowup" whenever the integration's reason is
-not empty.
+:func:`gnwaves.io_store.claim_out_dir`. Shear blow-up is a recorded
+*result*, as :func:`gnwaves.timestepper.integrate` returns it: the last
+accepted state is saved, and the status says "blowup" whenever the
+integration's reason is not empty.
 
 No flux is solved for outside the stages: the last stage of an accepted step
 is evaluated at the accepted state (FSAL), so diagnostics rows and snapshots
@@ -24,17 +23,20 @@ none was accepted).
 :func:`prepare` is the one set-up of a run and holds its refusals: a
 command that runs several configs prepares each before it claims --out.
 
-During time integration, a stage that cavitates, whose solve fails or whose
-flux has lost spectral resolution raises a StageRejected naming the cause
-(:func:`guarded_rhs`); the integrator rejects the step and shrinks, so every
-terminal failure surfaces as step-size underflow (or, at the first stage,
-ends the run at t = 0), and the manifest's reason, the integration's,
-names the last refusal first. The
-resolution guard reads the flux spectrum of each stage in two bands: the
-full ladder, against a rise toward Nyquist above the aliasing level
-sqrt(rel_tol), and, under the 2/3 rule (``dealias``, the default), the
-modes up to the cut n/3 that the run evolves, against a tail that does not
-decay toward the cut above the truncation level 10 rel_tol.
+During time integration, a stage that cavitates or whose solve fails
+raises a StageRejected naming the cause (:func:`rhs`); the integrator
+rejects the step and shrinks, so such a failure surfaces as step-size
+underflow (or, at the first stage, ends the run at t = 0), and the
+manifest's reason, the integration's, names the last refusal first.
+Resolution is judged once per accepted state, on the flux its FSAL stage
+left in the workspace (:func:`_resolution_lost`, the ``on_step`` of
+:func:`run_experiment`): a state that has lost it ends the run right
+there, with the reason ``spectral resolution lost at t=<t>``. The guard
+reads the flux spectrum in two bands: the full ladder, against a rise
+toward Nyquist above the aliasing level sqrt(rel_tol), and, under the
+2/3 rule (``dealias``, the default), the modes up to the cut n/3 that
+the run evolves, against a tail that does not decay toward the cut above
+the truncation level 10 rel_tol.
 
 The hydrostatic (Saint-Venant) model is the mu = 0 member of the dispersive
 family: a config with mu = 0 runs through the same rhs and diagnostics.
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticsRow, compute_row
-from .errors import CavitationError, StageRejected, ValidationError
+from .errors import CavitationError, ValidationError
 from .io_store import (
     RUN_GENERATOR,
     DiagnosticsWriter,
@@ -74,7 +76,7 @@ from .operators import CAVITATION_FLOOR, GNContext, GNWorkspace, layer_depths, r
 from .operators import invert_mass_operator  # unused here but stays bound: perfbench/layertrace.py rebinds it
 from .params import serialize_config
 from .spectral import Grid
-from .timestepper import REL_TOL, integrate
+from .timestepper import integrate
 
 __all__ = ["RunResult", "build_multiplier", "guarded_rhs", "initial_state", "prepare", "run_experiment"]
 
@@ -155,7 +157,40 @@ def _resolution_lost(w, w_hat, rel_tol, last_mode):
     """True when the flux spectrum ``w_hat = rfft(w)`` rises toward Nyquist
     above the aliasing level, or, when the tendencies evolve only the modes
     up to ``last_mode`` < n/2, fails to decay toward that cut above the
-    truncation level (see :func:`guarded_rhs`)."""
+    truncation level.
+
+    Resolution is judged on the flux w = A^{-1} v of an accepted state,
+    from which every product in :func:`rhs` is built (w^2, w/h, h^3 dx
+    F(w/h)). With w_hat_m its unnormalized real-FFT coefficients on the
+    n-point grid and T = n * max|w| (an upper bound of every |w_hat_m|), a
+    band of modes 0..M is judged by the largest |w_hat_m| over its top
+    third (2M/3 < m <= M) against the largest over its middle third (M/3 <
+    m <= 2M/3). The state has lost resolution when either test trips:
+
+    * the full ladder (M = n/2): top > middle, the spectrum rises toward
+      Nyquist instead of decaying, and top > sqrt(rel_tol) * T. The top
+      third is the band whose quadratic products alias back onto the
+      resolved modes; its self-aliasing error is of order tail^2, so this
+      bound keeps that error below the relative error the step controller
+      accepts (``rel_tol``, the tolerance given to :func:`integrate`).
+      Under the 2/3 rule it also catches content above the cut, which the
+      mask would carry frozen.
+    * under the 2/3 rule only, the band the tendencies evolve (M =
+      ``last_mode`` = n/3): top > 0.1 * middle and top > 10 * rel_tol * T.
+      The mask freezes the ladder's top third, so an ill-posed masked run
+      fills the band just below the cut and the first test never sees it;
+      and the tail the mask drops is itself the truncation error, so the
+      bound is a multiple of ``rel_tol``, not of its square root. Both
+      constants are measured on the reference experiment, with a margin of
+      2 or more on each side: resolved masked runs keep the tail under 1.8
+      * rel_tol (the default config at n = 1024 and 2048) and the top third
+      under 0.045 of the middle (the default config at epsilon = 1.5, its
+      tail 4e4 * rel_tol); ill-posed ones cross both, the identity runs
+      without tension by the tail (it grows exponentially, so a bound 3
+      times lower or higher moves their trip by less than 0.2 in t) and the
+      hydrostatic run at epsilon = 1.9 by the rise, which reaches 0.1 at t
+      = 0.18 and stays under 0.5 while its tail grows to 1e7 * rel_tol.
+    """
     n = w.size
     amp = np.abs(w_hat)
     scale = n * np.maximum.reduce(np.abs(w))
@@ -168,70 +203,24 @@ def _resolution_lost(w, w_hat, rel_tol, last_mode):
     return top > 0.1 * middle and top > 10.0 * rel_tol * scale
 
 
-def guarded_rhs(ctx, workspace, rel_tol=REL_TOL):
+def guarded_rhs(ctx, workspace):
     """Stage function f(t, y, u) for :func:`integrate` with a spectral
     frame (``linear=ctx.linear``, or a zero ModeRotation for plain
     Dormand-Prince stages) on the stacked (2, n) state y = (zeta, v) and
     its (2, n/2+1) real FFT u, returning the spectral tendencies of
     :func:`rhs` as they are. A stage that cavitates or whose CG solve fails
-    raises the CavitationError or ConvergenceError of :func:`rhs`, and one
-    whose flux has lost spectral resolution raises StageRejected; all three
-    are StageRejected, so :func:`integrate` rejects the step and shrinks.
+    raises the CavitationError or ConvergenceError of :func:`rhs`, both
+    StageRejected, so :func:`integrate` rejects the step and shrinks.
     :func:`rhs` solves from the CG start that ``workspace`` projects from
     the stage's v, y[1], and its spectrum, u[1], and keeps
-    (:meth:`GNWorkspace.warm_start`); only a stage that passes every check
+    (:meth:`GNWorkspace.warm_start`); only a stage whose solve succeeded
     joins the basis of that projection (:meth:`GNWorkspace.remember`).
-
-    Resolution is judged on the flux w = A^{-1} v of the stage, from which
-    every product in :func:`rhs` is built (w^2, w/h, h^3 dx F(w/h)). With
-    w_hat_m its unnormalized real-FFT coefficients on the n-point grid and
-    T = n * max|w| (an upper bound of every |w_hat_m|), a band of modes
-    0..M is judged by the largest |w_hat_m| over its top third (2M/3 < m
-    <= M) against the largest over its middle third (M/3 < m <= 2M/3).
-    The stage has lost resolution when either test trips:
-
-    * the full ladder (M = n/2): top > middle, the spectrum rises toward
-      Nyquist instead of decaying, and top > sqrt(rel_tol) * T. The top
-      third is the band whose quadratic products alias back onto the
-      resolved modes; its self-aliasing error is of order tail^2, so this
-      bound keeps that error below the relative error the step controller
-      accepts (``rel_tol``, the tolerance given to :func:`integrate`).
-      Under the 2/3 rule it also catches content above the cut, which the
-      mask would carry frozen.
-    * under the 2/3 rule only, the band the tendencies evolve (M =
-      ``ctx.last_mode`` = n/3): top > 0.1 * middle and top > 10 * rel_tol
-      * T. The mask freezes the ladder's top third, so an ill-posed masked
-      run fills the band just below the cut and the first test never sees
-      it; and the tail the mask drops is itself the truncation error, so
-      the bound is a multiple of ``rel_tol``, not of its square root. Both
-      constants are measured on the reference experiment, with a margin of
-      2 or more on each side: resolved masked runs keep the tail under 1.8
-      * rel_tol (the default config at n = 1024 and 2048) and the top third
-      under 0.045 of the middle (the default config at epsilon = 1.5, its
-      tail 4e4 * rel_tol); ill-posed ones cross both, the identity runs
-      without tension by the tail (it grows exponentially, so a bound 3
-      times lower or higher moves their trip by less than 0.2 in t) and the
-      hydrostatic run at epsilon = 1.9 by the rise, which reaches 0.1 at t
-      = 0.18 and stays under 0.5 while its tail grows to 1e7 * rel_tol.
-
-    A trip is sticky: the wrapper keeps the stage time, and every later
-    stage it is given raises ``spectral resolution lost at t=<that time>``
-    without a solve, so the step shrinks to underflow from the last resolved
-    state instead of creeping up to the bound. A fresh wrapper starts clean.
     """
-    guarded = ctx.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
-
-    lost_at = None  # the stage time of a trip
 
     def f(t, y, u):
-        nonlocal lost_at
-        if lost_at is None:
-            tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, y[1], u[1]))
-            if not (guarded and _resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode)):
-                workspace.remember()
-                return tendencies
-            lost_at = t
-        raise StageRejected(f"spectral resolution lost at t={lost_at:.6f}")
+        tendencies = rhs(ctx, workspace, *y, x0=workspace.warm_start(ctx, y[1], u[1]))
+        workspace.remember()
+        return tendencies
 
     return f
 
@@ -268,18 +257,23 @@ def run_experiment(config, out_dir, force=False):
           as snapshots):
         accepted_w = None  # flux of the last accepted state (or of t = 0), for the final state
 
+        guarded = config.params.epsilon != 0.0  # rhs is linear at epsilon = 0: no product can alias
+
         # integrate calls these right after the stage at y (at t = 0 too):
-        # the workspace holds y's flux and the products of its spectral pass
+        # the workspace holds y's flux and the products of its spectral pass;
+        # a state that has lost resolution ends the run there
         def on_step(t, y, stats):
             nonlocal accepted_w
             accepted_w = workspace.w
             diag.append(compute_row(ctx, t, y[1], workspace))
+            if guarded and _resolution_lost(workspace.w, workspace.w_hat, config.rel_tol, ctx.last_mode):
+                return f"spectral resolution lost at t={t:.6f}"
 
         def on_snapshot(t, y):
             snapshots.append(t, y[0], workspace.w)
 
         result = integrate(
-            guarded_rhs(ctx, workspace, rel_tol=config.rel_tol), (0.0, config.t_end), y0,
+            guarded_rhs(ctx, workspace), (0.0, config.t_end), y0,
             rel_tol=config.rel_tol,
             abs_tol=config.abs_tol,
             snapshot_times=snapshot_times,

@@ -54,12 +54,14 @@ and refuses non-finite tendencies as the stage function refuses a stage:
 by raising :class:`~gnwaves.errors.StageRejected`. A refused trial stage
 ends its attempt at once, which is rejected at the maximum shrink factor.
 
-Every integration returns how it ended: the last healthy state, its
+Every integration returns how it ended: the last accepted state, its
 StepStats and a ``reason``, empty when it reached t1. A run stops early
 when its first stage fails (no step can start without it, at any step
-size) or when dt falls below 1e-14; either way the reason names the last
-refusal first. That is the expected outcome for shear-unstable runs, not a
-crash.
+size), when dt falls below 1e-14 (the reason names the last refusal
+first), or when ``on_step`` returns a reason at an accepted state, as
+Hairer's DOPRI5 ends a run when its SOLOUT returns IRTRN < 0 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5). That is the expected outcome for
+shear-unstable runs, not a crash.
 """
 
 import math
@@ -228,26 +230,28 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     on one of snapshot_times. Both run right after rhs_fn was evaluated at
     exactly that y (the FSAL stage; at t0 the first evaluation, whatever
     its tendencies, before the first step size is probed), so state rhs_fn
-    keeps from its last call belongs to y.
+    keeps from its last call belongs to y. When on_step returns a
+    non-empty string, the integration ends right there, at that state (at
+    t0 too, before the probe), with the string as its ``reason``; None or
+    "" goes on.
 
     Every stage, the one at t0 and the probe of the first step size
     included, is one evaluation: it is counted in ``stats.rhs_evals``, and
     it fails when rhs_fn refuses it by raising StageRejected (cavitation, a
-    failed solve and lost resolution under
-    :func:`gnwaves.runner.guarded_rhs`) or returns non-finite tendencies,
-    which it refuses as ``StageRejected("non-finite tendencies at
-    t=...")``. A failed trial stage ends its attempt, which is rejected at
+    failed solve under :func:`gnwaves.runner.guarded_rhs`) or returns
+    non-finite tendencies, which it refuses as
+    ``StageRejected("non-finite tendencies at t=...")``. A failed trial stage ends its attempt, which is rejected at
     MIN_FACTOR; a failed probe leaves the first step size to the norms of
     the first stage.
 
     Returns an :class:`IntegrationResult` on every path: the last accepted
-    t and y, the StepStats and ``reason``, "" when the run reached t1. A
-    failed stage at t0 ends the integration right after the callbacks,
-    with no attempt: ``reason`` is "<its refusal>; first stage failed at
-    t=<t0>". On blow-up, when dt falls below DT_FLOOR, it is "<the last
-    refusal since the last accepted step>; step size underflow (dt=...) at
-    t=...", the bare underflow text if the controller alone shrank the
-    step.
+    t and y, the StepStats and ``reason``, "" when the run reached t1, or
+    the reason on_step returned. A failed stage at t0 ends the integration
+    right after the callbacks, with no attempt: ``reason`` is "<its
+    refusal>; first stage failed at t=<t0>", whatever on_step returned. On
+    blow-up, when dt falls below DT_FLOOR, it is "<the last refusal since
+    the last accepted step>; step size underflow (dt=...) at t=...", the
+    bare underflow text if the controller alone shrank the step.
     """
     lin = _IDENTITY if linear is None else linear
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -282,11 +286,12 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
     f = stage(t, y, u)
     if on_snapshot is not None:
         on_snapshot(t, y)
-    if on_step is not None:
-        on_step(t, y, stats)
+    stop = on_step(t, y, stats) if on_step is not None else None
     if f is None:
         # every first step needs this stage, and no step size changes it
         return IntegrationResult(t, y, stats, f"{cause}; first stage failed at t={t:.6f}")
+    if stop:
+        return IntegrationResult(t, y, stats, stop)
     dt = _initial_step(stage, lin, t0, y, f, t1 - t0, rel_tol, abs_tol)
 
     g = lin.tendency(f, u)
@@ -341,8 +346,9 @@ def integrate(rhs_fn, t_span, y0, *, rel_tol=REL_TOL, abs_tol=ABS_TOL, snapshot_
                 targets.pop(0)
                 if on_snapshot is not None:
                     on_snapshot(t, y)
-            if on_step is not None:
-                on_step(t, y, stats)
+            stop = on_step(t, y, stats) if on_step is not None else None
+            if stop:
+                return IntegrationResult(t, y, stats, stop)
             factor = MAX_FACTOR
             if err > 0.0:
                 factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err**-_ALPHA * err_prev**BETA))

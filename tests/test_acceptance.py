@@ -7,12 +7,13 @@ every diagnostics row), shared by one module-scoped fixture.
 
 Criterion 3 note: without surface tension the classical (identity) model
 is unstable at every high frequency. On 512 points, under the default 2/3
-rule, the resolution guard of ``runner.guarded_rhs`` sees the flux spectrum
-of the modes the run evolves stop decaying toward the cut n/3, and ends the
-run by step-size underflow at the last resolved state (t = 1.761; t = 1.494
-with ``dealias = false``, where the spectrum rises toward Nyquist), before
-the flow is spectrally destroyed at t = 2. The high band has grown by more
-than four orders by then (3b: 8.4); the regularized run stays smooth and
+rule, the resolution guard (``runner._resolution_lost``, which judges each
+accepted state) sees the flux spectrum of the modes the run evolves stop
+decaying toward the cut n/3, and ends the run at that state with the reason
+``spectral resolution lost at t=<t_final>`` (t = 1.782; t = 1.497 with
+``dealias = false``, where the spectrum rises toward Nyquist), before the
+flow is spectrally destroyed at t = 2. The high band has grown by more than
+four orders by then (3b: 8.5); the regularized run stays smooth and
 completes (3c).
 """
 
@@ -122,8 +123,9 @@ def test_criterion_02_conserved_quantity_drift(records):
 def test_criterion_03a_identity_no_tension_blowup_exit(records):
     result = records["identity/no_tension"]["result"]
     detail = f"status={result.status} at t={result.t_final:.3f} ({result.reason})"
-    _report("3a", "identity without tension aborts before t=2", result.status == "blowup" and result.t_final < 2.0,
-            detail)
+    ok = (result.status == "blowup" and result.t_final < 2.0
+          and result.reason == f"spectral resolution lost at t={result.t_final:.6f}")
+    _report("3a", "identity without tension aborts before t=2", ok, detail)
 
 
 def test_criterion_03b_identity_no_tension_band_growth(records):
@@ -381,7 +383,7 @@ def test_criterion_12_serre_solitary_wave():
         details.append(f"{'2/3 rule' if dealias else 'unmasked'}: travelling-wave residual {residual:.1e}")
         for rel_tol in (1e-8, 1e-10):
             result = integrate(
-                guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
+                guarded_rhs(ctx, GNWorkspace()), (0.0, t_end), _pack(zeta0, v0),
                 rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
             )
             err = float(np.max(np.abs(result.y[0] - zeta_exact))) / peak
@@ -414,7 +416,7 @@ def test_criterion_13_travelling_wave(family, inv_bond):
         r = c * v0 - interface_gradient(ctx, stage, c * zeta0)
         residual = float(np.max(np.abs(r - np.mean(r))))  # up to the integration constant
         result = integrate(
-            guarded_rhs(ctx, GNWorkspace(), rel_tol=rel_tol), (0.0, t_end), _pack(zeta0, v0),
+            guarded_rhs(ctx, GNWorkspace()), (0.0, t_end), _pack(zeta0, v0),
             rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=ctx.linear,
         )
         err = float(np.max(np.abs(result.y[0] - profile(t_end)))) / float(np.max(np.abs(zeta0)))

@@ -143,8 +143,8 @@ class TestSimulate:
 
     def test_resolution_loss_names_the_cause(self, fast_config_path, tmp_path, monkeypatch, capsys):
         # a flux with a strong mode in the top third of the ladder trips the
-        # resolution guard at the first stage, which ends the run at once:
-        # no attempt is made without it
+        # resolution guard at the t = 0 state, which ends the run there,
+        # before the first step size is probed
         def rough(grid):
             return 0.1 * np.cos(grid.k[5 * grid.n // 12] * grid.x)
 
@@ -152,7 +152,7 @@ class TestSimulate:
         out = str(tmp_path / "run")
         code = main(["simulate", "--config", fast_config_path, "--out", out])
         assert code == 3
-        reason = "spectral resolution lost at t=0.000000; first stage failed at t=0.000000"
+        reason = "spectral resolution lost at t=0.000000"
         assert f"({reason})" in capsys.readouterr().out
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert (metadata["reason"], metadata["t_final"]) == (reason, "0")

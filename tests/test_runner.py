@@ -12,7 +12,7 @@ import gnwaves
 import gnwaves.operators as operators_mod
 import gnwaves.runner as runner_mod
 from gnwaves.cli import _load_config, build_parser, main
-from gnwaves.errors import CavitationError, ConvergenceError, StageRejected, ValidationError
+from gnwaves.errors import CavitationError, ConvergenceError, ValidationError
 from gnwaves.io_store import (
     read_diagnostics,
     read_manifest,
@@ -28,6 +28,7 @@ from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, parse_config, serialize_config, with_overrides
 from gnwaves.runner import build_multiplier, guarded_rhs, initial_state, run_experiment
 from gnwaves.spectral import Grid, mode_amplitudes, rfft
+from gnwaves.timestepper import REL_TOL
 
 from conftest import start_with_flux
 
@@ -147,32 +148,23 @@ class TestGuardedRhs:
         rel_tol = 1e-11
         workspace = GNWorkspace()
         y = stacked_state(ctx, 0.5 * np.exp(-8 * small_grid.x**2))
-        f = guarded_rhs(ctx, workspace, rel_tol=rel_tol)
-        out = stage(f, 0.0, y)
+        out = stage(guarded_rhs(ctx, workspace), 0.0, y)
         top, middle = flux_bands(workspace.w)
         assert top > np.sqrt(rel_tol) * small_grid.n * np.abs(workspace.w).max()
         assert top < middle
         assert np.all(np.isfinite(out))
-        # the wrapper has not tripped: a further smooth stage passes
-        assert np.all(np.isfinite(stage(f, 0.1, stacked_state(ctx, smooth_flux(small_grid)))))
+        assert not runner_mod._resolution_lost(workspace.w, workspace.w_hat, rel_tol, ctx.last_mode)
 
-    def test_rising_tail_trips_and_stays_tripped(self, grid):
+    def test_rising_tail_trips(self, grid):
+        # the stage function evaluates a rough stage; the guard, given the
+        # flux that stage left in the workspace, judges it unresolved
         ctx = no_tension_ctx(grid)
         workspace = GNWorkspace()
         f = guarded_rhs(ctx, workspace)
-        message = "^spectral resolution lost at t=0.250000$"
-        with pytest.raises(StageRejected, match=message):
-            stage(f, 0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))
-        # sticky: a smooth state on the same wrapper is refused too, with
-        # the time of the trip and without a solve
-        smooth = stacked_state(ctx, smooth_flux(grid))
-        solved = workspace.w
-        with pytest.raises(StageRejected, match=message):
-            stage(f, 0.3, smooth)
-        assert workspace.w is solved
-        # a fresh wrapper starts clean, on the same workspace too
-        for fresh in (GNWorkspace(), workspace):
-            assert np.all(np.isfinite(stage(guarded_rhs(ctx, fresh), 0.3, smooth)))
+        assert np.all(np.isfinite(stage(f, 0.25, stacked_state(ctx, rough_flux(grid, 1e-3)))))
+        assert runner_mod._resolution_lost(workspace.w, workspace.w_hat, REL_TOL, ctx.last_mode)
+        assert np.all(np.isfinite(stage(f, 0.3, stacked_state(ctx, smooth_flux(grid)))))
+        assert not runner_mod._resolution_lost(workspace.w, workspace.w_hat, REL_TOL, ctx.last_mode)
 
     def test_non_finite_v_is_a_cg_breakdown(self, grid):
         ctx = no_tension_ctx(grid)
@@ -184,13 +176,12 @@ class TestGuardedRhs:
             with pytest.raises(ConvergenceError, match="is not finite"):
                 stage(f, 0.0, y)
             assert workspace.w is None
-            # a breakdown does not trip the resolution guard
+            # the stage function still evaluates after a breakdown
             assert np.all(np.isfinite(stage(f, 0.1, stacked_state(ctx, smooth_flux(grid)))))
 
     def test_failed_stages_leave_the_basis(self, grid):
-        # cavitation, a CG breakdown and a tripped resolution guard each
-        # raise their StageRejected, and none adds its stage to the
-        # predictor's basis
+        # cavitation and a CG breakdown each raise their StageRejected, and
+        # neither adds its stage to the predictor's basis
         ctx = no_tension_ctx(grid)
         workspace = GNWorkspace()
         f = guarded_rhs(ctx, workspace)
@@ -203,26 +194,49 @@ class TestGuardedRhs:
         cavitating[0, 0] = 1.0 / ctx.params.epsilon
         broken = y.copy()
         broken[1, 5] = np.nan
-        rough = stacked_state(ctx, rough_flux(grid, 1e-3))
-        for t, bad, refusal in ((0.2, cavitating, CavitationError), (0.2, broken, ConvergenceError),
-                                (0.25, rough, StageRejected)):
+        for bad, refusal in ((cavitating, CavitationError), (broken, ConvergenceError)):
             with pytest.raises(refusal):
-                stage(f, t, bad)
+                stage(f, 0.2, bad)
             assert (workspace.rows, workspace.solves) == (2, 2)
             now = workspace.basis[:2], workspace.images[:2], workspace.recent[:2]
             assert all(np.array_equal(a, b) for a, b in zip(now, kept))
-        with pytest.raises(StageRejected, match="lost at t=0.250000"):
-            stage(f, 0.3, y)
 
-    def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch):
-        config = fast_config(snapshot_times=())
-        start_with_flux(monkeypatch, config, lambda grid: rough_flux(grid, 0.1))
+    @pytest.mark.parametrize(
+        "config, flux",
+        [
+            pytest.param(fast_config(snapshot_times=()), lambda grid: rough_flux(grid, 0.1), id="t0"),
+            pytest.param(fast_config(multiplier="identity", inv_bond=0.0, t_end=2.0, snapshot_times=()),
+                         smooth_flux, id="mid_run"),
+        ],
+    )
+    def test_run_ended_by_the_guard_names_the_cause(self, tmp_path, monkeypatch, config, flux):
+        # the guard judges the t = 0 state and each accepted one once, and
+        # the first it finds unresolved ends the run there: no stage is
+        # evaluated after it, so no step is rejected after it
+        start_with_flux(monkeypatch, config, flux)
+        stages, verdicts = [], []
+        stage_rhs, resolution_lost = runner_mod.rhs, runner_mod._resolution_lost
+
+        def counted(*args, **kwargs):
+            stages.append(args)
+            return stage_rhs(*args, **kwargs)
+
+        def judged(*args):
+            verdicts.append((resolution_lost(*args), len(stages)))
+            return verdicts[-1][0]
+
+        monkeypatch.setattr(runner_mod, "rhs", counted)
+        monkeypatch.setattr(runner_mod, "_resolution_lost", judged)
         out = str(tmp_path / "rough")
         result = run_experiment(config, out)
         assert result.status == "blowup"
-        assert result.reason.startswith("spectral resolution lost at t=")
+        assert result.reason == f"spectral resolution lost at t={result.t_final:.6f}"
+        assert len(verdicts) == result.stats.accepted + 1
+        assert [lost for lost, _ in verdicts] == [False] * result.stats.accepted + [True]
+        assert verdicts[-1][1] == len(stages) == result.stats.rhs_evals
         metadata, _ = read_manifest(os.path.join(out, "manifest.txt"))
         assert metadata["reason"] == result.reason
+        assert metadata["t_final"] == f"{result.t_final:.17g}"
 
     @pytest.mark.parametrize(
         "config, flux, cause, steps",

@@ -326,6 +326,56 @@ def test_t0_is_reported_right_after_the_first_evaluation(rate):
     assert events[:3] == ["f", ("snapshot", 0.0, 1.0), ("step", 0.0, 1.0, 1, 0)]
 
 
+def _pendulum(calls):
+    def f(t, y, u):
+        calls.append(t)
+        return np.array([y[1], -np.sin(y[0])])
+
+    return f
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_a_reason_from_on_step_ends_the_integration_there(k):
+    # on_step's reason at the k-th accepted state (k = 0: t0) ends the run
+    # at that state, with that step's stats, before any further stage: at
+    # t0 after the one evaluation, without probing the first step size
+    calls, seen = [], []
+
+    def on_step(t, y, stats):
+        seen.append((t, y.copy(), (stats.accepted, stats.rejected, stats.rhs_evals), len(calls)))
+        return f"stopped at step {stats.accepted}" if stats.accepted == k else None
+
+    result = integrate(_pendulum(calls), (0.0, 3.0), np.array([1.2, 0.0]), rel_tol=1e-9, abs_tol=1e-11,
+                       snapshot_times=(0.1, 0.2), on_step=on_step)
+    t, y, stats, evaluated = seen[-1]
+    assert len(seen) == k + 1
+    assert result.reason == f"stopped at step {k}"
+    assert result.t == t and np.array_equal(result.y, y)
+    assert (result.stats.accepted, result.stats.rejected, result.stats.rhs_evals) == stats
+    assert len(calls) == evaluated == result.stats.rhs_evals
+    if k == 0:
+        assert calls == [0.0] and result.t == 0.0
+
+
+def test_a_failed_first_stage_keeps_its_reason():
+    result = integrate(lambda t, y, u: np.full_like(y, np.nan), (0.0, 1.0), np.array([1.0]),
+                       on_step=lambda t, y, stats: "stopped by on_step")
+    assert result.reason == "non-finite tendencies at t=0.000000; first stage failed at t=0.000000"
+    assert (result.t, result.stats.rhs_evals, result.stats.rejected) == (0.0, 1, 0)
+
+
+@pytest.mark.parametrize("answer", [None, ""], ids=["none", "empty"])
+def test_an_empty_answer_from_on_step_changes_nothing(answer):
+    runs = []
+    for on_step in (None, lambda t, y, stats: answer):
+        calls = []
+        result = integrate(_pendulum(calls), (0.0, 3.0), np.array([1.2, 0.0]), rel_tol=1e-9, abs_tol=1e-11,
+                           snapshot_times=(0.1, 0.2), on_step=on_step)
+        runs.append((result.t, result.y.tobytes(), result.stats, result.reason, calls))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 3.0 and runs[0][3] == ""
+
+
 # --- Lawson (integrating-factor) stages: integrate(..., linear=ModeRotation) ---
 
 
@@ -406,7 +456,7 @@ def _plain(ctx):
 def _gn_run(ctx, t_end, rel_tol, linear=True, **kw):
     grid = ctx.grid
     y0 = np.stack((-np.exp(-4 * grid.x**2), np.zeros(grid.n)))
-    f = guarded_rhs(ctx, GNWorkspace(), rel_tol=1e-10)
+    f = guarded_rhs(ctx, GNWorkspace())
     return integrate(f, (0.0, t_end), y0, rel_tol=rel_tol, abs_tol=1e-2 * rel_tol,
                      linear=ctx.linear if linear else _plain(ctx), **kw)
 
@@ -574,7 +624,7 @@ def test_lawson_run_matches_np_fft_propagator_bitwise(dealias):
     runs = []
     for linear in (ctx.linear, _NpFftModeRotation(*ctx.linear.coef)):
         snaps = []
-        result = integrate(guarded_rhs(ctx, GNWorkspace(), rel_tol=1e-10), (0.0, 0.5), y0, rel_tol=1e-9,
+        result = integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 0.5), y0, rel_tol=1e-9,
                            abs_tol=1e-11, snapshot_times=(0.1, 0.25, 0.4),
                            on_snapshot=lambda t, y: snaps.append((t, y.copy())), linear=linear)
         runs.append((result, snaps))
