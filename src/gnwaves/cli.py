@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .io_store import RUN_GENERATOR, claim_out_dir, read_diagnostics, write_manifest, write_table, write_text
 from .multipliers import ALIASES, FAMILIES, check_admissibility
 from .params import ExperimentConfig, parse_config, with_overrides
@@ -194,7 +194,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValidationError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

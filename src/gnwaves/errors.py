@@ -1,24 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class ConfigError(ValueError):
-    """Malformed configuration text (carries the offending line number)."""
-
-    def __init__(self, message, line):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+Every refusal of input from outside the package (a config line or value,
+a parameter, a field, a file) is one :class:`ValidationError`; a stage that
+the integration cannot evaluate is a :class:`StageRejected`, subclassed by
+its cause."""
 
 
 class ValidationError(ValueError):
-    """A physical or structural invariant was violated; names the field."""
+    """Input from outside the package was refused. ``field`` names what was
+    refused (a key, a config line ``"line N"``, a field or a file), and the
+    message reads ``"<field>: <why>"``."""
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-class CorruptFieldError(ValueError):
-    """A field contains NaN or Inf entries."""
 
 
 class StageRejected(RuntimeError):

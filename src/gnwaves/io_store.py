@@ -113,14 +113,15 @@ def _npy_header(dtype, shape):
 
 def _load_table(path, what, expected, accepts):
     """The fields of the 1-d structured array that ``path`` holds, as
-    contiguous arrays, when ``accepts(dtype)``; another file is a ValueError
-    naming it as not a ``what``, which ``expected`` describes."""
+    contiguous arrays, when ``accepts(dtype)``; another file is a
+    ValidationError naming it (its ``field`` is ``path``) as not a ``what``,
+    which ``expected`` describes."""
     try:
         table = np.load(path, allow_pickle=False)
     except ValueError as exc:
-        raise ValueError(f"{path} is not a {what}: {exc}") from exc
+        raise ValidationError(path, f"not a {what}: {exc}") from exc
     if not isinstance(table, np.ndarray) or table.ndim != 1 or not accepts(table.dtype):
-        raise ValueError(f"{path} is not a {what}: expected {expected}")
+        raise ValidationError(path, f"not a {what}: expected {expected}")
     return tuple(np.ascontiguousarray(table[name]) for name in table.dtype.names)
 
 
@@ -135,7 +136,8 @@ def write_snapshot(path, grid, zeta, w):
 
 
 def read_snapshot(path):
-    """``x, zeta, w`` as float64 arrays; another file is a ValueError naming it."""
+    """``x, zeta, w`` as float64 arrays; another file is a ValidationError
+    naming it."""
     return _load_table(path, "snapshot", f"a 1-d array of dtype {_SNAPSHOT_DTYPE}",
                        lambda dtype: dtype == _SNAPSHOT_DTYPE)
 
@@ -227,7 +229,7 @@ class SnapshotStream(_AppendedFile):
 def read_snapshots(path):
     """The ``t``, ``zeta`` and ``w`` of a snapshot stream as float64 arrays
     of shapes (rows,), (rows, n) and (rows, n); another file is a
-    ValueError naming it."""
+    ValidationError naming it."""
     return _load_table(
         path, "snapshot stream", "a 1-d array of float64 fields t, zeta (n,), w (n,)",
         lambda dtype: dtype.names == ("t", "zeta", "w") and len(dtype["zeta"].shape) == 1

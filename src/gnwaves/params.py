@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .multipliers import FAMILIES
 from .operators import CG_MAX_ITER, CG_TOL
 from .spectral import is_power_of_two
@@ -178,7 +178,10 @@ def parse_config(text):
     Lines are either blank, ``# comment``, or ``key = value``. The keys are
     the fields of :class:`PhysParams` and :class:`ExperimentConfig`. Unknown
     keys are a hard error (they are almost always typos), and every missing
-    key takes its reference-experiment default.
+    key takes its reference-experiment default. A line that is not a known
+    key with a parseable value, or repeats a key, is a
+    :class:`~gnwaves.errors.ValidationError` whose ``field`` is ``"line N"``;
+    a value outside its field's range is one naming the key.
     """
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -186,17 +189,17 @@ def parse_config(text):
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"expected 'key = value', got {stripped!r}", line=line_no)
+            raise ValidationError(f"line {line_no}", f"expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _KEY_FORMATS:
-            raise ConfigError(f"unknown key {key!r}", line=line_no)
+            raise ValidationError(f"line {line_no}", f"unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"duplicate key {key!r}", line=line_no)
+            raise ValidationError(f"line {line_no}", f"duplicate key {key!r}")
         try:
             values[key] = _KEY_FORMATS[key][0](raw)
         except (ValueError, KeyError):
-            raise ConfigError(f"cannot parse value {raw!r} for key {key!r}", line=line_no) from None
+            raise ValidationError(f"line {line_no}", f"cannot parse value {raw!r} for key {key!r}") from None
     return with_overrides(ExperimentConfig(), **values)
 
 

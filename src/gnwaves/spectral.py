@@ -26,7 +26,7 @@ counter rebinds two attributes; the Lawson frame changes of
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import CorruptFieldError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Grid",
@@ -95,13 +95,14 @@ def _check_field(grid, f):
     if f.shape != (grid.n,):
         raise ValidationError("field", f"expected shape ({grid.n},), got {f.shape}")
     if not np.all(np.isfinite(f)):
-        raise CorruptFieldError("field contains non-finite values")
+        raise ValidationError("field", "contains non-finite values")
     return f
 
 
 def mode_amplitudes(grid, f):
     """|f_hat(k)| on the nonnegative ladder, normalized so that a
-    unit-amplitude single mode has amplitude 1/2."""
+    unit-amplitude single mode has amplitude 1/2. A field of another shape,
+    or with a NaN or Inf entry, is a ValidationError naming ``field``."""
     f = _check_field(grid, f)
     return np.abs(rfft(f)) / grid.n
 

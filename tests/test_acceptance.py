@@ -34,7 +34,7 @@ from gnwaves.operators import (
     rhs,
 )
 from gnwaves.params import ExperimentConfig, PhysParams, with_overrides
-from gnwaves.runner import build_multiplier, guarded_rhs, run_experiment
+from gnwaves.runner import build_multiplier, guarded_rhs, prepare, run_experiment
 from gnwaves.spectral import Grid, irfft
 from gnwaves.stability import growth_rates, model_coeffs, threshold_curve
 from gnwaves.timestepper import ModeRotation, integrate
@@ -339,6 +339,39 @@ def test_criterion_10_integrator_oracles():
     ok = exp_err <= 1e-8 and monotone
     _report(10, "integrator oracles (exp growth, tolerance halving)", ok,
             f"|y(1)-e| = {exp_err:.1e}, monotone over {len(errors)} halvings: {monotone}")
+
+
+def test_criterion_10b_integrator_order_on_the_gn_system():
+    # the reference experiment on 64 points to t = 2 (abs_tol = rel_tol/100)
+    # against a Lawson run at 1e-13/1e-15, for the Lawson stages and for
+    # plain ones (a zero ModeRotation). Measured: per decade of rel_tol the
+    # error of zeta falls 14.0x and 8.0x (Lawson), 9.9x and 9.9x (plain), as
+    # tolerance proportionality has it (10x), and the accepted steps grow
+    # 1.525-1.568x, near the 10^(1/5) = 1.585 of an error estimate of
+    # order 4 (10^(1/4) = 1.78 for one of order 3)
+    start = time.monotonic()
+    _, ctx, zeta0 = prepare(with_overrides(ExperimentConfig(), grid_n=64))
+    y0 = _pack(zeta0, np.zeros_like(zeta0))
+
+    def run(rel_tol, linear):
+        return integrate(guarded_rhs(ctx, GNWorkspace()), (0.0, 2.0), y0,
+                         rel_tol=rel_tol, abs_tol=rel_tol / 100, linear=linear)
+
+    ref = run(1e-13, ctx.linear)
+    ok, lines = ref.t == 2.0, []
+    for name, linear in (("lawson", ctx.linear), ("plain", ModeRotation(0 * ctx.ik, 0 * ctx.ik))):
+        results = [run(rel_tol, linear) for rel_tol in (1e-8, 1e-9, 1e-10)]
+        errors = [float(np.max(np.abs(r.y[0] - ref.y[0]))) for r in results]
+        error_ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+        step_ratios = [r2.stats.accepted / r1.stats.accepted for r1, r2 in zip(results, results[1:])]
+        ok = (ok and all(r.t == 2.0 for r in results)
+              and all(5.0 <= q <= 20.0 for q in error_ratios)
+              and all(1.45 <= q <= 1.70 for q in step_ratios))
+        lines.append(f"{name}: errors {', '.join(f'{e:.2e}' for e in errors)}, per decade "
+                     f"{', '.join(f'{q:.1f}x' for q in error_ratios)} error and "
+                     f"{', '.join(f'{q:.3f}x' for q in step_ratios)} steps")
+    _report("10b", "integrator order on the GN system", ok,
+            "; ".join(lines) + f"; {time.monotonic() - start:.2f} s")
 
 
 @pytest.mark.parametrize("inv_bond", [5e-4, 0.0], ids=["tension", "no_tension"])

@@ -118,12 +118,13 @@ class _Trap:
 
 
 class TestReadSnapshotRejects:
-    """A .npy that is not a snapshot, or no .npy at all, is a ValueError
+    """A .npy that is not a snapshot, or no .npy at all, is a ValidationError
     naming the file; an object array is never unpickled."""
 
     def _rejects(self, path):
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValidationError, match=re.escape(str(path))) as err:
             read_snapshot(path)
+        assert err.value.field == path
 
     def test_object_array_is_not_unpickled(self, tmp_path):
         trap = tmp_path / "unpickled"
@@ -226,8 +227,9 @@ class TestSnapshotStream:
     def test_read_snapshots_refuses_other_arrays(self, tmp_path, table):
         path = tmp_path / "table.npy"
         np.save(path, table)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValidationError, match=re.escape(str(path))) as err:
             read_snapshots(path)
+        assert err.value.field == path
 
     def test_read_snapshots_refuses_objects_and_text(self, tmp_path):
         trap = tmp_path / "unpickled"
@@ -236,8 +238,9 @@ class TestSnapshotStream:
         text = tmp_path / "snap_t0.csv"
         text.write_text("x,zeta,w\n0,0,0\n")
         for bad in (path, text):
-            with pytest.raises(ValueError, match=re.escape(str(bad))):
+            with pytest.raises(ValidationError, match=re.escape(str(bad))) as err:
                 read_snapshots(bad)
+            assert err.value.field == bad
         assert not trap.exists()
 
 

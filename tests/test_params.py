@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnwaves.errors import ConfigError, ValidationError
+from gnwaves.errors import ValidationError
 from gnwaves.params import (
     ExperimentConfig,
     PhysParams,
@@ -60,18 +60,21 @@ class TestParseConfig:
         assert config.params.mu == 0.2
 
     def test_malformed_line_reports_number(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValidationError) as err:
             parse_config("gamma = 0.9\nnot a pair\n")
-        assert "line 2" in str(err.value)
+        assert err.value.field == "line 2"
+        assert str(err.value) == "line 2: expected 'key = value', got 'not a pair'"
 
     def test_unknown_key_is_hard_error(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValidationError) as err:
             parse_config("gamm = 0.9")
+        assert err.value.field == "line 1"
         assert "unknown key" in str(err.value)
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError) as err:
             parse_config("mu = 0.1\nmu = 0.2")
+        assert err.value.field == "line 2"
 
     def test_validation_error_names_field(self):
         with pytest.raises(ValidationError) as err:
@@ -79,15 +82,17 @@ class TestParseConfig:
         assert err.value.field == "delta"
 
     def test_bad_value_reports_line(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValidationError) as err:
             parse_config("mu = banana")
+        assert err.value.field == "line 1"
         assert "line 1" in str(err.value)
 
     @pytest.mark.parametrize("text", ["dealias = maybe", "grid_n = 64.0"])
-    def test_unparseable_values_are_config_errors(self, text):
+    def test_unparseable_values_are_refused_by_line(self, text):
         key, _, raw = text.partition(" = ")
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValidationError) as err:
             parse_config(text)
+        assert err.value.field == "line 1"
         assert str(err.value) == f"line 1: cannot parse value {raw!r} for key {key!r}"
 
     @pytest.mark.parametrize(

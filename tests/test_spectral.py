@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 import gnwaves.operators as operators_mod
 import gnwaves.spectral as spectral_mod
 from gnwaves.diagnostics import compute_row
-from gnwaves.errors import CorruptFieldError, ValidationError
+from gnwaves.errors import ValidationError
 from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, apply_mass_operator, invert_mass_operator, rhs
 from gnwaves.params import ExperimentConfig, with_overrides
@@ -236,8 +236,9 @@ class TestModeAmplitudesChecks:
     def test_rejects_nan(self, grid):
         f = np.zeros(grid.n)
         f[3] = np.nan
-        with pytest.raises(CorruptFieldError):
+        with pytest.raises(ValidationError) as err:
             mode_amplitudes(grid, f)
+        assert err.value.field == "field"
 
     def test_rejects_wrong_shape(self, grid, small_grid):
         with pytest.raises(ValidationError):

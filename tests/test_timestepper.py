@@ -1,4 +1,6 @@
 import time
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from gnwaves.multipliers import MultiplierSpec
 from gnwaves.operators import GNContext, GNWorkspace, invert_mass_operator
 from gnwaves.runner import guarded_rhs
 from gnwaves.spectral import Grid, dealias_mask
-from gnwaves.timestepper import MIN_FACTOR, ModeRotation, integrate
+from gnwaves.timestepper import _A, _C, _E, MIN_FACTOR, ModeRotation, integrate
 
 from conftest import REF_PARAMS, passed_stage, random_smooth_field
 
@@ -644,3 +646,71 @@ def test_integrate_refuses_a_bad_time_span(t_span):
     with pytest.raises(ValidationError) as err:
         integrate(lambda t, y, u: y, t_span, np.array([1.0]))
     assert err.value.field == "t_span"
+
+
+def _rooted_trees(order):
+    """The rooted trees of at most ``order`` nodes, each the sorted tuple of
+    its subtrees (a single node is ``()``): every tree of q + 1 nodes is one
+    of q nodes with a leaf added at one of its nodes."""
+
+    def grown(tree):
+        yield tuple(sorted(tree + ((),)))
+        for i, child in enumerate(tree):
+            for bigger in grown(child):
+                yield tuple(sorted(tree[:i] + (bigger,) + tree[i + 1:]))
+
+    level, trees = {()}, [()]
+    for _ in range(order - 1):
+        level = {bigger for tree in level for bigger in grown(tree)}
+        trees += sorted(level)
+    return trees
+
+
+def _size(tree):
+    return 1 + sum(map(_size, tree))
+
+
+def _density(tree):
+    """gamma(t) = |t| times the densities of its subtrees."""
+    return _size(tree) * prod(map(_density, tree))
+
+
+def _stage_weights(a, tree):
+    """Phi_i(t) = prod over the subtrees s of sum_j a_ij Phi_j(s); the
+    condition of order |t| is sum_i b_i Phi_i(t) = 1/gamma(t)."""
+    subtrees = [_stage_weights(a, s) for s in tree]
+    return [prod(sum(aij * phi[j] for j, aij in enumerate(row)) for phi in subtrees) for row in a]
+
+
+def _exact(x):
+    """The rational that the float ``x`` rounds, recovered bit for bit."""
+    fraction = Fraction(x).limit_denominator(10**6)
+    assert float(fraction) == x, (x, fraction)
+    return fraction
+
+
+def test_dp5_tableau_satisfies_its_order_conditions_exactly():
+    # the tableau as written, in exact rationals: each entry is the float of
+    # a fraction of denominator <= 10^6; b (order 5) and the embedded
+    # b - _E (order 4) meet every rooted-tree condition of their order
+    # (Hairer, Norsett & Wanner, Solving ODEs I, II.2)
+    stages = len(_C)
+    c = [_exact(x) for x in _C]
+    a = [[_exact(x) for x in row] + [Fraction(0)] * (stages - len(row)) for row in _A]
+    e = [_exact(x) for x in _E]
+    assert all(c[i] == sum(a[i]) for i in range(stages))
+    # FSAL: the last stage is taken at the 5th-order solution y + h sum b_j k_j
+    b = a[-1]
+    assert c[-1] == 1 and b[-1] == 0
+    b_embedded = [bi - ei for bi, ei in zip(b, e)]
+    # 1, 1, 2, 4, 9 trees of 1..5 nodes (OEIS A000081)
+    assert [sum(_size(t) == q for t in _rooted_trees(5)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
+    for weights, order in ((b, 5), (b_embedded, 4)):
+        for tree in _rooted_trees(order):
+            phi = _stage_weights(a, tree)
+            assert sum(w * p for w, p in zip(weights, phi)) == Fraction(1, _density(tree)), (order, tree)
+    # the estimator is of order 4 and no more: some tree of order 5 fails it
+    assert any(
+        sum(w * p for w, p in zip(b_embedded, _stage_weights(a, tree))) != Fraction(1, _density(tree))
+        for tree in _rooted_trees(5) if _size(tree) == 5
+    )
